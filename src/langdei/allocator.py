@@ -103,10 +103,6 @@ class AllocationRequest:
             available[s] = covered
         object.__setattr__(self, "_available", available)
 
-    def available_targets(self) -> dict[str, tuple[str, ...]]:
-        """Per-source tuple of targets that have a curve, per the missing policy."""
-        return dict(self._available)
-
 
 @dataclass(frozen=True)
 class AllocationPlan:
@@ -122,71 +118,30 @@ class AllocationPlan:
     evaluation: PlanEvaluation | None = None
 
 
-def source_gm(
-    source: str,
-    targets: Sequence[str],
-    registry: CurveRegistry,
-    demand: Mapping[str, float],
-    k: int,
-    missing: str = "strict",
-) -> float:
-    """Demand-weighted sum of per-target curve predictions at k samples."""
-    total = 0.0
-    covered = 0
-    for t in sorted(targets):
-        curve = registry.get((source, t))
-        if curve is None:
-            if missing == "strict":
-                raise InputError(f"no curve for pair ({source}, {t})")
-            logger.debug("no curve for pair (%s, %s); skipped", source, t)
-            continue
-        total += demand[t] * _curves.predict(curve, k)
-        covered += 1
-    if covered == 0:
-        raise InputError(f"source {source!r} has no curve for any target")
-    return total
+def _source_state(request: AllocationRequest, source: str, k: int) -> tuple[float, float]:
+    """(gm, gini) of one source at k samples over the targets it covers.
 
-
-def source_gini(
-    source: str,
-    targets: Sequence[str],
-    registry: CurveRegistry,
-    k: int,
-    missing: str = "strict",
-) -> float:
-    """Gini coefficient of absolute per-target predictions at k samples.
-
-    The absolute value guards against negative predictions at small k.
+    gm is the demand-weighted sum of per-target curve predictions; gini is the
+    Gini coefficient of their absolute values, the absolute value guarding
+    against negative predictions at small k.
     """
-    values = []
-    for t in sorted(targets):
-        curve = registry.get((source, t))
-        if curve is None:
-            if missing == "strict":
-                raise InputError(f"no curve for pair ({source}, {t})")
-            logger.debug("no curve for pair (%s, %s); skipped", source, t)
-            continue
-        values.append(abs(_curves.predict(curve, k)))
-    if not values:
-        raise InputError(f"source {source!r} has no curve for any target")
-    return _metrics.gini(values)
+    targets = request._available[source]
+    preds = [_curves.predict(request.registry[(source, t)], k) for t in targets]
+    gm = sum(request.demand[t] * p for t, p in zip(targets, preds))
+    return gm, _metrics.gini([abs(p) for p in preds])
 
 
 def greedy_allocate(request: AllocationRequest) -> AllocationPlan:
     """Allocate the budget one sample at a time to the argmax-gain source."""
-    available = request.available_targets()
     samples = {s: 0 for s in request.sources}
     current_gm = {s: -math.inf for s in request.sources}
     current_gini = {s: 1.0 for s in request.sources}
     alpha, beta = request.alpha, request.beta
 
     def candidate(s: str) -> tuple[float, float, float]:
-        k = samples[s] + 1
-        gm = sum(request.demand[t] * _curves.predict(request.registry[(s, t)], k) for t in available[s])
-        g = _metrics.gini([abs(_curves.predict(request.registry[(s, t)], k)) for t in available[s]])
+        gm, g = _source_state(request, s, samples[s] + 1)
         gm_term = alpha * (gm - current_gm[s]) if alpha != 0 else 0.0
-        gain = gm_term + beta * (current_gini[s] - g)
-        return gain, gm, g
+        return gm_term + beta * (current_gini[s] - g), gm, g
 
     # A source's candidate only changes when that source receives a sample,
     # so cache candidates and refresh just the chosen source each step. The
@@ -221,16 +176,19 @@ def greedy_allocate(request: AllocationRequest) -> AllocationPlan:
     )
 
 
-def _final_states(
-    request: AllocationRequest, counts: Mapping[str, int]
-) -> tuple[dict[str, float], dict[str, float]]:
-    gm = {}
-    gini = {}
-    for s, k in counts.items():
-        if k > 0:
-            gm[s] = source_gm(s, request.targets, request.registry, request.demand, k, request.missing)
-            gini[s] = source_gini(s, request.targets, request.registry, k, request.missing)
-    return gm, gini
+def _fixed_plan(request: AllocationRequest, strategy: str, counts: dict[str, int]) -> AllocationPlan:
+    """A plan with counts decided up front and each funded source's final state."""
+    states = {s: _source_state(request, s, k) for s, k in counts.items() if k > 0}
+    return AllocationPlan(
+        strategy=strategy,
+        budget=request.budget,
+        counts=counts,
+        final_gm={s: gm for s, (gm, _) in states.items()},
+        final_gini={s: g for s, (_, g) in states.items()},
+        alpha=request.alpha,
+        beta=request.beta,
+        missing=request.missing,
+    )
 
 
 def egalitarian_allocate(request: AllocationRequest) -> AllocationPlan:
@@ -238,17 +196,7 @@ def egalitarian_allocate(request: AllocationRequest) -> AllocationPlan:
     sources in lexicographic order."""
     base, remainder = divmod(request.budget, len(request.sources))
     counts = {s: base + (1 if i < remainder else 0) for i, s in enumerate(request.sources)}
-    gm, gini = _final_states(request, counts)
-    return AllocationPlan(
-        strategy="egalitarian",
-        budget=request.budget,
-        counts=counts,
-        final_gm=gm,
-        final_gini=gini,
-        alpha=request.alpha,
-        beta=request.beta,
-        missing=request.missing,
-    )
+    return _fixed_plan(request, "egalitarian", counts)
 
 
 def single_source_allocate(request: AllocationRequest, source: str) -> AllocationPlan:
@@ -256,17 +204,7 @@ def single_source_allocate(request: AllocationRequest, source: str) -> Allocatio
     if source not in request.sources:
         raise InputError(f"unknown source language {source!r}; sources are {', '.join(request.sources)}")
     counts = {s: request.budget if s == source else 0 for s in request.sources}
-    gm, gini = _final_states(request, counts)
-    return AllocationPlan(
-        strategy=f"single:{source}",
-        budget=request.budget,
-        counts=counts,
-        final_gm=gm,
-        final_gini=gini,
-        alpha=request.alpha,
-        beta=request.beta,
-        missing=request.missing,
-    )
+    return _fixed_plan(request, f"single:{source}", counts)
 
 
 def evaluate_plan(

@@ -95,14 +95,26 @@ def _load_universe_arg(path: str | None) -> tuple[str, ...]:
     return io.load_universe(path)
 
 
-def _load_demand(args, targets) -> dict[str, float]:
-    if args.tau > 0 and not args.speakers:
-        raise InputError("--tau > 0 needs speaker counts; pass --speakers FILE")
+def _load_speakers(args) -> metrics.SpeakerTable:
+    if args.speakers:
+        return io.load_speakers(args.speakers)
     if args.tau > 0:
-        speakers = io.load_speakers(args.speakers)
-    else:
-        speakers = metrics.SpeakerTable({})
-    return metrics.demand(speakers, targets, args.tau)
+        raise InputError("--tau > 0 needs speaker counts; pass --speakers FILE")
+    return metrics.SpeakerTable({})
+
+
+def _check_distinct_outputs(args) -> None:
+    """Two output flags naming one file would leave only the last write."""
+    seen: dict[Path, str] = {}
+    for dest in ("out", "lorenz_out", "amrs_out", "trace_out"):
+        value = getattr(args, dest, None)
+        if not value:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        path = Path(value).resolve()
+        if path in seen:
+            raise InputError(f"{seen[path]} and {flag} name the same file: {value}")
+        seen[path] = flag
 
 
 # ---------------------------------------------------------------------------
@@ -111,29 +123,16 @@ def _load_demand(args, targets) -> dict[str, float]:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     tasks = io.load_tasks(args.tasks)
-    perf = io.load_performance(args.perf, scale=args.scale)
     universe = _load_universe_arg(args.universe)
-    if args.tau > 0 and not args.speakers:
-        raise InputError("--tau > 0 needs speaker counts; pass --speakers FILE")
-    speakers = io.load_speakers(args.speakers) if args.speakers else metrics.SpeakerTable({})
+    speakers = _load_speakers(args)
+    # The performance table is not kept: the rows carry what the outputs need.
     rows = metrics.dei_scorecard(
-        perf, speakers, tasks, universe, tau=args.tau, tested_only=args.tested_only
+        io.load_performance(args.perf, scale=args.scale),
+        speakers, tasks, universe, tau=args.tau, tested_only=args.tested_only,
     )
     outputs = {args.out: io.render_scorecard(rows, scale=args.scale)}
     if args.lorenz_out:
-        by_task = {t.task_id: t for t in tasks}
-        points = {}
-        for (task, model, train), scores in perf.groups():
-            spec = by_task[task]
-            if args.tested_only:
-                row_universe = [lang for lang in universe if lang in scores]
-            else:
-                row_universe = list(universe)
-            values = [
-                metrics.utility(scores[lang], spec) if lang in scores else 0.0
-                for lang in row_universe
-            ]
-            points[(task, model, train)] = metrics.lorenz_points(values)
+        points = {(r.task, r.model, r.train_lang): metrics.lorenz_points(r.utilities) for r in rows}
         outputs[args.lorenz_out] = io.render_lorenz(points)
     _write_outputs(outputs)
     print(f"metrics: wrote {len(rows)} rows -> {args.out}")
@@ -189,7 +188,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         raise InputError(f"{args.curves}: registry contains no curves")
     sources = args.sources or tuple(sorted({s for s, _ in registry}))
     targets = args.targets or tuple(sorted({t for _, t in registry}))
-    demand = _load_demand(args, targets)
+    demand = metrics.demand(_load_speakers(args), targets, args.tau)
     strategy, single_source = _parse_strategy(args.strategy)
     request = allocator.AllocationRequest(
         budget=args.budget,
@@ -377,6 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        _check_distinct_outputs(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

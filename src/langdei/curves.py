@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from langdei.errors import ComputationError, InputError
+from langdei.errors import ComputationError, InputError, check_id
 
 DEFAULT_C_RANGE: tuple[float, float] = (0.0, 2.0)
 
@@ -37,6 +37,8 @@ class TrajectoryPoint:
     score: float
 
     def __post_init__(self) -> None:
+        check_id(self.source, "source language")
+        check_id(self.target, "target language")
         if self.samples < 1:
             raise InputError(f"sample count must be >= 1, got {self.samples}")
         if not math.isfinite(self.score):
@@ -59,6 +61,8 @@ class LearningCurve:
     r_squared: float
 
     def __post_init__(self) -> None:
+        check_id(self.source, "source language")
+        check_id(self.target, "target language")
         for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
             if not math.isfinite(value):
                 raise InputError(f"curve coefficient {name} must be finite, got {value}")

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from langdei.errors import ComputationError, InputError
+from langdei.errors import ComputationError, InputError, check_id
 
 METRIC_THROUGHPUT = "throughput"
 METRIC_MEMORY = "memory"
@@ -41,6 +41,9 @@ class ModelGoods:
     performance: float
 
     def __post_init__(self) -> None:
+        check_id(self.model_id, "model id")
+        check_id(self.group, "group")
+        check_id(self.task_id, "task id")
         if self.throughput <= 0 or not math.isfinite(self.throughput):
             raise InputError(f"throughput for {self.model_id!r} must be positive, got {self.throughput}")
         if self.memory_gb <= 0 or not math.isfinite(self.memory_gb):
@@ -75,8 +78,18 @@ class AmrsTable:
 
     def __post_init__(self) -> None:
         for key, value in self.entries.items():
-            if not math.isfinite(value) or value <= 0:
-                raise InputError(f"substitution rate for {key} must be positive, got {value}")
+            self.check_entry(key, value)
+
+    @staticmethod
+    def check_entry(key: tuple[str, str, str], value: float) -> None:
+        """The rule every entry obeys: valid ids, a known metric, a finite rate > 0."""
+        group, task, metric = key
+        check_id(group, "group")
+        check_id(task, "task id")
+        if metric not in METRICS:
+            raise InputError(f"metric must be one of {METRICS}, got {metric!r}")
+        if not math.isfinite(value) or value <= 0:
+            raise InputError(f"substitution rate for {key} must be positive, got {value}")
 
     def get(self, group: str, task: str, metric: str) -> float:
         try:
@@ -125,12 +138,12 @@ def mrs_sequence(
 
 def amrs(mrs_values: Sequence[float]) -> float:
     """Arithmetic mean of substitution rates. A zero mean would divide by
-    zero downstream, so it is flagged here."""
+    zero downstream, so it is undefined here."""
     if not mrs_values:
         raise InputError("cannot average an empty list of substitution rates")
     mean = sum(mrs_values) / len(mrs_values)
     if mean == 0:
-        warnings.warn("average substitution rate is 0; efficiency scores would divide by zero", stacklevel=2)
+        raise ComputationError("average substitution rate is 0; efficiency scores would divide by zero")
     return mean
 
 
@@ -158,8 +171,6 @@ def efficiency_score(
     """Weighted sum of goods, each converted to performance units."""
     rate_tp = amrs_table.get(goods.group, goods.task_id, METRIC_THROUGHPUT)
     rate_mem = amrs_table.get(goods.group, goods.task_id, METRIC_MEMORY)
-    if rate_tp <= 0 or rate_mem <= 0:
-        raise ComputationError("substitution rates must be positive to convert goods")
     return (
         config.w_perf * goods.performance
         + config.w_throughput * goods.throughput / rate_tp

@@ -1,9 +1,10 @@
 """File formats, bundled datasets, and canonical serialization.
 
 Flat tables are CSV; nested records (curve registries, plans) are key=value
-text. All output is canonical: keys sorted, numbers at up to 12 significant
-digits, LF line endings, trailing newline. Identical inputs always produce
-byte-identical output.
+text. Input is read as UTF-8 with an optional byte-order mark. All output is
+canonical: keys sorted, numbers at up to 12 significant digits, LF line
+endings, trailing newline. Identical inputs always produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 from langdei.allocator import AllocationPlan, PlanEvaluation, TraceStep
 from langdei.curves import LearningCurve, TrajectoryPoint
 from langdei.efficiency import AmrsTable, EfficiencyConfig, ModelGoods, memory_saved
-from langdei.errors import InputError
+from langdei.errors import InputError, check_id
 from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, TaskSpec
 
 DATA_ROOT = Path(__file__).resolve().parent / "data"
@@ -60,11 +61,27 @@ def _parse_int(text: str, where: str) -> int:
         raise InputError(f"{where}: malformed integer {text!r}") from None
 
 
-def _read_csv_rows(path: str | Path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
+def _located(where: str, make, *args):
+    """``make(*args)``, with any InputError it raises prefixed by ``where``."""
+    try:
+        return make(*args)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
+def _check_file(path: str | Path) -> Path:
     path = Path(path)
     if not path.is_file():
         raise InputError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    return path
+
+
+def _read_lines(path: str | Path) -> list[str]:
+    return _check_file(path).read_text(encoding="utf-8-sig").splitlines()
+
+
+def _read_csv_rows(path: str | Path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
+    with open(_check_file(path), newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
     if not rows:
@@ -98,8 +115,7 @@ def load_speakers(path: str | Path) -> SpeakerTable:
         if lang in entries:
             raise InputError(f"{where}: duplicate language {lang!r}")
         count = _parse_float(count_text, where)
-        if count < 0:
-            raise InputError(f"{where}: speaker count must be non-negative, got {count}")
+        _located(where, SpeakerTable.check_entry, lang, count)
         entries[lang] = count
     return SpeakerTable(entries)
 
@@ -111,26 +127,20 @@ def load_tasks(path: str | Path) -> list[TaskSpec]:
         where = f"{path}:{lineno}"
         if task in specs:
             raise InputError(f"{where}: duplicate task {task!r}")
-        maximum = _parse_float(max_text, where)
-        if maximum <= 0:
-            raise InputError(f"{where}: max performance must be positive, got {maximum}")
-        specs[task] = TaskSpec(task, maximum)
+        specs[task] = _located(where, TaskSpec, task, _parse_float(max_text, where))
     return list(specs.values())
 
 
 def load_universe(path: str | Path) -> tuple[str, ...]:
     """Plain text, one language code per line; ``#`` comments allowed."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"input file not found: {path}")
     codes: list[str] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         code = line.strip()
         if not code or code.startswith("#"):
             continue
         if code in codes:
             raise InputError(f"{path}:{lineno}: duplicate language {code!r}")
-        codes.append(code)
+        codes.append(_located(f"{path}:{lineno}", check_id, code, "language code"))
     return tuple(codes)
 
 
@@ -143,12 +153,17 @@ def load_performance(path: str | Path, scale: str = "percent") -> PerformanceTab
     _check_scale(scale)
     factor = 100.0 if scale == "unit" else 1.0
     scores: dict[tuple[str, str, str, str], float] = {}
+    valid_ids: set[str] = set()  # each distinct id is checked once
     header = ("task", "model", "train_lang", "target_lang", "score")
     for lineno, (task, model, train, target, score_text) in _read_csv_rows(path, header):
         where = f"{path}:{lineno}"
         key = (task, model, train, target)
         if key in scores:
             raise InputError(f"{where}: duplicate row for {key}")
+        if task not in valid_ids or model not in valid_ids or train not in valid_ids:
+            for ident, what in ((task, "task id"), (model, "model id"), (train, "train language")):
+                _located(where, check_id, ident, what)
+            valid_ids.update((task, model, train))
         score = _parse_float(score_text, where) * factor
         if not math.isfinite(score) or score < 0:
             raise InputError(f"{where}: score must be finite and non-negative, got {score_text}")
@@ -169,20 +184,17 @@ def load_trajectories(path: str | Path, scale: str = "percent") -> dict[tuple[st
         path, ("source", "target", "samples", "score")
     ):
         where = f"{path}:{lineno}"
-        samples = _parse_int(samples_text, where)
-        if samples < 1:
-            raise InputError(f"{where}: sample count must be >= 1, got {samples}")
-        score = _parse_float(score_text, where) * factor
+        point = _located(
+            where, TrajectoryPoint, source, target,
+            _parse_int(samples_text, where), _parse_float(score_text, where) * factor,
+        )
         points = pairs.setdefault((source, target), [])
-        if points and samples <= points[-1].samples:
+        if points and point.samples <= points[-1].samples:
             raise InputError(
                 f"{where}: sample counts for pair ({source}, {target}) must be strictly increasing "
-                f"({samples} after {points[-1].samples})"
+                f"({point.samples} after {points[-1].samples})"
             )
-        try:
-            points.append(TrajectoryPoint(source, target, samples, score))
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from None
+        points.append(point)
     return pairs
 
 
@@ -197,16 +209,8 @@ def load_goods(path: str | Path) -> list[ModelGoods]:
         if key in seen:
             raise InputError(f"{where}: duplicate goods row for model {model!r}, task {task!r}")
         seen.add(key)
-        throughput = _parse_float(tp_text, where)
-        memory_gb = _parse_float(mem_text, where)
-        perf = _parse_float(perf_text, where)
-        if throughput <= 0:
-            raise InputError(f"{where}: throughput must be positive, got {throughput}")
-        if memory_gb <= 0:
-            raise InputError(f"{where}: memory must be positive, got {memory_gb}")
-        if perf < 0:
-            raise InputError(f"{where}: performance must be non-negative, got {perf}")
-        goods.append(ModelGoods(model, group, task, throughput, memory_gb, perf))
+        numbers = [_parse_float(text, where) for text in (tp_text, mem_text, perf_text)]
+        goods.append(_located(where, ModelGoods, model, group, task, *numbers))
     return goods
 
 
@@ -215,14 +219,11 @@ def load_amrs(path: str | Path) -> AmrsTable:
     entries: dict[tuple[str, str, str], float] = {}
     for lineno, (group, task, metric, value_text) in _read_csv_rows(path, ("group", "task", "metric", "amrs")):
         where = f"{path}:{lineno}"
-        if metric not in ("throughput", "memory"):
-            raise InputError(f"{where}: metric must be 'throughput' or 'memory', got {metric!r}")
         key = (group, task, metric)
         if key in entries:
             raise InputError(f"{where}: duplicate substitution rate for {key}")
         value = _parse_float(value_text, where)
-        if value <= 0:
-            raise InputError(f"{where}: substitution rate must be positive, got {value}")
+        _located(where, AmrsTable.check_entry, key, value)
         entries[key] = value
     return AmrsTable(entries)
 
@@ -265,11 +266,8 @@ def _require(fields: Mapping[str, str], keys: Sequence[str], where: str) -> None
 
 def load_curve_registry(path: str | Path) -> dict[tuple[str, str], LearningCurve]:
     """Parse a curve registry file; duplicate pairs are rejected."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"input file not found: {path}")
     registry: dict[tuple[str, str], LearningCurve] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         where = f"{path}:{lineno}"
         if not line or line.startswith("#"):
@@ -281,26 +279,9 @@ def load_curve_registry(path: str | Path) -> dict[tuple[str, str], LearningCurve
         key = (fields["source"], fields["target"])
         if key in registry:
             raise InputError(f"{where}: duplicate curve for pair {key}")
-        try:
-            registry[key] = LearningCurve(
-                source=fields["source"],
-                target=fields["target"],
-                a=_parse_float(fields["a"], where),
-                b=_parse_float(fields["b"], where),
-                c=_parse_float(fields["c"], where),
-                r_squared=_parse_float(fields["r2"], where),
-            )
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from None
+        numbers = [_parse_float(fields[k], where) for k in ("a", "b", "c", "r2")]
+        registry[key] = _located(where, LearningCurve, *key, *numbers)
     return registry
-
-
-def save_curves(
-    path: str | Path,
-    registry: Mapping[tuple[str, str], LearningCurve],
-    rejects: Sequence[tuple[str, str, str]] = (),
-) -> None:
-    Path(path).write_text(render_curves(registry, rejects), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +311,13 @@ def render_plan(plan: AllocationPlan) -> str:
 
 def load_plan(path: str | Path) -> AllocationPlan:
     """Parse a plan file. The step trace lives in its own CSV, not here."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"input file not found: {path}")
     header: dict[str, str] | None = None
     counts: dict[str, int] = {}
     final_gm: dict[str, float] = {}
     final_gini: dict[str, float] = {}
     eval_fields: dict[str, str] | None = None
     utilities: dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         where = f"{path}:{lineno}"
         if not line or line.startswith("#"):
@@ -399,10 +377,6 @@ def load_plan(path: str | Path) -> AllocationPlan:
     )
 
 
-def save_plan(path: str | Path, plan: AllocationPlan) -> None:
-    Path(path).write_text(render_plan(plan), encoding="utf-8")
-
-
 def render_trace(trace: Sequence[TraceStep]) -> str:
     lines = ["step,source,marginal_gain,gm,gini"]
     for t in trace:
@@ -420,16 +394,12 @@ def load_trace(path: str | Path) -> tuple[TraceStep, ...]:
             TraceStep(
                 step=_parse_int(step, where),
                 source=source,
-                marginal_gain=float(gain) if gain in ("inf", "-inf") else _parse_float(gain, where),
+                marginal_gain=_parse_float(gain, where),
                 gm=_parse_float(gm, where),
                 gini=_parse_float(g, where),
             )
         )
     return tuple(steps)
-
-
-def save_trace(path: str | Path, trace: Sequence[TraceStep]) -> None:
-    Path(path).write_text(render_trace(trace), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

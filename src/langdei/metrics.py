@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from langdei.errors import ComputationError, InputError
+from langdei.errors import ComputationError, InputError, check_id
 
 # The 22 scheduled languages plus English; the default universe for all
 # metrics. Order matters only for deterministic output.
@@ -29,12 +29,6 @@ DEFAULT_UNIVERSE: tuple[str, ...] = (
     "as", "bn", "brx", "doi", "en", "gu", "hi", "kn", "kok", "ks", "mai",
     "ml", "mni", "mr", "ne", "or", "pa", "sa", "sat", "sd", "ta", "te", "ur",
 )
-
-
-def _check_lang_code(code: str) -> str:
-    if not code or any(ch.isspace() for ch in code) or "," in code or "=" in code:
-        raise InputError(f"invalid language code: {code!r}")
-    return code
 
 
 @dataclass(frozen=True)
@@ -45,9 +39,14 @@ class SpeakerTable:
 
     def __post_init__(self) -> None:
         for lang, count in self.entries.items():
-            _check_lang_code(lang)
-            if not math.isfinite(count) or count < 0:
-                raise InputError(f"speaker count for {lang!r} must be a finite non-negative number, got {count}")
+            self.check_entry(lang, count)
+
+    @staticmethod
+    def check_entry(lang: str, count: float) -> None:
+        """The rule every entry obeys: a valid code and a finite count >= 0."""
+        check_id(lang, "language code")
+        if not math.isfinite(count) or count < 0:
+            raise InputError(f"speaker count for {lang!r} must be a finite non-negative number, got {count}")
 
     def millions(self, lang: str) -> float:
         try:
@@ -70,8 +69,7 @@ class TaskSpec:
     max_performance: float
 
     def __post_init__(self) -> None:
-        if not self.task_id:
-            raise InputError("task id must be non-empty")
+        check_id(self.task_id, "task id")
         if not math.isfinite(self.max_performance) or self.max_performance <= 0:
             raise InputError(
                 f"max performance for task {self.task_id!r} must be positive, got {self.max_performance}"
@@ -94,6 +92,9 @@ class PerformanceTable:
 
 @dataclass(frozen=True)
 class ScorecardRow:
+    """One scorecard row; ``utilities`` is the per-language vector, in
+    universe order, that ``m_tau`` and ``gini_coeff`` were computed from."""
+
     task: str
     model: str
     train_lang: str
@@ -101,6 +102,7 @@ class ScorecardRow:
     gini_coeff: float
     tested: int
     universe_size: int
+    utilities: tuple[float, ...]
 
 
 def utility(raw_score: float, task: TaskSpec) -> float:
@@ -126,7 +128,7 @@ def _check_universe(universe: Sequence[str]) -> tuple[str, ...]:
     if not codes:
         raise InputError("language universe must be non-empty")
     for code in codes:
-        _check_lang_code(code)
+        check_id(code, "language code")
     if len(set(codes)) != len(codes):
         dupes = sorted({c for c in codes if codes.count(c) > 1})
         raise InputError(f"duplicate language codes in universe: {', '.join(dupes)}")
@@ -266,7 +268,7 @@ def dei_scorecard(
             row_universe = tuple(lang for lang in codes if lang in scores)
         else:
             row_universe = codes
-        utilities = [utility(scores[lang], spec) if lang in scores else 0.0 for lang in row_universe]
+        utilities = tuple(utility(scores[lang], spec) if lang in scores else 0.0 for lang in row_universe)
         d = demand(speakers, row_universe, tau)
         m = global_metric(utilities, [d[lang] for lang in row_universe])
         g = gini(utilities)
@@ -279,6 +281,7 @@ def dei_scorecard(
                 gini_coeff=g,
                 tested=len(scores),
                 universe_size=len(row_universe),
+                utilities=utilities,
             )
         )
     return rows

@@ -29,9 +29,7 @@ from langdei.io import (
     render_curves,
     render_plan,
     render_trace,
-    save_curves,
-    save_plan,
-    save_trace,
+    write_text,
 )
 from langdei.curves import LearningCurve
 from langdei.metrics import DEFAULT_UNIVERSE, PerformanceTable, TaskSpec, dei_scorecard, demand, gini
@@ -271,7 +269,7 @@ def test_criterion_8_determinism_and_round_trip(bundle, tmp_path, monkeypatch):
             registry = load_curve_registry(source)
             assert render_curves(registry) == source.read_text()
             resaved = tmp_path / name
-            save_curves(resaved, registry)
+            write_text(resaved, render_curves(registry))
             assert render_curves(load_curve_registry(resaved)) == resaved.read_text()
 
         plan_path = tmp_path / "run1" / "out" / "plan.txt"
@@ -281,8 +279,8 @@ def test_criterion_8_determinism_and_round_trip(bundle, tmp_path, monkeypatch):
         trace = load_trace(trace_path)
         assert render_trace(trace) == trace_path.read_text()
         resaved_plan = tmp_path / "plan2.txt"
-        save_plan(resaved_plan, plan)
+        write_text(resaved_plan, render_plan(plan))
         assert load_plan(resaved_plan) == plan
         resaved_trace = tmp_path / "trace2.csv"
-        save_trace(resaved_trace, trace)
+        write_text(resaved_trace, render_trace(trace))
         assert load_trace(resaved_trace) == trace

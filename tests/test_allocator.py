@@ -11,12 +11,11 @@ from langdei.allocator import (
     evaluate_plan,
     greedy_allocate,
     single_source_allocate,
-    source_gini,
-    source_gm,
     with_evaluation,
 )
-from langdei.curves import LearningCurve
+from langdei.curves import LearningCurve, predict
 from langdei.errors import ComputationError, InputError
+from langdei.metrics import gini
 
 
 def curve(s, t, a, b, c):
@@ -37,56 +36,71 @@ def uniform_demand(targets):
     return {t: 1.0 / len(targets) for t in targets}
 
 
+def source_state(reg, targets, k, demand=None, missing="strict"):
+    """(gm, gini) of the one source "s" after all k samples went to it."""
+    request = AllocationRequest(
+        budget=k, sources=("s",), targets=targets, registry=reg,
+        demand=demand or uniform_demand(targets), missing=missing,
+    )
+    plan = single_source_allocate(request, "s")
+    return plan.final_gm["s"], plan.final_gini["s"]
+
+
 class TestSourceMetrics:
     def test_single_target_hand_value(self):
         reg = {("s", "t"): curve("s", "t", 1.0, -1.0, 1.0)}
-        assert source_gm("s", ("t",), reg, {"t": 1.0}, k=2) == pytest.approx(0.5)
+        gm, _ = source_state(reg, ("t",), k=2, demand={"t": 1.0})
+        assert gm == pytest.approx(0.5)
 
     def test_constant_curves_ignore_k(self):
         reg = {("s", "t"): curve("s", "t", 0.8, 0.0, 0.3)}
         for k in (1, 10, 10_000):
-            assert source_gm("s", ("t",), reg, {"t": 1.0}, k=k) == pytest.approx(0.8)
+            gm, _ = source_state(reg, ("t",), k=k, demand={"t": 1.0})
+            assert gm == pytest.approx(0.8)
 
     def test_two_equal_demand_targets(self):
         reg = {
             ("s", "t1"): curve("s", "t1", 0.4, 0.0, 0.0),
             ("s", "t2"): curve("s", "t2", 0.8, 0.0, 0.0),
         }
-        got = source_gm("s", ("t1", "t2"), reg, {"t1": 0.5, "t2": 0.5}, k=7)
-        assert got == pytest.approx(0.6)
+        gm, _ = source_state(reg, ("t1", "t2"), k=7, demand={"t1": 0.5, "t2": 0.5})
+        assert gm == pytest.approx(0.6)
 
     def test_gini_identical_curves_is_zero(self):
         reg = registry_for(["s"], ["t1", "t2", "t3"], {"s": (1.0, -2.0, 0.4)})
-        assert source_gini("s", ("t1", "t2", "t3"), reg, k=5) == pytest.approx(0.0, abs=1e-13)
+        _, g = source_state(reg, ("t1", "t2", "t3"), k=5)
+        assert g == pytest.approx(0.0, abs=1e-13)
 
     def test_gini_absolute_value_guard(self):
         reg = {
             ("s", "t1"): curve("s", "t1", 0.5, 0.0, 0.0),
             ("s", "t2"): curve("s", "t2", -0.5, 0.0, 0.0),
         }
-        assert source_gini("s", ("t1", "t2"), reg, k=3) == pytest.approx(0.0, abs=1e-13)
+        _, g = source_state(reg, ("t1", "t2"), k=3)
+        assert g == pytest.approx(0.0, abs=1e-13)
 
     def test_gini_zero_one_pair(self):
         reg = {
             ("s", "t1"): curve("s", "t1", 0.0, 0.0, 0.0),
             ("s", "t2"): curve("s", "t2", 1.0, 0.0, 0.0),
         }
-        assert source_gini("s", ("t1", "t2"), reg, k=3) == pytest.approx(0.5)
+        _, g = source_state(reg, ("t1", "t2"), k=3)
+        assert g == pytest.approx(0.5)
 
     def test_all_zero_predictions_propagate(self):
         reg = {("s", "t"): curve("s", "t", 0.0, 0.0, 0.0)}
         with pytest.raises(ComputationError):
-            source_gini("s", ("t",), reg, k=1)
+            source_state(reg, ("t",), k=1)
 
     def test_strict_missing_pair_names_it(self):
         reg = {("s", "t1"): curve("s", "t1", 1.0, -1.0, 0.5)}
         with pytest.raises(InputError, match=r"\(s, t2\)"):
-            source_gm("s", ("t1", "t2"), reg, {"t1": 0.5, "t2": 0.5}, k=1)
+            source_state(reg, ("t1", "t2"), k=1, demand={"t1": 0.5, "t2": 0.5})
 
     def test_permissive_missing_pair_drops_target(self):
         reg = {("s", "t1"): curve("s", "t1", 1.0, 0.0, 0.0)}
-        got = source_gm("s", ("t1", "t2"), reg, {"t1": 0.5, "t2": 0.5}, k=1, missing="permissive")
-        assert got == pytest.approx(0.5)
+        gm, _ = source_state(reg, ("t1", "t2"), k=1, demand={"t1": 0.5, "t2": 0.5}, missing="permissive")
+        assert gm == pytest.approx(0.5)
 
 
 def simple_request(budget, n_sources=3, alpha=1.0, beta=1.0, targets=("t1", "t2")):
@@ -167,17 +181,14 @@ class TestGreedy:
 
     def test_source_gm_nondecreasing_in_k(self):
         reg = registry_for(["s"], ["t1", "t2"], {"s": (1.0, -5.0, 0.4)})
-        values = [
-            source_gm("s", ("t1", "t2"), reg, uniform_demand(("t1", "t2")), k=k)
-            for k in range(1, 200)
-        ]
+        values = [source_state(reg, ("t1", "t2"), k=k)[0] for k in range(1, 200)]
         assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
         increments = [v2 - v1 for v1, v2 in zip(values, values[1:])]
         assert all(d2 <= d1 + 1e-15 for d1, d2 in zip(increments, increments[1:]))
 
     def test_cached_candidates_match_naive_reevaluation(self):
         # Oracle: re-evaluate every source at every step straight from the
-        # update rules, no caching.
+        # update rules and the curves, no caching and no allocator helper.
         targets = ("t1", "t2", "t3")
         reg = {}
         for s, (a, b, c) in {"s1": (1.1, -0.9, 0.5), "s2": (0.95, -0.6, 0.3), "s3": (1.3, -1.4, 0.2)}.items():
@@ -196,19 +207,19 @@ class TestGreedy:
             best = None
             for s in request.sources:
                 k = samples[s] + 1
-                gm = source_gm(s, targets, reg, d, k)
-                gini = source_gini(s, targets, reg, k)
-                gain = (gm - cur_gm[s]) + (cur_gini[s] - gini)
+                gm = sum(d[t] * predict(reg[(s, t)], k) for t in targets)
+                g = gini([abs(predict(reg[(s, t)], k)) for t in targets])
+                gain = (gm - cur_gm[s]) + (cur_gini[s] - g)
                 if best is None or gain > best[1]:
-                    best = (s, gain, gm, gini)
-            s, gain, gm, gini = best
+                    best = (s, gain, gm, g)
+            s, gain, gm, g = best
             assert step.source == s
             assert step.marginal_gain == gain
             assert step.gm == gm
-            assert step.gini == gini
+            assert step.gini == g
             samples[s] += 1
             cur_gm[s] = gm
-            cur_gini[s] = gini
+            cur_gini[s] = g
         assert plan.counts == samples
 
     def test_alpha_zero_runs_without_nan(self):

@@ -184,6 +184,19 @@ class TestEfficiencyCommand:
         assert rc == 0
         assert len(read_csv(amrs_out)) == 16  # 2 groups x 4 tasks x 2 metrics
 
+    def test_zero_substitution_rate_exit_1(self, tmp_path, capsys, recwarn):
+        # Equal throughput in a group: the average rate is 0, so the scores are undefined.
+        goods = write(
+            tmp_path / "goods.csv",
+            "model,group,task,throughput,memory_gb,perf\na,g,t,10,1,50\nb,g,t,10,2,70\n",
+        )
+        rc = main(["efficiency", "--goods", goods, "--out", str(tmp_path / "eff.csv"),
+                   "--amrs-out", str(tmp_path / "amrs.csv")])
+        assert rc == 1
+        assert "substitution rate is 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "goods.csv"]
+        assert len(recwarn) == 0
+
     def test_custom_memory_ceiling(self, data, tmp_path):
         goods = write(
             tmp_path / "goods.csv",
@@ -304,6 +317,16 @@ class TestAllocateCommand:
         assert rc == 2
         assert "(ur, en)" in capsys.readouterr().err
 
+    def test_speakers_file_loaded_at_tau_zero(self, data, capsys):
+        rc = main([
+            "allocate", "--curves", data["curves"], "--budget", "10",
+            "--strategy", "egalitarian", "--tau", "0", "--missing", "permissive",
+            "--speakers", str(data["tmp"] / "missing_speakers.csv"),
+            "--out", str(data["tmp"] / "x.txt"),
+        ])
+        assert rc == 2
+        assert "missing_speakers.csv" in capsys.readouterr().err
+
     def test_tau_positive_requires_speakers(self, data, capsys):
         rc = main([
             "allocate", "--curves", data["curves"], "--budget", "10",
@@ -398,6 +421,56 @@ class TestReportCommand:
 
     def test_no_inputs_rejected(self, data):
         assert main(["report", "--out", str(data["tmp"] / "r.md")]) == 2
+
+
+HOSTILE_CURVE = "curve source=a,b target=hi a=1 b=-1 c=0.5 r2=0.9\n"
+
+# subcommand: (input file, its text, the line holding the bad id, arguments
+# before --out with INPUT standing for the file)
+HOSTILE_INPUTS = {
+    "metrics": (
+        "perf.csv", 'task,model,train_lang,target_lang,score\nner,"m,1",en,hi,80\n', 2,
+        ["--perf", "INPUT", "--tasks", str(bundled_path("tasks.csv")), "--tau", "0"],
+    ),
+    "efficiency": (
+        "goods.csv", 'model,group,task,throughput,memory_gb,perf\n"a,1",g,t,10,1,50\nb,g,t,20,2,70\n', 2,
+        ["--goods", "INPUT"],
+    ),
+    "fit": (
+        "traj.csv", 'source,target,samples,score\n"e n",hi,320,50\n"e n",hi,640,60\n"e n",hi,1280,65\n', 2,
+        ["--trajectories", "INPUT"],
+    ),
+    "allocate": (
+        "curves.txt", HOSTILE_CURVE, 1,
+        ["--curves", "INPUT", "--budget", "3", "--strategy", "greedy", "--tau", "0"],
+    ),
+    "report": ("curves.txt", HOSTILE_CURVE, 1, ["--curves", "INPUT"]),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(HOSTILE_INPUTS))
+def test_hostile_id_exits_2_with_location(subcommand, tmp_path, capsys):
+    name, text, line, args = HOSTILE_INPUTS[subcommand]
+    source = write(tmp_path / name, text)
+    out = tmp_path / "out"
+    rc = main([subcommand, *(source if a == "INPUT" else a for a in args), "--out", str(out)])
+    assert rc == 2
+    assert f"{name}:{line}: invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks", str(bundled_path("tasks.csv")),
+     "--tau", "0", "--out", "x.csv", "--lorenz-out", "x.csv"],
+    ["efficiency", "--goods", str(bundled_path("goods.csv")), "--out", "x.csv", "--amrs-out", "./x.csv"],
+    ["allocate", "--curves", str(bundled_path("curves_muril.txt")), "--budget", "10", "--strategy", "greedy",
+     "--tau", "0", "--missing", "permissive", "--out", "x.csv", "--trace-out", "x.csv"],
+], ids=["metrics", "efficiency", "allocate"])
+def test_repeated_output_path_rejected(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_usage_error_exit_code(capsys):

@@ -12,7 +12,7 @@ from langdei.efficiency import (
     memory_saved,
     mrs_sequence,
 )
-from langdei.errors import InputError
+from langdei.errors import ComputationError, InputError
 
 
 def goods(model="m", group="g", task="t", tp=10.0, mem=1.0, perf=60.0):
@@ -87,7 +87,7 @@ class TestAmrs:
             amrs([])
 
     def test_zero_mean_is_flagged(self):
-        with pytest.warns(UserWarning, match="divide by zero"):
+        with pytest.raises(ComputationError, match="divide by zero"):
             amrs([0.0, 0.0])
 
 

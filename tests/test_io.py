@@ -5,6 +5,7 @@ import pytest
 from langdei.allocator import AllocationPlan, PlanEvaluation, TraceStep
 from langdei.curves import LearningCurve, predict
 from langdei.errors import InputError
+from langdei.metrics import TaskSpec
 from langdei.io import (
     bundled_path,
     fmt_num,
@@ -19,9 +20,9 @@ from langdei.io import (
     load_trajectories,
     load_universe,
     render_curves,
-    save_curves,
-    save_plan,
-    save_trace,
+    render_plan,
+    render_trace,
+    write_text,
 )
 
 
@@ -237,8 +238,8 @@ class TestCurveRegistryFormat:
             ("bn", "hi"): LearningCurve("bn", "hi", 0.9, -17.2, 0.5, 0.88),
         }
         p1, p2 = tmp_path / "c1.txt", tmp_path / "c2.txt"
-        save_curves(p1, registry)
-        save_curves(p2, load_curve_registry(p1))
+        write_text(p1, render_curves(registry))
+        write_text(p2, render_curves(load_curve_registry(p1)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_round_trip_prediction_agrees(self, tmp_path):
@@ -246,7 +247,7 @@ class TestCurveRegistryFormat:
         # to 5e-12 relative, bounding the prediction round-trip error.
         curve = LearningCurve("en", "hi", 1.2345678912345, -8.7654321098765, 0.3456789012345, 0.83)
         p = tmp_path / "c.txt"
-        save_curves(p, {("en", "hi"): curve})
+        write_text(p, render_curves({("en", "hi"): curve}))
         loaded = load_curve_registry(p)[("en", "hi")]
         for x in (1, 320, 5000):
             assert predict(loaded, x) == pytest.approx(predict(curve, x), rel=2e-11, abs=2e-11)
@@ -254,7 +255,7 @@ class TestCurveRegistryFormat:
     def test_round_trip_exact_for_12_digit_values(self, tmp_path):
         curve = LearningCurve("en", "hi", 1.03456789012, -11.7, 0.4, 0.83)
         p = tmp_path / "c.txt"
-        save_curves(p, {("en", "hi"): curve})
+        write_text(p, render_curves({("en", "hi"): curve}))
         loaded = load_curve_registry(p)[("en", "hi")]
         assert loaded == curve
         for x in (1, 320, 5000):
@@ -287,13 +288,13 @@ class TestPlanAndTraceFormat:
 
     def test_save_load_save_identity(self, tmp_path):
         p1, p2 = tmp_path / "p1.txt", tmp_path / "p2.txt"
-        save_plan(p1, self.PLAN)
-        save_plan(p2, load_plan(p1))
+        write_text(p1, render_plan(self.PLAN))
+        write_text(p2, render_plan(load_plan(p1)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_load_recovers_fields(self, tmp_path):
         p = tmp_path / "p.txt"
-        save_plan(p, self.PLAN)
+        write_text(p, render_plan(self.PLAN))
         loaded = load_plan(p)
         assert loaded.counts == self.PLAN.counts
         assert loaded.strategy == "greedy"
@@ -308,10 +309,10 @@ class TestPlanAndTraceFormat:
             TraceStep(2, "en", 0.0123456789012, 0.5, 0.2),
         )
         p = tmp_path / "t.csv"
-        save_trace(p, trace)
+        write_text(p, render_trace(trace))
         assert load_trace(p) == trace
         p2 = tmp_path / "t2.csv"
-        save_trace(p2, load_trace(p))
+        write_text(p2, render_trace(load_trace(p)))
         assert p.read_bytes() == p2.read_bytes()
 
     def test_plan_without_header_rejected(self, tmp_path):
@@ -369,6 +370,18 @@ def test_universe_loader(tmp_path, bundle):
     p.write_text("en\nhi\nen\n")
     with pytest.raises(InputError, match=r"u\.txt:3"):
         load_universe(p)
+
+
+def test_csv_with_byte_order_mark(tmp_path):
+    p = tmp_path / "tasks.csv"
+    p.write_text("\ufefftask,max_performance\nner,97.6\n", encoding="utf-8")
+    assert load_tasks(p) == [TaskSpec("ner", 97.6)]
+
+
+def test_key_value_file_with_byte_order_mark(tmp_path):
+    p = tmp_path / "c.txt"
+    p.write_text("\ufeffcurve source=en target=hi a=1 b=-2 c=0.3 r2=0.9\n", encoding="utf-8")
+    assert list(load_curve_registry(p)) == [("en", "hi")]
 
 
 def test_tasks_loader_rejects_nonpositive_max(tmp_path):

@@ -235,6 +235,9 @@ class TestScorecard:
         (row,) = dei_scorecard(perf, self.SPEAKERS, [NER], tau=0.0)
         assert row.gini_coeff == pytest.approx(13 / 23, abs=1e-12)
         assert row.tested == 10
+        # The row carries the universe-ordered utilities its numbers came from.
+        assert row.utilities == tuple(77.6 / 97.6 if lang in tested else 0.0 for lang in DEFAULT_UNIVERSE)
+        assert gini(row.utilities) == row.gini_coeff
 
     def test_tested_only_mode_drops_zero_fill(self):
         tested = ("bn", "en", "hi")
