@@ -13,6 +13,12 @@ starts at -inf (every source's first gain is +inf, so each source gets one
 sample before any gets two) and current_gini starts at 1. Ties break on
 lexicographic source order.
 
+The gain of a source's k-th sample depends only on k, so greedy_allocate
+merges lazy per-source streams of states with a heap keyed on
+(-gain, source index). That is the exact argmax of every step: unlike lazy
+("accelerated") greedy it needs no diminishing returns, which the Gini term
+breaks. The trace for a budget is a prefix of the trace for any larger one.
+
 Egalitarian and single-source baselines are provided, plus a surrogate plan
 evaluation that composes per-target utilities from the funded sources'
 curves; surrogate numbers are predictions, not measurements.
@@ -20,10 +26,13 @@ curves; surrogate numbers are predictions, not measurements.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from langdei import curves as _curves
 from langdei import metrics as _metrics
@@ -37,8 +46,12 @@ CurveRegistry = Mapping[tuple[str, str], LearningCurve]
 MISSING_POLICIES = ("strict", "permissive")
 COMPOSITION_MODES = ("best-source", "mean")
 
+# Rows of a source's first and of its largest state chunk: doubling keeps the
+# number of chunks logarithmic, the cap bounds the memory held per source.
+CHUNK_ROWS = (64, 256)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     step: int
     source: str
@@ -118,57 +131,87 @@ class AllocationPlan:
     evaluation: PlanEvaluation | None = None
 
 
-def _source_state(request: AllocationRequest, source: str, k: int) -> tuple[float, float]:
-    """(gm, gini) of one source at k samples over the targets it covers.
+def _source_states(request: AllocationRequest, source: str, first: int, last: int) -> Iterator[tuple[float, float]]:
+    """(gm, gini) of one source at k = first, ..., last samples, in order.
 
-    gm is the demand-weighted sum of per-target curve predictions; gini is the
-    Gini coefficient of their absolute values, the absolute value guarding
-    against negative predictions at small k.
+    gm is the demand-weighted sum of the per-target predictions over the
+    targets the source covers; gini is the Gini coefficient of their absolute
+    values (the guard against negative predictions at small k). Chunks of
+    CHUNK_ROWS[0] rows, doubling up to CHUNK_ROWS[1], are computed ahead of
+    need, but a state whose Gini is undefined raises only when reached.
     """
     targets = request._available[source]
-    preds = [_curves.predict(request.registry[(source, t)], k) for t in targets]
-    gm = sum(request.demand[t] * p for t, p in zip(targets, preds))
-    return gm, _metrics.gini([abs(p) for p in preds])
+    curves = [request.registry[(source, t)] for t in targets]
+    weights = [request.demand[t] for t in targets]
+    rows = CHUNK_ROWS[0]
+    while first <= last:
+        ks = range(first, min(first + rows, last + 1))
+        gm, gini, undefined = _state_chunk(curves, weights, ks)
+        yield from zip(gm, gini)
+        if undefined is not None:
+            _metrics.gini(undefined)  # raises: not finite, or all zero
+        first = ks.stop
+        rows = min(2 * rows, CHUNK_ROWS[1])
+
+
+def _state_chunk(
+    curves: Sequence[LearningCurve], weights: Sequence[float], ks: range
+) -> tuple[list[float], list[float], np.ndarray | None]:
+    """gm and gini at each k in ks up to the first undefined Gini, and that
+    k's absolute predictions (or None).
+
+    One (ks x targets) matrix of curves.predict_many columns: gm adds the
+    targets in sorted order, and the row-wise Gini reductions equal
+    metrics.gini on each row, so each state is bit-identical to computing it
+    at that k alone.
+    """
+    n = len(curves)
+    with np.errstate(all="ignore"):  # undefined rows are cut off below
+        columns = [_curves.predict_many(curve, ks) for curve in curves]
+        gm = np.zeros(len(ks))
+        for w, column in zip(weights, columns):
+            gm += w * column
+        absolute = np.abs(np.column_stack(columns))
+        total = absolute.sum(axis=1)
+        weighted = ((n + 1 - np.arange(1, n + 1, dtype=float)) * np.sort(absolute, axis=1)).sum(axis=1)
+        gini = (n + 1 - 2.0 * weighted / total) / n
+    undefined = np.flatnonzero(~np.isfinite(absolute).all(axis=1) | (total == 0))
+    if undefined.size:
+        end = int(undefined[0])
+        return gm[:end].tolist(), gini[:end].tolist(), absolute[end].copy()
+    return gm.tolist(), gini.tolist(), None
 
 
 def greedy_allocate(request: AllocationRequest) -> AllocationPlan:
-    """Allocate the budget one sample at a time to the argmax-gain source."""
-    samples = {s: 0 for s in request.sources}
-    current_gm = {s: -math.inf for s in request.sources}
-    current_gini = {s: 1.0 for s in request.sources}
-    alpha, beta = request.alpha, request.beta
+    """Allocate the budget one sample at a time to the argmax-gain source, as
+    a heap merge of the sources' state streams (see the module docstring)."""
+    sources = request.sources
+    alpha, beta, budget = request.alpha, request.beta, request.budget
+    streams = [_source_states(request, s, 1, budget) for s in sources]
 
-    def candidate(s: str) -> tuple[float, float, float]:
-        gm, g = _source_state(request, s, samples[s] + 1)
-        gm_term = alpha * (gm - current_gm[s]) if alpha != 0 else 0.0
-        return gm_term + beta * (current_gini[s] - g), gm, g
+    def candidate(i: int, gm_now: float, gini_now: float) -> tuple[float, int, float, float]:
+        gm, g = next(streams[i])
+        gm_term = alpha * (gm - gm_now) if alpha != 0 else 0.0
+        return -(gm_term + beta * (gini_now - g)), i, gm, g
 
-    # A source's candidate only changes when that source receives a sample,
-    # so cache candidates and refresh just the chosen source each step. The
-    # result is identical to re-evaluating every source every iteration.
-    candidates = {s: candidate(s) for s in request.sources}
+    heap = [candidate(i, -math.inf, 1.0) for i in range(len(sources))]
+    heapq.heapify(heap)
+    samples = [0] * len(sources)
     trace: list[TraceStep] = []
-    for step in range(1, request.budget + 1):
-        best_source = None
-        best = (-math.inf, 0.0, 0.0)
-        for s in request.sources:  # sorted; first strict maximum wins ties
-            if best_source is None or candidates[s][0] > best[0]:
-                best_source = s
-                best = candidates[s]
-        assert best_source is not None
-        gain, gm, g = best
-        samples[best_source] += 1
-        current_gm[best_source] = gm
-        current_gini[best_source] = g
-        trace.append(TraceStep(step=step, source=best_source, marginal_gain=gain, gm=gm, gini=g))
-        candidates[best_source] = candidate(best_source)
+    for step in range(1, budget + 1):
+        neg_gain, i, gm, g = heap[0]
+        samples[i] += 1
+        trace.append(TraceStep(step, sources[i], -neg_gain, gm, g))
+        if step < budget:
+            heapq.heapreplace(heap, candidate(i, gm, g))
 
+    last = {t.source: t for t in trace}
     return AllocationPlan(
         strategy="greedy",
-        budget=request.budget,
-        counts=dict(samples),
-        final_gm={s: current_gm[s] for s in request.sources if samples[s] > 0},
-        final_gini={s: current_gini[s] for s in request.sources if samples[s] > 0},
+        budget=budget,
+        counts=dict(zip(sources, samples)),
+        final_gm={s: last[s].gm for s in sources if s in last},
+        final_gini={s: last[s].gini for s in sources if s in last},
         alpha=alpha,
         beta=beta,
         missing=request.missing,
@@ -178,7 +221,7 @@ def greedy_allocate(request: AllocationRequest) -> AllocationPlan:
 
 def _fixed_plan(request: AllocationRequest, strategy: str, counts: dict[str, int]) -> AllocationPlan:
     """A plan with counts decided up front and each funded source's final state."""
-    states = {s: _source_state(request, s, k) for s, k in counts.items() if k > 0}
+    states = {s: next(_source_states(request, s, k, k)) for s, k in counts.items() if k > 0}
     return AllocationPlan(
         strategy=strategy,
         budget=request.budget,

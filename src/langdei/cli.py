@@ -247,14 +247,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if args.scorecard:
         lines += ["## Scorecard", ""]
-        lines += _md_table_from_csv(Path(args.scorecard).read_text(encoding="utf-8"))
+        lines += _md_table_from_csv(io.read_text(args.scorecard))
         lines += ["", "The gini column is a unitless dispersion index in [0, 1); lower is more equitable."]
         if args.lorenz:
             lines.append(f"Lorenz points backing each gini value: `{args.lorenz}`.")
         lines.append("")
     if args.amrs:
         lines += ["## Substitution rates (AMRS)", ""]
-        lines += _md_table_from_csv(Path(args.amrs).read_text(encoding="utf-8"))
+        lines += _md_table_from_csv(io.read_text(args.amrs))
         lines += [
             "",
             "Rates derived from adjacent model pairs are sensitive to rounding in the",
@@ -264,7 +264,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         ]
     if args.efficiency:
         lines += ["## Efficiency scores", ""]
-        lines += _md_table_from_csv(Path(args.efficiency).read_text(encoding="utf-8"))
+        lines += _md_table_from_csv(io.read_text(args.efficiency))
         lines.append("")
     for path in args.curves or ():
         registry = io.load_curve_registry(path)

@@ -4,11 +4,14 @@ Fitted per (source language, target language) pair from fine-tuning
 trajectories. For a fixed exponent c the model is linear in (a, b), so the
 fit runs a deterministic grid search on c with a closed-form least-squares
 solve at each grid point, then refines the grid locally. No starting point,
-no derivatives, no randomness.
+no derivatives, no randomness. Each grid round is scored as one
+(grid x points) array whose row-wise reductions equal _ols_at_c at each c;
+the power-law form follows Hestness et al. 2017 (arXiv:1712.00409).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -74,9 +77,22 @@ class LearningCurve:
 
 def predict(curve: LearningCurve, samples: float) -> float:
     """Evaluate the curve at a sample count >= 1. No clamping."""
-    if samples < 1:
-        raise InputError(f"prediction requires samples >= 1, got {samples}")
-    return curve.a + curve.b * float(samples) ** (-curve.c)
+    return float(predict_many(curve, (samples,))[0])
+
+
+def predict_many(curve: LearningCurve, samples: Sequence[float]) -> np.ndarray:
+    """Evaluate the curve at each sample count (all >= 1). No clamping.
+
+    The power is Python's float pow, one element at a time, not numpy's
+    vectorised power: that one can differ in the last bit depending on the
+    SIMD build, and a last-bit change can flip a greedy tie, so plans would
+    depend on how numpy was built.
+    """
+    lowest = min(samples, default=1)
+    if lowest < 1:
+        raise InputError(f"prediction requires samples >= 1, got {lowest}")
+    powers = map(pow, map(float, samples), itertools.repeat(-curve.c))
+    return curve.a + curve.b * np.fromiter(powers, float, len(samples))
 
 
 def r_squared(points: Sequence[TrajectoryPoint], curve: LearningCurve) -> float:
@@ -138,24 +154,33 @@ def fit_power_law(
     if float(y.max()) == float(y.min()):
         return LearningCurve(source, target, a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)
 
-    def best_on_grid(grid: np.ndarray) -> tuple[float, float]:
-        sses = [_ols_at_c(x, y, float(c))[2] for c in grid]
-        idx = int(np.argmin(sses))
-        return float(grid[idx]), sses[idx]
+    dy = y - y.mean()
+    ss_tot = float((dy ** 2).sum())
+    if ss_tot == 0.0:
+        raise ComputationError(f"score variance of ({source}, {target}) underflows to 0; r-squared is undefined")
+
+    def best_on_grid(grid: np.ndarray) -> float:
+        # _ols_at_c's SSE at every grid point at once, one row per c; a row
+        # whose x^(-c) is constant (c = 0) keeps b = 0, as _ols_at_c does.
+        du = x[None, :] ** (-grid[:, None])
+        du -= du.mean(axis=1, keepdims=True)
+        s_uu = (du * du).sum(axis=1)
+        b = np.divide((du * dy).sum(axis=1), s_uu, out=np.zeros_like(s_uu), where=s_uu > 0.0)
+        resid = dy - b[:, None] * du
+        return float(grid[int(np.argmin((resid * resid).sum(axis=1)))])
 
     if c_hi == c_lo:
         c_best = c_lo
     else:
         grid = np.linspace(c_lo, c_hi, COARSE_GRID_POINTS)
-        c_best, _ = best_on_grid(grid)
+        c_best = best_on_grid(grid)
         half_width = float(grid[1] - grid[0])
         for _ in range(REFINE_ROUNDS):
             lo = max(c_lo, c_best - half_width)
             hi = min(c_hi, c_best + half_width)
-            c_best, _ = best_on_grid(np.linspace(lo, hi, REFINE_GRID_POINTS))
+            c_best = best_on_grid(np.linspace(lo, hi, REFINE_GRID_POINTS))
             half_width /= 10.0
 
     a, b, sse = _ols_at_c(x, y, c_best)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - max(sse, 0.0) / ss_tot
     return LearningCurve(source, target, a=float(a), b=float(b), c=float(c_best), r_squared=min(r2, 1.0))

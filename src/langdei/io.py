@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 from langdei.allocator import AllocationPlan, PlanEvaluation, TraceStep
 from langdei.curves import LearningCurve, TrajectoryPoint
@@ -76,12 +77,29 @@ def _check_file(path: str | Path) -> Path:
     return path
 
 
+@contextmanager
+def _open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """The file opened as UTF-8 text, an optional BOM skipped; bytes that do
+    not decode are an InputError, like any other malformed input."""
+    try:
+        with open(_check_file(path), newline=newline, encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 ({exc.reason})") from None
+
+
+def read_text(path: str | Path) -> str:
+    """A whole input file as text, read as every input is."""
+    with _open_utf8(path) as fh:
+        return fh.read()
+
+
 def _read_lines(path: str | Path) -> list[str]:
-    return _check_file(path).read_text(encoding="utf-8-sig").splitlines()
+    return read_text(path).splitlines()
 
 
 def _read_csv_rows(path: str | Path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
-    with open(_check_file(path), newline="", encoding="utf-8-sig") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
     if not rows:

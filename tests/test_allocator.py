@@ -1,12 +1,19 @@
 """Unit tests for the greedy/egalitarian/single-source allocators."""
 
+import functools
 import logging
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langdei.allocator import (
+    MISSING_POLICIES,
+    AllocationPlan,
     AllocationRequest,
+    TraceStep,
     egalitarian_allocate,
     evaluate_plan,
     greedy_allocate,
@@ -34,6 +41,68 @@ def registry_for(sources, targets, coeffs):
 
 def uniform_demand(targets):
     return {t: 1.0 / len(targets) for t in targets}
+
+
+def naive_greedy(request):
+    """Reference greedy: every step scans every source's next gain, built from
+    the update rules, curves.predict and metrics.gini, with no allocator
+    helper. gm accumulates left to right over the sorted covered targets."""
+    alpha, beta = request.alpha, request.beta
+
+    @functools.cache
+    def state(s, k):
+        covered = [t for t in request.targets if (s, t) in request.registry]
+        preds = [predict(request.registry[(s, t)], k) for t in covered]
+        gm = 0.0
+        for t, p in zip(covered, preds):
+            gm += request.demand[t] * p
+        return gm, gini([abs(p) for p in preds])
+
+    samples = {s: 0 for s in request.sources}
+    cur_gm = {s: -math.inf for s in request.sources}
+    cur_gini = {s: 1.0 for s in request.sources}
+    trace = []
+    for step in range(1, request.budget + 1):
+        best = None
+        for s in request.sources:
+            gm, g = state(s, samples[s] + 1)
+            gm_term = alpha * (gm - cur_gm[s]) if alpha != 0 else 0.0
+            gain = gm_term + beta * (cur_gini[s] - g)
+            if best is None or gain > best[1]:
+                best = (s, gain, gm, g)
+        s, gain, gm, g = best
+        samples[s] += 1
+        cur_gm[s] = gm
+        cur_gini[s] = g
+        trace.append(TraceStep(step=step, source=s, marginal_gain=gain, gm=gm, gini=g))
+    funded = [s for s in request.sources if samples[s] > 0]
+    return AllocationPlan(
+        strategy="greedy", budget=request.budget, counts=samples,
+        final_gm={s: cur_gm[s] for s in funded}, final_gini={s: cur_gini[s] for s in funded},
+        alpha=alpha, beta=beta, missing=request.missing, trace=tuple(trace),
+    )
+
+
+def three_source_request(budget):
+    targets = ("t1", "t2", "t3")
+    reg = {}
+    for s, (a, b, c) in {"s1": (1.1, -0.9, 0.5), "s2": (0.95, -0.6, 0.3), "s3": (1.3, -1.4, 0.2)}.items():
+        for i, t in enumerate(targets):
+            reg[(s, t)] = curve(s, t, a + 0.05 * i, b - 0.1 * i, c)
+    return AllocationRequest(
+        budget=budget, sources=("s1", "s2", "s3"), targets=targets, registry=reg,
+        demand=uniform_demand(targets),
+    )
+
+
+def two_source_request(budget, zero_source):
+    """Source "a" with an ordinary curve and one source with the given
+    (name, a, b, c) curve, both on the single target "t"."""
+    name, a, b, c = zero_source
+    reg = {("a", "t"): curve("a", "t", 1.0, -0.5, 0.5), (name, "t"): curve(name, "t", a, b, c)}
+    return AllocationRequest(
+        budget=budget, sources=("a", name), targets=("t",), registry=reg, demand={"t": 1.0}
+    )
 
 
 def source_state(reg, targets, k, demand=None, missing="strict"):
@@ -187,40 +256,28 @@ class TestGreedy:
         assert all(d2 <= d1 + 1e-15 for d1, d2 in zip(increments, increments[1:]))
 
     def test_cached_candidates_match_naive_reevaluation(self):
-        # Oracle: re-evaluate every source at every step straight from the
-        # update rules and the curves, no caching and no allocator helper.
-        targets = ("t1", "t2", "t3")
-        reg = {}
-        for s, (a, b, c) in {"s1": (1.1, -0.9, 0.5), "s2": (0.95, -0.6, 0.3), "s3": (1.3, -1.4, 0.2)}.items():
-            for i, t in enumerate(targets):
-                reg[(s, t)] = curve(s, t, a + 0.05 * i, b - 0.1 * i, c)
-        d = uniform_demand(targets)
-        request = AllocationRequest(
-            budget=40, sources=("s1", "s2", "s3"), targets=targets, registry=reg, demand=d
-        )
-        plan = greedy_allocate(request)
+        request = three_source_request(budget=40)
+        assert repr(greedy_allocate(request)) == repr(naive_greedy(request))
 
-        samples = {s: 0 for s in request.sources}
-        cur_gm = {s: -math.inf for s in request.sources}
-        cur_gini = {s: 1.0 for s in request.sources}
-        for step in plan.trace:
-            best = None
-            for s in request.sources:
-                k = samples[s] + 1
-                gm = sum(d[t] * predict(reg[(s, t)], k) for t in targets)
-                g = gini([abs(predict(reg[(s, t)], k)) for t in targets])
-                gain = (gm - cur_gm[s]) + (cur_gini[s] - g)
-                if best is None or gain > best[1]:
-                    best = (s, gain, gm, g)
-            s, gain, gm, g = best
-            assert step.source == s
-            assert step.marginal_gain == gain
-            assert step.gm == gm
-            assert step.gini == g
-            samples[s] += 1
-            cur_gm[s] = gm
-            cur_gini[s] = g
-        assert plan.counts == samples
+    def test_chunk_boundaries_match_naive_reevaluation(self):
+        # 700 steps over three sources cross the first two chunk boundaries.
+        request = three_source_request(budget=700)
+        assert repr(greedy_allocate(request)) == repr(naive_greedy(request))
+
+    def test_undefined_gini_raises_when_reached(self):
+        # z's prediction is exactly 0 at k = 2: 0.5 - 1 * 2^-1.
+        request = two_source_request(budget=3, zero_source=("z", 0.5, -1.0, 1.0))
+        with pytest.raises(ComputationError, match="all-zero"):
+            greedy_allocate(request)
+        with pytest.raises(ComputationError, match="all-zero"):
+            naive_greedy(request)
+
+    def test_undefined_gini_never_reached_does_not_raise(self):
+        # Budget 2 computes z's state at k = 2 but allocates only k = 1.
+        request = two_source_request(budget=2, zero_source=("z", 0.5, -1.0, 1.0))
+        plan = greedy_allocate(request)
+        assert plan.counts == {"a": 1, "z": 1}
+        assert repr(plan) == repr(naive_greedy(request))
 
     def test_alpha_zero_runs_without_nan(self):
         request = simple_request(10, alpha=0.0, beta=1.0)
@@ -256,6 +313,68 @@ class TestGreedy:
         assert "(s1, t2)" in caplog.text
         plan = greedy_allocate(request)
         assert sum(plan.counts.values()) == 6
+
+
+coefficients = st.tuples(
+    st.floats(0.05, 2.0), st.floats(-3.0, 0.5), st.floats(0.0, 1.5)
+).map(lambda abc: tuple(round(v, 3) for v in abc))
+
+
+@st.composite
+def greedy_requests(draw, max_budget=700):
+    """Small greedy requests: sources that share a curve profile tie exactly,
+    and a permissive request may drop pairs (each source keeps a target)."""
+    n_sources = draw(st.integers(1, 4))
+    targets = tuple(f"t{j}" for j in range(draw(st.integers(1, 9))))
+    profiles = draw(st.lists(st.lists(coefficients, min_size=len(targets), max_size=len(targets)), min_size=1, max_size=3))
+    reg = {}
+    for i in range(n_sources):
+        profile = profiles[draw(st.integers(0, len(profiles) - 1))]
+        for t, (a, b, c) in zip(targets, profile):
+            reg[(f"s{i}", t)] = curve(f"s{i}", t, a, b, c)
+    missing = draw(st.sampled_from(MISSING_POLICIES))
+    if missing == "permissive":
+        for i in range(n_sources):
+            keep = draw(st.sampled_from(targets))
+            for t in draw(st.sets(st.sampled_from(targets))) - {keep}:
+                del reg[(f"s{i}", t)]
+    alpha, beta = draw(st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.5, 2.0)]))
+    return AllocationRequest(
+        budget=draw(st.integers(1, max_budget)), sources=tuple(f"s{i}" for i in range(n_sources)),
+        targets=targets, registry=reg, demand={t: (j + 1) / 10 for j, t in enumerate(targets)},
+        alpha=alpha, beta=beta, missing=missing,
+    )
+
+
+def outcome(allocate, request):
+    """The plan's repr (exact for every float), or the error raised."""
+    try:
+        return repr(allocate(request))
+    except (ComputationError, InputError) as exc:
+        return type(exc), str(exc)
+
+
+class TestGreedyProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(greedy_requests())
+    def test_equals_naive_reevaluation_bit_for_bit(self, req):
+        assert outcome(greedy_allocate, req) == outcome(naive_greedy, req)
+
+    @settings(max_examples=40, deadline=None)
+    @given(greedy_requests(max_budget=400), st.integers(1, 400))
+    def test_trace_is_prefix_of_larger_budget(self, req, extra):
+        larger = replace(req, budget=req.budget + extra)
+        try:
+            small = greedy_allocate(req)
+        except ComputationError:
+            with pytest.raises(ComputationError):  # reached within B, so within B + extra
+                greedy_allocate(larger)
+            return
+        try:
+            large = greedy_allocate(larger)
+        except ComputationError:
+            return  # an undefined state past step B ends only the larger run
+        assert large.trace[: req.budget] == small.trace
 
 
 class TestBaselines:

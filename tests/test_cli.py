@@ -124,6 +124,15 @@ class TestMetricsCommand:
         assert rc == 2
         assert not out.exists()
 
+    def test_non_utf8_input_exit_2(self, data, tmp_path, capsys):
+        tasks = tmp_path / "latin1.csv"
+        tasks.write_bytes("task,max_performance\nner\u00e9,90\n".encode("latin-1"))
+        out = tmp_path / "never.csv"
+        rc = main(["metrics", "--perf", data["perf"], "--tasks", str(tasks), "--tau", "0", "--out", str(out)])
+        assert rc == 2
+        assert "latin1.csv: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_second_output_leaves_no_first_output(self, data, tmp_path):
         out = tmp_path / "sc.csv"
         lorenz = tmp_path / "no_such_dir" / "lz.csv"
@@ -317,6 +326,26 @@ class TestAllocateCommand:
         assert rc == 2
         assert "(ur, en)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("budget", "rc"), [(3, 1), (2, 0)])
+    def test_zero_prediction_fails_only_when_allocated(self, tmp_path, capsys, budget, rc):
+        # z predicts exactly 0 at k = 2 (0.5 - 1 * 2^-1). Budget 3 gives z a
+        # second sample and fails: Gini of an all-zero vector (exit 1).
+        # Budget 2 gives z one sample and never reaches its k = 2 state.
+        curves = write(tmp_path / "curves.txt", (
+            "curve source=a target=t a=1 b=-0.5 c=0.5 r2=0.9\n"
+            "curve source=z target=t a=0.5 b=-1 c=1 r2=0.9\n"
+        ))
+        out = tmp_path / "plan.txt"
+        assert main([
+            "allocate", "--curves", curves, "--budget", str(budget), "--strategy", "greedy",
+            "--tau", "0", "--out", str(out),
+        ]) == rc
+        if rc:
+            assert "all-zero" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert load_plan(out).counts == {"a": 1, "z": 1}
+
     def test_speakers_file_loaded_at_tau_zero(self, data, capsys):
         rc = main([
             "allocate", "--curves", data["curves"], "--budget", "10",
@@ -412,6 +441,15 @@ class TestReportCommand:
         assert "not measured" in text
         assert "lorenz.csv" in text
         assert "sha256" in text
+
+    def test_non_utf8_scorecard_exit_2(self, data, tmp_path, capsys):
+        scorecard = tmp_path / "sc.csv"
+        scorecard.write_bytes(b"task,model\n\xff,m\n")
+        out = tmp_path / "r.md"
+        rc = main(["report", "--scorecard", str(scorecard), "--out", str(out)])
+        assert rc == 2
+        assert "sc.csv: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_artifact_exit_2(self, data, capsys):
         rc = main(["report", "--scorecard", str(data["tmp"] / "ghost.csv"),

@@ -4,8 +4,20 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from langdei.curves import LearningCurve, TrajectoryPoint, fit_power_law, predict, r_squared
+from langdei.curves import (
+    COARSE_GRID_POINTS,
+    REFINE_GRID_POINTS,
+    REFINE_ROUNDS,
+    LearningCurve,
+    TrajectoryPoint,
+    _ols_at_c,
+    fit_power_law,
+    predict,
+    r_squared,
+)
 from langdei.errors import ComputationError, InputError
 
 
@@ -14,6 +26,52 @@ def make_points(a, b, c, xs, source="s", target="t"):
 
 
 GRID_X = [320 * k for k in range(1, 31)]
+
+
+def reference_fit(points, c_range):
+    """The grid search one c at a time: _ols_at_c's SSE at each grid point,
+    the first least SSE wins, then the same local refinement rounds."""
+    x = np.array([p.samples for p in points], dtype=float)
+    y = np.array([p.score for p in points], dtype=float)
+    c_lo, c_hi = c_range
+    if float(y.max()) == float(y.min()):
+        return LearningCurve("s", "t", a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)
+
+    def best_on_grid(grid):
+        sses = [_ols_at_c(x, y, float(c))[2] for c in grid]
+        return float(grid[int(np.argmin(sses))])
+
+    c_best = c_lo
+    if c_hi != c_lo:
+        grid = np.linspace(c_lo, c_hi, COARSE_GRID_POINTS)
+        c_best = best_on_grid(grid)
+        half_width = float(grid[1] - grid[0])
+        for _ in range(REFINE_ROUNDS):
+            lo = max(c_lo, c_best - half_width)
+            hi = min(c_hi, c_best + half_width)
+            c_best = best_on_grid(np.linspace(lo, hi, REFINE_GRID_POINTS))
+            half_width /= 10.0
+    a, b, sse = _ols_at_c(x, y, c_best)
+    r2 = 1.0 - max(sse, 0.0) / float(((y - y.mean()) ** 2).sum())  # raises if the variance underflows
+    return LearningCurve("s", "t", a=float(a), b=float(b), c=float(c_best), r_squared=min(r2, 1.0))
+
+
+@st.composite
+def trajectories(draw):
+    """3-13 points with at least two distinct sample counts, noisy or exact
+    power-law scores, and a c range that may be a single point or start at 0."""
+    n = draw(st.integers(3, 13))
+    xs = draw(st.lists(st.integers(1, 50_000), min_size=n, max_size=n).filter(lambda v: len(set(v)) > 1))
+    a, b, c = draw(st.floats(0.0, 2.0)), draw(st.floats(-30.0, 5.0)), draw(st.floats(0.0, 2.0))
+    noise = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-3, -1e-3, 0.1]), min_size=n, max_size=n))
+    points = [TrajectoryPoint("s", "t", x, a + b * float(x) ** (-c) + e) for x, e in zip(xs, noise)]
+    c_range = draw(st.one_of(
+        st.just((0.0, 2.0)),
+        st.tuples(st.just(0.0), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+        st.floats(0.0, 2.0).map(lambda c: (c, c)),
+        st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 3.0)),
+    ))
+    return points, c_range
 
 
 class TestPredict:
@@ -135,6 +193,24 @@ class TestFit:
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(fit_power_law, jobs))
         assert sequential == threaded
+
+    @settings(max_examples=150, deadline=None)
+    @given(trajectories())
+    def test_equals_scalar_grid_reference(self, case):
+        points, c_range = case
+        try:
+            expected = reference_fit(points, c_range)
+        except ZeroDivisionError:
+            with pytest.raises(ComputationError, match="underflows"):
+                fit_power_law(points, c_range=c_range)
+        else:
+            assert fit_power_law(points, c_range=c_range) == expected
+
+    def test_underflowing_variance_is_undefined(self):
+        # Distinct scores whose squared deviations underflow to 0.
+        points = [TrajectoryPoint("s", "t", x, y) for x, y in ((1, 1e-308), (1, 1e-308), (2, 5e-309))]
+        with pytest.raises(ComputationError, match="underflows"):
+            fit_power_law(points)
 
     def test_invalid_c_range_rejected(self):
         with pytest.raises(InputError):
