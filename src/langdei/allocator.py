@@ -161,21 +161,17 @@ def _state_chunk(
     k's absolute predictions (or None).
 
     One (ks x targets) matrix of curves.predict_many columns: gm adds the
-    targets in sorted order, and the row-wise Gini reductions equal
-    metrics.gini on each row, so each state is bit-identical to computing it
-    at that k alone.
+    targets in sorted order, and Gini is the row-wise kernel of metrics.gini,
+    so each state is bit-identical to computing it at that k alone.
     """
-    n = len(curves)
     with np.errstate(all="ignore"):  # undefined rows are cut off below
         columns = [_curves.predict_many(curve, ks) for curve in curves]
         gm = np.zeros(len(ks))
         for w, column in zip(weights, columns):
             gm += w * column
         absolute = np.abs(np.column_stack(columns))
-        total = absolute.sum(axis=1)
-        weighted = ((n + 1 - np.arange(1, n + 1, dtype=float)) * np.sort(absolute, axis=1)).sum(axis=1)
-        gini = (n + 1 - 2.0 * weighted / total) / n
-    undefined = np.flatnonzero(~np.isfinite(absolute).all(axis=1) | (total == 0))
+        gini = _metrics._gini_rows(absolute)
+    undefined = np.flatnonzero(~np.isfinite(absolute).all(axis=1) | (absolute.sum(axis=1) == 0))
     if undefined.size:
         end = int(undefined[0])
         return gm[:end].tolist(), gini[:end].tolist(), absolute[end].copy()

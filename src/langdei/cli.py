@@ -132,8 +132,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     )
     outputs = {args.out: io.render_scorecard(rows, scale=args.scale)}
     if args.lorenz_out:
-        points = {(r.task, r.model, r.train_lang): metrics.lorenz_points(r.utilities) for r in rows}
-        outputs[args.lorenz_out] = io.render_lorenz(points)
+        outputs[args.lorenz_out] = io.render_lorenz(metrics.scorecard_lorenz(rows))
     _write_outputs(outputs)
     print(f"metrics: wrote {len(rows)} rows -> {args.out}")
     return 0

@@ -37,12 +37,9 @@ def bundled_path(name: str) -> Path:
 
 
 def fmt_num(x: float) -> str:
-    """Canonical number rendering: up to 12 significant digits."""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0:
-        x = abs(x)  # avoid "-0"
-    return format(float(x), ".12g")
+    """Canonical number rendering: up to 12 significant digits; infinities
+    render as ``inf``/``-inf``, and ``+ 0.0`` turns -0.0 into 0."""
+    return format(float(x) + 0.0, ".12g")
 
 
 def _parse_float(text: str, where: str) -> float:
@@ -98,21 +95,22 @@ def _read_lines(path: str | Path) -> list[str]:
     return read_text(path).splitlines()
 
 
-def _read_csv_rows(path: str | Path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
+def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """The data rows of a CSV file that starts with ``header``, as (line
+    number, stripped cells), yielded as they are read; blank lines are
+    skipped but counted."""
     with _open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-    if not rows:
-        raise InputError(f"{path}: empty file (expected header {','.join(header)})")
-    first_line, first = rows[0]
-    if [cell.strip() for cell in first] != list(header):
-        raise InputError(f"{path}:{first_line}: expected header {','.join(header)!r}, got {','.join(first)!r}")
-    out = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise InputError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        out.append((lineno, [cell.strip() for cell in row]))
-    return out
+        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        first_line, first = next(rows, (0, None))
+        if first is None:
+            raise InputError(f"{path}: empty file (expected header {','.join(header)})")
+        if [cell.strip() for cell in first] != list(header):
+            raise InputError(f"{path}:{first_line}: expected header {','.join(header)!r}, got {','.join(first)!r}")
+        width = len(header)
+        for lineno, row in rows:
+            if len(row) != width:
+                raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            yield lineno, list(map(str.strip, row))
 
 
 def _check_scale(scale: str) -> str:
@@ -173,18 +171,22 @@ def load_performance(path: str | Path, scale: str = "percent") -> PerformanceTab
     scores: dict[tuple[str, str, str, str], float] = {}
     valid_ids: set[str] = set()  # each distinct id is checked once
     header = ("task", "model", "train_lang", "target_lang", "score")
+    # The file:line prefix is formatted only on the error paths.
     for lineno, (task, model, train, target, score_text) in _read_csv_rows(path, header):
-        where = f"{path}:{lineno}"
         key = (task, model, train, target)
         if key in scores:
-            raise InputError(f"{where}: duplicate row for {key}")
+            raise InputError(f"{path}:{lineno}: duplicate row for {key}")
         if task not in valid_ids or model not in valid_ids or train not in valid_ids:
             for ident, what in ((task, "task id"), (model, "model id"), (train, "train language")):
-                _located(where, check_id, ident, what)
+                _located(f"{path}:{lineno}", check_id, ident, what)
             valid_ids.update((task, model, train))
-        score = _parse_float(score_text, where) * factor
-        if not math.isfinite(score) or score < 0:
-            raise InputError(f"{where}: score must be finite and non-negative, got {score_text}")
+        try:
+            score = float(score_text) * factor
+        except ValueError:
+            score = math.nan
+        if not 0.0 <= score < math.inf:  # also false for NaN
+            _parse_float(score_text, f"{path}:{lineno}")  # raises if malformed or NaN
+            raise InputError(f"{path}:{lineno}: score must be finite and non-negative, got {score_text}")
         scores[key] = score
     return PerformanceTable(scores)
 
@@ -438,9 +440,12 @@ def render_scorecard(rows: Sequence[ScorecardRow], scale: str = "percent") -> st
 
 def render_lorenz(points_by_row: Mapping[tuple[str, str, str], Sequence[tuple[float, float]]]) -> str:
     lines = ["task,model,train_lang,population_fraction,cumulative_share"]
+    x_text: dict[float, str] = {}  # rows of one length share their k/n column
     for task, model, train in sorted(points_by_row):
         for x, y in points_by_row[(task, model, train)]:
-            lines.append(f"{task},{model},{train},{fmt_num(x)},{fmt_num(y)}")
+            if x not in x_text:
+                x_text[x] = fmt_num(x)
+            lines.append(f"{task},{model},{train},{x_text[x]},{fmt_num(y)}")
     return "\n".join(lines) + "\n"
 
 

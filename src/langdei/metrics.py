@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from langdei.errors import ComputationError, InputError, check_id
+from langdei.errors import ComputationError, InputError, LangDeiError, check_id
 
 # The 22 scheduled languages plus English; the default universe for all
 # metrics. Order matters only for deterministic output.
@@ -119,8 +119,12 @@ def utility(raw_score: float, task: TaskSpec) -> float:
             f"{task.max_performance}; clamping utility to 1.0",
             stacklevel=2,
         )
-        return 1.0
-    return raw_score / task.max_performance
+    return float(_utilities(raw_score, task.max_performance))
+
+
+def _utilities(raw, maximum):
+    """Raw scores over their task maxima, elementwise, clamped to 1.0."""
+    return np.where(raw > maximum, 1.0, raw / maximum)
 
 
 def _check_universe(universe: Sequence[str]) -> tuple[str, ...]:
@@ -143,20 +147,34 @@ def demand(speakers: SpeakerTable, universe: Sequence[str], tau: float) -> dict[
     tau > 0.
     """
     codes = _check_universe(universe)
+    weights = _demand_rows(speakers, codes, tau, np.ones((1, len(codes)), dtype=bool))
+    return dict(zip(codes, weights[0].tolist()))
+
+
+def _demand_rows(speakers: SpeakerTable, codes: tuple[str, ...], tau: float, members: np.ndarray) -> np.ndarray:
+    """Demand weights over each row's own universe: the codes where that
+    row of the boolean ``members`` matrix is set; 0 elsewhere.
+
+    Each n^tau is a Python float power, and each row total adds its terms in
+    universe order, as the built-in ``sum`` does. The first row whose
+    weights are undefined raises.
+    """
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and 0.0 <= tau <= 1.0):
         raise InputError(f"tau must lie in [0, 1], got {tau}")
     if tau == 0:
-        n = len(codes)
-        return {lang: 1.0 / n for lang in codes}
-    powered = {}
-    for lang in codes:
-        if lang not in speakers:
+        powered = np.ones(len(codes))
+    else:
+        powered = np.array([speakers.millions(lang) ** tau if lang in speakers else math.nan for lang in codes])
+    terms = np.where(members, powered, 0.0)
+    total = np.cumsum(terms, axis=1)[:, -1:]  # sequential, like ``sum``
+    undefined = ~(total[:, 0] > 0)  # also true for nan: a speaker count is missing
+    if undefined.any():
+        missing = members[int(np.argmax(undefined))] & np.isnan(powered)
+        if missing.any():
+            lang = codes[int(np.argmax(missing))]
             raise InputError(f"tau={tau} requires a speaker count for language {lang!r}")
-        powered[lang] = speakers.millions(lang) ** tau
-    total = sum(powered.values())
-    if total <= 0:
         raise ComputationError("demand is undefined: all speaker counts in the universe are zero")
-    return {lang: value / total for lang, value in powered.items()}
+    return terms / total
 
 
 def global_metric(utilities: Sequence[float], weights: Sequence[float]) -> float:
@@ -175,11 +193,18 @@ def _as_nonnegative_array(values: Iterable[float]) -> np.ndarray:
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InputError("expected a non-empty 1-d vector of values")
+    return _check_nonnegative(arr)
+
+
+def _check_nonnegative(arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InputError("values must be finite")
     if np.any(arr < 0):
         raise InputError("values must be non-negative")
     return arr
+
+
+_GINI_ALL_ZERO = "Gini is undefined for an all-zero vector"
 
 
 def gini(values: Iterable[float]) -> float:
@@ -191,14 +216,25 @@ def gini(values: Iterable[float]) -> float:
     total, and a silent 0 would mask missing data.
     """
     arr = _as_nonnegative_array(values)
-    total = float(arr.sum())
-    if total == 0:
-        raise ComputationError("Gini is undefined for an all-zero vector")
-    y = np.sort(arr, kind="stable")
-    n = y.size
+    if float(arr.sum()) == 0:
+        raise ComputationError(_GINI_ALL_ZERO)
+    return float(_gini_rows(arr[None, :])[0])
+
+
+def _gini_rows(rows: np.ndarray) -> np.ndarray:
+    """The Gini formula of ``gini`` on each row of a 2-d array, unchecked.
+
+    Row-wise reductions, so each entry is bit-identical to the 1-d form. A
+    row that totals zero or holds a non-finite value gives a meaningless
+    entry (and a numpy warning): callers reject such rows themselves. The
+    sort kind cannot change a result: the only equal values with different
+    bits are 0.0 and -0.0, and either adds the same to a sum.
+    """
+    n = rows.shape[1]
+    total = rows.sum(axis=1)
     ranks = np.arange(1, n + 1, dtype=float)
-    weighted = float(((n + 1 - ranks) * y).sum())
-    return float((n + 1 - 2.0 * weighted / total) / n)
+    weighted = ((n + 1 - ranks) * np.sort(rows, axis=1)).sum(axis=1)
+    return (n + 1 - 2.0 * weighted / total) / n
 
 
 def lorenz_points(values: Iterable[float]) -> tuple[tuple[float, float], ...]:
@@ -207,15 +243,34 @@ def lorenz_points(values: Iterable[float]) -> tuple[tuple[float, float], ...]:
     Point k is (k/n, share of the total held by the smallest k values).
     """
     arr = _as_nonnegative_array(values)
-    if float(arr.sum()) == 0:
+    return _lorenz_point_rows(arr[None, :])[0]
+
+
+def _lorenz_point_rows(rows: np.ndarray) -> list[tuple[tuple[float, float], ...]]:
+    """``lorenz_points`` of each row of a 2-d array of checked values: one
+    row-wise sort and cumulative sum, over the last cumulative column."""
+    if not rows.sum(axis=1).all():
         raise ComputationError("Lorenz curve is undefined for an all-zero vector")
-    y = np.sort(arr, kind="stable")
-    n = y.size
-    cum = np.cumsum(y)
-    total = float(cum[-1])
-    points = [(0.0, 0.0)]
-    points.extend((k / n, float(cum[k - 1]) / total) for k in range(1, n + 1))
-    return tuple(points)
+    cum = np.cumsum(np.sort(rows, axis=1, kind="stable"), axis=1)
+    n = rows.shape[1]
+    xs = [0.0] + [k / n for k in range(1, n + 1)]
+    return [tuple(zip(xs, [0.0] + shares)) for shares in (cum / cum[:, -1:]).tolist()]
+
+
+def scorecard_lorenz(rows: Sequence[ScorecardRow]) -> dict[tuple[str, str, str], tuple[tuple[float, float], ...]]:
+    """``lorenz_points(row.utilities)`` of every scorecard row, keyed by
+    (task, model, train language); rows of one length share one matrix."""
+    by_size: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_size.setdefault(len(row.utilities), []).append(i)
+    curves: list[tuple[tuple[float, float], ...]] = [()] * len(rows)
+    for size, idx in by_size.items():
+        if size == 0:
+            raise InputError("expected a non-empty 1-d vector of values")
+        matrix = _check_nonnegative(np.array([rows[i].utilities for i in idx], dtype=float))
+        for i, curve in zip(idx, _lorenz_point_rows(matrix)):
+            curves[i] = curve
+    return {(row.task, row.model, row.train_lang): curve for row, curve in zip(rows, curves)}
 
 
 def gini_from_lorenz(curve: Sequence[tuple[float, float]]) -> float:
@@ -248,40 +303,111 @@ def dei_scorecard(
     By default every universe language without a score contributes utility 0.
     With ``tested_only`` the universe of each row shrinks to the languages
     that have scores, and demand weights are renormalized over them.
+
+    All rows are computed as one rows x universe matrix. Each number equals
+    what ``utility``, ``demand``, ``global_metric`` and ``gini`` give for the
+    row alone, and the first row that fails raises the error they would
+    raise: failures rank by row, then within a row as task and languages
+    (0), raw scores (1), demand (2), Gini (3). Clamped scores give one
+    warning per task.
     """
     codes = _check_universe(universe)
     by_task = {t.task_id: t for t in tasks}
     if len(by_task) != len(tasks):
         raise InputError("duplicate task ids in task specs")
-    rows: list[ScorecardRow] = []
-    for (task_id, model, train), scores in perf.groups():
+    groups = perf.groups()
+    if not groups:
+        return []
+    raw, tested, maxima, failures = _score_matrix(groups, by_task, codes)
+    bad = tested & ~(np.isfinite(raw) & (raw >= 0))
+    if bad.any():
+        r = int(np.flatnonzero(bad.any(axis=1))[0])
+        score = groups[r][1][codes[int(np.argmax(bad[r]))]]
+        failures.append((r, 1, InputError(f"raw score must be a finite non-negative number, got {score}")))
+    utilities = _utilities(raw, maxima)
+    zero = ~(utilities > 0).any(axis=1)
+    if zero.any():
+        failures.append((int(np.argmax(zero)), 3, ComputationError(_GINI_ALL_ZERO)))
+    first = min(failures, key=lambda f: f[:2], default=None)
+    # Rows that reach their demand weights (rank 2) before the first failure.
+    reached = len(groups) if first is None else first[0] + (first[1] > 2)
+    if reached:
+        members = tested[:reached] if tested_only else np.ones((1, len(codes)), dtype=bool)
+        weights = _demand_rows(speakers, codes, tau, members)
+    if first is not None:
+        raise first[2]
+
+    sizes = tested.sum(axis=1) if tested_only else np.full(len(groups), len(codes))
+    m_tau = np.empty(len(groups))
+    gini_coeff = np.empty(len(groups))
+    vectors: list[tuple[float, ...]] = [()] * len(groups)
+    for size in np.unique(sizes):
+        # Rows of one universe size form one matrix; padding with zeros
+        # would change the order of numpy's pairwise sums.
+        idx = np.flatnonzero(sizes == size)
+        if tested_only:
+            u = utilities[idx][tested[idx]].reshape(len(idx), size)
+            w = weights[idx][tested[idx]].reshape(len(idx), size)
+        else:
+            u, w = utilities[idx], np.broadcast_to(weights, (len(idx), size))
+        # One dot per row: a matrix product rounds differently.
+        m_tau[idx] = [np.dot(u_row, w_row) for u_row, w_row in zip(u, w)]
+        gini_coeff[idx] = _gini_rows(u)
+        for r, vector in zip(idx.tolist(), u.tolist()):
+            vectors[r] = tuple(vector)
+    _warn_clamped(groups, by_task, raw, tested & (raw > maxima))
+    return [
+        ScorecardRow(
+            task=task_id, model=model, train_lang=train, m_tau=m, gini_coeff=g,
+            tested=len(scores), universe_size=size, utilities=vector,
+        )
+        for ((task_id, model, train), scores), m, g, size, vector in zip(
+            groups, m_tau.tolist(), gini_coeff.tolist(), sizes.tolist(), vectors
+        )
+    ]
+
+
+def _score_matrix(groups, by_task: Mapping[str, TaskSpec], codes: tuple[str, ...]):
+    """Raw scores and tested flags as rows x universe matrices, and each
+    row's task maximum (a column), filled up to the first row with an
+    unknown task or language; the failure list holds that row's error as
+    (row, 0, error)."""
+    column = {lang: j for j, lang in enumerate(codes)}
+    counts, limits, cols, values = [], [], [], []  # per row filled; per cell
+    failures: list[tuple[int, int, LangDeiError]] = []
+    for r, ((task_id, model, train), scores) in enumerate(groups):
         if task_id not in by_task:
-            raise InputError(f"unknown task id {task_id!r} in performance table")
-        spec = by_task[task_id]
-        unknown = sorted(set(scores) - set(codes))
-        if unknown:
-            raise InputError(
+            failures.append((r, 0, InputError(f"unknown task id {task_id!r} in performance table")))
+            break
+        if not scores.keys() <= column.keys():
+            unknown = sorted(set(scores) - set(codes))
+            failures.append((r, 0, InputError(
                 f"performance rows for ({task_id}, {model}, {train}) name languages "
                 f"outside the universe: {', '.join(unknown)}"
-            )
-        if tested_only:
-            row_universe = tuple(lang for lang in codes if lang in scores)
-        else:
-            row_universe = codes
-        utilities = tuple(utility(scores[lang], spec) if lang in scores else 0.0 for lang in row_universe)
-        d = demand(speakers, row_universe, tau)
-        m = global_metric(utilities, [d[lang] for lang in row_universe])
-        g = gini(utilities)
-        rows.append(
-            ScorecardRow(
-                task=task_id,
-                model=model,
-                train_lang=train,
-                m_tau=m,
-                gini_coeff=g,
-                tested=len(scores),
-                universe_size=len(row_universe),
-                utilities=utilities,
-            )
+            )))
+            break
+        counts.append(len(scores))
+        limits.append(by_task[task_id].max_performance)
+        cols.extend(map(column.__getitem__, scores))
+        values.extend(scores.values())
+    cells = (np.repeat(np.arange(len(counts)), counts), cols)
+    raw = np.zeros((len(groups), len(codes)))
+    raw[cells] = values
+    tested = np.zeros(raw.shape, dtype=bool)
+    tested[cells] = True
+    maxima = np.ones((len(groups), 1))
+    maxima[: len(limits), 0] = limits
+    return raw, tested, maxima, failures
+
+
+def _warn_clamped(groups, by_task: Mapping[str, TaskSpec], raw: np.ndarray, clamped: np.ndarray) -> None:
+    """One warning per task with scores above its maximum: how many, and the largest."""
+    per_task: dict[str, list[float]] = {}
+    for r in np.flatnonzero(clamped.any(axis=1)).tolist():
+        per_task.setdefault(groups[r][0][0], []).extend(raw[r][clamped[r]].tolist())
+    for task_id, scores in per_task.items():
+        warnings.warn(
+            f"scores above task {task_id!r} maximum {by_task[task_id].max_performance}: "
+            f"{len(scores)} (largest {max(scores)}); clamping their utility to 1.0",
+            stacklevel=3,
         )
-    return rows

@@ -6,6 +6,10 @@ stderr, and output files. Exit-code contract: 0 success, 1 undefined metric,
 """
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,29 @@ def data(tmp_path):
 
 
 class TestMetricsCommand:
+    def test_one_clamp_warning_per_task(self, data):
+        # Seven clamped scores over two tasks and two rows each: a fresh
+        # process, so stderr shows what a user sees (each warning is two
+        # lines: the message and the calling source line).
+        cells = [("ner", "m", "en", lang, 98.0 + i) for i, lang in enumerate(("hi", "bn", "ta", "te"))]
+        cells += [("ner", "n", "en", "hi", 99.0), ("pos", "m", "en", "hi", 97.5), ("pos", "n", "hi", "ur", 97.25)]
+        cells += [("nli", "m", "en", "hi", 50.0)]
+        perf = write(data["tmp"] / "perf.csv", "task,model,train_lang,target_lang,score\n"
+                     + "".join(",".join(map(str, c)) + "\n" for c in cells))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "langdei.cli", "metrics", "--perf", perf, "--tasks", data["tasks"],
+             "--tau", "0", "--out", str(data["tmp"] / "sc.csv")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert result.returncode == 0
+        warning_lines = [line for line in result.stderr.splitlines() if "UserWarning" in line]
+        assert [line.split("UserWarning: ", 1)[1] for line in warning_lines] == [
+            "scores above task 'ner' maximum 97.6: 5 (largest 101.0); clamping their utility to 1.0",
+            "scores above task 'pos' maximum 97.0: 2 (largest 97.5); clamping their utility to 1.0",
+        ]
+        assert len(result.stderr.splitlines()) == 2 * len(warning_lines)
+
     def test_bundled_ner_fixture(self, data):
         out = data["tmp"] / "sc.csv"
         rc = main([

@@ -394,3 +394,70 @@ def test_tasks_loader_rejects_nonpositive_max(tmp_path):
 def test_bundled_path_unknown_name():
     with pytest.raises(InputError, match="available"):
         bundled_path("nope.csv")
+
+
+class TestPerformanceLoaderErrors:
+    """Every load_performance error names file:line. The bad row sits on
+    line 6: a BOM, a blank line before the header, and blank lines between
+    rows must not shift the count."""
+
+    GOOD = "ner,m,en,hi,50.5"
+
+    def load(self, tmp_path, bad_row):
+        p = tmp_path / "perf.csv"
+        text = f"\ufeff\ntask,model,train_lang,target_lang,score\n{self.GOOD}\n\n\n{bad_row}\nner,m,en,ta,1\n"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_performance(p)
+        return str(info.value).replace(str(p), "P")
+
+    @pytest.mark.parametrize(
+        "bad_row,message",
+        [
+            ("ner,m,en,bn,abc", "P:6: malformed number 'abc'"),
+            ("ner,m,en,bn", "P:6: expected 5 fields, got 4"),
+            ("ner,m,en,hi,60", "P:6: duplicate row for ('ner', 'm', 'en', 'hi')"),
+            ("ner,m,en,bn,nan", "P:6: number must not be NaN"),
+            ("ner,m,en,bn,inf", "P:6: score must be finite and non-negative, got inf"),
+            ("ner,m,en,bn,-0.5", "P:6: score must be finite and non-negative, got -0.5"),
+            ("ner,m x,en,bn,1", "P:6: invalid model id: 'm x' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
+            ("ner,m,,bn,1", "P:6: invalid train language: '' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
+        ],
+    )
+    def test_message(self, tmp_path, bad_row, message):
+        assert self.load(tmp_path, bad_row) == message
+
+    def test_unit_scale_overflow_is_not_finite(self, tmp_path):
+        p = tmp_path / "perf.csv"
+        p.write_text("task,model,train_lang,target_lang,score\nner,m,en,hi,1e307\n")
+        with pytest.raises(InputError, match=r"perf\.csv:2: score must be finite and non-negative, got 1e307"):
+            load_performance(p, scale="unit")
+
+    def test_non_utf8_bytes(self, tmp_path):
+        p = tmp_path / "perf.csv"
+        p.write_bytes(b"task,model,train_lang,target_lang,score\n" + self.GOOD.encode() + b"\nner,m,en,bn,\xe9\n")
+        with pytest.raises(InputError) as info:
+            load_performance(p)
+        assert str(info.value) == f"{p}: not UTF-8 (invalid continuation byte)"
+
+    def test_header_and_empty_file(self, tmp_path):
+        p = tmp_path / "perf.csv"
+        p.write_text("\n\ntask,model,train,target_lang,score\n")
+        with pytest.raises(InputError) as info:
+            load_performance(p)
+        assert str(info.value) == (
+            f"{p}:3: expected header 'task,model,train_lang,target_lang,score', "
+            "got 'task,model,train,target_lang,score'"
+        )
+        p.write_text("\n\n")
+        with pytest.raises(InputError) as info:
+            load_performance(p)
+        assert str(info.value) == f"{p}: empty file (expected header task,model,train_lang,target_lang,score)"
+
+    def test_rows_load_in_file_order(self, tmp_path):
+        p = tmp_path / "perf.csv"
+        p.write_text("task,model,train_lang,target_lang,score\n\n ner , m ,en,hi, 50.5 \nner,m,en,bn,0\n")
+        assert list(load_performance(p, scale="unit").scores.items()) == [
+            (("ner", "m", "en", "hi"), 5050.0),
+            (("ner", "m", "en", "bn"), 0.0),
+        ]

@@ -2,15 +2,19 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from langdei.errors import ComputationError, InputError
-from langdei.io import bundled_path
+from langdei.errors import ComputationError, InputError, LangDeiError
+from langdei.io import bundled_path, render_lorenz
 from langdei.metrics import (
     DEFAULT_UNIVERSE,
     PerformanceTable,
+    ScorecardRow,
     SpeakerTable,
     TaskSpec,
     dei_scorecard,
@@ -19,6 +23,7 @@ from langdei.metrics import (
     gini_from_lorenz,
     global_metric,
     lorenz_points,
+    scorecard_lorenz,
     utility,
 )
 
@@ -309,3 +314,204 @@ def test_demand_all_zero_speakers_is_undefined():
 def test_math_isfinite_guard():
     with pytest.raises(InputError):
         gini([1.0, math.inf])
+
+
+# ---------------------------------------------------------------------------
+# The whole-table scorecard against the per-row loop
+# ---------------------------------------------------------------------------
+
+def reference_scorecard(perf, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=1.0, tested_only=False):
+    """The scorecard one row at a time, each quantity computed as a
+    standalone scalar function would: the oracle for ``dei_scorecard``."""
+
+    def ref_utility(raw, spec):
+        if not math.isfinite(raw) or raw < 0:
+            raise InputError(f"raw score must be a finite non-negative number, got {raw}")
+        return 1.0 if raw > spec.max_performance else raw / spec.max_performance
+
+    def ref_demand(row_universe):
+        if not (isinstance(tau, (int, float)) and math.isfinite(tau) and 0.0 <= tau <= 1.0):
+            raise InputError(f"tau must lie in [0, 1], got {tau}")
+        if tau == 0:
+            return {lang: 1.0 / len(row_universe) for lang in row_universe}
+        powered = {}
+        for lang in row_universe:
+            if lang not in speakers:
+                raise InputError(f"tau={tau} requires a speaker count for language {lang!r}")
+            powered[lang] = speakers.millions(lang) ** tau
+        total = 0.0
+        for value in powered.values():  # left to right, as ``sum`` before Python 3.12
+            total += value
+        if total <= 0:
+            raise ComputationError("demand is undefined: all speaker counts in the universe are zero")
+        return {lang: value / total for lang, value in powered.items()}
+
+    def ref_gini(utilities):
+        arr = np.asarray(utilities, dtype=float)
+        total = float(arr.sum())
+        if total == 0:
+            raise ComputationError("Gini is undefined for an all-zero vector")
+        y = np.sort(arr, kind="stable")
+        n = y.size
+        weighted = float(((n + 1 - np.arange(1, n + 1, dtype=float)) * y).sum())
+        return float((n + 1 - 2.0 * weighted / total) / n)
+
+    codes = tuple(universe)
+    by_task = {t.task_id: t for t in tasks}
+    rows = []
+    for (task_id, model, train), scores in perf.groups():
+        if task_id not in by_task:
+            raise InputError(f"unknown task id {task_id!r} in performance table")
+        unknown = sorted(set(scores) - set(codes))
+        if unknown:
+            raise InputError(
+                f"performance rows for ({task_id}, {model}, {train}) name languages "
+                f"outside the universe: {', '.join(unknown)}"
+            )
+        row_universe = tuple(lang for lang in codes if lang in scores) if tested_only else codes
+        utilities = tuple(
+            ref_utility(scores[lang], by_task[task_id]) if lang in scores else 0.0 for lang in row_universe
+        )
+        d = ref_demand(row_universe)
+        m = float(np.dot(np.asarray(utilities), np.asarray([d[lang] for lang in row_universe])))
+        rows.append(ScorecardRow(task_id, model, train, m, ref_gini(utilities), len(scores), len(row_universe), utilities))
+    return rows
+
+
+def _outcome(compute):
+    """The rows and their repr (bit-exact for floats), or the error's type and text."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rows = compute()
+        return "ok", rows, repr(rows)
+    except LangDeiError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def scorecard_inputs(draw, faults=True):
+    """A performance table over a default or custom universe, with zero and
+    clamped scores, 1-23 tested languages a row and, if ``faults``, now and
+    then one of the inputs that each error path of the scorecard needs."""
+    if draw(st.booleans()):
+        universe = DEFAULT_UNIVERSE
+    else:
+        custom = draw(st.lists(st.sampled_from(["x1", "x2", "yy", "z-3"]), unique=True, max_size=4))
+        universe = tuple(draw(st.permutations(list(DEFAULT_UNIVERSE[: draw(st.integers(1, 23))]) + custom)))
+    specs = [TaskSpec(t, draw(st.floats(1.0, 100.0))) for t in ("ner", "pos", "qa")[: draw(st.integers(1, 3))]]
+    # Each task's scores come from a small pool: zero of either sign, in
+    # range, the maximum itself, and above it (clamped).
+    pools = {
+        spec.task_id: [0.0, -0.0, spec.max_performance, spec.max_performance * draw(st.floats(1.0, 1.5, exclude_min=True))]
+        + draw(st.lists(st.floats(0.0, spec.max_performance), min_size=1, max_size=4))
+        for spec in specs
+    }
+    scores = {}
+    for _ in range(draw(st.integers(1, 6))):
+        task = draw(st.sampled_from(specs)).task_id
+        key = (task, draw(st.sampled_from(["m1", "m2"])), draw(st.sampled_from(["en", "hi", "bn"])))
+        langs = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=len(universe), unique=True))
+        values = draw(st.lists(st.sampled_from(pools[task]), min_size=len(langs), max_size=len(langs)))
+        if not any(values):  # all-zero rows come from the "zero-row" fault below
+            values[0] = pools[task][2]
+        scores.update({key + (lang,): value for lang, value in zip(langs, values)})
+    counts = draw(st.lists(st.sampled_from([0.0, 1.0, 43.7, 691.6, 1e-3, 2.5e3]), min_size=len(universe), max_size=len(universe)))
+    speakers = dict(zip(universe, counts))
+    tau = draw(st.sampled_from([0.0, 0.37, 1.0]))
+    if faults:
+        fault = draw(st.sampled_from(["none"] * 6 + ["task", "lang", "raw", "zero-row", "speaker", "zero-speakers", "tau"]))
+        key = draw(st.sampled_from(sorted(scores)))
+        if fault == "zero-row":
+            scores.update({k: 0.0 for k in scores if k[:3] == key[:3]})
+        elif fault == "task":
+            scores[("pos-x",) + key[1:]] = 10.0
+        elif fault == "lang":
+            scores[key[:3] + ("qq",)] = 10.0
+        elif fault == "raw":
+            scores[key] = draw(st.sampled_from([-1.0, -1e-300, math.nan, math.inf, -math.inf]))
+        elif fault == "speaker":
+            del speakers[draw(st.sampled_from(sorted(speakers)))]
+        elif fault == "zero-speakers":
+            speakers = dict.fromkeys(speakers, 0.0)
+        elif fault == "tau":
+            tau = draw(st.sampled_from([-0.5, 1.5, math.nan]))
+    return PerformanceTable(scores), SpeakerTable(speakers), specs, universe, tau, draw(st.booleans())
+
+
+class TestScorecardMatchesPerRowLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(scorecard_inputs())
+    def test_bit_for_bit_or_same_error(self, case):
+        assert _outcome(lambda: dei_scorecard(*case)) == _outcome(lambda: reference_scorecard(*case))
+
+    def test_first_failing_row_wins(self):
+        speakers = SpeakerTable({"en": 1.0, "hi": 2.0})
+        # Row "a" has all-zero utilities; row "b" names a language without a
+        # speaker count. Over tested languages only, row "a" fails first.
+        perf = _table({("ner", "a", "en", "hi"): 0.0, ("ner", "b", "en", "bn"): 5.0})
+        with pytest.raises(ComputationError, match="Gini"):
+            dei_scorecard(perf, speakers, [NER], tau=1.0, tested_only=True)
+        # Over the whole universe, row "a" already lacks speaker counts, and
+        # within a row the demand weights come before the Gini.
+        with pytest.raises(InputError, match="'as'"):
+            dei_scorecard(perf, speakers, [NER], tau=1.0)
+        # A bad raw score comes before the demand weights of its row.
+        perf = _table({("ner", "a", "en", "hi"): -2.0})
+        with pytest.raises(InputError, match="got -2.0"):
+            dei_scorecard(perf, speakers, [NER], tau=1.0)
+
+
+class TestClampWarnings:
+    def test_one_warning_per_task_with_count_and_largest(self):
+        perf = _table({
+            ("ner", "m", "en", "hi"): 98.0,
+            ("ner", "m", "en", "bn"): 99.5,
+            ("ner", "n", "hi", "hi"): 97.7,
+            ("ner", "n", "hi", "ta"): 50.0,
+            ("pos", "m", "en", "hi"): 97.1,
+            ("nli", "m", "en", "hi"): 10.0,
+        })
+        tasks = [NER, TaskSpec("pos", 97.0), TaskSpec("nli", 92.8)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = dei_scorecard(perf, TestScorecard.SPEAKERS, tasks, tau=0.0)
+        assert [str(w.message) for w in caught] == [
+            "scores above task 'ner' maximum 97.6: 3 (largest 99.5); clamping their utility to 1.0",
+            "scores above task 'pos' maximum 97.0: 1 (largest 97.1); clamping their utility to 1.0",
+        ]
+        assert all(w.category is UserWarning for w in caught)
+        assert sum(u == 1.0 for row in rows for u in row.utilities) == 4
+
+    def test_no_warning_without_clamped_scores(self):
+        perf = _table({("ner", "m", "en", "hi"): 97.6})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dei_scorecard(perf, TestScorecard.SPEAKERS, [NER], tau=0.0)
+
+
+class TestScorecardLorenz:
+    @settings(max_examples=100, deadline=None)
+    @given(scorecard_inputs(faults=False))
+    def test_equals_lorenz_points_of_each_row(self, case):
+        outcome = _outcome(lambda: dei_scorecard(*case))
+        if outcome[0] != "ok":
+            return
+        rows = outcome[1]
+        expected = {(r.task, r.model, r.train_lang): lorenz_points(r.utilities) for r in rows}
+        points = scorecard_lorenz(rows)
+        assert repr(points) == repr(expected)
+        assert render_lorenz(points) == render_lorenz(expected)
+
+    def test_ragged_rows(self):
+        rows = [
+            ScorecardRow("ner", "m", "en", 0.5, 0.1, 2, 2, (0.25, 0.5)),
+            ScorecardRow("ner", "m", "hi", 0.5, 0.1, 3, 3, (0.0, 1.0, 0.3)),
+            ScorecardRow("ner", "n", "en", 0.5, 0.1, 2, 2, (0.7, 0.1)),
+        ]
+        assert scorecard_lorenz(rows) == {(r.task, r.model, r.train_lang): lorenz_points(r.utilities) for r in rows}
+
+    def test_all_zero_row_is_undefined(self):
+        rows = [ScorecardRow("ner", "m", "en", 0.0, 0.0, 2, 2, (0.0, 0.0))]
+        with pytest.raises(ComputationError):
+            scorecard_lorenz(rows)
