@@ -19,9 +19,10 @@ merges lazy per-source streams of states with a heap keyed on
 ("accelerated") greedy it needs no diminishing returns, which the Gini term
 breaks. The trace for a budget is a prefix of the trace for any larger one.
 
-Egalitarian and single-source baselines are provided, plus a surrogate plan
-evaluation that composes per-target utilities from the funded sources'
-curves; surrogate numbers are predictions, not measurements.
+Every strategy (greedy, egalitarian, single-source) builds its plan with
+_plan from its counts. evaluate_plan scores a plan against its request by
+composing per-target utilities from the funded sources' curves; these
+surrogate numbers are predictions, not measurements.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from langdei import curves as _curves
 from langdei import metrics as _metrics
 from langdei.curves import LearningCurve
-from langdei.errors import ComputationError, InputError
+from langdei.errors import InputError
 
 logger = logging.getLogger("langdei.allocator")
 
@@ -69,7 +70,6 @@ class PlanEvaluation:
     m_tau: float
     gini_coeff: float
     clamped: bool = False
-    surrogate: bool = True
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class AllocationRequest:
             raise InputError("duplicate source languages")
         if len(set(self.targets)) != len(self.targets):
             raise InputError("duplicate target languages")
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
-            raise InputError(f"objective weights must be non-negative with alpha + beta > 0, got alpha={self.alpha} beta={self.beta}")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf) or self.alpha + self.beta <= 0:
+            raise InputError(f"objective weights must be finite and non-negative with alpha + beta > 0, got alpha={self.alpha} beta={self.beta}")
         if self.missing not in MISSING_POLICIES:
             raise InputError(f"missing-curve policy must be one of {MISSING_POLICIES}, got {self.missing!r}")
         absent = sorted(set(self.targets) - set(self.demand))
@@ -200,23 +200,13 @@ def greedy_allocate(request: AllocationRequest) -> AllocationPlan:
         trace.append(TraceStep(step, sources[i], -neg_gain, gm, g))
         if step < budget:
             heapq.heapreplace(heap, candidate(i, gm, g))
-
-    last = {t.source: t for t in trace}
-    return AllocationPlan(
-        strategy="greedy",
-        budget=budget,
-        counts=dict(zip(sources, samples)),
-        final_gm={s: last[s].gm for s in sources if s in last},
-        final_gini={s: last[s].gini for s in sources if s in last},
-        alpha=alpha,
-        beta=beta,
-        missing=request.missing,
-        trace=tuple(trace),
-    )
+    return _plan(request, "greedy", dict(zip(sources, samples)), tuple(trace))
 
 
-def _fixed_plan(request: AllocationRequest, strategy: str, counts: dict[str, int]) -> AllocationPlan:
-    """A plan with counts decided up front and each funded source's final state."""
+def _plan(
+    request: AllocationRequest, strategy: str, counts: dict[str, int], trace: tuple[TraceStep, ...] = ()
+) -> AllocationPlan:
+    """A plan with the given counts and each funded source's final state."""
     states = {s: next(_source_states(request, s, k, k)) for s, k in counts.items() if k > 0}
     return AllocationPlan(
         strategy=strategy,
@@ -227,6 +217,7 @@ def _fixed_plan(request: AllocationRequest, strategy: str, counts: dict[str, int
         alpha=request.alpha,
         beta=request.beta,
         missing=request.missing,
+        trace=trace,
     )
 
 
@@ -235,7 +226,7 @@ def egalitarian_allocate(request: AllocationRequest) -> AllocationPlan:
     sources in lexicographic order."""
     base, remainder = divmod(request.budget, len(request.sources))
     counts = {s: base + (1 if i < remainder else 0) for i, s in enumerate(request.sources)}
-    return _fixed_plan(request, "egalitarian", counts)
+    return _plan(request, "egalitarian", counts)
 
 
 def single_source_allocate(request: AllocationRequest, source: str) -> AllocationPlan:
@@ -243,56 +234,40 @@ def single_source_allocate(request: AllocationRequest, source: str) -> Allocatio
     if source not in request.sources:
         raise InputError(f"unknown source language {source!r}; sources are {', '.join(request.sources)}")
     counts = {s: request.budget if s == source else 0 for s in request.sources}
-    return _fixed_plan(request, f"single:{source}", counts)
+    return _plan(request, f"single:{source}", counts)
 
 
 def evaluate_plan(
-    plan: AllocationPlan,
-    registry: CurveRegistry,
-    demand: Mapping[str, float],
-    targets: Sequence[str],
-    mode: str = "best-source",
-    clamp: bool = False,
-    missing: str = "strict",
+    request: AllocationRequest, plan: AllocationPlan, mode: str = "best-source", clamp: bool = False
 ) -> PlanEvaluation:
-    """Surrogate metrics of a plan under the fitted curves.
+    """Surrogate metrics of a plan for the request it was made from.
 
     Per-target utility composes across funded sources: the best funded
-    source's prediction, or their mean. There is no measured ground truth
-    here; the result is labeled surrogate. Dispersion uses absolute utilities,
-    matching the optimizer's guard against negative predictions.
+    source's prediction, or their mean. A target no funded source covers
+    (only under the permissive policy) is dropped. Dispersion uses absolute
+    utilities, matching the optimizer's guard against negative predictions.
     """
     if mode not in COMPOSITION_MODES:
         raise InputError(f"composition mode must be one of {COMPOSITION_MODES}, got {mode!r}")
-    funded = [s for s in sorted(plan.counts) if plan.counts[s] > 0]
+    if sorted(plan.counts) != list(request.sources):
+        raise InputError(f"plan sources {sorted(plan.counts)} differ from the request's {list(request.sources)}")
+    funded = [s for s in request.sources if plan.counts[s] > 0]
     if not funded:
         raise InputError("plan funds no source; nothing to evaluate")
     utilities: dict[str, float] = {}
-    for t in sorted(targets):
+    for t in request.targets:
         preds = [
-            _curves.predict(registry[(s, t)], plan.counts[s])
+            _curves.predict(request.registry[(s, t)], plan.counts[s])
             for s in funded
-            if (s, t) in registry
+            if t in request._available[s]
         ]
         if not preds:
-            if missing == "strict":
-                raise InputError(f"no funded source has a curve for target {t!r}")
             logger.warning("no funded source covers target %s; dropped from evaluation", t)
             continue
         value = max(preds) if mode == "best-source" else sum(preds) / len(preds)
         if clamp:
             value = min(max(value, 0.0), 1.0)
         utilities[t] = value
-    if not utilities:
-        raise ComputationError("no target is covered by any funded source")
-    absent = sorted(set(utilities) - set(demand))
-    if absent:
-        raise InputError(f"demand weights missing for targets: {', '.join(absent)}")
-    covered = sorted(utilities)
-    m = sum(demand[t] * utilities[t] for t in covered)
-    g = _metrics.gini([abs(utilities[t]) for t in covered])
+    m = sum(request.demand[t] * u for t, u in utilities.items())
+    g = _metrics.gini([abs(u) for u in utilities.values()])
     return PlanEvaluation(mode=mode, utilities=utilities, m_tau=m, gini_coeff=g, clamped=clamp)
-
-
-def with_evaluation(plan: AllocationPlan, evaluation: PlanEvaluation) -> AllocationPlan:
-    return replace(plan, evaluation=evaluation)

@@ -9,6 +9,8 @@ mathematically undefined, 2 bad input or configuration.
 from __future__ import annotations
 
 import argparse
+import collections
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -205,10 +207,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         plan = allocator.egalitarian_allocate(request)
     else:
         plan = allocator.single_source_allocate(request, single_source)
-    evaluation = allocator.evaluate_plan(
-        plan, registry, demand, targets, mode=args.composition, missing=args.missing
-    )
-    plan = allocator.with_evaluation(plan, evaluation)
+    plan = dataclasses.replace(plan, evaluation=allocator.evaluate_plan(request, plan, mode=args.composition))
     outputs = {args.out: io.render_plan(plan)}
     if args.trace_out:
         outputs[args.trace_out] = io.render_trace(plan.trace)
@@ -217,8 +216,10 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _md_table_from_csv(text: str) -> list[str]:
-    rows = [line.split(",") for line in text.strip().splitlines()]
+def _md_table_from_csv(path: str) -> list[str]:
+    rows = [line.split(",") for line in io.read_text(path).strip().splitlines()]
+    if not rows:
+        raise InputError(f"{path}: empty file (expected a CSV header)")
     header, body = rows[0], rows[1:]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     lines.extend("| " + " | ".join(row) + " |" for row in body)
@@ -246,14 +247,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if args.scorecard:
         lines += ["## Scorecard", ""]
-        lines += _md_table_from_csv(io.read_text(args.scorecard))
+        lines += _md_table_from_csv(args.scorecard)
         lines += ["", "The gini column is a unitless dispersion index in [0, 1); lower is more equitable."]
         if args.lorenz:
             lines.append(f"Lorenz points backing each gini value: `{args.lorenz}`.")
         lines.append("")
     if args.amrs:
         lines += ["## Substitution rates (AMRS)", ""]
-        lines += _md_table_from_csv(io.read_text(args.amrs))
+        lines += _md_table_from_csv(args.amrs)
         lines += [
             "",
             "Rates derived from adjacent model pairs are sensitive to rounding in the",
@@ -263,7 +264,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         ]
     if args.efficiency:
         lines += ["## Efficiency scores", ""]
-        lines += _md_table_from_csv(io.read_text(args.efficiency))
+        lines += _md_table_from_csv(args.efficiency)
         lines.append("")
     for path in args.curves or ():
         registry = io.load_curve_registry(path)
@@ -272,10 +273,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if registry:
             exponents = [c.c for c in registry.values()]
             lines.append(f"Decay exponents span [{io.fmt_num(min(exponents))}, {io.fmt_num(max(exponents))}].")
-        per_source: dict[str, int] = {}
-        for s, _ in registry:
-            per_source[s] = per_source.get(s, 0) + 1
-        if per_source:
+            per_source = collections.Counter(s for s, _ in registry)
             summary = ", ".join(f"{s}: {n}" for s, n in sorted(per_source.items()))
             lines.append(f"Curves per source language: {summary}.")
         lines.append("")

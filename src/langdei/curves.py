@@ -4,9 +4,10 @@ Fitted per (source language, target language) pair from fine-tuning
 trajectories. For a fixed exponent c the model is linear in (a, b), so the
 fit runs a deterministic grid search on c with a closed-form least-squares
 solve at each grid point, then refines the grid locally. No starting point,
-no derivatives, no randomness. Each grid round is scored as one
-(grid x points) array whose row-wise reductions equal _ols_at_c at each c;
-the power-law form follows Hestness et al. 2017 (arXiv:1712.00409).
+no derivatives, no randomness. One kernel, _ols_rows, solves a whole grid
+round as a (grid x points) array, one row per c; the final coefficients are
+its one-row solve at the chosen c. The power-law form follows Hestness et
+al. 2017 (arXiv:1712.00409).
 """
 
 from __future__ import annotations
@@ -110,21 +111,19 @@ def r_squared(points: Sequence[TrajectoryPoint], curve: LearningCurve) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def _ols_at_c(x: np.ndarray, y: np.ndarray, c: float) -> tuple[float, float, float]:
-    """Best (a, b) and the residual sum of squares for a fixed exponent c."""
-    u = x ** (-c)
-    um = u.mean()
+def _ols_rows(x: np.ndarray, y: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (a, b) and the residual sum of squares at each exponent in cs,
+    one row per c. A row whose x^(-c) is constant (c = 0) identifies only
+    a + b, and keeps b = 0."""
+    u = x[None, :] ** (-cs[:, None])
+    um = u.mean(axis=1)
     ym = y.mean()
-    du = u - um
+    du = u - um[:, None]
     dy = y - ym
-    s_uu = float((du * du).sum())
-    if s_uu <= 0.0:
-        # x^(-c) is constant (c == 0): only a + b is identified; take b = 0.
-        return ym, 0.0, float((dy * dy).sum())
-    b = float((du * dy).sum()) / s_uu
-    a = ym - b * um
-    resid = dy - b * du
-    return a, b, float((resid * resid).sum())
+    s_uu = (du * du).sum(axis=1)
+    b = np.divide((du * dy).sum(axis=1), s_uu, out=np.zeros_like(s_uu), where=s_uu > 0.0)
+    resid = dy - b[:, None] * du
+    return ym - b * um, b, (resid * resid).sum(axis=1)
 
 
 def fit_power_law(
@@ -154,20 +153,12 @@ def fit_power_law(
     if float(y.max()) == float(y.min()):
         return LearningCurve(source, target, a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)
 
-    dy = y - y.mean()
-    ss_tot = float((dy ** 2).sum())
+    ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:
         raise ComputationError(f"score variance of ({source}, {target}) underflows to 0; r-squared is undefined")
 
     def best_on_grid(grid: np.ndarray) -> float:
-        # _ols_at_c's SSE at every grid point at once, one row per c; a row
-        # whose x^(-c) is constant (c = 0) keeps b = 0, as _ols_at_c does.
-        du = x[None, :] ** (-grid[:, None])
-        du -= du.mean(axis=1, keepdims=True)
-        s_uu = (du * du).sum(axis=1)
-        b = np.divide((du * dy).sum(axis=1), s_uu, out=np.zeros_like(s_uu), where=s_uu > 0.0)
-        resid = dy - b[:, None] * du
-        return float(grid[int(np.argmin((resid * resid).sum(axis=1)))])
+        return float(grid[int(np.argmin(_ols_rows(x, y, grid)[2]))])
 
     if c_hi == c_lo:
         c_best = c_lo
@@ -181,6 +172,6 @@ def fit_power_law(
             c_best = best_on_grid(np.linspace(lo, hi, REFINE_GRID_POINTS))
             half_width /= 10.0
 
-    a, b, sse = _ols_at_c(x, y, c_best)
-    r2 = 1.0 - max(sse, 0.0) / ss_tot
+    (a,), (b,), (sse,) = _ols_rows(x, y, np.array([c_best]))
+    r2 = 1.0 - max(float(sse), 0.0) / ss_tot
     return LearningCurve(source, target, a=float(a), b=float(b), c=float(c_best), r_squared=min(r2, 1.0))

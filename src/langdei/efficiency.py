@@ -60,8 +60,8 @@ class EfficiencyConfig:
     w_memory: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.max_memory <= 0:
-            raise InputError(f"max memory must be positive, got {self.max_memory}")
+        if not 0 < self.max_memory < math.inf:  # also false for NaN
+            raise InputError(f"max memory must be positive and finite, got {self.max_memory}")
         for name, w in (("w_perf", self.w_perf), ("w_throughput", self.w_throughput), ("w_memory", self.w_memory)):
             if w < 0 or not math.isfinite(w):
                 raise InputError(f"{name} must be non-negative, got {w}")

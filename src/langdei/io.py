@@ -91,16 +91,23 @@ def read_text(path: str | Path) -> str:
         return fh.read()
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    return read_text(path).splitlines()
+def _records(path: str | Path) -> Iterator[tuple[str, str]]:
+    """(``file:line``, stripped line) for each line of a text file that is
+    neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield f"{path}:{lineno}", line
 
 
 def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """The data rows of a CSV file that starts with ``header``, as (line
     number, stripped cells), yielded as they are read; blank lines are
-    skipped but counted."""
+    skipped. A row's number is the physical line it starts on (a quoted cell
+    may span lines), read by zip from line_num before the reader moves on."""
     with _open_utf8(path, newline="") as fh:
-        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        reader = csv.reader(fh)
+        rows = ((lineno, row) for lineno, row in zip(iter(lambda: reader.line_num + 1, 0), reader) if row)
         first_line, first = next(rows, (0, None))
         if first is None:
             raise InputError(f"{path}: empty file (expected header {','.join(header)})")
@@ -150,13 +157,10 @@ def load_tasks(path: str | Path) -> list[TaskSpec]:
 def load_universe(path: str | Path) -> tuple[str, ...]:
     """Plain text, one language code per line; ``#`` comments allowed."""
     codes: list[str] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        code = line.strip()
-        if not code or code.startswith("#"):
-            continue
+    for where, code in _records(path):
         if code in codes:
-            raise InputError(f"{path}:{lineno}: duplicate language {code!r}")
-        codes.append(_located(f"{path}:{lineno}", check_id, code, "language code"))
+            raise InputError(f"{where}: duplicate language {code!r}")
+        codes.append(_located(where, check_id, code, "language code"))
     return tuple(codes)
 
 
@@ -287,11 +291,7 @@ def _require(fields: Mapping[str, str], keys: Sequence[str], where: str) -> None
 def load_curve_registry(path: str | Path) -> dict[tuple[str, str], LearningCurve]:
     """Parse a curve registry file; duplicate pairs are rejected."""
     registry: dict[tuple[str, str], LearningCurve] = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        where = f"{path}:{lineno}"
-        if not line or line.startswith("#"):
-            continue
+    for where, line in _records(path):
         if not line.startswith("curve "):
             raise InputError(f"{where}: expected a 'curve' record, got {line!r}")
         fields = _parse_kv_line(line, where)
@@ -337,11 +337,7 @@ def load_plan(path: str | Path) -> AllocationPlan:
     final_gini: dict[str, float] = {}
     eval_fields: dict[str, str] | None = None
     utilities: dict[str, float] = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        where = f"{path}:{lineno}"
-        if not line or line.startswith("#"):
-            continue
+    for where, line in _records(path):
         kind = line.split(None, 1)[0]
         fields = _parse_kv_line(line, where)
         if kind == "plan":

@@ -18,7 +18,6 @@ from langdei.allocator import (
     evaluate_plan,
     greedy_allocate,
     single_source_allocate,
-    with_evaluation,
 )
 from langdei.curves import LearningCurve, predict
 from langdei.errors import ComputationError, InputError
@@ -293,6 +292,13 @@ class TestGreedy:
         with pytest.raises(InputError):
             simple_request(5, alpha=0.0, beta=0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+    ])
+    def test_non_finite_weight_rejected(self, alpha, beta):
+        with pytest.raises(InputError, match="finite"):
+            simple_request(5, alpha=alpha, beta=beta)
+
     def test_strict_policy_rejects_missing_pair(self):
         reg = registry_for(["s1"], ["t1", "t2"], {"s1": (1.0, -1.0, 0.5)})
         del reg[("s1", "t2")]
@@ -412,41 +418,30 @@ class TestEvaluatePlan:
     def test_single_funded_source_modes_coincide(self):
         request = simple_request(9, n_sources=2)
         plan = single_source_allocate(request, "s1")
-        best = evaluate_plan(plan, request.registry, request.demand, request.targets, mode="best-source")
-        mean = evaluate_plan(plan, request.registry, request.demand, request.targets, mode="mean")
+        best = evaluate_plan(request, plan, mode="best-source")
+        mean = evaluate_plan(request, plan, mode="mean")
         assert best.utilities == mean.utilities
         assert best.m_tau == pytest.approx(mean.m_tau)
 
     def test_two_funded_sources_compose(self):
-        targets = ("t",)
         reg = {
             ("s1", "t"): curve("s1", "t", 0.6, 0.0, 0.0),
             ("s2", "t"): curve("s2", "t", 0.8, 0.0, 0.0),
         }
         request = AllocationRequest(
-            budget=2, sources=("s1", "s2"), targets=targets, registry=reg, demand={"t": 1.0}
+            budget=2, sources=("s1", "s2"), targets=("t",), registry=reg, demand={"t": 1.0}
         )
         plan = egalitarian_allocate(request)
-        best = evaluate_plan(plan, reg, {"t": 1.0}, targets, mode="best-source")
-        mean = evaluate_plan(plan, reg, {"t": 1.0}, targets, mode="mean")
+        best = evaluate_plan(request, plan, mode="best-source")
+        mean = evaluate_plan(request, plan, mode="mean")
         assert best.utilities["t"] == pytest.approx(0.8)
         assert mean.utilities["t"] == pytest.approx(0.7)
 
     def test_equal_predictions_have_zero_gini(self):
         request = simple_request(8, n_sources=2)
         plan = egalitarian_allocate(request)
-        ev = evaluate_plan(plan, request.registry, request.demand, request.targets)
+        ev = evaluate_plan(request, plan)
         assert ev.gini_coeff == pytest.approx(0.0, abs=1e-13)
-        assert ev.surrogate is True
-
-    def test_uncovered_target_rejected_in_strict_mode(self):
-        reg = {("s1", "t1"): curve("s1", "t1", 1.0, 0.0, 0.0)}
-        request = AllocationRequest(
-            budget=4, sources=("s1",), targets=("t1",), registry=reg, demand={"t1": 1.0}
-        )
-        plan = single_source_allocate(request, "s1")
-        with pytest.raises(InputError, match="t2"):
-            evaluate_plan(plan, reg, {"t1": 0.5, "t2": 0.5}, ("t1", "t2"), mode="best-source")
 
     def test_clamp_limits_to_unit_interval(self):
         reg = {("s1", "t1"): curve("s1", "t1", 1.4, 0.0, 0.0)}
@@ -454,26 +449,42 @@ class TestEvaluatePlan:
             budget=4, sources=("s1",), targets=("t1",), registry=reg, demand={"t1": 1.0}
         )
         plan = single_source_allocate(request, "s1")
-        raw = evaluate_plan(plan, reg, {"t1": 1.0}, ("t1",))
-        clamped = evaluate_plan(plan, reg, {"t1": 1.0}, ("t1",), clamp=True)
+        raw = evaluate_plan(request, plan)
+        clamped = evaluate_plan(request, plan, clamp=True)
         assert raw.utilities["t1"] == pytest.approx(1.4)
         assert clamped.utilities["t1"] == 1.0
+        assert clamped.clamped and not raw.clamped
 
     def test_permissive_mode_drops_uncovered_target(self, caplog):
-        reg = {("s1", "t1"): curve("s1", "t1", 1.0, 0.0, 0.0)}
+        # s1 covers only t1 and s2 only t2; a plan that funds s1 alone leaves t2 uncovered.
+        reg = {
+            ("s1", "t1"): curve("s1", "t1", 1.0, 0.0, 0.0),
+            ("s2", "t2"): curve("s2", "t2", 0.5, 0.0, 0.0),
+        }
         request = AllocationRequest(
-            budget=4, sources=("s1",), targets=("t1",), registry=reg, demand={"t1": 1.0}
+            budget=4, sources=("s1", "s2"), targets=("t1", "t2"), registry=reg,
+            demand={"t1": 0.5, "t2": 0.5}, missing="permissive",
         )
         plan = single_source_allocate(request, "s1")
         with caplog.at_level(logging.WARNING, logger="langdei.allocator"):
-            ev = evaluate_plan(
-                plan, reg, {"t1": 0.5, "t2": 0.5}, ("t1", "t2"), missing="permissive"
-            )
+            ev = evaluate_plan(request, plan)
         assert set(ev.utilities) == {"t1"}
-        assert "t2" in caplog.text
+        assert ev.m_tau == pytest.approx(0.5)
+        assert "no funded source covers target t2" in caplog.text
 
-    def test_with_evaluation_attaches(self):
+    def test_plan_for_other_sources_rejected(self):
+        request = simple_request(6, n_sources=2)
+        plan = egalitarian_allocate(simple_request(6, n_sources=3))
+        with pytest.raises(InputError, match="differ from the request"):
+            evaluate_plan(request, plan)
+
+    def test_plan_funding_no_source_rejected(self):
         request = simple_request(4, n_sources=2)
-        plan = egalitarian_allocate(request)
-        ev = evaluate_plan(plan, request.registry, request.demand, request.targets)
-        assert with_evaluation(plan, ev).evaluation == ev
+        plan = replace(egalitarian_allocate(request), counts={"s1": 0, "s2": 0})
+        with pytest.raises(InputError, match="funds no source"):
+            evaluate_plan(request, plan)
+
+    def test_unknown_mode_rejected(self):
+        request = simple_request(4, n_sources=2)
+        with pytest.raises(InputError, match="composition mode"):
+            evaluate_plan(request, egalitarian_allocate(request), mode="median")

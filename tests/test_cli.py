@@ -233,6 +233,15 @@ class TestEfficiencyCommand:
         assert list(tmp_path.iterdir()) == [tmp_path / "goods.csv"]
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_memory_ceiling_exit_2(self, data, tmp_path, capsys, value):
+        out = tmp_path / "eff.csv"
+        rc = main(["efficiency", "--goods", data["goods"], "--amrs-override", data["amrs"],
+                   "--max-memory", value, "--out", str(out)])
+        assert rc == 2
+        assert "max memory must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_memory_ceiling(self, data, tmp_path):
         goods = write(
             tmp_path / "goods.csv",
@@ -401,6 +410,19 @@ class TestAllocateCommand:
         assert rc == 2
         assert "zigzag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "inf")])
+    def test_non_finite_weight_exit_2(self, data, capsys, flag, value):
+        out = data["tmp"] / "plan.txt"
+        trace = data["tmp"] / "trace.csv"
+        rc = main([
+            "allocate", "--curves", data["curves"], "--budget", "10", "--strategy", "greedy",
+            "--tau", "0", "--missing", "permissive", f"{flag}={value}",
+            "--out", str(out), "--trace-out", str(trace),
+        ])
+        assert rc == 2
+        assert "objective weights must be finite" in capsys.readouterr().err
+        assert not out.exists() and not trace.exists()
+
     def test_source_and_target_subsets(self, data):
         out = data["tmp"] / "plan.txt"
         rc = main([
@@ -476,6 +498,16 @@ class TestReportCommand:
         rc = main(["report", "--scorecard", str(scorecard), "--out", str(out)])
         assert rc == 2
         assert "sc.csv: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["scorecard", "amrs", "efficiency"])
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_empty_csv_artifact_exit_2(self, tmp_path, capsys, role, text):
+        artifact = write(tmp_path / "empty.csv", text)
+        out = tmp_path / "r.md"
+        rc = main(["report", f"--{role}", artifact, "--out", str(out)])
+        assert rc == 2
+        assert f"{artifact}: empty file" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_artifact_exit_2(self, data, capsys):

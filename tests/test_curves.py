@@ -13,7 +13,6 @@ from langdei.curves import (
     REFINE_ROUNDS,
     LearningCurve,
     TrajectoryPoint,
-    _ols_at_c,
     fit_power_law,
     predict,
     r_squared,
@@ -28,8 +27,25 @@ def make_points(a, b, c, xs, source="s", target="t"):
 GRID_X = [320 * k for k in range(1, 31)]
 
 
+def ols_at_c(x, y, c):
+    """Best (a, b) and the residual sum of squares for one fixed exponent c,
+    solved on its own; b = 0 when x^(-c) is constant (c == 0)."""
+    u = x ** (-c)
+    um = u.mean()
+    ym = y.mean()
+    du = u - um
+    dy = y - ym
+    s_uu = float((du * du).sum())
+    if s_uu <= 0.0:
+        return ym, 0.0, float((dy * dy).sum())
+    b = float((du * dy).sum()) / s_uu
+    a = ym - b * um
+    resid = dy - b * du
+    return a, b, float((resid * resid).sum())
+
+
 def reference_fit(points, c_range):
-    """The grid search one c at a time: _ols_at_c's SSE at each grid point,
+    """The grid search one c at a time: ols_at_c's SSE at each grid point,
     the first least SSE wins, then the same local refinement rounds."""
     x = np.array([p.samples for p in points], dtype=float)
     y = np.array([p.score for p in points], dtype=float)
@@ -38,7 +54,7 @@ def reference_fit(points, c_range):
         return LearningCurve("s", "t", a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)
 
     def best_on_grid(grid):
-        sses = [_ols_at_c(x, y, float(c))[2] for c in grid]
+        sses = [ols_at_c(x, y, float(c))[2] for c in grid]
         return float(grid[int(np.argmin(sses))])
 
     c_best = c_lo
@@ -51,7 +67,7 @@ def reference_fit(points, c_range):
             hi = min(c_hi, c_best + half_width)
             c_best = best_on_grid(np.linspace(lo, hi, REFINE_GRID_POINTS))
             half_width /= 10.0
-    a, b, sse = _ols_at_c(x, y, c_best)
+    a, b, sse = ols_at_c(x, y, c_best)
     r2 = 1.0 - max(sse, 0.0) / float(((y - y.mean()) ** 2).sum())  # raises if the variance underflows
     return LearningCurve("s", "t", a=float(a), b=float(b), c=float(c_best), r_squared=min(r2, 1.0))
 

@@ -181,6 +181,11 @@ class TestConfigAndTables:
         with pytest.raises(InputError):
             EfficiencyConfig(w_perf=-0.1)
 
+    @pytest.mark.parametrize("max_memory", [0.0, -1.0, float("nan"), float("inf")])
+    def test_max_memory_must_be_positive_and_finite(self, max_memory):
+        with pytest.raises(InputError, match="max memory must be positive and finite"):
+            EfficiencyConfig(max_memory=max_memory)
+
     def test_amrs_table_rejects_nonpositive(self):
         with pytest.raises(InputError):
             AmrsTable({("g", "t", "throughput"): 0.0})

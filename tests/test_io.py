@@ -300,7 +300,6 @@ class TestPlanAndTraceFormat:
         assert loaded.strategy == "greedy"
         assert loaded.beta == 0.5
         assert loaded.evaluation.utilities == {"hi": 0.9, "ta": 0.7}
-        assert loaded.evaluation.surrogate is True
         assert loaded.trace == ()  # trace is stored separately
 
     def test_trace_round_trip_including_inf(self, tmp_path):
@@ -453,6 +452,23 @@ class TestPerformanceLoaderErrors:
         with pytest.raises(InputError) as info:
             load_performance(p)
         assert str(info.value) == f"{p}: empty file (expected header task,model,train_lang,target_lang,score)"
+
+    def test_line_numbers_are_physical_lines(self, tmp_path):
+        # A quoted cell spanning lines 2-3 strips to the valid id "ner"; the
+        # row after it starts on physical line 4, not on the third record.
+        p = tmp_path / "perf.csv"
+        p.write_text('task,model,train_lang,target_lang,score\n"ner\n",m,en,hi,5\nner,m,en,ta,abc\n')
+        with pytest.raises(InputError) as info:
+            load_performance(p)
+        assert str(info.value) == f"{p}:4: malformed number 'abc'"
+
+    def test_multi_line_row_reported_at_its_first_line(self, tmp_path):
+        # Records: the header, a valid row on lines 2-3, a short row on lines 4-5.
+        p = tmp_path / "perf.csv"
+        p.write_text('task,model,train_lang,target_lang,score\nner,"m\n",en,hi,5\nner,"m\n",en\n')
+        with pytest.raises(InputError) as info:
+            load_performance(p)
+        assert str(info.value) == f"{p}:4: expected 5 fields, got 3"
 
     def test_rows_load_in_file_order(self, tmp_path):
         p = tmp_path / "perf.csv"
