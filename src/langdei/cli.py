@@ -12,7 +12,9 @@ import argparse
 import collections
 import dataclasses
 import logging
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from langdei import allocator, curves, efficiency, io, metrics
@@ -47,9 +49,10 @@ def _c_range(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numbers in LO:HI, got {text!r}") from None
-    if lo < 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"need 0 <= LO <= HI, got {text!r}")
-    return lo, hi
+    try:
+        return curves.check_c_range((lo, hi))
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _weights(text: str) -> tuple[float, float, float]:
@@ -73,22 +76,28 @@ def _comma_list(text: str) -> tuple[str, ...]:
 
 
 def _write_outputs(outputs: dict[str, str]) -> None:
-    # Called only after all computation succeeded. Stage every file next to
-    # its destination first, then rename: a failure in any write leaves no
-    # new output behind.
-    staged: list[tuple[Path, Path]] = []
+    # Called only after all computation succeeded. Stage every file under a
+    # new name in its destination's directory (mkstemp never takes an
+    # existing name, another output's included), then rename; a failed write
+    # or rename removes every staged file left. mkstemp creates mode 0600,
+    # so each staged file gets the mode a plain write would give.
+    umask = os.umask(0)
+    os.umask(umask)
+    staged: list[tuple[str, str]] = []
     try:
         for path, text in outputs.items():
             final = Path(path)
-            temp = final.with_name(final.name + ".tmp")
+            fd, temp = tempfile.mkstemp(prefix=final.name + ".", suffix=".tmp", dir=final.parent)
+            staged.append((temp, path))
+            os.fchmod(fd, 0o666 & ~umask)
+            os.close(fd)
             io.write_text(temp, text)
-            staged.append((temp, final))
-    except OSError:
+        for temp, path in staged:
+            os.replace(temp, path)
+    except BaseException:
         for temp, _ in staged:
-            temp.unlink(missing_ok=True)
+            Path(temp).unlink(missing_ok=True)
         raise
-    for temp, final in staged:
-        temp.replace(final)
 
 
 def _load_universe_arg(path: str | None) -> tuple[str, ...]:
@@ -106,7 +115,8 @@ def _load_speakers(args) -> metrics.SpeakerTable:
 
 
 def _check_distinct_outputs(args) -> None:
-    """Two output flags naming one file would leave only the last write."""
+    """Two output flags naming one file would leave only the last write,
+    and an output naming a directory could not be written at all."""
     seen: dict[Path, str] = {}
     for dest in ("out", "lorenz_out", "amrs_out", "trace_out"):
         value = getattr(args, dest, None)
@@ -114,6 +124,8 @@ def _check_distinct_outputs(args) -> None:
             continue
         flag = "--" + dest.replace("_", "-")
         path = Path(value).resolve()
+        if path.is_dir():
+            raise InputError(f"{flag} names a directory: {value}")
         if path in seen:
             raise InputError(f"{seen[path]} and {flag} name the same file: {value}")
         seen[path] = flag

@@ -96,19 +96,13 @@ def predict_many(curve: LearningCurve, samples: Sequence[float]) -> np.ndarray:
     return curve.a + curve.b * np.fromiter(powers, float, len(samples))
 
 
-def r_squared(points: Sequence[TrajectoryPoint], curve: LearningCurve) -> float:
-    """Coefficient of determination of ``curve`` on ``points``."""
-    if len(points) < 2:
-        raise InputError(f"r-squared needs at least 2 points, got {len(points)}")
-    y = np.array([p.score for p in points], dtype=float)
-    pred = np.array([predict(curve, p.samples) for p in points], dtype=float)
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        if ss_res <= 1e-24:
-            return 1.0
-        raise ComputationError("r-squared is undefined: constant data with nonzero residual")
-    return 1.0 - ss_res / ss_tot
+def check_c_range(c_range: tuple[float, float]) -> tuple[float, float]:
+    """The exponent search range (LO, HI) as floats, if 0 <= LO <= HI and
+    both are finite."""
+    lo, hi = float(c_range[0]), float(c_range[1])
+    if not 0.0 <= lo <= hi < math.inf:  # also false for NaN
+        raise InputError(f"invalid c range {lo:g}:{hi:g}: need 0 <= LO <= HI, both finite")
+    return lo, hi
 
 
 def _ols_rows(x: np.ndarray, y: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,9 +140,7 @@ def fit_power_law(
     y = np.array([p.score for p in points], dtype=float)
     if np.unique(x).size < 2:
         raise InputError(f"all sample counts equal ({int(x[0])}); cannot fit a curve for ({source}, {target})")
-    c_lo, c_hi = float(c_range[0]), float(c_range[1])
-    if not (math.isfinite(c_lo) and math.isfinite(c_hi)) or c_lo < 0 or c_hi < c_lo:
-        raise InputError(f"invalid c range: {c_range}")
+    c_lo, c_hi = check_c_range(c_range)
 
     if float(y.max()) == float(y.min()):
         return LearningCurve(source, target, a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)

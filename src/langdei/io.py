@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TextIO
 
@@ -104,20 +103,25 @@ def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[in
     """The data rows of a CSV file that starts with ``header``, as (line
     number, stripped cells), yielded as they are read; blank lines are
     skipped. A row's number is the physical line it starts on (a quoted cell
-    may span lines), read by zip from line_num before the reader moves on."""
+    may span lines), read by zip from line_num before the reader moves on.
+    A row the csv module cannot parse (such as a cell over its field size
+    limit) is an InputError at the line where parsing stopped."""
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = ((lineno, row) for lineno, row in zip(iter(lambda: reader.line_num + 1, 0), reader) if row)
-        first_line, first = next(rows, (0, None))
-        if first is None:
-            raise InputError(f"{path}: empty file (expected header {','.join(header)})")
-        if [cell.strip() for cell in first] != list(header):
-            raise InputError(f"{path}:{first_line}: expected header {','.join(header)!r}, got {','.join(first)!r}")
-        width = len(header)
-        for lineno, row in rows:
-            if len(row) != width:
-                raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            yield lineno, list(map(str.strip, row))
+        try:
+            first_line, first = next(rows, (0, None))
+            if first is None:
+                raise InputError(f"{path}: empty file (expected header {','.join(header)})")
+            if [cell.strip() for cell in first] != list(header):
+                raise InputError(f"{path}:{first_line}: expected header {','.join(header)!r}, got {','.join(first)!r}")
+            width = len(header)
+            for lineno, row in rows:
+                if len(row) != width:
+                    raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                yield lineno, list(map(str.strip, row))
+        except csv.Error as exc:
+            raise InputError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
 
 
 def _check_scale(scale: str) -> str:
@@ -462,98 +466,6 @@ def render_efficiency(
             f"{fmt_num(goods.throughput)},{fmt_num(memory_saved(goods, config))},{fmt_num(score)}"
         )
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Bundled datasets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReferenceAllocation:
-    """One published allocation row: counts per source under a budget."""
-
-    metric: str
-    budget: int
-    model: str
-    counts: Mapping[str, int]
-
-
-def load_reference_allocations(path: str | Path) -> list[ReferenceAllocation]:
-    header = ("metric", "budget", "model", "bn", "en", "hi", "ml", "mr", "ta", "ur")
-    rows = []
-    for lineno, cells in _read_csv_rows(path, header):
-        where = f"{path}:{lineno}"
-        metric, budget_text, model = cells[0], cells[1], cells[2]
-        budget = _parse_int(budget_text, where)
-        counts = {lang: _parse_int(cells[i + 3], where) for i, lang in enumerate(header[3:])}
-        if sum(counts.values()) != budget:
-            raise InputError(f"{where}: allocation sums to {sum(counts.values())}, expected budget {budget}")
-        rows.append(ReferenceAllocation(metric, budget, model, counts))
-    return rows
-
-
-def load_reference_rows(path: str | Path, header: Sequence[str]) -> list[dict[str, str]]:
-    """Generic loader for reference tables; empty cells mean 'not published'."""
-    return [dict(zip(header, cells)) for _, cells in _read_csv_rows(path, header)]
-
-
-@dataclass(frozen=True)
-class DataBundle:
-    speakers: SpeakerTable
-    tasks: list[TaskSpec]
-    goods: list[ModelGoods]
-    curves: dict[str, dict[tuple[str, str], LearningCurve]]
-    reference_allocations: list[ReferenceAllocation]
-    reference_dei: list[dict[str, str]]
-    reference_gini_tested: list[dict[str, str]]
-    reference_budgets: list[dict[str, str]]
-    printed_amrs: AmrsTable
-    universe: tuple[str, ...]
-
-    def validate(self) -> None:
-        checks = [
-            (len(self.speakers), 23, "speaker rows"),
-            (len(self.tasks), 5, "task specs (two maxima for qa)"),
-            (len(self.goods), 20, "model-goods rows"),
-            (len(self.curves["muril"]), 69, "muril curves"),
-            (len(self.curves["xlmr"]), 68, "xlmr curves"),
-            (len(self.reference_allocations), 12, "reference allocation rows"),
-            (len(self.printed_amrs.entries), 16, "printed substitution rates"),
-            (len(self.universe), 23, "universe languages"),
-        ]
-        for actual, expected, what in checks:
-            if actual != expected:
-                raise InputError(f"bundled data corrupt: expected {expected} {what}, found {actual}")
-
-
-def load_bundle() -> DataBundle:
-    """Load and validate every dataset shipped with the package."""
-    bundle = DataBundle(
-        speakers=load_speakers(bundled_path("speakers.csv")),
-        tasks=load_tasks(bundled_path("tasks.csv")),
-        goods=load_goods(bundled_path("goods.csv")),
-        curves={
-            "muril": load_curve_registry(bundled_path("curves_muril.txt")),
-            "xlmr": load_curve_registry(bundled_path("curves_xlmr.txt")),
-        },
-        reference_allocations=load_reference_allocations(bundled_path("allocations_reference.csv")),
-        reference_dei=load_reference_rows(
-            bundled_path("dei_baseline.csv"),
-            ("task", "model", "train_lang", "baseline", "m_tau1", "m_tau0", "gini", "efficiency"),
-        ),
-        reference_gini_tested=load_reference_rows(
-            bundled_path("gini_tested_only.csv"),
-            ("train_lang", "model", "ner", "pos", "nli", "qa"),
-        ),
-        reference_budgets=load_reference_rows(
-            bundled_path("budgets_reference.csv"),
-            ("metric", "budget", "model", "english", "hindi", "egalitarian", "greedy"),
-        ),
-        printed_amrs=load_amrs(bundled_path("amrs_printed.csv")),
-        universe=load_universe(bundled_path("universe_23.txt")),
-    )
-    bundle.validate()
-    return bundle
 
 
 def write_text(path: str | Path, text: str) -> None:

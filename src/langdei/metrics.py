@@ -177,18 +177,6 @@ def _demand_rows(speakers: SpeakerTable, codes: tuple[str, ...], tau: float, mem
     return terms / total
 
 
-def global_metric(utilities: Sequence[float], weights: Sequence[float]) -> float:
-    """Demand-weighted mean utility. 0 means no user benefits; 1 means every
-    language user enjoys perfect technology."""
-    if len(utilities) != len(weights):
-        raise InputError(
-            f"utilities ({len(utilities)}) and weights ({len(weights)}) must have the same length"
-        )
-    if len(utilities) == 0:
-        raise InputError("cannot compute the global metric over an empty universe")
-    return float(np.dot(np.asarray(utilities, dtype=float), np.asarray(weights, dtype=float)))
-
-
 def _as_nonnegative_array(values: Iterable[float]) -> np.ndarray:
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -305,11 +293,11 @@ def dei_scorecard(
     that have scores, and demand weights are renormalized over them.
 
     All rows are computed as one rows x universe matrix. Each number equals
-    what ``utility``, ``demand``, ``global_metric`` and ``gini`` give for the
-    row alone, and the first row that fails raises the error they would
-    raise: failures rank by row, then within a row as task and languages
-    (0), raw scores (1), demand (2), Gini (3). Clamped scores give one
-    warning per task.
+    what ``utility``, ``demand`` and ``gini`` give for the row alone, with M
+    the dot product of the row's utilities and demand weights, and the first
+    row that fails raises the error they would raise: failures rank by row,
+    then within a row as task and languages (0), raw scores (1), demand (2),
+    Gini (3). Clamped scores give one warning per task.
     """
     codes = _check_universe(universe)
     by_task = {t.task_id: t for t in tasks}

@@ -160,6 +160,27 @@ class TestMetricsCommand:
         assert "latin1.csv: not UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_csv_cell_exit_2(self, data, tmp_path, capsys):
+        # Past the csv module's field size limit (131,072 characters).
+        tasks = write(tmp_path / "huge.csv", 'task,max_performance\n"' + "x" * 200_000 + '",90\n')
+        out = tmp_path / "never.csv"
+        rc = main(["metrics", "--perf", data["perf"], "--tasks", tasks, "--tau", "0", "--out", str(out)])
+        assert rc == 2
+        assert "huge.csv:2: malformed CSV" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directory_output_rejected_before_any_write(self, data, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "DIR").mkdir()
+        rc = main([
+            "metrics", "--perf", data["perf"], "--tasks", data["tasks"], "--tau", "0",
+            "--out", "ok.csv", "--lorenz-out", "DIR",
+        ])
+        assert rc == 2
+        assert "--lorenz-out names a directory: DIR" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["DIR"]
+        assert list((tmp_path / "DIR").iterdir()) == []
+
     def test_unwritable_second_output_leaves_no_first_output(self, data, tmp_path):
         out = tmp_path / "sc.csv"
         lorenz = tmp_path / "no_such_dir" / "lz.csv"
@@ -301,6 +322,15 @@ class TestFitCommand:
         assert rc == 0
         assert 0.0 <= load_curve_registry(out)[("bn", "hi")].c <= 2.0
 
+    def test_nan_c_range_rejected_without_a_fit(self, tmp_path):
+        # Every pair is too short to fit, so only the option check can fail.
+        traj = write(tmp_path / "traj.csv", "source,target,samples,score\nbn,hi,320,40\nbn,hi,640,50\n")
+        out = tmp_path / "curves.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--trajectories", traj, "--c-range", "nan:nan", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_unit_scale_trajectories(self, tmp_path):
         lines = ["source,target,samples,score"]
         for k in range(1, 31):
@@ -422,6 +452,17 @@ class TestAllocateCommand:
         assert rc == 2
         assert "objective weights must be finite" in capsys.readouterr().err
         assert not out.exists() and not trace.exists()
+
+    def test_output_named_like_another_outputs_staging_file(self, data, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "allocate", "--curves", data["curves"], "--budget", "10", "--strategy", "greedy",
+            "--tau", "0", "--missing", "permissive", "--out", "a.tmp", "--trace-out", "a",
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "a.tmp"]
+        assert load_plan(tmp_path / "a.tmp").budget == 10
+        assert len(read_csv(tmp_path / "a")) == 10
 
     def test_source_and_target_subsets(self, data):
         out = data["tmp"] / "plan.txt"
@@ -568,6 +609,28 @@ def test_repeated_output_path_rejected(argv, tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     assert "name the same file" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--perf", "PERF", "--tasks", "TASKS", "--tau", "1.5"],
+    ["metrics", "--perf", "PERF", "--tasks", "TASKS", "--tau", "nan"],
+    ["allocate", "--curves", "CURVES", "--budget", "0", "--strategy", "greedy", "--tau", "0"],
+    ["efficiency", "--goods", "GOODS", "--weights", "-1,0,0"],
+    ["efficiency", "--goods", "GOODS", "--weights", "nan,0,0"],
+    ["fit", "--trajectories", "TRAJ", "--c-range", "2:1"],
+], ids=["tau-1.5", "tau-nan", "budget-0", "weights-negative", "weights-nan", "c-range-2:1"])
+def test_out_of_range_option_exit_2(argv, data, tmp_path, monkeypatch):
+    inputs = {"PERF": data["perf"], "TASKS": data["tasks"], "CURVES": data["curves"],
+              "GOODS": data["goods"], "TRAJ": synth_trajectories(tmp_path)}
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    monkeypatch.chdir(outdir)
+    try:
+        rc = main([inputs.get(a, a) for a in argv] + ["--out", "result"])
+    except SystemExit as exc:  # rejected by argparse
+        rc = exc.code
+    assert rc == 2
+    assert list(outdir.iterdir()) == []
 
 
 def test_cli_usage_error_exit_code(capsys):

@@ -15,7 +15,6 @@ from langdei.curves import (
     TrajectoryPoint,
     fit_power_law,
     predict,
-    r_squared,
 )
 from langdei.errors import ComputationError, InputError
 
@@ -233,33 +232,6 @@ class TestFit:
             fit_power_law(make_points(1.0, -2.0, 0.3, GRID_X), c_range=(-0.1, 2.0))
         with pytest.raises(InputError):
             fit_power_law(make_points(1.0, -2.0, 0.3, GRID_X), c_range=(1.0, 0.5))
-
-
-class TestRSquared:
-    def test_perfect_fit(self):
-        curve = LearningCurve("s", "t", 1.0, -2.0, 0.3, r_squared=1.0)
-        assert r_squared(make_points(1.0, -2.0, 0.3, GRID_X), curve) == pytest.approx(1.0)
-
-    def test_constant_mean_curve_scores_zero(self):
-        points = [TrajectoryPoint("s", "t", x, y) for x, y in ((320, 0.2), (640, 0.4), (960, 0.6))]
-        mean_curve = LearningCurve("s", "t", a=0.4, b=0.0, c=0.0, r_squared=0.0)
-        assert r_squared(points, mean_curve) == pytest.approx(0.0)
-
-    def test_constant_data_with_residual_is_undefined(self):
-        points = [TrajectoryPoint("s", "t", x, 0.5) for x in (320, 640)]
-        off_curve = LearningCurve("s", "t", a=0.9, b=0.0, c=0.0, r_squared=0.0)
-        with pytest.raises(ComputationError):
-            r_squared(points, off_curve)
-
-    def test_constant_data_perfectly_fit(self):
-        points = [TrajectoryPoint("s", "t", x, 0.5) for x in (320, 640)]
-        flat = LearningCurve("s", "t", a=0.5, b=0.0, c=0.0, r_squared=1.0)
-        assert r_squared(points, flat) == 1.0
-
-    def test_single_point_rejected(self):
-        flat = LearningCurve("s", "t", a=0.5, b=0.0, c=0.0, r_squared=1.0)
-        with pytest.raises(InputError):
-            r_squared([TrajectoryPoint("s", "t", 320, 0.5)], flat)
 
 
 def test_curve_validation():

@@ -1,7 +1,10 @@
 """Every name a module of the package imports is used in that module, so a
-refactor that deletes the last use of a name cannot leave its import behind."""
+refactor that deletes the last use of a name cannot leave its import behind;
+and every public definition of the package is used by the program, by the
+benchmark or by the README, so no function lives on for the tests alone."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,61 @@ def test_checker_flags_a_leftover_import():
         "        raise InputError(x)\n"
     )
     assert unused_imports(source) == ["ComputationError"]
+
+
+
+ROOT = PACKAGE.parents[1]
+# Public names kept although nothing in the program, bench/ or README.md
+# names them: reference oracles that tests compare the program against.
+ORACLES = {"metrics.gini_from_lorenz"}  # the Lorenz oracle of tests/_props.py
+
+
+def public_definitions(source: str) -> list[str]:
+    """Names of the top-level functions and classes of ``source`` that do
+    not start with an underscore."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def code_references(source: str) -> set[str]:
+    """Every name the code of ``source`` reads, as a bare name, an attribute
+    or an import; a ``def`` or ``class`` statement and docstrings name nothing."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced(module: str) -> list[str]:
+    """Public definitions of ``module`` that no code of the package reads
+    and that no file under bench/ (which looks names up as strings) and
+    not README.md names as a whole word."""
+    used = set().union(*(code_references(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
+    files = [p for p in (ROOT / "bench").rglob("*") if p.is_file()] + [ROOT / "README.md"]
+    text = "\n".join(p.read_text(encoding="utf-8", errors="replace") for p in files)
+    stem = module.removesuffix(".py")
+    return [name for name in public_definitions((PACKAGE / module).read_text(encoding="utf-8"))
+            if name not in used and f"{stem}.{name}" not in ORACLES and not re.search(rf"\b{name}\b", text)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_definition_is_used(module):
+    assert unreferenced(module) == []
+
+
+def test_docstring_mention_is_not_a_use():
+    source = (
+        "def kept():\n"
+        "    return used()\n"
+        "def used():\n"
+        '    """Unlike spare, this one is called."""\n'
+        "def spare():\n"
+        "    pass\n"
+    )
+    references = code_references(source)
+    assert [name for name in public_definitions(source) if name not in references] == ["kept", "spare"]

@@ -1,5 +1,7 @@
 """Unit tests for file formats, bundled datasets, and canonical output."""
 
+import csv
+
 import pytest
 
 from langdei.allocator import AllocationPlan, PlanEvaluation, TraceStep
@@ -26,6 +28,25 @@ from langdei.io import (
 )
 
 
+REFERENCE_TABLES = {
+    "allocations_reference.csv": ("metric", "budget", "model", "bn", "en", "hi", "ml", "mr", "ta", "ur"),
+    "dei_baseline.csv": ("task", "model", "train_lang", "baseline", "m_tau1", "m_tau0", "gini", "efficiency"),
+    "gini_tested_only.csv": ("train_lang", "model", "ner", "pos", "nli", "qa"),
+    "budgets_reference.csv": ("metric", "budget", "model", "english", "hindi", "egalitarian", "greedy"),
+}
+ALLOCATION_SOURCES = REFERENCE_TABLES["allocations_reference.csv"][3:]
+
+
+def reference_rows(name):
+    """The rows of a bundled reference table as dicts, once its header and
+    the width of every row are checked; empty cells mean 'not published'."""
+    with open(bundled_path(name), newline="", encoding="utf-8") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    assert tuple(header) == REFERENCE_TABLES[name]
+    assert all(len(row) == len(header) for row in rows)
+    return [dict(zip(header, row)) for row in rows]
+
+
 class TestBundle:
     def test_counts(self, bundle):
         assert len(bundle.speakers) == 23
@@ -33,11 +54,14 @@ class TestBundle:
         assert len(bundle.goods) == 20
         assert len(bundle.curves["muril"]) == 69
         assert len(bundle.curves["xlmr"]) == 68
-        assert len(bundle.reference_allocations) == 12
-        assert len(bundle.reference_dei) == 12
-        assert len(bundle.reference_gini_tested) == 10
-        assert len(bundle.reference_budgets) == 12
+        assert len(bundle.printed_amrs.entries) == 16
         assert len(bundle.universe) == 23
+        assert {name: len(reference_rows(name)) for name in REFERENCE_TABLES} == {
+            "allocations_reference.csv": 12,
+            "dei_baseline.csv": 12,
+            "gini_tested_only.csv": 10,
+            "budgets_reference.csv": 12,
+        }
 
     def test_hindi_speakers(self, bundle):
         assert bundle.speakers.millions("hi") == 691.6
@@ -61,16 +85,17 @@ class TestBundle:
         assert (row.throughput, row.performance) == (23.8, 74.9)
         assert memory_saved(row, EfficiencyConfig()) == pytest.approx(15.1)
 
-    def test_reference_allocations_sum_to_budget(self, bundle):
-        for row in bundle.reference_allocations:
-            assert sum(row.counts.values()) == row.budget
+    def test_reference_allocations_sum_to_budget(self):
+        for row in reference_rows("allocations_reference.csv"):
+            assert sum(int(row[lang]) for lang in ALLOCATION_SOURCES) == int(row["budget"])
 
-    def test_reference_allocation_row(self, bundle):
+    def test_reference_allocation_row(self):
         row = next(
-            r for r in bundle.reference_allocations
-            if r.metric == "gm_tau1" and r.budget == 1000 and r.model == "muril_large"
+            r for r in reference_rows("allocations_reference.csv")
+            if (r["metric"], r["budget"], r["model"]) == ("gm_tau1", "1000", "muril_large")
         )
-        assert row.counts == {"bn": 142, "en": 136, "hi": 152, "ml": 143, "mr": 148, "ta": 157, "ur": 122}
+        counts = {lang: int(row[lang]) for lang in ALLOCATION_SOURCES}
+        assert counts == {"bn": 142, "en": 136, "hi": 152, "ml": 143, "mr": 148, "ta": 157, "ur": 122}
 
     def test_bundled_files_are_canonical(self, bundle):
         for name in ("curves_muril.txt", "curves_xlmr.txt"):

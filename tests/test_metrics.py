@@ -21,7 +21,6 @@ from langdei.metrics import (
     demand,
     gini,
     gini_from_lorenz,
-    global_metric,
     lorenz_points,
     scorecard_lorenz,
     utility,
@@ -100,29 +99,33 @@ class TestDemand:
             demand(SpeakerTable({"x": 1}), ("x",), tau=1.5)
 
 
+def scorecard_m(speakers, scores, tau=1.0):
+    """M of the one scorecard row whose universe is the scored languages, on a
+    task with maximum 100, so each utility is its score / 100."""
+    perf = PerformanceTable({("t", "m", "en", lang): score for lang, score in scores.items()})
+    (row,) = dei_scorecard(perf, SpeakerTable(speakers), [TaskSpec("t", 100.0)], tuple(scores), tau=tau)
+    return row.m_tau
+
+
 class TestGlobalMetric:
     def test_perfect_everywhere(self):
-        assert global_metric([1.0] * 5, [0.2] * 5) == pytest.approx(1.0)
+        langs = ("a", "b", "c", "d", "e")
+        assert scorecard_m({}, dict.fromkeys(langs, 100.0), tau=0.0) == pytest.approx(1.0)
 
     def test_no_user_benefits(self):
-        assert global_metric([0.0] * 5, [0.2] * 5) == 0.0
+        # The only language served has no speakers, so no user benefits.
+        assert scorecard_m({"x": 0.0, "y": 300.0}, {"x": 100.0, "y": 0.0}) == 0.0
 
     def test_hand_evaluated_weighted_sum(self):
-        weights = demand(SpeakerTable({"x": 100, "y": 300}), ("x", "y"), tau=1.0)
-        m = global_metric([0.5, 1.0], [weights["x"], weights["y"]])
-        assert m == pytest.approx(0.875)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            global_metric([1.0, 0.5], [1.0])
+        assert scorecard_m({"x": 100, "y": 300}, {"x": 50.0, "y": 100.0}) == pytest.approx(0.875)
 
     def test_bounded_by_unit_interval_for_unit_utilities(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 30))
-            utilities = rng.uniform(0, 1, size=n)
-            raw = rng.uniform(0.01, 1, size=n)
-            weights = raw / raw.sum()
-            assert 0.0 <= global_metric(utilities, weights) <= 1.0 + 1e-15
+            langs = [f"l{i}" for i in range(n)]
+            speakers = dict(zip(langs, rng.uniform(0.01, 1, size=n).tolist()))
+            scores = dict(zip(langs, rng.uniform(0, 100, size=n).tolist()))
+            assert 0.0 <= scorecard_m(speakers, scores) <= 1.0 + 1e-15
 
 
 class TestGini:
