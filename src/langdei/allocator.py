@@ -13,11 +13,16 @@ starts at -inf (every source's first gain is +inf, so each source gets one
 sample before any gets two) and current_gini starts at 1. Ties break on
 lexicographic source order.
 
-The gain of a source's k-th sample depends only on k, so greedy_allocate
-merges lazy per-source streams of states with a heap keyed on
-(-gain, source index). That is the exact argmax of every step: unlike lazy
-("accelerated") greedy it needs no diminishing returns, which the Gini term
-breaks. The trace for a budget is a prefix of the trace for any larger one.
+The gain g_s(k) of a source's k-th sample depends only on k, so the greedy
+merges per-source gain streams (largest head first, ties to the lower source
+index), which picks samples in order of (-min(g_s(1..k)), source index, k).
+So greedy_allocate computes each source's states in chunks with the running
+minimum of its gains, extends the source holding the least last-computed key
+until the budget's samples lie at or below it (final), and sorts once. This
+is the exact argmax of every step: unlike lazy ("accelerated") greedy it
+needs no diminishing returns, which the Gini term breaks. An undefined Gini
+fails the run only when the step-by-step greedy would ask for that state.
+The trace for a budget is a prefix of the trace for any larger one.
 
 Every strategy (greedy, egalitarian, single-source) builds its plan with
 _plan from its counts. evaluate_plan scores a plan against its request by
@@ -27,11 +32,10 @@ surrogate numbers are predictions, not measurements.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -131,14 +135,15 @@ class AllocationPlan:
     evaluation: PlanEvaluation | None = None
 
 
-def _source_states(request: AllocationRequest, source: str, first: int, last: int) -> Iterator[tuple[float, float]]:
-    """(gm, gini) of one source at k = first, ..., last samples, in order.
+def _source_chunks(request: AllocationRequest, source: str, first: int, last: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(gm, gini) arrays of one source at k = first, ..., last samples, one
+    chunk of consecutive k at a time.
 
     gm is the demand-weighted sum of the per-target predictions over the
     targets the source covers; gini is the Gini coefficient of their absolute
-    values (the guard against negative predictions at small k). Chunks of
-    CHUNK_ROWS[0] rows, doubling up to CHUNK_ROWS[1], are computed ahead of
-    need, but a state whose Gini is undefined raises only when reached.
+    values (the guard against negative predictions at small k). Chunks have
+    CHUNK_ROWS[0] rows, doubling up to CHUNK_ROWS[1]; one ends before the
+    first k whose Gini is undefined, and asking for that k raises.
     """
     targets = request._available[source]
     curves = [request.registry[(source, t)] for t in targets]
@@ -147,22 +152,22 @@ def _source_states(request: AllocationRequest, source: str, first: int, last: in
     while first <= last:
         ks = range(first, min(first + rows, last + 1))
         gm, gini, undefined = _state_chunk(curves, weights, ks)
-        yield from zip(gm, gini)
+        if gm.size:
+            yield gm, gini
         if undefined is not None:
             _metrics.gini(undefined)  # raises: not finite, or all zero
         first = ks.stop
         rows = min(2 * rows, CHUNK_ROWS[1])
 
 
-def _state_chunk(
-    curves: Sequence[LearningCurve], weights: Sequence[float], ks: range
-) -> tuple[list[float], list[float], np.ndarray | None]:
+def _state_chunk(curves: list[LearningCurve], weights: list[float], ks: range) -> tuple[np.ndarray, ...]:
     """gm and gini at each k in ks up to the first undefined Gini, and that
     k's absolute predictions (or None).
 
-    One (ks x targets) matrix of curves.predict_many columns: gm adds the
-    targets in sorted order, and Gini is the row-wise kernel of metrics.gini,
-    so each state is bit-identical to computing it at that k alone.
+    One (ks x targets) matrix of curves.predict_many columns, freed on
+    return: gm adds the targets in sorted order, and Gini is the row-wise
+    kernel of metrics.gini, so each state is bit-identical to computing it
+    at that k alone.
     """
     with np.errstate(all="ignore"):  # undefined rows are cut off below
         columns = [_curves.predict_many(curve, ks) for curve in curves]
@@ -174,46 +179,73 @@ def _state_chunk(
     undefined = np.flatnonzero(~np.isfinite(absolute).all(axis=1) | (absolute.sum(axis=1) == 0))
     if undefined.size:
         end = int(undefined[0])
-        return gm[:end].tolist(), gini[:end].tolist(), absolute[end].copy()
-    return gm.tolist(), gini.tolist(), None
+        return gm[:end], gini[:end], absolute[end].copy()
+    return gm, gini, None
 
 
-def greedy_allocate(request: AllocationRequest) -> AllocationPlan:
-    """Allocate the budget one sample at a time to the argmax-gain source, as
-    a heap merge of the sources' state streams (see the module docstring)."""
-    sources = request.sources
-    alpha, beta, budget = request.alpha, request.beta, request.budget
-    streams = [_source_states(request, s, 1, budget) for s in sources]
+def _gain_chunks(request: AllocationRequest, source: str) -> Iterator[np.ndarray]:
+    """(gain, gm, gini, -running minimum gain) rows of each _source_chunks chunk."""
+    alpha, beta = request.alpha, request.beta
+    gm_prev, gini_prev, least = -math.inf, 1.0, math.inf
+    for gm, gini in _source_chunks(request, source, 1, request.budget):
+        with np.errstate(all="ignore"):  # a step's float operations, silent as Python's
+            gm_term = alpha * (gm - np.append(gm_prev, gm[:-1])) if alpha != 0 else 0.0
+            gain = gm_term + beta * (np.append(gini_prev, gini[:-1]) - gini)
+        running = np.minimum.accumulate(np.append(least, gain))[1:]
+        yield np.stack((gain, gm, gini, -running))
+        gm_prev, gini_prev, least = gm[-1], gini[-1], running[-1]
 
-    def candidate(i: int, gm_now: float, gini_now: float) -> tuple[float, int, float, float]:
-        gm, g = next(streams[i])
-        gm_term = alpha * (gm - gm_now) if alpha != 0 else 0.0
-        return -(gm_term + beta * (gini_now - g)), i, gm, g
 
-    heap = [candidate(i, -math.inf, 1.0) for i in range(len(sources))]
-    heapq.heapify(heap)
-    samples = [0] * len(sources)
-    trace: list[TraceStep] = []
-    for step in range(1, budget + 1):
-        neg_gain, i, gm, g = heap[0]
-        samples[i] += 1
-        trace.append(TraceStep(step, sources[i], -neg_gain, gm, g))
-        if step < budget:
-            heapq.heapreplace(heap, candidate(i, gm, g))
-    return _plan(request, "greedy", dict(zip(sources, samples)), tuple(trace))
+def greedy_allocate(request: AllocationRequest, trace: bool = True) -> AllocationPlan:
+    """The argmax-gain greedy plan, as one sort (see the module docstring);
+    its trace is built only if ``trace`` is true, and is empty otherwise."""
+    sources, budget = request.sources, request.budget
+    streams = [_gain_chunks(request, s) for s in sources]
+    kept = slice(None) if trace else slice(3, None)  # the key row alone serves the counts
+    # Each source's kept _gain_chunks rows so far: the first size[i] columns
+    # of a buffer that doubles when full, so its extensions copy O(k) in all.
+    rows = [next(stream)[kept] for stream in streams]
+    size = [block.shape[1] for block in rows]
+    while True:
+        # The bound: the least (-running minimum, source index) over the
+        # sources with states left. Every computed state at or below it is
+        # final; the step-by-step greedy would next ask its holder for one.
+        live = [i for i, n in enumerate(size) if n < budget]
+        holder = min(live, key=lambda i: (rows[i][-1, size[i] - 1], i), default=None)
+        if holder is None or budget <= sum(
+            np.searchsorted(block[-1, :n], rows[holder][-1, size[holder] - 1], "right" if i <= holder else "left")
+            for i, (block, n) in enumerate(zip(rows, size))
+        ):
+            break
+        new, n = next(streams[holder])[kept], size[holder]
+        if n + new.shape[1] > rows[holder].shape[1]:
+            rows[holder] = np.concatenate((rows[holder][:, :n], np.empty((len(new), n + new.shape[1]))), axis=1)
+        rows[holder][:, n:n + new.shape[1]] = new
+        size[holder] = n + new.shape[1]
+
+    # In (source, k) order, a stable sort on -(running minimum) is a lexsort
+    # by (-running minimum, source index, k): the order of the picks.
+    picks = np.argsort(np.concatenate([block[-1, :n] for block, n in zip(rows, size)]), kind="stable")[:budget]
+    owner = np.repeat(np.arange(len(sources)), size)[picks]
+    steps: tuple[TraceStep, ...] = ()
+    if trace:
+        gain, gm, gini = np.concatenate([block[:3, :n] for block, n in zip(rows, size)], axis=1)[:, picks].tolist()
+        steps = tuple(map(TraceStep, range(1, budget + 1), [sources[i] for i in owner.tolist()], gain, gm, gini))
+    counts = np.bincount(owner, minlength=len(sources)).tolist()
+    return _plan(request, "greedy", dict(zip(sources, counts)), steps)
 
 
 def _plan(
     request: AllocationRequest, strategy: str, counts: dict[str, int], trace: tuple[TraceStep, ...] = ()
 ) -> AllocationPlan:
     """A plan with the given counts and each funded source's final state."""
-    states = {s: next(_source_states(request, s, k, k)) for s, k in counts.items() if k > 0}
+    states = {s: next(_source_chunks(request, s, k, k)) for s, k in counts.items() if k > 0}
     return AllocationPlan(
         strategy=strategy,
         budget=request.budget,
         counts=counts,
-        final_gm={s: gm for s, (gm, _) in states.items()},
-        final_gini={s: g for s, (_, g) in states.items()},
+        final_gm={s: float(gm[0]) for s, (gm, _) in states.items()},
+        final_gini={s: float(g[0]) for s, (_, g) in states.items()},
         alpha=request.alpha,
         beta=request.beta,
         missing=request.missing,

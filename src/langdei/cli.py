@@ -115,9 +115,15 @@ def _load_speakers(args) -> metrics.SpeakerTable:
 
 
 def _check_distinct_outputs(args) -> None:
-    """Two output flags naming one file would leave only the last write,
-    and an output naming a directory could not be written at all."""
+    """Two output flags naming one file would leave only the last write, an
+    output naming an input would replace it, and an output naming a
+    directory could not be written at all."""
     seen: dict[Path, str] = {}
+    for dest in ("perf", "tasks", "speakers", "universe", "goods", "amrs_override", "trajectories",
+                 "curves", "scorecard", "lorenz", "amrs", "efficiency", "plan", "trace"):
+        value = getattr(args, dest, None)
+        for path in value if isinstance(value, list) else [value] if value else []:
+            seen.setdefault(Path(path).resolve(), "--" + dest.replace("_", "-"))
     for dest in ("out", "lorenz_out", "amrs_out", "trace_out"):
         value = getattr(args, dest, None)
         if not value:
@@ -175,13 +181,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     pairs = io.load_trajectories(args.trajectories, scale=args.scale)
     if not pairs:
         raise InputError(f"{args.trajectories}: no trajectory points")
-    registry: dict[tuple[str, str], curves.LearningCurve] = {}
-    rejects: list[tuple[str, str, str]] = []
-    for (source, target), points in sorted(pairs.items()):
-        if len(points) < 3:
-            rejects.append((source, target, f"needs >= 3 points, has {len(points)}"))
-            continue
-        registry[(source, target)] = curves.fit_power_law(points, c_range=args.c_range)
+    fittable = {pair: points for pair, points in sorted(pairs.items()) if len(points) >= 3}
+    rejects = [(source, target, f"needs >= 3 points, has {len(points)}")
+               for (source, target), points in sorted(pairs.items()) if len(points) < 3]
+    registry = dict(zip(fittable, curves.fit_power_laws(list(fittable.values()), c_range=args.c_range)))
     _write_outputs({args.out: io.render_curves(registry, rejects)})
     print(f"fit: {len(registry)} curves, {len(rejects)} rejected pairs -> {args.out}")
     return 0
@@ -214,7 +217,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         missing=args.missing,
     )
     if strategy == "greedy":
-        plan = allocator.greedy_allocate(request)
+        plan = allocator.greedy_allocate(request, trace=bool(args.trace_out))
     elif strategy == "egalitarian":
         plan = allocator.egalitarian_allocate(request)
     else:
@@ -304,8 +307,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             ]
         lines.append("")
     for path in args.trace or ():
-        steps = io.load_trace(path)
-        lines += [f"## Trace: `{path}`", "", f"{len(steps)} greedy steps recorded.", ""]
+        lines += [f"## Trace: `{path}`", "", f"{io.count_trace(path)} greedy steps recorded.", ""]
 
     _write_outputs({args.out: "\n".join(lines).rstrip("\n") + "\n"})
     print(f"report: {len(inputs)} artifacts -> {args.out}")

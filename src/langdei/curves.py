@@ -4,10 +4,12 @@ Fitted per (source language, target language) pair from fine-tuning
 trajectories. For a fixed exponent c the model is linear in (a, b), so the
 fit runs a deterministic grid search on c with a closed-form least-squares
 solve at each grid point, then refines the grid locally. No starting point,
-no derivatives, no randomness. One kernel, _ols_rows, solves a whole grid
-round as a (grid x points) array, one row per c; the final coefficients are
-its one-row solve at the chosen c. The power-law form follows Hestness et
-al. 2017 (arXiv:1712.00409).
+no derivatives, no randomness. fit_power_laws fits many pairs at once:
+pairs with the same number of points share one (pairs x grid x points)
+array per grid round, in batches capped by element count, and one kernel,
+_ols_rows, solves every round and the final one-c solve of each pair. Each
+curve is bit-identical to fitting its pair alone (fit_power_law). The
+power-law form follows Hestness et al. 2017 (arXiv:1712.00409).
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ DEFAULT_C_RANGE: tuple[float, float] = (0.0, 2.0)
 COARSE_GRID_POINTS = 200
 REFINE_ROUNDS = 8
 REFINE_GRID_POINTS = 21
+# Elements of one (pairs x grid x points) temporary: pairs of one point count
+# are fitted this many grid-by-point cells at a time, so memory stays flat.
+BATCH_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,8 @@ def predict_many(curve: LearningCurve, samples: Sequence[float]) -> np.ndarray:
     SIMD build, and a last-bit change can flip a greedy tie, so plans would
     depend on how numpy was built.
     """
-    lowest = min(samples, default=1)
+    # A range's least element is one of its endpoints; don't walk the range.
+    lowest = min(samples[0], samples[-1]) if isinstance(samples, range) and samples else min(samples, default=1)
     if lowest < 1:
         raise InputError(f"prediction requires samples >= 1, got {lowest}")
     powers = map(pow, map(float, samples), itertools.repeat(-curve.c))
@@ -105,31 +111,24 @@ def check_c_range(c_range: tuple[float, float]) -> tuple[float, float]:
     return lo, hi
 
 
-def _ols_rows(x: np.ndarray, y: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best (a, b) and the residual sum of squares at each exponent in cs,
-    one row per c. A row whose x^(-c) is constant (c = 0) identifies only
-    a + b, and keeps b = 0."""
-    u = x[None, :] ** (-cs[:, None])
-    um = u.mean(axis=1)
-    ym = y.mean()
-    du = u - um[:, None]
-    dy = y - ym
-    s_uu = (du * du).sum(axis=1)
-    b = np.divide((du * dy).sum(axis=1), s_uu, out=np.zeros_like(s_uu), where=s_uu > 0.0)
-    resid = dy - b[:, None] * du
-    return ym - b * um, b, (resid * resid).sum(axis=1)
+def _ols_rows(u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (a, b) and residual sum of squares as (pairs x exponents) arrays,
+    from pair p's scores y[p] and powers u[p, j] = x[p]^(-c_pj). Reductions
+    run along the point axis, so each entry is bit-identical to solving one
+    pair at one c. A row whose u is constant (c = 0) keeps b = 0."""
+    um = u.mean(axis=2)
+    ym = y.mean(axis=1)[:, None]
+    du = u - um[:, :, None]
+    dy = (y - ym)[:, None, :]
+    s_uu = (du * du).sum(axis=2)
+    b = np.divide((du * dy).sum(axis=2), s_uu, out=np.zeros_like(s_uu), where=s_uu > 0.0)
+    resid = dy - b[:, :, None] * du
+    return ym - b * um, b, (resid * resid).sum(axis=2)
 
 
-def fit_power_law(
-    points: Sequence[TrajectoryPoint],
-    c_range: tuple[float, float] = DEFAULT_C_RANGE,
-) -> LearningCurve:
-    """Least-squares fit of a + b * x^(-c) to one pair's trajectory.
-
-    Requires >= 3 points with >= 2 distinct sample counts, all for the same
-    (source, target) pair. Exactly constant scores degenerate to the
-    canonical representation (a = mean, b = 0, c = 0, R^2 = 1).
-    """
+def _checked(points: Sequence[TrajectoryPoint], c_range: tuple[float, float]) -> tuple:
+    """One pair's sample counts, scores, total sum of squares, and canonical
+    curve if its scores are exactly constant (else None), checked."""
     if len(points) < 3:
         raise InputError(f"power-law fit needs at least 3 points, got {len(points)}")
     pairs = {(p.source, p.target) for p in points}
@@ -140,30 +139,73 @@ def fit_power_law(
     y = np.array([p.score for p in points], dtype=float)
     if np.unique(x).size < 2:
         raise InputError(f"all sample counts equal ({int(x[0])}); cannot fit a curve for ({source}, {target})")
-    c_lo, c_hi = check_c_range(c_range)
-
+    check_c_range(c_range)
     if float(y.max()) == float(y.min()):
-        return LearningCurve(source, target, a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)
-
+        return x, y, 0.0, LearningCurve(source, target, a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:
         raise ComputationError(f"score variance of ({source}, {target}) underflows to 0; r-squared is undefined")
+    return x, y, ss_tot, None
 
-    def best_on_grid(grid: np.ndarray) -> float:
-        return float(grid[int(np.argmin(_ols_rows(x, y, grid)[2]))])
+
+def _search_c(x: np.ndarray, y: np.ndarray, c_lo: float, c_hi: float) -> list[float]:
+    """The grid-search exponent of each pair (row of x and y)."""
+
+    def best_on_grids(grids: np.ndarray) -> np.ndarray:  # each row's first least residual
+        best = np.argmin(_ols_rows(x[:, None, :] ** -grids[:, :, None], y)[2], axis=1)
+        return grids[np.arange(len(grids)), best]
 
     if c_hi == c_lo:
-        c_best = c_lo
-    else:
-        grid = np.linspace(c_lo, c_hi, COARSE_GRID_POINTS)
-        c_best = best_on_grid(grid)
-        half_width = float(grid[1] - grid[0])
-        for _ in range(REFINE_ROUNDS):
-            lo = max(c_lo, c_best - half_width)
-            hi = min(c_hi, c_best + half_width)
-            c_best = best_on_grid(np.linspace(lo, hi, REFINE_GRID_POINTS))
-            half_width /= 10.0
+        return [c_lo] * len(x)
+    grid = np.linspace(c_lo, c_hi, COARSE_GRID_POINTS)
+    c_best = best_on_grids(np.broadcast_to(grid, (len(x), grid.size)))
+    half_width = float(grid[1] - grid[0])
+    for _ in range(REFINE_ROUNDS):
+        lo = np.maximum(c_lo, c_best - half_width)
+        hi = np.minimum(c_hi, c_best + half_width)
+        grids = np.linspace(lo, hi, REFINE_GRID_POINTS, axis=1)
+        tiny = (hi - lo) / (REFINE_GRID_POINTS - 1) == 0.0
+        if tiny.any():  # then linspace took its zero-step branch for every row
+            grids[~tiny] = np.linspace(lo[~tiny], hi[~tiny], REFINE_GRID_POINTS, axis=1)
+        c_best = best_on_grids(grids)
+        half_width /= 10.0
+    return c_best.tolist()
 
-    (a,), (b,), (sse,) = _ols_rows(x, y, np.array([c_best]))
-    r2 = 1.0 - max(float(sse), 0.0) / ss_tot
-    return LearningCurve(source, target, a=float(a), b=float(b), c=float(c_best), r_squared=min(r2, 1.0))
+
+def fit_power_laws(
+    trajectories: Sequence[Sequence[TrajectoryPoint]],
+    c_range: tuple[float, float] = DEFAULT_C_RANGE,
+) -> list[LearningCurve]:
+    """Least-squares fit of a + b * x^(-c) to each pair's trajectory, in order.
+
+    Each trajectory needs >= 3 points with >= 2 distinct sample counts, all
+    for one (source, target) pair; all are checked, in order, before any is
+    fitted. Exactly constant scores degenerate to the canonical curve (a =
+    mean, b = 0, c = 0, R^2 = 1). The others are fitted in batches of one
+    point count, of at most BATCH_ELEMENTS (pairs x grid x points) elements.
+    """
+    checked = [_checked(points, c_range) for points in trajectories]
+    c_lo, c_hi = check_c_range(c_range)
+    fits = [canonical for *_, canonical in checked]
+    pending = sorted((x.size, i) for i, (x, *_, canonical) in enumerate(checked) if canonical is None)
+    for size, group in itertools.groupby(pending, key=lambda entry: entry[0]):
+        indices = [i for _, i in group]
+        step = max(1, BATCH_ELEMENTS // (COARSE_GRID_POINTS * size))
+        for batch in (indices[j:j + step] for j in range(0, len(indices), step)):
+            x, y = (np.array([checked[i][k] for i in batch]) for k in (0, 1))
+            c_best = _search_c(x, y, c_lo, c_hi)
+            # Each pair's powers at its c as a scalar exponent, as a one-pair
+            # fit takes them: numpy's power can round the last bit otherwise
+            # for an array of exponents.
+            u = np.stack([x_p ** -c_p for x_p, c_p in zip(x, c_best)])[:, None, :]
+            a, b, sse = (column[:, 0].tolist() for column in _ols_rows(u, y))
+            for i, a_i, b_i, c_i, sse_i in zip(batch, a, b, c_best, sse):
+                r2 = 1.0 - max(sse_i, 0.0) / checked[i][2]
+                source, target = trajectories[i][0].source, trajectories[i][0].target
+                fits[i] = LearningCurve(source, target, a=a_i, b=b_i, c=c_i, r_squared=min(r2, 1.0))
+    return fits
+
+
+def fit_power_law(points: Sequence[TrajectoryPoint], c_range: tuple[float, float] = DEFAULT_C_RANGE) -> LearningCurve:
+    """fit_power_laws of one pair's trajectory."""
+    return fit_power_laws([points], c_range)[0]

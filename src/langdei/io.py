@@ -404,22 +404,22 @@ def render_trace(trace: Sequence[TraceStep]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_trace(path: str | Path) -> tuple[TraceStep, ...]:
-    steps = []
+def _trace_rows(path: str | Path) -> Iterator[tuple[int, str, float, float, float]]:
+    """The checked fields of each trace row, yielded as they are read."""
     for lineno, (step, source, gain, gm, g) in _read_csv_rows(
         path, ("step", "source", "marginal_gain", "gm", "gini")
     ):
         where = f"{path}:{lineno}"
-        steps.append(
-            TraceStep(
-                step=_parse_int(step, where),
-                source=source,
-                marginal_gain=_parse_float(gain, where),
-                gm=_parse_float(gm, where),
-                gini=_parse_float(g, where),
-            )
-        )
-    return tuple(steps)
+        yield _parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where), _parse_float(g, where)
+
+
+def load_trace(path: str | Path) -> tuple[TraceStep, ...]:
+    return tuple(TraceStep(*row) for row in _trace_rows(path))
+
+
+def count_trace(path: str | Path) -> int:
+    """The number of rows of a trace file, each checked but none kept."""
+    return sum(1 for _ in _trace_rows(path))
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,24 @@ class TestGreedy:
         assert plan.counts == {"a": 1, "z": 1}
         assert repr(plan) == repr(naive_greedy(request))
 
+    @pytest.mark.parametrize(("sources", "budget", "raises"), [
+        (("z",), 100, True),  # k = 100 is the last step
+        (("z",), 99, False),  # k = 100 would be the step after the last
+        (("a", "z"), 150, False),  # z's chunk k = 65..150 holds k = 100, never reached
+    ])
+    def test_undefined_gini_deep_in_a_chunk(self, sources, budget, raises):
+        # z predicts exactly 0 at k = 100 (0.1 - 100^-0.5), in its second chunk.
+        reg = {("a", "t"): curve("a", "t", 0.3, -0.5, 0.5), ("z", "t"): curve("z", "t", 0.1, -1.0, 0.5)}
+        request = AllocationRequest(
+            budget=budget, sources=sources, targets=("t",), demand={"t": 1.0}, beta=0.0,
+            registry={pair: c for pair, c in reg.items() if pair[0] in sources},
+        )
+        result = outcome(greedy_allocate, request)
+        assert result == outcome(naive_greedy, request)
+        assert (result[0] is ComputationError) == raises
+        if sources == ("a", "z"):
+            assert greedy_allocate(request).counts == {"a": 58, "z": 92}
+
     def test_alpha_zero_runs_without_nan(self):
         request = simple_request(10, alpha=0.0, beta=1.0)
         plan = greedy_allocate(request)
@@ -365,6 +383,12 @@ class TestGreedyProperties:
     @given(greedy_requests())
     def test_equals_naive_reevaluation_bit_for_bit(self, req):
         assert outcome(greedy_allocate, req) == outcome(naive_greedy, req)
+
+    @settings(max_examples=25, deadline=None)
+    @given(greedy_requests())
+    def test_untraced_plan_is_traced_plan_without_trace(self, req):
+        untraced = outcome(functools.partial(greedy_allocate, trace=False), req)
+        assert untraced == outcome(lambda r: replace(naive_greedy(r), trace=()), req)
 
     @settings(max_examples=40, deadline=None)
     @given(greedy_requests(max_budget=400), st.integers(1, 400))

@@ -7,12 +7,14 @@ stderr, and output files. Exit-code contract: 0 success, 1 undefined metric,
 
 import csv
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from langdei import allocator, io
 from langdei.cli import main
 from langdei.io import bundled_path, load_curve_registry, load_plan
 
@@ -464,6 +466,21 @@ class TestAllocateCommand:
         assert load_plan(tmp_path / "a.tmp").budget == 10
         assert len(read_csv(tmp_path / "a")) == 10
 
+    def test_trace_built_only_for_trace_out(self, data, monkeypatch):
+        built, trace_step = [], allocator.TraceStep
+
+        def counting(*args):
+            built.append(args[0])
+            return trace_step(*args)
+
+        monkeypatch.setattr(allocator, "TraceStep", counting)
+        argv = ["allocate", "--curves", data["curves"], "--budget", "40", "--strategy", "greedy",
+                "--tau", "0", "--missing", "permissive", "--out", str(data["tmp"] / "plan.txt")]
+        assert main(argv) == 0
+        assert built == []
+        assert main(argv + ["--trace-out", str(data["tmp"] / "trace.csv")]) == 0
+        assert built == list(range(1, 41))
+
     def test_source_and_target_subsets(self, data):
         out = data["tmp"] / "plan.txt"
         rc = main([
@@ -551,6 +568,27 @@ class TestReportCommand:
         assert f"{artifact}: empty file" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trace_rows_counted_not_kept(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(io, "TraceStep", lambda *args: built.append(args))
+        trace = write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n2,hi,0.5,0.6,0.2\n")
+        out = tmp_path / "r.md"
+        assert main(["report", "--trace", trace, "--out", str(out)]) == 0
+        assert "2 greedy steps recorded." in out.read_text()
+        assert built == []
+
+    @pytest.mark.parametrize(("row", "message"), [
+        ("x,bn,0.5,0.6,0.2", "trace.csv:3: malformed integer 'x'"),
+        ("2,hi,nan,0.6,0.2", "trace.csv:3: number must not be NaN"),
+        ("2,hi,0.5,0.6", "trace.csv:3: expected 5 fields, got 4"),
+    ])
+    def test_malformed_trace_row_exit_2(self, tmp_path, capsys, row, message):
+        trace = write(tmp_path / "trace.csv", f"step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n{row}\n")
+        out = tmp_path / "r.md"
+        assert main(["report", "--trace", trace, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_artifact_exit_2(self, data, capsys):
         rc = main(["report", "--scorecard", str(data["tmp"] / "ghost.csv"),
                    "--out", str(data["tmp"] / "r.md")])
@@ -609,6 +647,32 @@ def test_repeated_output_path_rejected(argv, tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     assert "name the same file" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# subcommand: arguments, one output naming one of the inputs (copied into the
+# run directory under these names)
+OUTPUT_OVER_INPUT = {
+    "metrics": ["metrics", "--perf", "perf.csv", "--tasks", "tasks.csv", "--tau", "0", "--out", "perf.csv"],
+    "efficiency": ["efficiency", "--goods", "goods.csv", "--out", "eff.csv", "--amrs-out", "./goods.csv"],
+    "fit": ["fit", "--trajectories", "traj.csv", "--out", "traj.csv"],
+    "allocate": ["allocate", "--curves", "curves.txt", "--budget", "10", "--strategy", "greedy", "--tau", "0",
+                 "--missing", "permissive", "--out", "plan.txt", "--trace-out", "curves.txt"],
+    "report": ["report", "--curves", "curves.txt", "--trace", "trace.csv", "--out", "trace.csv"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(OUTPUT_OVER_INPUT))
+def test_output_naming_an_input_rejected(subcommand, data, tmp_path, monkeypatch, capsys):
+    for name, source in (("perf.csv", data["perf"]), ("tasks.csv", data["tasks"]), ("goods.csv", data["goods"]),
+                         ("curves.txt", data["curves"])):
+        shutil.copy(source, tmp_path / name)
+    synth_trajectories(tmp_path)  # traj.csv
+    write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    assert main(OUTPUT_OVER_INPUT[subcommand]) == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("argv", [

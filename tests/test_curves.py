@@ -1,20 +1,25 @@
 """Unit tests for power-law curve prediction and fitting."""
 
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langdei import curves
 from langdei.curves import (
+    BATCH_ELEMENTS,
     COARSE_GRID_POINTS,
     REFINE_GRID_POINTS,
     REFINE_ROUNDS,
     LearningCurve,
     TrajectoryPoint,
     fit_power_law,
+    fit_power_laws,
     predict,
+    predict_many,
 )
 from langdei.errors import ComputationError, InputError
 
@@ -44,13 +49,14 @@ def ols_at_c(x, y, c):
 
 
 def reference_fit(points, c_range):
-    """The grid search one c at a time: ols_at_c's SSE at each grid point,
-    the first least SSE wins, then the same local refinement rounds."""
+    """The grid search one pair and one c at a time: ols_at_c's SSE at each
+    grid point, the first least SSE wins, then the same local refinement
+    rounds."""
     x = np.array([p.samples for p in points], dtype=float)
     y = np.array([p.score for p in points], dtype=float)
     c_lo, c_hi = c_range
     if float(y.max()) == float(y.min()):
-        return LearningCurve("s", "t", a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)
+        return LearningCurve(points[0].source, points[0].target, a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)
 
     def best_on_grid(grid):
         sses = [ols_at_c(x, y, float(c))[2] for c in grid]
@@ -68,7 +74,8 @@ def reference_fit(points, c_range):
             half_width /= 10.0
     a, b, sse = ols_at_c(x, y, c_best)
     r2 = 1.0 - max(sse, 0.0) / float(((y - y.mean()) ** 2).sum())  # raises if the variance underflows
-    return LearningCurve("s", "t", a=float(a), b=float(b), c=float(c_best), r_squared=min(r2, 1.0))
+    source, target = points[0].source, points[0].target
+    return LearningCurve(source, target, a=float(a), b=float(b), c=float(c_best), r_squared=min(r2, 1.0))
 
 
 @st.composite
@@ -87,6 +94,43 @@ def trajectories(draw):
         st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 3.0)),
     ))
     return points, c_range
+
+
+# c ranges whose refine rounds run out of float resolution, so a round's step
+# (HI - LO) / 20 is 0 (it underflows, or LO = HI after rounding), for all
+# pairs of a batch or, around 1 where the exponent spacing doubles, for some;
+# and ranges that pin or clip c at 1 or 0.5, exponents whose powers numpy
+# rounds differently for an array of exponents.
+EXTREME_C_RANGES = [
+    (1e8, 1e8 + 1), (0.0, 1e-310), (0.3, 0.3 + 1e-15), (5.0, 5.0), (0.0, 1e-320), (0.0, 5e-324),
+    (1 - 7.5e-8, 1 + 7.5e-8), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5),
+]
+
+
+@st.composite
+def batches(draw):
+    """Pairs for one fit_power_laws call: 3-40 points each with few distinct
+    point counts (so batches hold several pairs), some constant, a shared c
+    range, and a batch size from one pair up to the default."""
+    sizes = draw(st.lists(st.integers(3, 40), min_size=1, max_size=3))
+    trajectories_ = []
+    for index in range(draw(st.integers(1, 16))):
+        n = draw(st.sampled_from(sizes))
+        xs = draw(st.lists(st.integers(1, 50_000), min_size=n, max_size=n).filter(lambda v: len(set(v)) > 1))
+        if draw(st.integers(0, 5)) == 0:
+            scores = [0.7] * n
+        else:
+            a, b, c = draw(st.floats(0.0, 2.0)), draw(st.floats(-30.0, 5.0)), draw(st.floats(0.0, 2.0))
+            noise = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-3, -1e-3, 0.1]), min_size=n, max_size=n))
+            scores = [a + b * float(x) ** (-c) + e for x, e in zip(xs, noise)]
+        trajectories_.append([TrajectoryPoint(f"s{index}", "t", x, y) for x, y in zip(xs, scores)])
+    c_range = draw(st.one_of(
+        st.sampled_from([(0.0, 2.0), *EXTREME_C_RANGES]),
+        st.floats(0.0, 2.0).map(lambda c: (c, c)),
+        st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 3.0)),
+    ))
+    batch_elements = draw(st.sampled_from([1, COARSE_GRID_POINTS * 3 * 2, BATCH_ELEMENTS]))
+    return trajectories_, c_range, batch_elements
 
 
 class TestPredict:
@@ -110,6 +154,15 @@ class TestPredict:
     def test_negative_values_allowed_at_small_x(self):
         curve = LearningCurve("s", "t", a=1.2, b=-29.0, c=0.5, r_squared=0.88)
         assert predict(curve, 1) == pytest.approx(-27.8)
+
+    def test_range_checked_at_its_endpoints(self):
+        # min() over a range walks every element; its endpoints bound it.
+        curve = LearningCurve("s", "t", a=1.0, b=-1.0, c=0.5, r_squared=1.0)
+        with mock.patch.object(curves, "min", create=True, wraps=min) as spy:
+            assert predict_many(curve, range(9, 0, -1)).tolist() == [1.0 - k ** -0.5 for k in range(9, 0, -1)]
+            with pytest.raises(InputError, match="got 0"):
+                predict_many(curve, range(5, -1, -1))
+        assert not any(isinstance(arg, range) for call in spy.call_args_list for arg in call.args)
 
     def test_samples_below_one_rejected(self):
         curve = LearningCurve("s", "t", a=1.0, b=-1.0, c=0.5, r_squared=1.0)
@@ -220,6 +273,43 @@ class TestFit:
                 fit_power_law(points, c_range=c_range)
         else:
             assert fit_power_law(points, c_range=c_range) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches())
+    def test_batch_equals_scalar_grid_reference(self, case):
+        trajectories_, c_range, batch_elements = case
+        with mock.patch.object(curves, "BATCH_ELEMENTS", batch_elements):
+            fits = fit_power_laws(trajectories_, c_range)
+        assert fits == [reference_fit(points, c_range) for points in trajectories_]
+
+    @pytest.mark.parametrize("c_range", [(1.0, 1.0), (0.0, 1.0)])
+    def test_batch_at_exponent_one_equals_scalar_reference(self, rng, c_range):
+        # At c = 1 numpy's power rounds some x^-1 differently for an array of
+        # exponents than for one scalar exponent.
+        jobs = []
+        for i in range(20):
+            xs = np.unique(rng.integers(1, 50_000, size=8))
+            a, b, c = rng.uniform(0.5, 2.5), rng.uniform(-30, -3), rng.uniform(1.0, 2.0)
+            jobs.append(make_points(a, b, c, xs, source=f"s{i}"))
+        assert fit_power_laws(jobs, c_range) == [reference_fit(points, c_range) for points in jobs]
+
+    def test_first_failing_pair_raises(self):
+        good = make_points(1.0, -2.0, 0.3, [320, 640, 960])
+        equal_counts = [TrajectoryPoint("e", "t", 320, y) for y in (0.1, 0.2, 0.3)]
+        underflow = [TrajectoryPoint("u", "t", x, y) for x, y in ((1, 1e-308), (1, 1e-308), (2, 5e-309))]
+        too_few = good[:2]
+        cases = [
+            ([good, equal_counts, underflow, too_few], InputError, "sample counts equal"),
+            ([good, underflow, equal_counts], ComputationError, "underflows"),
+            ([too_few, underflow], InputError, "at least 3 points"),
+            ([good, good], InputError, "invalid c range"),
+        ]
+        for trajectories_, error, message in cases:
+            c_range = (1.0, 0.5) if message == "invalid c range" else (0.0, 2.0)
+            with pytest.raises(error, match=message):
+                fit_power_laws(trajectories_, c_range)
+            with pytest.raises(error, match=message):  # the one-pair loop fails the same way
+                [fit_power_law(points, c_range) for points in trajectories_]
 
     def test_underflowing_variance_is_undefined(self):
         # Distinct scores whose squared deviations underflow to 0.
