@@ -20,14 +20,19 @@ So greedy_allocate computes each source's states in chunks with the running
 minimum of its gains, extends the source holding the least last-computed key
 until the budget's samples lie at or below it (final), and sorts once. This
 is the exact argmax of every step: unlike lazy ("accelerated") greedy it
-needs no diminishing returns, which the Gini term breaks. An undefined Gini
-fails the run only when the step-by-step greedy would ask for that state.
+needs no diminishing returns, which the Gini term breaks. An undefined
+state (a gm or Gini that is not finite) fails the run only when the
+step-by-step greedy would ask for it.
 The trace for a budget is a prefix of the trace for any larger one.
 
 Every strategy (greedy, egalitarian, single-source) builds its plan with
 _plan from its counts. evaluate_plan scores a plan against its request by
 composing per-target utilities from the funded sources' curves; these
 surrogate numbers are predictions, not measurements.
+
+The plan records (AllocationPlan, PlanEvaluation, TraceStep) and the option
+vocabularies MISSING_POLICIES and COMPOSITION_MODES live in langdei.records,
+which needs no numpy; they resolve here as well.
 """
 
 from __future__ import annotations
@@ -41,39 +46,17 @@ import numpy as np
 
 from langdei import curves as _curves
 from langdei import metrics as _metrics
-from langdei.curves import LearningCurve
-from langdei.errors import InputError
+from langdei.errors import ComputationError, InputError
+from langdei.records import (COMPOSITION_MODES, MISSING_POLICIES, AllocationPlan, LearningCurve,
+                             PlanEvaluation, TraceStep)
 
 logger = logging.getLogger("langdei.allocator")
 
 CurveRegistry = Mapping[tuple[str, str], LearningCurve]
 
-MISSING_POLICIES = ("strict", "permissive")
-COMPOSITION_MODES = ("best-source", "mean")
-
 # Rows of a source's first and of its largest state chunk: doubling keeps the
 # number of chunks logarithmic, the cap bounds the memory held per source.
 CHUNK_ROWS = (64, 256)
-
-
-@dataclass(frozen=True, slots=True)
-class TraceStep:
-    step: int
-    source: str
-    marginal_gain: float
-    gm: float
-    gini: float
-
-
-@dataclass(frozen=True)
-class PlanEvaluation:
-    """Surrogate (curve-predicted) metrics for a finished plan."""
-
-    mode: str
-    utilities: Mapping[str, float]
-    m_tau: float
-    gini_coeff: float
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -121,20 +104,6 @@ class AllocationRequest:
         object.__setattr__(self, "_available", available)
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
-    strategy: str
-    budget: int
-    counts: Mapping[str, int]
-    final_gm: Mapping[str, float]
-    final_gini: Mapping[str, float]
-    alpha: float = 1.0
-    beta: float = 1.0
-    missing: str = "strict"
-    trace: tuple[TraceStep, ...] = ()
-    evaluation: PlanEvaluation | None = None
-
-
 def _source_chunks(request: AllocationRequest, source: str, first: int, last: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(gm, gini) arrays of one source at k = first, ..., last samples, one
     chunk of consecutive k at a time.
@@ -143,7 +112,8 @@ def _source_chunks(request: AllocationRequest, source: str, first: int, last: in
     targets the source covers; gini is the Gini coefficient of their absolute
     values (the guard against negative predictions at small k). Chunks have
     CHUNK_ROWS[0] rows, doubling up to CHUNK_ROWS[1]; one ends before the
-    first k whose Gini is undefined, and asking for that k raises.
+    first k whose state is undefined, and asking for that k raises a
+    ComputationError.
     """
     targets = request._available[source]
     curves = [request.registry[(source, t)] for t in targets]
@@ -155,14 +125,15 @@ def _source_chunks(request: AllocationRequest, source: str, first: int, last: in
         if gm.size:
             yield gm, gini
         if undefined is not None:
-            _metrics.gini(undefined)  # raises: not finite, or all zero
+            _metrics.gini(undefined)  # raises: not finite, all zero, or overflowing
+            raise ComputationError(f"gm of source {source!r} at {ks.start + gm.size} samples is not finite")
         first = ks.stop
         rows = min(2 * rows, CHUNK_ROWS[1])
 
 
 def _state_chunk(curves: list[LearningCurve], weights: list[float], ks: range) -> tuple[np.ndarray, ...]:
-    """gm and gini at each k in ks up to the first undefined Gini, and that
-    k's absolute predictions (or None).
+    """gm and gini at each k in ks up to the first undefined state (a gm or
+    Gini that is not finite), and that k's absolute predictions (or None).
 
     One (ks x targets) matrix of curves.predict_many columns, freed on
     return: gm adds the targets in sorted order, and Gini is the row-wise
@@ -176,7 +147,7 @@ def _state_chunk(curves: list[LearningCurve], weights: list[float], ks: range) -
             gm += w * column
         absolute = np.abs(np.column_stack(columns))
         gini = _metrics._gini_rows(absolute)
-    undefined = np.flatnonzero(~np.isfinite(absolute).all(axis=1) | (absolute.sum(axis=1) == 0))
+    undefined = np.flatnonzero(~(np.isfinite(gm) & np.isfinite(gini)))
     if undefined.size:
         end = int(undefined[0])
         return gm[:end], gini[:end], absolute[end].copy()

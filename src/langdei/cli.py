@@ -16,9 +16,15 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from langdei import allocator, curves, efficiency, io, metrics
+from langdei import efficiency, io, records
 from langdei.errors import ComputationError, InputError
+
+# metrics, curves and allocator need numpy; each subcommand imports them when
+# it runs, so `efficiency` and `report` never load numpy.
+if TYPE_CHECKING:
+    from langdei import metrics
 
 
 def _positive_int(text: str) -> int:
@@ -50,7 +56,7 @@ def _c_range(text: str) -> tuple[float, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numbers in LO:HI, got {text!r}") from None
     try:
-        return curves.check_c_range((lo, hi))
+        return records.check_c_range((lo, hi))
     except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -100,13 +106,9 @@ def _write_outputs(outputs: dict[str, str]) -> None:
         raise
 
 
-def _load_universe_arg(path: str | None) -> tuple[str, ...]:
-    if path is None:
-        return metrics.DEFAULT_UNIVERSE
-    return io.load_universe(path)
-
-
 def _load_speakers(args) -> metrics.SpeakerTable:
+    from langdei import metrics
+
     if args.speakers:
         return io.load_speakers(args.speakers)
     if args.tau > 0:
@@ -142,8 +144,10 @@ def _check_distinct_outputs(args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from langdei import metrics
+
     tasks = io.load_tasks(args.tasks)
-    universe = _load_universe_arg(args.universe)
+    universe = metrics.DEFAULT_UNIVERSE if args.universe is None else io.load_universe(args.universe)
     speakers = _load_speakers(args)
     # The performance table is not kept: the rows carry what the outputs need.
     rows = metrics.dei_scorecard(
@@ -178,6 +182,8 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from langdei import curves
+
     pairs = io.load_trajectories(args.trajectories, scale=args.scale)
     if not pairs:
         raise InputError(f"{args.trajectories}: no trajectory points")
@@ -199,6 +205,8 @@ def _parse_strategy(text: str) -> tuple[str, str | None]:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
+    from langdei import allocator, metrics
+
     registry = io.load_curve_registry(args.curves)
     if not registry:
         raise InputError(f"{args.curves}: registry contains no curves")
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit power-law learning curves to trajectories")
     p.add_argument("--trajectories", required=True, help="trajectory CSV (source,target,samples,score)")
     p.add_argument("--scale", choices=io.SCALES, default="percent", help="score scale of the trajectory file")
-    p.add_argument("--c-range", type=_c_range, default=curves.DEFAULT_C_RANGE, help="exponent search range LO:HI (default 0:2)")
+    p.add_argument("--c-range", type=_c_range, default=records.DEFAULT_C_RANGE, help="exponent search range LO:HI (default 0:2)")
     p.add_argument("--out", required=True, help="curve registry output path")
     p.set_defaults(func=cmd_fit)
 
@@ -363,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speakers", help="speaker CSV; required when --tau > 0")
     p.add_argument("--alpha", type=float, default=1.0, help="weight of the global-metric gain (default 1)")
     p.add_argument("--beta", type=float, default=1.0, help="weight of the Gini reduction (default 1)")
-    p.add_argument("--missing", choices=allocator.MISSING_POLICIES, default="strict", help="missing-curve policy (default strict)")
-    p.add_argument("--composition", choices=allocator.COMPOSITION_MODES, default="best-source", help="per-target composition for the surrogate evaluation")
+    p.add_argument("--missing", choices=records.MISSING_POLICIES, default="strict", help="missing-curve policy (default strict)")
+    p.add_argument("--composition", choices=records.COMPOSITION_MODES, default="best-source", help="per-target composition for the surrogate evaluation")
     p.add_argument("--out", required=True, help="plan output path")
     p.add_argument("--trace-out", help="optional per-step trace CSV output path")
     p.set_defaults(func=cmd_allocate)

@@ -10,20 +10,20 @@ array per grid round, in batches capped by element count, and one kernel,
 _ols_rows, solves every round and the final one-c solve of each pair. Each
 curve is bit-identical to fitting its pair alone (fit_power_law). The
 power-law form follows Hestness et al. 2017 (arXiv:1712.00409).
+
+TrajectoryPoint, LearningCurve, DEFAULT_C_RANGE and check_c_range live in
+langdei.records, which needs no numpy; they resolve here as well.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from langdei.errors import ComputationError, InputError, check_id
-
-DEFAULT_C_RANGE: tuple[float, float] = (0.0, 2.0)
+from langdei.errors import ComputationError, InputError
+from langdei.records import DEFAULT_C_RANGE, LearningCurve, TrajectoryPoint, check_c_range
 
 # Grid-search shape: coarse pass over the full c range, then local rounds
 # shrinking the bracket by 10x each. Eight rounds put the c error near 1e-10,
@@ -34,51 +34,6 @@ REFINE_GRID_POINTS = 21
 # Elements of one (pairs x grid x points) temporary: pairs of one point count
 # are fitted this many grid-by-point cells at a time, so memory stays flat.
 BATCH_ELEMENTS = 32_768
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """One observed (training samples, score) measurement for a language pair."""
-
-    source: str
-    target: str
-    samples: int
-    score: float
-
-    def __post_init__(self) -> None:
-        check_id(self.source, "source language")
-        check_id(self.target, "target language")
-        if self.samples < 1:
-            raise InputError(f"sample count must be >= 1, got {self.samples}")
-        if not math.isfinite(self.score):
-            raise InputError(f"score must be finite, got {self.score}")
-
-
-@dataclass(frozen=True)
-class LearningCurve:
-    """Fitted coefficients for one (source, target) pair.
-
-    b is negative for curves that increase with sample count; c >= 0 keeps
-    predictions finite for all samples >= 1.
-    """
-
-    source: str
-    target: str
-    a: float
-    b: float
-    c: float
-    r_squared: float
-
-    def __post_init__(self) -> None:
-        check_id(self.source, "source language")
-        check_id(self.target, "target language")
-        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not math.isfinite(value):
-                raise InputError(f"curve coefficient {name} must be finite, got {value}")
-        if self.c < 0:
-            raise InputError(f"decay exponent must be >= 0, got {self.c}")
-        if not math.isfinite(self.r_squared) or self.r_squared > 1.0:
-            raise InputError(f"r-squared must be <= 1, got {self.r_squared}")
 
 
 def predict(curve: LearningCurve, samples: float) -> float:
@@ -100,15 +55,6 @@ def predict_many(curve: LearningCurve, samples: Sequence[float]) -> np.ndarray:
         raise InputError(f"prediction requires samples >= 1, got {lowest}")
     powers = map(pow, map(float, samples), itertools.repeat(-curve.c))
     return curve.a + curve.b * np.fromiter(powers, float, len(samples))
-
-
-def check_c_range(c_range: tuple[float, float]) -> tuple[float, float]:
-    """The exponent search range (LO, HI) as floats, if 0 <= LO <= HI and
-    both are finite."""
-    lo, hi = float(c_range[0]), float(c_range[1])
-    if not 0.0 <= lo <= hi < math.inf:  # also false for NaN
-        raise InputError(f"invalid c range {lo:g}:{hi:g}: need 0 <= LO <= HI, both finite")
-    return lo, hi
 
 
 def _ols_rows(u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

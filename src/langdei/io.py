@@ -13,13 +13,14 @@ import csv
 import math
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TextIO
 
-from langdei.allocator import AllocationPlan, PlanEvaluation, TraceStep
-from langdei.curves import LearningCurve, TrajectoryPoint
 from langdei.efficiency import AmrsTable, EfficiencyConfig, ModelGoods, memory_saved
 from langdei.errors import InputError, check_id
-from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, TaskSpec
+from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, TraceStep, TrajectoryPoint
+
+if TYPE_CHECKING:  # metrics needs numpy: its loaders import it when they run
+    from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, TaskSpec
 
 DATA_ROOT = Path(__file__).resolve().parent / "data"
 
@@ -136,6 +137,8 @@ def _check_scale(scale: str) -> str:
 
 def load_speakers(path: str | Path) -> SpeakerTable:
     """CSV with header ``lang,speakers_millions``."""
+    from langdei.metrics import SpeakerTable
+
     entries: dict[str, float] = {}
     for lineno, (lang, count_text) in _read_csv_rows(path, ("lang", "speakers_millions")):
         where = f"{path}:{lineno}"
@@ -149,6 +152,8 @@ def load_speakers(path: str | Path) -> SpeakerTable:
 
 def load_tasks(path: str | Path) -> list[TaskSpec]:
     """CSV with header ``task,max_performance`` (percent scale)."""
+    from langdei.metrics import TaskSpec
+
     specs: dict[str, TaskSpec] = {}
     for lineno, (task, max_text) in _read_csv_rows(path, ("task", "max_performance")):
         where = f"{path}:{lineno}"
@@ -174,6 +179,8 @@ def load_performance(path: str | Path, scale: str = "percent") -> PerformanceTab
     ``scale`` declares the score scale of the file; unit-scale scores are
     converted to percent, the internal raw-score convention.
     """
+    from langdei.metrics import PerformanceTable
+
     _check_scale(scale)
     factor = 100.0 if scale == "unit" else 1.0
     scores: dict[tuple[str, str, str, str], float] = {}
@@ -409,8 +416,18 @@ def _trace_rows(path: str | Path) -> Iterator[tuple[int, str, float, float, floa
     for lineno, (step, source, gain, gm, g) in _read_csv_rows(
         path, ("step", "source", "marginal_gain", "gm", "gini")
     ):
-        where = f"{path}:{lineno}"
-        yield _parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where), _parse_float(g, where)
+        # The file:line prefix is formatted only when a plain conversion
+        # fails or the sum is NaN (for a NaN field, or for inf - inf, which
+        # the checked conversions then accept).
+        try:
+            row = (int(step), source, float(gain), float(gm), float(g))
+        except ValueError:
+            row = None
+        if row is None or math.isnan(row[2] + row[3] + row[4]):
+            where = f"{path}:{lineno}"
+            row = (_parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where),
+                   _parse_float(g, where))
+        yield row
 
 
 def load_trace(path: str | Path) -> tuple[TraceStep, ...]:

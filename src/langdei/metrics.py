@@ -193,6 +193,7 @@ def _check_nonnegative(arr: np.ndarray) -> np.ndarray:
 
 
 _GINI_ALL_ZERO = "Gini is undefined for an all-zero vector"
+_GINI_OVERFLOW = "Gini is undefined for values whose sums overflow a float"
 
 
 def gini(values: Iterable[float]) -> float:
@@ -201,22 +202,27 @@ def gini(values: Iterable[float]) -> float:
     Sorts ascending and applies
     ``G = (1/n) * (n + 1 - 2 * sum_i (n+1-i) y_i / sum_i y_i)``.
     All-zero input is an error rather than 0: the formula divides by the
-    total, and a silent 0 would mask missing data.
+    total, and a silent 0 would mask missing data. So is input whose total
+    or weighted sum overflows (such as two values of 1e308): the formula
+    then gives NaN or -inf.
     """
     arr = _as_nonnegative_array(values)
-    if float(arr.sum()) == 0:
-        raise ComputationError(_GINI_ALL_ZERO)
-    return float(_gini_rows(arr[None, :])[0])
+    with np.errstate(all="ignore"):  # an undefined Gini is not finite, and raises below
+        g = float(_gini_rows(arr[None, :])[0])
+    if not math.isfinite(g):
+        raise ComputationError(_GINI_OVERFLOW if arr.any() else _GINI_ALL_ZERO)
+    return g
 
 
 def _gini_rows(rows: np.ndarray) -> np.ndarray:
     """The Gini formula of ``gini`` on each row of a 2-d array, unchecked.
 
     Row-wise reductions, so each entry is bit-identical to the 1-d form. A
-    row that totals zero or holds a non-finite value gives a meaningless
-    entry (and a numpy warning): callers reject such rows themselves. The
-    sort kind cannot change a result: the only equal values with different
-    bits are 0.0 and -0.0, and either adds the same to a sum.
+    row of non-negative values gives a non-finite entry (and a numpy
+    warning) exactly when its Gini is undefined: it totals zero, holds a
+    non-finite value, or its sums overflow. Callers reject such entries
+    themselves. The sort kind cannot change a result: the only equal values
+    with different bits are 0.0 and -0.0, and either adds the same to a sum.
     """
     n = rows.shape[1]
     total = rows.sum(axis=1)

@@ -271,6 +271,13 @@ class TestGreedy:
         with pytest.raises(ComputationError, match="all-zero"):
             naive_greedy(request)
 
+    def test_overflowing_gm_raises(self):
+        # A prediction of 4 weighted by 1e308 overflows gm; the Gini is 0.
+        reg = {("s", "t"): curve("s", "t", 4.0, 0.0, 0.0)}
+        request = AllocationRequest(budget=2, sources=("s",), targets=("t",), registry=reg, demand={"t": 1e308})
+        with pytest.raises(ComputationError, match="gm of source 's' at 1 samples is not finite"):
+            greedy_allocate(request)
+
     def test_undefined_gini_never_reached_does_not_raise(self):
         # Budget 2 computes z's state at k = 2 but allocates only k = 1.
         request = two_source_request(budget=2, zero_source=("z", 0.5, -1.0, 1.0))

@@ -414,6 +414,22 @@ class TestAllocateCommand:
         else:
             assert load_plan(out).counts == {"a": 1, "z": 1}
 
+    def test_overflowing_gini_exit_1(self, tmp_path, capsys):
+        # a's first state predicts 1e308 on both targets: the total of its
+        # absolute predictions overflows, so its Gini is undefined (exit 1),
+        # not a NaN that quietly gives a no samples.
+        curves = write(tmp_path / "curves.txt", "".join(
+            f"curve source={s} target={t} {coeffs} r2=0.9\n"
+            for s, coeffs in (("a", "a=1e308 b=0 c=0.5"), ("b", "a=1 b=-0.5 c=0.5")) for t in ("x", "y")
+        ))
+        out = tmp_path / "plan.txt"
+        assert main([
+            "allocate", "--curves", curves, "--budget", "4", "--strategy", "greedy",
+            "--tau", "0", "--out", str(out),
+        ]) == 1
+        assert "Gini is undefined for values whose sums overflow" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_speakers_file_loaded_at_tau_zero(self, data, capsys):
         rc = main([
             "allocate", "--curves", data["curves"], "--budget", "10",
@@ -571,10 +587,12 @@ class TestReportCommand:
     def test_trace_rows_counted_not_kept(self, tmp_path, monkeypatch):
         built = []
         monkeypatch.setattr(io, "TraceStep", lambda *args: built.append(args))
-        trace = write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n2,hi,0.5,0.6,0.2\n")
+        # Row 3's fields sum to inf - inf, a NaN no field holds.
+        trace = write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n"
+                      "2,hi,0.5,0.6,0.2\n3,hi,-inf,inf,0.2\n")
         out = tmp_path / "r.md"
         assert main(["report", "--trace", trace, "--out", str(out)]) == 0
-        assert "2 greedy steps recorded." in out.read_text()
+        assert "3 greedy steps recorded." in out.read_text()
         assert built == []
 
     @pytest.mark.parametrize(("row", "message"), [
@@ -701,3 +719,38 @@ def test_cli_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["metrics", "--tau", "7", "--perf", "x", "--tasks", "y", "--out", "z"])
     assert exc.value.code == 2
+
+
+# Start-up: metrics, curves and allocator need numpy, and only the
+# subcommands that compute with them import them.
+NUMERIC_MODULES = {"numpy", "langdei.metrics", "langdei.curves", "langdei.allocator"}
+
+
+def modules_after(code, cwd):
+    """The names in sys.modules of a fresh interpreter that ran ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=cwd, check=True,
+    )
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_import_cli_loads_no_numeric_module(tmp_path):
+    loaded = modules_after("import langdei.cli", tmp_path)
+    assert "langdei.io" in loaded
+    assert loaded & NUMERIC_MODULES == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["efficiency", "--goods", str(bundled_path("goods.csv")), "--amrs-out", "amrs.csv", "--out", "eff.csv"],
+    ["report", "--plan", "plan.txt", "--trace", "trace.csv", "--curves", str(bundled_path("curves_muril.txt")),
+     "--out", "report.md"],
+], ids=["efficiency", "report"])
+def test_subcommand_runs_without_numpy(argv, tmp_path):
+    write(tmp_path / "plan.txt", "plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\n"
+          "alloc source=bn samples=2 gm=0.5 gini=0.1\n")
+    write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n2,bn,0.1,0.5,0.1\n")
+    loaded = modules_after(f"from langdei.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    assert (tmp_path / argv[-1]).is_file()
+    assert "numpy" not in loaded

@@ -157,6 +157,13 @@ class TestGini:
         with pytest.raises(ComputationError):
             gini([0.0, 0.0])
 
+    # The total overflows (NaN), the weighted sum overflows (-inf), and twice
+    # the weighted sum overflows (-inf): each Gini is undefined, not a number.
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [5e307] * 3, [0.0, 1.5e308]])
+    def test_overflowing_sums_are_an_error(self, values):
+        with pytest.raises(ComputationError, match="overflow"):
+            gini(values)
+
     def test_negative_entry_rejected(self):
         with pytest.raises(InputError):
             gini([1.0, -0.5])
