@@ -48,7 +48,7 @@ from langdei import curves as _curves
 from langdei import metrics as _metrics
 from langdei.errors import ComputationError, InputError
 from langdei.records import (COMPOSITION_MODES, MISSING_POLICIES, AllocationPlan, LearningCurve,
-                             PlanEvaluation, TraceStep)
+                             PlanEvaluation, TraceStep, check_count)
 
 logger = logging.getLogger("langdei.allocator")
 
@@ -71,8 +71,7 @@ class AllocationRequest:
     missing: str = "strict"
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise InputError(f"budget must be >= 1, got {self.budget}")
+        check_count(self.budget, "budget")
         if not self.sources or not self.targets:
             raise InputError("sources and targets must be non-empty")
         object.__setattr__(self, "sources", tuple(sorted(self.sources)))
@@ -88,8 +87,10 @@ class AllocationRequest:
         absent = sorted(set(self.targets) - set(self.demand))
         if absent:
             raise InputError(f"demand weights missing for targets: {', '.join(absent)}")
-        # Validate curve coverage once, logging each dropped pair once.
-        available: dict[str, tuple[str, ...]] = {}
+        for t in self.targets:
+            if not 0 <= self.demand[t] < math.inf:  # also false for NaN
+                raise InputError(f"demand weight of target {t!r} must be finite and non-negative, got {self.demand[t]}")
+        # Check curve coverage once, logging each dropped pair once.
         for s in self.sources:
             missing_pairs = [t for t in self.targets if (s, t) not in self.registry]
             if missing_pairs and self.missing == "strict":
@@ -97,11 +98,8 @@ class AllocationRequest:
                 raise InputError(f"no curve for pairs: {pairs} (strict missing-curve policy)")
             for t in missing_pairs:
                 logger.warning("no curve for pair (%s, %s); dropping target from source %s", s, t, s)
-            covered = tuple(t for t in self.targets if (s, t) in self.registry)
-            if not covered:
+            if len(missing_pairs) == len(self.targets):
                 raise InputError(f"source {s!r} has no curve for any target")
-            available[s] = covered
-        object.__setattr__(self, "_available", available)
 
 
 def _source_chunks(request: AllocationRequest, source: str, first: int, last: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -115,7 +113,7 @@ def _source_chunks(request: AllocationRequest, source: str, first: int, last: in
     first k whose state is undefined, and asking for that k raises a
     ComputationError.
     """
-    targets = request._available[source]
+    targets = [t for t in request.targets if (source, t) in request.registry]
     curves = [request.registry[(source, t)] for t in targets]
     weights = [request.demand[t] for t in targets]
     rows = CHUNK_ROWS[0]
@@ -240,9 +238,7 @@ def single_source_allocate(request: AllocationRequest, source: str) -> Allocatio
     return _plan(request, f"single:{source}", counts)
 
 
-def evaluate_plan(
-    request: AllocationRequest, plan: AllocationPlan, mode: str = "best-source", clamp: bool = False
-) -> PlanEvaluation:
+def evaluate_plan(request: AllocationRequest, plan: AllocationPlan, mode: str = "best-source") -> PlanEvaluation:
     """Surrogate metrics of a plan for the request it was made from.
 
     Per-target utility composes across funded sources: the best funded
@@ -259,18 +255,11 @@ def evaluate_plan(
         raise InputError("plan funds no source; nothing to evaluate")
     utilities: dict[str, float] = {}
     for t in request.targets:
-        preds = [
-            _curves.predict(request.registry[(s, t)], plan.counts[s])
-            for s in funded
-            if t in request._available[s]
-        ]
+        preds = [_curves.predict(request.registry[(s, t)], plan.counts[s]) for s in funded if (s, t) in request.registry]
         if not preds:
             logger.warning("no funded source covers target %s; dropped from evaluation", t)
             continue
-        value = max(preds) if mode == "best-source" else sum(preds) / len(preds)
-        if clamp:
-            value = min(max(value, 0.0), 1.0)
-        utilities[t] = value
+        utilities[t] = max(preds) if mode == "best-source" else sum(preds) / len(preds)
     m = sum(request.demand[t] * u for t, u in utilities.items())
     g = _metrics.gini([abs(u) for u in utilities.values()])
-    return PlanEvaluation(mode=mode, utilities=utilities, m_tau=m, gini_coeff=g, clamped=clamp)
+    return PlanEvaluation(mode=mode, utilities=utilities, m_tau=m, gini_coeff=g)

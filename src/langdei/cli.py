@@ -27,24 +27,13 @@ if TYPE_CHECKING:
     from langdei import metrics
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
 def _tau(text: str) -> float:
     try:
-        value = float(text)
+        return records.check_tau(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"tau must lie in [0, 1], got {value}")
-    return value
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _c_range(text: str) -> tuple[float, float]:
@@ -66,12 +55,9 @@ def _weights(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected W_PERF,W_THROUGHPUT,W_MEMORY, got {text!r}")
     try:
-        w = tuple(float(p) for p in parts)
+        return tuple(map(float, parts))  # type: ignore[return-value]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
-    if any(x < 0 for x in w):
-        raise argparse.ArgumentTypeError("weights must be non-negative")
-    return w  # type: ignore[return-value]
 
 
 def _comma_list(text: str) -> tuple[str, ...]:
@@ -187,9 +173,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     pairs = io.load_trajectories(args.trajectories, scale=args.scale)
     if not pairs:
         raise InputError(f"{args.trajectories}: no trajectory points")
-    fittable = {pair: points for pair, points in sorted(pairs.items()) if len(points) >= 3}
-    rejects = [(source, target, f"needs >= 3 points, has {len(points)}")
-               for (source, target), points in sorted(pairs.items()) if len(points) < 3]
+    fittable = {pair: points for pair, points in sorted(pairs.items()) if len(points) >= curves.MIN_POINTS}
+    rejects = [(source, target, f"needs >= {curves.MIN_POINTS} points, has {len(points)}")
+               for (source, target), points in sorted(pairs.items()) if len(points) < curves.MIN_POINTS]
     registry = dict(zip(fittable, curves.fit_power_laws(list(fittable.values()), c_range=args.c_range)))
     _write_outputs({args.out: io.render_curves(registry, rejects)})
     print(f"fit: {len(registry)} curves, {len(rejects)} rejected pairs -> {args.out}")
@@ -260,9 +246,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             inputs.append((role, value))
     if not inputs:
         raise InputError("report needs at least one input artifact")
-    for _, path in inputs:
-        if not Path(path).is_file():
-            raise InputError(f"referenced artifact not found: {path}")
 
     lines = ["# Language DEI evaluation report", "", "## Inputs", "", "| role | path | sha256 |", "|---|---|---|"]
     lines.extend(f"| {role} | {path} | {io.sha256_of(path)} |" for role, path in inputs)
@@ -363,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="allocate an annotation budget across source languages")
     p.add_argument("--curves", required=True, help="curve registry file")
-    p.add_argument("--budget", type=_positive_int, required=True, help="total samples to allocate")
+    p.add_argument("--budget", type=int, required=True, help="total samples to allocate")
     p.add_argument("--strategy", required=True, help="greedy | egalitarian | single:<lang>")
     p.add_argument("--sources", type=_comma_list, help="source languages (default: all in the registry)")
     p.add_argument("--targets", type=_comma_list, help="target languages (default: all in the registry)")

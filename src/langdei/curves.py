@@ -18,6 +18,7 @@ langdei.records, which needs no numpy; they resolve here as well.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ from langdei.records import DEFAULT_C_RANGE, LearningCurve, TrajectoryPoint, che
 COARSE_GRID_POINTS = 200
 REFINE_ROUNDS = 8
 REFINE_GRID_POINTS = 21
+# The fewest trajectory points a fit takes.
+MIN_POINTS = 3
 # Elements of one (pairs x grid x points) temporary: pairs of one point count
 # are fitted this many grid-by-point cells at a time, so memory stays flat.
 BATCH_ELEMENTS = 32_768
@@ -72,11 +75,11 @@ def _ols_rows(u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return ym - b * um, b, (resid * resid).sum(axis=2)
 
 
-def _checked(points: Sequence[TrajectoryPoint], c_range: tuple[float, float]) -> tuple:
+def _checked(points: Sequence[TrajectoryPoint]) -> tuple:
     """One pair's sample counts, scores, total sum of squares, and canonical
     curve if its scores are exactly constant (else None), checked."""
-    if len(points) < 3:
-        raise InputError(f"power-law fit needs at least 3 points, got {len(points)}")
+    if len(points) < MIN_POINTS:
+        raise InputError(f"power-law fit needs at least {MIN_POINTS} points, got {len(points)}")
     pairs = {(p.source, p.target) for p in points}
     if len(pairs) != 1:
         raise InputError(f"fit expects points for exactly one pair, got {sorted(pairs)}")
@@ -85,7 +88,6 @@ def _checked(points: Sequence[TrajectoryPoint], c_range: tuple[float, float]) ->
     y = np.array([p.score for p in points], dtype=float)
     if np.unique(x).size < 2:
         raise InputError(f"all sample counts equal ({int(x[0])}); cannot fit a curve for ({source}, {target})")
-    check_c_range(c_range)
     if float(y.max()) == float(y.min()):
         return x, y, 0.0, LearningCurve(source, target, a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)
     ss_tot = float(((y - y.mean()) ** 2).sum())
@@ -118,20 +120,24 @@ def _search_c(x: np.ndarray, y: np.ndarray, c_lo: float, c_hi: float) -> list[fl
     return c_best.tolist()
 
 
+@np.errstate(all="ignore")  # an overflowing fit is not finite, and raises at the end
 def fit_power_laws(
     trajectories: Sequence[Sequence[TrajectoryPoint]],
     c_range: tuple[float, float] = DEFAULT_C_RANGE,
 ) -> list[LearningCurve]:
     """Least-squares fit of a + b * x^(-c) to each pair's trajectory, in order.
 
-    Each trajectory needs >= 3 points with >= 2 distinct sample counts, all
-    for one (source, target) pair; all are checked, in order, before any is
-    fitted. Exactly constant scores degenerate to the canonical curve (a =
-    mean, b = 0, c = 0, R^2 = 1). The others are fitted in batches of one
-    point count, of at most BATCH_ELEMENTS (pairs x grid x points) elements.
+    Each trajectory needs >= MIN_POINTS points with >= 2 distinct sample
+    counts, all for one (source, target) pair; the c range and then every
+    pair, in order, are checked before any is fitted. Exactly constant
+    scores degenerate to the canonical curve (a = mean, b = 0, c = 0, R^2 =
+    1). The others are fitted in batches of one point count, of at most
+    BATCH_ELEMENTS (pairs x grid x points) elements. A fit whose a, b or
+    sums of squares overflow a float is undefined: the first such pair in
+    input order raises a ComputationError.
     """
-    checked = [_checked(points, c_range) for points in trajectories]
     c_lo, c_hi = check_c_range(c_range)
+    checked = [_checked(points) for points in trajectories]
     fits = [canonical for *_, canonical in checked]
     pending = sorted((x.size, i) for i, (x, *_, canonical) in enumerate(checked) if canonical is None)
     for size, group in itertools.groupby(pending, key=lambda entry: entry[0]):
@@ -146,9 +152,13 @@ def fit_power_laws(
             u = np.stack([x_p ** -c_p for x_p, c_p in zip(x, c_best)])[:, None, :]
             a, b, sse = (column[:, 0].tolist() for column in _ols_rows(u, y))
             for i, a_i, b_i, c_i, sse_i in zip(batch, a, b, c_best, sse):
-                r2 = 1.0 - max(sse_i, 0.0) / checked[i][2]
-                source, target = trajectories[i][0].source, trajectories[i][0].target
-                fits[i] = LearningCurve(source, target, a=a_i, b=b_i, c=c_i, r_squared=min(r2, 1.0))
+                if all(map(math.isfinite, (a_i, b_i, sse_i, checked[i][2]))):  # else fits[i] stays None
+                    r2 = 1.0 - max(sse_i, 0.0) / checked[i][2]
+                    source, target = trajectories[i][0].source, trajectories[i][0].target
+                    fits[i] = LearningCurve(source, target, a=a_i, b=b_i, c=c_i, r_squared=min(r2, 1.0))
+    for points, fit in zip(trajectories, fits):
+        if fit is None:
+            raise ComputationError(f"fit of ({points[0].source}, {points[0].target}) is undefined: its sums overflow a float")
     return fits
 
 

@@ -63,8 +63,8 @@ class EfficiencyConfig:
         if not 0 < self.max_memory < math.inf:  # also false for NaN
             raise InputError(f"max memory must be positive and finite, got {self.max_memory}")
         for name, w in (("w_perf", self.w_perf), ("w_throughput", self.w_throughput), ("w_memory", self.w_memory)):
-            if w < 0 or not math.isfinite(w):
-                raise InputError(f"{name} must be non-negative, got {w}")
+            if not 0 <= w < math.inf:  # also false for NaN
+                raise InputError(f"{name} must be finite and non-negative, got {w}")
         total = self.w_perf + self.w_throughput + self.w_memory
         if abs(total - 1.0) > 1e-9:
             warnings.warn(f"efficiency weights sum to {total}, not 1", stacklevel=2)

@@ -332,7 +332,7 @@ def render_plan(plan: AllocationPlan) -> str:
     ev = plan.evaluation
     if ev is not None:
         lines.append(
-            f"eval mode={ev.mode} clamp={'true' if ev.clamped else 'false'} "
+            f"eval mode={ev.mode} clamp=false "
             f"m={fmt_num(ev.m_tau)} gini={fmt_num(ev.gini_coeff)} surrogate=true"
         )
         for target in sorted(ev.utilities):
@@ -370,6 +370,8 @@ def load_plan(path: str | Path) -> AllocationPlan:
             if eval_fields is not None:
                 raise InputError(f"{where}: duplicate eval line")
             _require(fields, ("mode", "clamp", "m", "gini"), where)
+            if fields["clamp"] != "false":
+                raise InputError(f"{where}: expected clamp=false, got clamp={fields['clamp']}")
             eval_fields = fields
         elif kind == "pred":
             _require(fields, ("target", "utility"), where)
@@ -389,7 +391,6 @@ def load_plan(path: str | Path) -> AllocationPlan:
             utilities=utilities,
             m_tau=_parse_float(eval_fields["m"], f"{path}: eval"),
             gini_coeff=_parse_float(eval_fields["gini"], f"{path}: eval"),
-            clamped=eval_fields["clamp"] == "true",
         )
     return AllocationPlan(
         strategy=header["strategy"],
@@ -492,4 +493,4 @@ def write_text(path: str | Path, text: str) -> None:
 def sha256_of(path: str | Path) -> str:
     import hashlib
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(_check_file(path).read_bytes()).hexdigest()

@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from langdei.errors import ComputationError, InputError, LangDeiError, check_id
+from langdei.records import check_tau
 
 # The 22 scheduled languages plus English; the default universe for all
 # metrics. Order matters only for deterministic output.
@@ -159,8 +160,7 @@ def _demand_rows(speakers: SpeakerTable, codes: tuple[str, ...], tau: float, mem
     universe order, as the built-in ``sum`` does. The first row whose
     weights are undefined raises.
     """
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and 0.0 <= tau <= 1.0):
-        raise InputError(f"tau must lie in [0, 1], got {tau}")
+    check_tau(tau)
     if tau == 0:
         powered = np.ones(len(codes))
     else:

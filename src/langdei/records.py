@@ -1,5 +1,5 @@
-"""Record types and option vocabularies shared by the file formats, the
-argument parser and the numeric modules.
+"""Record types, option vocabularies and value rules shared by the file
+formats, the argument parser and the numeric modules.
 
 This module needs no numpy, so ``io`` and ``cli`` import it at start-up and
 the subcommands that only read or write records (``efficiency``, ``report``)
@@ -10,6 +10,7 @@ also resolves there: ``curves.LearningCurve``, ``allocator.AllocationPlan``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -33,8 +34,7 @@ class TrajectoryPoint:
     def __post_init__(self) -> None:
         check_id(self.source, "source language")
         check_id(self.target, "target language")
-        if self.samples < 1:
-            raise InputError(f"sample count must be >= 1, got {self.samples}")
+        check_count(self.samples, "sample count")
         if not math.isfinite(self.score):
             raise InputError(f"score must be finite, got {self.score}")
 
@@ -66,6 +66,22 @@ class LearningCurve:
             raise InputError(f"r-squared must be <= 1, got {self.r_squared}")
 
 
+def check_count(count: int, what: str) -> None:
+    """The rule of every count (a sample count, a budget): at least 1, and at
+    most the largest float, so that float arithmetic on it is defined."""
+    if count < 1:
+        raise InputError(f"{what} must be >= 1, got {count}")
+    if count > sys.float_info.max:
+        raise InputError(f"{what} must be at most {sys.float_info.max:g}, the largest float")
+
+
+def check_tau(tau: float) -> float:
+    """The demand exponent tau, if it lies in [0, 1]."""
+    if not (isinstance(tau, (int, float)) and 0.0 <= tau <= 1.0):  # also false for NaN
+        raise InputError(f"tau must lie in [0, 1], got {tau}")
+    return tau
+
+
 def check_c_range(c_range: tuple[float, float]) -> tuple[float, float]:
     """The exponent search range (LO, HI) as floats, if 0 <= LO <= HI and
     both are finite."""
@@ -92,7 +108,6 @@ class PlanEvaluation:
     utilities: Mapping[str, float]
     m_tau: float
     gini_coeff: float
-    clamped: bool = False
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,18 @@ class TestGreedy:
         with pytest.raises(InputError):
             simple_request(0)
 
+    def test_oversized_budget_rejected(self):
+        # No float holds 10**400, so predictions at it could not be made.
+        with pytest.raises(InputError, match="budget must be at most 1.79769e"):
+            simple_request(10**400)
+
+    @pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+    def test_demand_weight_must_be_finite_and_non_negative(self, weight):
+        reg = registry_for(["a", "b"], ["x", "y"], {"a": (1.0, -0.5, 0.5), "b": (0.9, -0.5, 0.5)})
+        with pytest.raises(InputError, match="demand weight of target 'x' must be finite and non-negative"):
+            AllocationRequest(budget=4, sources=("a", "b"), targets=("x", "y"), registry=reg,
+                              demand={"x": weight, "y": 2.0})
+
     def test_zero_weight_pair_rejected(self):
         with pytest.raises(InputError):
             simple_request(5, alpha=0.0, beta=0.0)
@@ -473,18 +485,6 @@ class TestEvaluatePlan:
         plan = egalitarian_allocate(request)
         ev = evaluate_plan(request, plan)
         assert ev.gini_coeff == pytest.approx(0.0, abs=1e-13)
-
-    def test_clamp_limits_to_unit_interval(self):
-        reg = {("s1", "t1"): curve("s1", "t1", 1.4, 0.0, 0.0)}
-        request = AllocationRequest(
-            budget=4, sources=("s1",), targets=("t1",), registry=reg, demand={"t1": 1.0}
-        )
-        plan = single_source_allocate(request, "s1")
-        raw = evaluate_plan(request, plan)
-        clamped = evaluate_plan(request, plan, clamp=True)
-        assert raw.utilities["t1"] == pytest.approx(1.4)
-        assert clamped.utilities["t1"] == 1.0
-        assert clamped.clamped and not raw.clamped
 
     def test_permissive_mode_drops_uncovered_target(self, caplog):
         # s1 covers only t1 and s2 only t2; a plan that funds s1 alone leaves t2 uncovered.

@@ -333,6 +333,23 @@ class TestFitCommand:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_oversized_sample_count_exit_2(self, tmp_path, capsys):
+        # No float holds 10**400: bad input (exit 2), not an OverflowError traceback.
+        traj = write(tmp_path / "traj.csv", f"source,target,samples,score\nbn,hi,1,50\nbn,hi,10,60\nbn,hi,{10**400},70\n")
+        out = tmp_path / "curves.txt"
+        assert main(["fit", "--trajectories", traj, "--out", str(out)]) == 2
+        assert "traj.csv:4: sample count must be at most 1.79769e+308" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_fit_exit_1(self, tmp_path, capsys):
+        # The squared deviations of 1e160 overflow a float: the fit is
+        # undefined (exit 1), not a NaN r-squared rejected as input (exit 2).
+        traj = write(tmp_path / "traj.csv", "source,target,samples,score\nbn,hi,1,1\nbn,hi,10,1e160\nbn,hi,100,2\n")
+        out = tmp_path / "curves.txt"
+        assert main(["fit", "--trajectories", traj, "--scale", "unit", "--out", str(out)]) == 1
+        assert "fit of (bn, hi) is undefined: its sums overflow a float" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unit_scale_trajectories(self, tmp_path):
         lines = ["source,target,samples,score"]
         for k in range(1, 31):
@@ -428,6 +445,17 @@ class TestAllocateCommand:
             "--tau", "0", "--out", str(out),
         ]) == 1
         assert "Gini is undefined for values whose sums overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["egalitarian", "single:hi"])
+    def test_oversized_budget_exit_2(self, data, capsys, strategy):
+        # No float holds 10**400: bad input (exit 2), not an OverflowError traceback.
+        out = data["tmp"] / "plan.txt"
+        assert main([
+            "allocate", "--curves", data["curves"], "--budget", str(10**400), "--strategy", strategy,
+            "--tau", "0", "--missing", "permissive", "--out", str(out),
+        ]) == 2
+        assert "budget must be at most 1.79769e+308" in capsys.readouterr().err
         assert not out.exists()
 
     def test_speakers_file_loaded_at_tau_zero(self, data, capsys):
@@ -697,7 +725,7 @@ def test_output_naming_an_input_rejected(subcommand, data, tmp_path, monkeypatch
     ["metrics", "--perf", "PERF", "--tasks", "TASKS", "--tau", "1.5"],
     ["metrics", "--perf", "PERF", "--tasks", "TASKS", "--tau", "nan"],
     ["allocate", "--curves", "CURVES", "--budget", "0", "--strategy", "greedy", "--tau", "0"],
-    ["efficiency", "--goods", "GOODS", "--weights", "-1,0,0"],
+    ["efficiency", "--goods", "GOODS", "--weights=-1,0,0"],  # one token: "-1,0,0" alone reads as a flag
     ["efficiency", "--goods", "GOODS", "--weights", "nan,0,0"],
     ["fit", "--trajectories", "TRAJ", "--c-range", "2:1"],
 ], ids=["tau-1.5", "tau-nan", "budget-0", "weights-negative", "weights-nan", "c-range-2:1"])

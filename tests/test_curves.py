@@ -317,6 +317,27 @@ class TestFit:
         with pytest.raises(ComputationError, match="underflows"):
             fit_power_law(points)
 
+    def test_c_range_checked_once_per_call(self):
+        jobs = [make_points(1.0, -2.0, 0.3, GRID_X[:n], source=f"s{n}") for n in (3, 4, 5)]
+        with mock.patch.object(curves, "check_c_range", wraps=curves.check_c_range) as check:
+            fit_power_laws(jobs, (0.0, 2.0))
+        assert check.call_count == 1
+
+    def test_overflowing_fit_is_undefined(self):
+        # Deviations of 1e160 square past the largest float. Pairs of 3 points
+        # are fitted in a batch before pairs of 4, yet the first overflowing
+        # pair in input order names the error.
+        def pair(source, scores):
+            return [TrajectoryPoint(source, "t", 10 ** k, y) for k, y in enumerate(scores)]
+
+        good = make_points(1.0, -2.0, 0.3, [320, 640, 960])
+        four, three = pair("f", (1.0, 1e160, 2.0, 3.0)), pair("h", (1.0, 1e160, 2.0))
+        with pytest.raises(ComputationError, match=r"fit of \(f, t\) is undefined: its sums overflow a float"):
+            fit_power_laws([good, four, three])
+        with pytest.raises(ComputationError, match=r"fit of \(h, t\) is undefined"):
+            fit_power_laws([three, good, four])
+        assert fit_power_law(pair("h", (1.0, 1e150, 2.0))).r_squared <= 1.0  # its sums stay finite
+
     def test_invalid_c_range_rejected(self):
         with pytest.raises(InputError):
             fit_power_law(make_points(1.0, -2.0, 0.3, GRID_X), c_range=(-0.1, 2.0))

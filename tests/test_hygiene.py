@@ -1,9 +1,13 @@
 """Every name a module of the package imports is used in that module, so a
 refactor that deletes the last use of a name cannot leave its import behind;
-and every public definition of the package is used by the program, by the
-benchmark or by the README, so no function lives on for the tests alone."""
+every public definition of the package is used by the program, by the
+benchmark or by the README, so no function lives on for the tests alone;
+and every optional parameter of a public function is set by a call in the
+program, the benchmark or the README, so no option lives on that nothing
+sets."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -51,9 +55,13 @@ def test_checker_flags_a_leftover_import():
 
 
 ROOT = PACKAGE.parents[1]
-# Public names kept although nothing in the program, bench/ or README.md
-# names them: reference oracles that tests compare the program against.
-ORACLES = {"metrics.gini_from_lorenz"}  # the Lorenz oracle of tests/_props.py
+# Public names, and optional parameters, kept although nothing in the
+# program, bench/ or README.md names or sets them: reference oracles that
+# tests compare the program against.
+ORACLES = {
+    "metrics.gini_from_lorenz",  # the Lorenz oracle of tests/_props.py
+    "curves.fit_power_law.c_range",  # the one-pair oracle of the batch fit in tests/test_curves.py
+}
 
 
 def public_definitions(source: str) -> list[str]:
@@ -105,3 +113,71 @@ def test_docstring_mention_is_not_a_use():
     )
     references = code_references(source)
     assert [name for name in public_definitions(source) if name not in references] == ["kept", "spare"]
+
+
+def optional_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position) for each parameter with a default of
+    the top-level public functions of ``source``; a keyword-only parameter
+    has no position."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found += [(node.name, arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            found += [(node.name, arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def unset_parameters(source: str, callers: list[str]) -> list[str]:
+    """``function.parameter`` for each optional parameter of the public
+    functions of ``source`` that no call in ``callers`` sets, by keyword or
+    by position. Calls match by name, so ``x.f(...)`` counts as a call of
+    ``f``; ``*args`` sets every position and ``**kwargs`` every keyword."""
+    keywords, positions = set(), {}
+    for node in (node for caller in callers for node in ast.walk(ast.parse(caller))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords.update((name, k.arg) for k in node.keywords)  # arg is None for **kwargs
+            given = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            positions[name] = max(positions.get(name, 0), given)
+    return [f"{name}.{param}" for name, param, position in optional_parameters(source)
+            if not {(name, param), (name, None)} & keywords
+            and not (position is not None and positions.get(name, 0) > position)]
+
+
+def readme_code() -> list[str]:
+    """The python blocks and the inline code spans of README.md that parse."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = []
+    for block, span in re.findall(r"```python\n(.*?)```|`([^`\n]+)`", text, re.S):
+        try:
+            ast.parse(block or span)
+        except SyntaxError:
+            continue
+        code.append(block or span)
+    return code
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_optional_parameter_is_set(module):
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    callers = [p.read_text(encoding="utf-8") for p in files] + readme_code()
+    stem = module.removesuffix(".py")
+    unset = unset_parameters((PACKAGE / module).read_text(encoding="utf-8"), callers)
+    assert [name for name in unset if f"{stem}.{name}" not in ORACLES] == []
+
+
+def test_checker_flags_an_unset_parameter():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    pass\n"
+        "def g(x=1):\n"
+        "    pass\n"
+        "def _h(y=1):\n"
+        "    pass\n"
+    )
+    callers = ["f(0, 1)\nobj.f(0, e=5)\n", "g(*args)\n"]
+    assert unset_parameters(source, callers) == ["f.c", "f.d"]

@@ -363,6 +363,17 @@ class TestPlanAndTraceFormat:
         with pytest.raises(InputError, match="before eval"):
             load_plan(p)
 
+    @pytest.mark.parametrize("value", ["true", "yes"])
+    def test_eval_clamp_other_than_false_rejected(self, tmp_path, value):
+        # Plans never clamp their utilities, so only clamp=false round-trips.
+        p = tmp_path / "p.txt"
+        p.write_text(
+            "plan strategy=greedy budget=1 alpha=1 beta=1 missing=strict\n"
+            f"alloc source=bn samples=1\neval mode=best-source clamp={value} m=0.5 gini=0 surrogate=true\n"
+        )
+        with pytest.raises(InputError, match=rf"p\.txt:3: expected clamp=false, got clamp={value}"):
+            load_plan(p)
+
     def test_unknown_record_kind_rejected(self, tmp_path):
         p = tmp_path / "p.txt"
         p.write_text("plan strategy=greedy budget=1 alpha=1 beta=1 missing=strict\nbudgetline x=1\n")

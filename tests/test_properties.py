@@ -67,7 +67,6 @@ def plans(draw):
             utilities=draw(st.dictionaries(ids, numbers, max_size=6)),
             m_tau=draw(numbers),
             gini_coeff=draw(numbers),
-            clamped=draw(st.booleans()),
         )
     return AllocationPlan(
         strategy=draw(ids),
