@@ -26,9 +26,8 @@ step-by-step greedy would ask for it.
 The trace for a budget is a prefix of the trace for any larger one.
 
 Every strategy (greedy, egalitarian, single-source) builds its plan with
-_plan from its counts. evaluate_plan scores a plan against its request by
-composing per-target utilities from the funded sources' curves; these
-surrogate numbers are predictions, not measurements.
+_plan; evaluate_plan composes its funded sources' final-state predictions,
+by the request's composition mode, into surrogate (not measured) utilities.
 
 The plan records (AllocationPlan, PlanEvaluation, TraceStep) and the option
 vocabularies MISSING_POLICIES and COMPOSITION_MODES live in langdei.records,
@@ -46,11 +45,13 @@ import numpy as np
 
 from langdei import curves as _curves
 from langdei import metrics as _metrics
+from langdei import records
 from langdei.errors import ComputationError, InputError
-from langdei.records import (COMPOSITION_MODES, MISSING_POLICIES, AllocationPlan, LearningCurve,
-                             PlanEvaluation, TraceStep, check_count)
+from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, TraceStep, check_plan_settings
 
 logger = logging.getLogger("langdei.allocator")
+
+MISSING_POLICIES, COMPOSITION_MODES = records.MISSING_POLICIES, records.COMPOSITION_MODES
 
 CurveRegistry = Mapping[tuple[str, str], LearningCurve]
 
@@ -69,9 +70,10 @@ class AllocationRequest:
     alpha: float = 1.0
     beta: float = 1.0
     missing: str = "strict"
+    composition: str = "best-source"
 
     def __post_init__(self) -> None:
-        check_count(self.budget, "budget")
+        check_plan_settings(self.budget, self.alpha, self.beta, self.missing, self.composition)
         if not self.sources or not self.targets:
             raise InputError("sources and targets must be non-empty")
         object.__setattr__(self, "sources", tuple(sorted(self.sources)))
@@ -80,10 +82,6 @@ class AllocationRequest:
             raise InputError("duplicate source languages")
         if len(set(self.targets)) != len(self.targets):
             raise InputError("duplicate target languages")
-        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf) or self.alpha + self.beta <= 0:
-            raise InputError(f"objective weights must be finite and non-negative with alpha + beta > 0, got alpha={self.alpha} beta={self.beta}")
-        if self.missing not in MISSING_POLICIES:
-            raise InputError(f"missing-curve policy must be one of {MISSING_POLICIES}, got {self.missing!r}")
         absent = sorted(set(self.targets) - set(self.demand))
         if absent:
             raise InputError(f"demand weights missing for targets: {', '.join(absent)}")
@@ -102,13 +100,13 @@ class AllocationRequest:
                 raise InputError(f"source {s!r} has no curve for any target")
 
 
-def _source_chunks(request: AllocationRequest, source: str, first: int, last: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(gm, gini) arrays of one source at k = first, ..., last samples, one
-    chunk of consecutive k at a time.
+def _source_chunks(request: AllocationRequest, source: str, first: int, last: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(gm, gini, predictions) arrays of one source at k = first, ..., last
+    samples, one chunk of consecutive k at a time.
 
-    gm is the demand-weighted sum of the per-target predictions over the
-    targets the source covers; gini is the Gini coefficient of their absolute
-    values (the guard against negative predictions at small k). Chunks have
+    predictions has a column per target the source covers; gm is their
+    demand-weighted sum, gini the Gini coefficient of their absolute values
+    (the guard against negative predictions at small k). Chunks have
     CHUNK_ROWS[0] rows, doubling up to CHUNK_ROWS[1]; one ends before the
     first k whose state is undefined, and asking for that k raises a
     ComputationError.
@@ -119,9 +117,9 @@ def _source_chunks(request: AllocationRequest, source: str, first: int, last: in
     rows = CHUNK_ROWS[0]
     while first <= last:
         ks = range(first, min(first + rows, last + 1))
-        gm, gini, undefined = _state_chunk(curves, weights, ks)
+        gm, gini, predictions, undefined = _state_chunk(curves, weights, ks)
         if gm.size:
-            yield gm, gini
+            yield gm, gini, predictions
         if undefined is not None:
             _metrics.gini(undefined)  # raises: not finite, all zero, or overflowing
             raise ComputationError(f"gm of source {source!r} at {ks.start + gm.size} samples is not finite")
@@ -130,33 +128,33 @@ def _source_chunks(request: AllocationRequest, source: str, first: int, last: in
 
 
 def _state_chunk(curves: list[LearningCurve], weights: list[float], ks: range) -> tuple[np.ndarray, ...]:
-    """gm and gini at each k in ks up to the first undefined state (a gm or
-    Gini that is not finite), and that k's absolute predictions (or None).
+    """gm, gini and the (ks x targets) matrix of curves.predict_many columns
+    at each k in ks up to the first undefined state (a gm or Gini that is
+    not finite), and that k's absolute predictions (or None).
 
-    One (ks x targets) matrix of curves.predict_many columns, freed on
-    return: gm adds the targets in sorted order, and Gini is the row-wise
-    kernel of metrics.gini, so each state is bit-identical to computing it
-    at that k alone.
+    gm adds the targets in sorted order, and Gini is the row-wise kernel
+    of metrics.gini, so each state is bit-identical to computing it at
+    that k alone.
     """
     with np.errstate(all="ignore"):  # undefined rows are cut off below
-        columns = [_curves.predict_many(curve, ks) for curve in curves]
+        predictions = np.column_stack([_curves.predict_many(curve, ks) for curve in curves])
         gm = np.zeros(len(ks))
-        for w, column in zip(weights, columns):
+        for w, column in zip(weights, predictions.T):
             gm += w * column
-        absolute = np.abs(np.column_stack(columns))
+        absolute = np.abs(predictions)
         gini = _metrics._gini_rows(absolute)
     undefined = np.flatnonzero(~(np.isfinite(gm) & np.isfinite(gini)))
     if undefined.size:
         end = int(undefined[0])
-        return gm[:end], gini[:end], absolute[end].copy()
-    return gm, gini, None
+        return gm[:end], gini[:end], predictions[:end], absolute[end].copy()
+    return gm, gini, predictions, None
 
 
 def _gain_chunks(request: AllocationRequest, source: str) -> Iterator[np.ndarray]:
     """(gain, gm, gini, -running minimum gain) rows of each _source_chunks chunk."""
     alpha, beta = request.alpha, request.beta
     gm_prev, gini_prev, least = -math.inf, 1.0, math.inf
-    for gm, gini in _source_chunks(request, source, 1, request.budget):
+    for gm, gini, _ in _source_chunks(request, source, 1, request.budget):
         with np.errstate(all="ignore"):  # a step's float operations, silent as Python's
             gm_term = alpha * (gm - np.append(gm_prev, gm[:-1])) if alpha != 0 else 0.0
             gain = gm_term + beta * (np.append(gini_prev, gini[:-1]) - gini)
@@ -207,17 +205,20 @@ def greedy_allocate(request: AllocationRequest, trace: bool = True) -> Allocatio
 def _plan(
     request: AllocationRequest, strategy: str, counts: dict[str, int], trace: tuple[TraceStep, ...] = ()
 ) -> AllocationPlan:
-    """A plan with the given counts and each funded source's final state."""
+    """A plan with the given counts, each funded source's final state, and their evaluation."""
     states = {s: next(_source_chunks(request, s, k, k)) for s, k in counts.items() if k > 0}
+    covered = {s: [t for t in request.targets if (s, t) in request.registry] for s in states}
     return AllocationPlan(
         strategy=strategy,
         budget=request.budget,
         counts=counts,
-        final_gm={s: float(gm[0]) for s, (gm, _) in states.items()},
-        final_gini={s: float(g[0]) for s, (_, g) in states.items()},
+        final_gm={s: float(gm[0]) for s, (gm, _, _) in states.items()},
+        final_gini={s: float(g[0]) for s, (_, g, _) in states.items()},
         alpha=request.alpha,
         beta=request.beta,
         missing=request.missing,
+        evaluation=evaluate_plan(request, {(s, t): p for s, (_, _, row) in states.items()
+                                           for t, p in zip(covered[s], row[0].tolist())}),
         trace=trace,
     )
 
@@ -238,28 +239,23 @@ def single_source_allocate(request: AllocationRequest, source: str) -> Allocatio
     return _plan(request, f"single:{source}", counts)
 
 
-def evaluate_plan(request: AllocationRequest, plan: AllocationPlan, mode: str = "best-source") -> PlanEvaluation:
-    """Surrogate metrics of a plan for the request it was made from.
+def evaluate_plan(request: AllocationRequest, predictions: Mapping[tuple[str, str], float]) -> PlanEvaluation:
+    """Surrogate metrics of a plan from the prediction of each funded
+    (source, target) pair at the source's count.
 
-    Per-target utility composes across funded sources: the best funded
-    source's prediction, or their mean. A target no funded source covers
-    (only under the permissive policy) is dropped. Dispersion uses absolute
-    utilities, matching the optimizer's guard against negative predictions.
+    Per-target utility composes across funded sources under the request's
+    composition mode: the best funded source's prediction, or their mean. A
+    target no funded source covers (only under the permissive policy) is
+    dropped. Dispersion uses absolute utilities, matching the optimizer's
+    guard against negative predictions.
     """
-    if mode not in COMPOSITION_MODES:
-        raise InputError(f"composition mode must be one of {COMPOSITION_MODES}, got {mode!r}")
-    if sorted(plan.counts) != list(request.sources):
-        raise InputError(f"plan sources {sorted(plan.counts)} differ from the request's {list(request.sources)}")
-    funded = [s for s in request.sources if plan.counts[s] > 0]
-    if not funded:
-        raise InputError("plan funds no source; nothing to evaluate")
     utilities: dict[str, float] = {}
     for t in request.targets:
-        preds = [_curves.predict(request.registry[(s, t)], plan.counts[s]) for s in funded if (s, t) in request.registry]
+        preds = [predictions[(s, t)] for s in request.sources if (s, t) in predictions]
         if not preds:
             logger.warning("no funded source covers target %s; dropped from evaluation", t)
             continue
-        utilities[t] = max(preds) if mode == "best-source" else sum(preds) / len(preds)
+        utilities[t] = max(preds) if request.composition == "best-source" else sum(preds) / len(preds)
     m = sum(request.demand[t] * u for t, u in utilities.items())
     g = _metrics.gini([abs(u) for u in utilities.values()])
-    return PlanEvaluation(mode=mode, utilities=utilities, m_tau=m, gini_coeff=g)
+    return PlanEvaluation(mode=request.composition, utilities=utilities, m_tau=m, gini_coeff=g)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import collections
-import dataclasses
 import logging
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from langdei import efficiency, io, records
 from langdei.errors import ComputationError, InputError
@@ -209,6 +208,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         beta=args.beta,
         missing=args.missing,
+        composition=args.composition,
     )
     if strategy == "greedy":
         plan = allocator.greedy_allocate(request, trace=bool(args.trace_out))
@@ -216,7 +216,6 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         plan = allocator.egalitarian_allocate(request)
     else:
         plan = allocator.single_source_allocate(request, single_source)
-    plan = dataclasses.replace(plan, evaluation=allocator.evaluate_plan(request, plan, mode=args.composition))
     outputs = {args.out: io.render_plan(plan)}
     if args.trace_out:
         outputs[args.trace_out] = io.render_trace(plan.trace)
@@ -225,14 +224,16 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _md_row(cells: Sequence[object]) -> str:
+    """A markdown table row; a '|' in a cell is escaped so it stays in its cell."""
+    return "| " + " | ".join(str(cell).replace("|", "\\|") for cell in cells) + " |"
+
+
 def _md_table_from_csv(path: str) -> list[str]:
     rows = [line.split(",") for line in io.read_text(path).strip().splitlines()]
     if not rows:
         raise InputError(f"{path}: empty file (expected a CSV header)")
-    header, body = rows[0], rows[1:]
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    lines.extend("| " + " | ".join(row) + " |" for row in body)
-    return lines
+    return [_md_row(rows[0]), "|" + "---|" * len(rows[0]), *map(_md_row, rows[1:])]
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -248,7 +249,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise InputError("report needs at least one input artifact")
 
     lines = ["# Language DEI evaluation report", "", "## Inputs", "", "| role | path | sha256 |", "|---|---|---|"]
-    lines.extend(f"| {role} | {path} | {io.sha256_of(path)} |" for role, path in inputs)
+    lines.extend(_md_row((role, path, io.sha256_of(path))) for role, path in inputs)
     lines.append("")
 
     if args.scorecard:
@@ -288,15 +289,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         lines += [f"## Plan: `{path}`", ""]
         lines.append(f"Strategy `{plan.strategy}`, budget {plan.budget}.")
         lines += ["", "| source | samples |", "|---|---|"]
-        lines.extend(f"| {s} | {plan.counts[s]} |" for s in sorted(plan.counts))
-        if plan.evaluation is not None:
-            ev = plan.evaluation
-            lines += [
-                "",
-                "**Surrogate evaluation** (predicted from fitted curves, not measured):",
-                f"composition `{ev.mode}`, M = {io.fmt_num(ev.m_tau)}, Gini = {io.fmt_num(ev.gini_coeff)}.",
-            ]
-        lines.append("")
+        lines.extend(_md_row((s, plan.counts[s])) for s in sorted(plan.counts))
+        ev = plan.evaluation
+        lines += ["", "**Surrogate evaluation** (predicted from fitted curves, not measured):",
+                  f"composition `{ev.mode}`, M = {io.fmt_num(ev.m_tau)}, Gini = {io.fmt_num(ev.gini_coeff)}.", ""]
     for path in args.trace or ():
         lines += [f"## Trace: `{path}`", "", f"{io.count_trace(path)} greedy steps recorded.", ""]
 

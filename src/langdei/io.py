@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TextIO
 
 from langdei.efficiency import AmrsTable, EfficiencyConfig, ModelGoods, memory_saved
 from langdei.errors import InputError, check_id
-from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, TraceStep, TrajectoryPoint
+from langdei.records import (AllocationPlan, LearningCurve, PlanEvaluation, TraceStep, TrajectoryPoint,
+                             check_plan_settings)
 
 if TYPE_CHECKING:  # metrics needs numpy: its loaders import it when they run
     from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, TaskSpec
@@ -330,18 +331,16 @@ def render_plan(plan: AllocationPlan) -> str:
             line += f" gm={fmt_num(plan.final_gm[source])} gini={fmt_num(plan.final_gini[source])}"
         lines.append(line)
     ev = plan.evaluation
-    if ev is not None:
-        lines.append(
-            f"eval mode={ev.mode} clamp=false "
-            f"m={fmt_num(ev.m_tau)} gini={fmt_num(ev.gini_coeff)} surrogate=true"
-        )
-        for target in sorted(ev.utilities):
-            lines.append(f"pred target={target} utility={fmt_num(ev.utilities[target])}")
+    lines.append(f"eval mode={ev.mode} clamp=false m={fmt_num(ev.m_tau)} gini={fmt_num(ev.gini_coeff)} surrogate=true")
+    for target in sorted(ev.utilities):
+        lines.append(f"pred target={target} utility={fmt_num(ev.utilities[target])}")
     return "\n".join(lines) + "\n"
 
 
 def load_plan(path: str | Path) -> AllocationPlan:
-    """Parse a plan file. The step trace lives in its own CSV, not here."""
+    """Parse a plan file, which must hold a plan that allocate could write:
+    settings that pass the request's rule, an eval line, and sample counts
+    >= 0 that sum to the budget. The step trace lives in its own CSV."""
     header: dict[str, str] | None = None
     counts: dict[str, int] = {}
     final_gm: dict[str, float] = {}
@@ -358,10 +357,12 @@ def load_plan(path: str | Path) -> AllocationPlan:
             header = fields
         elif kind == "alloc":
             _require(fields, ("source", "samples"), where)
-            source = fields["source"]
+            source = _located(where, check_id, fields["source"], "source language")
             if source in counts:
                 raise InputError(f"{where}: duplicate alloc line for source {source!r}")
             counts[source] = _parse_int(fields["samples"], where)
+            if counts[source] < 0:
+                raise InputError(f"{where}: sample count must be >= 0, got {counts[source]}")
             if "gm" in fields:
                 _require(fields, ("gm", "gini"), where)
                 final_gm[source] = _parse_float(fields["gm"], where)
@@ -377,22 +378,17 @@ def load_plan(path: str | Path) -> AllocationPlan:
             _require(fields, ("target", "utility"), where)
             if eval_fields is None:
                 raise InputError(f"{where}: pred line before eval line")
-            utilities[fields["target"]] = _parse_float(fields["utility"], where)
+            target = _located(where, check_id, fields["target"], "target language")
+            if target in utilities:
+                raise InputError(f"{where}: duplicate pred line for target {target!r}")
+            utilities[target] = _parse_float(fields["utility"], where)
         else:
             raise InputError(f"{where}: unknown record kind {kind!r}")
     if header is None:
         raise InputError(f"{path}: missing plan header")
-    if not counts:
-        raise InputError(f"{path}: plan has no alloc lines")
-    evaluation = None
-    if eval_fields is not None:
-        evaluation = PlanEvaluation(
-            mode=eval_fields["mode"],
-            utilities=utilities,
-            m_tau=_parse_float(eval_fields["m"], f"{path}: eval"),
-            gini_coeff=_parse_float(eval_fields["gini"], f"{path}: eval"),
-        )
-    return AllocationPlan(
+    if eval_fields is None:
+        raise InputError(f"{path}: plan has no eval line")
+    plan = AllocationPlan(
         strategy=header["strategy"],
         budget=_parse_int(header["budget"], f"{path}: plan"),
         counts=counts,
@@ -401,8 +397,17 @@ def load_plan(path: str | Path) -> AllocationPlan:
         alpha=_parse_float(header["alpha"], f"{path}: plan"),
         beta=_parse_float(header["beta"], f"{path}: plan"),
         missing=header["missing"],
-        evaluation=evaluation,
+        evaluation=PlanEvaluation(
+            mode=eval_fields["mode"],
+            utilities=utilities,
+            m_tau=_parse_float(eval_fields["m"], f"{path}: eval"),
+            gini_coeff=_parse_float(eval_fields["gini"], f"{path}: eval"),
+        ),
     )
+    _located(str(path), check_plan_settings, plan.budget, plan.alpha, plan.beta, plan.missing, plan.evaluation.mode)
+    if sum(counts.values()) != plan.budget:
+        raise InputError(f"{path}: alloc samples sum to {sum(counts.values())}, not the budget {plan.budget}")
+    return plan
 
 
 def render_trace(trace: Sequence[TraceStep]) -> str:

@@ -75,6 +75,18 @@ def check_count(count: int, what: str) -> None:
         raise InputError(f"{what} must be at most {sys.float_info.max:g}, the largest float")
 
 
+def check_plan_settings(budget: int, alpha: float, beta: float, missing: str, composition: str) -> None:
+    """The rule of a plan's settings, for its request and for a plan file:
+    weights finite, >= 0 and not both 0; options from their lists."""
+    check_count(budget, "budget")
+    if not (0 <= alpha < math.inf and 0 <= beta < math.inf) or alpha + beta <= 0:
+        raise InputError(f"objective weights must be finite and non-negative with alpha + beta > 0, got alpha={alpha} beta={beta}")
+    if missing not in MISSING_POLICIES:
+        raise InputError(f"missing-curve policy must be one of {MISSING_POLICIES}, got {missing!r}")
+    if composition not in COMPOSITION_MODES:
+        raise InputError(f"composition mode must be one of {COMPOSITION_MODES}, got {composition!r}")
+
+
 def check_tau(tau: float) -> float:
     """The demand exponent tau, if it lies in [0, 1]."""
     if not (isinstance(tau, (int, float)) and 0.0 <= tau <= 1.0):  # also false for NaN
@@ -117,8 +129,8 @@ class AllocationPlan:
     counts: Mapping[str, int]
     final_gm: Mapping[str, float]
     final_gini: Mapping[str, float]
-    alpha: float = 1.0
-    beta: float = 1.0
-    missing: str = "strict"
+    alpha: float
+    beta: float
+    missing: str
+    evaluation: PlanEvaluation
     trace: tuple[TraceStep, ...] = ()
-    evaluation: PlanEvaluation | None = None

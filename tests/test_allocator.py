@@ -4,18 +4,21 @@ import functools
 import logging
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langdei import allocator
 from langdei.allocator import (
+    COMPOSITION_MODES,
     MISSING_POLICIES,
     AllocationPlan,
     AllocationRequest,
+    PlanEvaluation,
     TraceStep,
     egalitarian_allocate,
-    evaluate_plan,
     greedy_allocate,
     single_source_allocate,
 )
@@ -42,21 +45,49 @@ def uniform_demand(targets):
     return {t: 1.0 / len(targets) for t in targets}
 
 
+def naive_state(request, s, k):
+    """(gm, gini) of source s at k samples from curves.predict and
+    metrics.gini; gm accumulates left to right over the sorted covered
+    targets."""
+    covered = [t for t in request.targets if (s, t) in request.registry]
+    preds = [predict(request.registry[(s, t)], k) for t in covered]
+    gm = 0.0
+    for t, p in zip(covered, preds):
+        gm += request.demand[t] * p
+    return gm, gini([abs(p) for p in preds])
+
+
+def reference_evaluation(request, counts):
+    """The surrogate evaluation of a plan's counts from one curves.predict
+    per funded (source, target) pair, with no allocator helper."""
+    funded = [s for s in request.sources if counts[s] > 0]
+    utilities = {}
+    for t in request.targets:
+        preds = [predict(request.registry[(s, t)], counts[s]) for s in funded if (s, t) in request.registry]
+        if preds:
+            utilities[t] = max(preds) if request.composition == "best-source" else sum(preds) / len(preds)
+    m = sum(request.demand[t] * u for t, u in utilities.items())
+    g = gini([abs(u) for u in utilities.values()])
+    return PlanEvaluation(mode=request.composition, utilities=utilities, m_tau=m, gini_coeff=g)
+
+
+def reference_plan(request, strategy, counts, trace=()):
+    """The plan of the given counts: each funded source's naive_state and
+    the reference_evaluation."""
+    states = {s: naive_state(request, s, k) for s, k in counts.items() if k > 0}
+    return AllocationPlan(
+        strategy=strategy, budget=request.budget, counts=counts,
+        final_gm={s: gm for s, (gm, _) in states.items()}, final_gini={s: g for s, (_, g) in states.items()},
+        alpha=request.alpha, beta=request.beta, missing=request.missing,
+        evaluation=reference_evaluation(request, counts), trace=trace,
+    )
+
+
 def naive_greedy(request):
     """Reference greedy: every step scans every source's next gain, built from
-    the update rules, curves.predict and metrics.gini, with no allocator
-    helper. gm accumulates left to right over the sorted covered targets."""
+    the update rules and naive_state, with no allocator helper."""
     alpha, beta = request.alpha, request.beta
-
-    @functools.cache
-    def state(s, k):
-        covered = [t for t in request.targets if (s, t) in request.registry]
-        preds = [predict(request.registry[(s, t)], k) for t in covered]
-        gm = 0.0
-        for t, p in zip(covered, preds):
-            gm += request.demand[t] * p
-        return gm, gini([abs(p) for p in preds])
-
+    state = functools.cache(functools.partial(naive_state, request))
     samples = {s: 0 for s in request.sources}
     cur_gm = {s: -math.inf for s in request.sources}
     cur_gini = {s: 1.0 for s in request.sources}
@@ -74,12 +105,26 @@ def naive_greedy(request):
         cur_gm[s] = gm
         cur_gini[s] = g
         trace.append(TraceStep(step=step, source=s, marginal_gain=gain, gm=gm, gini=g))
-    funded = [s for s in request.sources if samples[s] > 0]
-    return AllocationPlan(
-        strategy="greedy", budget=request.budget, counts=samples,
-        final_gm={s: cur_gm[s] for s in funded}, final_gini={s: cur_gini[s] for s in funded},
-        alpha=alpha, beta=beta, missing=request.missing, trace=tuple(trace),
-    )
+    return reference_plan(request, "greedy", samples, tuple(trace))
+
+
+def reference_egalitarian(request):
+    base, remainder = divmod(request.budget, len(request.sources))
+    return reference_plan(request, "egalitarian", {
+        s: base + 1 if i < remainder else base for i, s in enumerate(request.sources)})
+
+
+def reference_single(request, source):
+    return reference_plan(request, f"single:{source}", {
+        s: request.budget if s == source else 0 for s in request.sources})
+
+
+# strategy: (the allocator's plan, the reference plan), each of a request
+STRATEGIES = {
+    "greedy": (greedy_allocate, naive_greedy),
+    "egalitarian": (egalitarian_allocate, reference_egalitarian),
+    "single": (lambda r: single_source_allocate(r, r.sources[-1]), lambda r: reference_single(r, r.sources[-1])),
+}
 
 
 def three_source_request(budget):
@@ -385,7 +430,7 @@ def greedy_requests(draw, max_budget=700):
     return AllocationRequest(
         budget=draw(st.integers(1, max_budget)), sources=tuple(f"s{i}" for i in range(n_sources)),
         targets=targets, registry=reg, demand={t: (j + 1) / 10 for j, t in enumerate(targets)},
-        alpha=alpha, beta=beta, missing=missing,
+        alpha=alpha, beta=beta, missing=missing, composition=draw(st.sampled_from(COMPOSITION_MODES)),
     )
 
 
@@ -413,17 +458,27 @@ class TestGreedyProperties:
     @given(greedy_requests(max_budget=400), st.integers(1, 400))
     def test_trace_is_prefix_of_larger_budget(self, req, extra):
         larger = replace(req, budget=req.budget + extra)
-        try:
-            small = greedy_allocate(req)
-        except ComputationError:
-            with pytest.raises(ComputationError):  # reached within B, so within B + extra
-                greedy_allocate(larger)
-            return
-        try:
-            large = greedy_allocate(larger)
-        except ComputationError:
-            return  # an undefined state past step B ends only the larger run
+        # The property is about the steps: an undefined evaluation of the
+        # plan at one budget says nothing about the other, so none is made.
+        with mock.patch.object(allocator, "evaluate_plan", lambda request, predictions: None):
+            try:
+                small = greedy_allocate(req)
+            except ComputationError:
+                with pytest.raises(ComputationError):  # reached within B, so within B + extra
+                    greedy_allocate(larger)
+                return
+            try:
+                large = greedy_allocate(larger)
+            except ComputationError:
+                return  # an undefined state past step B ends only the larger run
         assert large.trace[: req.budget] == small.trace
+
+    @settings(max_examples=60, deadline=None)
+    @given(greedy_requests(max_budget=300), st.sampled_from(sorted(STRATEGIES)))
+    def test_every_plan_equals_reference_plan(self, req, strategy):
+        # Both composition modes and both missing-curve policies are drawn.
+        allocate, reference = STRATEGIES[strategy]
+        assert outcome(allocate, req) == outcome(reference, req)
 
 
 class TestBaselines:
@@ -460,9 +515,8 @@ class TestBaselines:
 class TestEvaluatePlan:
     def test_single_funded_source_modes_coincide(self):
         request = simple_request(9, n_sources=2)
-        plan = single_source_allocate(request, "s1")
-        best = evaluate_plan(request, plan, mode="best-source")
-        mean = evaluate_plan(request, plan, mode="mean")
+        best = single_source_allocate(request, "s1").evaluation
+        mean = single_source_allocate(replace(request, composition="mean"), "s1").evaluation
         assert best.utilities == mean.utilities
         assert best.m_tau == pytest.approx(mean.m_tau)
 
@@ -474,16 +528,14 @@ class TestEvaluatePlan:
         request = AllocationRequest(
             budget=2, sources=("s1", "s2"), targets=("t",), registry=reg, demand={"t": 1.0}
         )
-        plan = egalitarian_allocate(request)
-        best = evaluate_plan(request, plan, mode="best-source")
-        mean = evaluate_plan(request, plan, mode="mean")
+        best = egalitarian_allocate(request).evaluation
+        mean = egalitarian_allocate(replace(request, composition="mean")).evaluation
+        assert (best.mode, mean.mode) == ("best-source", "mean")
         assert best.utilities["t"] == pytest.approx(0.8)
         assert mean.utilities["t"] == pytest.approx(0.7)
 
     def test_equal_predictions_have_zero_gini(self):
-        request = simple_request(8, n_sources=2)
-        plan = egalitarian_allocate(request)
-        ev = evaluate_plan(request, plan)
+        ev = egalitarian_allocate(simple_request(8, n_sources=2)).evaluation
         assert ev.gini_coeff == pytest.approx(0.0, abs=1e-13)
 
     def test_permissive_mode_drops_uncovered_target(self, caplog):
@@ -496,26 +548,24 @@ class TestEvaluatePlan:
             budget=4, sources=("s1", "s2"), targets=("t1", "t2"), registry=reg,
             demand={"t1": 0.5, "t2": 0.5}, missing="permissive",
         )
-        plan = single_source_allocate(request, "s1")
         with caplog.at_level(logging.WARNING, logger="langdei.allocator"):
-            ev = evaluate_plan(request, plan)
+            ev = single_source_allocate(request, "s1").evaluation
         assert set(ev.utilities) == {"t1"}
         assert ev.m_tau == pytest.approx(0.5)
         assert "no funded source covers target t2" in caplog.text
 
-    def test_plan_for_other_sources_rejected(self):
-        request = simple_request(6, n_sources=2)
-        plan = egalitarian_allocate(simple_request(6, n_sources=3))
-        with pytest.raises(InputError, match="differ from the request"):
-            evaluate_plan(request, plan)
-
-    def test_plan_funding_no_source_rejected(self):
-        request = simple_request(4, n_sources=2)
-        plan = replace(egalitarian_allocate(request), counts={"s1": 0, "s2": 0})
-        with pytest.raises(InputError, match="funds no source"):
-            evaluate_plan(request, plan)
+    @pytest.mark.parametrize("strategy", ["greedy", "egalitarian"])
+    def test_undefined_evaluation_gini_raises_like_reference(self, strategy):
+        # Both states are defined, but funded predictions of 0.5 and -0.5
+        # compose to a mean utility of 0, whose Gini is undefined.
+        reg = {("n", "t"): curve("n", "t", -0.5, 0.0, 0.0), ("p", "t"): curve("p", "t", 0.5, 0.0, 0.0)}
+        request = AllocationRequest(budget=2, sources=("n", "p"), targets=("t",), registry=reg,
+                                    demand={"t": 1.0}, composition="mean")
+        allocate, reference = STRATEGIES[strategy]
+        assert outcome(allocate, request) == outcome(reference, request) == (
+            ComputationError, "Gini is undefined for an all-zero vector")
+        assert egalitarian_allocate(replace(request, composition="best-source")).evaluation.utilities == {"t": 0.5}
 
     def test_unknown_mode_rejected(self):
-        request = simple_request(4, n_sources=2)
-        with pytest.raises(InputError, match="composition mode"):
-            evaluate_plan(request, egalitarian_allocate(request), mode="median")
+        with pytest.raises(InputError, match="composition mode must be one of"):
+            replace(simple_request(4, n_sources=2), composition="median")

@@ -7,6 +7,7 @@ stderr, and output files. Exit-code contract: 0 success, 1 undefined metric,
 
 import csv
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -27,6 +28,9 @@ def read_csv(path):
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+EVAL_LINE = "eval mode=best-source clamp=false m=0.5 gini=0 surrogate=true\n"
 
 
 @pytest.fixture()
@@ -447,6 +451,20 @@ class TestAllocateCommand:
         assert "Gini is undefined for values whose sums overflow" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("strategy", ["greedy", "egalitarian"])
+    def test_undefined_evaluation_exit_1(self, tmp_path, capsys, strategy):
+        # Both sources are funded; their predictions 0.5 and -0.5 have a mean
+        # utility of 0, whose Gini is undefined.
+        curves = write(tmp_path / "curves.txt", "curve source=n target=t a=-0.5 b=0 c=0 r2=0.9\n"
+                       "curve source=p target=t a=0.5 b=0 c=0 r2=0.9\n")
+        out = tmp_path / "plan.txt"
+        assert main([
+            "allocate", "--curves", curves, "--budget", "2", "--strategy", strategy,
+            "--tau", "0", "--composition", "mean", "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == "error: Gini is undefined for an all-zero vector\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["egalitarian", "single:hi"])
     def test_oversized_budget_exit_2(self, data, capsys, strategy):
         # No float holds 10**400: bad input (exit 2), not an OverflowError traceback.
@@ -644,6 +662,40 @@ class TestReportCommand:
     def test_no_inputs_rejected(self, data):
         assert main(["report", "--out", str(data["tmp"] / "r.md")]) == 2
 
+    def test_pipe_in_id_stays_in_its_cell(self, data, tmp_path):
+        # Ids may hold '|', which would end a markdown cell unescaped.
+        perf = write(tmp_path / "perf.csv", "task,model,train_lang,target_lang,score\nner,m|x,en,hi,80\n")
+        plan = write(tmp_path / "plan.txt", "plan strategy=single:s|1 budget=2 alpha=1 beta=1 missing=strict\n"
+                     "alloc source=s|1 samples=2 gm=0.5 gini=0\n" + EVAL_LINE)
+        sc, out = tmp_path / "sc.csv", tmp_path / "r.md"
+        assert main(["metrics", "--perf", perf, "--tasks", data["tasks"], "--tau", "0", "--out", str(sc)]) == 0
+        assert main(["report", "--scorecard", str(sc), "--plan", plan, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        header = lines.index("| task | model | train_lang | m_tau | gini | tested | universe |")
+        row = lines[header + 2]
+        assert row.startswith("| ner | m\\|x | en |")
+        assert len(re.split(r"(?<!\\)\|", row)) - 2 == 7  # the cells between unescaped pipes
+        assert "| s\\|1 | 2 |" in lines
+
+    @pytest.mark.parametrize(("text", "message"), [
+        ("plan strategy=greedy budget=-7 alpha=-1 beta=inf missing=whatever\nalloc source=bn samples=-3\n"
+         "alloc source=hi samples=5\neval mode=median clamp=false m=0.5 gini=0 surrogate=true\n"
+         "pred target=hi utility=0.5\npred target=hi utility=0.6\n", "plan.txt:2: sample count must be >= 0, got -3"),
+        ("plan strategy=greedy budget=5 alpha=1 beta=1 missing=strict\nalloc source=bn samples=2\n"
+         "alloc source=hi samples=2\n" + EVAL_LINE,
+         "plan.txt: alloc samples sum to 4, not the budget 5"),
+        ("plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\nalloc source=bn samples=2\n"
+         "eval mode=median clamp=false m=0.5 gini=0 surrogate=true\n", "composition mode must be one of"),
+        ("plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\nalloc source=bn samples=2\n",
+         "plan.txt: plan has no eval line"),
+    ], ids=["found-plan", "sum", "mode-median", "no-eval"])
+    def test_plan_allocate_could_not_write_exit_2(self, tmp_path, capsys, text, message):
+        plan = write(tmp_path / "plan.txt", text)
+        out = tmp_path / "r.md"
+        assert main(["report", "--plan", plan, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 HOSTILE_CURVE = "curve source=a,b target=hi a=1 b=-1 c=0.5 r2=0.9\n"
 
@@ -777,7 +829,7 @@ def test_import_cli_loads_no_numeric_module(tmp_path):
 ], ids=["efficiency", "report"])
 def test_subcommand_runs_without_numpy(argv, tmp_path):
     write(tmp_path / "plan.txt", "plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\n"
-          "alloc source=bn samples=2 gm=0.5 gini=0.1\n")
+          "alloc source=bn samples=2 gm=0.5 gini=0.1\n" + EVAL_LINE)
     write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n2,bn,0.1,0.5,0.1\n")
     loaded = modules_after(f"from langdei.cli import main\nassert main({argv!r}) == 0", tmp_path)
     assert (tmp_path / argv[-1]).is_file()

@@ -374,6 +374,41 @@ class TestPlanAndTraceFormat:
         with pytest.raises(InputError, match=rf"p\.txt:3: expected clamp=false, got clamp={value}"):
             load_plan(p)
 
+    PLAN_HEAD = "plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\n"
+    EVAL = "eval mode=best-source clamp=false m=0.5 gini=0 surrogate=true\n"
+
+    @pytest.mark.parametrize(("body", "message"), [
+        ("alloc source=bn samples=2\n" + EVAL + "pred target=hi utility=0.5\npred target=hi utility=0.7\n",
+         r"p\.txt:5: duplicate pred line for target 'hi'"),
+        ('alloc source=b"n samples=2\n' + EVAL, r"p\.txt:2: invalid source language: 'b\"n'"),
+        ("alloc source=bn samples=2\n" + EVAL + "pred target=h=i utility=0.5\n",
+         r"p\.txt:4: invalid target language: 'h=i'"),
+        ("alloc source=bn samples=3\nalloc source=ta samples=-1\n" + EVAL,
+         r"p\.txt:3: sample count must be >= 0, got -1"),
+        ("alloc source=bn samples=1\n" + EVAL, r"p\.txt: alloc samples sum to 1, not the budget 2"),
+        ("alloc source=bn samples=2\n", r"p\.txt: plan has no eval line"),
+        ("alloc source=bn samples=2\n" + EVAL.replace("best-source", "median"),
+         r"p\.txt: composition mode must be one of \('best-source', 'mean'\), got 'median'"),
+    ], ids=["duplicate-pred", "source-id", "target-id", "negative-count", "sum", "no-eval", "mode"])
+    def test_plan_allocate_could_not_write_rejected(self, tmp_path, body, message):
+        p = tmp_path / "p.txt"
+        p.write_text(self.PLAN_HEAD + body)
+        with pytest.raises(InputError, match=message):
+            load_plan(p)
+
+    @pytest.mark.parametrize(("head", "message"), [
+        ("budget=0 alpha=1 beta=1 missing=strict", "budget must be >= 1, got 0"),
+        ("budget=2 alpha=-1 beta=1 missing=strict", "objective weights must be finite"),
+        ("budget=2 alpha=1 beta=inf missing=strict", "objective weights must be finite"),
+        ("budget=2 alpha=0 beta=0 missing=strict", "objective weights .* got alpha=0.0 beta=0.0"),
+        ("budget=2 alpha=1 beta=1 missing=whatever", "missing-curve policy must be one of"),
+    ], ids=["budget", "negative-alpha", "infinite-beta", "zero-weights", "missing"])
+    def test_plan_settings_follow_the_request_rule(self, tmp_path, head, message):
+        p = tmp_path / "p.txt"
+        p.write_text(f"plan strategy=greedy {head}\nalloc source=bn samples=2\n{self.EVAL}")
+        with pytest.raises(InputError, match=rf"p\.txt: {message}"):
+            load_plan(p)
+
     def test_unknown_record_kind_rejected(self, tmp_path):
         p = tmp_path / "p.txt"
         p.write_text("plan strategy=greedy budget=1 alpha=1 beta=1 missing=strict\nbudgetline x=1\n")

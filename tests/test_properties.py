@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langdei.allocator import AllocationPlan, PlanEvaluation, TraceStep
+from langdei.allocator import COMPOSITION_MODES, MISSING_POLICIES, AllocationPlan, PlanEvaluation, TraceStep
 from langdei.cli import main
 from langdei.curves import LearningCurve, TrajectoryPoint
 from langdei.efficiency import AmrsTable, ModelGoods
@@ -58,26 +58,28 @@ def registries(draw):
 
 @st.composite
 def plans(draw):
-    counts = draw(st.dictionaries(ids, st.integers(min_value=0, max_value=10**9), min_size=1, max_size=6))
+    """Plans the file rules accept: counts that sum to the budget, settings
+    from the option lists, valid objective weights, and an evaluation."""
+    counts = draw(st.dictionaries(ids, st.integers(min_value=0, max_value=10**9), min_size=1, max_size=6)
+                  .filter(lambda c: sum(c.values()) > 0))
     funded = [s for s in sorted(counts) if draw(st.booleans())]
-    evaluation = None
-    if draw(st.booleans()):
-        evaluation = PlanEvaluation(
-            mode=draw(ids),
-            utilities=draw(st.dictionaries(ids, numbers, max_size=6)),
-            m_tau=draw(numbers),
-            gini_coeff=draw(numbers),
-        )
+    weights = st.floats(min_value=0.0, allow_infinity=False)
+    alpha, beta = draw(st.tuples(weights, weights).filter(lambda ab: ab[0] + ab[1] > 0))
     return AllocationPlan(
         strategy=draw(ids),
-        budget=draw(st.integers(min_value=1, max_value=10**9)),
+        budget=sum(counts.values()),
         counts=counts,
         final_gm={s: draw(numbers) for s in funded},
         final_gini={s: draw(numbers) for s in funded},
-        alpha=draw(numbers),
-        beta=draw(numbers),
-        missing=draw(ids),
-        evaluation=evaluation,
+        alpha=alpha,
+        beta=beta,
+        missing=draw(st.sampled_from(MISSING_POLICIES)),
+        evaluation=PlanEvaluation(
+            mode=draw(st.sampled_from(COMPOSITION_MODES)),
+            utilities=draw(st.dictionaries(ids, numbers, max_size=6)),
+            m_tau=draw(numbers),
+            gini_coeff=draw(numbers),
+        ),
     )
 
 
