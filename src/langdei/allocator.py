@@ -36,8 +36,8 @@ which needs no numpy; they resolve here as well.
 
 from __future__ import annotations
 
-import logging
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -48,8 +48,6 @@ from langdei import metrics as _metrics
 from langdei import records
 from langdei.errors import ComputationError, InputError
 from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, TraceStep, check_plan_settings
-
-logger = logging.getLogger("langdei.allocator")
 
 MISSING_POLICIES, COMPOSITION_MODES = records.MISSING_POLICIES, records.COMPOSITION_MODES
 
@@ -88,14 +86,14 @@ class AllocationRequest:
         for t in self.targets:
             if not 0 <= self.demand[t] < math.inf:  # also false for NaN
                 raise InputError(f"demand weight of target {t!r} must be finite and non-negative, got {self.demand[t]}")
-        # Check curve coverage once, logging each dropped pair once.
+        # Check curve coverage once, warning of each dropped pair once.
         for s in self.sources:
             missing_pairs = [t for t in self.targets if (s, t) not in self.registry]
             if missing_pairs and self.missing == "strict":
                 pairs = ", ".join(f"({s}, {t})" for t in missing_pairs)
                 raise InputError(f"no curve for pairs: {pairs} (strict missing-curve policy)")
             for t in missing_pairs:
-                logger.warning("no curve for pair (%s, %s); dropping target from source %s", s, t, s)
+                warnings.warn(f"no curve for pair ({s}, {t}); dropping target from source {s}", stacklevel=3)
             if len(missing_pairs) == len(self.targets):
                 raise InputError(f"source {s!r} has no curve for any target")
 
@@ -253,7 +251,7 @@ def evaluate_plan(request: AllocationRequest, predictions: Mapping[tuple[str, st
     for t in request.targets:
         preds = [predictions[(s, t)] for s in request.sources if (s, t) in predictions]
         if not preds:
-            logger.warning("no funded source covers target %s; dropped from evaluation", t)
+            warnings.warn(f"no funded source covers target {t}; dropped from evaluation")
             continue
         utilities[t] = max(preds) if request.composition == "best-source" else sum(preds) / len(preds)
     m = sum(request.demand[t] * u for t, u in utilities.items())

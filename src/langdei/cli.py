@@ -3,17 +3,18 @@
 Subcommands: metrics, efficiency, fit, allocate, report. Every run is
 deterministic; outputs are computed fully before anything is written, so a
 failing run leaves no new files behind. Exit codes: 0 success, 1 a metric was
-mathematically undefined, 2 bad input or configuration.
+mathematically undefined, 2 bad input or configuration. Each warning a run
+raises is printed as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import logging
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -181,14 +182,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_strategy(text: str) -> tuple[str, str | None]:
-    if text in ("greedy", "egalitarian"):
-        return text, None
-    if text.startswith("single:") and len(text) > len("single:"):
-        return "single", text.split(":", 1)[1]
-    raise InputError(f"unknown strategy {text!r}; expected greedy, egalitarian, or single:<lang>")
-
-
 def cmd_allocate(args: argparse.Namespace) -> int:
     from langdei import allocator, metrics
 
@@ -198,7 +191,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     sources = args.sources or tuple(sorted({s for s, _ in registry}))
     targets = args.targets or tuple(sorted({t for _, t in registry}))
     demand = metrics.demand(_load_speakers(args), targets, args.tau)
-    strategy, single_source = _parse_strategy(args.strategy)
+    strategy, single_source = records.parse_strategy(args.strategy)
     request = allocator.AllocationRequest(
         budget=args.budget,
         sources=sources,
@@ -371,20 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    try:
-        _check_distinct_outputs(args)
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            _check_distinct_outputs(args)
+            return args.func(args)
+        except (InputError, ComputationError, OSError) as exc:
+            error = exc
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+    print(f"error: {error}", file=sys.stderr)
+    return 1 if isinstance(error, ComputationError) else 2
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ class EfficiencyConfig:
                 raise InputError(f"{name} must be finite and non-negative, got {w}")
         total = self.w_perf + self.w_throughput + self.w_memory
         if abs(total - 1.0) > 1e-9:
-            warnings.warn(f"efficiency weights sum to {total}, not 1", stacklevel=2)
+            warnings.warn(f"efficiency weights sum to {total}, not 1", stacklevel=3)
 
 
 @dataclass(frozen=True)

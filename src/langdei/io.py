@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TextIO
 from langdei.efficiency import AmrsTable, EfficiencyConfig, ModelGoods, memory_saved
 from langdei.errors import InputError, check_id
 from langdei.records import (AllocationPlan, LearningCurve, PlanEvaluation, TraceStep, TrajectoryPoint,
-                             check_plan_settings)
+                             check_plan_settings, parse_strategy)
 
 if TYPE_CHECKING:  # metrics needs numpy: its loaders import it when they run
     from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, TaskSpec
@@ -339,8 +339,10 @@ def render_plan(plan: AllocationPlan) -> str:
 
 def load_plan(path: str | Path) -> AllocationPlan:
     """Parse a plan file, which must hold a plan that allocate could write:
-    settings that pass the request's rule, an eval line, and sample counts
-    >= 0 that sum to the budget. The step trace lives in its own CSV."""
+    settings that pass the request's rule, a known strategy (a single source
+    among the alloc lines), an eval line, sample counts >= 0 that sum to the
+    budget, and gm and gini on exactly the funded sources. The step trace
+    lives in its own CSV."""
     header: dict[str, str] | None = None
     counts: dict[str, int] = {}
     final_gm: dict[str, float] = {}
@@ -363,10 +365,12 @@ def load_plan(path: str | Path) -> AllocationPlan:
             counts[source] = _parse_int(fields["samples"], where)
             if counts[source] < 0:
                 raise InputError(f"{where}: sample count must be >= 0, got {counts[source]}")
-            if "gm" in fields:
+            if counts[source] > 0:
                 _require(fields, ("gm", "gini"), where)
                 final_gm[source] = _parse_float(fields["gm"], where)
                 final_gini[source] = _parse_float(fields["gini"], where)
+            elif fields.keys() & {"gm", "gini"}:
+                raise InputError(f"{where}: source {source!r} has no samples, so no gm or gini")
         elif kind == "eval":
             if eval_fields is not None:
                 raise InputError(f"{where}: duplicate eval line")
@@ -405,6 +409,9 @@ def load_plan(path: str | Path) -> AllocationPlan:
         ),
     )
     _located(str(path), check_plan_settings, plan.budget, plan.alpha, plan.beta, plan.missing, plan.evaluation.mode)
+    single = _located(str(path), parse_strategy, plan.strategy)[1]
+    if single is not None and single not in counts:
+        raise InputError(f"{path}: strategy {plan.strategy} names a source without an alloc line")
     if sum(counts.values()) != plan.budget:
         raise InputError(f"{path}: alloc samples sum to {sum(counts.values())}, not the budget {plan.budget}")
     return plan

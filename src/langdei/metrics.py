@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from langdei.errors import ComputationError, InputError, LangDeiError, check_id
+from langdei.errors import ComputationError, InputError, check_id
 from langdei.records import check_tau
 
 # The 22 scheduled languages plus English; the default universe for all
@@ -267,23 +267,6 @@ def scorecard_lorenz(rows: Sequence[ScorecardRow]) -> dict[tuple[str, str, str],
     return {(row.task, row.model, row.train_lang): curve for row, curve in zip(rows, curves)}
 
 
-def gini_from_lorenz(curve: Sequence[tuple[float, float]]) -> float:
-    """Gini coefficient as 1 - 2 * (trapezoidal area under the Lorenz curve)."""
-    if len(curve) < 2:
-        raise InputError("a Lorenz curve needs at least two points")
-    xs = [p[0] for p in curve]
-    ys = [p[1] for p in curve]
-    if (xs[0], ys[0]) != (0.0, 0.0) or (xs[-1], ys[-1]) != (1.0, 1.0):
-        raise InputError("a Lorenz curve must start at (0, 0) and end at (1, 1)")
-    for i in range(1, len(curve)):
-        if xs[i] < xs[i - 1] or ys[i] < ys[i - 1]:
-            raise InputError(f"Lorenz curve coordinates must be nondecreasing (violated at point {i})")
-    area = 0.0
-    for i in range(1, len(curve)):
-        area += (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0
-    return 1.0 - 2.0 * area
-
-
 def dei_scorecard(
     perf: PerformanceTable,
     speakers: SpeakerTable,
@@ -300,10 +283,11 @@ def dei_scorecard(
 
     All rows are computed as one rows x universe matrix. Each number equals
     what ``utility``, ``demand`` and ``gini`` give for the row alone, with M
-    the dot product of the row's utilities and demand weights, and the first
-    row that fails raises the error they would raise: failures rank by row,
-    then within a row as task and languages (0), raw scores (1), demand (2),
-    Gini (3). Clamped scores give one warning per task.
+    the dot product of the row's utilities and demand weights. Each rule
+    holds for every row before the next is checked, and its first failing
+    row raises: (1) known task, valid model and train ids, languages in the
+    universe; (2) raw scores finite and >= 0; (3) demand weights defined;
+    (4) Gini defined (no all-zero row). Clamped scores give one warning per task.
     """
     codes = _check_universe(universe)
     by_task = {t.task_id: t for t in tasks}
@@ -312,24 +296,15 @@ def dei_scorecard(
     groups = perf.groups()
     if not groups:
         return []
-    raw, tested, maxima, failures = _score_matrix(groups, by_task, codes)
+    raw, tested, maxima = _score_matrix(groups, by_task, codes)
     bad = tested & ~(np.isfinite(raw) & (raw >= 0))
     if bad.any():
-        r = int(np.flatnonzero(bad.any(axis=1))[0])
-        score = groups[r][1][codes[int(np.argmax(bad[r]))]]
-        failures.append((r, 1, InputError(f"raw score must be a finite non-negative number, got {score}")))
+        r, j = np.argwhere(bad)[0]
+        raise InputError(f"raw score must be a finite non-negative number, got {groups[r][1][codes[j]]}")
+    weights = _demand_rows(speakers, codes, tau, tested if tested_only else np.ones((1, len(codes)), dtype=bool))
     utilities = _utilities(raw, maxima)
-    zero = ~(utilities > 0).any(axis=1)
-    if zero.any():
-        failures.append((int(np.argmax(zero)), 3, ComputationError(_GINI_ALL_ZERO)))
-    first = min(failures, key=lambda f: f[:2], default=None)
-    # Rows that reach their demand weights (rank 2) before the first failure.
-    reached = len(groups) if first is None else first[0] + (first[1] > 2)
-    if reached:
-        members = tested[:reached] if tested_only else np.ones((1, len(codes)), dtype=bool)
-        weights = _demand_rows(speakers, codes, tau, members)
-    if first is not None:
-        raise first[2]
+    if not (utilities > 0).any(axis=1).all():
+        raise ComputationError(_GINI_ALL_ZERO)
 
     sizes = tested.sum(axis=1) if tested_only else np.full(len(groups), len(codes))
     m_tau = np.empty(len(groups))
@@ -363,35 +338,31 @@ def dei_scorecard(
 
 def _score_matrix(groups, by_task: Mapping[str, TaskSpec], codes: tuple[str, ...]):
     """Raw scores and tested flags as rows x universe matrices, and each
-    row's task maximum (a column), filled up to the first row with an
-    unknown task or language; the failure list holds that row's error as
-    (row, 0, error)."""
+    row's task maximum (a column). The first row with an unknown task, an
+    invalid model or train id, or a language outside the universe raises."""
     column = {lang: j for j, lang in enumerate(codes)}
-    counts, limits, cols, values = [], [], [], []  # per row filled; per cell
-    failures: list[tuple[int, int, LangDeiError]] = []
-    for r, ((task_id, model, train), scores) in enumerate(groups):
+    counts, limits, cols, values = [], [], [], []  # per row; per cell
+    for (task_id, model, train), scores in groups:
         if task_id not in by_task:
-            failures.append((r, 0, InputError(f"unknown task id {task_id!r} in performance table")))
-            break
+            raise InputError(f"unknown task id {task_id!r} in performance table")
+        check_id(model, "model id")
+        check_id(train, "train language")
         if not scores.keys() <= column.keys():
             unknown = sorted(set(scores) - set(codes))
-            failures.append((r, 0, InputError(
+            raise InputError(
                 f"performance rows for ({task_id}, {model}, {train}) name languages "
                 f"outside the universe: {', '.join(unknown)}"
-            )))
-            break
+            )
         counts.append(len(scores))
         limits.append(by_task[task_id].max_performance)
         cols.extend(map(column.__getitem__, scores))
         values.extend(scores.values())
-    cells = (np.repeat(np.arange(len(counts)), counts), cols)
+    cells = (np.repeat(np.arange(len(groups)), counts), cols)
     raw = np.zeros((len(groups), len(codes)))
     raw[cells] = values
     tested = np.zeros(raw.shape, dtype=bool)
     tested[cells] = True
-    maxima = np.ones((len(groups), 1))
-    maxima[: len(limits), 0] = limits
-    return raw, tested, maxima, failures
+    return raw, tested, np.array(limits, dtype=float)[:, None]
 
 
 def _warn_clamped(groups, by_task: Mapping[str, TaskSpec], raw: np.ndarray, clamped: np.ndarray) -> None:

@@ -87,6 +87,16 @@ def check_plan_settings(budget: int, alpha: float, beta: float, missing: str, co
         raise InputError(f"composition mode must be one of {COMPOSITION_MODES}, got {composition!r}")
 
 
+def parse_strategy(text: str) -> tuple[str, str | None]:
+    """The rule of a strategy name, for ``allocate`` and for a plan file:
+    greedy, egalitarian or single:<source>, as (strategy, source or None)."""
+    if text in ("greedy", "egalitarian"):
+        return text, None
+    if text.startswith("single:") and len(text) > len("single:"):
+        return "single", text.split(":", 1)[1]
+    raise InputError(f"unknown strategy {text!r}; expected greedy, egalitarian, or single:<lang>")
+
+
 def check_tau(tau: float) -> float:
     """The demand exponent tau, if it lies in [0, 1]."""
     if not (isinstance(tau, (int, float)) and 0.0 <= tau <= 1.0):  # also false for NaN

@@ -6,9 +6,12 @@ Vectors come from a seeded generator, so every run sees the same cases.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from langdei.metrics import gini, gini_from_lorenz, lorenz_points
+from langdei.errors import InputError
+from langdei.metrics import gini, lorenz_points
 
 
 def random_vector(rng: np.random.Generator, min_n: int = 2, max_n: int = 64) -> np.ndarray:
@@ -90,6 +93,23 @@ def gini_mean_abs_difference(values: np.ndarray) -> float:
     y = np.asarray(values, dtype=float)
     n = y.size
     return float(np.abs(y[:, None] - y[None, :]).sum() / (2.0 * n * n * y.mean()))
+
+
+def gini_from_lorenz(curve: Sequence[tuple[float, float]]) -> float:
+    """Gini coefficient as 1 - 2 * (trapezoidal area under the Lorenz curve)."""
+    if len(curve) < 2:
+        raise InputError("a Lorenz curve needs at least two points")
+    xs = [p[0] for p in curve]
+    ys = [p[1] for p in curve]
+    if (xs[0], ys[0]) != (0.0, 0.0) or (xs[-1], ys[-1]) != (1.0, 1.0):
+        raise InputError("a Lorenz curve must start at (0, 0) and end at (1, 1)")
+    for i in range(1, len(curve)):
+        if xs[i] < xs[i - 1] or ys[i] < ys[i - 1]:
+            raise InputError(f"Lorenz curve coordinates must be nondecreasing (violated at point {i})")
+    area = 0.0
+    for i in range(1, len(curve)):
+        area += (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0
+    return 1.0 - 2.0 * area
 
 
 def check_oracle_equivalence(rng: np.random.Generator, iterations: int) -> None:

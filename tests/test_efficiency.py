@@ -174,8 +174,11 @@ class TestEfficiencyScore:
 
 class TestConfigAndTables:
     def test_weights_not_summing_to_one_warn(self):
-        with pytest.warns(UserWarning, match="sum"):
+        with pytest.warns(UserWarning, match="sum") as caught:
             EfficiencyConfig(w_perf=0.5, w_throughput=0.5, w_memory=0.5)
+        # The warning points at the line that built the config, not into
+        # the generated __init__.
+        assert [w.filename for w in caught] == [__file__]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InputError):

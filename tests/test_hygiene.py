@@ -59,7 +59,6 @@ ROOT = PACKAGE.parents[1]
 # program, bench/ or README.md names or sets them: reference oracles that
 # tests compare the program against.
 ORACLES = {
-    "metrics.gini_from_lorenz",  # the Lorenz oracle of tests/_props.py
     "curves.fit_power_law.c_range",  # the one-pair oracle of the batch fit in tests/test_curves.py
 }
 

@@ -349,16 +349,16 @@ class TestPlanAndTraceFormat:
         p = tmp_path / "p.txt"
         p.write_text(
             "plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\n"
-            "alloc source=bn samples=1\nalloc source=bn samples=1\n"
+            "alloc source=bn samples=1 gm=0.5 gini=0\nalloc source=bn samples=1 gm=0.5 gini=0\n"
         )
-        with pytest.raises(InputError, match=r"p\.txt:3"):
+        with pytest.raises(InputError, match=r"p\.txt:3: duplicate alloc line"):
             load_plan(p)
 
     def test_pred_before_eval_rejected(self, tmp_path):
         p = tmp_path / "p.txt"
         p.write_text(
             "plan strategy=greedy budget=1 alpha=1 beta=1 missing=strict\n"
-            "alloc source=bn samples=1\npred target=hi utility=0.5\n"
+            "alloc source=bn samples=1 gm=0.5 gini=0\npred target=hi utility=0.5\n"
         )
         with pytest.raises(InputError, match="before eval"):
             load_plan(p)
@@ -369,7 +369,7 @@ class TestPlanAndTraceFormat:
         p = tmp_path / "p.txt"
         p.write_text(
             "plan strategy=greedy budget=1 alpha=1 beta=1 missing=strict\n"
-            f"alloc source=bn samples=1\neval mode=best-source clamp={value} m=0.5 gini=0 surrogate=true\n"
+            f"alloc source=bn samples=1 gm=0.5 gini=0\neval mode=best-source clamp={value} m=0.5 gini=0 surrogate=true\n"
         )
         with pytest.raises(InputError, match=rf"p\.txt:3: expected clamp=false, got clamp={value}"):
             load_plan(p)
@@ -378,18 +378,22 @@ class TestPlanAndTraceFormat:
     EVAL = "eval mode=best-source clamp=false m=0.5 gini=0 surrogate=true\n"
 
     @pytest.mark.parametrize(("body", "message"), [
-        ("alloc source=bn samples=2\n" + EVAL + "pred target=hi utility=0.5\npred target=hi utility=0.7\n",
+        ("alloc source=bn samples=2 gm=0.5 gini=0\n" + EVAL + "pred target=hi utility=0.5\npred target=hi utility=0.7\n",
          r"p\.txt:5: duplicate pred line for target 'hi'"),
         ('alloc source=b"n samples=2\n' + EVAL, r"p\.txt:2: invalid source language: 'b\"n'"),
-        ("alloc source=bn samples=2\n" + EVAL + "pred target=h=i utility=0.5\n",
+        ("alloc source=bn samples=2 gm=0.5 gini=0\n" + EVAL + "pred target=h=i utility=0.5\n",
          r"p\.txt:4: invalid target language: 'h=i'"),
-        ("alloc source=bn samples=3\nalloc source=ta samples=-1\n" + EVAL,
+        ("alloc source=bn samples=3 gm=0.5 gini=0\nalloc source=ta samples=-1\n" + EVAL,
          r"p\.txt:3: sample count must be >= 0, got -1"),
-        ("alloc source=bn samples=1\n" + EVAL, r"p\.txt: alloc samples sum to 1, not the budget 2"),
-        ("alloc source=bn samples=2\n", r"p\.txt: plan has no eval line"),
-        ("alloc source=bn samples=2\n" + EVAL.replace("best-source", "median"),
+        ("alloc source=bn samples=1 gm=0.5 gini=0\n" + EVAL, r"p\.txt: alloc samples sum to 1, not the budget 2"),
+        ("alloc source=bn samples=2 gm=0.5 gini=0\n", r"p\.txt: plan has no eval line"),
+        ("alloc source=bn samples=2 gm=0.5 gini=0\n" + EVAL.replace("best-source", "median"),
          r"p\.txt: composition mode must be one of \('best-source', 'mean'\), got 'median'"),
-    ], ids=["duplicate-pred", "source-id", "target-id", "negative-count", "sum", "no-eval", "mode"])
+        ("alloc source=bn samples=2 gm=0.5 gini=0\nalloc source=ta samples=0 gini=0.1\n" + EVAL,
+         r"p\.txt:3: source 'ta' has no samples, so no gm or gini"),
+        ("alloc source=bn samples=2\n" + EVAL, r"p\.txt:2: missing fields: gm, gini"),
+    ], ids=["duplicate-pred", "source-id", "target-id", "negative-count", "sum", "no-eval", "mode",
+            "unfunded-state", "funded-no-state"])
     def test_plan_allocate_could_not_write_rejected(self, tmp_path, body, message):
         p = tmp_path / "p.txt"
         p.write_text(self.PLAN_HEAD + body)
@@ -405,8 +409,20 @@ class TestPlanAndTraceFormat:
     ], ids=["budget", "negative-alpha", "infinite-beta", "zero-weights", "missing"])
     def test_plan_settings_follow_the_request_rule(self, tmp_path, head, message):
         p = tmp_path / "p.txt"
-        p.write_text(f"plan strategy=greedy {head}\nalloc source=bn samples=2\n{self.EVAL}")
+        p.write_text(f"plan strategy=greedy {head}\nalloc source=bn samples=2 gm=0.5 gini=0\n{self.EVAL}")
         with pytest.raises(InputError, match=rf"p\.txt: {message}"):
+            load_plan(p)
+
+    @pytest.mark.parametrize(("strategy", "message"), [
+        ("bogus", r"p\.txt: unknown strategy 'bogus'"),
+        ("single:", r"p\.txt: unknown strategy 'single:'"),
+        ("single:ta", r"p\.txt: strategy single:ta names a source without an alloc line"),
+    ], ids=["unknown", "empty-single", "single-without-alloc"])
+    def test_plan_strategy_is_one_allocate_writes(self, tmp_path, strategy, message):
+        p = tmp_path / "p.txt"
+        p.write_text(f"plan strategy={strategy} budget=2 alpha=1 beta=1 missing=strict\n"
+                     f"alloc source=bn samples=2 gm=0.5 gini=0\n{self.EVAL}")
+        with pytest.raises(InputError, match=message):
             load_plan(p)
 
     def test_unknown_record_kind_rejected(self, tmp_path):

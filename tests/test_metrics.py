@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langdei.errors import ComputationError, InputError, LangDeiError
+from langdei.errors import ComputationError, InputError, LangDeiError, check_id
 from langdei.io import bundled_path, render_lorenz
 from langdei.metrics import (
     DEFAULT_UNIVERSE,
@@ -20,13 +20,12 @@ from langdei.metrics import (
     dei_scorecard,
     demand,
     gini,
-    gini_from_lorenz,
     lorenz_points,
     scorecard_lorenz,
     utility,
 )
 
-from _props import ALL_PROPERTIES, check_oracle_equivalence, gini_mean_abs_difference
+from _props import ALL_PROPERTIES, check_oracle_equivalence, gini_from_lorenz, gini_mean_abs_difference
 
 NER = TaskSpec("ner", 97.6)
 
@@ -331,12 +330,11 @@ def test_math_isfinite_guard():
 # ---------------------------------------------------------------------------
 
 def reference_scorecard(perf, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=1.0, tested_only=False):
-    """The scorecard one row at a time, each quantity computed as a
-    standalone scalar function would: the oracle for ``dei_scorecard``."""
+    """The scorecard as one pass over the rows per rule, in the documented
+    order, then each row's numbers as standalone scalar functions would
+    compute them: the oracle for ``dei_scorecard``."""
 
     def ref_utility(raw, spec):
-        if not math.isfinite(raw) or raw < 0:
-            raise InputError(f"raw score must be a finite non-negative number, got {raw}")
         return 1.0 if raw > spec.max_performance else raw / spec.max_performance
 
     def ref_demand(row_universe):
@@ -368,23 +366,37 @@ def reference_scorecard(perf, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=1.
 
     codes = tuple(universe)
     by_task = {t.task_id: t for t in tasks}
-    rows = []
-    for (task_id, model, train), scores in perf.groups():
+    groups = perf.groups()
+    # (1) known task, valid model and train ids, languages in the universe.
+    for (task_id, model, train), scores in groups:
         if task_id not in by_task:
             raise InputError(f"unknown task id {task_id!r} in performance table")
+        check_id(model, "model id")
+        check_id(train, "train language")
         unknown = sorted(set(scores) - set(codes))
         if unknown:
             raise InputError(
                 f"performance rows for ({task_id}, {model}, {train}) name languages "
                 f"outside the universe: {', '.join(unknown)}"
             )
-        row_universe = tuple(lang for lang in codes if lang in scores) if tested_only else codes
-        utilities = tuple(
-            ref_utility(scores[lang], by_task[task_id]) if lang in scores else 0.0 for lang in row_universe
-        )
-        d = ref_demand(row_universe)
-        m = float(np.dot(np.asarray(utilities), np.asarray([d[lang] for lang in row_universe])))
-        rows.append(ScorecardRow(task_id, model, train, m, ref_gini(utilities), len(scores), len(row_universe), utilities))
+    # (2) raw scores finite and >= 0, each row's in universe order.
+    for _, scores in groups:
+        for raw in (scores[lang] for lang in codes if lang in scores):
+            if not math.isfinite(raw) or raw < 0:
+                raise InputError(f"raw score must be a finite non-negative number, got {raw}")
+    # (3) demand weights defined over each row's universe.
+    universes = [tuple(lang for lang in codes if lang in scores) if tested_only else codes for _, scores in groups]
+    weights = [ref_demand(row_universe) for row_universe in universes]
+    # (4) Gini defined.
+    utilities = [
+        tuple(ref_utility(scores[lang], by_task[task_id]) if lang in scores else 0.0 for lang in row_universe)
+        for ((task_id, _, _), scores), row_universe in zip(groups, universes)
+    ]
+    ginis = [ref_gini(u) for u in utilities]
+    rows = []
+    for ((task_id, model, train), scores), row_universe, d, u, g in zip(groups, universes, weights, utilities, ginis):
+        m = float(np.dot(np.asarray(u), np.asarray([d[lang] for lang in row_universe])))
+        rows.append(ScorecardRow(task_id, model, train, m, g, len(scores), len(row_universe), u))
     return rows
 
 
@@ -403,7 +415,7 @@ def _outcome(compute):
 def scorecard_inputs(draw, faults=True):
     """A performance table over a default or custom universe, with zero and
     clamped scores, 1-23 tested languages a row and, if ``faults``, now and
-    then one of the inputs that each error path of the scorecard needs."""
+    then one or two of the inputs that each error path of the scorecard needs."""
     if draw(st.booleans()):
         universe = DEFAULT_UNIVERSE
     else:
@@ -430,22 +442,27 @@ def scorecard_inputs(draw, faults=True):
     speakers = dict(zip(universe, counts))
     tau = draw(st.sampled_from([0.0, 0.37, 1.0]))
     if faults:
-        fault = draw(st.sampled_from(["none"] * 6 + ["task", "lang", "raw", "zero-row", "speaker", "zero-speakers", "tau"]))
-        key = draw(st.sampled_from(sorted(scores)))
-        if fault == "zero-row":
-            scores.update({k: 0.0 for k in scores if k[:3] == key[:3]})
-        elif fault == "task":
-            scores[("pos-x",) + key[1:]] = 10.0
-        elif fault == "lang":
-            scores[key[:3] + ("qq",)] = 10.0
-        elif fault == "raw":
-            scores[key] = draw(st.sampled_from([-1.0, -1e-300, math.nan, math.inf, -math.inf]))
-        elif fault == "speaker":
-            del speakers[draw(st.sampled_from(sorted(speakers)))]
-        elif fault == "zero-speakers":
-            speakers = dict.fromkeys(speakers, 0.0)
-        elif fault == "tau":
-            tau = draw(st.sampled_from([-0.5, 1.5, math.nan]))
+        # Up to two faults, so the order between the rules is drawn too.
+        kinds = ["task", "id", "lang", "raw", "zero-row", "speaker", "zero-speakers", "tau"]
+        for fault in draw(st.lists(st.sampled_from(kinds), max_size=2, unique=True)):
+            key = draw(st.sampled_from(sorted(scores)))
+            if fault == "zero-row":
+                scores.update({k: 0.0 for k in scores if k[:3] == key[:3]})
+            elif fault == "task":
+                scores[("pos-x",) + key[1:]] = 10.0
+            elif fault == "id":
+                bad = draw(st.sampled_from(["m,x", "m x", 'm"x', "m=x", ""]))
+                scores[(key[0], bad, key[2], key[3]) if draw(st.booleans()) else key[:2] + (bad, key[3])] = 10.0
+            elif fault == "lang":
+                scores[key[:3] + ("qq",)] = 10.0
+            elif fault == "raw":
+                scores[key] = draw(st.sampled_from([-1.0, -1e-300, math.nan, math.inf, -math.inf]))
+            elif fault == "speaker":
+                del speakers[draw(st.sampled_from(sorted(speakers)))]
+            elif fault == "zero-speakers":
+                speakers = dict.fromkeys(speakers, 0.0)
+            elif fault == "tau":
+                tau = draw(st.sampled_from([-0.5, 1.5, math.nan]))
     return PerformanceTable(scores), SpeakerTable(speakers), specs, universe, tau, draw(st.booleans())
 
 
@@ -455,21 +472,32 @@ class TestScorecardMatchesPerRowLoop:
     def test_bit_for_bit_or_same_error(self, case):
         assert _outcome(lambda: dei_scorecard(*case)) == _outcome(lambda: reference_scorecard(*case))
 
-    def test_first_failing_row_wins(self):
+    def test_each_rule_checks_every_row_before_the_next(self):
         speakers = SpeakerTable({"en": 1.0, "hi": 2.0})
-        # Row "a" has all-zero utilities; row "b" names a language without a
-        # speaker count. Over tested languages only, row "a" fails first.
+        # Row "a" is all-zero (rule 4) and sorts first; row "b" names a
+        # language outside the universe (rule 1).
+        perf = _table({("ner", "a", "en", "hi"): 0.0, ("ner", "b", "en", "qq"): 5.0})
+        with pytest.raises(InputError, match="outside the universe: qq"):
+            dei_scorecard(perf, speakers, [NER], tau=0.0)
+        # Row "b" lacks a speaker count (rule 3), which comes before row
+        # "a"'s undefined Gini (rule 4).
         perf = _table({("ner", "a", "en", "hi"): 0.0, ("ner", "b", "en", "bn"): 5.0})
-        with pytest.raises(ComputationError, match="Gini"):
+        with pytest.raises(InputError, match="'bn'"):
             dei_scorecard(perf, speakers, [NER], tau=1.0, tested_only=True)
-        # Over the whole universe, row "a" already lacks speaker counts, and
-        # within a row the demand weights come before the Gini.
-        with pytest.raises(InputError, match="'as'"):
-            dei_scorecard(perf, speakers, [NER], tau=1.0)
-        # A bad raw score comes before the demand weights of its row.
-        perf = _table({("ner", "a", "en", "hi"): -2.0})
+        # Row "b"'s bad raw score (rule 2) comes before row "a"'s missing
+        # speaker count (rule 3).
+        perf = _table({("ner", "a", "en", "bn"): 5.0, ("ner", "b", "en", "hi"): -2.0})
         with pytest.raises(InputError, match="got -2.0"):
-            dei_scorecard(perf, speakers, [NER], tau=1.0)
+            dei_scorecard(perf, speakers, [NER], tau=1.0, tested_only=True)
+
+    @pytest.mark.parametrize(("model", "train", "message"), [
+        ("m,x", "en", "invalid model id: 'm,x'"),
+        ("m", "e n", "invalid train language: 'e n'"),
+    ])
+    def test_invalid_model_or_train_id_rejected(self, model, train, message):
+        perf = _table({("ner", model, train, "hi"): 50.0})
+        with pytest.raises(InputError, match=message):
+            dei_scorecard(perf, SpeakerTable({}), [NER], tau=0.0)
 
 
 class TestClampWarnings:

@@ -58,15 +58,16 @@ def registries(draw):
 
 @st.composite
 def plans(draw):
-    """Plans the file rules accept: counts that sum to the budget, settings
-    from the option lists, valid objective weights, and an evaluation."""
+    """Plans the file rules accept: counts that sum to the budget, a known
+    strategy, settings from the option lists, valid objective weights, gm
+    and gini on exactly the funded sources, and an evaluation."""
     counts = draw(st.dictionaries(ids, st.integers(min_value=0, max_value=10**9), min_size=1, max_size=6)
                   .filter(lambda c: sum(c.values()) > 0))
-    funded = [s for s in sorted(counts) if draw(st.booleans())]
+    funded = [s for s in sorted(counts) if counts[s] > 0]
     weights = st.floats(min_value=0.0, allow_infinity=False)
     alpha, beta = draw(st.tuples(weights, weights).filter(lambda ab: ab[0] + ab[1] > 0))
     return AllocationPlan(
-        strategy=draw(ids),
+        strategy=draw(st.sampled_from(["greedy", "egalitarian", *(f"single:{s}" for s in sorted(counts))])),
         budget=sum(counts.values()),
         counts=counts,
         final_gm={s: draw(numbers) for s in funded},
