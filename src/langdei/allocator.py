@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -47,7 +46,7 @@ from langdei import curves as _curves
 from langdei import metrics as _metrics
 from langdei import records
 from langdei.errors import ComputationError, InputError
-from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, TraceStep, check_plan_settings
+from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, Record, TraceStep, check_plan_settings
 
 MISSING_POLICIES, COMPOSITION_MODES = records.MISSING_POLICIES, records.COMPOSITION_MODES
 
@@ -58,8 +57,7 @@ CurveRegistry = Mapping[tuple[str, str], LearningCurve]
 CHUNK_ROWS = (64, 256)
 
 
-@dataclass(frozen=True)
-class AllocationRequest:
+class AllocationRequest(Record):
     budget: int
     sources: tuple[str, ...]
     targets: tuple[str, ...]

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from langdei.errors import ComputationError, InputError, check_id
+from langdei.records import Record
 
 METRIC_THROUGHPUT = "throughput"
 METRIC_MEMORY = "memory"
@@ -29,8 +29,7 @@ METRICS = (METRIC_THROUGHPUT, METRIC_MEMORY)
 DEFAULT_MAX_MEMORY_GB = 16.0
 
 
-@dataclass(frozen=True)
-class ModelGoods:
+class ModelGoods(Record):
     """One model's measured goods for one task."""
 
     model_id: str
@@ -52,8 +51,7 @@ class ModelGoods:
             raise InputError(f"performance for {self.model_id!r} must be non-negative, got {self.performance}")
 
 
-@dataclass(frozen=True)
-class EfficiencyConfig:
+class EfficiencyConfig(Record):
     max_memory: float = DEFAULT_MAX_MEMORY_GB
     w_perf: float = 0.5
     w_throughput: float = 0.25
@@ -70,8 +68,7 @@ class EfficiencyConfig:
             warnings.warn(f"efficiency weights sum to {total}, not 1", stacklevel=3)
 
 
-@dataclass(frozen=True)
-class AmrsTable:
+class AmrsTable(Record):
     """Average substitution rate per (group, task, metric); all rates positive."""
 
     entries: Mapping[tuple[str, str, str], float]

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from langdei.errors import ComputationError, InputError, check_id
-from langdei.records import check_tau
+from langdei.records import Record, check_tau
 
 # The 22 scheduled languages plus English; the default universe for all
 # metrics. Order matters only for deterministic output.
@@ -32,8 +31,7 @@ DEFAULT_UNIVERSE: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SpeakerTable:
+class SpeakerTable(Record):
     """Speaker populations per language, in millions."""
 
     entries: Mapping[str, float]
@@ -62,8 +60,7 @@ class SpeakerTable:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Record):
     """A task identifier and its best attainable raw score (percent scale)."""
 
     task_id: str
@@ -77,8 +74,7 @@ class TaskSpec:
             )
 
 
-@dataclass(frozen=True)
-class PerformanceTable:
+class PerformanceTable(Record):
     """Raw scores keyed by (task, model, train language, target language)."""
 
     scores: Mapping[tuple[str, str, str, str], float]
@@ -91,8 +87,7 @@ class PerformanceTable:
         return [(key, grouped[key]) for key in sorted(grouped)]
 
 
-@dataclass(frozen=True)
-class ScorecardRow:
+class ScorecardRow(Record):
     """One scorecard row; ``utilities`` is the per-language vector, in
     universe order, that ``m_tau`` and ``gini_coeff`` were computed from."""
 
@@ -148,6 +143,7 @@ def demand(speakers: SpeakerTable, universe: Sequence[str], tau: float) -> dict[
     tau > 0.
     """
     codes = _check_universe(universe)
+    check_tau(tau)
     weights = _demand_rows(speakers, codes, tau, np.ones((1, len(codes)), dtype=bool))
     return dict(zip(codes, weights[0].tolist()))
 
@@ -158,9 +154,8 @@ def _demand_rows(speakers: SpeakerTable, codes: tuple[str, ...], tau: float, mem
 
     Each n^tau is a Python float power, and each row total adds its terms in
     universe order, as the built-in ``sum`` does. The first row whose
-    weights are undefined raises.
+    weights are undefined raises; tau must be checked already.
     """
-    check_tau(tau)
     if tau == 0:
         powered = np.ones(len(codes))
     else:
@@ -287,9 +282,11 @@ def dei_scorecard(
     holds for every row before the next is checked, and its first failing
     row raises: (1) known task, valid model and train ids, languages in the
     universe; (2) raw scores finite and >= 0; (3) demand weights defined;
-    (4) Gini defined (no all-zero row). Clamped scores give one warning per task.
+    (4) Gini defined (no all-zero row). The universe and tau are checked
+    first, even for an empty table. Clamped scores give one warning per task.
     """
     codes = _check_universe(universe)
+    check_tau(tau)
     by_task = {t.task_id: t for t in tasks}
     if len(by_task) != len(tasks):
         raise InputError("duplicate task ids in task specs")

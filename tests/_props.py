@@ -1,5 +1,6 @@
 """Randomized property checks for the Gini coefficient, shared between the
-unit suite (small iteration counts) and the acceptance suite (>= 1000 each).
+unit suite (small iteration counts) and the acceptance suite (>= 1000 each),
+and a ``replace`` for records.
 
 Vectors come from a seeded generator, so every run sees the same cases.
 """
@@ -110,6 +111,13 @@ def gini_from_lorenz(curve: Sequence[tuple[float, float]]) -> float:
     for i in range(1, len(curve)):
         area += (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0
     return 1.0 - 2.0 * area
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes`` to its fields, as
+    ``dataclasses.replace`` makes of a dataclass."""
+    fields = {name: getattr(record, name) for name in type(record).__annotations__}
+    return type(record)(**{**fields, **changes})
 
 
 def check_oracle_equivalence(rng: np.random.Generator, iterations: int) -> None:

@@ -2,7 +2,6 @@
 
 import functools
 import math
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -24,6 +23,8 @@ from langdei.allocator import (
 from langdei.curves import LearningCurve, predict
 from langdei.errors import ComputationError, InputError
 from langdei.metrics import gini
+
+from _props import replace
 
 # Permissive requests warn of each pair they drop and each target no funded
 # source covers; the tests that check those warnings catch them themselves.

@@ -287,6 +287,11 @@ class TestScorecard:
         with pytest.raises(ComputationError):
             dei_scorecard(perf, self.SPEAKERS, [NER], tau=0.0)
 
+    @pytest.mark.parametrize("tau", [5.0, -0.5, math.nan])
+    def test_tau_checked_for_an_empty_table(self, tau):
+        with pytest.raises(InputError, match="tau must lie in"):
+            dei_scorecard(_table({}), SpeakerTable({}), [NER], tau=tau)
+
     def test_rows_sorted_and_grouped(self):
         perf = _table(
             {
@@ -338,8 +343,6 @@ def reference_scorecard(perf, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=1.
         return 1.0 if raw > spec.max_performance else raw / spec.max_performance
 
     def ref_demand(row_universe):
-        if not (isinstance(tau, (int, float)) and math.isfinite(tau) and 0.0 <= tau <= 1.0):
-            raise InputError(f"tau must lie in [0, 1], got {tau}")
         if tau == 0:
             return {lang: 1.0 / len(row_universe) for lang in row_universe}
         powered = {}
@@ -366,6 +369,9 @@ def reference_scorecard(perf, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=1.
 
     codes = tuple(universe)
     by_task = {t.task_id: t for t in tasks}
+    # tau first, even for an empty table.
+    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and 0.0 <= tau <= 1.0):
+        raise InputError(f"tau must lie in [0, 1], got {tau}")
     groups = perf.groups()
     # (1) known task, valid model and train ids, languages in the universe.
     for (task_id, model, train), scores in groups:
