@@ -142,7 +142,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     )
     outputs = {args.out: io.render_scorecard(rows, scale=args.scale)}
     if args.lorenz_out:
-        outputs[args.lorenz_out] = io.render_lorenz(metrics.scorecard_lorenz(rows))
+        outputs[args.lorenz_out] = io.render_lorenz(rows)
     _write_outputs(outputs)
     print(f"metrics: wrote {len(rows)} rows -> {args.out}")
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TextIO
 
@@ -105,25 +106,29 @@ def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[in
     """The data rows of a CSV file that starts with ``header``, as (line
     number, stripped cells), yielded as they are read; blank lines are
     skipped. A row's number is the physical line it starts on (a quoted cell
-    may span lines), read by zip from line_num before the reader moves on.
-    A row the csv module cannot parse (such as a cell over its field size
-    limit) is an InputError at the line where parsing stopped."""
+    may span lines): one past the line the previous row ended on. A row the
+    csv module cannot parse (such as a cell over its field size limit) is an
+    InputError at the line where parsing stopped."""
+    width = len(header)
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = ((lineno, row) for lineno, row in zip(iter(lambda: reader.line_num + 1, 0), reader) if row)
+        lineno = 1
+        seen_header = False
         try:
-            first_line, first = next(rows, (0, None))
-            if first is None:
-                raise InputError(f"{path}: empty file (expected header {','.join(header)})")
-            if [cell.strip() for cell in first] != list(header):
-                raise InputError(f"{path}:{first_line}: expected header {','.join(header)!r}, got {','.join(first)!r}")
-            width = len(header)
-            for lineno, row in rows:
-                if len(row) != width:
-                    raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-                yield lineno, list(map(str.strip, row))
+            for row in reader:
+                if seen_header and row:
+                    if len(row) != width:
+                        raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                    yield lineno, list(map(str.strip, row))
+                elif row:
+                    if [cell.strip() for cell in row] != list(header):
+                        raise InputError(f"{path}:{lineno}: expected header {','.join(header)!r}, got {','.join(row)!r}")
+                    seen_header = True
+                lineno = reader.line_num + 1
         except csv.Error as exc:
             raise InputError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+    if not seen_header:
+        raise InputError(f"{path}: empty file (expected header {','.join(header)})")
 
 
 def _check_scale(scale: str) -> str:
@@ -178,33 +183,63 @@ def load_performance(path: str | Path, scale: str = "percent") -> PerformanceTab
     """CSV with header ``task,model,train_lang,target_lang,score``.
 
     ``scale`` declares the score scale of the file; unit-scale scores are
-    converted to percent, the internal raw-score convention.
+    converted to percent, the internal raw-score convention. The file is
+    read in one pass into the table's columns, and the table checks the
+    raw-score rule. The first fault in file order is reported at its
+    ``file:line``: a row that is not CSV or not 5 fields, a repeated cell,
+    an invalid task, model or train id, or a score that is malformed, NaN,
+    infinite or negative.
     """
-    from langdei.metrics import PerformanceTable
+    from array import array
+
+    import numpy as np
 
     _check_scale(scale)
     factor = 100.0 if scale == "unit" else 1.0
-    scores: dict[tuple[str, str, str, str], float] = {}
-    valid_ids: set[str] = set()  # each distinct id is checked once
     header = ("task", "model", "train_lang", "target_lang", "score")
-    # The file:line prefix is formatted only on the error paths.
-    for lineno, (task, model, train, target, score_text) in _read_csv_rows(path, header):
-        key = (task, model, train, target)
-        if key in scores:
-            raise InputError(f"{path}:{lineno}: duplicate row for {key}")
-        if task not in valid_ids or model not in valid_ids or train not in valid_ids:
-            for ident, what in ((task, "task id"), (model, "model id"), (train, "train language")):
-                _located(f"{path}:{lineno}", check_id, ident, what)
-            valid_ids.update((task, model, train))
+    keys: dict[tuple[str, str, str], int] = {}
+    languages: dict[str, int] = {}
+    row, target, score = array("q"), array("q"), array("d")
+    valid_ids: set[str] = set()  # each distinct id is checked once
+
+    def table() -> PerformanceTable:
+        """The table of the cells read so far; a cell that breaks its rule
+        is reported at its line, found by reading the file again."""
+        from langdei.metrics import CellError, PerformanceTable
+
         try:
-            score = float(score_text) * factor
-        except ValueError:
-            score = math.nan
-        if not 0.0 <= score < math.inf:  # also false for NaN
-            _parse_float(score_text, f"{path}:{lineno}")  # raises if malformed or NaN
-            raise InputError(f"{path}:{lineno}: score must be finite and non-negative, got {score_text}")
-        scores[key] = score
-    return PerformanceTable(scores)
+            return PerformanceTable(tuple(keys), tuple(languages), np.frombuffer(row, dtype=np.int64),
+                                    np.frombuffer(target, dtype=np.int64), np.frombuffer(score))
+        except CellError as exc:
+            lineno, cells_text = next(islice(_read_csv_rows(path, header), exc.index, None))
+            where = f"{path}:{lineno}"
+            if exc.repeated:
+                raise InputError(f"{where}: {exc}") from None
+            _parse_float(cells_text[4], where)  # raises for NaN
+            raise InputError(f"{where}: score must be finite and non-negative, got {cells_text[4]}") from None
+
+    try:
+        # The file:line prefix is formatted only on the error paths.
+        for lineno, (task, model, train, lang, score_text) in _read_csv_rows(path, header):
+            key = (task, model, train)
+            code = keys.get(key)
+            if code is None:
+                if not valid_ids.issuperset(key):
+                    for ident, what in zip(key, ("task id", "model id", "train language")):
+                        _located(f"{path}:{lineno}", check_id, ident, what)
+                    valid_ids.update(key)
+                code = keys[key] = len(keys)
+            row.append(code)
+            target.append(languages.setdefault(lang, len(languages)))
+            try:
+                score.append(float(score_text) * factor)
+            except ValueError:
+                score.append(0.0)  # a valid stand-in, so that a repeated cell on this line is reported first
+                raise InputError(f"{path}:{lineno}: malformed number {score_text!r}") from None
+    except InputError:
+        table()  # a fault of the table's rule before this one is reported first
+        raise
+    return table()
 
 
 def load_trajectories(path: str | Path, scale: str = "percent") -> dict[tuple[str, str], list[TrajectoryPoint]]:
@@ -239,14 +274,24 @@ def load_goods(path: str | Path) -> list[ModelGoods]:
     goods: list[ModelGoods] = []
     seen: set[tuple[str, str]] = set()
     header = ("model", "group", "task", "throughput", "memory_gb", "perf")
+    # The file:line prefix is formatted, and the checked conversions run,
+    # only on the error paths, as in ``_trace_rows``.
     for lineno, (model, group, task, tp_text, mem_text, perf_text) in _read_csv_rows(path, header):
-        where = f"{path}:{lineno}"
         key = (model, task)
         if key in seen:
-            raise InputError(f"{where}: duplicate goods row for model {model!r}, task {task!r}")
+            raise InputError(f"{path}:{lineno}: duplicate goods row for model {model!r}, task {task!r}")
         seen.add(key)
-        numbers = [_parse_float(text, where) for text in (tp_text, mem_text, perf_text)]
-        goods.append(_located(where, ModelGoods, model, group, task, *numbers))
+        try:
+            numbers = (float(tp_text), float(mem_text), float(perf_text))
+        except ValueError:
+            numbers = None
+        if numbers is None or math.isnan(sum(numbers)):
+            where = f"{path}:{lineno}"
+            numbers = [_parse_float(text, where) for text in (tp_text, mem_text, perf_text)]
+        try:
+            goods.append(ModelGoods(model, group, task, *numbers))
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     return goods
 
 
@@ -468,15 +513,20 @@ def render_scorecard(rows: Sequence[ScorecardRow], scale: str = "percent") -> st
     return "\n".join(lines) + "\n"
 
 
-def render_lorenz(points_by_row: Mapping[tuple[str, str, str], Sequence[tuple[float, float]]]) -> str:
-    lines = ["task,model,train_lang,population_fraction,cumulative_share"]
-    x_text: dict[float, str] = {}  # rows of one length share their k/n column
-    for task, model, train in sorted(points_by_row):
-        for x, y in points_by_row[(task, model, train)]:
-            if x not in x_text:
-                x_text[x] = fmt_num(x)
-            lines.append(f"{task},{model},{train},{x_text[x]},{fmt_num(y)}")
-    return "\n".join(lines) + "\n"
+def render_lorenz(rows: Sequence[ScorecardRow]) -> str:
+    """The Lorenz points of each scorecard row's utilities, in row order:
+    point k of a row of n utilities is (k/n, the share of the row's total
+    held by its k smallest utilities), for k = 0..n. Each row's
+    ``task,model,train_lang,`` prefix and each k/n are formatted once."""
+    from langdei.metrics import scorecard_lorenz
+
+    blocks = [""] * len(rows)
+    for size, idx, shares in scorecard_lorenz(rows):
+        xs = [fmt_num(k / size) + "," for k in range(size + 1)]
+        for i, curve in zip(idx, shares.tolist()):
+            prefix = f"{rows[i].task},{rows[i].model},{rows[i].train_lang},"
+            blocks[i] = "\n".join([prefix + x + fmt_num(y) for x, y in zip(xs, [0.0, *curve])])
+    return "\n".join(["task,model,train_lang,population_fraction,cumulative_share", *blocks]) + "\n"
 
 
 def render_amrs(table: AmrsTable) -> str:

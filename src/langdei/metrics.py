@@ -1,5 +1,9 @@
 """Demand-weighted quality and equity metrics over a fixed language universe.
 
+Raw scores arrive as a ``PerformanceTable``: columns in file order, one cell
+per (task, model, training language, target language), coded as integers.
+Its constructor owns the raw-score rule (each cell once, finite and >= 0).
+
 Three quantities are computed per (task, model, training-language) row:
 
 * utility: raw score divided by the task's best attainable score, in [0, 1];
@@ -10,6 +14,11 @@ Three quantities are computed per (task, model, training-language) row:
 Languages in the universe without a test set carry utility 0 unless the
 caller asks for the tested-only variant, which restricts the universe to
 languages that actually have scores.
+
+The scorecard fills one rows x universe matrix by indexing with the table's
+codes, and the Lorenz curves behind its Gini values come from one sorted
+cumulative-share matrix per universe size, without a dict per row or a
+tuple per Lorenz point.
 """
 
 from __future__ import annotations
@@ -74,17 +83,73 @@ class TaskSpec(Record):
             )
 
 
+class CellError(InputError):
+    """The first cell of a ``PerformanceTable``, in column order, that
+    repeats an earlier cell or whose raw score breaks the rule; ``index`` is
+    its position in the columns."""
+
+    def __init__(self, message: str, index: int, repeated: bool) -> None:
+        super().__init__(message)
+        self.index = index
+        self.repeated = repeated
+
+
 class PerformanceTable(Record):
-    """Raw scores keyed by (task, model, train language, target language)."""
+    """Raw scores on the percent scale, one per cell, as columns in file
+    order: cell i scores the (task, model, train language) ``keys[row[i]]``
+    on the target language ``languages[target[i]]``, and its raw score is
+    ``score[i]``. ``row`` and ``target`` are integer arrays, ``score`` a
+    float array.
 
-    scores: Mapping[tuple[str, str, str, str], float]
+    The table owns the raw-score rule: each cell appears once, and its score
+    is finite and >= 0. The constructor checks it over all cells at once and
+    raises ``CellError`` for the first cell that breaks it; of a cell that
+    both repeats an earlier one and has a bad score, the repeat is reported.
+    ``from_scores`` builds a table from a mapping through this constructor.
+    """
 
-    def groups(self) -> list[tuple[tuple[str, str, str], dict[str, float]]]:
-        """Rows grouped by (task, model, train language), sorted for determinism."""
-        grouped: dict[tuple[str, str, str], dict[str, float]] = {}
-        for (task, model, train, target), score in self.scores.items():
-            grouped.setdefault((task, model, train), {})[target] = score
-        return [(key, grouped[key]) for key in sorted(grouped)]
+    keys: tuple[tuple[str, str, str], ...]
+    languages: tuple[str, ...]
+    row: np.ndarray
+    target: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.score)
+        if not (self.row.shape == self.target.shape == self.score.shape == (n,)
+                and np.all((0 <= self.row) & (self.row < len(self.keys)))
+                and np.all((0 <= self.target) & (self.target < len(self.languages)))):
+            raise InputError("performance table columns must be 1-d, of one length, with codes in range")
+        cell = self.row.astype(np.int64) * len(self.languages) + self.target
+        order = np.argsort(cell, kind="stable")  # a repeat sorts after the cell it repeats
+        repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
+        first_repeat = int(repeats.min()) if repeats.size else n
+        bad = ~((self.score >= 0) & (self.score < math.inf))  # also true for NaN
+        i = min(first_repeat, int(np.argmax(bad)) if bad.any() else n)
+        if i < n:
+            key = (*self.keys[self.row[i]], self.languages[self.target[i]])
+            if i == first_repeat:
+                raise CellError(f"duplicate row for {key}", i, True)
+            raise CellError(f"raw score for {key} must be a finite non-negative number, got {float(self.score[i])}",
+                            i, False)
+
+    def __eq__(self, other: object) -> bool:
+        """Field by field, as for every record, with arrays compared by value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.keys, self.languages) == (other.keys, other.languages) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("row", "target", "score"))
+
+    @classmethod
+    def from_scores(cls, scores: Mapping[tuple[str, str, str, str], float]) -> PerformanceTable:
+        """The table of ``{(task, model, train language, target language):
+        raw score}``, its cells in the mapping's order."""
+        keys: dict[tuple[str, str, str], int] = {}
+        languages: dict[str, int] = {}
+        row = [keys.setdefault((task, model, train), len(keys)) for task, model, train, _ in scores]
+        target = [languages.setdefault(lang, len(languages)) for *_, lang in scores]
+        return cls(tuple(keys), tuple(languages), np.array(row, dtype=np.intp), np.array(target, dtype=np.intp),
+                   np.array(list(scores.values()), dtype=float))
 
 
 class ScorecardRow(Record):
@@ -232,34 +297,35 @@ def lorenz_points(values: Iterable[float]) -> tuple[tuple[float, float], ...]:
     Point k is (k/n, share of the total held by the smallest k values).
     """
     arr = _as_nonnegative_array(values)
-    return _lorenz_point_rows(arr[None, :])[0]
+    n = arr.size
+    return tuple(zip([k / n for k in range(n + 1)], [0.0, *_lorenz_shares(arr[None, :])[0].tolist()]))
 
 
-def _lorenz_point_rows(rows: np.ndarray) -> list[tuple[tuple[float, float], ...]]:
-    """``lorenz_points`` of each row of a 2-d array of checked values: one
-    row-wise sort and cumulative sum, over the last cumulative column."""
+def _lorenz_shares(rows: np.ndarray) -> np.ndarray:
+    """The Lorenz shares of each row of a 2-d array of checked values, one
+    row-wise sort and cumulative sum: column k-1 is the share of the row's
+    total held by its k smallest values."""
     if not rows.sum(axis=1).all():
         raise ComputationError("Lorenz curve is undefined for an all-zero vector")
     cum = np.cumsum(np.sort(rows, axis=1, kind="stable"), axis=1)
-    n = rows.shape[1]
-    xs = [0.0] + [k / n for k in range(1, n + 1)]
-    return [tuple(zip(xs, [0.0] + shares)) for shares in (cum / cum[:, -1:]).tolist()]
+    return cum / cum[:, -1:]
 
 
-def scorecard_lorenz(rows: Sequence[ScorecardRow]) -> dict[tuple[str, str, str], tuple[tuple[float, float], ...]]:
-    """``lorenz_points(row.utilities)`` of every scorecard row, keyed by
-    (task, model, train language); rows of one length share one matrix."""
+def scorecard_lorenz(rows: Sequence[ScorecardRow]) -> list[tuple[int, list[int], np.ndarray]]:
+    """The Lorenz curves of the scorecard rows' utilities, one matrix per
+    universe size n: (n, the positions of the rows of that size, their
+    shares), where column k-1 of a row's shares is point k of
+    ``lorenz_points(row.utilities)``."""
     by_size: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
         by_size.setdefault(len(row.utilities), []).append(i)
-    curves: list[tuple[tuple[float, float], ...]] = [()] * len(rows)
+    curves = []
     for size, idx in by_size.items():
         if size == 0:
             raise InputError("expected a non-empty 1-d vector of values")
         matrix = _check_nonnegative(np.array([rows[i].utilities for i in idx], dtype=float))
-        for i, curve in zip(idx, _lorenz_point_rows(matrix)):
-            curves[i] = curve
-    return {(row.task, row.model, row.train_lang): curve for row, curve in zip(rows, curves)}
+        curves.append((size, idx, _lorenz_shares(matrix)))
+    return curves
 
 
 def dei_scorecard(
@@ -270,43 +336,53 @@ def dei_scorecard(
     tau: float = 1.0,
     tested_only: bool = False,
 ) -> list[ScorecardRow]:
-    """Global metric and Gini per (task, model, train language) row.
+    """Global metric and Gini per (task, model, train language) row, rows
+    sorted by that key.
 
     By default every universe language without a score contributes utility 0.
     With ``tested_only`` the universe of each row shrinks to the languages
     that have scores, and demand weights are renormalized over them.
 
-    All rows are computed as one rows x universe matrix. Each number equals
-    what ``utility``, ``demand`` and ``gini`` give for the row alone, with M
-    the dot product of the row's utilities and demand weights. Each rule
-    holds for every row before the next is checked, and its first failing
-    row raises: (1) known task, valid model and train ids, languages in the
-    universe; (2) raw scores finite and >= 0; (3) demand weights defined;
-    (4) Gini defined (no all-zero row). The universe and tau are checked
-    first, even for an empty table. Clamped scores give one warning per task.
+    All rows are computed as one rows x universe matrix, filled from the
+    table's columns. Each number equals what ``utility``, ``demand`` and
+    ``gini`` give for the row alone, with M the dot product of the row's
+    utilities and demand weights. The table has checked its raw scores when
+    it was built. The universe and tau are checked first, even for an empty
+    table; then each rule holds for every row before the next is checked,
+    and its first failing row raises: (1) known task, valid model and train
+    ids, languages in the universe; (2) demand weights defined; (3) Gini
+    defined (no all-zero row). Clamped scores give one warning per task.
     """
     codes = _check_universe(universe)
     check_tau(tau)
     by_task = {t.task_id: t for t in tasks}
     if len(by_task) != len(tasks):
         raise InputError("duplicate task ids in task specs")
-    groups = perf.groups()
-    if not groups:
+    if not perf.keys:
         return []
-    raw, tested, maxima = _score_matrix(groups, by_task, codes)
-    bad = tested & ~(np.isfinite(raw) & (raw >= 0))
-    if bad.any():
-        r, j = np.argwhere(bad)[0]
-        raise InputError(f"raw score must be a finite non-negative number, got {groups[r][1][codes[j]]}")
+    order = sorted(range(len(perf.keys)), key=perf.keys.__getitem__)
+    keys = [perf.keys[code] for code in order]
+    column = {lang: j for j, lang in enumerate(codes)}
+    cols = np.array([column.get(lang, -1) for lang in perf.languages], dtype=np.intp)[perf.target]
+    _check_rows(perf, order, by_task, cols)
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    cells = (position[perf.row], cols)
+    raw = np.zeros((len(keys), len(codes)))
+    raw[cells] = perf.score
+    tested = np.zeros(raw.shape, dtype=bool)
+    tested[cells] = True
+    maxima = np.array([by_task[task_id].max_performance for task_id, _, _ in keys])[:, None]
     weights = _demand_rows(speakers, codes, tau, tested if tested_only else np.ones((1, len(codes)), dtype=bool))
     utilities = _utilities(raw, maxima)
     if not (utilities > 0).any(axis=1).all():
         raise ComputationError(_GINI_ALL_ZERO)
 
-    sizes = tested.sum(axis=1) if tested_only else np.full(len(groups), len(codes))
-    m_tau = np.empty(len(groups))
-    gini_coeff = np.empty(len(groups))
-    vectors: list[tuple[float, ...]] = [()] * len(groups)
+    counts = tested.sum(axis=1)
+    sizes = counts if tested_only else np.full(len(keys), len(codes))
+    m_tau = np.empty(len(keys))
+    gini_coeff = np.empty(len(keys))
+    vectors: list[tuple[float, ...]] = [()] * len(keys)
     for size in np.unique(sizes):
         # Rows of one universe size form one matrix; padding with zeros
         # would change the order of numpy's pairwise sums.
@@ -321,52 +397,47 @@ def dei_scorecard(
         gini_coeff[idx] = _gini_rows(u)
         for r, vector in zip(idx.tolist(), u.tolist()):
             vectors[r] = tuple(vector)
-    _warn_clamped(groups, by_task, raw, tested & (raw > maxima))
+    _warn_clamped(keys, by_task, raw, tested & (raw > maxima))
     return [
         ScorecardRow(
             task=task_id, model=model, train_lang=train, m_tau=m, gini_coeff=g,
-            tested=len(scores), universe_size=size, utilities=vector,
+            tested=count, universe_size=size, utilities=vector,
         )
-        for ((task_id, model, train), scores), m, g, size, vector in zip(
-            groups, m_tau.tolist(), gini_coeff.tolist(), sizes.tolist(), vectors
+        for (task_id, model, train), m, g, count, size, vector in zip(
+            keys, m_tau.tolist(), gini_coeff.tolist(), counts.tolist(), sizes.tolist(), vectors
         )
     ]
 
 
-def _score_matrix(groups, by_task: Mapping[str, TaskSpec], codes: tuple[str, ...]):
-    """Raw scores and tested flags as rows x universe matrices, and each
-    row's task maximum (a column). The first row with an unknown task, an
-    invalid model or train id, or a language outside the universe raises."""
-    column = {lang: j for j, lang in enumerate(codes)}
-    counts, limits, cols, values = [], [], [], []  # per row; per cell
-    for (task_id, model, train), scores in groups:
+def _check_rows(perf: PerformanceTable, order: list[int], by_task: Mapping[str, TaskSpec], cols: np.ndarray) -> None:
+    """Rule 1 of ``dei_scorecard``, over the table's rows in ``order``: the
+    first row with an unknown task, an invalid model or train id, or a cell
+    outside the universe (a universe column of -1 in ``cols``) raises. Each
+    distinct id is checked once."""
+    outside = np.zeros(len(perf.keys), dtype=bool)
+    outside[perf.row[cols < 0]] = True
+    outside = outside.tolist()
+    valid: set[str] = set()
+    for code in order:
+        task_id, model, train = perf.keys[code]
         if task_id not in by_task:
             raise InputError(f"unknown task id {task_id!r} in performance table")
-        check_id(model, "model id")
-        check_id(train, "train language")
-        if not scores.keys() <= column.keys():
-            unknown = sorted(set(scores) - set(codes))
+        for ident, what in ((model, "model id"), (train, "train language")):
+            if ident not in valid:
+                valid.add(check_id(ident, what))
+        if outside[code]:
+            unknown = sorted({perf.languages[t] for t in perf.target[(perf.row == code) & (cols < 0)].tolist()})
             raise InputError(
                 f"performance rows for ({task_id}, {model}, {train}) name languages "
                 f"outside the universe: {', '.join(unknown)}"
             )
-        counts.append(len(scores))
-        limits.append(by_task[task_id].max_performance)
-        cols.extend(map(column.__getitem__, scores))
-        values.extend(scores.values())
-    cells = (np.repeat(np.arange(len(groups)), counts), cols)
-    raw = np.zeros((len(groups), len(codes)))
-    raw[cells] = values
-    tested = np.zeros(raw.shape, dtype=bool)
-    tested[cells] = True
-    return raw, tested, np.array(limits, dtype=float)[:, None]
 
 
-def _warn_clamped(groups, by_task: Mapping[str, TaskSpec], raw: np.ndarray, clamped: np.ndarray) -> None:
+def _warn_clamped(keys, by_task: Mapping[str, TaskSpec], raw: np.ndarray, clamped: np.ndarray) -> None:
     """One warning per task with scores above its maximum: how many, and the largest."""
     per_task: dict[str, list[float]] = {}
     for r in np.flatnonzero(clamped.any(axis=1)).tolist():
-        per_task.setdefault(groups[r][0][0], []).extend(raw[r][clamped[r]].tolist())
+        per_task.setdefault(keys[r][0], []).extend(raw[r][clamped[r]].tolist())
     for task_id, scores in per_task.items():
         warnings.warn(
             f"scores above task {task_id!r} maximum {by_task[task_id].max_performance}: "

@@ -1,18 +1,22 @@
 """Randomized property checks for the Gini coefficient, shared between the
 unit suite (small iteration counts) and the acceptance suite (>= 1000 each),
-and a ``replace`` for records.
+a ``replace`` for records, and reference forms of the performance table:
+its cells as a mapping, its rows grouped, the per-row loader and the
+per-row Lorenz text that the columnar code is compared against.
 
 Vectors come from a seeded generator, so every run sees the same cases.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from langdei.errors import InputError
-from langdei.metrics import gini, lorenz_points
+from langdei.errors import InputError, check_id
+from langdei.io import _located, _parse_float, _read_csv_rows, fmt_num
+from langdei.metrics import PerformanceTable, ScorecardRow, gini, lorenz_points
 
 
 def random_vector(rng: np.random.Generator, min_n: int = 2, max_n: int = 64) -> np.ndarray:
@@ -137,3 +141,55 @@ ALL_PROPERTIES = (
     ("bill_gates", check_bill_gates),
     ("babies", check_babies),
 )
+
+
+def table_cells(perf: PerformanceTable) -> dict[tuple[str, str, str, str], float]:
+    """The cells of a performance table as {(task, model, train language,
+    target language): raw score}, in column order."""
+    return {(*perf.keys[r], perf.languages[t]): s
+            for r, t, s in zip(perf.row.tolist(), perf.target.tolist(), perf.score.tolist())}
+
+
+def groups(scores: Mapping[tuple[str, str, str, str], float]) -> list[tuple[tuple[str, str, str], dict[str, float]]]:
+    """Cells grouped by (task, model, train language), sorted for determinism."""
+    grouped: dict[tuple[str, str, str], dict[str, float]] = {}
+    for (task, model, train, target), score in scores.items():
+        grouped.setdefault((task, model, train), {})[target] = score
+    return [(key, grouped[key]) for key in sorted(grouped)]
+
+
+def reference_load_performance(path, scale: str = "percent") -> dict[tuple[str, str, str, str], float]:
+    """The per-row loader that ``io.load_performance`` replaced: each row is
+    checked in full, in file order (repeated cell, then ids, then score),
+    before the next is read; the cells come back as a mapping."""
+    factor = 100.0 if scale == "unit" else 1.0
+    scores: dict[tuple[str, str, str, str], float] = {}
+    valid_ids: set[str] = set()
+    header = ("task", "model", "train_lang", "target_lang", "score")
+    for lineno, (task, model, train, target, score_text) in _read_csv_rows(path, header):
+        key = (task, model, train, target)
+        if key in scores:
+            raise InputError(f"{path}:{lineno}: duplicate row for {key}")
+        if task not in valid_ids or model not in valid_ids or train not in valid_ids:
+            for ident, what in ((task, "task id"), (model, "model id"), (train, "train language")):
+                _located(f"{path}:{lineno}", check_id, ident, what)
+            valid_ids.update((task, model, train))
+        try:
+            score = float(score_text) * factor
+        except ValueError:
+            score = math.nan
+        if not 0.0 <= score < math.inf:
+            _parse_float(score_text, f"{path}:{lineno}")
+            raise InputError(f"{path}:{lineno}: score must be finite and non-negative, got {score_text}")
+        scores[key] = score
+    return scores
+
+
+def reference_lorenz_text(rows: Sequence[ScorecardRow]) -> str:
+    """The Lorenz CSV as ``lorenz_points`` of each row gives it, one point
+    at a time, rows sorted by (task, model, train language)."""
+    lines = ["task,model,train_lang,population_fraction,cumulative_share"]
+    for row in sorted(rows, key=lambda r: (r.task, r.model, r.train_lang)):
+        for x, y in lorenz_points(row.utilities):
+            lines.append(f"{row.task},{row.model},{row.train_lang},{fmt_num(x)},{fmt_num(y)}")
+    return "\n".join(lines) + "\n"

@@ -77,7 +77,7 @@ def test_criterion_2_global_metric_structural_consistency(bundle):
     with criterion(2, "global metric consistent with the reference NER row", 1.0):
         ner = TaskSpec("ner", 97.6)
         scores = {("ner", "muril_base", "en", lang): 77.6 for lang in TASK_LANGS["ner"]}
-        perf = PerformanceTable(scores)
+        perf = PerformanceTable.from_scores(scores)
         (row_tau1,) = dei_scorecard(perf, bundle.speakers, [ner], tau=1.0)
         (row_tau0,) = dei_scorecard(perf, bundle.speakers, [ner], tau=0.0)
         m1, m0 = row_tau1.m_tau * 100, row_tau0.m_tau * 100

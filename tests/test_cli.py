@@ -147,6 +147,23 @@ class TestMetricsCommand:
         assert rows[0]["population_fraction"] == "0"
         assert rows[-1]["cumulative_share"] == "1"
 
+    def test_each_benchmarked_layer_runs_once(self, data, monkeypatch):
+        # The benchmark times layers by replacing these module attributes
+        # (bench/trace_cli.py), so the subcommand must reach each of them
+        # through its module, once, or its span would read 0.
+        from langdei import metrics
+
+        calls = {}
+        for module, name in ((io, "load_performance"), (metrics, "dei_scorecard"), (io, "render_lorenz")):
+            def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        rc = main(["metrics", "--perf", data["perf"], "--tasks", data["tasks"], "--speakers", data["speakers"],
+                   "--out", str(data["tmp"] / "sc.csv"), "--lorenz-out", str(data["tmp"] / "lz.csv")])
+        assert rc == 0
+        assert calls == {"load_performance": 1, "dei_scorecard": 1, "render_lorenz": 1}
+
     def test_failure_leaves_no_output_file(self, data, tmp_path):
         bad_perf = write(tmp_path / "bad.csv", "task,model,train_lang,target_lang,score\nner,m,en,hi,abc\n")
         out = tmp_path / "never.csv"

@@ -1,8 +1,11 @@
 """Unit tests for file formats, bundled datasets, and canonical output."""
 
 import csv
+from io import StringIO
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from langdei.allocator import AllocationPlan, PlanEvaluation, TraceStep
 from langdei.curves import LearningCurve, predict
@@ -26,6 +29,8 @@ from langdei.io import (
     render_trace,
     write_text,
 )
+
+from _props import reference_load_performance, table_cells
 
 
 REFERENCE_TABLES = {
@@ -152,13 +157,13 @@ class TestPerformanceLoader:
         p = tmp_path / "perf.csv"
         p.write_text("task,model,train_lang,target_lang,score\nner,muril_base,en,hi,82.4\n")
         table = load_performance(p)
-        assert table.scores[("ner", "muril_base", "en", "hi")] == 82.4
+        assert table_cells(table)[("ner", "muril_base", "en", "hi")] == 82.4
 
     def test_unit_scale_converts_to_percent(self, tmp_path):
         p = tmp_path / "perf.csv"
         p.write_text("task,model,train_lang,target_lang,score\nner,m,en,hi,0.824\n")
         table = load_performance(p, scale="unit")
-        assert table.scores[("ner", "m", "en", "hi")] == pytest.approx(82.4)
+        assert table_cells(table)[("ner", "m", "en", "hi")] == pytest.approx(82.4)
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "perf.csv"
@@ -222,6 +227,20 @@ class TestGoodsLoader:
         )
         with pytest.raises(InputError, match=r"goods\.csv:3"):
             load_goods(p)
+
+    @pytest.mark.parametrize("row, message", [
+        ("m,g,t,abc,1,1", "P:3: malformed number 'abc'"),
+        ("m,g,t,1,nan,1", "P:3: number must not be NaN"),
+        ("m,g,t,inf,1,-inf", "P:3: throughput for 'm' must be positive, got inf"),
+        ("m,g,t,1,1,-1", "P:3: performance for 'm' must be non-negative, got -1.0"),
+        ("m x,g,t,1,1,1", "P:3: invalid model id: 'm x' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
+    ], ids=["malformed", "nan", "inf-minus-inf", "negative", "id"])
+    def test_message(self, tmp_path, row, message):
+        p = tmp_path / "goods.csv"
+        p.write_text(f"model,group,task,throughput,memory_gb,perf\nn,g,t,1,1,1\n{row}\n")
+        with pytest.raises(InputError) as info:
+            load_goods(p)
+        assert str(info.value).replace(str(p), "P") == message
 
 
 class TestAmrsLoader:
@@ -560,7 +579,80 @@ class TestPerformanceLoaderErrors:
     def test_rows_load_in_file_order(self, tmp_path):
         p = tmp_path / "perf.csv"
         p.write_text("task,model,train_lang,target_lang,score\n\n ner , m ,en,hi, 50.5 \nner,m,en,bn,0\n")
-        assert list(load_performance(p, scale="unit").scores.items()) == [
+        assert list(table_cells(load_performance(p, scale="unit")).items()) == [
             (("ner", "m", "en", "hi"), 5050.0),
             (("ner", "m", "en", "bn"), 0.0),
         ]
+
+
+@st.composite
+def performance_files(draw):
+    """The text of a performance CSV, its scale, and up to two injected
+    faults: a malformed, NaN, infinite or negative score, a repeated cell,
+    a hostile id, a row of the wrong width, or a quoted newline (which
+    strips to a valid id, or leaves one with whitespace). Blank lines and a
+    BOM shift nothing."""
+    ids = st.sampled_from(["ner", "pos"]), st.sampled_from(["m1", "m2"]), st.sampled_from(["en", "hi"])
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        key = [draw(pool) for pool in ids] + [draw(st.sampled_from(["hi", "bn", "ta", "ur"]))]
+        if key not in [row[:4] for row in rows]:
+            rows.append(key + [draw(st.sampled_from(["50.5", "0", "-0", "1e2", " 7 ", "100", "0.824"]))])
+    kinds = ["malformed", "nan", "inf", "negative", "repeat", "id", "width", "newline"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "repeat":
+            rows.insert(draw(st.integers(i + 1, len(rows))), rows[i][:4] + [draw(st.sampled_from(["1", "nan", "x"]))])
+        elif kind == "id":
+            rows[i][draw(st.integers(0, 2))] = draw(st.sampled_from(["m x", "m,x", 'm"x', "m=x", ""]))
+        elif kind == "width":
+            rows[i] = rows[i][:4] if draw(st.booleans()) else rows[i] + ["1"]
+        elif kind == "newline":
+            j = draw(st.integers(0, 2))
+            rows[i][j] = draw(st.sampled_from([rows[i][j] + "\n", rows[i][j][:1] + "\n" + rows[i][j][1:]]))
+        else:
+            rows[i][-1] = draw(st.sampled_from({
+                "malformed": ["abc", "", "1e", "--1"], "nan": ["nan", "NaN", "-nan"],
+                "inf": ["inf", "1e999", "-inf"], "negative": ["-1", "-0.5", "-1e-300"]}[kind]))
+    text = StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["task", "model", "train_lang", "target_lang", "score"])
+    for row in rows:
+        if draw(st.booleans()):
+            writer.writerow([])
+        writer.writerow(row)
+    return ("\ufeff" if draw(st.booleans()) else "") + text.getvalue(), draw(st.sampled_from(["percent", "unit"]))
+
+
+class TestPerformanceLoaderMatchesPerRowLoop:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(performance_files())
+    def test_same_cells_or_same_first_fault(self, tmp_path, case):
+        """One pass into columns, and the table's vectorised rule, report
+        the fault the per-row loop reports first: the same file:line and
+        message."""
+        text, scale = case
+        p = tmp_path / "perf.csv"
+        p.write_text(text, encoding="utf-8")
+
+        def outcome(load):
+            try:
+                return "ok", repr(list(load().items()))  # repr keeps the sign of a zero
+            except InputError as exc:
+                return "error", str(exc)
+
+        assert outcome(lambda: table_cells(load_performance(p, scale))) == outcome(
+            lambda: reference_load_performance(p, scale))
+
+    @pytest.mark.parametrize("rows, message", [
+        (["ner,m,en,hi,nan", "ner,m x,en,bn,1"], "P:2: number must not be NaN"),
+        (["ner,m,en,hi,1", "ner,m,en,hi,abc"], "P:3: duplicate row for ('ner', 'm', 'en', 'hi')"),
+        (["ner,m,en,hi,1", "ner,m,en,bn,-1", "ner,m,en,ta"], "P:3: score must be finite and non-negative, got -1"),
+        (["ner,m,en,hi,1", "ner,m,en,hi,inf"], "P:3: duplicate row for ('ner', 'm', 'en', 'hi')"),
+    ], ids=["bad-score-before-bad-id", "repeat-before-malformed", "bad-score-before-width", "repeat-before-inf"])
+    def test_rule_faults_keep_their_place_in_file_order(self, tmp_path, rows, message):
+        p = tmp_path / "perf.csv"
+        p.write_text("task,model,train_lang,target_lang,score\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError) as info:
+            load_performance(p)
+        assert str(info.value).replace(str(p), "P") == message

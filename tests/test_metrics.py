@@ -13,6 +13,7 @@ from langdei.errors import ComputationError, InputError, LangDeiError, check_id
 from langdei.io import bundled_path, render_lorenz
 from langdei.metrics import (
     DEFAULT_UNIVERSE,
+    CellError,
     PerformanceTable,
     ScorecardRow,
     SpeakerTable,
@@ -21,11 +22,11 @@ from langdei.metrics import (
     demand,
     gini,
     lorenz_points,
-    scorecard_lorenz,
     utility,
 )
 
-from _props import ALL_PROPERTIES, check_oracle_equivalence, gini_from_lorenz, gini_mean_abs_difference
+from _props import (ALL_PROPERTIES, check_oracle_equivalence, gini_from_lorenz, gini_mean_abs_difference, groups,
+                    reference_lorenz_text)
 
 NER = TaskSpec("ner", 97.6)
 
@@ -101,7 +102,7 @@ class TestDemand:
 def scorecard_m(speakers, scores, tau=1.0):
     """M of the one scorecard row whose universe is the scored languages, on a
     task with maximum 100, so each utility is its score / 100."""
-    perf = PerformanceTable({("t", "m", "en", lang): score for lang, score in scores.items()})
+    perf = PerformanceTable.from_scores({("t", "m", "en", lang): score for lang, score in scores.items()})
     (row,) = dei_scorecard(perf, SpeakerTable(speakers), [TaskSpec("t", 100.0)], tuple(scores), tau=tau)
     return row.m_tau
 
@@ -225,7 +226,50 @@ class TestLorenz:
 
 
 def _table(rows):
-    return PerformanceTable(rows)
+    return PerformanceTable.from_scores(rows)
+
+
+class TestPerformanceTable:
+    def test_columns_in_mapping_order(self):
+        perf = _table({("ner", "m", "en", "hi"): 50.0, ("pos", "m", "en", "bn"): 0.0, ("ner", "m", "en", "ta"): 7.5})
+        assert perf.keys == (("ner", "m", "en"), ("pos", "m", "en"))
+        assert perf.languages == ("hi", "bn", "ta")
+        assert perf.row.tolist() == [0, 1, 0] and perf.target.tolist() == [0, 1, 2]
+        assert perf.score.tolist() == [50.0, 0.0, 7.5]
+
+    def test_equal_by_value(self):
+        scores = {("ner", "m", "en", "hi"): 50.0, ("ner", "m", "en", "bn"): 0.0}
+        assert _table(scores) == _table(dict(scores))
+        assert _table(scores) != _table({**scores, ("ner", "m", "en", "bn"): 1.0})
+        assert _table(scores) != _table(dict(reversed(scores.items())))
+        with pytest.raises(TypeError):
+            hash(_table(scores))
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_first_bad_score_is_named(self, bad):
+        scores = {("ner", "m", "en", "hi"): 50.0, ("ner", "m", "en", "bn"): bad, ("ner", "n", "en", "hi"): -3.0}
+        with pytest.raises(CellError) as info:
+            _table(scores)
+        assert str(info.value) == f"raw score for ('ner', 'm', 'en', 'bn') must be a finite non-negative number, got {bad}"
+        assert (info.value.index, info.value.repeated) == (1, False)
+
+    def test_first_repeat_is_named_and_wins_over_its_own_bad_score(self):
+        columns = ((("ner", "m", "en"),), ("hi", "bn"), np.array([0, 0, 0, 0]), np.array([0, 1, 0, 1]),
+                   np.array([5.0, 1.0, math.nan, -1.0]))
+        with pytest.raises(CellError) as info:
+            PerformanceTable(*columns)
+        assert str(info.value) == "duplicate row for ('ner', 'm', 'en', 'hi')"
+        assert (info.value.index, info.value.repeated) == (2, True)
+
+    @pytest.mark.parametrize("row, target, score", [
+        ([0, 1], [0, 0], [1.0, 2.0]),
+        ([0, 0], [0, -1], [1.0, 2.0]),
+        ([0, 0], [0, 0], [1.0]),
+        ([[0]], [[0]], [[1.0]]),
+    ], ids=["row-code", "target-code", "lengths", "2-d"])
+    def test_malformed_columns_rejected(self, row, target, score):
+        with pytest.raises(InputError, match="columns"):
+            PerformanceTable((("ner", "m", "en"),), ("hi",), np.array(row), np.array(target), np.array(score))
 
 
 class TestScorecard:
@@ -334,10 +378,12 @@ def test_math_isfinite_guard():
 # The whole-table scorecard against the per-row loop
 # ---------------------------------------------------------------------------
 
-def reference_scorecard(perf, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=1.0, tested_only=False):
-    """The scorecard as one pass over the rows per rule, in the documented
-    order, then each row's numbers as standalone scalar functions would
-    compute them: the oracle for ``dei_scorecard``."""
+def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=1.0, tested_only=False):
+    """The table and its scorecard, from a {(task, model, train, target):
+    score} mapping, as one pass over the cells or rows per rule, in the
+    documented order, then each row's numbers as standalone scalar functions
+    would compute them: the oracle for ``PerformanceTable.from_scores``
+    followed by ``dei_scorecard``."""
 
     def ref_utility(raw, spec):
         return 1.0 if raw > spec.max_performance else raw / spec.max_performance
@@ -369,57 +415,57 @@ def reference_scorecard(perf, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=1.
 
     codes = tuple(universe)
     by_task = {t.task_id: t for t in tasks}
-    # tau first, even for an empty table.
+    # The table's raw-score rule, when it is built: the first bad cell.
+    for index, (key, raw) in enumerate(scores.items()):
+        if not math.isfinite(raw) or raw < 0:
+            raise CellError(f"raw score for {key} must be a finite non-negative number, got {raw}", index, False)
+    # Then tau, even for an empty table.
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and 0.0 <= tau <= 1.0):
         raise InputError(f"tau must lie in [0, 1], got {tau}")
-    groups = perf.groups()
+    rows_of = groups(scores)
     # (1) known task, valid model and train ids, languages in the universe.
-    for (task_id, model, train), scores in groups:
+    for (task_id, model, train), cells in rows_of:
         if task_id not in by_task:
             raise InputError(f"unknown task id {task_id!r} in performance table")
         check_id(model, "model id")
         check_id(train, "train language")
-        unknown = sorted(set(scores) - set(codes))
+        unknown = sorted(set(cells) - set(codes))
         if unknown:
             raise InputError(
                 f"performance rows for ({task_id}, {model}, {train}) name languages "
                 f"outside the universe: {', '.join(unknown)}"
             )
-    # (2) raw scores finite and >= 0, each row's in universe order.
-    for _, scores in groups:
-        for raw in (scores[lang] for lang in codes if lang in scores):
-            if not math.isfinite(raw) or raw < 0:
-                raise InputError(f"raw score must be a finite non-negative number, got {raw}")
-    # (3) demand weights defined over each row's universe.
-    universes = [tuple(lang for lang in codes if lang in scores) if tested_only else codes for _, scores in groups]
+    # (2) demand weights defined over each row's universe.
+    universes = [tuple(lang for lang in codes if lang in cells) if tested_only else codes for _, cells in rows_of]
     weights = [ref_demand(row_universe) for row_universe in universes]
-    # (4) Gini defined.
+    # (3) Gini defined.
     utilities = [
-        tuple(ref_utility(scores[lang], by_task[task_id]) if lang in scores else 0.0 for lang in row_universe)
-        for ((task_id, _, _), scores), row_universe in zip(groups, universes)
+        tuple(ref_utility(cells[lang], by_task[task_id]) if lang in cells else 0.0 for lang in row_universe)
+        for ((task_id, _, _), cells), row_universe in zip(rows_of, universes)
     ]
     ginis = [ref_gini(u) for u in utilities]
     rows = []
-    for ((task_id, model, train), scores), row_universe, d, u, g in zip(groups, universes, weights, utilities, ginis):
+    for ((task_id, model, train), cells), row_universe, d, u, g in zip(rows_of, universes, weights, utilities, ginis):
         m = float(np.dot(np.asarray(u), np.asarray([d[lang] for lang in row_universe])))
-        rows.append(ScorecardRow(task_id, model, train, m, g, len(scores), len(row_universe), u))
+        rows.append(ScorecardRow(task_id, model, train, m, g, len(cells), len(row_universe), u))
     return rows
 
 
 def _outcome(compute):
-    """The rows and their repr (bit-exact for floats), or the error's type and text."""
+    """The rows and their repr (bit-exact for floats), or the error's type,
+    text and, for a bad cell, its position."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             rows = compute()
         return "ok", rows, repr(rows)
     except LangDeiError as exc:
-        return type(exc).__name__, str(exc)
+        return type(exc).__name__, str(exc), getattr(exc, "index", None)
 
 
 @st.composite
 def scorecard_inputs(draw, faults=True):
-    """A performance table over a default or custom universe, with zero and
+    """The cells of a performance table over a default or custom universe, with zero and
     clamped scores, 1-23 tested languages a row and, if ``faults``, now and
     then one or two of the inputs that each error path of the scorecard needs."""
     if draw(st.booleans()):
@@ -469,14 +515,18 @@ def scorecard_inputs(draw, faults=True):
                 speakers = dict.fromkeys(speakers, 0.0)
             elif fault == "tau":
                 tau = draw(st.sampled_from([-0.5, 1.5, math.nan]))
-    return PerformanceTable(scores), SpeakerTable(speakers), specs, universe, tau, draw(st.booleans())
+    return scores, SpeakerTable(speakers), specs, universe, tau, draw(st.booleans())
+
+
+def scorecard(scores, *rest):
+    return dei_scorecard(PerformanceTable.from_scores(scores), *rest)
 
 
 class TestScorecardMatchesPerRowLoop:
     @settings(max_examples=200, deadline=None)
     @given(scorecard_inputs())
     def test_bit_for_bit_or_same_error(self, case):
-        assert _outcome(lambda: dei_scorecard(*case)) == _outcome(lambda: reference_scorecard(*case))
+        assert _outcome(lambda: scorecard(*case)) == _outcome(lambda: reference_scorecard(*case))
 
     def test_each_rule_checks_every_row_before_the_next(self):
         speakers = SpeakerTable({"en": 1.0, "hi": 2.0})
@@ -490,11 +540,10 @@ class TestScorecardMatchesPerRowLoop:
         perf = _table({("ner", "a", "en", "hi"): 0.0, ("ner", "b", "en", "bn"): 5.0})
         with pytest.raises(InputError, match="'bn'"):
             dei_scorecard(perf, speakers, [NER], tau=1.0, tested_only=True)
-        # Row "b"'s bad raw score (rule 2) comes before row "a"'s missing
-        # speaker count (rule 3).
-        perf = _table({("ner", "a", "en", "bn"): 5.0, ("ner", "b", "en", "hi"): -2.0})
+        # Row "b"'s bad raw score fails when the table is built, before row
+        # "a"'s missing speaker count could.
         with pytest.raises(InputError, match="got -2.0"):
-            dei_scorecard(perf, speakers, [NER], tau=1.0, tested_only=True)
+            _table({("ner", "a", "en", "bn"): 5.0, ("ner", "b", "en", "hi"): -2.0})
 
     @pytest.mark.parametrize(("model", "train", "message"), [
         ("m,x", "en", "invalid model id: 'm,x'"),
@@ -535,27 +584,29 @@ class TestClampWarnings:
 
 
 class TestScorecardLorenz:
+    """The Lorenz CSV, rendered from one share matrix per universe size,
+    against ``lorenz_points`` of each row: ragged tested-only rows, zeros of
+    either sign, and clamped utilities."""
+
     @settings(max_examples=100, deadline=None)
     @given(scorecard_inputs(faults=False))
     def test_equals_lorenz_points_of_each_row(self, case):
-        outcome = _outcome(lambda: dei_scorecard(*case))
+        outcome = _outcome(lambda: scorecard(*case))
         if outcome[0] != "ok":
             return
         rows = outcome[1]
-        expected = {(r.task, r.model, r.train_lang): lorenz_points(r.utilities) for r in rows}
-        points = scorecard_lorenz(rows)
-        assert repr(points) == repr(expected)
-        assert render_lorenz(points) == render_lorenz(expected)
+        assert render_lorenz(rows) == reference_lorenz_text(rows)
 
     def test_ragged_rows(self):
         rows = [
             ScorecardRow("ner", "m", "en", 0.5, 0.1, 2, 2, (0.25, 0.5)),
-            ScorecardRow("ner", "m", "hi", 0.5, 0.1, 3, 3, (0.0, 1.0, 0.3)),
-            ScorecardRow("ner", "n", "en", 0.5, 0.1, 2, 2, (0.7, 0.1)),
+            ScorecardRow("ner", "m", "hi", 0.5, 0.1, 3, 3, (0.0, 1.0, -0.0)),
+            ScorecardRow("ner", "n", "en", 0.5, 0.1, 2, 2, (0.7, -0.0)),
         ]
-        assert scorecard_lorenz(rows) == {(r.task, r.model, r.train_lang): lorenz_points(r.utilities) for r in rows}
+        assert render_lorenz(rows) == reference_lorenz_text(rows)
+        assert ",-" not in render_lorenz(rows)  # -0.0 shares print as 0
 
     def test_all_zero_row_is_undefined(self):
         rows = [ScorecardRow("ner", "m", "en", 0.0, 0.0, 2, 2, (0.0, 0.0))]
         with pytest.raises(ComputationError):
-            scorecard_lorenz(rows)
+            render_lorenz(rows)
