@@ -521,7 +521,8 @@ def render_lorenz(rows: Sequence[ScorecardRow]) -> str:
     from langdei.metrics import scorecard_lorenz
 
     blocks = [""] * len(rows)
-    for size, idx, shares in scorecard_lorenz(rows):
+    for idx, shares in scorecard_lorenz(rows):
+        size = shares.shape[1]
         xs = [fmt_num(k / size) + "," for k in range(size + 1)]
         for i, curve in zip(idx, shares.tolist()):
             prefix = f"{rows[i].task},{rows[i].model},{rows[i].train_lang},"

@@ -311,10 +311,10 @@ def _lorenz_shares(rows: np.ndarray) -> np.ndarray:
     return cum / cum[:, -1:]
 
 
-def scorecard_lorenz(rows: Sequence[ScorecardRow]) -> list[tuple[int, list[int], np.ndarray]]:
+def scorecard_lorenz(rows: Sequence[ScorecardRow]) -> list[tuple[list[int], np.ndarray]]:
     """The Lorenz curves of the scorecard rows' utilities, one matrix per
-    universe size n: (n, the positions of the rows of that size, their
-    shares), where column k-1 of a row's shares is point k of
+    universe size: (the positions of the rows of that size, their shares),
+    where column k-1 of a row's shares is the share of point k of
     ``lorenz_points(row.utilities)``."""
     by_size: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
@@ -324,7 +324,7 @@ def scorecard_lorenz(rows: Sequence[ScorecardRow]) -> list[tuple[int, list[int],
         if size == 0:
             raise InputError("expected a non-empty 1-d vector of values")
         matrix = _check_nonnegative(np.array([rows[i].utilities for i in idx], dtype=float))
-        curves.append((size, idx, _lorenz_shares(matrix)))
+        curves.append((idx, _lorenz_shares(matrix)))
     return curves
 
 
