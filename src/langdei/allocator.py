@@ -13,21 +13,15 @@ starts at -inf (every source's first gain is +inf, so each source gets one
 sample before any gets two) and current_gini starts at 1. Ties break on
 lexicographic source order.
 
-The gain g_s(k) of a source's k-th sample depends only on k, so the greedy
-merges per-source gain streams (largest head first, ties to the lower source
-index), which picks samples in order of (-min(g_s(1..k)), source index, k).
-So greedy_allocate computes each source's states in chunks with the running
-minimum of its gains, extends the source holding the least last-computed key
-until the budget's samples lie at or below it (final), and sorts once. This
-is the exact argmax of every step: unlike lazy ("accelerated") greedy it
-needs no diminishing returns, which the Gini term breaks. An undefined
-state (a gm or Gini that is not finite) fails the run only when the
-step-by-step greedy would ask for it.
-The trace for a budget is a prefix of the trace for any larger one.
+greedy_allocate computes each source's states for many k at once, with
+the numpy kernel in langdei.greedy, which it imports when it runs. The trace
+for a budget is a prefix of the trace for any larger one. Nothing else here
+needs numpy, so the egalitarian and single-source baselines never load it.
 
 Every strategy (greedy, egalitarian, single-source) builds its plan with
-_plan; evaluate_plan composes its funded sources' final-state predictions,
-by the request's composition mode, into surrogate (not measured) utilities.
+_plan, which computes each funded source's final state with the scalar
+kernel _final_state; evaluate_plan composes their predictions, by the
+request's composition mode, into surrogate (not measured) utilities.
 
 The plan records (AllocationPlan, PlanEvaluation, TraceStep) and the option
 vocabularies MISSING_POLICIES and COMPOSITION_MODES live in langdei.records,
@@ -38,24 +32,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterator, Mapping
+from typing import Mapping
 
-import numpy as np
-
-from langdei import curves as _curves
-from langdei import metrics as _metrics
-from langdei import records
+from langdei import records, scalar
 from langdei.errors import ComputationError, InputError
-from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, Record, TraceStep, check_plan_settings
+from langdei.records import (AllocationPlan, LearningCurve, PlanEvaluation, Record, TraceStep, check_plan_settings,
+                             sequential_sum)
 
 MISSING_POLICIES, COMPOSITION_MODES = records.MISSING_POLICIES, records.COMPOSITION_MODES
 
 CurveRegistry = Mapping[tuple[str, str], LearningCurve]
-
-# Rows of a source's first and of its largest state chunk: doubling keeps the
-# number of chunks logarithmic, the cap bounds the memory held per source.
-CHUNK_ROWS = (64, 256)
-
 
 class AllocationRequest(Record):
     budget: int
@@ -96,125 +82,61 @@ class AllocationRequest(Record):
                 raise InputError(f"source {s!r} has no curve for any target")
 
 
-def _source_chunks(request: AllocationRequest, source: str, first: int, last: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """(gm, gini, predictions) arrays of one source at k = first, ..., last
-    samples, one chunk of consecutive k at a time.
-
-    predictions has a column per target the source covers; gm is their
-    demand-weighted sum, gini the Gini coefficient of their absolute values
-    (the guard against negative predictions at small k). Chunks have
-    CHUNK_ROWS[0] rows, doubling up to CHUNK_ROWS[1]; one ends before the
-    first k whose state is undefined, and asking for that k raises a
-    ComputationError.
-    """
-    targets = [t for t in request.targets if (source, t) in request.registry]
-    curves = [request.registry[(source, t)] for t in targets]
-    weights = [request.demand[t] for t in targets]
-    rows = CHUNK_ROWS[0]
-    while first <= last:
-        ks = range(first, min(first + rows, last + 1))
-        gm, gini, predictions, undefined = _state_chunk(curves, weights, ks)
-        if gm.size:
-            yield gm, gini, predictions
-        if undefined is not None:
-            _metrics.gini(undefined)  # raises: not finite, all zero, or overflowing
-            raise ComputationError(f"gm of source {source!r} at {ks.start + gm.size} samples is not finite")
-        first = ks.stop
-        rows = min(2 * rows, CHUNK_ROWS[1])
-
-
-def _state_chunk(curves: list[LearningCurve], weights: list[float], ks: range) -> tuple[np.ndarray, ...]:
-    """gm, gini and the (ks x targets) matrix of curves.predict_many columns
-    at each k in ks up to the first undefined state (a gm or Gini that is
-    not finite), and that k's absolute predictions (or None).
-
-    gm adds the targets in sorted order, and Gini is the row-wise kernel
-    of metrics.gini, so each state is bit-identical to computing it at
-    that k alone.
-    """
-    with np.errstate(all="ignore"):  # undefined rows are cut off below
-        predictions = np.column_stack([_curves.predict_many(curve, ks) for curve in curves])
-        gm = np.zeros(len(ks))
-        for w, column in zip(weights, predictions.T):
-            gm += w * column
-        absolute = np.abs(predictions)
-        gini = _metrics._gini_rows(absolute)
-    undefined = np.flatnonzero(~(np.isfinite(gm) & np.isfinite(gini)))
-    if undefined.size:
-        end = int(undefined[0])
-        return gm[:end], gini[:end], predictions[:end], absolute[end].copy()
-    return gm, gini, predictions, None
-
-
-def _gain_chunks(request: AllocationRequest, source: str) -> Iterator[np.ndarray]:
-    """(gain, gm, gini, -running minimum gain) rows of each _source_chunks chunk."""
-    alpha, beta = request.alpha, request.beta
-    gm_prev, gini_prev, least = -math.inf, 1.0, math.inf
-    for gm, gini, _ in _source_chunks(request, source, 1, request.budget):
-        with np.errstate(all="ignore"):  # a step's float operations, silent as Python's
-            gm_term = alpha * (gm - np.append(gm_prev, gm[:-1])) if alpha != 0 else 0.0
-            gain = gm_term + beta * (np.append(gini_prev, gini[:-1]) - gini)
-        running = np.minimum.accumulate(np.append(least, gain))[1:]
-        yield np.stack((gain, gm, gini, -running))
-        gm_prev, gini_prev, least = gm[-1], gini[-1], running[-1]
-
-
 def greedy_allocate(request: AllocationRequest, trace: bool = True) -> AllocationPlan:
-    """The argmax-gain greedy plan, as one sort (see the module docstring);
-    its trace is built only if ``trace`` is true, and is empty otherwise."""
-    sources, budget = request.sources, request.budget
-    streams = [_gain_chunks(request, s) for s in sources]
-    kept = slice(None) if trace else slice(3, None)  # the key row alone serves the counts
-    # Each source's kept _gain_chunks rows so far: the first size[i] columns
-    # of a buffer that doubles when full, so its extensions copy O(k) in all.
-    rows = [next(stream)[kept] for stream in streams]
-    size = [block.shape[1] for block in rows]
-    while True:
-        # The bound: the least (-running minimum, source index) over the
-        # sources with states left. Every computed state at or below it is
-        # final; the step-by-step greedy would next ask its holder for one.
-        live = [i for i, n in enumerate(size) if n < budget]
-        holder = min(live, key=lambda i: (rows[i][-1, size[i] - 1], i), default=None)
-        if holder is None or budget <= sum(
-            np.searchsorted(block[-1, :n], rows[holder][-1, size[holder] - 1], "right" if i <= holder else "left")
-            for i, (block, n) in enumerate(zip(rows, size))
-        ):
-            break
-        new, n = next(streams[holder])[kept], size[holder]
-        if n + new.shape[1] > rows[holder].shape[1]:
-            rows[holder] = np.concatenate((rows[holder][:, :n], np.empty((len(new), n + new.shape[1]))), axis=1)
-        rows[holder][:, n:n + new.shape[1]] = new
-        size[holder] = n + new.shape[1]
+    """The argmax-gain greedy plan, as one sort (see langdei.greedy); its
+    trace is built only if ``trace`` is true, and is empty otherwise."""
+    from langdei import greedy  # numpy: only the greedy strategy loads it
 
-    # In (source, k) order, a stable sort on -(running minimum) is a lexsort
-    # by (-running minimum, source index, k): the order of the picks.
-    picks = np.argsort(np.concatenate([block[-1, :n] for block, n in zip(rows, size)]), kind="stable")[:budget]
-    owner = np.repeat(np.arange(len(sources)), size)[picks]
-    steps: tuple[TraceStep, ...] = ()
-    if trace:
-        gain, gm, gini = np.concatenate([block[:3, :n] for block, n in zip(rows, size)], axis=1)[:, picks].tolist()
-        steps = tuple(map(TraceStep, range(1, budget + 1), [sources[i] for i in owner.tolist()], gain, gm, gini))
-    counts = np.bincount(owner, minlength=len(sources)).tolist()
-    return _plan(request, "greedy", dict(zip(sources, counts)), steps)
+    counts, columns = greedy.picks(request, trace)
+    steps = tuple(map(TraceStep, range(1, request.budget + 1), *columns)) if trace else ()
+    return _plan(request, "greedy", dict(zip(request.sources, counts)), steps)
+
+
+def _final_state(request: AllocationRequest, source: str, k: int) -> tuple[float, float, dict[str, float]]:
+    """gm, Gini and the per-target predictions of one source at k samples,
+    without numpy, bit for bit the row of ``greedy._source_chunks`` at k.
+
+    Each covered target's prediction is ``a + b * k^(-c)`` with Python's
+    float power, as ``curves.predict_many`` takes it; gm adds the predictions
+    times their demand weights in target order from 0.0, and the Gini is
+    that of their absolute values. An undefined state raises.
+    """
+    predictions = {}
+    for t in request.targets:
+        if (source, t) in request.registry:
+            curve = request.registry[(source, t)]
+            predictions[t] = curve.a + curve.b * pow(float(k), -curve.c)
+    gm = sequential_sum([request.demand[t] * p for t, p in predictions.items()])
+    absolute = [abs(p) for p in predictions.values()]
+    gini = scalar._gini_row(absolute)
+    if not (math.isfinite(gm) and math.isfinite(gini)):
+        _undefined_state(source, k, absolute)
+    return gm, gini, predictions
+
+
+def _undefined_state(source: str, k: int, absolute: list[float]) -> None:
+    """Raise the error of a source's state at k samples whose gm or Gini is
+    not finite, from its absolute predictions."""
+    scalar.gini(absolute)  # raises: not finite, all zero, or overflowing
+    raise ComputationError(f"gm of source {source!r} at {k} samples is not finite")
 
 
 def _plan(
     request: AllocationRequest, strategy: str, counts: dict[str, int], trace: tuple[TraceStep, ...] = ()
 ) -> AllocationPlan:
     """A plan with the given counts, each funded source's final state, and their evaluation."""
-    states = {s: next(_source_chunks(request, s, k, k)) for s, k in counts.items() if k > 0}
-    covered = {s: [t for t in request.targets if (s, t) in request.registry] for s in states}
+    states = {s: _final_state(request, s, k) for s, k in counts.items() if k > 0}
     return AllocationPlan(
         strategy=strategy,
         budget=request.budget,
         counts=counts,
-        final_gm={s: float(gm[0]) for s, (gm, _, _) in states.items()},
-        final_gini={s: float(g[0]) for s, (_, g, _) in states.items()},
+        final_gm={s: gm for s, (gm, _, _) in states.items()},
+        final_gini={s: g for s, (_, g, _) in states.items()},
         alpha=request.alpha,
         beta=request.beta,
         missing=request.missing,
-        evaluation=evaluate_plan(request, {(s, t): p for s, (_, _, row) in states.items()
-                                           for t, p in zip(covered[s], row[0].tolist())}),
+        evaluation=evaluate_plan(request, {(s, t): p for s, (_, _, predictions) in states.items()
+                                           for t, p in predictions.items()}),
         trace=trace,
     )
 
@@ -251,7 +173,7 @@ def evaluate_plan(request: AllocationRequest, predictions: Mapping[tuple[str, st
         if not preds:
             warnings.warn(f"no funded source covers target {t}; dropped from evaluation")
             continue
-        utilities[t] = max(preds) if request.composition == "best-source" else sum(preds) / len(preds)
-    m = sum(request.demand[t] * u for t, u in utilities.items())
-    g = _metrics.gini([abs(u) for u in utilities.values()])
+        utilities[t] = max(preds) if request.composition == "best-source" else sequential_sum(preds) / len(preds)
+    m = sequential_sum([request.demand[t] * u for t, u in utilities.items()])
+    g = scalar.gini([abs(u) for u in utilities.values()])
     return PlanEvaluation(mode=request.composition, utilities=utilities, m_tau=m, gini_coeff=g)

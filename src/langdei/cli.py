@@ -21,10 +21,11 @@ from typing import TYPE_CHECKING, Sequence
 from langdei import efficiency, io, records
 from langdei.errors import ComputationError, InputError
 
-# metrics, curves and allocator need numpy; each subcommand imports them when
-# it runs, so `efficiency` and `report` never load numpy.
+# metrics and curves need numpy, and so does the greedy strategy of
+# allocator; each subcommand imports what it needs when it runs, so
+# `efficiency`, `report` and the allocation baselines never load numpy.
 if TYPE_CHECKING:
-    from langdei import metrics
+    from langdei import scalar
 
 
 def _tau(text: str) -> float:
@@ -92,14 +93,14 @@ def _write_outputs(outputs: dict[str, str]) -> None:
         raise
 
 
-def _load_speakers(args) -> metrics.SpeakerTable:
-    from langdei import metrics
+def _load_speakers(args) -> scalar.SpeakerTable:
+    from langdei import scalar
 
     if args.speakers:
         return io.load_speakers(args.speakers)
     if args.tau > 0:
         raise InputError("--tau > 0 needs speaker counts; pass --speakers FILE")
-    return metrics.SpeakerTable({})
+    return scalar.SpeakerTable({})
 
 
 def _check_distinct_outputs(args) -> None:
@@ -183,14 +184,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
-    from langdei import allocator, metrics
+    from langdei import allocator, scalar
 
     registry = io.load_curve_registry(args.curves)
     if not registry:
         raise InputError(f"{args.curves}: registry contains no curves")
     sources = args.sources or tuple(sorted({s for s, _ in registry}))
     targets = args.targets or tuple(sorted({t for _, t in registry}))
-    demand = metrics.demand(_load_speakers(args), targets, args.tau)
+    demand = scalar.demand(_load_speakers(args), targets, args.tau)
     strategy, single_source = records.parse_strategy(args.strategy)
     request = allocator.AllocationRequest(
         budget=args.budget,

@@ -86,7 +86,7 @@ def _checked(points: Sequence[TrajectoryPoint]) -> tuple:
     source, target = points[0].source, points[0].target
     x = np.array([p.samples for p in points], dtype=float)
     y = np.array([p.score for p in points], dtype=float)
-    if np.unique(x).size < 2:
+    if x.min() == x.max():
         raise InputError(f"all sample counts equal ({int(x[0])}); cannot fit a curve for ({source}, {target})")
     if float(y.max()) == float(y.min()):
         return x, y, 0.0, LearningCurve(source, target, a=float(y[0]), b=0.0, c=0.0, r_squared=1.0)

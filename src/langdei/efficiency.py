@@ -20,7 +20,7 @@ import warnings
 from typing import Iterable, Mapping, Sequence
 
 from langdei.errors import ComputationError, InputError, check_id
-from langdei.records import Record
+from langdei.records import Record, sequential_sum
 
 METRIC_THROUGHPUT = "throughput"
 METRIC_MEMORY = "memory"
@@ -138,7 +138,7 @@ def amrs(mrs_values: Sequence[float]) -> float:
     zero downstream, so it is undefined here."""
     if not mrs_values:
         raise InputError("cannot average an empty list of substitution rates")
-    mean = sum(mrs_values) / len(mrs_values)
+    mean = sequential_sum(mrs_values) / len(mrs_values)
     if mean == 0:
         raise ComputationError("average substitution rate is 0; efficiency scores would divide by zero")
     return mean

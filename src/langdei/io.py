@@ -22,7 +22,8 @@ from langdei.records import (AllocationPlan, LearningCurve, PlanEvaluation, Trac
                              check_plan_settings, parse_strategy)
 
 if TYPE_CHECKING:  # metrics needs numpy: its loaders import it when they run
-    from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, TaskSpec
+    from langdei.metrics import PerformanceTable, ScorecardRow, TaskSpec
+    from langdei.scalar import SpeakerTable
 
 DATA_ROOT = Path(__file__).resolve().parent / "data"
 
@@ -143,7 +144,7 @@ def _check_scale(scale: str) -> str:
 
 def load_speakers(path: str | Path) -> SpeakerTable:
     """CSV with header ``lang,speakers_millions``."""
-    from langdei.metrics import SpeakerTable
+    from langdei.scalar import SpeakerTable
 
     entries: dict[str, float] = {}
     for lineno, (lang, count_text) in _read_csv_rows(path, ("lang", "speakers_millions")):

@@ -29,8 +29,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from langdei import scalar
 from langdei.errors import ComputationError, InputError, check_id
 from langdei.records import Record, check_tau
+from langdei.scalar import _GINI_ALL_ZERO, _check_universe
+
+# The one-vector kernels and the speaker table need no numpy; they live in
+# langdei.scalar and resolve here as well.
+SpeakerTable, demand, gini = scalar.SpeakerTable, scalar.demand, scalar.gini
 
 # The 22 scheduled languages plus English; the default universe for all
 # metrics. Order matters only for deterministic output.
@@ -38,35 +44,6 @@ DEFAULT_UNIVERSE: tuple[str, ...] = (
     "as", "bn", "brx", "doi", "en", "gu", "hi", "kn", "kok", "ks", "mai",
     "ml", "mni", "mr", "ne", "or", "pa", "sa", "sat", "sd", "ta", "te", "ur",
 )
-
-
-class SpeakerTable(Record):
-    """Speaker populations per language, in millions."""
-
-    entries: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        for lang, count in self.entries.items():
-            self.check_entry(lang, count)
-
-    @staticmethod
-    def check_entry(lang: str, count: float) -> None:
-        """The rule every entry obeys: a valid code and a finite count >= 0."""
-        check_id(lang, "language code")
-        if not math.isfinite(count) or count < 0:
-            raise InputError(f"speaker count for {lang!r} must be a finite non-negative number, got {count}")
-
-    def millions(self, lang: str) -> float:
-        try:
-            return float(self.entries[lang])
-        except KeyError:
-            raise InputError(f"no speaker entry for language {lang!r}") from None
-
-    def __contains__(self, lang: str) -> bool:
-        return lang in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class TaskSpec(Record):
@@ -188,45 +165,21 @@ def _utilities(raw, maximum):
     return np.where(raw > maximum, 1.0, raw / maximum)
 
 
-def _check_universe(universe: Sequence[str]) -> tuple[str, ...]:
-    codes = tuple(universe)
-    if not codes:
-        raise InputError("language universe must be non-empty")
-    for code in codes:
-        check_id(code, "language code")
-    if len(set(codes)) != len(codes):
-        dupes = sorted({c for c in codes if codes.count(c) > 1})
-        raise InputError(f"duplicate language codes in universe: {', '.join(dupes)}")
-    return codes
-
-
-def demand(speakers: SpeakerTable, universe: Sequence[str], tau: float) -> dict[str, float]:
-    """Per-language demand weights d_l = n_l^tau / sum n^tau, summing to 1.
-
-    tau=0 weighs every language equally; tau=1 weighs by speaker population.
-    Intermediate values are accepted. Speaker entries are only required when
-    tau > 0.
-    """
-    codes = _check_universe(universe)
-    check_tau(tau)
-    weights = _demand_rows(speakers, codes, tau, np.ones((1, len(codes)), dtype=bool))
-    return dict(zip(codes, weights[0].tolist()))
-
-
 def _demand_rows(speakers: SpeakerTable, codes: tuple[str, ...], tau: float, members: np.ndarray) -> np.ndarray:
     """Demand weights over each row's own universe: the codes where that
     row of the boolean ``members`` matrix is set; 0 elsewhere.
 
     Each n^tau is a Python float power, and each row total adds its terms in
-    universe order, as the built-in ``sum`` does. The first row whose
-    weights are undefined raises; tau must be checked already.
+    universe order, left to right, as ``scalar.demand`` does for one row.
+    The first row whose weights are undefined raises; tau must be checked
+    already.
     """
     if tau == 0:
         powered = np.ones(len(codes))
     else:
         powered = np.array([speakers.millions(lang) ** tau if lang in speakers else math.nan for lang in codes])
     terms = np.where(members, powered, 0.0)
-    total = np.cumsum(terms, axis=1)[:, -1:]  # sequential, like ``sum``
+    total = np.cumsum(terms, axis=1)[:, -1:]  # left to right, unlike ``terms.sum``
     undefined = ~(total[:, 0] > 0)  # also true for nan: a speaker count is missing
     if undefined.any():
         missing = members[int(np.argmax(undefined))] & np.isnan(powered)
@@ -237,13 +190,6 @@ def _demand_rows(speakers: SpeakerTable, codes: tuple[str, ...], tau: float, mem
     return terms / total
 
 
-def _as_nonnegative_array(values: Iterable[float]) -> np.ndarray:
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InputError("expected a non-empty 1-d vector of values")
-    return _check_nonnegative(arr)
-
-
 def _check_nonnegative(arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InputError("values must be finite")
@@ -252,35 +198,13 @@ def _check_nonnegative(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-_GINI_ALL_ZERO = "Gini is undefined for an all-zero vector"
-_GINI_OVERFLOW = "Gini is undefined for values whose sums overflow a float"
-
-
-def gini(values: Iterable[float]) -> float:
-    """Gini coefficient of a non-negative vector, in [0, (n-1)/n].
-
-    Sorts ascending and applies
-    ``G = (1/n) * (n + 1 - 2 * sum_i (n+1-i) y_i / sum_i y_i)``.
-    All-zero input is an error rather than 0: the formula divides by the
-    total, and a silent 0 would mask missing data. So is input whose total
-    or weighted sum overflows (such as two values of 1e308): the formula
-    then gives NaN or -inf.
-    """
-    arr = _as_nonnegative_array(values)
-    with np.errstate(all="ignore"):  # an undefined Gini is not finite, and raises below
-        g = float(_gini_rows(arr[None, :])[0])
-    if not math.isfinite(g):
-        raise ComputationError(_GINI_OVERFLOW if arr.any() else _GINI_ALL_ZERO)
-    return g
-
-
 def _gini_rows(rows: np.ndarray) -> np.ndarray:
     """The Gini formula of ``gini`` on each row of a 2-d array, unchecked.
 
-    Row-wise reductions, so each entry is bit-identical to the 1-d form. A
-    row of non-negative values gives a non-finite entry (and a numpy
-    warning) exactly when its Gini is undefined: it totals zero, holds a
-    non-finite value, or its sums overflow. Callers reject such entries
+    Row-wise reductions, so each entry is bit-identical to the 1-d form,
+    ``scalar._gini_row``. A row of non-negative values gives a non-finite
+    entry (and a numpy warning) exactly when its Gini is undefined: it
+    totals zero, holds a non-finite value, or its sums overflow. Callers reject such entries
     themselves. The sort kind cannot change a result: the only equal values
     with different bits are 0.0 and -0.0, and either adds the same to a sum.
     """
@@ -296,7 +220,7 @@ def lorenz_points(values: Iterable[float]) -> tuple[tuple[float, float], ...]:
 
     Point k is (k/n, share of the total held by the smallest k values).
     """
-    arr = _as_nonnegative_array(values)
+    arr = np.array(scalar._checked(values))
     n = arr.size
     return tuple(zip([k / n for k in range(n + 1)], [0.0, *_lorenz_shares(arr[None, :])[0].tolist()]))
 
@@ -383,7 +307,7 @@ def dei_scorecard(
     m_tau = np.empty(len(keys))
     gini_coeff = np.empty(len(keys))
     vectors: list[tuple[float, ...]] = [()] * len(keys)
-    for size in np.unique(sizes):
+    for size in sorted(set(sizes.tolist())):
         # Rows of one universe size form one matrix; padding with zeros
         # would change the order of numpy's pairwise sums.
         idx = np.flatnonzero(sizes == size)

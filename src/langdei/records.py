@@ -1,5 +1,6 @@
 """Record types, option vocabularies and value rules shared by the file
-formats, the argument parser and the numeric modules.
+formats, the argument parser and the numeric modules, and the one
+left-to-right float sum (``sequential_sum``) that their totals use.
 
 This module needs no numpy, so ``io`` and ``cli`` import it at start-up and
 the subcommands that only read or write records (``efficiency``, ``report``)
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from langdei.errors import InputError, check_id
 
@@ -129,6 +130,19 @@ class LearningCurve(Record):
             raise InputError(f"decay exponent must be >= 0, got {self.c}")
         if not math.isfinite(self.r_squared) or self.r_squared > 1.0:
             raise InputError(f"r-squared must be <= 1, got {self.r_squared}")
+
+
+def sequential_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values``, added left to right from 0.0.
+
+    The built-in ``sum`` does this up to Python 3.11; from 3.12 it
+    compensates the rounding, so its totals would depend on the Python
+    version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def check_count(count: int, what: str) -> None:

@@ -1,0 +1,151 @@
+"""Numpy-free kernels of one vector: demand weights and the Gini
+coefficient, and the speaker table that demand reads.
+
+``langdei.metrics`` computes the same quantities for many rows at once with
+numpy (``_demand_rows``, ``_gini_rows``) and re-exports every public name of
+this module. A vector here gets the numbers a matrix row gets there, bit for
+bit (a property test compares them), so the allocation baselines, which need
+one vector per funded source, run without importing numpy.
+
+numpy adds a row pairwise, not left to right: blocks of up to 128 values,
+each in 8 interleaved accumulators. ``pairwise_sum`` repeats that order, so a
+Gini here is numpy's to the last bit.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable, Mapping, Sequence
+
+from langdei.errors import ComputationError, InputError, check_id
+from langdei.records import Record, check_tau, sequential_sum
+
+_GINI_ALL_ZERO = "Gini is undefined for an all-zero vector"
+_GINI_OVERFLOW = "Gini is undefined for values whose sums overflow a float"
+
+
+class SpeakerTable(Record):
+    """Speaker populations per language, in millions."""
+
+    entries: Mapping[str, float]
+
+    def __post_init__(self) -> None:
+        for lang, count in self.entries.items():
+            self.check_entry(lang, count)
+
+    @staticmethod
+    def check_entry(lang: str, count: float) -> None:
+        """The rule every entry obeys: a valid code and a finite count >= 0."""
+        check_id(lang, "language code")
+        if not math.isfinite(count) or count < 0:
+            raise InputError(f"speaker count for {lang!r} must be a finite non-negative number, got {count}")
+
+    def millions(self, lang: str) -> float:
+        try:
+            return float(self.entries[lang])
+        except KeyError:
+            raise InputError(f"no speaker entry for language {lang!r}") from None
+
+    def __contains__(self, lang: str) -> bool:
+        return lang in self.entries
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+def _check_universe(universe: Sequence[str]) -> tuple[str, ...]:
+    codes = tuple(universe)
+    if not codes:
+        raise InputError("language universe must be non-empty")
+    for code in codes:
+        check_id(code, "language code")
+    if len(set(codes)) != len(codes):
+        dupes = sorted({c for c in codes if codes.count(c) > 1})
+        raise InputError(f"duplicate language codes in universe: {', '.join(dupes)}")
+    return codes
+
+
+def demand(speakers: SpeakerTable, universe: Sequence[str], tau: float) -> dict[str, float]:
+    """Per-language demand weights d_l = n_l^tau / sum n^tau, summing to 1.
+
+    tau=0 weighs every language equally; tau=1 weighs by speaker population.
+    Intermediate values are accepted. Speaker entries are only required when
+    tau > 0. Each n^tau is a Python float power and the total adds them in
+    universe order, as ``metrics._demand_rows`` does for a row.
+    """
+    codes = _check_universe(universe)
+    check_tau(tau)
+    if tau == 0:
+        powered = [1.0] * len(codes)
+    else:
+        powered = [speakers.millions(lang) ** tau if lang in speakers else math.nan for lang in codes]
+    total = sequential_sum(powered)
+    if not total > 0:  # also true for NaN: a speaker count is missing
+        for lang, value in zip(codes, powered):
+            if math.isnan(value):
+                raise InputError(f"tau={tau} requires a speaker count for language {lang!r}")
+        raise ComputationError("demand is undefined: all speaker counts in the universe are zero")
+    return {lang: value / total for lang, value in zip(codes, powered)}
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's float sum of ``values``, bit for bit: fewer than 8 values left
+    to right; up to 128 in 8 accumulators, where accumulator j adds values j,
+    j + 8, ..., which are then added as a tree, followed by the values past
+    the last multiple of 8; more in two halves, the first a multiple of 8
+    long. A zero total is +0.0, as numpy's (its sum starts from 0.0)."""
+    n = len(values)
+    if n < 8:
+        return sequential_sum(values)
+    if n <= 128:
+        end = n - n % 8
+        r = [sequential_sum(values[j:end:8]) for j in range(8)]
+        return sequential_sum([((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), *values[end:]])
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def _checked(values: Iterable[float]) -> list[float]:
+    """``values`` as a list of floats, if it is a non-empty vector of finite
+    values >= 0."""
+    items = list(values)
+    try:
+        vector = [float(value) for value in items]
+    except TypeError:  # an entry that is itself a vector
+        vector = []
+    if not vector:
+        raise InputError("expected a non-empty 1-d vector of values")
+    if not all(map(math.isfinite, vector)):
+        raise InputError("values must be finite")
+    if any(value < 0 for value in vector):
+        raise InputError("values must be non-negative")
+    return vector
+
+
+def gini(values: Iterable[float]) -> float:
+    """Gini coefficient of a non-negative vector, in [0, (n-1)/n].
+
+    Sorts ascending and applies
+    ``G = (1/n) * (n + 1 - 2 * sum_i (n+1-i) y_i / sum_i y_i)``.
+    All-zero input is an error rather than 0: the formula divides by the
+    total, and a silent 0 would mask missing data. So is input whose total
+    or weighted sum overflows (such as two values of 1e308): the formula
+    then gives NaN or -inf.
+    """
+    vector = _checked(values)
+    g = _gini_row(vector)
+    if not math.isfinite(g):
+        raise ComputationError(_GINI_OVERFLOW if any(vector) else _GINI_ALL_ZERO)
+    return g
+
+
+def _gini_row(values: list[float]) -> float:
+    """The Gini formula of ``gini``, unchecked: ``metrics._gini_rows`` of the
+    one row ``values``, bit for bit. An undefined Gini is NaN or infinite,
+    as there; a zero total gives NaN, as numpy's 0/0 does."""
+    n = len(values)
+    total = pairwise_sum(values)
+    if total == 0:
+        return math.nan
+    weighted = pairwise_sum([(n + 1 - rank) * y for rank, y in enumerate(sorted(values), 1)])
+    return (n + 1 - 2.0 * weighted / total) / n

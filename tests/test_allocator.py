@@ -2,13 +2,15 @@
 
 import functools
 import math
+import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langdei import allocator
+from langdei import allocator, greedy
 from langdei.allocator import (
     COMPOSITION_MODES,
     MISSING_POLICIES,
@@ -572,6 +574,62 @@ class TestEvaluatePlan:
             ComputationError, "Gini is undefined for an all-zero vector")
         assert egalitarian_allocate(replace(request, composition="best-source")).evaluation.utilities == {"t": 0.5}
 
+    def test_totals_add_left_to_right_on_every_python(self):
+        # The 1.0 is lost next to 1e16, so each total is 0.0; the built-in
+        # sum of Python 3.12 and later would keep it and give 2.0.
+        values = [0.1] * 10 + [1e16, 1.0, -1e16]
+        names = [f"x{i:02d}" for i in range(len(values))]
+        one_target = AllocationRequest(budget=13, sources=names, targets=("t",), demand={"t": 1.0}, composition="mean",
+                                       registry={(s, "t"): curve(s, "t", 1.0, 0.0, 0.0) for s in names})
+        with pytest.raises(ComputationError, match="all-zero"):  # the mean utility is 0.0
+            allocator.evaluate_plan(one_target, {(s, "t"): v for s, v in zip(names, values)})
+        one_source = AllocationRequest(budget=1, sources=("s",), targets=names, demand=dict.fromkeys(names, 1.0),
+                                       registry={("s", t): curve("s", t, 1.0, 0.0, 0.0) for t in names})
+        assert allocator.evaluate_plan(one_source, {("s", t): v for t, v in zip(names, values)}).m_tau == 0.0
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(InputError, match="composition mode must be one of"):
             replace(simple_request(4, n_sources=2), composition="median")
+
+
+def state_outcome(compute):
+    """(gm, gini, predictions) with each float by its bits, or the error's type and text."""
+    try:
+        gm, g, predictions = compute()
+    except (ComputationError, InputError) as exc:
+        return type(exc), str(exc)
+    return [float(v).hex() if not math.isnan(v) else "nan" for v in (gm, g, *predictions)]
+
+
+class TestFinalStateMatchesGreedyChunk:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           st.sampled_from([1, 2, 4, 100]) | st.integers(1, 10_000))
+    def test_bit_for_bit_or_same_error(self, n, seed, special_rate, k):
+        # Random coefficients and weights, each replaced at the drawn rate by
+        # one that makes predictions negative, exactly zero (0.5 - 1 * 2^-1,
+        # or a = b = 0) or overflowing (1e308 + 1e308), or gm overflow.
+        rng = np.random.default_rng(seed)
+
+        def draw(low, high, special):
+            return float(rng.choice(special) if rng.random() < special_rate else rng.uniform(low, high))
+
+        targets = tuple(f"t{j:02d}" for j in range(n))
+        covered = [t for t in targets if rng.random() < 0.8] or [targets[0]]
+        request = AllocationRequest(
+            budget=1, sources=("s",), targets=targets, missing="permissive",
+            registry={("s", t): curve("s", t, draw(-3.0, 3.0, [0.0, -0.0, 0.5, -0.5, 1e308, -1e308, sys.float_info.max]),
+                                      draw(-3.0, 3.0, [0.0, -1.0, 1e308, -1e308]), draw(0.0, 2.0, [0.0, 0.5, 1.0]))
+                      for t in covered},
+            demand={t: draw(0.0, 1.0, [0.0, 1.0, 1e308]) for t in targets},
+        )
+
+        def chunk_row():
+            gm, g, predictions = next(greedy._source_chunks(request, "s", k, k))
+            return gm[0], g[0], predictions[0].tolist()
+
+        def scalar_state():
+            gm, g, predictions = allocator._final_state(request, "s", k)
+            return gm, g, list(predictions.values())
+
+        assert state_outcome(scalar_state) == state_outcome(chunk_row)

@@ -834,9 +834,10 @@ def test_cli_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-# Start-up: metrics, curves and allocator need numpy, and only the
-# subcommands that compute with them import them.
-NUMERIC_MODULES = {"numpy", "langdei.metrics", "langdei.curves", "langdei.allocator"}
+# Start-up: metrics and curves need numpy, and so does greedy, the kernel of
+# the greedy strategy; only the subcommands that compute with them import
+# them. allocator and scalar need no numpy.
+NUMERIC_MODULES = {"numpy", "langdei.metrics", "langdei.curves", "langdei.greedy"}
 
 
 def modules_after(code, cwd):
@@ -853,26 +854,35 @@ def test_import_cli_loads_no_numeric_module(tmp_path):
     loaded = modules_after("import langdei.cli", tmp_path)
     assert "langdei.io" in loaded
     assert loaded & NUMERIC_MODULES == set()
+    assert loaded & {"langdei.allocator", "langdei.scalar"} == set()  # loaded by the subcommands that use them
 
 
 @pytest.mark.parametrize("module, unwanted", [
     ("langdei.cli", {"logging", "dataclasses", "inspect"}),
-    ("langdei.allocator", {"logging", "dataclasses"}),
+    ("langdei.allocator", {"logging", "dataclasses", "inspect", "numpy"}),
     ("langdei.metrics", {"logging", "dataclasses"}),
-], ids=["langdei.cli", "langdei.allocator", "langdei.metrics"])
+    ("langdei.greedy", {"logging", "dataclasses"}),
+], ids=["langdei.cli", "langdei.allocator", "langdei.metrics", "langdei.greedy"])
 def test_import_loads_no_logging(module, unwanted, tmp_path):
     # Data events are warnings, which main prints, and records are
     # records.Record, not dataclasses: logging, and dataclasses with the
     # inspect it loads, would only add start-up time. numpy loads inspect
-    # itself, so only the numpy-free cli is held to that.
+    # itself, so only the numpy-free cli and allocator are held to that.
     assert modules_after(f"import {module}", tmp_path) & unwanted == set()
+
+
+SPEAKERS = str(bundled_path("speakers.csv"))
+MURIL = str(bundled_path("curves_muril.txt"))
 
 
 @pytest.mark.parametrize("argv", [
     ["efficiency", "--goods", str(bundled_path("goods.csv")), "--amrs-out", "amrs.csv", "--out", "eff.csv"],
-    ["report", "--plan", "plan.txt", "--trace", "trace.csv", "--curves", str(bundled_path("curves_muril.txt")),
-     "--out", "report.md"],
-], ids=["efficiency", "report"])
+    ["report", "--plan", "plan.txt", "--trace", "trace.csv", "--curves", MURIL, "--out", "report.md"],
+    ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "egalitarian", "--tau", "1",
+     "--speakers", SPEAKERS, "--missing", "permissive", "--out", "plan.txt"],
+    ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "single:hi", "--tau", "1",
+     "--speakers", SPEAKERS, "--missing", "permissive", "--out", "plan.txt"],
+], ids=["efficiency", "report", "egalitarian", "single"])
 def test_subcommand_runs_without_numpy(argv, tmp_path):
     write(tmp_path / "plan.txt", "plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\n"
           "alloc source=bn samples=2 gm=0.5 gini=0.1\n" + EVAL_LINE)
@@ -880,3 +890,26 @@ def test_subcommand_runs_without_numpy(argv, tmp_path):
     loaded = modules_after(f"from langdei.cli import main\nassert main({argv!r}) == 0", tmp_path)
     assert (tmp_path / argv[-1]).is_file()
     assert "numpy" not in loaded
+
+
+def test_greedy_run_still_works_and_loads_numpy(tmp_path):
+    argv = ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "greedy", "--tau", "1",
+            "--speakers", SPEAKERS, "--missing", "permissive", "--out", "plan.txt"]
+    loaded = modules_after(f"from langdei.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    assert "langdei.greedy" in loaded and "numpy" in loaded
+    assert load_plan(tmp_path / "plan.txt").strategy == "greedy"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--trajectories", "traj.csv", "--out", "curves.txt"],
+    ["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks", str(bundled_path("tasks.csv")),
+     "--tau", "1", "--speakers", SPEAKERS, "--lorenz-out", "lorenz.csv", "--out", "scorecard.csv"],
+    ["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks", str(bundled_path("tasks.csv")),
+     "--tau", "0", "--tested-only", "--out", "scorecard.csv"],
+], ids=["fit", "metrics", "metrics-tested-only"])
+def test_numeric_subcommand_leaves_numpy_ma_unloaded(argv, tmp_path):
+    # np.unique imports numpy.ma on its first call; no subcommand needs it.
+    synth_trajectories(tmp_path)
+    loaded = modules_after(f"from langdei.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    assert (tmp_path / argv[-1]).is_file()
+    assert "numpy" in loaded and "numpy.ma" not in loaded

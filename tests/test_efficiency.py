@@ -90,6 +90,12 @@ class TestAmrs:
         with pytest.raises(ComputationError, match="divide by zero"):
             amrs([0.0, 0.0])
 
+    def test_mean_adds_left_to_right_on_every_python(self):
+        # The 1.0 is lost next to 1e16, so the total is 0.0; the built-in
+        # sum of Python 3.12 and later would keep it and give 2.0 / 13.
+        with pytest.raises(ComputationError, match="divide by zero"):
+            amrs([0.1] * 10 + [1e16, 1.0, -1e16])
+
 
 class TestComputeAmrsTable:
     def test_bundled_regional_ner_rates(self, bundle):

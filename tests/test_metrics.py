@@ -2,6 +2,7 @@
 
 import csv
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langdei import scalar
 from langdei.errors import ComputationError, InputError, LangDeiError, check_id
 from langdei.io import bundled_path, render_lorenz
 from langdei.metrics import (
@@ -18,12 +20,15 @@ from langdei.metrics import (
     ScorecardRow,
     SpeakerTable,
     TaskSpec,
+    _demand_rows,
+    _gini_rows,
     dei_scorecard,
     demand,
     gini,
     lorenz_points,
     utility,
 )
+from langdei.records import check_tau, sequential_sum
 
 from _props import (ALL_PROPERTIES, check_oracle_equivalence, gini_from_lorenz, gini_mean_abs_difference, groups,
                     reference_lorenz_text)
@@ -610,3 +615,103 @@ class TestScorecardLorenz:
         rows = [ScorecardRow("ner", "m", "en", 0.0, 0.0, 2, 2, (0.0, 0.0))]
         with pytest.raises(ComputationError):
             render_lorenz(rows)
+
+
+# ---------------------------------------------------------------------------
+# The numpy-free one-vector kernels against the matrix kernels
+# ---------------------------------------------------------------------------
+
+# Lengths on both sides of numpy's block edges: 8 accumulators, blocks of 128.
+EDGE_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 17, 23, 64, 127, 128, 129, 135, 136, 137, 255, 256, 257, 300]
+# Entries besides ordinary values: zeros of either sign, subnormals, and
+# values near the largest float, whose sums overflow.
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, 1e-310, sys.float_info.min, 1e307, 1e308, sys.float_info.max]
+
+
+@st.composite
+def vectors(draw, rows=1, signed=False):
+    """Rows of one length: random floats of mixed magnitude, so that their
+    sums round, each replaced by a special entry at a drawn rate."""
+    n = draw(st.sampled_from(EDGE_LENGTHS) | st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0.0, 1.0, (rows, n)) * 10.0 ** rng.integers(-3, 4, (rows, n))
+    if signed:
+        values *= rng.choice([-1.0, 1.0], values.shape)
+    special = rng.random(values.shape) < draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    values[special] = rng.choice(SPECIAL_ENTRIES, int(special.sum()))
+    return values.tolist()
+
+
+def exact(value):
+    """A float by its bits (NaN as one value)."""
+    return "nan" if math.isnan(value) else float(value).hex()
+
+
+def checked_gini_rows(values):
+    """``gini`` as the matrix kernel gives it: the scalar checks, then
+    ``_gini_rows`` of the one row."""
+    arr = np.array(scalar._checked(values))
+    with np.errstate(all="ignore"):
+        g = float(_gini_rows(arr[None, :])[0])
+    if not math.isfinite(g):
+        raise ComputationError(scalar._GINI_OVERFLOW if arr.any() else scalar._GINI_ALL_ZERO)
+    return g
+
+
+def matrix_demand(speakers, universe, tau):
+    """``demand`` as the matrix kernel gives it: one row of ``_demand_rows``."""
+    codes = scalar._check_universe(universe)
+    check_tau(tau)
+    with np.errstate(all="ignore"):  # a total that overflows warns there; the weights are compared
+        weights = _demand_rows(speakers, codes, tau, np.ones((1, len(codes)), dtype=bool))
+    return dict(zip(codes, weights[0].tolist()))
+
+
+def outcome_of(compute, *args):
+    """The result with each float by its bits, or the error's type and text."""
+    try:
+        result = compute(*args)
+    except LangDeiError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, dict):
+        return {key: exact(value) for key, value in result.items()}
+    return exact(result)
+
+
+class TestScalarKernelsMatchMatrixKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(vectors(signed=True))
+    def test_pairwise_sum_is_numpys_sum(self, rows):
+        (values,) = rows
+        with np.errstate(all="ignore"):
+            assert exact(scalar.pairwise_sum(values)) == exact(np.array(values).sum())
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors())
+    def test_gini_is_gini_rows_or_same_error(self, rows):
+        (values,) = rows
+        assert outcome_of(gini, values) == outcome_of(checked_gini_rows, values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda k: vectors(rows=k)))
+    def test_each_row_of_a_matrix(self, rows):
+        with np.errstate(all="ignore"):
+            matrix = _gini_rows(np.array(rows))
+        assert [exact(scalar._gini_row(row)) for row in rows] == [exact(g) for g in matrix.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.permutations(DEFAULT_UNIVERSE), st.integers(1, 23), vectors(), st.sampled_from([0.0, 0.05, 1.0]),
+           st.sampled_from([0.0, 0.5, 1.0, 0, 1]) | st.floats(0.0, 1.0))
+    def test_demand_is_demand_rows_or_same_error(self, universe, n, counts, missing_rate, tau):
+        # Speaker counts as the Gini entries (-0.0, subnormal, overflowing
+        # totals), each absent at a drawn rate; codes past the end of the
+        # drawn vector have none.
+        codes = universe[:n]
+        absent = np.random.default_rng(n).random(n) < missing_rate
+        speakers = SpeakerTable({lang: count for lang, count, gone in zip(codes, counts[0], absent) if not gone})
+        assert outcome_of(demand, speakers, codes, tau) == outcome_of(matrix_demand, speakers, codes, tau)
+
+    def test_sequential_sum_does_not_compensate(self):
+        # Left to right from 0.0 the 1.0 is lost to rounding next to 1e16;
+        # the built-in sum of Python 3.12 and later keeps it and gives 2.0.
+        assert sequential_sum([0.1] * 10 + [1e16, 1.0, -1e16]) == 0.0
