@@ -13,15 +13,17 @@ starts at -inf (every source's first gain is +inf, so each source gets one
 sample before any gets two) and current_gini starts at 1. Ties break on
 lexicographic source order.
 
-greedy_allocate computes each source's states for many k at once, with
-the numpy kernel in langdei.greedy, which it imports when it runs. The trace
-for a budget is a prefix of the trace for any larger one. Nothing else here
-needs numpy, so the egalitarian and single-source baselines never load it.
+greedy_allocate takes the budget's picks from the heap merge in
+langdei.greedy, which it imports when it runs. The trace for a budget is a
+prefix of the trace for any larger one. Nothing here needs numpy, so no
+strategy loads it.
 
-Every strategy (greedy, egalitarian, single-source) builds its plan with
-_plan, which computes each funded source's final state with the scalar
-kernel _final_state; evaluate_plan composes their predictions, by the
-request's composition mode, into surrogate (not measured) utilities.
+One function, _source_state, gives a source's state at k samples: the
+greedy asks it for each state it steps through, and every strategy
+(greedy, egalitarian, single-source) builds its plan with _plan, which asks
+it for each funded source's final state; evaluate_plan composes their
+predictions, by the request's composition mode, into surrogate (not
+measured) utilities.
 
 The plan records (AllocationPlan, PlanEvaluation, TraceStep) and the option
 vocabularies MISSING_POLICIES and COMPOSITION_MODES live in langdei.records,
@@ -31,8 +33,9 @@ which needs no numpy; they resolve here as well.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from typing import Mapping
+from typing import Callable, Mapping
 
 from langdei import records, scalar
 from langdei.errors import ComputationError, InputError
@@ -83,35 +86,48 @@ class AllocationRequest(Record):
 
 
 def greedy_allocate(request: AllocationRequest, trace: bool = True) -> AllocationPlan:
-    """The argmax-gain greedy plan, as one sort (see langdei.greedy); its
-    trace is built only if ``trace`` is true, and is empty otherwise."""
-    from langdei import greedy  # numpy: only the greedy strategy loads it
+    """The argmax-gain greedy plan, as one heap merge (see langdei.greedy);
+    its trace is built only if ``trace`` is true, and is empty otherwise."""
+    from langdei import greedy  # compiled only when the greedy strategy runs
 
     counts, columns = greedy.picks(request, trace)
     steps = tuple(map(TraceStep, range(1, request.budget + 1), *columns)) if trace else ()
     return _plan(request, "greedy", dict(zip(request.sources, counts)), steps)
 
 
-def _final_state(request: AllocationRequest, source: str, k: int) -> tuple[float, float, dict[str, float]]:
-    """gm, Gini and the per-target predictions of one source at k samples,
-    without numpy, bit for bit the row of ``greedy._source_chunks`` at k.
+def _source_state(request: AllocationRequest, source: str) -> tuple[list[str], Callable[[int], tuple]]:
+    """The targets one source covers, in target order, and its state
+    function: k -> gm, Gini and the covered targets' predictions at k samples.
 
-    Each covered target's prediction is ``a + b * k^(-c)`` with Python's
-    float power, as ``curves.predict_many`` takes it; gm adds the predictions
-    times their demand weights in target order from 0.0, and the Gini is
-    that of their absolute values. An undefined state raises.
+    Each prediction is ``a + b * k^(-c)`` with Python's float power, as
+    ``curves.predict_many`` takes it; gm adds the predictions times their
+    demand weights in target order from 0.0, and the Gini is that of their
+    absolute values (``scalar._gini_row``, numpy's to the last bit). An
+    undefined state raises.
     """
-    predictions = {}
-    for t in request.targets:
-        if (source, t) in request.registry:
-            curve = request.registry[(source, t)]
-            predictions[t] = curve.a + curve.b * pow(float(k), -curve.c)
-    gm = sequential_sum([request.demand[t] * p for t, p in predictions.items()])
-    absolute = [abs(p) for p in predictions.values()]
-    gini = scalar._gini_row(absolute)
-    if not (math.isfinite(gm) and math.isfinite(gini)):
-        _undefined_state(source, k, absolute)
-    return gm, gini, predictions
+    targets = [t for t in request.targets if (source, t) in request.registry]
+    curves = [request.registry[(source, t)] for t in targets]
+    coefficients = [(curve.a, curve.b, -curve.c) for curve in curves]
+    weights = [request.demand[t] for t in targets]
+
+    def state(k: int) -> tuple[float, float, list[float]]:
+        x = float(k)
+        predictions = [a + b * x ** e for a, b, e in coefficients]
+        gm = sequential_sum(map(operator.mul, weights, predictions))
+        absolute = list(map(abs, predictions))
+        gini = scalar._gini_row(absolute)
+        if not (math.isfinite(gm) and math.isfinite(gini)):
+            _undefined_state(source, k, absolute)
+        return gm, gini, predictions
+
+    return targets, state
+
+
+def _final_state(request: AllocationRequest, source: str, k: int) -> tuple[float, float, dict[str, float]]:
+    """gm, Gini and the per-target predictions of one source at k samples."""
+    targets, state = _source_state(request, source)
+    gm, gini, predictions = state(k)
+    return gm, gini, dict(zip(targets, predictions))
 
 
 def _undefined_state(source: str, k: int, absolute: list[float]) -> None:

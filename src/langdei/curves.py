@@ -49,8 +49,8 @@ def predict_many(curve: LearningCurve, samples: Sequence[float]) -> np.ndarray:
 
     The power is Python's float pow, one element at a time, not numpy's
     vectorised power: that one can differ in the last bit depending on the
-    SIMD build, and a last-bit change can flip a greedy tie, so plans would
-    depend on how numpy was built.
+    SIMD build. So each value is the allocator's prediction at that count
+    (``allocator._source_state``), whatever the numpy build.
     """
     # A range's least element is one of its endpoints; don't walk the range.
     lowest = min(samples[0], samples[-1]) if isinstance(samples, range) and samples else min(samples, default=1)

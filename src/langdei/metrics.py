@@ -171,7 +171,8 @@ def _demand_rows(speakers: SpeakerTable, codes: tuple[str, ...], tau: float, mem
 
     Each n^tau is a Python float power, and each row total adds its terms in
     universe order, left to right, as ``scalar.demand`` does for one row.
-    The first row whose weights are undefined raises; tau must be checked
+    The first row whose weights are undefined (a speaker count missing, a
+    total that overflows, or all counts zero) raises; tau must be checked
     already.
     """
     if tau == 0:
@@ -179,14 +180,14 @@ def _demand_rows(speakers: SpeakerTable, codes: tuple[str, ...], tau: float, mem
     else:
         powered = np.array([speakers.millions(lang) ** tau if lang in speakers else math.nan for lang in codes])
     terms = np.where(members, powered, 0.0)
-    total = np.cumsum(terms, axis=1)[:, -1:]  # left to right, unlike ``terms.sum``
-    undefined = ~(total[:, 0] > 0)  # also true for nan: a speaker count is missing
+    with np.errstate(over="ignore"):  # an overflowing total raises below
+        total = np.cumsum(terms, axis=1)[:, -1:]  # left to right, unlike ``terms.sum``
+    undefined = ~((total[:, 0] > 0) & (total[:, 0] < math.inf))  # also true for nan: a speaker count is missing
     if undefined.any():
-        missing = members[int(np.argmax(undefined))] & np.isnan(powered)
-        if missing.any():
-            lang = codes[int(np.argmax(missing))]
-            raise InputError(f"tau={tau} requires a speaker count for language {lang!r}")
-        raise ComputationError("demand is undefined: all speaker counts in the universe are zero")
+        r = int(np.argmax(undefined))
+        missing = members[r] & np.isnan(powered)
+        raise scalar._undefined_demand(tau, codes[int(np.argmax(missing))] if missing.any() else None,
+                                       float(total[r, 0]))
     return terms / total
 
 

@@ -4,8 +4,8 @@ coefficient, and the speaker table that demand reads.
 ``langdei.metrics`` computes the same quantities for many rows at once with
 numpy (``_demand_rows``, ``_gini_rows``) and re-exports every public name of
 this module. A vector here gets the numbers a matrix row gets there, bit for
-bit (a property test compares them), so the allocation baselines, which need
-one vector per funded source, run without importing numpy.
+bit (a property test compares them), so ``allocate``, which needs one vector
+per source state, runs every strategy without importing numpy.
 
 numpy adds a row pairwise, not left to right: blocks of up to 128 values,
 each in 8 interleaved accumulators. ``pairwise_sum`` repeats that order, so a
@@ -14,10 +14,12 @@ Gini here is numpy's to the last bit.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Iterable, Mapping, Sequence
 
-from langdei.errors import ComputationError, InputError, check_id
+from langdei.errors import ComputationError, InputError, LangDeiError, check_id
 from langdei.records import Record, check_tau, sequential_sum
 
 _GINI_ALL_ZERO = "Gini is undefined for an all-zero vector"
@@ -71,7 +73,8 @@ def demand(speakers: SpeakerTable, universe: Sequence[str], tau: float) -> dict[
     tau=0 weighs every language equally; tau=1 weighs by speaker population.
     Intermediate values are accepted. Speaker entries are only required when
     tau > 0. Each n^tau is a Python float power and the total adds them in
-    universe order, as ``metrics._demand_rows`` does for a row.
+    universe order, as ``metrics._demand_rows`` does for a row. A total that
+    overflows a float leaves the weights undefined, as all-zero counts do.
     """
     codes = _check_universe(universe)
     check_tau(tau)
@@ -80,12 +83,20 @@ def demand(speakers: SpeakerTable, universe: Sequence[str], tau: float) -> dict[
     else:
         powered = [speakers.millions(lang) ** tau if lang in speakers else math.nan for lang in codes]
     total = sequential_sum(powered)
-    if not total > 0:  # also true for NaN: a speaker count is missing
-        for lang, value in zip(codes, powered):
-            if math.isnan(value):
-                raise InputError(f"tau={tau} requires a speaker count for language {lang!r}")
-        raise ComputationError("demand is undefined: all speaker counts in the universe are zero")
+    if not 0 < total < math.inf:  # also true for NaN: a speaker count is missing
+        raise _undefined_demand(tau, next((lang for lang, v in zip(codes, powered) if math.isnan(v)), None), total)
     return {lang: value / total for lang, value in zip(codes, powered)}
+
+
+def _undefined_demand(tau: float, missing: str | None, total: float) -> LangDeiError:
+    """The error of demand weights whose total is not a positive float: a
+    language without a speaker count (if ``missing`` names one), a total
+    that overflows, or all counts zero."""
+    if missing is not None:
+        return InputError(f"tau={tau} requires a speaker count for language {missing!r}")
+    if total == math.inf:
+        return ComputationError("demand is undefined: the sum of the speaker counts to the power tau overflows a float")
+    return ComputationError("demand is undefined: all speaker counts in the universe are zero")
 
 
 def pairwise_sum(values: Sequence[float]) -> float:
@@ -99,8 +110,21 @@ def pairwise_sum(values: Sequence[float]) -> float:
         return sequential_sum(values)
     if n <= 128:
         end = n - n % 8
-        r = [sequential_sum(values[j:end:8]) for j in range(8)]
-        return sequential_sum([((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), *values[end:]])
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        # Adding to 0.0 turns a tree of -0.0 into +0.0; no other bit changes.
+        total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        for i in range(end, n):
+            total += values[i]
+        return total
     half = n // 2 - n // 2 % 8
     return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
 
@@ -147,5 +171,11 @@ def _gini_row(values: list[float]) -> float:
     total = pairwise_sum(values)
     if total == 0:
         return math.nan
-    weighted = pairwise_sum([(n + 1 - rank) * y for rank, y in enumerate(sorted(values), 1)])
+    weighted = pairwise_sum(list(map(operator.mul, _rank_weights(n), sorted(values))))
     return (n + 1 - 2.0 * weighted / total) / n
+
+
+@functools.cache
+def _rank_weights(n: int) -> tuple[float, ...]:
+    """The Gini weight n + 1 - rank of each rank 1, ..., n, as a float."""
+    return tuple(map(float, range(n, 0, -1)))

@@ -26,6 +26,7 @@ from langdei.curves import LearningCurve, predict
 from langdei.errors import ComputationError, InputError
 from langdei.metrics import gini
 
+import _props
 from _props import replace
 
 # Permissive requests warn of each pair they drop and each target no funded
@@ -313,7 +314,8 @@ class TestGreedy:
         assert repr(greedy_allocate(request)) == repr(naive_greedy(request))
 
     def test_chunk_boundaries_match_naive_reevaluation(self):
-        # 700 steps over three sources cross the first two chunk boundaries.
+        # 700 steps over three sources, past k = 64 and 192, where the chunk
+        # oracle in _props starts its second and third chunks.
         request = three_source_request(budget=700)
         assert repr(greedy_allocate(request)) == repr(naive_greedy(request))
 
@@ -342,10 +344,10 @@ class TestGreedy:
     @pytest.mark.parametrize(("sources", "budget", "raises"), [
         (("z",), 100, True),  # k = 100 is the last step
         (("z",), 99, False),  # k = 100 would be the step after the last
-        (("a", "z"), 150, False),  # z's chunk k = 65..150 holds k = 100, never reached
+        (("a", "z"), 150, False),  # z gets 92 samples, so its k = 100 state is never asked for
     ])
     def test_undefined_gini_deep_in_a_chunk(self, sources, budget, raises):
-        # z predicts exactly 0 at k = 100 (0.1 - 100^-0.5), in its second chunk.
+        # z predicts exactly 0 at k = 100 (0.1 - 100^-0.5).
         reg = {("a", "t"): curve("a", "t", 0.3, -0.5, 0.5), ("z", "t"): curve("z", "t", 0.1, -1.0, 0.5)}
         request = AllocationRequest(
             budget=budget, sources=sources, targets=("t",), demand={"t": 1.0}, beta=0.0,
@@ -601,14 +603,21 @@ def state_outcome(compute):
     return [float(v).hex() if not math.isnan(v) else "nan" for v in (gm, g, *predictions)]
 
 
+# Entries that make a prediction negative, exactly zero (0.5 - 1 * 2^-1, or
+# a = b = 0) or overflowing (1e308 + 1e308), and weights that make gm overflow.
+SPECIAL_A = [0.0, -0.0, 0.5, -0.5, 1e308, -1e308, sys.float_info.max]
+SPECIAL_B = [0.0, -1.0, 1e308, -1e308]
+SPECIAL_C = [0.0, 0.5, 1.0]
+SPECIAL_WEIGHTS = [0.0, 1.0, 1e308]
+
+
 class TestFinalStateMatchesGreedyChunk:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
            st.sampled_from([1, 2, 4, 100]) | st.integers(1, 10_000))
     def test_bit_for_bit_or_same_error(self, n, seed, special_rate, k):
         # Random coefficients and weights, each replaced at the drawn rate by
-        # one that makes predictions negative, exactly zero (0.5 - 1 * 2^-1,
-        # or a = b = 0) or overflowing (1e308 + 1e308), or gm overflow.
+        # a special one.
         rng = np.random.default_rng(seed)
 
         def draw(low, high, special):
@@ -618,14 +627,14 @@ class TestFinalStateMatchesGreedyChunk:
         covered = [t for t in targets if rng.random() < 0.8] or [targets[0]]
         request = AllocationRequest(
             budget=1, sources=("s",), targets=targets, missing="permissive",
-            registry={("s", t): curve("s", t, draw(-3.0, 3.0, [0.0, -0.0, 0.5, -0.5, 1e308, -1e308, sys.float_info.max]),
-                                      draw(-3.0, 3.0, [0.0, -1.0, 1e308, -1e308]), draw(0.0, 2.0, [0.0, 0.5, 1.0]))
+            registry={("s", t): curve("s", t, draw(-3.0, 3.0, SPECIAL_A), draw(-3.0, 3.0, SPECIAL_B),
+                                      draw(0.0, 2.0, SPECIAL_C))
                       for t in covered},
-            demand={t: draw(0.0, 1.0, [0.0, 1.0, 1e308]) for t in targets},
+            demand={t: draw(0.0, 1.0, SPECIAL_WEIGHTS) for t in targets},
         )
 
         def chunk_row():
-            gm, g, predictions = next(greedy._source_chunks(request, "s", k, k))
+            gm, g, predictions = next(_props._source_chunks(request, "s", k, k))
             return gm[0], g[0], predictions[0].tolist()
 
         def scalar_state():
@@ -633,3 +642,75 @@ class TestFinalStateMatchesGreedyChunk:
             return gm, g, list(predictions.values())
 
         assert state_outcome(scalar_state) == state_outcome(chunk_row)
+
+
+# Budgets at and next to k = 4^m, where a "zero" profile predicts exactly 0.
+EDGE_BUDGETS = [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256, 257]
+
+
+@st.composite
+def oracle_requests(draw):
+    """Greedy requests for the heap merge against the chunk oracle: 1-30
+    targets and 1-5 sources, some pairs missing under the permissive policy;
+    alpha and beta each zero or not; sources that share a profile, so their
+    gains tie exactly. A profile is random coefficients, each special at a
+    drawn rate, or one curve on every target: 2^-m - k^-0.5, negative
+    before k = 4^m and exactly zero there; 2 - 1.5 k^-0.5, whose gm
+    overflows from k = 55 on a target weighted 1e308; or 0.9e308 - 0.5e308
+    / k, whose Gini sums overflow on two or more targets. So a state can be
+    undefined from the first k, or only after the budget is reached."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = draw(st.sampled_from([0.0, 0.05, 0.3]))
+
+    def value(low, high, special):
+        return float(rng.choice(special) if rng.random() < rate else rng.uniform(low, high))
+
+    targets = tuple(f"t{j:02d}" for j in range(draw(st.integers(1, 30))))
+    profiles = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "growing", "large"]))
+        if kind == "random":
+            profiles.append([(value(-3.0, 3.0, SPECIAL_A), value(-3.0, 3.0, SPECIAL_B), value(0.0, 2.0, SPECIAL_C))
+                             for _ in targets])
+        else:
+            coefficients = {"zero": (2.0 ** -draw(st.integers(0, 4)), -1.0, 0.5), "growing": (2.0, -1.5, 0.5),
+                            "large": (0.9e308, -0.5e308, 1.0)}[kind]
+            profiles.append([coefficients] * len(targets))
+    sources = tuple(f"s{i}" for i in range(draw(st.integers(1, 5))))
+    registry = {}
+    for s in sources:
+        profile = profiles[draw(st.integers(0, len(profiles) - 1))]
+        registry.update({(s, t): curve(s, t, *abc) for t, abc in zip(targets, profile)})
+    missing = draw(st.sampled_from(MISSING_POLICIES))
+    if missing == "permissive":
+        for s in sources:
+            keep = draw(st.sampled_from(targets))
+            for t in targets:
+                if t != keep and rng.random() < 0.3:
+                    del registry[(s, t)]
+    alpha, beta = draw(st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.5, 2.0), (3.0, 0.0), (0.0, 0.25)]))
+    return AllocationRequest(
+        budget=draw(st.sampled_from(EDGE_BUDGETS) | st.integers(1, 700)), sources=sources, targets=targets,
+        registry=registry, demand={t: value(0.0, 1.0, SPECIAL_WEIGHTS) for t in targets},
+        alpha=alpha, beta=beta, missing=missing,
+    )
+
+
+def picks_outcome(kernel, request, trace):
+    """The counts and trace columns of ``kernel(request, trace)``, each
+    float by its bits, or the error's type and text."""
+    try:
+        counts, columns = kernel(request, trace)
+    except (ComputationError, InputError) as exc:
+        return type(exc), str(exc)
+    if columns is None:
+        return counts, None
+    sources, *numbers = columns
+    return counts, list(sources), [[float(v).hex() for v in column] for column in numbers]
+
+
+class TestHeapMergeMatchesChunkOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_requests(), st.booleans())
+    def test_picks_bit_for_bit_or_same_error(self, req, trace):
+        assert picks_outcome(greedy.picks, req, trace) == picks_outcome(_props.picks, req, trace)

@@ -232,6 +232,19 @@ class TestMetricsCommand:
         assert "outside the universe: qq" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["perf.csv", "universe.txt"]
 
+    def test_overflowing_speaker_total_exit_1(self, data, tmp_path, capsys):
+        # Two finite speaker counts whose total overflows: demand is
+        # undefined (exit 1), not all-zero weights that give m_tau 0.
+        universe = write(tmp_path / "universe.txt", "hi\nbn\n")
+        speakers = write(tmp_path / "speakers.csv", "lang,speakers_millions\nhi,1e308\nbn,1e308\n")
+        perf = write(tmp_path / "perf.csv", "task,model,train_lang,target_lang,score\nner,m,en,hi,50\nner,m,en,bn,60\n")
+        rc = main(["metrics", "--perf", perf, "--tasks", data["tasks"], "--universe", universe, "--tau", "1",
+                   "--speakers", speakers, "--out", str(tmp_path / "sc.csv"), "--lorenz-out", str(tmp_path / "lz.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: demand is undefined: the sum of the speaker counts to the power tau overflows a float\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["perf.csv", "speakers.csv", "universe.txt"]
+
 
 class TestEfficiencyCommand:
     def test_perf_only_weights_reproduce_perf_column(self, data):
@@ -462,6 +475,19 @@ class TestAllocateCommand:
             assert not out.exists()
         else:
             assert load_plan(out).counts == {"a": 1, "z": 1}
+
+    @pytest.mark.parametrize("strategy", ["greedy", "egalitarian"])
+    def test_overflowing_speaker_total_exit_1(self, tmp_path, capsys, strategy):
+        # Two finite speaker counts whose total overflows: demand is
+        # undefined (exit 1), not all-zero weights that give a plan with m=0.
+        curves = write(tmp_path / "curves.txt", "".join(
+            f"curve source={s} target={t} a=0.9 b=-0.5 c=0.5 r2=0.9\n" for s in ("hi", "bn") for t in ("hi", "bn")))
+        speakers = write(tmp_path / "speakers.csv", "lang,speakers_millions\nhi,1e308\nbn,1e308\n")
+        assert main(["allocate", "--curves", curves, "--budget", "4", "--strategy", strategy, "--tau", "1",
+                     "--speakers", speakers, "--out", str(tmp_path / "plan.txt")]) == 1
+        assert capsys.readouterr().err == (
+            "error: demand is undefined: the sum of the speaker counts to the power tau overflows a float\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.txt", "speakers.csv"]
 
     def test_overflowing_gini_exit_1(self, tmp_path, capsys):
         # a's first state predicts 1e308 on both targets: the total of its
@@ -834,10 +860,9 @@ def test_cli_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-# Start-up: metrics and curves need numpy, and so does greedy, the kernel of
-# the greedy strategy; only the subcommands that compute with them import
-# them. allocator and scalar need no numpy.
-NUMERIC_MODULES = {"numpy", "langdei.metrics", "langdei.curves", "langdei.greedy"}
+# Start-up: metrics and curves need numpy; only the subcommands that compute
+# with them import them. allocator, greedy and scalar need no numpy.
+NUMERIC_MODULES = {"numpy", "langdei.metrics", "langdei.curves"}
 
 
 def modules_after(code, cwd):
@@ -861,13 +886,13 @@ def test_import_cli_loads_no_numeric_module(tmp_path):
     ("langdei.cli", {"logging", "dataclasses", "inspect"}),
     ("langdei.allocator", {"logging", "dataclasses", "inspect", "numpy"}),
     ("langdei.metrics", {"logging", "dataclasses"}),
-    ("langdei.greedy", {"logging", "dataclasses"}),
+    ("langdei.greedy", {"logging", "dataclasses", "inspect", "numpy"}),
 ], ids=["langdei.cli", "langdei.allocator", "langdei.metrics", "langdei.greedy"])
 def test_import_loads_no_logging(module, unwanted, tmp_path):
     # Data events are warnings, which main prints, and records are
     # records.Record, not dataclasses: logging, and dataclasses with the
     # inspect it loads, would only add start-up time. numpy loads inspect
-    # itself, so only the numpy-free cli and allocator are held to that.
+    # itself, so only the numpy-free cli, allocator and greedy are held to that.
     assert modules_after(f"import {module}", tmp_path) & unwanted == set()
 
 
@@ -882,7 +907,11 @@ MURIL = str(bundled_path("curves_muril.txt"))
      "--speakers", SPEAKERS, "--missing", "permissive", "--out", "plan.txt"],
     ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "single:hi", "--tau", "1",
      "--speakers", SPEAKERS, "--missing", "permissive", "--out", "plan.txt"],
-], ids=["efficiency", "report", "egalitarian", "single"])
+    ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "greedy", "--tau", "1",
+     "--speakers", SPEAKERS, "--missing", "permissive", "--out", "plan.txt"],
+    ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "greedy", "--tau", "0", "--beta", "0",
+     "--missing", "permissive", "--trace-out", "trace.csv", "--out", "plan.txt"],
+], ids=["efficiency", "report", "egalitarian", "single", "greedy", "greedy-trace"])
 def test_subcommand_runs_without_numpy(argv, tmp_path):
     write(tmp_path / "plan.txt", "plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\n"
           "alloc source=bn samples=2 gm=0.5 gini=0.1\n" + EVAL_LINE)
@@ -890,14 +919,11 @@ def test_subcommand_runs_without_numpy(argv, tmp_path):
     loaded = modules_after(f"from langdei.cli import main\nassert main({argv!r}) == 0", tmp_path)
     assert (tmp_path / argv[-1]).is_file()
     assert "numpy" not in loaded
-
-
-def test_greedy_run_still_works_and_loads_numpy(tmp_path):
-    argv = ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "greedy", "--tau", "1",
-            "--speakers", SPEAKERS, "--missing", "permissive", "--out", "plan.txt"]
-    loaded = modules_after(f"from langdei.cli import main\nassert main({argv!r}) == 0", tmp_path)
-    assert "langdei.greedy" in loaded and "numpy" in loaded
-    assert load_plan(tmp_path / "plan.txt").strategy == "greedy"
+    if "greedy" in argv:
+        assert "langdei.greedy" in loaded
+        assert load_plan(tmp_path / "plan.txt").strategy == "greedy"
+    if "--trace-out" in argv:
+        assert io.count_trace(tmp_path / "trace.csv") == 1000
 
 
 @pytest.mark.parametrize("argv", [

@@ -374,6 +374,31 @@ def test_demand_all_zero_speakers_is_undefined():
         demand(SpeakerTable({"x": 0.0, "y": 0.0}), ("x", "y"), tau=1.0)
 
 
+OVERFLOW = "demand is undefined: the sum of the speaker counts to the power tau overflows a float"
+
+
+def test_demand_overflowing_speaker_total_is_undefined():
+    # Each count is finite, but their total is not: the weights would all be 0.
+    speakers = SpeakerTable({"x": 1e308, "y": 1e308})
+    with pytest.raises(ComputationError, match=OVERFLOW):
+        demand(speakers, ("x", "y"), tau=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning is silenced on this path
+        with pytest.raises(ComputationError, match=OVERFLOW):
+            _demand_rows(speakers, ("x", "y"), 1.0, np.array([[True, False], [True, True]]))
+    assert _demand_rows(speakers, ("x", "y"), 1.0, np.array([[True, False]])).tolist() == [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize("tested_only", [False, True])
+def test_scorecard_with_overflowing_speaker_total_is_undefined(tested_only):
+    table = PerformanceTable.from_scores({("ner", "m", "en", "x"): 50.0, ("ner", "m", "en", "y"): 60.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ComputationError, match=OVERFLOW):
+            dei_scorecard(table, SpeakerTable({"x": 1e308, "y": 1e308}), [TaskSpec("ner", 100.0)],
+                          universe=("x", "y"), tau=1.0, tested_only=tested_only)
+
+
 def test_math_isfinite_guard():
     with pytest.raises(InputError):
         gini([1.0, math.inf])
@@ -406,6 +431,8 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
             total += value
         if total <= 0:
             raise ComputationError("demand is undefined: all speaker counts in the universe are zero")
+        if total == math.inf:
+            raise ComputationError(OVERFLOW)
         return {lang: value / total for lang, value in powered.items()}
 
     def ref_gini(utilities):
@@ -662,8 +689,7 @@ def matrix_demand(speakers, universe, tau):
     """``demand`` as the matrix kernel gives it: one row of ``_demand_rows``."""
     codes = scalar._check_universe(universe)
     check_tau(tau)
-    with np.errstate(all="ignore"):  # a total that overflows warns there; the weights are compared
-        weights = _demand_rows(speakers, codes, tau, np.ones((1, len(codes)), dtype=bool))
+    weights = _demand_rows(speakers, codes, tau, np.ones((1, len(codes)), dtype=bool))
     return dict(zip(codes, weights[0].tolist()))
 
 
