@@ -21,9 +21,8 @@ from typing import TYPE_CHECKING, Sequence
 from langdei import efficiency, io, records
 from langdei.errors import ComputationError, InputError
 
-# metrics and curves need numpy, and so does the greedy strategy of
-# allocator; each subcommand imports what it needs when it runs, so
-# `efficiency`, `report` and the allocation baselines never load numpy.
+# Each subcommand imports the modules it computes with when it runs. Only
+# curves needs numpy, so no subcommand but `fit` loads it.
 if TYPE_CHECKING:
     from langdei import scalar
 

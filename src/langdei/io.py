@@ -21,7 +21,7 @@ from langdei.errors import InputError, check_id
 from langdei.records import (AllocationPlan, LearningCurve, PlanEvaluation, TraceStep, TrajectoryPoint,
                              check_plan_settings, parse_strategy)
 
-if TYPE_CHECKING:  # metrics needs numpy: its loaders import it when they run
+if TYPE_CHECKING:  # imported by the loaders when they run, not when io is
     from langdei.metrics import PerformanceTable, ScorecardRow, TaskSpec
     from langdei.scalar import SpeakerTable
 
@@ -193,8 +193,6 @@ def load_performance(path: str | Path, scale: str = "percent") -> PerformanceTab
     """
     from array import array
 
-    import numpy as np
-
     _check_scale(scale)
     factor = 100.0 if scale == "unit" else 1.0
     header = ("task", "model", "train_lang", "target_lang", "score")
@@ -209,8 +207,7 @@ def load_performance(path: str | Path, scale: str = "percent") -> PerformanceTab
         from langdei.metrics import CellError, PerformanceTable
 
         try:
-            return PerformanceTable(tuple(keys), tuple(languages), np.frombuffer(row, dtype=np.int64),
-                                    np.frombuffer(target, dtype=np.int64), np.frombuffer(score))
+            return PerformanceTable(tuple(keys), tuple(languages), row, target, score)
         except CellError as exc:
             lineno, cells_text = next(islice(_read_csv_rows(path, header), exc.index, None))
             where = f"{path}:{lineno}"
@@ -518,16 +515,19 @@ def render_lorenz(rows: Sequence[ScorecardRow]) -> str:
     """The Lorenz points of each scorecard row's utilities, in row order:
     point k of a row of n utilities is (k/n, the share of the row's total
     held by its k smallest utilities), for k = 0..n. Each row's
-    ``task,model,train_lang,`` prefix and each k/n are formatted once."""
-    from langdei.metrics import scorecard_lorenz
+    ``task,model,train_lang,`` prefix and each distinct k/n are formatted
+    once."""
+    from langdei.metrics import lorenz_shares
 
-    blocks = [""] * len(rows)
-    for idx, shares in scorecard_lorenz(rows):
-        size = shares.shape[1]
-        xs = [fmt_num(k / size) + "," for k in range(size + 1)]
-        for i, curve in zip(idx, shares.tolist()):
-            prefix = f"{rows[i].task},{rows[i].model},{rows[i].train_lang},"
-            blocks[i] = "\n".join([prefix + x + fmt_num(y) for x, y in zip(xs, [0.0, *curve])])
+    xs: dict[int, list[str]] = {}
+    blocks = []
+    for row in rows:
+        shares = lorenz_shares(row.utilities)
+        n = len(shares)
+        if n not in xs:
+            xs[n] = [fmt_num(k / n) + "," for k in range(n + 1)]
+        prefix = f"{row.task},{row.model},{row.train_lang},"
+        blocks.append("\n".join([prefix + x + fmt_num(y) for x, y in zip(xs[n], [0.0, *shares])]))
     return "\n".join(["task,model,train_lang,population_fraction,cumulative_share", *blocks]) + "\n"
 
 

@@ -1,15 +1,14 @@
 """Numpy-free kernels of one vector: demand weights and the Gini
 coefficient, and the speaker table that demand reads.
 
-``langdei.metrics`` computes the same quantities for many rows at once with
-numpy (``_demand_rows``, ``_gini_rows``) and re-exports every public name of
-this module. A vector here gets the numbers a matrix row gets there, bit for
-bit (a property test compares them), so ``allocate``, which needs one vector
-per source state, runs every strategy without importing numpy.
+The scorecard (``langdei.metrics``) computes each of its rows with them, and
+``allocate`` each source state and plan evaluation, so neither loads numpy.
+``langdei.metrics`` re-exports every public name of this module.
 
-numpy adds a row pairwise, not left to right: blocks of up to 128 values,
+numpy adds a vector pairwise, not left to right: blocks of up to 128 values,
 each in 8 interleaved accumulators. ``pairwise_sum`` repeats that order, so a
-Gini here is numpy's to the last bit.
+Gini here is the one numpy's sums give, to the last bit; property tests hold
+each kernel to a numpy counterpart. Demand totals add left to right.
 """
 
 from __future__ import annotations
@@ -73,19 +72,31 @@ def demand(speakers: SpeakerTable, universe: Sequence[str], tau: float) -> dict[
     tau=0 weighs every language equally; tau=1 weighs by speaker population.
     Intermediate values are accepted. Speaker entries are only required when
     tau > 0. Each n^tau is a Python float power and the total adds them in
-    universe order, as ``metrics._demand_rows`` does for a row. A total that
-    overflows a float leaves the weights undefined, as all-zero counts do.
+    universe order, left to right. A total that overflows a float leaves the
+    weights undefined, as all-zero counts do.
     """
     codes = _check_universe(universe)
     check_tau(tau)
+    return dict(zip(codes, _weights(codes, _powers(speakers, codes, tau), tau)))
+
+
+def _powers(speakers: SpeakerTable, codes: Sequence[str], tau: float) -> list[float]:
+    """Each language's speaker count to the power tau, a Python float power:
+    1.0 each for tau = 0, which needs no counts, and NaN for a language
+    without a count."""
     if tau == 0:
-        powered = [1.0] * len(codes)
-    else:
-        powered = [speakers.millions(lang) ** tau if lang in speakers else math.nan for lang in codes]
+        return [1.0] * len(codes)
+    return [speakers.millions(lang) ** tau if lang in speakers else math.nan for lang in codes]
+
+
+def _weights(codes: Sequence[str], powered: Sequence[float], tau: float) -> list[float]:
+    """The demand weights of the languages ``codes`` from their ``_powers``:
+    each power over the total, which adds them left to right. A total that
+    is not a positive float (NaN for a missing count) raises."""
     total = sequential_sum(powered)
     if not 0 < total < math.inf:  # also true for NaN: a speaker count is missing
         raise _undefined_demand(tau, next((lang for lang, v in zip(codes, powered) if math.isnan(v)), None), total)
-    return {lang: value / total for lang, value in zip(codes, powered)}
+    return [value / total for value in powered]
 
 
 def _undefined_demand(tau: float, missing: str | None, total: float) -> LangDeiError:
@@ -132,16 +143,15 @@ def pairwise_sum(values: Sequence[float]) -> float:
 def _checked(values: Iterable[float]) -> list[float]:
     """``values`` as a list of floats, if it is a non-empty vector of finite
     values >= 0."""
-    items = list(values)
     try:
-        vector = [float(value) for value in items]
+        vector = list(map(float, values))
     except TypeError:  # an entry that is itself a vector
         vector = []
     if not vector:
         raise InputError("expected a non-empty 1-d vector of values")
     if not all(map(math.isfinite, vector)):
         raise InputError("values must be finite")
-    if any(value < 0 for value in vector):
+    if min(vector) < 0:
         raise InputError("values must be non-negative")
     return vector
 
@@ -164,9 +174,9 @@ def gini(values: Iterable[float]) -> float:
 
 
 def _gini_row(values: list[float]) -> float:
-    """The Gini formula of ``gini``, unchecked: ``metrics._gini_rows`` of the
-    one row ``values``, bit for bit. An undefined Gini is NaN or infinite,
-    as there; a zero total gives NaN, as numpy's 0/0 does."""
+    """The Gini formula of ``gini``, unchecked, with numpy's sums: an
+    undefined Gini is NaN or infinite, and a zero total gives NaN, as
+    numpy's 0/0 does."""
     n = len(values)
     total = pairwise_sum(values)
     if total == 0:

@@ -1,9 +1,10 @@
 """Randomized property checks for the Gini coefficient, shared between the
 unit suite (small iteration counts) and the acceptance suite (>= 1000 each),
-a ``replace`` for records, and reference forms of the performance table:
-its cells as a mapping, its rows grouped, the per-row loader and the
-per-row Lorenz text that the columnar code is compared against, and the
-numpy chunk kernel of the greedy that the heap merge replaced.
+a ``replace`` for records, reference forms of the performance table: its
+cells as a mapping, its rows grouped, the per-row loader and the per-point
+Lorenz text, and the numpy kernels that the one-vector code replaced: the
+scorecard's matrix kernels (utility, demand, Gini, Lorenz shares) and the
+greedy's chunk kernel.
 
 Vectors come from a seeded generator, so every run sees the same cases.
 """
@@ -15,12 +16,11 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from langdei import allocator
+from langdei import allocator, scalar
 from langdei import curves as _curves
-from langdei import metrics as _metrics
-from langdei.errors import InputError, check_id
+from langdei.errors import ComputationError, InputError, check_id
 from langdei.io import _located, _parse_float, _read_csv_rows, fmt_num
-from langdei.metrics import PerformanceTable, ScorecardRow, gini, lorenz_points
+from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, gini, lorenz_points
 from langdei.records import LearningCurve
 
 
@@ -200,6 +200,76 @@ def reference_lorenz_text(rows: Sequence[ScorecardRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The scorecard's numpy matrix kernels, as ``langdei.metrics`` had them
+# before each row became one vector of ``langdei.scalar``: the oracles that
+# the one-vector kernels are held to, bit for bit.
+
+def _utilities(raw, maximum):
+    """Raw scores over their task maxima, elementwise, clamped to 1.0."""
+    return np.where(raw > maximum, 1.0, raw / maximum)
+
+
+def _demand_rows(speakers: SpeakerTable, codes: tuple[str, ...], tau: float, members: np.ndarray) -> np.ndarray:
+    """Demand weights over each row's own universe: the codes where that
+    row of the boolean ``members`` matrix is set; 0 elsewhere.
+
+    Each n^tau is a Python float power, and each row total adds its terms in
+    universe order, left to right, as ``scalar.demand`` does for one row.
+    The first row whose weights are undefined (a speaker count missing, a
+    total that overflows, or all counts zero) raises; tau must be checked
+    already.
+    """
+    if tau == 0:
+        powered = np.ones(len(codes))
+    else:
+        powered = np.array([speakers.millions(lang) ** tau if lang in speakers else math.nan for lang in codes])
+    terms = np.where(members, powered, 0.0)
+    with np.errstate(over="ignore"):  # an overflowing total raises below
+        total = np.cumsum(terms, axis=1)[:, -1:]  # left to right, unlike ``terms.sum``
+    undefined = ~((total[:, 0] > 0) & (total[:, 0] < math.inf))  # also true for nan: a speaker count is missing
+    if undefined.any():
+        r = int(np.argmax(undefined))
+        missing = members[r] & np.isnan(powered)
+        raise scalar._undefined_demand(tau, codes[int(np.argmax(missing))] if missing.any() else None,
+                                       float(total[r, 0]))
+    return terms / total
+
+
+def _check_nonnegative(arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise InputError("values must be finite")
+    if np.any(arr < 0):
+        raise InputError("values must be non-negative")
+    return arr
+
+
+def _gini_rows(rows: np.ndarray) -> np.ndarray:
+    """The Gini formula of ``gini`` on each row of a 2-d array, unchecked.
+
+    Row-wise reductions, so each entry is bit-identical to the 1-d form,
+    ``scalar._gini_row``. A row of non-negative values gives a non-finite
+    entry (and a numpy warning) exactly when its Gini is undefined: it
+    totals zero, holds a non-finite value, or its sums overflow. Callers reject such entries
+    themselves. The sort kind cannot change a result: the only equal values
+    with different bits are 0.0 and -0.0, and either adds the same to a sum.
+    """
+    n = rows.shape[1]
+    total = rows.sum(axis=1)
+    ranks = np.arange(1, n + 1, dtype=float)
+    weighted = ((n + 1 - ranks) * np.sort(rows, axis=1)).sum(axis=1)
+    return (n + 1 - 2.0 * weighted / total) / n
+
+
+def _lorenz_shares(rows: np.ndarray) -> np.ndarray:
+    """The Lorenz shares of each row of a 2-d array of checked values, one
+    row-wise sort and cumulative sum: column k-1 is the share of the row's
+    total held by its k smallest values."""
+    if not rows.sum(axis=1).all():
+        raise ComputationError("Lorenz curve is undefined for an all-zero vector")
+    cum = np.cumsum(np.sort(rows, axis=1, kind="stable"), axis=1)
+    return cum / cum[:, -1:]
+
+
 # The greedy's numpy chunk kernel, as ``langdei.greedy`` had it before the
 # heap merge: ``picks`` is the oracle of ``greedy.picks``, and each row of
 # ``_source_chunks`` that of ``allocator._final_state``.
@@ -242,7 +312,7 @@ def _state_chunk(curves: list[LearningCurve], weights: list[float], ks: range) -
     at each k in ks up to the first undefined state (a gm or Gini that is
     not finite), and that k's absolute predictions (or None).
 
-    gm adds the targets in sorted order, and Gini is metrics._gini_rows,
+    gm adds the targets in sorted order, and Gini is _gini_rows,
     so each state is bit-identical to allocator._final_state at that k.
     """
     with np.errstate(all="ignore"):  # undefined rows are cut off below
@@ -251,7 +321,7 @@ def _state_chunk(curves: list[LearningCurve], weights: list[float], ks: range) -
         for w, column in zip(weights, predictions.T):
             gm += w * column
         absolute = np.abs(predictions)
-        gini = _metrics._gini_rows(absolute)
+        gini = _gini_rows(absolute)
     undefined = np.flatnonzero(~(np.isfinite(gm) & np.isfinite(gini)))
     if undefined.size:
         end = int(undefined[0])

@@ -860,9 +860,9 @@ def test_cli_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-# Start-up: metrics and curves need numpy; only the subcommands that compute
-# with them import them. allocator, greedy and scalar need no numpy.
-NUMERIC_MODULES = {"numpy", "langdei.metrics", "langdei.curves"}
+# Start-up: only curves needs numpy, and only fit imports it. metrics,
+# allocator, greedy and scalar need no numpy.
+NUMERIC_MODULES = {"numpy", "langdei.curves"}
 
 
 def modules_after(code, cwd):
@@ -879,20 +879,20 @@ def test_import_cli_loads_no_numeric_module(tmp_path):
     loaded = modules_after("import langdei.cli", tmp_path)
     assert "langdei.io" in loaded
     assert loaded & NUMERIC_MODULES == set()
-    assert loaded & {"langdei.allocator", "langdei.scalar"} == set()  # loaded by the subcommands that use them
+    assert loaded & {"langdei.allocator", "langdei.metrics", "langdei.scalar"} == set()  # loaded by the subcommands that use them
 
 
 @pytest.mark.parametrize("module, unwanted", [
     ("langdei.cli", {"logging", "dataclasses", "inspect"}),
     ("langdei.allocator", {"logging", "dataclasses", "inspect", "numpy"}),
-    ("langdei.metrics", {"logging", "dataclasses"}),
+    ("langdei.metrics", {"logging", "dataclasses", "inspect", "numpy"}),
     ("langdei.greedy", {"logging", "dataclasses", "inspect", "numpy"}),
 ], ids=["langdei.cli", "langdei.allocator", "langdei.metrics", "langdei.greedy"])
 def test_import_loads_no_logging(module, unwanted, tmp_path):
     # Data events are warnings, which main prints, and records are
     # records.Record, not dataclasses: logging, and dataclasses with the
     # inspect it loads, would only add start-up time. numpy loads inspect
-    # itself, so only the numpy-free cli, allocator and greedy are held to that.
+    # itself; none of these modules needs numpy.
     assert modules_after(f"import {module}", tmp_path) & unwanted == set()
 
 
@@ -911,7 +911,11 @@ MURIL = str(bundled_path("curves_muril.txt"))
      "--speakers", SPEAKERS, "--missing", "permissive", "--out", "plan.txt"],
     ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "greedy", "--tau", "0", "--beta", "0",
      "--missing", "permissive", "--trace-out", "trace.csv", "--out", "plan.txt"],
-], ids=["efficiency", "report", "egalitarian", "single", "greedy", "greedy-trace"])
+    ["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks", str(bundled_path("tasks.csv")),
+     "--tau", "1", "--speakers", SPEAKERS, "--lorenz-out", "lorenz.csv", "--out", "scorecard.csv"],
+    ["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks", str(bundled_path("tasks.csv")),
+     "--tau", "0", "--tested-only", "--out", "scorecard.csv"],
+], ids=["efficiency", "report", "egalitarian", "single", "greedy", "greedy-trace", "metrics", "metrics-tested-only"])
 def test_subcommand_runs_without_numpy(argv, tmp_path):
     write(tmp_path / "plan.txt", "plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\n"
           "alloc source=bn samples=2 gm=0.5 gini=0.1\n" + EVAL_LINE)
@@ -928,14 +932,63 @@ def test_subcommand_runs_without_numpy(argv, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["fit", "--trajectories", "traj.csv", "--out", "curves.txt"],
-    ["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks", str(bundled_path("tasks.csv")),
-     "--tau", "1", "--speakers", SPEAKERS, "--lorenz-out", "lorenz.csv", "--out", "scorecard.csv"],
-    ["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks", str(bundled_path("tasks.csv")),
-     "--tau", "0", "--tested-only", "--out", "scorecard.csv"],
-], ids=["fit", "metrics", "metrics-tested-only"])
+], ids=["fit"])
 def test_numeric_subcommand_leaves_numpy_ma_unloaded(argv, tmp_path):
     # np.unique imports numpy.ma on its first call; no subcommand needs it.
     synth_trajectories(tmp_path)
     loaded = modules_after(f"from langdei.cli import main\nassert main({argv!r}) == 0", tmp_path)
     assert (tmp_path / argv[-1]).is_file()
     assert "numpy" in loaded and "numpy.ma" not in loaded
+
+
+# The same bytes on every interpreter. Every subcommand but fit runs without
+# numpy, so each runs under the pyenv interpreters found here, which need not
+# have numpy, and must write what the interpreter running the tests writes.
+# Paths are relative to each run's directory, so the reports agree too.
+PERF, TASKS, GOODS = (str(bundled_path(name)) for name in ("fixtures_ner_equal.csv", "tasks.csv", "goods.csv"))
+EVERY_SUBCOMMAND_BUT_FIT = [
+    ["metrics", "--perf", PERF, "--tasks", TASKS, "--tau", "1", "--speakers", SPEAKERS,
+     "--lorenz-out", "lorenz.csv", "--out", "scorecard.csv"],
+    ["metrics", "--perf", PERF, "--tasks", TASKS, "--tau", "0", "--out", "scorecard_tau0.csv"],
+    ["metrics", "--perf", PERF, "--tasks", TASKS, "--tau", "1", "--speakers", SPEAKERS, "--tested-only",
+     "--out", "scorecard_tested.csv"],
+    ["efficiency", "--goods", GOODS, "--amrs-out", "amrs.csv", "--out", "efficiency.csv"],
+    ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "greedy", "--tau", "1", "--speakers", SPEAKERS,
+     "--missing", "permissive", "--trace-out", "trace.csv", "--out", "greedy.txt"],
+    ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "egalitarian", "--tau", "1",
+     "--speakers", SPEAKERS, "--missing", "permissive", "--out", "egalitarian.txt"],
+    ["report", "--scorecard", "scorecard.csv", "--lorenz", "lorenz.csv", "--amrs", "amrs.csv",
+     "--efficiency", "efficiency.csv", "--curves", MURIL, "--plan", "greedy.txt", "--plan", "egalitarian.txt",
+     "--trace", "trace.csv", "--out", "report.md"],
+]
+
+
+def outputs_under(python, cwd):
+    """{file name: bytes} of the outputs of EVERY_SUBCOMMAND_BUT_FIT, run
+    in one ``python`` process in ``cwd``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = f"from langdei.cli import main\nfor argv in {EVERY_SUBCOMMAND_BUT_FIT!r}:\n    assert main(argv) == 0, argv"
+    subprocess.run([str(python), "-c", code], capture_output=True, env=env, cwd=cwd, check=True)
+    return {path.name: path.read_bytes() for path in cwd.iterdir()}
+
+
+def pyenv_python(version):
+    """The newest pyenv interpreter of ``version`` (such as "3.12"), or None."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    found = sorted(root.glob(f"versions/{version}.*/bin/python{version}"))
+    return found[-1] if found else None
+
+
+@pytest.fixture(scope="module")
+def own_outputs(tmp_path_factory):
+    return outputs_under(sys.executable, tmp_path_factory.mktemp("own"))
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_same_bytes_on_every_interpreter(version, own_outputs, tmp_path):
+    python = pyenv_python(version)
+    if python is None:
+        pytest.skip(f"no pyenv Python {version}")
+    outputs = outputs_under(python, tmp_path)
+    assert sorted(outputs) == sorted(own_outputs)
+    assert [name for name in outputs if outputs[name] != own_outputs[name]] == []

@@ -4,6 +4,7 @@ import csv
 import math
 import sys
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -20,17 +21,17 @@ from langdei.metrics import (
     ScorecardRow,
     SpeakerTable,
     TaskSpec,
-    _demand_rows,
-    _gini_rows,
     dei_scorecard,
     demand,
     gini,
     lorenz_points,
+    lorenz_shares,
     utility,
 )
 from langdei.records import check_tau, sequential_sum
 
-from _props import (ALL_PROPERTIES, check_oracle_equivalence, gini_from_lorenz, gini_mean_abs_difference, groups,
+from _props import (ALL_PROPERTIES, _check_nonnegative, _demand_rows, _gini_rows, _lorenz_shares, _utilities,
+                    check_oracle_equivalence, gini_from_lorenz, gini_mean_abs_difference, groups,
                     reference_lorenz_text)
 
 NER = TaskSpec("ner", 97.6)
@@ -259,22 +260,23 @@ class TestPerformanceTable:
         assert (info.value.index, info.value.repeated) == (1, False)
 
     def test_first_repeat_is_named_and_wins_over_its_own_bad_score(self):
-        columns = ((("ner", "m", "en"),), ("hi", "bn"), np.array([0, 0, 0, 0]), np.array([0, 1, 0, 1]),
-                   np.array([5.0, 1.0, math.nan, -1.0]))
+        columns = ((("ner", "m", "en"),), ("hi", "bn"), array("q", [0, 0, 0, 0]), array("q", [0, 1, 0, 1]),
+                   array("d", [5.0, 1.0, math.nan, -1.0]))
         with pytest.raises(CellError) as info:
             PerformanceTable(*columns)
         assert str(info.value) == "duplicate row for ('ner', 'm', 'en', 'hi')"
         assert (info.value.index, info.value.repeated) == (2, True)
 
     @pytest.mark.parametrize("row, target, score", [
-        ([0, 1], [0, 0], [1.0, 2.0]),
-        ([0, 0], [0, -1], [1.0, 2.0]),
-        ([0, 0], [0, 0], [1.0]),
+        (array("q", [0, 1]), array("q", [0, 0]), array("d", [1.0, 2.0])),
+        (array("q", [0, 0]), array("q", [0, -1]), array("d", [1.0, 2.0])),
+        (array("q", [0, 0]), array("q", [0, 0]), array("d", [1.0])),
         ([[0]], [[0]], [[1.0]]),
-    ], ids=["row-code", "target-code", "lengths", "2-d"])
+        (array("d", [0.0]), array("q", [0]), array("d", [1.0])),
+    ], ids=["row-code", "target-code", "lengths", "2-d", "float-codes"])
     def test_malformed_columns_rejected(self, row, target, score):
         with pytest.raises(InputError, match="columns"):
-            PerformanceTable((("ner", "m", "en"),), ("hi",), np.array(row), np.array(target), np.array(score))
+            PerformanceTable((("ner", "m", "en"),), ("hi",), row, target, score)
 
 
 class TestScorecard:
@@ -415,9 +417,6 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
     would compute them: the oracle for ``PerformanceTable.from_scores``
     followed by ``dei_scorecard``."""
 
-    def ref_utility(raw, spec):
-        return 1.0 if raw > spec.max_performance else raw / spec.max_performance
-
     def ref_demand(row_universe):
         if tau == 0:
             return {lang: 1.0 / len(row_universe) for lang in row_universe}
@@ -472,13 +471,14 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
     weights = [ref_demand(row_universe) for row_universe in universes]
     # (3) Gini defined.
     utilities = [
-        tuple(ref_utility(cells[lang], by_task[task_id]) if lang in cells else 0.0 for lang in row_universe)
+        tuple(_utilities(np.array([cells.get(lang, 0.0) for lang in row_universe]),
+                         by_task[task_id].max_performance).tolist())
         for ((task_id, _, _), cells), row_universe in zip(rows_of, universes)
     ]
     ginis = [ref_gini(u) for u in utilities]
     rows = []
     for ((task_id, model, train), cells), row_universe, d, u, g in zip(rows_of, universes, weights, utilities, ginis):
-        m = float(np.dot(np.asarray(u), np.asarray([d[lang] for lang in row_universe])))
+        m = sequential_sum(ui * d[lang] for ui, lang in zip(u, row_universe))  # left to right, in universe order
         rows.append(ScorecardRow(task_id, model, train, m, g, len(cells), len(row_universe), u))
     return rows
 
@@ -592,6 +592,7 @@ class TestClampWarnings:
         perf = _table({
             ("ner", "m", "en", "hi"): 98.0,
             ("ner", "m", "en", "bn"): 99.5,
+            ("ner", "m", "en", "ta"): 97.6,  # the maximum itself is not clamped
             ("ner", "n", "hi", "hi"): 97.7,
             ("ner", "n", "hi", "ta"): 50.0,
             ("pos", "m", "en", "hi"): 97.1,
@@ -606,7 +607,7 @@ class TestClampWarnings:
             "scores above task 'pos' maximum 97.0: 1 (largest 97.1); clamping their utility to 1.0",
         ]
         assert all(w.category is UserWarning for w in caught)
-        assert sum(u == 1.0 for row in rows for u in row.utilities) == 4
+        assert sum(u == 1.0 for row in rows for u in row.utilities) == 5
 
     def test_no_warning_without_clamped_scores(self):
         perf = _table({("ner", "m", "en", "hi"): 97.6})
@@ -616,9 +617,9 @@ class TestClampWarnings:
 
 
 class TestScorecardLorenz:
-    """The Lorenz CSV, rendered from one share matrix per universe size,
-    against ``lorenz_points`` of each row: ragged tested-only rows, zeros of
-    either sign, and clamped utilities."""
+    """The Lorenz CSV, each distinct k/n formatted once, against
+    ``lorenz_points`` of each row: ragged tested-only rows, zeros of either
+    sign, and clamped utilities."""
 
     @settings(max_examples=100, deadline=None)
     @given(scorecard_inputs(faults=False))
@@ -645,7 +646,8 @@ class TestScorecardLorenz:
 
 
 # ---------------------------------------------------------------------------
-# The numpy-free one-vector kernels against the matrix kernels
+# The numpy-free one-vector kernels against the numpy matrix kernels they
+# replaced (tests/_props.py)
 # ---------------------------------------------------------------------------
 
 # Lengths on both sides of numpy's block edges: 8 accumulators, blocks of 128.
@@ -693,6 +695,14 @@ def matrix_demand(speakers, universe, tau):
     return dict(zip(codes, weights[0].tolist()))
 
 
+def matrix_lorenz_shares(values):
+    """``lorenz_shares`` as the matrix kernel gives it: one row of ``_lorenz_shares``."""
+    if not values:
+        raise InputError("expected a non-empty 1-d vector of values")
+    with np.errstate(all="ignore"):
+        return _lorenz_shares(_check_nonnegative(np.array([values], dtype=float)))[0].tolist()
+
+
 def outcome_of(compute, *args):
     """The result with each float by its bits, or the error's type and text."""
     try:
@@ -701,6 +711,8 @@ def outcome_of(compute, *args):
         return type(exc).__name__, str(exc)
     if isinstance(result, dict):
         return {key: exact(value) for key, value in result.items()}
+    if isinstance(result, list):
+        return [exact(value) for value in result]
     return exact(result)
 
 
@@ -736,6 +748,12 @@ class TestScalarKernelsMatchMatrixKernels:
         absent = np.random.default_rng(n).random(n) < missing_rate
         speakers = SpeakerTable({lang: count for lang, count, gone in zip(codes, counts[0], absent) if not gone})
         assert outcome_of(demand, speakers, codes, tau) == outcome_of(matrix_demand, speakers, codes, tau)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vectors() | vectors(signed=True) | st.just([[]]))
+    def test_lorenz_shares_are_lorenz_shares_rows_or_same_error(self, rows):
+        (values,) = rows
+        assert outcome_of(lorenz_shares, values) == outcome_of(matrix_lorenz_shares, values)
 
     def test_sequential_sum_does_not_compensate(self):
         # Left to right from 0.0 the 1.0 is lost to rounding next to 1e16;
