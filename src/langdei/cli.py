@@ -18,7 +18,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from langdei import efficiency, io, records
+from langdei import io, records
 from langdei.errors import ComputationError, InputError
 
 # Each subcommand imports the modules it computes with when it runs. Only
@@ -149,6 +149,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
+    from langdei import efficiency
+
     goods = io.load_goods(args.goods)
     w_perf, w_tp, w_mem = args.weights
     config = efficiency.EfficiencyConfig(
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goods", required=True, help="goods CSV (model,group,task,throughput,memory_gb,perf)")
     p.add_argument("--amrs-override", help="CSV of externally supplied substitution rates (group,task,metric,amrs)")
     p.add_argument("--weights", type=_weights, default=(0.5, 0.25, 0.25), help="w_perf,w_throughput,w_memory (default 0.5,0.25,0.25)")
-    p.add_argument("--max-memory", type=float, default=efficiency.DEFAULT_MAX_MEMORY_GB, help="memory ceiling in GB (default 16)")
+    p.add_argument("--max-memory", type=float, default=records.DEFAULT_MAX_MEMORY_GB, help="memory ceiling in GB (default 16)")
     p.add_argument("--out", required=True, help="efficiency CSV output path")
     p.add_argument("--amrs-out", help="optional output CSV of the substitution rates used")
     p.set_defaults(func=cmd_efficiency)

@@ -20,13 +20,11 @@ import warnings
 from typing import Iterable, Mapping, Sequence
 
 from langdei.errors import ComputationError, InputError, check_id
-from langdei.records import Record, sequential_sum
+from langdei.records import DEFAULT_MAX_MEMORY_GB, Record, sequential_sum
 
 METRIC_THROUGHPUT = "throughput"
 METRIC_MEMORY = "memory"
 METRICS = (METRIC_THROUGHPUT, METRIC_MEMORY)
-
-DEFAULT_MAX_MEMORY_GB = 16.0
 
 
 class ModelGoods(Record):

@@ -16,12 +16,12 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TextIO
 
-from langdei.efficiency import AmrsTable, EfficiencyConfig, ModelGoods, memory_saved
 from langdei.errors import InputError, check_id
 from langdei.records import (AllocationPlan, LearningCurve, PlanEvaluation, TraceStep, TrajectoryPoint,
                              check_plan_settings, parse_strategy)
 
 if TYPE_CHECKING:  # imported by the loaders when they run, not when io is
+    from langdei.efficiency import AmrsTable, EfficiencyConfig, ModelGoods
     from langdei.metrics import PerformanceTable, ScorecardRow, TaskSpec
     from langdei.scalar import SpeakerTable
 
@@ -269,6 +269,8 @@ def load_trajectories(path: str | Path, scale: str = "percent") -> dict[tuple[st
 
 def load_goods(path: str | Path) -> list[ModelGoods]:
     """CSV with header ``model,group,task,throughput,memory_gb,perf``."""
+    from langdei.efficiency import ModelGoods
+
     goods: list[ModelGoods] = []
     seen: set[tuple[str, str]] = set()
     header = ("model", "group", "task", "throughput", "memory_gb", "perf")
@@ -295,6 +297,8 @@ def load_goods(path: str | Path) -> list[ModelGoods]:
 
 def load_amrs(path: str | Path) -> AmrsTable:
     """CSV with header ``group,task,metric,amrs``; every rate must be positive."""
+    from langdei.efficiency import AmrsTable
+
     entries: dict[tuple[str, str, str], float] = {}
     for lineno, (group, task, metric, value_text) in _read_csv_rows(path, ("group", "task", "metric", "amrs")):
         where = f"{path}:{lineno}"
@@ -541,6 +545,8 @@ def render_amrs(table: AmrsTable) -> str:
 def render_efficiency(
     rows: Sequence[tuple[ModelGoods, float]], config: EfficiencyConfig
 ) -> str:
+    from langdei.efficiency import memory_saved
+
     lines = ["task,model,group,perf,throughput,memory_saved,efficiency"]
     for goods, score in sorted(rows, key=lambda r: (r[0].task_id, r[0].model_id)):
         lines.append(

@@ -25,6 +25,7 @@ from typing import Iterable, Mapping
 from langdei.errors import InputError, check_id
 
 DEFAULT_C_RANGE: tuple[float, float] = (0.0, 2.0)
+DEFAULT_MAX_MEMORY_GB = 16.0
 
 MISSING_POLICIES = ("strict", "permissive")
 COMPOSITION_MODES = ("best-source", "mean")

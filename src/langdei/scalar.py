@@ -8,7 +8,9 @@ The scorecard (``langdei.metrics``) computes each of its rows with them, and
 numpy adds a vector pairwise, not left to right: blocks of up to 128 values,
 each in 8 interleaved accumulators. ``pairwise_sum`` repeats that order, so a
 Gini here is the one numpy's sums give, to the last bit; property tests hold
-each kernel to a numpy counterpart. Demand totals add left to right.
+each kernel to a numpy counterpart. ``pairwise_sum_statements`` writes the
+same order out as source code, for the greedy state that ``allocator``
+generates per target count. Demand totals add left to right.
 """
 
 from __future__ import annotations
@@ -138,6 +140,28 @@ def pairwise_sum(values: Sequence[float]) -> float:
         return total
     half = n // 2 - n // 2 % 8
     return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def pairwise_sum_statements(target: str, terms: Sequence[str]) -> list[str]:
+    """Python statements that set the local ``target`` to ``pairwise_sum``
+    of the expressions ``terms``, in its order of additions: one statement
+    per addition, so no expression nests deeper than the 8-way tree. The
+    statements also bind locals named ``target`` plus a suffix."""
+    n = len(terms)
+    if n < 8:
+        return [f"{target} = 0.0", *(f"{target} += {term}" for term in terms)]
+    if n <= 128:
+        end = n - n % 8
+        r = [f"{target}_{j}" for j in range(8)]
+        return [
+            *(f"{r[j]} = {terms[j]}" for j in range(8)),
+            *(f"{r[i % 8]} += {terms[i]}" for i in range(8, end)),
+            f"{target} = 0.0 + ((({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))",
+            *(f"{target} += {term}" for term in terms[end:]),
+        ]
+    half = n // 2 - n // 2 % 8
+    return [*pairwise_sum_statements(f"{target}_a", terms[:half]),
+            *pairwise_sum_statements(f"{target}_b", terms[half:]), f"{target} = {target}_a + {target}_b"]
 
 
 def _checked(values: Iterable[float]) -> list[float]:

@@ -4,7 +4,8 @@ a ``replace`` for records, reference forms of the performance table: its
 cells as a mapping, its rows grouped, the per-row loader and the per-point
 Lorenz text, and the numpy kernels that the one-vector code replaced: the
 scorecard's matrix kernels (utility, demand, Gini, Lorenz shares) and the
-greedy's chunk kernel.
+greedy's chunk kernel; and the per-source state closure that the generated
+state kernel replaced.
 
 Vectors come from a seeded generator, so every run sees the same cases.
 """
@@ -12,7 +13,8 @@ Vectors come from a seeded generator, so every run sees the same cases.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence
+import operator
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from langdei import curves as _curves
 from langdei.errors import ComputationError, InputError, check_id
 from langdei.io import _located, _parse_float, _read_csv_rows, fmt_num
 from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, gini, lorenz_points
-from langdei.records import LearningCurve
+from langdei.records import LearningCurve, sequential_sum
 
 
 def random_vector(rng: np.random.Generator, min_n: int = 2, max_n: int = 64) -> np.ndarray:
@@ -379,3 +381,30 @@ def picks(request: allocator.AllocationRequest, trace: bool) -> tuple[list[int],
         gain, gm, gini = np.concatenate([block[:3, :n] for block, n in zip(rows, size)], axis=1)[:, order].tolist()
         columns = ([sources[i] for i in owner.tolist()], gain, gm, gini)
     return np.bincount(owner, minlength=len(sources)).tolist(), columns
+
+
+# The greedy's state closure, as ``allocator._source_state`` had it before
+# the state function was generated per target count: the oracle of every
+# generated state, bit for bit, and of its error.
+
+def reference_source_state(request: allocator.AllocationRequest,
+                           source: str) -> tuple[list[str], Callable[[int], tuple]]:
+    """The targets one source covers, in target order, and its state
+    function: k -> gm, Gini and the covered targets' predictions at k
+    samples, from ``scalar.pairwise_sum`` through ``scalar._gini_row``."""
+    targets = [t for t in request.targets if (source, t) in request.registry]
+    curves = [request.registry[(source, t)] for t in targets]
+    coefficients = [(curve.a, curve.b, -curve.c) for curve in curves]
+    weights = [request.demand[t] for t in targets]
+
+    def state(k: int) -> tuple[float, float, list[float]]:
+        x = float(k)
+        predictions = [a + b * x ** e for a, b, e in coefficients]
+        gm = sequential_sum(map(operator.mul, weights, predictions))
+        absolute = list(map(abs, predictions))
+        gini = scalar._gini_row(absolute)
+        if not (math.isfinite(gm) and math.isfinite(gini)):
+            allocator._undefined_state(source, k, absolute)
+        return gm, gini, predictions
+
+    return targets, state

@@ -644,6 +644,88 @@ class TestFinalStateMatchesGreedyChunk:
         assert state_outcome(scalar_state) == state_outcome(chunk_row)
 
 
+# Target counts below, at and past each shape of numpy's pairwise sum: the
+# left-to-right sum below 8, the 8 accumulators with and without a tail up
+# to 128, and the halves past it.
+KERNEL_TARGET_COUNTS = [1, 2, 7, 8, 9, 15, 16, 17, 23, 64, 128, 129, 136, 300]
+
+
+def one_source_request(coefficients, weights):
+    """A budget-1 request of one source "s" that covers a target per
+    (a, b, c) in ``coefficients``, each weighted as in ``weights``."""
+    targets = tuple(f"t{j:03d}" for j in range(len(coefficients)))
+    return AllocationRequest(budget=1, sources=("s",), targets=targets, demand=dict(zip(targets, weights)),
+                             registry={("s", t): curve("s", t, *abc) for t, abc in zip(targets, coefficients)})
+
+
+def states_until_error(request, k_max):
+    """The state outcomes of the generated kernel and of the reference
+    closure at k = 1, ..., k_max, each up to its first error."""
+    sides = []
+    for source_state in (allocator._source_state, _props.reference_source_state):
+        targets, state = source_state(request, "s")
+        outcomes = []
+        for k in range(1, k_max + 1):
+            outcomes.append(state_outcome(lambda: state(k)))
+            if isinstance(outcomes[-1], tuple):
+                break
+        sides.append((targets, outcomes))
+    return sides
+
+
+class TestStateKernelMatchesClosure:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(KERNEL_TARGET_COUNTS), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5]),
+           st.sampled_from([1, 2, 4, 100]) | st.integers(1, 10_000))
+    def test_bit_for_bit_or_same_error(self, n, seed, special_rate, k):
+        # Coefficients in [-3, 3] make some predictions negative; special
+        # ones make them zero, huge or overflowing, and weights of 1e308
+        # make gm overflow.
+        rng = np.random.default_rng(seed)
+
+        def draw(low, high, special):
+            return float(rng.choice(special) if rng.random() < special_rate else rng.uniform(low, high))
+
+        request = one_source_request(
+            [(draw(-3.0, 3.0, SPECIAL_A), draw(-3.0, 3.0, SPECIAL_B), draw(0.0, 2.0, SPECIAL_C)) for _ in range(n)],
+            [draw(0.0, 1.0, SPECIAL_WEIGHTS) for _ in range(n)])
+        (kernel_targets, kernel), (reference_targets, reference) = (
+            source_state(request, "s") for source_state in (allocator._source_state, _props.reference_source_state))
+        assert kernel_targets == reference_targets
+        assert state_outcome(lambda: kernel(k)) == state_outcome(lambda: reference(k))
+
+    @pytest.mark.parametrize("n", KERNEL_TARGET_COUNTS)
+    def test_all_zero_predictions_fail_at_the_same_k(self, n):
+        # 2^-2 - k^-0.5 on every target: negative before k = 16, all zero there.
+        kernel, reference = states_until_error(one_source_request([(0.25, -1.0, 0.5)] * n, [1.0] * n), 20)
+        assert kernel == reference
+        assert len(kernel[1]) == 16 and kernel[1][-1][1].endswith("all-zero vector")
+
+    @pytest.mark.parametrize("n", KERNEL_TARGET_COUNTS)
+    def test_overflowing_gm_fails_at_the_same_k(self, n):
+        # 2 - 1.5 k^-0.5 weighted 1e308 on the last target: gm overflows from k = 55.
+        kernel, reference = states_until_error(
+            one_source_request([(2.0, -1.5, 0.5)] * n, [0.5] * (n - 1) + [1e308]), 60)
+        assert kernel == reference
+        assert len(kernel[1]) == 55 and kernel[1][-1] == (ComputationError, "gm of source 's' at 55 samples is not finite")
+
+
+class TestStateKernelCompiledPerLength:
+    def test_one_kernel_for_sources_of_one_length(self):
+        # Generating a kernel per source would cost a compile per source,
+        # more than the states it speeds up.
+        targets = tuple(f"t{j:02d}" for j in range(23))
+        sources = tuple(f"s{i:02d}" for i in range(23))
+        request = AllocationRequest(
+            budget=500, sources=sources, targets=targets, demand=dict.fromkeys(targets, 1 / 23),
+            registry={(s, t): curve(s, t, 0.5 + i / 50, -1.0 - j / 25, 0.1 + (i + j) % 7 / 10)
+                      for i, s in enumerate(sources) for j, t in enumerate(targets)})
+        allocator._state_kernel.cache_clear()
+        greedy_allocate(request)
+        egalitarian_allocate(request)
+        assert allocator._state_kernel.cache_info().misses == 1
+
+
 # Budgets at and next to k = 4^m, where a "zero" profile predicts exactly 0.
 EDGE_BUDGETS = [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256, 257]
 

@@ -879,7 +879,8 @@ def test_import_cli_loads_no_numeric_module(tmp_path):
     loaded = modules_after("import langdei.cli", tmp_path)
     assert "langdei.io" in loaded
     assert loaded & NUMERIC_MODULES == set()
-    assert loaded & {"langdei.allocator", "langdei.metrics", "langdei.scalar"} == set()  # loaded by the subcommands that use them
+    # loaded by the subcommands that use them
+    assert loaded & {"langdei.allocator", "langdei.metrics", "langdei.scalar", "langdei.efficiency"} == set()
 
 
 @pytest.mark.parametrize("module, unwanted", [
@@ -944,7 +945,9 @@ def test_numeric_subcommand_leaves_numpy_ma_unloaded(argv, tmp_path):
 # The same bytes on every interpreter. Every subcommand but fit runs without
 # numpy, so each runs under the pyenv interpreters found here, which need not
 # have numpy, and must write what the interpreter running the tests writes.
-# Paths are relative to each run's directory, so the reports agree too.
+# Paths are relative to each run's directory, so the reports agree too. The
+# wide registry has a source that covers 136 targets, so its greedy states
+# take numpy's pairwise sum in halves.
 PERF, TASKS, GOODS = (str(bundled_path(name)) for name in ("fixtures_ner_equal.csv", "tasks.csv", "goods.csv"))
 EVERY_SUBCOMMAND_BUT_FIT = [
     ["metrics", "--perf", PERF, "--tasks", TASKS, "--tau", "1", "--speakers", SPEAKERS,
@@ -957,6 +960,8 @@ EVERY_SUBCOMMAND_BUT_FIT = [
      "--missing", "permissive", "--trace-out", "trace.csv", "--out", "greedy.txt"],
     ["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "egalitarian", "--tau", "1",
      "--speakers", SPEAKERS, "--missing", "permissive", "--out", "egalitarian.txt"],
+    ["allocate", "--curves", "wide_curves.txt", "--budget", "1000", "--strategy", "greedy", "--tau", "0",
+     "--beta", "1", "--missing", "permissive", "--trace-out", "wide_trace.csv", "--out", "wide_greedy.txt"],
     ["report", "--scorecard", "scorecard.csv", "--lorenz", "lorenz.csv", "--amrs", "amrs.csv",
      "--efficiency", "efficiency.csv", "--curves", MURIL, "--plan", "greedy.txt", "--plan", "egalitarian.txt",
      "--trace", "trace.csv", "--out", "report.md"],
@@ -967,6 +972,9 @@ def outputs_under(python, cwd):
     """{file name: bytes} of the outputs of EVERY_SUBCOMMAND_BUT_FIT, run
     in one ``python`` process in ``cwd``."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    write(cwd / "wide_curves.txt", "".join(
+        f"curve source={source} target=t{j:03d} a={0.5 + j % 7 / 10:g} b={-1 - j % 5:g} c={0.1 + j % 9 / 20:g} r2=0.9\n"
+        for source, n in (("s0", 136), ("s1", 12), ("s2", 12)) for j in range(n)))
     code = f"from langdei.cli import main\nfor argv in {EVERY_SUBCOMMAND_BUT_FIT!r}:\n    assert main(argv) == 0, argv"
     subprocess.run([str(python), "-c", code], capture_output=True, env=env, cwd=cwd, check=True)
     return {path.name: path.read_bytes() for path in cwd.iterdir()}

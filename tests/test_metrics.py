@@ -724,6 +724,26 @@ class TestScalarKernelsMatchMatrixKernels:
         with np.errstate(all="ignore"):
             assert exact(scalar.pairwise_sum(values)) == exact(np.array(values).sum())
 
+    def test_emitted_sum_is_numpys_sum(self):
+        # Every length through 300, past the halving at 128 twice, and two
+        # lengths whose halves split again and again; two vectors of each,
+        # the second with about 30% of its entries replaced by zeros of
+        # either sign and by special entries.
+        mismatches = []
+        for n in [*range(301), 1000, 5000]:
+            rng = np.random.default_rng(n)
+            values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-3, 4, n) * rng.choice([-1.0, 1.0], n)
+            special = np.where(rng.random(n) < 0.3, rng.choice(SPECIAL_ENTRIES + [-0.0] * 8, n), values)
+            namespace = {}
+            code = scalar.pairwise_sum_statements("total", [f"v[{i}]" for i in range(n)])
+            exec("def emitted(v):\n    " + "\n    ".join(code) + "\n    return total", namespace)
+            for vector in (values.tolist(), special.tolist()):
+                with np.errstate(all="ignore"):
+                    expected = exact(np.array(vector).sum())
+                if not exact(namespace["emitted"](vector)) == expected == exact(scalar.pairwise_sum(vector)):
+                    mismatches.append(n)
+        assert mismatches == []
+
     @settings(max_examples=300, deadline=None)
     @given(vectors())
     def test_gini_is_gini_rows_or_same_error(self, rows):
