@@ -156,16 +156,14 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     config = efficiency.EfficiencyConfig(
         max_memory=args.max_memory, w_perf=w_perf, w_throughput=w_tp, w_memory=w_mem
     )
-    if args.amrs_override:
-        table = io.load_amrs(args.amrs_override)
-    else:
-        table = efficiency.compute_amrs_table(goods, config)
-    scored = [(g, efficiency.efficiency_score(g, table, config)) for g in goods]
-    outputs = {args.out: io.render_efficiency(scored, config)}
+    saved = efficiency.memory_saved(goods, config)
+    table = io.load_amrs(args.amrs_override) if args.amrs_override else efficiency.compute_amrs_table(goods, saved, config)
+    scores = efficiency.efficiency_score(goods, saved, table, config)
+    outputs = {args.out: io.render_efficiency(goods, saved, scores)}
     if args.amrs_out:
         outputs[args.amrs_out] = io.render_amrs(table)
     _write_outputs(outputs)
-    print(f"efficiency: scored {len(scored)} models -> {args.out}")
+    print(f"efficiency: scored {len(scores)} models -> {args.out}")
     return 0
 
 

@@ -21,7 +21,7 @@ from langdei.records import (AllocationPlan, LearningCurve, PlanEvaluation, Trac
                              check_plan_settings, parse_strategy)
 
 if TYPE_CHECKING:  # imported by the loaders when they run, not when io is
-    from langdei.efficiency import AmrsTable, EfficiencyConfig, ModelGoods
+    from langdei.efficiency import AmrsTable, GoodsTable
     from langdei.metrics import PerformanceTable, ScorecardRow, TaskSpec
     from langdei.scalar import SpeakerTable
 
@@ -39,10 +39,13 @@ def bundled_path(name: str) -> Path:
     return path
 
 
+_NUMBER = ".12g"  # the format of every number written
+
+
 def fmt_num(x: float) -> str:
     """Canonical number rendering: up to 12 significant digits; infinities
     render as ``inf``/``-inf``, and ``+ 0.0`` turns -0.0 into 0."""
-    return format(float(x) + 0.0, ".12g")
+    return format(float(x) + 0.0, _NUMBER)
 
 
 def _parse_float(text: str, where: str) -> float:
@@ -103,33 +106,51 @@ def _records(path: str | Path) -> Iterator[tuple[str, str]]:
             yield f"{path}:{lineno}", line
 
 
+def _skip_header(reader, path: str | Path, header: Sequence[str]) -> None:
+    """Read the first row of ``reader`` that is not blank, which must be
+    ``header`` (cells stripped); the reader's next row is the first data row."""
+    lineno = 1
+    for row in reader:
+        if row:
+            if [cell.strip() for cell in row] != list(header):
+                raise InputError(f"{path}:{lineno}: expected header {','.join(header)!r}, got {','.join(row)!r}")
+            return
+        lineno = reader.line_num + 1
+    raise InputError(f"{path}: empty file (expected header {','.join(header)})")
+
+
 def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """The data rows of a CSV file that starts with ``header``, as (line
     number, stripped cells), yielded as they are read; blank lines are
     skipped. A row's number is the physical line it starts on (a quoted cell
     may span lines): one past the line the previous row ended on. A row the
     csv module cannot parse (such as a cell over its field size limit) is an
-    InputError at the line where parsing stopped."""
+    InputError at the line where parsing stopped.
+
+    The loaders of the large tables loop over ``csv.reader`` themselves and
+    read a file again with this reader only to find the line of a fault."""
     width = len(header)
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
-        lineno = 1
-        seen_header = False
         try:
+            _skip_header(reader, path, header)
+            lineno = reader.line_num + 1
             for row in reader:
-                if seen_header and row:
+                if row:
                     if len(row) != width:
                         raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
                     yield lineno, list(map(str.strip, row))
-                elif row:
-                    if [cell.strip() for cell in row] != list(header):
-                        raise InputError(f"{path}:{lineno}: expected header {','.join(header)!r}, got {','.join(row)!r}")
-                    seen_header = True
                 lineno = reader.line_num + 1
         except csv.Error as exc:
             raise InputError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
-    if not seen_header:
-        raise InputError(f"{path}: empty file (expected header {','.join(header)})")
+
+
+def _row_at(path: str | Path, header: Sequence[str], index: int) -> tuple[str, list[str]]:
+    """``file:line`` and stripped cells of data row ``index`` of a CSV file,
+    found by reading the file again; a fault of the reader on the way raises
+    as ``_read_csv_rows`` raises it."""
+    lineno, cells = next(islice(_read_csv_rows(path, header), index, None))
+    return f"{path}:{lineno}", cells
 
 
 def _check_scale(scale: str) -> str:
@@ -181,63 +202,11 @@ def load_universe(path: str | Path) -> tuple[str, ...]:
 
 
 def load_performance(path: str | Path, scale: str = "percent") -> PerformanceTable:
-    """CSV with header ``task,model,train_lang,target_lang,score``.
+    """CSV with header ``task,model,train_lang,target_lang,score``, on the
+    score scale ``scale``; read by ``PerformanceTable.read_csv``."""
+    from langdei.metrics import PerformanceTable
 
-    ``scale`` declares the score scale of the file; unit-scale scores are
-    converted to percent, the internal raw-score convention. The file is
-    read in one pass into the table's columns, and the table checks the
-    raw-score rule. The first fault in file order is reported at its
-    ``file:line``: a row that is not CSV or not 5 fields, a repeated cell,
-    an invalid task, model or train id, or a score that is malformed, NaN,
-    infinite or negative.
-    """
-    from array import array
-
-    _check_scale(scale)
-    factor = 100.0 if scale == "unit" else 1.0
-    header = ("task", "model", "train_lang", "target_lang", "score")
-    keys: dict[tuple[str, str, str], int] = {}
-    languages: dict[str, int] = {}
-    row, target, score = array("q"), array("q"), array("d")
-    valid_ids: set[str] = set()  # each distinct id is checked once
-
-    def table() -> PerformanceTable:
-        """The table of the cells read so far; a cell that breaks its rule
-        is reported at its line, found by reading the file again."""
-        from langdei.metrics import CellError, PerformanceTable
-
-        try:
-            return PerformanceTable(tuple(keys), tuple(languages), row, target, score)
-        except CellError as exc:
-            lineno, cells_text = next(islice(_read_csv_rows(path, header), exc.index, None))
-            where = f"{path}:{lineno}"
-            if exc.repeated:
-                raise InputError(f"{where}: {exc}") from None
-            _parse_float(cells_text[4], where)  # raises for NaN
-            raise InputError(f"{where}: score must be finite and non-negative, got {cells_text[4]}") from None
-
-    try:
-        # The file:line prefix is formatted only on the error paths.
-        for lineno, (task, model, train, lang, score_text) in _read_csv_rows(path, header):
-            key = (task, model, train)
-            code = keys.get(key)
-            if code is None:
-                if not valid_ids.issuperset(key):
-                    for ident, what in zip(key, ("task id", "model id", "train language")):
-                        _located(f"{path}:{lineno}", check_id, ident, what)
-                    valid_ids.update(key)
-                code = keys[key] = len(keys)
-            row.append(code)
-            target.append(languages.setdefault(lang, len(languages)))
-            try:
-                score.append(float(score_text) * factor)
-            except ValueError:
-                score.append(0.0)  # a valid stand-in, so that a repeated cell on this line is reported first
-                raise InputError(f"{path}:{lineno}: malformed number {score_text!r}") from None
-    except InputError:
-        table()  # a fault of the table's rule before this one is reported first
-        raise
-    return table()
+    return PerformanceTable.read_csv(path, scale)
 
 
 def load_trajectories(path: str | Path, scale: str = "percent") -> dict[tuple[str, str], list[TrajectoryPoint]]:
@@ -267,32 +236,12 @@ def load_trajectories(path: str | Path, scale: str = "percent") -> dict[tuple[st
     return pairs
 
 
-def load_goods(path: str | Path) -> list[ModelGoods]:
-    """CSV with header ``model,group,task,throughput,memory_gb,perf``."""
-    from langdei.efficiency import ModelGoods
+def load_goods(path: str | Path) -> GoodsTable:
+    """CSV with header ``model,group,task,throughput,memory_gb,perf``; read
+    by ``GoodsTable.read_csv``."""
+    from langdei.efficiency import GoodsTable
 
-    goods: list[ModelGoods] = []
-    seen: set[tuple[str, str]] = set()
-    header = ("model", "group", "task", "throughput", "memory_gb", "perf")
-    # The file:line prefix is formatted, and the checked conversions run,
-    # only on the error paths, as in ``_trace_rows``.
-    for lineno, (model, group, task, tp_text, mem_text, perf_text) in _read_csv_rows(path, header):
-        key = (model, task)
-        if key in seen:
-            raise InputError(f"{path}:{lineno}: duplicate goods row for model {model!r}, task {task!r}")
-        seen.add(key)
-        try:
-            numbers = (float(tp_text), float(mem_text), float(perf_text))
-        except ValueError:
-            numbers = None
-        if numbers is None or math.isnan(sum(numbers)):
-            where = f"{path}:{lineno}"
-            numbers = [_parse_float(text, where) for text in (tp_text, mem_text, perf_text)]
-        try:
-            goods.append(ModelGoods(model, group, task, *numbers))
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
-    return goods
+    return GoodsTable.read_csv(path)
 
 
 def load_amrs(path: str | Path) -> AmrsTable:
@@ -471,11 +420,13 @@ def render_trace(trace: Sequence[TraceStep]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trace_rows(path: str | Path) -> Iterator[tuple[int, str, float, float, float]]:
-    """The checked fields of each trace row, yielded as they are read."""
-    for lineno, (step, source, gain, gm, g) in _read_csv_rows(
-        path, ("step", "source", "marginal_gain", "gm", "gini")
-    ):
+_TRACE_HEADER = ("step", "source", "marginal_gain", "gm", "gini")
+
+
+def load_trace(path: str | Path) -> tuple[TraceStep, ...]:
+    """The steps of a trace file; a fault is reported at its ``file:line``."""
+    steps = []
+    for lineno, (step, source, gain, gm, g) in _read_csv_rows(path, _TRACE_HEADER):
         # The file:line prefix is formatted only when a plain conversion
         # fails or the sum is NaN (for a NaN field, or for inf - inf, which
         # the checked conversions then accept).
@@ -487,16 +438,30 @@ def _trace_rows(path: str | Path) -> Iterator[tuple[int, str, float, float, floa
             where = f"{path}:{lineno}"
             row = (_parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where),
                    _parse_float(g, where))
-        yield row
-
-
-def load_trace(path: str | Path) -> tuple[TraceStep, ...]:
-    return tuple(TraceStep(*row) for row in _trace_rows(path))
+        steps.append(TraceStep(*row))
+    return tuple(steps)
 
 
 def count_trace(path: str | Path) -> int:
-    """The number of rows of a trace file, each checked but none kept."""
-    return sum(1 for _ in _trace_rows(path))
+    """The number of rows of a trace file, each checked as ``load_trace``
+    checks it but none kept, in one pass of ``csv.reader``. A row that
+    fails the check is reported by ``load_trace``, reading the file again."""
+    try:
+        with _open_utf8(path, newline="") as fh:
+            reader = csv.reader(fh)
+            _skip_header(reader, path, _TRACE_HEADER)
+            count = 0
+            for cells in reader:
+                if cells:
+                    step, _, gain, gm, g = cells  # a ValueError for a row that is not 5 fields
+                    int(step)
+                    numbers = (float(gain), float(gm), float(g))
+                    if math.isnan(sum(numbers)) and any(map(math.isnan, numbers)):  # inf - inf is no fault
+                        raise ValueError
+                    count += 1
+        return count
+    except (ValueError, csv.Error):
+        return len(load_trace(path))
 
 
 # ---------------------------------------------------------------------------
@@ -518,20 +483,23 @@ def render_scorecard(rows: Sequence[ScorecardRow], scale: str = "percent") -> st
 def render_lorenz(rows: Sequence[ScorecardRow]) -> str:
     """The Lorenz points of each scorecard row's utilities, in row order:
     point k of a row of n utilities is (k/n, the share of the row's total
-    held by its k smallest utilities), for k = 0..n. Each row's
+    held by its k smallest utilities), for k = 0..n. The utilities are those
+    ``dei_scorecard`` builds, finite and >= 0, so each row's running sums
+    (``metrics.lorenz_sums``) are not checked again. Each row's
     ``task,model,train_lang,`` prefix and each distinct k/n are formatted
-    once."""
-    from langdei.metrics import lorenz_shares
+    once, and each share inline, by the rule of ``fmt_num``."""
+    from langdei.metrics import lorenz_sums
 
     xs: dict[int, list[str]] = {}
     blocks = []
     for row in rows:
-        shares = lorenz_shares(row.utilities)
-        n = len(shares)
+        sums = lorenz_sums(row.utilities)
+        n, total = len(sums), sums[-1]
         if n not in xs:
             xs[n] = [fmt_num(k / n) + "," for k in range(n + 1)]
         prefix = f"{row.task},{row.model},{row.train_lang},"
-        blocks.append("\n".join([prefix + x + fmt_num(y) for x, y in zip(xs[n], [0.0, *shares])]))
+        points = [prefix + x + format(y / total + 0.0, _NUMBER) for x, y in zip(xs[n], [0.0, *sums])]
+        blocks.append("\n".join(points))
     return "\n".join(["task,model,train_lang,population_fraction,cumulative_share", *blocks]) + "\n"
 
 
@@ -542,17 +510,16 @@ def render_amrs(table: AmrsTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_efficiency(
-    rows: Sequence[tuple[ModelGoods, float]], config: EfficiencyConfig
-) -> str:
-    from langdei.efficiency import memory_saved
-
+def render_efficiency(goods: GoodsTable, saved: Sequence[float], scores: Sequence[float]) -> str:
+    """The efficiency CSV: each goods row with its memory headroom ``saved``
+    and its score, rows sorted by (task, model)."""
+    task, model, group = goods.task, goods.model, goods.group
+    perf, tp = goods.performance, goods.throughput
+    keys = list(zip(task, model))
     lines = ["task,model,group,perf,throughput,memory_saved,efficiency"]
-    for goods, score in sorted(rows, key=lambda r: (r[0].task_id, r[0].model_id)):
-        lines.append(
-            f"{goods.task_id},{goods.model_id},{goods.group},{fmt_num(goods.performance)},"
-            f"{fmt_num(goods.throughput)},{fmt_num(memory_saved(goods, config))},{fmt_num(score)}"
-        )
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        lines.append(f"{task[i]},{model[i]},{group[i]},{fmt_num(perf[i])},{fmt_num(tp[i])},"
+                     f"{fmt_num(saved[i])},{fmt_num(scores[i])}")
     return "\n".join(lines) + "\n"
 
 

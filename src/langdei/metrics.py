@@ -22,14 +22,16 @@ terms left to right, as every other total of the package does.
 
 from __future__ import annotations
 
+import csv
 import math
 import operator
 import warnings
 from array import array
 from itertools import accumulate
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from langdei import scalar
+from langdei import io, scalar
 from langdei.errors import ComputationError, InputError, check_id
 from langdei.records import Record, check_tau, sequential_sum
 from langdei.scalar import _GINI_ALL_ZERO, _check_universe
@@ -96,24 +98,107 @@ class PerformanceTable(Record):
         n = len(score)
         if not ([getattr(column, "typecode", None) for column in (row, target, score)] == ["q", "q", "d"]
                 and len(row) == len(target) == n
-                and (not n or 0 <= min(row) and max(row) < len(self.keys)
-                     and 0 <= min(target) and max(target) < len(self.languages))):
+                and (not n or all(0 <= min(codes) and max(codes) < bound  # over the distinct codes
+                                  for codes, bound in ((set(row), len(self.keys)),
+                                                       (set(target), len(self.languages)))))):
             raise InputError("performance table columns must be code and score arrays of one length, codes in range")
         width = len(self.languages)
-        cells = [r * width + t for r, t in zip(row, target)]
-        # One pass each over the cells and the scores; a NaN or infinite
-        # score makes the sum fail the test. The loop below finds the first
-        # fault, and is skipped when the two passes find none.
-        if len(set(cells)) == n and min(score, default=0.0) >= 0 and sum(score) < math.inf:
+        # One pass each over the cells, coded r * width + t, and the scores;
+        # a NaN or infinite score makes the sum fail the test. The loop below
+        # finds the first fault, and is skipped when the two passes find none.
+        if (len({r * width + t for r, t in zip(row, target)}) == n
+                and min(score, default=0.0) >= 0 and sum(score) < math.inf):
             return
         seen: set[int] = set()
-        for i, (cell, value) in enumerate(zip(cells, score)):
+        for i, (r, t, value) in enumerate(zip(row, target, score)):
+            cell = r * width + t
             if cell in seen or not 0 <= value < math.inf:
-                key = (*self.keys[row[i]], self.languages[target[i]])
+                key = (*self.keys[r], self.languages[t])
                 if cell in seen:
                     raise CellError(f"duplicate row for {key}", i, True)
                 raise CellError(f"raw score for {key} must be a finite non-negative number, got {value}", i, False)
             seen.add(cell)
+
+    @classmethod
+    def read_csv(cls, path: str | Path, scale: str) -> PerformanceTable:
+        """The table of a CSV file with header
+        ``task,model,train_lang,target_lang,score`` (``io.load_performance``).
+
+        ``scale`` declares the score scale of the file; unit-scale scores are
+        converted to percent, the internal raw-score convention. The file is
+        read in one pass of ``csv.reader`` into the columns, and each
+        distinct (task, model, train) and target cell as read is stripped,
+        and its ids checked, once. The first fault in file order is reported
+        at its ``file:line``, found by reading the file again: a row that is
+        not CSV or not 5 fields, a repeated cell, an invalid task, model or
+        train id, or a score that is malformed, NaN, infinite or negative.
+        """
+        io._check_scale(scale)
+        factor = 100.0 if scale == "unit" else 1.0
+        header = ("task", "model", "train_lang", "target_lang", "score")
+        keys: dict[tuple[str, str, str], int] = {}
+        languages: dict[str, int] = {}
+        key_codes: dict[tuple[str, str, str], int] = {}  # the code of each key as read
+        lang_codes: dict[str, int] = {}
+        row, target, score = array("q"), array("q"), array("d")
+        fault: tuple[int, str | None] | None = None  # the data row the reading stopped at, and why
+
+        def table() -> PerformanceTable:
+            """The table of the cells read so far; a cell that breaks its
+            rule is reported at its line."""
+            try:
+                return cls(tuple(keys), tuple(languages), row, target, score)
+            except CellError as exc:
+                where, cells = io._row_at(path, header, exc.index)
+                if exc.repeated:
+                    raise InputError(f"{where}: {exc}") from None
+                io._parse_float(cells[4], where)  # raises for NaN
+                raise InputError(f"{where}: score must be finite and non-negative, got {cells[4]}") from None
+
+        try:
+            with io._open_utf8(path, newline="") as fh:
+                reader = csv.reader(fh)
+                io._skip_header(reader, path, header)
+                for cells in reader:
+                    if len(cells) != 5:
+                        if cells:
+                            fault = (len(score), None)
+                            break
+                        continue
+                    task, model, train, lang, text = cells
+                    code = key_codes.get((task, model, train))
+                    if code is None:
+                        key = (task.strip(), model.strip(), train.strip())
+                        if key not in keys:
+                            try:
+                                for ident, what in zip(key, ("task id", "model id", "train language")):
+                                    check_id(ident, what)
+                            except InputError as exc:
+                                fault = (len(score), str(exc))
+                                break
+                            keys[key] = len(keys)
+                        code = key_codes[(task, model, train)] = keys[key]
+                    row.append(code)
+                    code = lang_codes.get(lang)
+                    if code is None:
+                        code = lang_codes[lang] = languages.setdefault(lang.strip(), len(languages))
+                    target.append(code)
+                    try:
+                        score.append(float(text) * factor)
+                    except ValueError:
+                        score.append(0.0)  # a valid stand-in, so that a repeated cell on this line is reported first
+                        fault = (len(score) - 1, f"malformed number {text.strip()!r}")
+                        break
+        except csv.Error:
+            fault = (len(score), None)
+        except InputError:
+            table()  # a fault of the table's rule before this one is reported first
+            raise
+        perf = table()
+        if fault is None:
+            return perf
+        where, _ = io._row_at(path, header, fault[0])  # a row that is not CSV or not 5 fields raises here
+        raise InputError(f"{where}: {fault[1]}")
 
     @classmethod
     def from_scores(cls, scores: Mapping[tuple[str, str, str, str], float]) -> PerformanceTable:
@@ -176,11 +261,21 @@ def lorenz_shares(values: Iterable[float]) -> list[float]:
     """The shares of points 1..n of the Lorenz curve of a non-empty vector
     of finite values >= 0: the running sums of the sorted values, left to
     right, each over the last."""
-    cumulative = list(accumulate(sorted(scalar._checked(values))))
+    cumulative = lorenz_sums(scalar._checked(values))
     total = cumulative[-1]
-    if not total:
-        raise ComputationError("Lorenz curve is undefined for an all-zero vector")
     return [value / total for value in cumulative]
+
+
+def lorenz_sums(values: Sequence[float]) -> list[float]:
+    """The running sums of ``values`` sorted ascending, added left to right:
+    the numerators of its Lorenz shares, the last also their denominator.
+    ``values`` must be a non-empty vector of finite values >= 0, unchecked
+    here (``lorenz_shares`` checks it); an all-zero vector has no Lorenz
+    curve."""
+    cumulative = list(accumulate(sorted(values)))
+    if not cumulative[-1]:
+        raise ComputationError("Lorenz curve is undefined for an all-zero vector")
+    return cumulative
 
 
 def dei_scorecard(

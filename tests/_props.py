@@ -4,8 +4,9 @@ a ``replace`` for records, reference forms of the performance table: its
 cells as a mapping, its rows grouped, the per-row loader and the per-point
 Lorenz text, and the numpy kernels that the one-vector code replaced: the
 scorecard's matrix kernels (utility, demand, Gini, Lorenz shares) and the
-greedy's chunk kernel; and the per-source state closure that the generated
-state kernel replaced.
+greedy's chunk kernel; the per-source state closure that the generated
+state kernel replaced; and the per-row ``ModelGoods`` pipeline of
+``efficiency`` that the columnar ``GoodsTable`` replaced.
 
 Vectors come from a seeded generator, so every run sees the same cases.
 """
@@ -14,16 +15,19 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterator, Mapping, Sequence
+from array import array
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from langdei import allocator, scalar
+from langdei import allocator, cli, io, scalar
 from langdei import curves as _curves
+from langdei.efficiency import (METRIC_MEMORY, METRIC_THROUGHPUT, METRICS, AmrsTable, EfficiencyConfig, GoodsTable,
+                                amrs)
 from langdei.errors import ComputationError, InputError, check_id
 from langdei.io import _located, _parse_float, _read_csv_rows, fmt_num
 from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, gini, lorenz_points
-from langdei.records import LearningCurve, sequential_sum
+from langdei.records import LearningCurve, Record, sequential_sum
 
 
 def random_vector(rng: np.random.Generator, min_n: int = 2, max_n: int = 64) -> np.ndarray:
@@ -408,3 +412,145 @@ def reference_source_state(request: allocator.AllocationRequest,
         return gm, gini, predictions
 
     return targets, state
+
+
+# The per-row goods pipeline, as ``langdei.efficiency`` and ``langdei.io``
+# had it before the columnar ``GoodsTable``: one ``ModelGoods`` record per
+# row, built and checked as each row is read. ``reference_cmd_efficiency``
+# is the oracle of ``cli.cmd_efficiency``: exit code, messages and bytes.
+
+class ModelGoods(Record):
+    """One model's measured goods for one task."""
+
+    model_id: str
+    group: str
+    task_id: str
+    throughput: float
+    memory_gb: float
+    performance: float
+
+    def __post_init__(self) -> None:
+        check_id(self.model_id, "model id")
+        check_id(self.group, "group")
+        check_id(self.task_id, "task id")
+        if self.throughput <= 0 or not math.isfinite(self.throughput):
+            raise InputError(f"throughput for {self.model_id!r} must be positive, got {self.throughput}")
+        if self.memory_gb <= 0 or not math.isfinite(self.memory_gb):
+            raise InputError(f"memory for {self.model_id!r} must be positive, got {self.memory_gb}")
+        if self.performance < 0 or not math.isfinite(self.performance):
+            raise InputError(f"performance for {self.model_id!r} must be non-negative, got {self.performance}")
+
+
+def goods_table(goods: Sequence[ModelGoods]) -> GoodsTable:
+    """The ``GoodsTable`` of ``ModelGoods`` rows, in their order."""
+    return GoodsTable(tuple(g.model_id for g in goods), tuple(g.group for g in goods), tuple(g.task_id for g in goods),
+                      array("d", [g.throughput for g in goods]), array("d", [g.memory_gb for g in goods]),
+                      array("d", [g.performance for g in goods]))
+
+
+def memory_saved(goods: ModelGoods, config: EfficiencyConfig = EfficiencyConfig()) -> float:
+    """Headroom below the memory ceiling; higher is better."""
+    if goods.memory_gb > config.max_memory:
+        raise InputError(
+            f"model {goods.model_id!r} uses {goods.memory_gb} GB, above the {config.max_memory} GB ceiling"
+        )
+    return config.max_memory - goods.memory_gb
+
+
+def _metric_value(goods: ModelGoods, metric: str, config: EfficiencyConfig) -> float:
+    if metric == METRIC_THROUGHPUT:
+        return goods.throughput
+    if metric == METRIC_MEMORY:
+        return memory_saved(goods, config)
+    raise InputError(f"unknown metric {metric!r}; expected one of {METRICS}")
+
+
+def mrs_sequence(group_models: Sequence[ModelGoods], metric: str,
+                 config: EfficiencyConfig = EfficiencyConfig()) -> list[float]:
+    """Pairwise substitution rates |delta good / delta perf| between models
+    adjacent in ascending-performance order."""
+    if len(group_models) < 2:
+        raise InputError(f"substitution rates need at least 2 models in a group, got {len(group_models)}")
+    ordered = sorted(group_models, key=lambda g: g.performance)
+    rates = []
+    for lo, hi in zip(ordered, ordered[1:]):
+        dperf = hi.performance - lo.performance
+        if dperf == 0:
+            raise InputError(
+                f"models {lo.model_id!r} and {hi.model_id!r} have equal performance "
+                f"({lo.performance}); substitution rate undefined"
+            )
+        dm = _metric_value(hi, metric, config) - _metric_value(lo, metric, config)
+        rates.append(abs(dm / dperf))
+    return rates
+
+
+def compute_amrs_table(goods: Iterable[ModelGoods], config: EfficiencyConfig = EfficiencyConfig()) -> AmrsTable:
+    """Substitution rates for every (group, task) present in the goods."""
+    grouped: dict[tuple[str, str], list[ModelGoods]] = {}
+    for g in goods:
+        grouped.setdefault((g.group, g.task_id), []).append(g)
+    entries: dict[tuple[str, str, str], float] = {}
+    for (group, task), models in sorted(grouped.items()):
+        if len(models) < 2:
+            raise InputError(
+                f"group {group!r} has a single model for task {task!r}; substitution rates need >= 2"
+            )
+        for metric in METRICS:
+            entries[(group, task, metric)] = amrs(mrs_sequence(models, metric, config))
+    return AmrsTable(entries)
+
+
+def efficiency_score(goods: ModelGoods, amrs_table: AmrsTable, config: EfficiencyConfig = EfficiencyConfig()) -> float:
+    """Weighted sum of goods, each converted to performance units."""
+    rate_tp = amrs_table.get(goods.group, goods.task_id, METRIC_THROUGHPUT)
+    rate_mem = amrs_table.get(goods.group, goods.task_id, METRIC_MEMORY)
+    return (
+        config.w_perf * goods.performance
+        + config.w_throughput * goods.throughput / rate_tp
+        + config.w_memory * memory_saved(goods, config) / rate_mem
+    )
+
+
+def reference_load_goods(path) -> list[ModelGoods]:
+    """The per-row goods loader: each row is checked in full, in file order
+    (repeat, numbers, then the record's rule), before the next is read."""
+    goods: list[ModelGoods] = []
+    seen: set[tuple[str, str]] = set()
+    header = ("model", "group", "task", "throughput", "memory_gb", "perf")
+    for lineno, (model, group, task, tp_text, mem_text, perf_text) in _read_csv_rows(path, header):
+        where = f"{path}:{lineno}"
+        if (model, task) in seen:
+            raise InputError(f"{where}: duplicate goods row for model {model!r}, task {task!r}")
+        seen.add((model, task))
+        numbers = [_parse_float(text, where) for text in (tp_text, mem_text, perf_text)]
+        goods.append(_located(where, ModelGoods, model, group, task, *numbers))
+    return goods
+
+
+def reference_render_efficiency(rows: Sequence[tuple[ModelGoods, float]], config: EfficiencyConfig) -> str:
+    lines = ["task,model,group,perf,throughput,memory_saved,efficiency"]
+    for goods, score in sorted(rows, key=lambda r: (r[0].task_id, r[0].model_id)):
+        lines.append(
+            f"{goods.task_id},{goods.model_id},{goods.group},{fmt_num(goods.performance)},"
+            f"{fmt_num(goods.throughput)},{fmt_num(memory_saved(goods, config))},{fmt_num(score)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_cmd_efficiency(args) -> int:
+    """``cli.cmd_efficiency`` over the per-row pipeline."""
+    goods = reference_load_goods(args.goods)
+    w_perf, w_tp, w_mem = args.weights
+    config = EfficiencyConfig(max_memory=args.max_memory, w_perf=w_perf, w_throughput=w_tp, w_memory=w_mem)
+    if args.amrs_override:
+        table = io.load_amrs(args.amrs_override)
+    else:
+        table = compute_amrs_table(goods, config)
+    scored = [(g, efficiency_score(g, table, config)) for g in goods]
+    outputs = {args.out: reference_render_efficiency(scored, config)}
+    if args.amrs_out:
+        outputs[args.amrs_out] = io.render_amrs(table)
+    cli._write_outputs(outputs)
+    print(f"efficiency: scored {len(scored)} models -> {args.out}")
+    return 0

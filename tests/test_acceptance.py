@@ -14,13 +14,7 @@ import pytest
 from langdei.allocator import AllocationRequest, greedy_allocate
 from langdei.cli import main as cli_main
 from langdei.curves import TrajectoryPoint, fit_power_law
-from langdei.efficiency import (
-    EfficiencyConfig,
-    ModelGoods,
-    compute_amrs_table,
-    efficiency_score,
-    mrs_sequence,
-)
+from langdei.efficiency import EfficiencyConfig, compute_amrs_table, efficiency_score, memory_saved
 from langdei.io import (
     bundled_path,
     load_curve_registry,
@@ -34,7 +28,8 @@ from langdei.io import (
 from langdei.curves import LearningCurve
 from langdei.metrics import DEFAULT_UNIVERSE, PerformanceTable, TaskSpec, dei_scorecard, demand, gini
 
-from _props import ALL_PROPERTIES, check_oracle_equivalence
+from _props import (ALL_PROPERTIES, ModelGoods, check_oracle_equivalence, goods_table, mrs_sequence,
+                    reference_load_goods)
 
 # Tested-language sets per task, from the benchmark's task table.
 TASK_LANGS = {
@@ -198,33 +193,42 @@ def test_criterion_6_greedy_hand_trace_oracle():
 
 def test_criterion_7_efficiency_spot_check(bundle):
     with criterion(7, "efficiency spot check with reference substitution rates", 1.0):
+        config = EfficiencyConfig()
+
+        def rates_of(rows):
+            table = goods_table(rows)
+            return compute_amrs_table(table, memory_saved(table, config), config)
+
+        def score_of(row, amrs_table):
+            table = goods_table([row])
+            return efficiency_score(table, memory_saved(table, config), amrs_table, config)[0]
+
         # Reference-rate path: QA regional model at its main-table QA score.
         goods = ModelGoods("muril_base", "regional", "qa", throughput=15.7, memory_gb=0.9, performance=76.1)
-        score = efficiency_score(goods, bundle.printed_amrs)
+        score = score_of(goods, bundle.printed_amrs)
         assert score == pytest.approx(79.4, abs=0.05)
         assert abs(score - 77.8) <= 2.0
         # Computed-rate path: asserted for its own invariants only.
-        config = EfficiencyConfig()
-        table = compute_amrs_table(bundle.goods, config)
-        base = efficiency_score(goods, table, config)
+        table = compute_amrs_table(bundle.goods, memory_saved(bundle.goods, config), config)
+        base = score_of(goods, table)
         better_tp = ModelGoods("x", "regional", "qa", 16.7, 0.9, 76.1)
         better_mem = ModelGoods("x", "regional", "qa", 15.7, 0.5, 76.1)
         better_perf = ModelGoods("x", "regional", "qa", 15.7, 0.9, 77.1)
-        assert efficiency_score(better_tp, table, config) > base
-        assert efficiency_score(better_mem, table, config) > base
-        assert efficiency_score(better_perf, table, config) > base
+        assert score_of(better_tp, table) > base
+        assert score_of(better_mem, table) > base
+        assert score_of(better_perf, table) > base
         # Two-model group: the average rate equals the single pairwise rate.
-        pair = [g for g in bundle.goods if g.group == "global" and g.task_id == "ner"]
-        pair_table = compute_amrs_table(pair, config)
-        assert pair_table.get("global", "ner", "throughput") == mrs_sequence(pair, "throughput", config)[0]
+        rows = reference_load_goods(bundled_path("goods.csv"))
+        pair = [g for g in rows if g.group == "global" and g.task_id == "ner"]
+        assert rates_of(pair).get("global", "ner", "throughput") == mrs_sequence(pair, "throughput", config)[0]
         # Scale coherence: scaling performances by k scales rates by 1/k.
         k = 3.0
         scaled = [
             ModelGoods(g.model_id, g.group, g.task_id, g.throughput, g.memory_gb, g.performance * k)
-            for g in bundle.goods
+            for g in rows
         ]
-        scaled_table = compute_amrs_table(scaled, config)
-        for key, value in compute_amrs_table(bundle.goods, config).entries.items():
+        scaled_table = rates_of(scaled)
+        for key, value in table.entries.items():
             assert scaled_table.entries[key] == pytest.approx(value / k, rel=1e-12)
 
 

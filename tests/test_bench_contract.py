@@ -52,3 +52,29 @@ def test_names_were_found():
 def test_benchmark_name_is_callable(name):
     layer, attribute = name.split(".")
     assert callable(getattr(MODULES[layer], attribute, None)), f"bench/ looks up {name}"
+
+
+def test_scale_tables_outputs_match_recorded_digests(tmp_path, monkeypatch):
+    """The scale-tables workload's invocations, run in-process through
+    cli.main on the seed-0 inputs that bench/gen.py writes, write the bytes
+    whose sha256 bench/digests.json records."""
+    import hashlib
+    import json
+    import sys
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leaves bench/ as it is
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    (tmp_path / "in").mkdir()
+    (tmp_path / "out").mkdir()
+    invocations, _ = workloads.WORKLOADS["scale-tables"](0, io.DATA_ROOT, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    digests = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))["scale-tables"]
+    assert [inv.subcommand for inv in invocations] == ["metrics", "metrics", "efficiency"]
+    for inv in invocations:
+        assert cli.main(inv.argv) == 0
+        assert inv.check(tmp_path) is None
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for inv in invocations for name in inv.outputs}
+    assert written == digests

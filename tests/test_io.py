@@ -30,7 +30,7 @@ from langdei.io import (
     write_text,
 )
 
-from _props import reference_load_performance, table_cells
+from _props import goods_table, reference_load_goods, reference_load_performance, table_cells
 
 
 REFERENCE_TABLES = {
@@ -56,7 +56,7 @@ class TestBundle:
     def test_counts(self, bundle):
         assert len(bundle.speakers) == 23
         assert len(bundle.tasks) == 5
-        assert len(bundle.goods) == 20
+        assert len(bundle.goods.model) == 20
         assert len(bundle.curves["muril"]) == 69
         assert len(bundle.curves["xlmr"]) == 68
         assert len(bundle.printed_amrs.entries) == 16
@@ -86,9 +86,10 @@ class TestBundle:
     def test_goods_row_memory_saved(self, bundle):
         from langdei.efficiency import EfficiencyConfig, memory_saved
 
-        row = next(g for g in bundle.goods if g.model_id == "muril_base" and g.task_id == "ner")
-        assert (row.throughput, row.performance) == (23.8, 74.9)
-        assert memory_saved(row, EfficiencyConfig()) == pytest.approx(15.1)
+        goods = bundle.goods
+        i = list(zip(goods.model, goods.task)).index(("muril_base", "ner"))
+        assert (goods.throughput[i], goods.performance[i]) == (23.8, 74.9)
+        assert memory_saved(goods, EfficiencyConfig())[i] == pytest.approx(15.1)
 
     def test_reference_allocations_sum_to_budget(self):
         for row in reference_rows("allocations_reference.csv"):
@@ -216,9 +217,9 @@ class TestGoodsLoader:
     def test_bundled_example_row(self, tmp_path):
         p = tmp_path / "goods.csv"
         p.write_text("model,group,task,throughput,memory_gb,perf\nmuril_base,regional,ner,23.8,0.9,74.9\n")
-        (row,) = load_goods(p)
-        assert row.group == "regional"
-        assert row.memory_gb == 0.9
+        goods = load_goods(p)
+        assert goods.group == ("regional",)
+        assert goods.memory_gb.tolist() == [0.9]
 
     def test_duplicate_model_task_rejected(self, tmp_path):
         p = tmp_path / "goods.csv"
@@ -234,7 +235,9 @@ class TestGoodsLoader:
         ("m,g,t,inf,1,-inf", "P:3: throughput for 'm' must be positive, got inf"),
         ("m,g,t,1,1,-1", "P:3: performance for 'm' must be non-negative, got -1.0"),
         ("m x,g,t,1,1,1", "P:3: invalid model id: 'm x' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
-    ], ids=["malformed", "nan", "inf-minus-inf", "negative", "id"])
+        ("n,g,t,abc,1,1", "P:3: duplicate goods row for model 'n', task 't'"),
+        ("m x,g,t,nan,1,1", "P:3: number must not be NaN"),
+    ], ids=["malformed", "nan", "inf-minus-inf", "negative", "id", "repeat-before-malformed", "nan-before-id"])
     def test_message(self, tmp_path, row, message):
         p = tmp_path / "goods.csv"
         p.write_text(f"model,group,task,throughput,memory_gb,perf\nn,g,t,1,1,1\n{row}\n")
@@ -624,6 +627,67 @@ def performance_files(draw):
     return ("\ufeff" if draw(st.booleans()) else "") + text.getvalue(), draw(st.sampled_from(["percent", "unit"]))
 
 
+@st.composite
+def goods_files(draw):
+    """The text of a goods CSV and up to two injected faults: a malformed,
+    NaN, infinite, negative or zero value, a repeated (model, task), a
+    hostile id, a row of the wrong width, a quoted newline, or a quote left
+    open at the end of the file. Blank lines and a BOM shift nothing."""
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = [draw(st.sampled_from(["a", "b", "c"])), draw(st.sampled_from(["g", "h"])),
+               draw(st.sampled_from(["ner", "qa"]))]
+        if row[0::2] not in [r[0::2] for r in rows]:
+            rows.append(row + [draw(st.sampled_from(["1", "0.5", " 7 ", "1e2", "16"])) for _ in range(3)])
+    kinds = ["malformed", "nan", "inf", "negative", "repeat", "id", "width", "newline", "quote"]
+    tail = ""
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "repeat":
+            rows.insert(draw(st.integers(i + 1, len(rows))), rows[i][:3] + [draw(st.sampled_from(["1", "nan", "x"]))] * 3)
+        elif kind == "id":
+            rows[i][draw(st.integers(0, 2))] = draw(st.sampled_from(["m x", "m,x", 'm"x', "m=x", ""]))
+        elif kind == "width":
+            rows[i] = rows[i][:5] if draw(st.booleans()) else rows[i] + ["1"]
+        elif kind == "newline":
+            j = draw(st.integers(0, 2))
+            rows[i][j] = draw(st.sampled_from([rows[i][j] + "\n", rows[i][j][:1] + "\n" + rows[i][j][1:]]))
+        elif kind == "quote":
+            tail = 'z,g,ner,1,"1\n'
+        else:
+            rows[i][draw(st.integers(3, min(5, len(rows[i]) - 1)))] = draw(st.sampled_from({
+                "malformed": ["abc", "", "1e", "--1"], "nan": ["nan", "NaN", "-nan"],
+                "inf": ["inf", "1e999", "-inf"], "negative": ["-1", "0", "-1e-300"]}[kind]))
+    text = StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["model", "group", "task", "throughput", "memory_gb", "perf"])
+    for row in rows:
+        if draw(st.booleans()):
+            writer.writerow([])
+        writer.writerow(row)
+    return ("\ufeff" if draw(st.booleans()) else "") + text.getvalue() + tail
+
+
+class TestGoodsLoaderMatchesPerRowLoop:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(goods_files())
+    def test_same_rows_or_same_first_fault(self, tmp_path, text):
+        """One pass into columns, and the table's rule, report the fault the
+        per-row ModelGoods loop reports first: the same file:line and
+        message."""
+        p = tmp_path / "goods.csv"
+        p.write_text(text, encoding="utf-8")
+
+        def outcome(load):
+            try:
+                table = load()
+                return "ok", repr(table), [value.hex() for value in table.performance]  # keeps the sign of a zero
+            except InputError as exc:
+                return "error", str(exc)
+
+        assert outcome(lambda: load_goods(p)) == outcome(lambda: goods_table(reference_load_goods(p)))
+
+
 class TestPerformanceLoaderMatchesPerRowLoop:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(performance_files())
@@ -656,3 +720,43 @@ class TestPerformanceLoaderMatchesPerRowLoop:
         with pytest.raises(InputError) as info:
             load_performance(p)
         assert str(info.value).replace(str(p), "P") == message
+
+
+HUGE = '"' + "x" * 200_000 + '"'  # past the csv module's field size limit
+
+
+@pytest.mark.parametrize("kind, rows", [
+    ("perf", ["ner,m,en,hi,1", f"ner,m,en,bn,{HUGE}"]),
+    ("perf", ["ner,m,en,hi,1", "ner,m,en,bn,-1", f"ner,m,en,ta,{HUGE}"]),
+    ("perf", ["ner,m,en,hi,1", "ner,m,en,hi,2", "ner,m,en,ta,\udcff"]),
+    ("perf", ["ner,m,en,hi,1", "ner,m,en,ta,\udcff"]),
+    ("goods", ["a,g,ner,1,1,1", f"b,g,ner,1,1,{HUGE}"]),
+    ("goods", ["a,g,ner,1,1,1", "a,g,ner,1,1,1", f"b,g,ner,1,1,{HUGE}"]),
+    ("goods", ["a,g,ner,1,1,1", "b,g,ner,1,0,1", "c,g,ner,1,1,\udcff"]),
+    ("goods", ["a,g,ner,1,1,1", "c,g,ner,1,1,\udcff"]),
+    ("trace", ["1,bn,0.5,0.6,0.2", f"2,bn,0.5,0.6,{HUGE}"]),
+    ("trace", ["1,bn,0.5,0.6,0.2", "2,bn,0.5,x,0.2", f"3,bn,0.5,0.6,{HUGE}"]),
+    ("trace", ["1,bn,0.5,0.6,0.2", "2,bn,0.5,0.6", "3,bn,0.5,0.6,\udcff"]),
+    ("trace", ["1,bn,0.5,0.6,0.2", "2,bn,0.5,0.6,0.1\udcff"]),
+], ids=["perf-csv", "perf-rule-before-csv", "perf-rule-then-bytes", "perf-bytes",
+        "goods-csv", "goods-repeat-before-csv", "goods-rule-then-bytes", "goods-bytes",
+        "trace-csv", "trace-number-before-csv", "trace-width-then-bytes", "trace-bytes"])
+def test_reader_faults_keep_their_place_in_file_order(tmp_path, kind, rows):
+    """A cell past the csv field size limit, or bytes that are not UTF-8,
+    are reported where the per-row readers report them, after the faults
+    of the rows before them."""
+    from langdei.io import count_trace
+
+    header = {"perf": "task,model,train_lang,target_lang,score", "goods": "model,group,task,throughput,memory_gb,perf",
+              "trace": "step,source,marginal_gain,gm,gini"}[kind]
+    p = tmp_path / "t.csv"
+    p.write_bytes("\n".join([header, *rows, ""]).encode("utf-8", "surrogateescape"))
+    loaders = {"perf": (load_performance, reference_load_performance), "goods": (load_goods, reference_load_goods),
+               "trace": (count_trace, load_trace)}[kind]
+    messages = []
+    for load in loaders:
+        with pytest.raises(InputError) as info:
+            load(p)
+        messages.append(str(info.value).replace(str(p), "P"))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(("P:", "P: not UTF-8"))

@@ -2,6 +2,7 @@
 that would corrupt an output cell or token is rejected, never written."""
 
 import csv
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from langdei.allocator import COMPOSITION_MODES, MISSING_POLICIES, AllocationPlan, PlanEvaluation, TraceStep
 from langdei.cli import main
 from langdei.curves import LearningCurve, TrajectoryPoint
-from langdei.efficiency import AmrsTable, ModelGoods
+from langdei.efficiency import AmrsTable, GoodsTable
 from langdei.errors import InputError, check_id
 from langdei.io import (
     bundled_path,
@@ -122,9 +123,9 @@ def test_hostile_id_rejected_by_every_record(bad):
     builders = (
         lambda: TaskSpec(bad, 97.6),
         lambda: SpeakerTable({bad: 1.0}),
-        lambda: ModelGoods(bad, "g", "t", 1.0, 1.0, 1.0),
-        lambda: ModelGoods("m", bad, "t", 1.0, 1.0, 1.0),
-        lambda: ModelGoods("m", "g", bad, 1.0, 1.0, 1.0),
+        lambda: GoodsTable((bad,), ("g",), ("t",), array("d", [1.0]), array("d", [1.0]), array("d", [1.0])),
+        lambda: GoodsTable(("m",), (bad,), ("t",), array("d", [1.0]), array("d", [1.0]), array("d", [1.0])),
+        lambda: GoodsTable(("m",), ("g",), (bad,), array("d", [1.0]), array("d", [1.0]), array("d", [1.0])),
         lambda: AmrsTable({(bad, "t", "memory"): 1.0}),
         lambda: TrajectoryPoint(bad, "hi", 1, 0.5),
         lambda: TrajectoryPoint("hi", bad, 1, 0.5),

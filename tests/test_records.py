@@ -1,7 +1,7 @@
 """The record base against frozen dataclasses: every record class of the
-package has a ``dataclasses.make_dataclass(..., frozen=True)`` twin with the
-same fields and defaults, and a record must print, compare and hash as its
-twin does."""
+package, and the ``ModelGoods`` oracle of ``tests/_props.py``, has a
+``dataclasses.make_dataclass(..., frozen=True)`` twin with the same fields
+and defaults, and a record must print, compare and hash as its twin does."""
 
 import copy
 import dataclasses
@@ -10,8 +10,9 @@ from array import array
 
 import pytest
 
+from _props import ModelGoods
 from langdei.allocator import AllocationRequest
-from langdei.efficiency import AmrsTable, EfficiencyConfig, ModelGoods
+from langdei.efficiency import AmrsTable, EfficiencyConfig, GoodsTable
 from langdei.errors import InputError
 from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, TaskSpec
 from langdei.records import (
@@ -35,6 +36,7 @@ SAMPLES = {
     PlanEvaluation: ("best-source", {"hi": 0.5}, 0.5, 0.0),
     AllocationPlan: ("greedy", 1, {"bn": 1}, {"bn": 0.5}, {"bn": 0.0}, 1.0, 0.0, "strict", EVALUATION, (STEP,)),
     ModelGoods: ("m", "g", "ner", 10.0, 2.0, 50.0),
+    GoodsTable: (("m",), ("g",), ("ner",), array("d", [10.0]), array("d", [2.0]), array("d", [50.0])),
     EfficiencyConfig: (12.0, 0.5, 0.3, 0.2),
     AmrsTable: ({("g", "ner", "throughput"): 1.5},),
     SpeakerTable: ({"hi": 528.0},),
@@ -70,7 +72,7 @@ def hashed(value):
 
 
 def test_every_record_class_has_a_sample():
-    assert len(SAMPLES) == 13
+    assert len(SAMPLES) == 14
     assert all(issubclass(cls, Record) for cls in SAMPLES)
 
 
