@@ -11,20 +11,22 @@ _ols_rows, solves every round and the final one-c solve of each pair. Each
 curve is bit-identical to fitting its pair alone (fit_power_law). The
 power-law form follows Hestness et al. 2017 (arXiv:1712.00409).
 
-TrajectoryPoint, LearningCurve, DEFAULT_C_RANGE and check_c_range live in
-langdei.records, which needs no numpy; they resolve here as well.
+LearningCurve, DEFAULT_C_RANGE and check_c_range live in langdei.records,
+which needs no numpy; they resolve here as well.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from langdei.errors import ComputationError, InputError
-from langdei.records import DEFAULT_C_RANGE, LearningCurve, TrajectoryPoint, check_c_range
+from langdei import io
+from langdei.errors import ComputationError, InputError, check_id
+from langdei.records import DEFAULT_C_RANGE, LearningCurve, Record, check_c_range, check_count
 
 # Grid-search shape: coarse pass over the full c range, then local rounds
 # shrinking the bracket by 10x each. Eight rounds put the c error near 1e-10,
@@ -37,6 +39,22 @@ MIN_POINTS = 3
 # Elements of one (pairs x grid x points) temporary: pairs of one point count
 # are fitted this many grid-by-point cells at a time, so memory stays flat.
 BATCH_ELEMENTS = 32_768
+
+
+class TrajectoryPoint(Record):
+    """One observed (training samples, score) measurement for a language pair."""
+
+    source: str
+    target: str
+    samples: int
+    score: float
+
+    def __post_init__(self) -> None:
+        check_id(self.source, "source language")
+        check_id(self.target, "target language")
+        check_count(self.samples, "sample count")
+        if not math.isfinite(self.score):
+            raise InputError(f"score must be finite, got {self.score}")
 
 
 def predict(curve: LearningCurve, samples: float) -> float:
@@ -165,3 +183,30 @@ def fit_power_laws(
 def fit_power_law(points: Sequence[TrajectoryPoint], c_range: tuple[float, float] = DEFAULT_C_RANGE) -> LearningCurve:
     """fit_power_laws of one pair's trajectory."""
     return fit_power_laws([points], c_range)[0]
+
+
+def load_trajectories(path: str | Path, scale: str = "percent") -> dict[tuple[str, str], list[TrajectoryPoint]]:
+    """CSV with header ``source,target,samples,score``.
+
+    Scores are normalized to the unit scale internally; sample counts must be
+    strictly increasing within each pair.
+    """
+    io._check_scale(scale)
+    factor = 0.01 if scale == "percent" else 1.0
+    pairs: dict[tuple[str, str], list[TrajectoryPoint]] = {}
+    for lineno, (source, target, samples_text, score_text) in io._read_csv_rows(
+        path, ("source", "target", "samples", "score")
+    ):
+        where = f"{path}:{lineno}"
+        point = io._located(
+            where, TrajectoryPoint, source, target,
+            io._parse_int(samples_text, where), io._parse_float(score_text, where) * factor,
+        )
+        points = pairs.setdefault((source, target), [])
+        if points and point.samples <= points[-1].samples:
+            raise InputError(
+                f"{where}: sample counts for pair ({source}, {target}) must be strictly increasing "
+                f"({point.samples} after {points[-1].samples})"
+            )
+        points.append(point)
+    return pairs

@@ -110,7 +110,7 @@ class GoodsTable(Record):
     @classmethod
     def read_csv(cls, path: str | Path) -> GoodsTable:
         """The table of a CSV file with header
-        ``model,group,task,throughput,memory_gb,perf`` (``io.load_goods``).
+        ``model,group,task,throughput,memory_gb,perf``.
 
         The file is read in one pass of ``csv.reader`` into the columns. The
         first fault in file order is reported at its ``file:line``, found by
@@ -305,3 +305,37 @@ def efficiency_score(goods: GoodsTable, saved: Sequence[float], amrs_table: Amrs
             raise _above_ceiling(goods, i, config)
         scores.append(w_perf * perf + w_tp * tp / rate_tp + w_mem * room / rate_mem)
     return scores
+
+
+def load_amrs(path: str | Path) -> AmrsTable:
+    """CSV with header ``group,task,metric,amrs``; every rate must be positive."""
+    entries: dict[tuple[str, str, str], float] = {}
+    for lineno, (group, task, metric, value_text) in io._read_csv_rows(path, ("group", "task", "metric", "amrs")):
+        where = f"{path}:{lineno}"
+        key = (group, task, metric)
+        if key in entries:
+            raise InputError(f"{where}: duplicate substitution rate for {key}")
+        value = io._parse_float(value_text, where)
+        io._located(where, AmrsTable.check_entry, key, value)
+        entries[key] = value
+    return AmrsTable(entries)
+
+
+def render_amrs(table: AmrsTable) -> str:
+    lines = ["group,task,metric,amrs"]
+    for group, task, metric in sorted(table.entries):
+        lines.append(f"{group},{task},{metric},{io.fmt_num(table.entries[(group, task, metric)])}")
+    return "\n".join(lines) + "\n"
+
+
+def render_efficiency(goods: GoodsTable, saved: Sequence[float], scores: Sequence[float]) -> str:
+    """The efficiency CSV: each goods row with its memory headroom ``saved``
+    and its score, rows sorted by (task, model)."""
+    task, model, group = goods.task, goods.model, goods.group
+    perf, tp, fmt_num = goods.performance, goods.throughput, io.fmt_num
+    keys = list(zip(task, model))
+    lines = ["task,model,group,perf,throughput,memory_saved,efficiency"]
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        lines.append(f"{task[i]},{model[i]},{group[i]},{fmt_num(perf[i])},{fmt_num(tp[i])},"
+                     f"{fmt_num(saved[i])},{fmt_num(scores[i])}")
+    return "\n".join(lines) + "\n"

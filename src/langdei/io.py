@@ -5,6 +5,8 @@ text. Input is read as UTF-8 with an optional byte-order mark. All output is
 canonical: keys sorted, numbers at up to 12 significant digits, LF line
 endings, trailing newline. Identical inputs always produce byte-identical
 output.
+
+A format that only one subcommand uses lives with it (``metrics.load_tasks``).
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TextIO
 
-from langdei.errors import InputError, check_id
-from langdei.records import (AllocationPlan, LearningCurve, PlanEvaluation, TraceStep, TrajectoryPoint,
-                             check_plan_settings, parse_strategy)
+from langdei.errors import InputError
+from langdei.records import AllocationPlan, LearningCurve, TraceStep
 
 if TYPE_CHECKING:  # imported by the loaders when they run, not when io is
-    from langdei.efficiency import AmrsTable, GoodsTable
-    from langdei.metrics import PerformanceTable, ScorecardRow, TaskSpec
+    from langdei.metrics import PerformanceTable, ScorecardRow
     from langdei.scalar import SpeakerTable
 
 DATA_ROOT = Path(__file__).resolve().parent / "data"
@@ -159,10 +159,6 @@ def _check_scale(scale: str) -> str:
     return scale
 
 
-# ---------------------------------------------------------------------------
-# Flat-table loaders
-# ---------------------------------------------------------------------------
-
 def load_speakers(path: str | Path) -> SpeakerTable:
     """CSV with header ``lang,speakers_millions``."""
     from langdei.scalar import SpeakerTable
@@ -178,29 +174,6 @@ def load_speakers(path: str | Path) -> SpeakerTable:
     return SpeakerTable(entries)
 
 
-def load_tasks(path: str | Path) -> list[TaskSpec]:
-    """CSV with header ``task,max_performance`` (percent scale)."""
-    from langdei.metrics import TaskSpec
-
-    specs: dict[str, TaskSpec] = {}
-    for lineno, (task, max_text) in _read_csv_rows(path, ("task", "max_performance")):
-        where = f"{path}:{lineno}"
-        if task in specs:
-            raise InputError(f"{where}: duplicate task {task!r}")
-        specs[task] = _located(where, TaskSpec, task, _parse_float(max_text, where))
-    return list(specs.values())
-
-
-def load_universe(path: str | Path) -> tuple[str, ...]:
-    """Plain text, one language code per line; ``#`` comments allowed."""
-    codes: list[str] = []
-    for where, code in _records(path):
-        if code in codes:
-            raise InputError(f"{where}: duplicate language {code!r}")
-        codes.append(_located(where, check_id, code, "language code"))
-    return tuple(codes)
-
-
 def load_performance(path: str | Path, scale: str = "percent") -> PerformanceTable:
     """CSV with header ``task,model,train_lang,target_lang,score``, on the
     score scale ``scale``; read by ``PerformanceTable.read_csv``."""
@@ -208,61 +181,6 @@ def load_performance(path: str | Path, scale: str = "percent") -> PerformanceTab
 
     return PerformanceTable.read_csv(path, scale)
 
-
-def load_trajectories(path: str | Path, scale: str = "percent") -> dict[tuple[str, str], list[TrajectoryPoint]]:
-    """CSV with header ``source,target,samples,score``.
-
-    Scores are normalized to the unit scale internally; sample counts must be
-    strictly increasing within each pair.
-    """
-    _check_scale(scale)
-    factor = 0.01 if scale == "percent" else 1.0
-    pairs: dict[tuple[str, str], list[TrajectoryPoint]] = {}
-    for lineno, (source, target, samples_text, score_text) in _read_csv_rows(
-        path, ("source", "target", "samples", "score")
-    ):
-        where = f"{path}:{lineno}"
-        point = _located(
-            where, TrajectoryPoint, source, target,
-            _parse_int(samples_text, where), _parse_float(score_text, where) * factor,
-        )
-        points = pairs.setdefault((source, target), [])
-        if points and point.samples <= points[-1].samples:
-            raise InputError(
-                f"{where}: sample counts for pair ({source}, {target}) must be strictly increasing "
-                f"({point.samples} after {points[-1].samples})"
-            )
-        points.append(point)
-    return pairs
-
-
-def load_goods(path: str | Path) -> GoodsTable:
-    """CSV with header ``model,group,task,throughput,memory_gb,perf``; read
-    by ``GoodsTable.read_csv``."""
-    from langdei.efficiency import GoodsTable
-
-    return GoodsTable.read_csv(path)
-
-
-def load_amrs(path: str | Path) -> AmrsTable:
-    """CSV with header ``group,task,metric,amrs``; every rate must be positive."""
-    from langdei.efficiency import AmrsTable
-
-    entries: dict[tuple[str, str, str], float] = {}
-    for lineno, (group, task, metric, value_text) in _read_csv_rows(path, ("group", "task", "metric", "amrs")):
-        where = f"{path}:{lineno}"
-        key = (group, task, metric)
-        if key in entries:
-            raise InputError(f"{where}: duplicate substitution rate for {key}")
-        value = _parse_float(value_text, where)
-        _located(where, AmrsTable.check_entry, key, value)
-        entries[key] = value
-    return AmrsTable(entries)
-
-
-# ---------------------------------------------------------------------------
-# Curve registry text format
-# ---------------------------------------------------------------------------
 
 def render_curves(registry: Mapping[tuple[str, str], LearningCurve], rejects: Sequence[tuple[str, str, str]] = ()) -> str:
     """Canonical text of a curve registry; rejected pairs become comments."""
@@ -312,10 +230,6 @@ def load_curve_registry(path: str | Path) -> dict[tuple[str, str], LearningCurve
     return registry
 
 
-# ---------------------------------------------------------------------------
-# Plan and trace formats
-# ---------------------------------------------------------------------------
-
 def render_plan(plan: AllocationPlan) -> str:
     lines = [
         f"plan strategy={plan.strategy} budget={plan.budget} alpha={fmt_num(plan.alpha)} "
@@ -331,86 +245,6 @@ def render_plan(plan: AllocationPlan) -> str:
     for target in sorted(ev.utilities):
         lines.append(f"pred target={target} utility={fmt_num(ev.utilities[target])}")
     return "\n".join(lines) + "\n"
-
-
-def load_plan(path: str | Path) -> AllocationPlan:
-    """Parse a plan file, which must hold a plan that allocate could write:
-    settings that pass the request's rule, a known strategy (a single source
-    among the alloc lines), an eval line, sample counts >= 0 that sum to the
-    budget, and gm and gini on exactly the funded sources. The step trace
-    lives in its own CSV."""
-    header: dict[str, str] | None = None
-    counts: dict[str, int] = {}
-    final_gm: dict[str, float] = {}
-    final_gini: dict[str, float] = {}
-    eval_fields: dict[str, str] | None = None
-    utilities: dict[str, float] = {}
-    for where, line in _records(path):
-        kind = line.split(None, 1)[0]
-        fields = _parse_kv_line(line, where)
-        if kind == "plan":
-            if header is not None:
-                raise InputError(f"{where}: duplicate plan header")
-            _require(fields, ("strategy", "budget", "alpha", "beta", "missing"), where)
-            header = fields
-        elif kind == "alloc":
-            _require(fields, ("source", "samples"), where)
-            source = _located(where, check_id, fields["source"], "source language")
-            if source in counts:
-                raise InputError(f"{where}: duplicate alloc line for source {source!r}")
-            counts[source] = _parse_int(fields["samples"], where)
-            if counts[source] < 0:
-                raise InputError(f"{where}: sample count must be >= 0, got {counts[source]}")
-            if counts[source] > 0:
-                _require(fields, ("gm", "gini"), where)
-                final_gm[source] = _parse_float(fields["gm"], where)
-                final_gini[source] = _parse_float(fields["gini"], where)
-            elif fields.keys() & {"gm", "gini"}:
-                raise InputError(f"{where}: source {source!r} has no samples, so no gm or gini")
-        elif kind == "eval":
-            if eval_fields is not None:
-                raise InputError(f"{where}: duplicate eval line")
-            _require(fields, ("mode", "clamp", "m", "gini"), where)
-            if fields["clamp"] != "false":
-                raise InputError(f"{where}: expected clamp=false, got clamp={fields['clamp']}")
-            eval_fields = fields
-        elif kind == "pred":
-            _require(fields, ("target", "utility"), where)
-            if eval_fields is None:
-                raise InputError(f"{where}: pred line before eval line")
-            target = _located(where, check_id, fields["target"], "target language")
-            if target in utilities:
-                raise InputError(f"{where}: duplicate pred line for target {target!r}")
-            utilities[target] = _parse_float(fields["utility"], where)
-        else:
-            raise InputError(f"{where}: unknown record kind {kind!r}")
-    if header is None:
-        raise InputError(f"{path}: missing plan header")
-    if eval_fields is None:
-        raise InputError(f"{path}: plan has no eval line")
-    plan = AllocationPlan(
-        strategy=header["strategy"],
-        budget=_parse_int(header["budget"], f"{path}: plan"),
-        counts=counts,
-        final_gm=final_gm,
-        final_gini=final_gini,
-        alpha=_parse_float(header["alpha"], f"{path}: plan"),
-        beta=_parse_float(header["beta"], f"{path}: plan"),
-        missing=header["missing"],
-        evaluation=PlanEvaluation(
-            mode=eval_fields["mode"],
-            utilities=utilities,
-            m_tau=_parse_float(eval_fields["m"], f"{path}: eval"),
-            gini_coeff=_parse_float(eval_fields["gini"], f"{path}: eval"),
-        ),
-    )
-    _located(str(path), check_plan_settings, plan.budget, plan.alpha, plan.beta, plan.missing, plan.evaluation.mode)
-    single = _located(str(path), parse_strategy, plan.strategy)[1]
-    if single is not None and single not in counts:
-        raise InputError(f"{path}: strategy {plan.strategy} names a source without an alloc line")
-    if sum(counts.values()) != plan.budget:
-        raise InputError(f"{path}: alloc samples sum to {sum(counts.values())}, not the budget {plan.budget}")
-    return plan
 
 
 def render_trace(trace: Sequence[TraceStep]) -> str:
@@ -442,44 +276,6 @@ def load_trace(path: str | Path) -> tuple[TraceStep, ...]:
     return tuple(steps)
 
 
-def count_trace(path: str | Path) -> int:
-    """The number of rows of a trace file, each checked as ``load_trace``
-    checks it but none kept, in one pass of ``csv.reader``. A row that
-    fails the check is reported by ``load_trace``, reading the file again."""
-    try:
-        with _open_utf8(path, newline="") as fh:
-            reader = csv.reader(fh)
-            _skip_header(reader, path, _TRACE_HEADER)
-            count = 0
-            for cells in reader:
-                if cells:
-                    step, _, gain, gm, g = cells  # a ValueError for a row that is not 5 fields
-                    int(step)
-                    numbers = (float(gain), float(gm), float(g))
-                    if math.isnan(sum(numbers)) and any(map(math.isnan, numbers)):  # inf - inf is no fault
-                        raise ValueError
-                    count += 1
-        return count
-    except (ValueError, csv.Error):
-        return len(load_trace(path))
-
-
-# ---------------------------------------------------------------------------
-# Report-style CSV renderers
-# ---------------------------------------------------------------------------
-
-def render_scorecard(rows: Sequence[ScorecardRow], scale: str = "percent") -> str:
-    _check_scale(scale)
-    factor = 100.0 if scale == "percent" else 1.0
-    lines = ["task,model,train_lang,m_tau,gini,tested,universe"]
-    for r in rows:
-        lines.append(
-            f"{r.task},{r.model},{r.train_lang},{fmt_num(r.m_tau * factor)},"
-            f"{fmt_num(r.gini_coeff)},{r.tested},{r.universe_size}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def render_lorenz(rows: Sequence[ScorecardRow]) -> str:
     """The Lorenz points of each scorecard row's utilities, in row order:
     point k of a row of n utilities is (k/n, the share of the row's total
@@ -501,26 +297,6 @@ def render_lorenz(rows: Sequence[ScorecardRow]) -> str:
         points = [prefix + x + format(y / total + 0.0, _NUMBER) for x, y in zip(xs[n], [0.0, *sums])]
         blocks.append("\n".join(points))
     return "\n".join(["task,model,train_lang,population_fraction,cumulative_share", *blocks]) + "\n"
-
-
-def render_amrs(table: AmrsTable) -> str:
-    lines = ["group,task,metric,amrs"]
-    for group, task, metric in sorted(table.entries):
-        lines.append(f"{group},{task},{metric},{fmt_num(table.entries[(group, task, metric)])}")
-    return "\n".join(lines) + "\n"
-
-
-def render_efficiency(goods: GoodsTable, saved: Sequence[float], scores: Sequence[float]) -> str:
-    """The efficiency CSV: each goods row with its memory headroom ``saved``
-    and its score, rows sorted by (task, model)."""
-    task, model, group = goods.task, goods.model, goods.group
-    perf, tp = goods.performance, goods.throughput
-    keys = list(zip(task, model))
-    lines = ["task,model,group,perf,throughput,memory_saved,efficiency"]
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        lines.append(f"{task[i]},{model[i]},{group[i]},{fmt_num(perf[i])},{fmt_num(tp[i])},"
-                     f"{fmt_num(saved[i])},{fmt_num(scores[i])}")
-    return "\n".join(lines) + "\n"
 
 
 def write_text(path: str | Path, text: str) -> None:

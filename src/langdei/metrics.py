@@ -372,3 +372,36 @@ def _check_rows(perf: PerformanceTable, order: list[int], by_task: Mapping[str, 
                 f"performance rows for ({task_id}, {model}, {train}) name languages "
                 f"outside the universe: {', '.join(unknown)}"
             )
+
+
+def load_tasks(path: str | Path) -> list[TaskSpec]:
+    """CSV with header ``task,max_performance`` (percent scale)."""
+    specs: dict[str, TaskSpec] = {}
+    for lineno, (task, max_text) in io._read_csv_rows(path, ("task", "max_performance")):
+        where = f"{path}:{lineno}"
+        if task in specs:
+            raise InputError(f"{where}: duplicate task {task!r}")
+        specs[task] = io._located(where, TaskSpec, task, io._parse_float(max_text, where))
+    return list(specs.values())
+
+
+def load_universe(path: str | Path) -> tuple[str, ...]:
+    """Plain text, one language code per line; ``#`` comments allowed."""
+    codes: list[str] = []
+    for where, code in io._records(path):
+        if code in codes:
+            raise InputError(f"{where}: duplicate language {code!r}")
+        codes.append(io._located(where, check_id, code, "language code"))
+    return tuple(codes)
+
+
+def render_scorecard(rows: Sequence[ScorecardRow], scale: str = "percent") -> str:
+    io._check_scale(scale)
+    factor = 100.0 if scale == "percent" else 1.0
+    lines = ["task,model,train_lang,m_tau,gini,tested,universe"]
+    for r in rows:
+        lines.append(
+            f"{r.task},{r.model},{r.train_lang},{io.fmt_num(r.m_tau * factor)},"
+            f"{io.fmt_num(r.gini_coeff)},{r.tested},{r.universe_size}"
+        )
+    return "\n".join(lines) + "\n"

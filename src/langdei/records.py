@@ -91,22 +91,6 @@ class Record:
         return type(self), self._values()
 
 
-class TrajectoryPoint(Record):
-    """One observed (training samples, score) measurement for a language pair."""
-
-    source: str
-    target: str
-    samples: int
-    score: float
-
-    def __post_init__(self) -> None:
-        check_id(self.source, "source language")
-        check_id(self.target, "target language")
-        check_count(self.samples, "sample count")
-        if not math.isfinite(self.score):
-            raise InputError(f"score must be finite, got {self.score}")
-
-
 class LearningCurve(Record):
     """Fitted coefficients for one (source, target) pair.
 

@@ -20,10 +20,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from langdei import allocator, cli, io, scalar
+from langdei import allocator, scalar
 from langdei import curves as _curves
 from langdei.efficiency import (METRIC_MEMORY, METRIC_THROUGHPUT, METRICS, AmrsTable, EfficiencyConfig, GoodsTable,
-                                amrs)
+                                amrs, load_amrs, render_amrs)
 from langdei.errors import ComputationError, InputError, check_id
 from langdei.io import _located, _parse_float, _read_csv_rows, fmt_num
 from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, gini, lorenz_points
@@ -416,8 +416,8 @@ def reference_source_state(request: allocator.AllocationRequest,
 
 # The per-row goods pipeline, as ``langdei.efficiency`` and ``langdei.io``
 # had it before the columnar ``GoodsTable``: one ``ModelGoods`` record per
-# row, built and checked as each row is read. ``reference_cmd_efficiency``
-# is the oracle of ``cli.cmd_efficiency``: exit code, messages and bytes.
+# row, built and checked as each row is read. ``reference_run_efficiency``
+# is the oracle of ``commands.efficiency.run``: exit code, messages and bytes.
 
 class ModelGoods(Record):
     """One model's measured goods for one task."""
@@ -538,19 +538,17 @@ def reference_render_efficiency(rows: Sequence[tuple[ModelGoods, float]], config
     return "\n".join(lines) + "\n"
 
 
-def reference_cmd_efficiency(args) -> int:
-    """``cli.cmd_efficiency`` over the per-row pipeline."""
+def reference_run_efficiency(args) -> tuple[dict[str, str], str]:
+    """``commands.efficiency.run`` over the per-row pipeline."""
     goods = reference_load_goods(args.goods)
     w_perf, w_tp, w_mem = args.weights
     config = EfficiencyConfig(max_memory=args.max_memory, w_perf=w_perf, w_throughput=w_tp, w_memory=w_mem)
     if args.amrs_override:
-        table = io.load_amrs(args.amrs_override)
+        table = load_amrs(args.amrs_override)
     else:
         table = compute_amrs_table(goods, config)
     scored = [(g, efficiency_score(g, table, config)) for g in goods]
     outputs = {args.out: reference_render_efficiency(scored, config)}
     if args.amrs_out:
-        outputs[args.amrs_out] = io.render_amrs(table)
-    cli._write_outputs(outputs)
-    print(f"efficiency: scored {len(scored)} models -> {args.out}")
-    return 0
+        outputs[args.amrs_out] = render_amrs(table)
+    return outputs, f"efficiency: scored {len(scored)} models -> {args.out}"

@@ -3,15 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from langdei.io import (
-    bundled_path,
-    load_amrs,
-    load_curve_registry,
-    load_goods,
-    load_speakers,
-    load_tasks,
-    load_universe,
-)
+from langdei.efficiency import GoodsTable, load_amrs
+from langdei.io import bundled_path, load_curve_registry, load_speakers
+from langdei.metrics import load_tasks, load_universe
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +14,7 @@ def bundle():
     return SimpleNamespace(
         speakers=load_speakers(bundled_path("speakers.csv")),
         tasks=load_tasks(bundled_path("tasks.csv")),
-        goods=load_goods(bundled_path("goods.csv")),
+        goods=GoodsTable.read_csv(bundled_path("goods.csv")),
         curves={
             "muril": load_curve_registry(bundled_path("curves_muril.txt")),
             "xlmr": load_curve_registry(bundled_path("curves_xlmr.txt")),

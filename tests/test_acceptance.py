@@ -15,10 +15,10 @@ from langdei.allocator import AllocationRequest, greedy_allocate
 from langdei.cli import main as cli_main
 from langdei.curves import TrajectoryPoint, fit_power_law
 from langdei.efficiency import EfficiencyConfig, compute_amrs_table, efficiency_score, memory_saved
+from langdei.commands.report import load_plan
 from langdei.io import (
     bundled_path,
     load_curve_registry,
-    load_plan,
     load_trace,
     render_curves,
     render_plan,

@@ -1,9 +1,11 @@
 """The benchmark finds program functions by name: bench/trace_cli.py wraps
 them with setattr, and bench/run.py sums the spans it names. A renamed or
 deleted function would make a traced run fail or silently read 0, so every
-such name must still be a callable attribute of its module."""
+such name must still be a callable attribute of its module, and every span
+name a function that its module defines."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,17 @@ def test_names_were_found():
 def test_benchmark_name_is_callable(name):
     layer, attribute = name.split(".")
     assert callable(getattr(MODULES[layer], attribute, None)), f"bench/ looks up {name}"
+
+
+@pytest.mark.parametrize("name", sorted(_spanned()))
+def test_spanned_name_is_defined_in_its_module(name):
+    """trace_cli._public_functions wraps only the functions a module defines
+    itself, so a span name that a module imported from another one would
+    read 0. install_spans wraps the AllocationRequest class by name."""
+    layer, attribute = name.split(".")
+    obj = getattr(MODULES[layer], attribute)
+    assert inspect.isfunction(obj) or name == "allocator.AllocationRequest", f"{name} is not a function"
+    assert obj.__module__ == MODULES[layer].__name__, f"{name} is defined in {obj.__module__}"
 
 
 def test_scale_tables_outputs_match_recorded_digests(tmp_path, monkeypatch):

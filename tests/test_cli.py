@@ -11,13 +11,15 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from langdei import allocator, io
-from langdei.cli import main
-from langdei.io import bundled_path, load_curve_registry, load_plan
+from langdei.cli import SUBCOMMANDS, build_parser, main
+from langdei.commands.report import count_trace, load_plan
+from langdei.io import bundled_path, load_curve_registry
 
 
 def read_csv(path):
@@ -806,6 +808,42 @@ def test_repeated_output_path_rejected(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", ["nodir/p.txt", "file.txt/p.txt"], ids=["missing", "file"])
+def test_output_in_no_directory_rejected_before_any_input_is_read(out, data, tmp_path, monkeypatch, capsys):
+    # No warning of the registry's dropped pair either: nothing was read. The
+    # message names the flag and the path as given, so it is the same on
+    # every run.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "file.txt", "")
+    argv = ["allocate", "--curves", data["curves"], "--budget", "10", "--strategy", "greedy", "--tau", "0",
+            "--missing", "permissive", "--out", out]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: --out names a file in a directory that does not exist: {out}\n"] * 2
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+
+
+def test_write_error_names_the_output(data, tmp_path, monkeypatch, capsys):
+    # Not the file the trace was staged in, whose name changes on every run;
+    # the plan, staged before it, is removed too.
+    write_text = io.write_text
+
+    def refuse_trace(path, text):
+        if Path(path).name.startswith("trace.csv."):
+            raise PermissionError(13, "Permission denied", str(path))
+        write_text(path, text)
+
+    monkeypatch.setattr(io, "write_text", refuse_trace)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["allocate", "--curves", data["curves"], "--budget", "10", "--strategy", "greedy", "--tau", "0",
+               "--missing", "permissive", "--out", "plan.txt", "--trace-out", "trace.csv"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: [Errno 13] Permission denied: 'trace.csv'"
+    assert list(tmp_path.iterdir()) == []
+
+
 # subcommand: arguments, one output naming one of the inputs (copied into the
 # run directory under these names)
 OUTPUT_OVER_INPUT = {
@@ -866,12 +904,16 @@ NUMERIC_MODULES = {"numpy", "langdei.curves"}
 
 
 def modules_after(code, cwd):
-    """The names in sys.modules of a fresh interpreter that ran ``code``."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
-        capture_output=True, text=True, env=env, cwd=cwd, check=True,
-    )
+    """The names in sys.modules of a fresh interpreter when it exits, having
+    run ``code``: a string for ``python -c``, or the arguments of ``python -m
+    langdei.cli``, which is how the benchmark runs a subcommand. A
+    sitecustomize module prints the names when the interpreter exits."""
+    with tempfile.TemporaryDirectory() as hook:
+        Path(hook, "sitecustomize.py").write_text("import atexit, sys\natexit.register(lambda: print(*sys.modules))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"), hook]))
+        command = ["-c", code] if isinstance(code, str) else ["-m", "langdei.cli", *code]
+        result = subprocess.run([sys.executable, *command], capture_output=True, text=True, env=env, cwd=cwd,
+                                check=True)
     return set(result.stdout.splitlines()[-1].split())
 
 
@@ -928,7 +970,7 @@ def test_subcommand_runs_without_numpy(argv, tmp_path):
         assert "langdei.greedy" in loaded
         assert load_plan(tmp_path / "plan.txt").strategy == "greedy"
     if "--trace-out" in argv:
-        assert io.count_trace(tmp_path / "trace.csv") == 1000
+        assert count_trace(tmp_path / "trace.csv") == 1000
 
 
 @pytest.mark.parametrize("argv", [
@@ -940,6 +982,45 @@ def test_numeric_subcommand_leaves_numpy_ma_unloaded(argv, tmp_path):
     loaded = modules_after(f"from langdei.cli import main\nassert main({argv!r}) == 0", tmp_path)
     assert (tmp_path / argv[-1]).is_file()
     assert "numpy" in loaded and "numpy.ma" not in loaded
+
+
+# The langdei modules each run loads, run as the benchmark runs it, beside
+# those every run loads. Under ``python -m`` the cli is ``__main__``, so a
+# module that imported ``langdei.cli`` would compile all of it again.
+EVERY_RUN = {"langdei", "langdei.errors", "langdei.records", "langdei.io", "langdei.commands"}
+OWN_MODULES = {
+    "metrics": (["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks",
+                 str(bundled_path("tasks.csv")), "--tau", "1", "--speakers", SPEAKERS, "--lorenz-out", "lorenz.csv",
+                 "--out", "scorecard.csv"], {"commands.metrics", "metrics", "scalar"}),
+    "efficiency": (["efficiency", "--goods", str(bundled_path("goods.csv")), "--amrs-out", "amrs.csv",
+                    "--out", "eff.csv"], {"commands.efficiency", "efficiency"}),
+    "fit": (["fit", "--trajectories", "traj.csv", "--out", "curves.txt"], {"commands.fit", "curves"}),
+    "egalitarian": (["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "egalitarian", "--tau", "1",
+                     "--speakers", SPEAKERS, "--missing", "permissive", "--out", "plan.txt"],
+                    {"commands.allocate", "allocator", "scalar"}),
+    "greedy": (["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "greedy", "--tau", "0",
+                "--beta", "0", "--missing", "permissive", "--trace-out", "trace.csv", "--out", "plan.txt"],
+               {"commands.allocate", "allocator", "scalar", "greedy"}),
+    "report": (["report", "--plan", "plan.txt", "--trace", "trace.csv", "--curves", MURIL, "--out", "report.md"],
+               {"commands.report"}),
+}
+
+
+@pytest.mark.parametrize("run", list(OWN_MODULES))
+def test_each_run_loads_only_its_own_modules(run, tmp_path):
+    argv, own = OWN_MODULES[run]
+    write(tmp_path / "plan.txt", "plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\n"
+          "alloc source=bn samples=2 gm=0.5 gini=0.1\n" + EVAL_LINE)
+    write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n2,bn,0.1,0.5,0.1\n")
+    synth_trajectories(tmp_path)
+    loaded = {name for name in modules_after(argv, tmp_path) if name.split(".")[0] == "langdei"}
+    assert (tmp_path / argv[-1]).is_file()
+    assert loaded == EVERY_RUN | {f"langdei.{name}" for name in own}
+    assert "langdei.cli" not in loaded
+    if run == "report":
+        assert loaded & {"langdei.allocator", "langdei.scalar", "langdei.metrics"} == set()
+    if run == "egalitarian":
+        assert "langdei.greedy" not in loaded
 
 
 # The same bytes on every interpreter. Every subcommand but fit runs without
@@ -1000,3 +1081,38 @@ def test_same_bytes_on_every_interpreter(version, own_outputs, tmp_path):
     outputs = outputs_under(python, tmp_path)
     assert sorted(outputs) == sorted(own_outputs)
     assert [name for name in outputs if outputs[name] != own_outputs[name]] == []
+
+
+# Each subcommand with valid arguments, then argvs that print help or a usage
+# error: the parser of one subcommand must parse each as the full parser does.
+PARSER_ARGVS = [
+    *EVERY_SUBCOMMAND_BUT_FIT, OWN_MODULES["fit"][0],
+    [], ["--help"], *([name, "--help"] for name in SUBCOMMANDS),
+    ["metrics", "--perf", "p.csv", "--out", "x.csv"],
+    ["efficiency", "--goods", "g.csv", "--out", "x.csv", "--bogus"],
+    ["allocate", "--curves", "c.txt", "--bud", "10", "--strategy", "greedy", "--out", "x.txt"],
+    ["metrics", "--perf", "p.csv", "--tasks", "t.csv", "--tau", "7", "--out", "x.csv"],
+    ["allocate", "--curves", "c.txt", "--budget", "10", "--strategy", "greedy", "--tau", "x", "--out", "x.txt"],
+    ["bogus", "--out", "x"],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """(exit status or None, stdout, stderr, Namespace or None) of parsing ``argv``."""
+    try:
+        namespace, status = parser.parse_args(argv), None
+    except SystemExit as exc:
+        namespace, status = None, exc.code
+    return (status, *capsys.readouterr(), namespace)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv[:2]))
+def test_one_subcommand_parser_parses_as_the_full_parser(argv, capsys):
+    outcome = parse_outcome(build_parser(argv), argv, capsys)
+    assert outcome == parse_outcome(build_parser(), argv, capsys)
+    assert outcome[0] in (None, 0, 2)
+
+
+def test_parser_of_a_subcommand_has_no_other():
+    with pytest.raises(SystemExit):
+        build_parser(["metrics"]).parse_args(["fit", "--help"])

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _props import ModelGoods, goods_table, mrs_sequence, reference_cmd_efficiency
+from _props import ModelGoods, goods_table, mrs_sequence, reference_run_efficiency
 from langdei import cli
+from langdei.commands import efficiency as efficiency_command
 from langdei.efficiency import (
     AmrsTable,
     EfficiencyConfig,
@@ -356,13 +357,13 @@ def efficiency_runs(draw):
 
 def run_efficiency(argv, directory, command=None):
     """(exit code, stdout, stderr lines, output bytes) of ``cli.main(argv)``
-    in ``directory``, with ``command`` standing in for cmd_efficiency."""
+    in ``directory``, with ``command`` standing in for the subcommand's run."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                mock.patch.object(cli, "cmd_efficiency", command or cli.cmd_efficiency):
+                mock.patch.object(efficiency_command, "run", command or efficiency_command.run):
             code = cli.main(argv)
         written = {}
         for name in ("eff.csv", "amrs.csv"):
@@ -392,7 +393,7 @@ def test_cli_efficiency_equals_per_row_oracle(run):
         else:
             Path(directory, "override.csv").write_text(override)
             argv += ["--amrs-override", "override.csv"]
-        assert run_efficiency(argv, directory) == run_efficiency(argv, directory, reference_cmd_efficiency)
+        assert run_efficiency(argv, directory) == run_efficiency(argv, directory, reference_run_efficiency)
 
 
 VALID = ["g0m0,g0,t,10,1.5,30", "g0m1,g0,t,20,2.5,60", "g1m0,g1,t,5,0.5,20", "g1m1,g1,t,7.5,1,45"]
@@ -425,5 +426,5 @@ def test_cli_efficiency_fault_equals_per_row_oracle(rows, extra, override, tmp_p
         (tmp_path / "override.csv").write_text("\n".join(["group,task,metric,amrs", *override]) + "\n")
         argv += ["--amrs-override", "override.csv"]
     outcome = run_efficiency(argv, tmp_path)
-    assert outcome == run_efficiency(argv, tmp_path, reference_cmd_efficiency)
+    assert outcome == run_efficiency(argv, tmp_path, reference_run_efficiency)
     assert outcome[0] == (0 if rows is VALID and extra == [] and override is None else 2)

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "langdei"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.rglob("*.py"))  # the subpackages' modules included
+# The package's __init__ only re-exports names.
+MODULES = [p.relative_to(PACKAGE).as_posix() for p in SOURCES if p != PACKAGE / "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,7 +34,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_modules_found():
-    assert {"allocator.py", "cli.py", "curves.py", "io.py", "metrics.py"} <= set(MODULES)
+    assert {"allocator.py", "cli.py", "curves.py", "io.py", "metrics.py", "commands/report.py"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -88,10 +90,10 @@ def unreferenced(module: str) -> list[str]:
     """Public definitions of ``module`` that no code of the package reads
     and that no file under bench/ (which looks names up as strings) and
     not README.md names as a whole word."""
-    used = set().union(*(code_references(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
+    used = set().union(*(code_references(p.read_text(encoding="utf-8")) for p in SOURCES))
     files = [p for p in (ROOT / "bench").rglob("*") if p.is_file()] + [ROOT / "README.md"]
     text = "\n".join(p.read_text(encoding="utf-8", errors="replace") for p in files)
-    stem = module.removesuffix(".py")
+    stem = module.removesuffix(".py").replace("/", ".")
     return [name for name in public_definitions((PACKAGE / module).read_text(encoding="utf-8"))
             if name not in used and f"{stem}.{name}" not in ORACLES and not re.search(rf"\b{name}\b", text)]
 
@@ -162,9 +164,9 @@ def readme_code() -> list[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_optional_parameter_is_set(module):
-    files = [*PACKAGE.glob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    files = [*SOURCES, *(ROOT / "bench").rglob("*.py")]
     callers = [p.read_text(encoding="utf-8") for p in files] + readme_code()
-    stem = module.removesuffix(".py")
+    stem = module.removesuffix(".py").replace("/", ".")
     unset = unset_parameters((PACKAGE / module).read_text(encoding="utf-8"), callers)
     assert [name for name in unset if f"{stem}.{name}" not in ORACLES] == []
 

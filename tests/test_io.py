@@ -8,22 +8,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from langdei.allocator import AllocationPlan, PlanEvaluation, TraceStep
-from langdei.curves import LearningCurve, predict
+from langdei.commands.report import load_plan
+from langdei.curves import LearningCurve, load_trajectories, predict
+from langdei.efficiency import GoodsTable, load_amrs
 from langdei.errors import InputError
-from langdei.metrics import TaskSpec
+from langdei.metrics import TaskSpec, load_tasks, load_universe
 from langdei.io import (
     bundled_path,
     fmt_num,
-    load_amrs,
     load_curve_registry,
-    load_goods,
     load_performance,
-    load_plan,
     load_speakers,
-    load_tasks,
     load_trace,
-    load_trajectories,
-    load_universe,
     render_curves,
     render_plan,
     render_trace,
@@ -217,7 +213,7 @@ class TestGoodsLoader:
     def test_bundled_example_row(self, tmp_path):
         p = tmp_path / "goods.csv"
         p.write_text("model,group,task,throughput,memory_gb,perf\nmuril_base,regional,ner,23.8,0.9,74.9\n")
-        goods = load_goods(p)
+        goods = GoodsTable.read_csv(p)
         assert goods.group == ("regional",)
         assert goods.memory_gb.tolist() == [0.9]
 
@@ -227,7 +223,7 @@ class TestGoodsLoader:
             "model,group,task,throughput,memory_gb,perf\nm,g,t,1,1,1\nm,g,t,2,2,2\n"
         )
         with pytest.raises(InputError, match=r"goods\.csv:3"):
-            load_goods(p)
+            GoodsTable.read_csv(p)
 
     @pytest.mark.parametrize("row, message", [
         ("m,g,t,abc,1,1", "P:3: malformed number 'abc'"),
@@ -242,7 +238,7 @@ class TestGoodsLoader:
         p = tmp_path / "goods.csv"
         p.write_text(f"model,group,task,throughput,memory_gb,perf\nn,g,t,1,1,1\n{row}\n")
         with pytest.raises(InputError) as info:
-            load_goods(p)
+            GoodsTable.read_csv(p)
         assert str(info.value).replace(str(p), "P") == message
 
 
@@ -685,7 +681,7 @@ class TestGoodsLoaderMatchesPerRowLoop:
             except InputError as exc:
                 return "error", str(exc)
 
-        assert outcome(lambda: load_goods(p)) == outcome(lambda: goods_table(reference_load_goods(p)))
+        assert outcome(lambda: GoodsTable.read_csv(p)) == outcome(lambda: goods_table(reference_load_goods(p)))
 
 
 class TestPerformanceLoaderMatchesPerRowLoop:
@@ -745,13 +741,13 @@ def test_reader_faults_keep_their_place_in_file_order(tmp_path, kind, rows):
     """A cell past the csv field size limit, or bytes that are not UTF-8,
     are reported where the per-row readers report them, after the faults
     of the rows before them."""
-    from langdei.io import count_trace
+    from langdei.commands.report import count_trace
 
     header = {"perf": "task,model,train_lang,target_lang,score", "goods": "model,group,task,throughput,memory_gb,perf",
               "trace": "step,source,marginal_gain,gm,gini"}[kind]
     p = tmp_path / "t.csv"
     p.write_bytes("\n".join([header, *rows, ""]).encode("utf-8", "surrogateescape"))
-    loaders = {"perf": (load_performance, reference_load_performance), "goods": (load_goods, reference_load_goods),
+    loaders = {"perf": (load_performance, reference_load_performance), "goods": (GoodsTable.read_csv, reference_load_goods),
                "trace": (count_trace, load_trace)}[kind]
     messages = []
     for load in loaders:

@@ -13,10 +13,10 @@ from langdei.cli import main
 from langdei.curves import LearningCurve, TrajectoryPoint
 from langdei.efficiency import AmrsTable, GoodsTable
 from langdei.errors import InputError, check_id
+from langdei.commands.report import load_plan
 from langdei.io import (
     bundled_path,
     load_curve_registry,
-    load_plan,
     load_trace,
     render_curves,
     render_plan,

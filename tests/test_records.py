@@ -12,17 +12,11 @@ import pytest
 
 from _props import ModelGoods
 from langdei.allocator import AllocationRequest
+from langdei.curves import TrajectoryPoint
 from langdei.efficiency import AmrsTable, EfficiencyConfig, GoodsTable
 from langdei.errors import InputError
 from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, TaskSpec
-from langdei.records import (
-    AllocationPlan,
-    LearningCurve,
-    PlanEvaluation,
-    Record,
-    TraceStep,
-    TrajectoryPoint,
-)
+from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, Record, TraceStep
 
 CURVE = LearningCurve("bn", "hi", 1.0, -2.0, 0.5, 0.9)
 EVALUATION = PlanEvaluation("best-source", {"hi": 0.5}, 0.5, 0.0)
