@@ -13,6 +13,7 @@ import, so that a run compiles only its own code.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -121,5 +122,18 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if isinstance(error, ComputationError) else 2
 
 
+def run_process() -> None:
+    """The process entry: exit with the status of ``main()``. The GC is
+    frozen before the exit, a usage error's included: that moves every live
+    object to the permanent generation, which the shutdown collections skip.
+    atexit handlers, the flush of stdout and stderr and module teardown run
+    as before. Only a process about to exit may freeze, so ``main`` never
+    does."""
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run_process()

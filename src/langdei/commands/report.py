@@ -115,12 +115,13 @@ def count_trace(path: str | Path) -> int:
             reader = csv.reader(fh)
             io._skip_header(reader, path, io._TRACE_HEADER)
             count = 0
+            isnan = math.isnan
             for cells in reader:
                 if cells:
                     step, _, gain, gm, g = cells  # a ValueError for a row that is not 5 fields
                     int(step)
-                    numbers = (float(gain), float(gm), float(g))
-                    if math.isnan(sum(numbers)) and any(map(math.isnan, numbers)):  # inf - inf is no fault
+                    a, b, c = float(gain), float(gm), float(g)
+                    if isnan(a + b + c) and (isnan(a) or isnan(b) or isnan(c)):  # inf - inf is no fault
                         raise ValueError
                     count += 1
         return count

@@ -39,7 +39,7 @@ def bundled_path(name: str) -> Path:
     return path
 
 
-_NUMBER = ".12g"  # the format of every number written
+_NUMBER = ".12g"  # the format of every number written; "%.12g" in a %-template
 
 
 def fmt_num(x: float) -> str:
@@ -250,7 +250,7 @@ def render_plan(plan: AllocationPlan) -> str:
 def render_trace(trace: Sequence[TraceStep]) -> str:
     lines = ["step,source,marginal_gain,gm,gini"]
     for t in trace:
-        lines.append(f"{t.step},{t.source},{fmt_num(t.marginal_gain)},{fmt_num(t.gm)},{fmt_num(t.gini)}")
+        lines.append("%d,%s,%.12g,%.12g,%.12g" % (t.step, t.source, t.marginal_gain + 0.0, t.gm + 0.0, t.gini + 0.0))
     return "\n".join(lines) + "\n"
 
 
@@ -282,20 +282,21 @@ def render_lorenz(rows: Sequence[ScorecardRow]) -> str:
     held by its k smallest utilities), for k = 0..n. The utilities are those
     ``dei_scorecard`` builds, finite and >= 0, so each row's running sums
     (``metrics.lorenz_sums``) are not checked again. Each row's
-    ``task,model,train_lang,`` prefix and each distinct k/n are formatted
-    once, and each share inline, by the rule of ``fmt_num``."""
+    ``task,model,train_lang,`` prefix is formatted once, and each row by one
+    ``%`` template per row length, which holds each distinct k/n; the prefix
+    is an argument of it, so a ``%`` in an id stays text."""
     from langdei.metrics import lorenz_sums
 
-    xs: dict[int, list[str]] = {}
+    templates: dict[int, str] = {}
     blocks = []
     for row in rows:
         sums = lorenz_sums(row.utilities)
         n, total = len(sums), sums[-1]
-        if n not in xs:
-            xs[n] = [fmt_num(k / n) + "," for k in range(n + 1)]
-        prefix = f"{row.task},{row.model},{row.train_lang},"
-        points = [prefix + x + format(y / total + 0.0, _NUMBER) for x, y in zip(xs[n], [0.0, *sums])]
-        blocks.append("\n".join(points))
+        if n not in templates:
+            templates[n] = "\n".join(f"%s{fmt_num(k / n)},%.12g" for k in range(n + 1))
+        args = [f"{row.task},{row.model},{row.train_lang},"] * (2 * n + 2)
+        args[1::2] = [y / total + 0.0 for y in [0.0, *sums]]
+        blocks.append(templates[n] % tuple(args))
     return "\n".join(["task,model,train_lang,population_fraction,cumulative_share", *blocks]) + "\n"
 
 

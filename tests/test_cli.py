@@ -6,6 +6,7 @@ stderr, and output files. Exit-code contract: 0 success, 1 undefined metric,
 """
 
 import csv
+import gc
 import os
 import re
 import shutil
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from langdei import allocator, io
+from langdei import allocator, cli, io
 from langdei.cli import SUBCOMMANDS, build_parser, main
 from langdei.commands.report import count_trace, load_plan
 from langdei.io import bundled_path, load_curve_registry
@@ -689,17 +690,19 @@ class TestReportCommand:
     def test_trace_rows_counted_not_kept(self, tmp_path, monkeypatch):
         built = []
         monkeypatch.setattr(io, "TraceStep", lambda *args: built.append(args))
-        # Row 3's fields sum to inf - inf, a NaN no field holds.
+        # Rows 3 and 4 sum to inf - inf, a NaN no field holds.
         trace = write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n"
-                      "2,hi,0.5,0.6,0.2\n3,hi,-inf,inf,0.2\n")
+                      "2,hi,0.5,0.6,0.2\n3,hi,-inf,inf,0.2\n3,bn,inf,-inf,0.5\n")
         out = tmp_path / "r.md"
         assert main(["report", "--trace", trace, "--out", str(out)]) == 0
-        assert "3 greedy steps recorded." in out.read_text()
+        assert "4 greedy steps recorded." in out.read_text()
         assert built == []
 
     @pytest.mark.parametrize(("row", "message"), [
         ("x,bn,0.5,0.6,0.2", "trace.csv:3: malformed integer 'x'"),
         ("2,hi,nan,0.6,0.2", "trace.csv:3: number must not be NaN"),
+        ("2,hi,0.5,nan,0.2", "trace.csv:3: number must not be NaN"),
+        ("2,hi,inf,0.6,nan", "trace.csv:3: number must not be NaN"),
         ("2,hi,0.5,0.6", "trace.csv:3: expected 5 fields, got 4"),
     ])
     def test_malformed_trace_row_exit_2(self, tmp_path, capsys, row, message):
@@ -903,18 +906,27 @@ def test_cli_usage_error_exit_code(capsys):
 NUMERIC_MODULES = {"numpy", "langdei.curves"}
 
 
-def modules_after(code, cwd):
-    """The names in sys.modules of a fresh interpreter when it exits, having
-    run ``code``: a string for ``python -c``, or the arguments of ``python -m
-    langdei.cli``, which is how the benchmark runs a subcommand. A
-    sitecustomize module prints the names when the interpreter exits."""
+def run_with_exit_hook(code, cwd, *options):
+    """The finished fresh interpreter that ran ``code``: a string for
+    ``python -c``, or the arguments of ``python -m langdei.cli``, which is
+    how the benchmark runs a subcommand. A sitecustomize module prints, when
+    the interpreter exits, the names in sys.modules on one line and
+    ``gc.get_freeze_count()`` on the next, after all else on stdout."""
     with tempfile.TemporaryDirectory() as hook:
-        Path(hook, "sitecustomize.py").write_text("import atexit, sys\natexit.register(lambda: print(*sys.modules))\n")
+        Path(hook, "sitecustomize.py").write_text(
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(' '.join(sys.modules), gc.get_freeze_count(), sep='\\n'))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"), hook]))
         command = ["-c", code] if isinstance(code, str) else ["-m", "langdei.cli", *code]
-        result = subprocess.run([sys.executable, *command], capture_output=True, text=True, env=env, cwd=cwd,
-                                check=True)
-    return set(result.stdout.splitlines()[-1].split())
+        return subprocess.run([sys.executable, *options, *command], capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def modules_after(code, cwd):
+    """The names in sys.modules of a fresh interpreter that ran ``code``
+    (see ``run_with_exit_hook``) when it exits."""
+    result = run_with_exit_hook(code, cwd)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-2].split())
 
 
 def test_import_cli_loads_no_numeric_module(tmp_path):
@@ -1081,6 +1093,57 @@ def test_same_bytes_on_every_interpreter(version, own_outputs, tmp_path):
     outputs = outputs_under(python, tmp_path)
     assert sorted(outputs) == sorted(own_outputs)
     assert [name for name in outputs if outputs[name] != own_outputs[name]] == []
+
+
+# The process entry (cli.run_process) freezes the GC before the interpreter
+# exits, so the shutdown collections skip every object; main never freezes.
+ENTRY_RUNS = [  # (argv, exit status)
+    (["efficiency", "--goods", GOODS, "--amrs-out", "amrs.csv", "--out", "efficiency.csv"], 0),
+    (["report", "--out", "report.md"], 2),  # no inputs: a handled error
+    (["efficiency", "--goods", "ghost.csv", "--out", "efficiency.csv"], 2),
+    (["allocate", "--curves", MURIL, "--bud", "10"], 2),  # a usage error
+    (["--help"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, status", ENTRY_RUNS, ids=["ok", "no-inputs", "missing-input", "usage", "help"])
+def test_process_entry_freezes_and_changes_no_output(argv, status, tmp_path):
+    entry = run_with_exit_hook(argv, tmp_path)
+    plain = run_with_exit_hook(f"import sys\nfrom langdei.cli import main\nsys.exit(main({argv!r}))", tmp_path)
+    assert int(entry.stdout.splitlines()[-1]) > 0
+    assert int(plain.stdout.splitlines()[-1]) == 0
+    assert entry.returncode == plain.returncode == status
+    assert entry.stdout.splitlines()[:-2] == plain.stdout.splitlines()[:-2]
+    assert entry.stderr == plain.stderr
+
+
+def test_main_in_process_does_not_freeze(tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["efficiency", "--goods", GOODS, "--out", str(tmp_path / "efficiency.csv")]) == 0
+    assert main(["report", "--out", str(tmp_path / "report.md")]) == 2
+    with pytest.raises(SystemExit):
+        main(["allocate", "--curves", MURIL, "--bud", "10"])
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_process_entry():
+    # Read as text: Python 3.10 has no tomllib.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^langdei = "langdei\.cli:(\w+)"$', text, re.M) == ["run_process"]
+    assert callable(cli.run_process)
+
+
+def test_no_file_is_left_for_shutdown_to_close(tmp_path):
+    # A frozen process skips the shutdown collections that would close a
+    # file left open in a reference cycle, so every run must close the files
+    # it opens; -X dev reports any file that only its finalizer closes.
+    write(tmp_path / "wide_curves.txt", "".join(
+        f"curve source=s0 target=t{j:03d} a=0.5 b=-1 c=0.1 r2=0.9\n" for j in range(3)))
+    synth_trajectories(tmp_path)
+    for argv in [*EVERY_SUBCOMMAND_BUT_FIT, OWN_MODULES["fit"][0]]:
+        result = run_with_exit_hook(argv, tmp_path, "-X", "dev", "-W", "error::ResourceWarning")
+        assert result.returncode == 0, (argv, result.stderr)
+        assert "ResourceWarning" not in result.stderr, argv
 
 
 # Each subcommand with valid arguments, then argvs that print help or a usage

@@ -1,6 +1,7 @@
 """Unit tests for file formats, bundled datasets, and canonical output."""
 
 import csv
+import struct
 from io import StringIO
 
 import pytest
@@ -466,6 +467,18 @@ class TestNumberFormatting:
 
     def test_no_negative_zero(self):
         assert fmt_num(-0.0) == "0"
+
+    # render_trace and render_lorenz format their numbers with "%.12g"
+    # templates, which must give fmt_num's text for every float.
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+        st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), -float("nan"), 5e-324, -5e-324,
+                         2.2250738585072009e-308, 1e16, 1e17, -1e16, -1e17, 999999999999.5, 0.1]),
+        st.floats(),
+    ))
+    def test_percent_template_equals_fmt_num(self, x):
+        assert "%.12g" % (x + 0.0) == fmt_num(x)
 
 
 def test_universe_loader(tmp_path, bundle):

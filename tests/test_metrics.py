@@ -634,7 +634,7 @@ class TestScorecardLorenz:
         rows = [
             ScorecardRow("ner", "m", "en", 0.5, 0.1, 2, 2, (0.25, 0.5)),
             ScorecardRow("ner", "m", "hi", 0.5, 0.1, 3, 3, (0.0, 1.0, -0.0)),
-            ScorecardRow("ner", "n", "en", 0.5, 0.1, 2, 2, (0.7, -0.0)),
+            ScorecardRow("ner", "n%s%%", "%(x)s", 0.5, 0.1, 2, 2, (0.7, -0.0)),  # a '%' in an id stays text
         ]
         assert render_lorenz(rows) == reference_lorenz_text(rows)
         assert ",-" not in render_lorenz(rows)  # -0.0 shares print as 0
