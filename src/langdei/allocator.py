@@ -103,7 +103,7 @@ def _source_state(request: AllocationRequest, source: str) -> tuple[list[str], C
     function: k -> gm, Gini and the covered targets' predictions at k samples.
 
     Each prediction is ``a + b * k^(-c)`` with Python's float power, as
-    ``curves.predict_many`` takes it; gm adds the predictions times their
+    ``curves.predict`` takes it; gm adds the predictions times their
     demand weights in target order from 0.0, and the Gini is that of their
     absolute values (``scalar._gini_row``'s float operations, numpy's to the
     last bit). An undefined state raises. The state function is the

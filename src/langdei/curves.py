@@ -58,24 +58,11 @@ class TrajectoryPoint(Record):
 
 
 def predict(curve: LearningCurve, samples: float) -> float:
-    """Evaluate the curve at a sample count >= 1. No clamping."""
-    return float(predict_many(curve, (samples,))[0])
-
-
-def predict_many(curve: LearningCurve, samples: Sequence[float]) -> np.ndarray:
-    """Evaluate the curve at each sample count (all >= 1). No clamping.
-
-    The power is Python's float pow, one element at a time, not numpy's
-    vectorised power: that one can differ in the last bit depending on the
-    SIMD build. So each value is the allocator's prediction at that count
-    (``allocator._source_state``), whatever the numpy build.
-    """
-    # A range's least element is one of its endpoints; don't walk the range.
-    lowest = min(samples[0], samples[-1]) if isinstance(samples, range) and samples else min(samples, default=1)
-    if lowest < 1:
-        raise InputError(f"prediction requires samples >= 1, got {lowest}")
-    powers = map(pow, map(float, samples), itertools.repeat(-curve.c))
-    return curve.a + curve.b * np.fromiter(powers, float, len(samples))
+    """Evaluate the curve at a sample count >= 1. No clamping. The power is
+    Python's float pow, as the allocator takes it (``allocator._source_state``)."""
+    if samples < 1:
+        raise InputError(f"prediction requires samples >= 1, got {samples}")
+    return curve.a + curve.b * float(samples) ** -curve.c
 
 
 def _ols_rows(u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

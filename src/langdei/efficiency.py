@@ -37,17 +37,6 @@ METRICS = (METRIC_THROUGHPUT, METRIC_MEMORY)
 _ID_KINDS = ("model id", "group", "task id")  # the goods id columns, in row order
 
 
-class GoodsError(InputError):
-    """The first row of a ``GoodsTable``, in row order, that breaks the goods
-    rule; ``index`` is its row, and ``repeated`` is true when it repeats an
-    earlier (model, task)."""
-
-    def __init__(self, message: str, index: int, repeated: bool) -> None:
-        super().__init__(message)
-        self.index = index
-        self.repeated = repeated
-
-
 class GoodsTable(Record):
     """Measured goods as columns in file order: row i is the model
     ``model[i]`` of the group ``group[i]`` on the task ``task[i]``, with its
@@ -56,10 +45,8 @@ class GoodsTable(Record):
 
     The table owns the goods rule: each (model, task) appears once, every id
     is valid, throughput and memory are finite and > 0, and performance is
-    finite and >= 0. The constructor checks it over all rows and raises
-    ``GoodsError`` for the first row that breaks it; of one row, a repeat is
-    reported first, then its ids (model, group, task), then its values in
-    column order.
+    finite and >= 0 (``check_row``). The constructor checks it over all rows
+    and raises an ``InputError`` for the first row that breaks it.
     """
 
     model: tuple[str, ...]
@@ -89,23 +76,26 @@ class GoodsTable(Record):
                     and sum(self.throughput) + sum(self.memory_gb) + sum(self.performance) < math.inf):
                 return
         seen: set[tuple[str, str]] = set()
-        valid: set[str] = set()  # the rule of an id is the same for every kind
-        for i, (model, group, task, tp, mem, perf) in enumerate(zip(*self._values())):
-            if (model, task) in seen:
-                raise GoodsError(f"duplicate goods row for model {model!r}, task {task!r}", i, True)
-            seen.add((model, task))
-            try:
-                for ident, what in zip((model, group, task), _ID_KINDS):
-                    if ident not in valid:
-                        valid.add(check_id(ident, what))
-            except InputError as exc:
-                raise GoodsError(str(exc), i, False) from None
-            if not 0 < tp < math.inf:  # also true for NaN
-                raise GoodsError(f"throughput for {model!r} must be positive, got {tp}", i, False)
-            if not 0 < mem < math.inf:
-                raise GoodsError(f"memory for {model!r} must be positive, got {mem}", i, False)
-            if not 0 <= perf < math.inf:
-                raise GoodsError(f"performance for {model!r} must be non-negative, got {perf}", i, False)
+        for row in zip(*self._values()):
+            self.check_row(seen, *row)
+
+    @staticmethod
+    def check_row(seen: set, model: str, group: str, task: str, tp: float, mem: float, perf: float) -> None:
+        """The goods rule for one row, given the (model, task) pairs ``seen``
+        before it: a repeat is reported first, then its ids (model, group,
+        task), then its values in column order. A row that keeps the rule
+        joins ``seen``."""
+        if (model, task) in seen:
+            raise InputError(f"duplicate goods row for model {model!r}, task {task!r}")
+        for ident, what in zip((model, group, task), _ID_KINDS):
+            check_id(ident, what)
+        if not 0 < tp < math.inf:  # also true for NaN
+            raise InputError(f"throughput for {model!r} must be positive, got {tp}")
+        if not 0 < mem < math.inf:
+            raise InputError(f"memory for {model!r} must be positive, got {mem}")
+        if not 0 <= perf < math.inf:
+            raise InputError(f"performance for {model!r} must be non-negative, got {perf}")
+        seen.add((model, task))
 
     @classmethod
     def read_csv(cls, path: str | Path) -> GoodsTable:
@@ -113,64 +103,43 @@ class GoodsTable(Record):
         ``model,group,task,throughput,memory_gb,perf``.
 
         The file is read in one pass of ``csv.reader`` into the columns. The
-        first fault in file order is reported at its ``file:line``, found by
-        reading the file again: a row that is not CSV or not 6 fields, a
-        repeated (model, task), a malformed or NaN number, or a fault of the
-        rule.
+        pass stops at the first fault it meets, and the constructor finds a
+        fault of the rule; either way the file is read again, one row at a
+        time, to report the first fault in file order at its ``file:line``:
+        a row that is not CSV or not 6 fields, a repeated (model, task), a
+        malformed or NaN number, or a fault of the rule.
         """
         header = ("model", "group", "task", "throughput", "memory_gb", "perf")
-        ids: tuple[list[str], ...] = ([], [], [])
-        values = (array("d"), array("d"), array("d"))
-        fault = None  # the data row the reading stopped at
-
-        def table() -> GoodsTable | None:
-            """The table of the rows read so far; a row that breaks its rule
-            is reported at its line. Of the row the reading stopped at, only
-            a repeat precedes the fault that stopped it (None)."""
-            try:
-                return cls(*(tuple(map(str.strip, column)) for column in ids), *values)
-            except GoodsError as exc:
-                if fault is None or exc.index < fault or exc.repeated:
-                    raise InputError(f"{io._row_at(path, header, exc.index)[0]}: {exc}") from None
-            return None
-
+        models, groups, tasks = [], [], []
+        throughputs, memories, performances = array("d"), array("d"), array("d")
         try:
             with io._open_utf8(path, newline="") as fh:
                 reader = csv.reader(fh)
                 io._skip_header(reader, path, header)
                 for cells in reader:
-                    if len(cells) != 6:
-                        if cells:
-                            fault = len(values[0])
-                            break
-                        continue
-                    try:
-                        numbers = (float(cells[3]), float(cells[4]), float(cells[5]))
-                    except ValueError:
-                        numbers = None
-                    # One test of the sum serves all three numbers unless it
-                    # is NaN, which inf - inf gives as well.
-                    if numbers is None or math.isnan(sum(numbers)) and any(map(math.isnan, numbers)):
-                        fault = len(values[0])
-                        numbers = (1.0, 1.0, 0.0)  # valid stand-ins, so that a repeat on this line is reported first
-                    for column, cell in zip(ids, cells):
-                        column.append(cell)
-                    for column, number in zip(values, numbers):
-                        column.append(number)
-                    if fault is not None:
-                        break
-        except csv.Error:
-            fault = len(values[0])
-        except InputError:
-            table()  # a fault of the rule before this one is reported first
-            raise
-        goods = table()
-        if fault is None:
-            return goods
-        where, cells = io._row_at(path, header, fault)  # a row that is not CSV or not 6 fields raises here
-        for text in cells[3:]:
-            io._parse_float(text, where)  # raises for the malformed or NaN number the reading stopped at
-        raise AssertionError(f"{where}: no fault found again")
+                    if cells:
+                        model, group, task, tp, mem, perf = cells  # a ValueError for a row that is not 6 fields
+                        models.append(model)
+                        groups.append(group)
+                        tasks.append(task)
+                        throughputs.append(float(tp))
+                        memories.append(float(mem))
+                        performances.append(float(perf))
+            return cls(*(tuple(map(str.strip, column)) for column in (models, groups, tasks)),
+                       throughputs, memories, performances)
+        except (InputError, ValueError, csv.Error):
+            pass
+        seen: set[tuple[str, str]] = set()
+        for lineno, (model, group, task, *texts) in io._read_csv_rows(path, header):
+            where = f"{path}:{lineno}"
+            try:
+                cls.check_row(seen, model, group, task, *map(io._number, texts))
+            except InputError as exc:
+                if (model, task) not in seen:  # not a repeat: a malformed or NaN number is reported first
+                    for text in texts:
+                        io._parse_float(text, where)
+                raise InputError(f"{where}: {exc}") from None
+        raise AssertionError(f"{path}: no fault found again")
 
 
 class EfficiencyConfig(Record):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TextIO
 
@@ -56,6 +55,15 @@ def _parse_float(text: str, where: str) -> float:
     if math.isnan(value):
         raise InputError(f"{where}: number must not be NaN")
     return value
+
+
+def _number(text: str) -> float:
+    """``text`` as a float, or NaN if it is not a number: a reader that
+    finds the value at fault names a malformed number with ``_parse_float``."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def _parse_int(text: str, where: str) -> int:
@@ -127,8 +135,9 @@ def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[in
     csv module cannot parse (such as a cell over its field size limit) is an
     InputError at the line where parsing stopped.
 
-    The loaders of the large tables loop over ``csv.reader`` themselves and
-    read a file again with this reader only to find the line of a fault."""
+    The readers of the large tables loop over ``csv.reader`` themselves and
+    read a file again with this reader only once they meet a fault, to report
+    the first one at its line."""
     width = len(header)
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -143,14 +152,6 @@ def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[in
                 lineno = reader.line_num + 1
         except csv.Error as exc:
             raise InputError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
-
-
-def _row_at(path: str | Path, header: Sequence[str], index: int) -> tuple[str, list[str]]:
-    """``file:line`` and stripped cells of data row ``index`` of a CSV file,
-    found by reading the file again; a fault of the reader on the way raises
-    as ``_read_csv_rows`` raises it."""
-    lineno, cells = next(islice(_read_csv_rows(path, header), index, None))
-    return f"{path}:{lineno}", cells
 
 
 def _check_scale(scale: str) -> str:
@@ -258,21 +259,13 @@ _TRACE_HEADER = ("step", "source", "marginal_gain", "gm", "gini")
 
 
 def load_trace(path: str | Path) -> tuple[TraceStep, ...]:
-    """The steps of a trace file; a fault is reported at its ``file:line``."""
+    """The steps of a trace file; a fault is reported at its ``file:line``.
+    ``commands.report.count_trace`` counts the steps of a valid file."""
     steps = []
     for lineno, (step, source, gain, gm, g) in _read_csv_rows(path, _TRACE_HEADER):
-        # The file:line prefix is formatted only when a plain conversion
-        # fails or the sum is NaN (for a NaN field, or for inf - inf, which
-        # the checked conversions then accept).
-        try:
-            row = (int(step), source, float(gain), float(gm), float(g))
-        except ValueError:
-            row = None
-        if row is None or math.isnan(row[2] + row[3] + row[4]):
-            where = f"{path}:{lineno}"
-            row = (_parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where),
-                   _parse_float(g, where))
-        steps.append(TraceStep(*row))
+        where = f"{path}:{lineno}"
+        steps.append(TraceStep(_parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where),
+                               _parse_float(g, where)))
     return tuple(steps)
 
 

@@ -62,17 +62,6 @@ class TaskSpec(Record):
             )
 
 
-class CellError(InputError):
-    """The first cell of a ``PerformanceTable``, in column order, that
-    repeats an earlier cell or whose raw score breaks the rule; ``index`` is
-    its position in the columns."""
-
-    def __init__(self, message: str, index: int, repeated: bool) -> None:
-        super().__init__(message)
-        self.index = index
-        self.repeated = repeated
-
-
 class PerformanceTable(Record):
     """Raw scores on the percent scale, one per cell, as columns in file
     order: cell i scores the (task, model, train language) ``keys[row[i]]``
@@ -81,9 +70,8 @@ class PerformanceTable(Record):
     ``score`` an ``array('d')``; tables compare equal column by column.
 
     The table owns the raw-score rule: each cell appears once, and its score
-    is finite and >= 0. The constructor checks it over all cells and raises
-    ``CellError`` for the first cell that breaks it; of a cell that both
-    repeats an earlier one and has a bad score, the repeat is reported.
+    is finite and >= 0 (``check_cell``). The constructor checks it over all
+    cells and raises an ``InputError`` for the first cell that breaks it.
     ``from_scores`` builds a table from a mapping through this constructor.
     """
 
@@ -110,14 +98,19 @@ class PerformanceTable(Record):
                 and min(score, default=0.0) >= 0 and sum(score) < math.inf):
             return
         seen: set[int] = set()
-        for i, (r, t, value) in enumerate(zip(row, target, score)):
-            cell = r * width + t
-            if cell in seen or not 0 <= value < math.inf:
-                key = (*self.keys[r], self.languages[t])
-                if cell in seen:
-                    raise CellError(f"duplicate row for {key}", i, True)
-                raise CellError(f"raw score for {key} must be a finite non-negative number, got {value}", i, False)
-            seen.add(cell)
+        for r, t, value in zip(row, target, score):
+            self.check_cell(seen, r * width + t, (*self.keys[r], self.languages[t]), value)
+
+    @staticmethod
+    def check_cell(seen: set, cell: object, key: tuple[str, str, str, str], score: float) -> None:
+        """The raw-score rule for ``cell`` (named ``key``), given the cells
+        ``seen`` before it: a repeat is reported first, then a score that is
+        not finite and >= 0. A cell that keeps the rule joins ``seen``."""
+        if cell in seen:
+            raise InputError(f"duplicate row for {key}")
+        if not 0 <= score < math.inf:  # also true for NaN
+            raise InputError(f"raw score for {key} must be a finite non-negative number, got {score}")
+        seen.add(cell)
 
     @classmethod
     def read_csv(cls, path: str | Path, scale: str) -> PerformanceTable:
@@ -128,77 +121,61 @@ class PerformanceTable(Record):
         converted to percent, the internal raw-score convention. The file is
         read in one pass of ``csv.reader`` into the columns, and each
         distinct (task, model, train) and target cell as read is stripped,
-        and its ids checked, once. The first fault in file order is reported
-        at its ``file:line``, found by reading the file again: a row that is
-        not CSV or not 5 fields, a repeated cell, an invalid task, model or
-        train id, or a score that is malformed, NaN, infinite or negative.
+        and its ids checked, once. The pass stops at the first fault it
+        meets, and the constructor finds a fault of the rule; either way the
+        file is read again, one row at a time, to report the first fault in
+        file order at its ``file:line``: a row that is not CSV or not 5
+        fields, a repeated cell, an invalid task, model or train id, or a
+        score that is malformed, NaN, infinite or negative.
         """
         io._check_scale(scale)
         factor = 100.0 if scale == "unit" else 1.0
         header = ("task", "model", "train_lang", "target_lang", "score")
+        kinds = ("task id", "model id", "train language")
         keys: dict[tuple[str, str, str], int] = {}
         languages: dict[str, int] = {}
         key_codes: dict[tuple[str, str, str], int] = {}  # the code of each key as read
         lang_codes: dict[str, int] = {}
         row, target, score = array("q"), array("q"), array("d")
-        fault: tuple[int, str | None] | None = None  # the data row the reading stopped at, and why
-
-        def table() -> PerformanceTable:
-            """The table of the cells read so far; a cell that breaks its
-            rule is reported at its line."""
-            try:
-                return cls(tuple(keys), tuple(languages), row, target, score)
-            except CellError as exc:
-                where, cells = io._row_at(path, header, exc.index)
-                if exc.repeated:
-                    raise InputError(f"{where}: {exc}") from None
-                io._parse_float(cells[4], where)  # raises for NaN
-                raise InputError(f"{where}: score must be finite and non-negative, got {cells[4]}") from None
-
         try:
             with io._open_utf8(path, newline="") as fh:
                 reader = csv.reader(fh)
                 io._skip_header(reader, path, header)
                 for cells in reader:
-                    if len(cells) != 5:
-                        if cells:
-                            fault = (len(score), None)
-                            break
-                        continue
-                    task, model, train, lang, text = cells
-                    code = key_codes.get((task, model, train))
-                    if code is None:
-                        key = (task.strip(), model.strip(), train.strip())
-                        if key not in keys:
-                            try:
-                                for ident, what in zip(key, ("task id", "model id", "train language")):
+                    if cells:
+                        task, model, train, lang, text = cells  # a ValueError for a row that is not 5 fields
+                        code = key_codes.get((task, model, train))
+                        if code is None:
+                            key = (task.strip(), model.strip(), train.strip())
+                            if key not in keys:
+                                for ident, what in zip(key, kinds):
                                     check_id(ident, what)
-                            except InputError as exc:
-                                fault = (len(score), str(exc))
-                                break
-                            keys[key] = len(keys)
-                        code = key_codes[(task, model, train)] = keys[key]
-                    row.append(code)
-                    code = lang_codes.get(lang)
-                    if code is None:
-                        code = lang_codes[lang] = languages.setdefault(lang.strip(), len(languages))
-                    target.append(code)
-                    try:
+                                keys[key] = len(keys)
+                            code = key_codes[(task, model, train)] = keys[key]
+                        row.append(code)
+                        code = lang_codes.get(lang)
+                        if code is None:
+                            code = lang_codes[lang] = languages.setdefault(lang.strip(), len(languages))
+                        target.append(code)
                         score.append(float(text) * factor)
-                    except ValueError:
-                        score.append(0.0)  # a valid stand-in, so that a repeated cell on this line is reported first
-                        fault = (len(score) - 1, f"malformed number {text.strip()!r}")
-                        break
-        except csv.Error:
-            fault = (len(score), None)
-        except InputError:
-            table()  # a fault of the table's rule before this one is reported first
-            raise
-        perf = table()
-        if fault is None:
-            return perf
-        where, _ = io._row_at(path, header, fault[0])  # a row that is not CSV or not 5 fields raises here
-        raise InputError(f"{where}: {fault[1]}")
+            return cls(tuple(keys), tuple(languages), row, target, score)
+        except (InputError, ValueError, csv.Error):
+            pass
+        seen: set[tuple[str, str, str, str]] = set()
+        for lineno, (task, model, train, lang, text) in io._read_csv_rows(path, header):
+            where = f"{path}:{lineno}"
+            # A repeat has the ids of the row it repeats, which were valid.
+            for ident, what in zip((task, model, train), kinds):
+                io._located(where, check_id, ident, what)
+            key = (task, model, train, lang)
+            try:
+                cls.check_cell(seen, key, key, io._number(text) * factor)
+            except InputError as exc:
+                if key in seen:  # a repeat
+                    raise InputError(f"{where}: {exc}") from None
+                io._parse_float(text, where)  # raises for a malformed or NaN score
+                raise InputError(f"{where}: score must be finite and non-negative, got {text}") from None
+        raise AssertionError(f"{path}: no fault found again")
 
     @classmethod
     def from_scores(cls, scores: Mapping[tuple[str, str, str, str], float]) -> PerformanceTable:

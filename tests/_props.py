@@ -314,7 +314,7 @@ def _source_chunks(request: allocator.AllocationRequest, source: str, first: int
 
 
 def _state_chunk(curves: list[LearningCurve], weights: list[float], ks: range) -> tuple[np.ndarray, ...]:
-    """gm, gini and the (ks x targets) matrix of curves.predict_many columns
+    """gm, gini and the (ks x targets) matrix of curves.predict columns
     at each k in ks up to the first undefined state (a gm or Gini that is
     not finite), and that k's absolute predictions (or None).
 
@@ -322,7 +322,7 @@ def _state_chunk(curves: list[LearningCurve], weights: list[float], ks: range) -
     so each state is bit-identical to allocator._final_state at that k.
     """
     with np.errstate(all="ignore"):  # undefined rows are cut off below
-        predictions = np.column_stack([_curves.predict_many(curve, ks) for curve in curves])
+        predictions = np.column_stack([[_curves.predict(curve, k) for k in ks] for curve in curves])
         gm = np.zeros(len(ks))
         for w, column in zip(weights, predictions.T):
             gm += w * column

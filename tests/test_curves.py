@@ -19,7 +19,6 @@ from langdei.curves import (
     fit_power_law,
     fit_power_laws,
     predict,
-    predict_many,
 )
 from langdei.errors import ComputationError, InputError
 
@@ -155,14 +154,12 @@ class TestPredict:
         curve = LearningCurve("s", "t", a=1.2, b=-29.0, c=0.5, r_squared=0.88)
         assert predict(curve, 1) == pytest.approx(-27.8)
 
-    def test_range_checked_at_its_endpoints(self):
-        # min() over a range walks every element; its endpoints bound it.
+    def test_each_count_takes_python_pow(self):
+        # Bit for bit the float arithmetic of a + b * k ** -c, down to the least count allowed.
         curve = LearningCurve("s", "t", a=1.0, b=-1.0, c=0.5, r_squared=1.0)
-        with mock.patch.object(curves, "min", create=True, wraps=min) as spy:
-            assert predict_many(curve, range(9, 0, -1)).tolist() == [1.0 - k ** -0.5 for k in range(9, 0, -1)]
-            with pytest.raises(InputError, match="got 0"):
-                predict_many(curve, range(5, -1, -1))
-        assert not any(isinstance(arg, range) for call in spy.call_args_list for arg in call.args)
+        assert [predict(curve, k) for k in range(9, 0, -1)] == [1.0 - k ** -0.5 for k in range(9, 0, -1)]
+        with pytest.raises(InputError, match="got 0.5"):
+            predict(curve, 0.5)
 
     def test_samples_below_one_rejected(self):
         curve = LearningCurve("s", "t", a=1.0, b=-1.0, c=0.5, r_squared=1.0)

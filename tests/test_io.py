@@ -1,15 +1,17 @@
 """Unit tests for file formats, bundled datasets, and canonical output."""
 
+import contextlib
 import csv
 import struct
 from io import StringIO
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from langdei.allocator import AllocationPlan, PlanEvaluation, TraceStep
-from langdei.commands.report import load_plan
+from langdei.commands.report import count_trace, load_plan
 from langdei.curves import LearningCurve, load_trajectories, predict
 from langdei.efficiency import GoodsTable, load_amrs
 from langdei.errors import InputError
@@ -677,6 +679,38 @@ def goods_files(draw):
     return ("\ufeff" if draw(st.booleans()) else "") + text.getvalue() + tail
 
 
+@st.composite
+def trace_files(draw):
+    """The text of a trace CSV and up to two injected faults: a malformed,
+    NaN or infinite number, a bad step, a row of the wrong width, or a
+    quoted newline. Blank lines and a BOM shift nothing."""
+    rows = [[str(k), draw(st.sampled_from(["bn", "hi"]))]
+            + [draw(st.sampled_from(["0.5", "-1e-3", " 2 ", "0", "1e2"])) for _ in range(3)]
+            for k in range(1, draw(st.integers(1, 8)) + 1)]
+    kinds = ["malformed", "nan", "inf", "step", "width", "newline"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "step":
+            rows[i][0] = draw(st.sampled_from(["x", "", "1.5", "1e3", " 7 ", "-2"]))
+        elif kind == "width":
+            rows[i] = rows[i][:4] if draw(st.booleans()) else rows[i] + ["1"]
+        elif kind == "newline":
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = draw(st.sampled_from([rows[i][j] + "\n", rows[i][j][:1] + "\n" + rows[i][j][1:]]))
+        else:
+            rows[i][draw(st.integers(2, len(rows[i]) - 1))] = draw(st.sampled_from({
+                "malformed": ["abc", "", "1e", "--1"], "nan": ["nan", "NaN", "-nan"],
+                "inf": ["inf", "1e999", "-inf"]}[kind]))
+    text = StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["step", "source", "marginal_gain", "gm", "gini"])
+    for row in rows:
+        if draw(st.booleans()):
+            writer.writerow([])
+        writer.writerow(row)
+    return ("\ufeff" if draw(st.booleans()) else "") + text.getvalue()
+
+
 class TestGoodsLoaderMatchesPerRowLoop:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(goods_files())
@@ -731,6 +765,27 @@ class TestPerformanceLoaderMatchesPerRowLoop:
         assert str(info.value).replace(str(p), "P") == message
 
 
+class TestTraceCountMatchesLoadTrace:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trace_files())
+    def test_same_count_or_same_first_fault(self, tmp_path, text):
+        """count_trace counts the steps load_trace reads, in one pass when
+        the file is valid, and otherwise reports load_trace's fault."""
+        p = tmp_path / "trace.csv"
+        p.write_text(text, encoding="utf-8")
+
+        def outcome(count):
+            try:
+                return "ok", count()
+            except InputError as exc:
+                return "error", str(exc)
+
+        expected = outcome(lambda: len(load_trace(p)))
+        one_pass = mock.patch("langdei.io.load_trace", side_effect=AssertionError("read again"))
+        with one_pass if expected[0] == "ok" else contextlib.nullcontext():
+            assert outcome(lambda: count_trace(p)) == expected
+
+
 HUGE = '"' + "x" * 200_000 + '"'  # past the csv module's field size limit
 
 
@@ -769,3 +824,31 @@ def test_reader_faults_keep_their_place_in_file_order(tmp_path, kind, rows):
         messages.append(str(info.value).replace(str(p), "P"))
     assert messages[0] == messages[1]
     assert messages[0].startswith(("P:", "P: not UTF-8"))
+
+
+# Hand-made valid files: a BOM, blank lines, padded numbers and a quoted
+# newline inside an id, which strips away.
+VALID = {
+    "perf": '\ufefftask,model,train_lang,target_lang,score\n\nner," m1\n",en,hi, 50.5 \n\nner,m1,en,bn,-0\n',
+    "goods": '\ufeffmodel,group,task,throughput,memory_gb,perf\n\n"a\n",g,ner, 1 ,0.5, 7 \n\nb,g,ner,2,1,1e2\n',
+    "trace": '\ufeffstep,source,marginal_gain,gm,gini\n\n 1 ,"bn\n", 0.5 ,inf,-inf\n\n2,bn,0.1,0.6,0.1\n',
+}
+
+
+@pytest.mark.parametrize("kind, name", [("perf", "fixtures_ner_equal.csv"), ("perf", None), ("goods", "goods.csv"),
+                                        ("goods", None), ("trace", None)])
+def test_valid_files_are_read_once(tmp_path, monkeypatch, kind, name):
+    """A valid file never takes a reader's second, per-row read, which
+    would double the time the readers of the large tables take."""
+    if name is None:
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(VALID[kind], encoding="utf-8")
+    else:
+        path = bundled_path(name)
+    read, reference = {"perf": (lambda p: table_cells(load_performance(p)), reference_load_performance),
+                       "goods": (GoodsTable.read_csv, lambda p: goods_table(reference_load_goods(p))),
+                       "trace": (count_trace, lambda p: len(load_trace(p)))}[kind]
+    expected = reference(path)
+    for second_read in ("_read_csv_rows", "load_trace"):
+        monkeypatch.setattr(f"langdei.io.{second_read}", mock.Mock(side_effect=AssertionError("read again")))
+    assert read(path) == expected
