@@ -28,7 +28,7 @@ and compiled once per number of covered targets (_state_kernel), with the
 float operations of the scalar kernels in their order, so its states are
 those of scalar._gini_row to the last bit.
 
-The plan records (AllocationPlan, PlanEvaluation, TraceStep) and the option
+The plan records (AllocationPlan, PlanEvaluation) and the option
 vocabularies MISSING_POLICIES and COMPOSITION_MODES live in langdei.records,
 which needs no numpy; they resolve here as well.
 """
@@ -42,8 +42,7 @@ from typing import Callable, Mapping
 
 from langdei import records, scalar
 from langdei.errors import ComputationError, InputError
-from langdei.records import (AllocationPlan, LearningCurve, PlanEvaluation, Record, TraceStep, check_plan_settings,
-                             sequential_sum)
+from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, Record, check_plan_settings, sequential_sum
 
 MISSING_POLICIES, COMPOSITION_MODES = records.MISSING_POLICIES, records.COMPOSITION_MODES
 
@@ -93,9 +92,8 @@ def greedy_allocate(request: AllocationRequest, trace: bool = True) -> Allocatio
     its trace is built only if ``trace`` is true, and is empty otherwise."""
     from langdei import greedy  # compiled only when the greedy strategy runs
 
-    counts, columns = greedy.picks(request, trace)
-    steps = tuple(map(TraceStep, range(1, request.budget + 1), *columns)) if trace else ()
-    return _plan(request, "greedy", dict(zip(request.sources, counts)), steps)
+    counts, rows = greedy.picks(request, trace)
+    return _plan(request, "greedy", dict(zip(request.sources, counts)), rows)
 
 
 def _source_state(request: AllocationRequest, source: str) -> tuple[list[str], Callable[[int], tuple]]:
@@ -172,9 +170,7 @@ def _undefined_state(source: str, k: int, absolute: list[float]) -> None:
     raise ComputationError(f"gm of source {source!r} at {k} samples is not finite")
 
 
-def _plan(
-    request: AllocationRequest, strategy: str, counts: dict[str, int], trace: tuple[TraceStep, ...] = ()
-) -> AllocationPlan:
+def _plan(request: AllocationRequest, strategy: str, counts: dict[str, int], trace: tuple[tuple, ...] = ()) -> AllocationPlan:
     """A plan with the given counts, each funded source's final state, and their evaluation."""
     states = {s: _final_state(request, s, k) for s, k in counts.items() if k > 0}
     return AllocationPlan(

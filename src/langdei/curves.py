@@ -167,9 +167,9 @@ def fit_power_laws(
     return fits
 
 
-def fit_power_law(points: Sequence[TrajectoryPoint], c_range: tuple[float, float] = DEFAULT_C_RANGE) -> LearningCurve:
-    """fit_power_laws of one pair's trajectory."""
-    return fit_power_laws([points], c_range)[0]
+def fit_power_law(points: Sequence[TrajectoryPoint]) -> LearningCurve:
+    """fit_power_laws of one pair's trajectory, over the default c range."""
+    return fit_power_laws([points])[0]
 
 
 def load_trajectories(path: str | Path, scale: str = "percent") -> dict[tuple[str, str], list[TrajectoryPoint]]:

@@ -276,10 +276,13 @@ def efficiency_score(goods: GoodsTable, saved: Sequence[float], amrs_table: Amrs
     return scores
 
 
+_AMRS_HEADER = ("group", "task", "metric", "amrs")
+
+
 def load_amrs(path: str | Path) -> AmrsTable:
     """CSV with header ``group,task,metric,amrs``; every rate must be positive."""
     entries: dict[tuple[str, str, str], float] = {}
-    for lineno, (group, task, metric, value_text) in io._read_csv_rows(path, ("group", "task", "metric", "amrs")):
+    for lineno, (group, task, metric, value_text) in io._read_csv_rows(path, _AMRS_HEADER):
         where = f"{path}:{lineno}"
         key = (group, task, metric)
         if key in entries:
@@ -291,7 +294,7 @@ def load_amrs(path: str | Path) -> AmrsTable:
 
 
 def render_amrs(table: AmrsTable) -> str:
-    lines = ["group,task,metric,amrs"]
+    lines = [",".join(_AMRS_HEADER)]
     for group, task, metric in sorted(table.entries):
         lines.append(f"{group},{task},{metric},{io.fmt_num(table.entries[(group, task, metric)])}")
     return "\n".join(lines) + "\n"

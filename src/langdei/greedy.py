@@ -22,11 +22,11 @@ import math
 from langdei import allocator
 
 
-def picks(request: allocator.AllocationRequest, trace: bool) -> tuple[list[int], tuple[list, ...] | None]:
+def picks(request: allocator.AllocationRequest, trace: bool) -> tuple[list[int], tuple[tuple, ...]]:
     """Each source's count of the budget's argmax-gain picks, in source
-    order, and, if ``trace`` is true, the picks' (source, gain, gm, gini)
-    columns in step order (else None)."""
-    sources, alpha, beta = request.sources, request.alpha, request.beta
+    order, and, if ``trace`` is true, the picks' (step, source, gain, gm,
+    gini) rows in step order (else ())."""
+    sources, budget, alpha, beta = request.sources, request.budget, request.alpha, request.beta
     states = [allocator._source_state(request, s)[1] for s in sources]
     counts = [0] * len(sources)
     heap = []  # (-gain, source index, gm, gini) of each source's next state
@@ -39,17 +39,12 @@ def picks(request: allocator.AllocationRequest, trace: bool) -> tuple[list[int],
 
     for i in range(len(sources)):  # before any pick, gm is -inf and the Gini 1
         push(i, -math.inf, 1.0)
-    picked = []
-    for left in range(request.budget - 1, -1, -1):
-        entry = heapq.heappop(heap)
-        _, i, gm, gini = entry
+    rows = []
+    for step in range(1, budget + 1):
+        key, i, gm, gini = heapq.heappop(heap)
         counts[i] += 1
         if trace:
-            picked.append(entry)
-        if left:
+            rows.append((step, sources[i], -key, gm, gini))
+        if step < budget:
             push(i, gm, gini)
-    columns = None
-    if trace:
-        key, owner, gm, gini = zip(*picked)
-        columns = ([sources[i] for i in owner], [-k for k in key], list(gm), list(gini))
-    return counts, columns
+    return counts, tuple(rows)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TextIO
 
 from langdei.errors import InputError
-from langdei.records import AllocationPlan, LearningCurve, TraceStep
+from langdei.records import AllocationPlan, LearningCurve
 
 if TYPE_CHECKING:  # imported by the loaders when they run, not when io is
     from langdei.metrics import PerformanceTable, ScorecardRow
@@ -248,25 +248,25 @@ def render_plan(plan: AllocationPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_trace(trace: Sequence[TraceStep]) -> str:
-    lines = ["step,source,marginal_gain,gm,gini"]
-    for t in trace:
-        lines.append("%d,%s,%.12g,%.12g,%.12g" % (t.step, t.source, t.marginal_gain + 0.0, t.gm + 0.0, t.gini + 0.0))
+_TRACE_HEADER = ("step", "source", "marginal_gain", "gm", "gini")  # the fields of a greedy trace row
+
+
+def render_trace(trace: Sequence[tuple[int, str, float, float, float]]) -> str:
+    lines = [",".join(_TRACE_HEADER)]
+    for step, source, gain, gm, gini in trace:
+        lines.append("%d,%s,%.12g,%.12g,%.12g" % (step, source, gain + 0.0, gm + 0.0, gini + 0.0))
     return "\n".join(lines) + "\n"
 
 
-_TRACE_HEADER = ("step", "source", "marginal_gain", "gm", "gini")
-
-
-def load_trace(path: str | Path) -> tuple[TraceStep, ...]:
-    """The steps of a trace file; a fault is reported at its ``file:line``.
-    ``commands.report.count_trace`` counts the steps of a valid file."""
-    steps = []
-    for lineno, (step, source, gain, gm, g) in _read_csv_rows(path, _TRACE_HEADER):
+def load_trace(path: str | Path) -> tuple[tuple[int, str, float, float, float], ...]:
+    """The rows of a trace file; a fault is reported at its ``file:line``.
+    ``commands.report.count_trace`` counts the rows of a valid file."""
+    rows = []
+    for lineno, (step, source, gain, gm, gini) in _read_csv_rows(path, _TRACE_HEADER):
         where = f"{path}:{lineno}"
-        steps.append(TraceStep(_parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where),
-                               _parse_float(g, where)))
-    return tuple(steps)
+        rows.append((_parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where),
+                     _parse_float(gini, where)))
+    return tuple(rows)
 
 
 def render_lorenz(rows: Sequence[ScorecardRow]) -> str:

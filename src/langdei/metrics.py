@@ -226,28 +226,22 @@ def _utilities(raw: Sequence[float | None], maximum: float) -> list[float]:
 
 
 def lorenz_points(values: Iterable[float]) -> tuple[tuple[float, float], ...]:
-    """Lorenz curve of a non-negative vector: n+1 points from (0,0) to (1,1).
+    """Lorenz curve of a non-empty vector of finite values >= 0: n+1 points
+    from (0,0) to (1,1).
 
-    Point k is (k/n, share of the total held by the smallest k values).
+    Point k is (k/n, share of the total held by the smallest k values): the
+    k-th running sum of the sorted values, left to right, over the last.
     """
-    shares = lorenz_shares(values)
-    return tuple(zip([k / len(shares) for k in range(len(shares) + 1)], [0.0, *shares]))
-
-
-def lorenz_shares(values: Iterable[float]) -> list[float]:
-    """The shares of points 1..n of the Lorenz curve of a non-empty vector
-    of finite values >= 0: the running sums of the sorted values, left to
-    right, each over the last."""
     cumulative = lorenz_sums(scalar._checked(values))
-    total = cumulative[-1]
-    return [value / total for value in cumulative]
+    n, total = len(cumulative), cumulative[-1]
+    return tuple(zip([k / n for k in range(n + 1)], [0.0, *[value / total for value in cumulative]]))
 
 
 def lorenz_sums(values: Sequence[float]) -> list[float]:
     """The running sums of ``values`` sorted ascending, added left to right:
     the numerators of its Lorenz shares, the last also their denominator.
     ``values`` must be a non-empty vector of finite values >= 0, unchecked
-    here (``lorenz_shares`` checks it); an all-zero vector has no Lorenz
+    here (``lorenz_points`` checks it); an all-zero vector has no Lorenz
     curve."""
     cumulative = list(accumulate(sorted(values)))
     if not cumulative[-1]:

@@ -41,25 +41,19 @@ class Record:
     through ``__init__``, so its rule is checked again.
     """
 
-    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         # __init__ is generated from source once per class, as dataclasses
         # does: a loop over *args and **kwargs builds a record two to three
-        # times as slowly. It stores each field past the frozen __setattr__,
-        # through the slot's descriptor or in the instance dict.
+        # times as slowly. It stores each field in the instance dict, past
+        # the frozen __setattr__.
         super().__init_subclass__()
         own = vars(cls)
         cls._fields = fields = tuple(own.get("__annotations__", ()))
-        slotted = "__slots__" in own
-        namespace = {f"_default_{name}": own[name] for name in fields if not slotted and name in own}
+        namespace = {f"_default_{name}": own[name] for name in fields if name in own}
         params = [f"{name}=_default_{name}" if f"_default_{name}" in namespace else name for name in fields]
-        if slotted:
-            namespace.update((f"_set_{name}", own[name].__set__) for name in fields)
-            body = [f"_set_{name}(self, {name})" for name in fields]
-        else:
-            body = ["values = self.__dict__"] + [f"values[{name!r}] = {name}" for name in fields]
+        body = ["values = self.__dict__"] + [f"values[{name!r}] = {name}" for name in fields]
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
         exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
@@ -177,15 +171,6 @@ def check_c_range(c_range: tuple[float, float]) -> tuple[float, float]:
     return lo, hi
 
 
-class TraceStep(Record):
-    __slots__ = ("step", "source", "marginal_gain", "gm", "gini")
-    step: int
-    source: str
-    marginal_gain: float
-    gm: float
-    gini: float
-
-
 class PlanEvaluation(Record):
     """Surrogate (curve-predicted) metrics for a finished plan."""
 
@@ -205,4 +190,4 @@ class AllocationPlan(Record):
     beta: float
     missing: str
     evaluation: PlanEvaluation
-    trace: tuple[TraceStep, ...] = ()
+    trace: tuple[tuple[int, str, float, float, float], ...] = ()  # greedy rows, in io._TRACE_HEADER's order

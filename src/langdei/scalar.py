@@ -52,9 +52,6 @@ class SpeakerTable(Record):
     def __contains__(self, lang: str) -> bool:
         return lang in self.entries
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def _check_universe(universe: Sequence[str]) -> tuple[str, ...]:
     codes = tuple(universe)

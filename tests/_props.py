@@ -348,10 +348,10 @@ def _gain_chunks(request: allocator.AllocationRequest, source: str) -> Iterator[
         gm_prev, gini_prev, least = gm[-1], gini[-1], running[-1]
 
 
-def picks(request: allocator.AllocationRequest, trace: bool) -> tuple[list[int], tuple[list, ...] | None]:
+def picks(request: allocator.AllocationRequest, trace: bool) -> tuple[list[int], tuple[tuple, ...]]:
     """Each source's count of the budget's argmax-gain picks, in source
-    order, and, if ``trace`` is true, the picks' (source, gain, gm, gini)
-    columns in step order (else None)."""
+    order, and, if ``trace`` is true, the picks' (step, source, gain, gm,
+    gini) rows in step order (else ())."""
     sources, budget = request.sources, request.budget
     streams = [_gain_chunks(request, s) for s in sources]
     kept = slice(None) if trace else slice(3, None)  # the key row alone serves the counts
@@ -380,11 +380,11 @@ def picks(request: allocator.AllocationRequest, trace: bool) -> tuple[list[int],
     # by (-running minimum, source index, k): the order of the picks.
     order = np.argsort(np.concatenate([block[-1, :n] for block, n in zip(rows, size)]), kind="stable")[:budget]
     owner = np.repeat(np.arange(len(sources)), size)[order]
-    columns = None
+    steps = ()
     if trace:
         gain, gm, gini = np.concatenate([block[:3, :n] for block, n in zip(rows, size)], axis=1)[:, order].tolist()
-        columns = ([sources[i] for i in owner.tolist()], gain, gm, gini)
-    return np.bincount(owner, minlength=len(sources)).tolist(), columns
+        steps = tuple(zip(range(1, budget + 1), [sources[i] for i in owner.tolist()], gain, gm, gini))
+    return np.bincount(owner, minlength=len(sources)).tolist(), steps
 
 
 # The greedy's state closure, as ``allocator._source_state`` had it before

@@ -180,14 +180,15 @@ def test_criterion_6_greedy_hand_trace_oracle():
         assert len(plan.trace) == 10
         for got, want in zip(plan.trace, HAND_TRACE):
             step, source, gain, gm, g = want
-            assert got.step == step
-            assert got.source == source
+            got_step, got_source, got_gain, got_gm, got_gini = got
+            assert got_step == step
+            assert got_source == source
             if math.isinf(gain):
-                assert math.isinf(got.marginal_gain) and got.marginal_gain > 0
+                assert math.isinf(got_gain) and got_gain > 0
             else:
-                assert got.marginal_gain == pytest.approx(gain, abs=1e-12)
-            assert got.gm == pytest.approx(gm, abs=1e-12)
-            assert got.gini == pytest.approx(g, abs=1e-12)
+                assert got_gain == pytest.approx(gain, abs=1e-12)
+            assert got_gm == pytest.approx(gm, abs=1e-12)
+            assert got_gini == pytest.approx(g, abs=1e-12)
         assert plan.counts == {"s1": 5, "s2": 5}
 
 

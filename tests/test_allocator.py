@@ -17,7 +17,6 @@ from langdei.allocator import (
     AllocationPlan,
     AllocationRequest,
     PlanEvaluation,
-    TraceStep,
     egalitarian_allocate,
     greedy_allocate,
     single_source_allocate,
@@ -114,7 +113,7 @@ def naive_greedy(request):
         samples[s] += 1
         cur_gm[s] = gm
         cur_gini[s] = g
-        trace.append(TraceStep(step=step, source=s, marginal_gain=gain, gm=gm, gini=g))
+        trace.append((step, s, gain, gm, g))
     return reference_plan(request, "greedy", samples, tuple(trace))
 
 
@@ -253,8 +252,8 @@ class TestGreedy:
         assert plan.counts == {s: 1 for s in sources}
         # -inf initialization makes the first seven gains +inf, chosen in
         # lexicographic order.
-        assert [t.source for t in plan.trace] == sorted(sources)
-        assert all(math.isinf(t.marginal_gain) for t in plan.trace)
+        assert [source for _, source, *_ in plan.trace] == sorted(sources)
+        assert all(math.isinf(gain) for _, _, gain, _, _ in plan.trace)
 
     def test_single_source_takes_everything(self):
         request = simple_request(25, n_sources=1)
@@ -287,20 +286,20 @@ class TestGreedy:
         )
         plan = greedy_allocate(request)
         counts = {"strong": 0, "weak": 0}
-        for step in plan.trace:
-            if step.source == "weak":
+        for _, source, *_ in plan.trace:
+            if source == "weak":
                 assert counts["weak"] < counts["strong"]
-            counts[step.source] += 1
+            counts[source] += 1
 
     def test_trace_replay_reproduces_final_states(self):
         request = simple_request(31)
         plan = greedy_allocate(request)
         last = {}
-        for step in plan.trace:
-            last[step.source] = step
-        for s, step in last.items():
-            assert plan.final_gm[s] == step.gm
-            assert plan.final_gini[s] == step.gini
+        for _, source, _, gm, g in plan.trace:
+            last[source] = gm, g
+        for s, (gm, g) in last.items():
+            assert plan.final_gm[s] == gm
+            assert plan.final_gini[s] == g
 
     def test_source_gm_nondecreasing_in_k(self):
         reg = registry_for(["s"], ["t1", "t2"], {"s": (1.0, -5.0, 0.4)})
@@ -363,7 +362,7 @@ class TestGreedy:
         request = simple_request(10, alpha=0.0, beta=1.0)
         plan = greedy_allocate(request)
         assert sum(plan.counts.values()) == 10
-        assert all(math.isfinite(t.marginal_gain) for t in plan.trace)
+        assert all(math.isfinite(gain) for _, _, gain, _, _ in plan.trace)
 
     def test_budget_zero_rejected(self):
         with pytest.raises(InputError):
@@ -779,16 +778,13 @@ def oracle_requests(draw):
 
 
 def picks_outcome(kernel, request, trace):
-    """The counts and trace columns of ``kernel(request, trace)``, each
-    float by its bits, or the error's type and text."""
+    """The counts and trace rows of ``kernel(request, trace)``, each float
+    by its bits, or the error's type and text."""
     try:
-        counts, columns = kernel(request, trace)
+        counts, rows = kernel(request, trace)
     except (ComputationError, InputError) as exc:
         return type(exc), str(exc)
-    if columns is None:
-        return counts, None
-    sources, *numbers = columns
-    return counts, list(sources), [[float(v).hex() for v in column] for column in numbers]
+    return counts, [(step, source, *[float(v).hex() for v in numbers]) for step, source, *numbers in rows]
 
 
 class TestHeapMergeMatchesChunkOracle:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from langdei import allocator, cli, io
+from langdei import allocator, cli, greedy, io
 from langdei.cli import SUBCOMMANDS, build_parser, main
 from langdei.commands.report import count_trace, load_plan
 from langdei.io import bundled_path, load_curve_registry
@@ -586,19 +586,26 @@ class TestAllocateCommand:
         assert len(read_csv(tmp_path / "a")) == 10
 
     def test_trace_built_only_for_trace_out(self, data, monkeypatch):
-        built, trace_step = [], allocator.TraceStep
+        flags, plans = [], []
+        picks, greedy_allocate = greedy.picks, allocator.greedy_allocate
 
-        def counting(*args):
-            built.append(args[0])
-            return trace_step(*args)
+        def tracing(request, trace):
+            flags.append(trace)
+            return picks(request, trace)
 
-        monkeypatch.setattr(allocator, "TraceStep", counting)
+        def allocating(*args, **kwargs):
+            plans.append(greedy_allocate(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(greedy, "picks", tracing)
+        monkeypatch.setattr(allocator, "greedy_allocate", allocating)
         argv = ["allocate", "--curves", data["curves"], "--budget", "40", "--strategy", "greedy",
                 "--tau", "0", "--missing", "permissive", "--out", str(data["tmp"] / "plan.txt")]
         assert main(argv) == 0
-        assert built == []
+        assert flags == [False] and plans[-1].trace == ()
         assert main(argv + ["--trace-out", str(data["tmp"] / "trace.csv")]) == 0
-        assert built == list(range(1, 41))
+        assert flags == [False, True]
+        assert [step for step, *_ in plans[-1].trace] == list(range(1, 41))
 
     def test_source_and_target_subsets(self, data):
         out = data["tmp"] / "plan.txt"
@@ -688,15 +695,15 @@ class TestReportCommand:
         assert not out.exists()
 
     def test_trace_rows_counted_not_kept(self, tmp_path, monkeypatch):
-        built = []
-        monkeypatch.setattr(io, "TraceStep", lambda *args: built.append(args))
+        loaded = []
+        monkeypatch.setattr(io, "load_trace", lambda path: loaded.append(path) or ())
         # Rows 3 and 4 sum to inf - inf, a NaN no field holds.
         trace = write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n"
                       "2,hi,0.5,0.6,0.2\n3,hi,-inf,inf,0.2\n3,bn,inf,-inf,0.5\n")
         out = tmp_path / "r.md"
         assert main(["report", "--trace", trace, "--out", str(out)]) == 0
         assert "4 greedy steps recorded." in out.read_text()
-        assert built == []
+        assert loaded == []
 
     @pytest.mark.parametrize(("row", "message"), [
         ("x,bn,0.5,0.6,0.2", "trace.csv:3: malformed integer 'x'"),

@@ -197,7 +197,7 @@ class TestFit:
 
     def test_pinned_exponent_interpolates_exactly(self):
         points = make_points(1.1, -4.0, 0.5, [320, 640, 1280])
-        curve = fit_power_law(points, c_range=(0.5, 0.5))
+        curve = fit_power_laws([points], (0.5, 0.5))[0]
         assert curve.c == 0.5
         assert curve.a == pytest.approx(1.1, abs=1e-9)
         assert curve.b == pytest.approx(-4.0, abs=1e-9)
@@ -267,9 +267,9 @@ class TestFit:
             expected = reference_fit(points, c_range)
         except ZeroDivisionError:
             with pytest.raises(ComputationError, match="underflows"):
-                fit_power_law(points, c_range=c_range)
+                fit_power_laws([points], c_range)[0]
         else:
-            assert fit_power_law(points, c_range=c_range) == expected
+            assert fit_power_laws([points], c_range)[0] == expected
 
     @settings(max_examples=40, deadline=None)
     @given(batches())
@@ -306,7 +306,7 @@ class TestFit:
             with pytest.raises(error, match=message):
                 fit_power_laws(trajectories_, c_range)
             with pytest.raises(error, match=message):  # the one-pair loop fails the same way
-                [fit_power_law(points, c_range) for points in trajectories_]
+                [fit_power_laws([points], c_range)[0] for points in trajectories_]
 
     def test_underflowing_variance_is_undefined(self):
         # Distinct scores whose squared deviations underflow to 0.
@@ -337,9 +337,9 @@ class TestFit:
 
     def test_invalid_c_range_rejected(self):
         with pytest.raises(InputError):
-            fit_power_law(make_points(1.0, -2.0, 0.3, GRID_X), c_range=(-0.1, 2.0))
+            fit_power_laws([make_points(1.0, -2.0, 0.3, GRID_X)], (-0.1, 2.0))[0]
         with pytest.raises(InputError):
-            fit_power_law(make_points(1.0, -2.0, 0.3, GRID_X), c_range=(1.0, 0.5))
+            fit_power_laws([make_points(1.0, -2.0, 0.3, GRID_X)], (1.0, 0.5))[0]
 
 
 def test_curve_validation():

@@ -60,9 +60,7 @@ ROOT = PACKAGE.parents[1]
 # Public names, and optional parameters, kept although nothing in the
 # program, bench/ or README.md names or sets them: reference oracles that
 # tests compare the program against.
-ORACLES = {
-    "curves.fit_power_law.c_range",  # the one-pair oracle of the batch fit in tests/test_curves.py
-}
+ORACLES: set[str] = set()
 
 
 def public_definitions(source: str) -> list[str]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from langdei.allocator import AllocationPlan, PlanEvaluation, TraceStep
+from langdei.allocator import AllocationPlan, PlanEvaluation
 from langdei.commands.report import count_trace, load_plan
 from langdei.curves import LearningCurve, load_trajectories, predict
 from langdei.efficiency import GoodsTable, load_amrs
@@ -53,7 +53,7 @@ def reference_rows(name):
 
 class TestBundle:
     def test_counts(self, bundle):
-        assert len(bundle.speakers) == 23
+        assert len(bundle.speakers.entries) == 23
         assert len(bundle.tasks) == 5
         assert len(bundle.goods.model) == 20
         assert len(bundle.curves["muril"]) == 69
@@ -121,7 +121,7 @@ class TestSpeakersLoader:
     def test_header_only_is_valid_empty(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("lang,speakers_millions\n")
-        assert len(load_speakers(p)) == 0
+        assert len(load_speakers(p).entries) == 0
 
     def test_negative_count_line_numbered(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -326,7 +326,7 @@ class TestPlanAndTraceFormat:
         alpha=1.0,
         beta=0.5,
         missing="permissive",
-        trace=(TraceStep(1, "bn", float("inf"), 0.4, 0.3),),
+        trace=((1, "bn", float("inf"), 0.4, 0.3),),
         evaluation=PlanEvaluation(
             mode="best-source", utilities={"hi": 0.9, "ta": 0.7}, m_tau=0.85, gini_coeff=0.05
         ),
@@ -350,8 +350,8 @@ class TestPlanAndTraceFormat:
 
     def test_trace_round_trip_including_inf(self, tmp_path):
         trace = (
-            TraceStep(1, "bn", float("inf"), 0.4, 0.3),
-            TraceStep(2, "en", 0.0123456789012, 0.5, 0.2),
+            (1, "bn", float("inf"), 0.4, 0.3),
+            (2, "en", 0.0123456789012, 0.5, 0.2),
         )
         p = tmp_path / "t.csv"
         write_text(p, render_trace(trace))

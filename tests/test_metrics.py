@@ -24,7 +24,6 @@ from langdei.metrics import (
     demand,
     gini,
     lorenz_points,
-    lorenz_shares,
     utility,
 )
 from langdei.records import check_tau, sequential_sum
@@ -690,6 +689,11 @@ def matrix_demand(speakers, universe, tau):
     check_tau(tau)
     weights = _demand_rows(speakers, codes, tau, np.ones((1, len(codes)), dtype=bool))
     return dict(zip(codes, weights[0].tolist()))
+
+
+def lorenz_shares(values):
+    """The y-coordinates of points 1..n of ``lorenz_points``."""
+    return [y for _, y in lorenz_points(values)[1:]]
 
 
 def matrix_lorenz_shares(values):

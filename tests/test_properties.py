@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langdei.allocator import COMPOSITION_MODES, MISSING_POLICIES, AllocationPlan, PlanEvaluation, TraceStep
+from langdei.allocator import COMPOSITION_MODES, MISSING_POLICIES, AllocationPlan, PlanEvaluation
 from langdei.cli import main
 from langdei.curves import LearningCurve, TrajectoryPoint
 from langdei.efficiency import AmrsTable, GoodsTable
@@ -86,7 +86,7 @@ def plans(draw):
 
 
 traces = st.lists(
-    st.builds(TraceStep, st.integers(min_value=1), ids, numbers, numbers, numbers), max_size=8
+    st.tuples(st.integers(min_value=1), ids, numbers, numbers, numbers), max_size=8
 ).map(tuple)
 
 

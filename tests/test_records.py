@@ -16,19 +16,17 @@ from langdei.curves import TrajectoryPoint
 from langdei.efficiency import AmrsTable, EfficiencyConfig, GoodsTable
 from langdei.errors import InputError
 from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, TaskSpec
-from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, Record, TraceStep
+from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, Record
 
 CURVE = LearningCurve("bn", "hi", 1.0, -2.0, 0.5, 0.9)
 EVALUATION = PlanEvaluation("best-source", {"hi": 0.5}, 0.5, 0.0)
-STEP = TraceStep(1, "bn", 0.1, 0.2, 0.3)
 
 # Each record class with valid values for all of its fields, in order.
 SAMPLES = {
     TrajectoryPoint: ("bn", "hi", 10, 0.5),
     LearningCurve: ("bn", "hi", 1.0, -2.0, 0.5, 0.9),
-    TraceStep: (1, "bn", 0.1, 0.2, 0.3),
     PlanEvaluation: ("best-source", {"hi": 0.5}, 0.5, 0.0),
-    AllocationPlan: ("greedy", 1, {"bn": 1}, {"bn": 0.5}, {"bn": 0.0}, 1.0, 0.0, "strict", EVALUATION, (STEP,)),
+    AllocationPlan: ("greedy", 1, {"bn": 1}, {"bn": 0.5}, {"bn": 0.0}, 1.0, 0.0, "strict", EVALUATION, ((1, "bn", 0.1, 0.2, 0.3),)),
     ModelGoods: ("m", "g", "ner", 10.0, 2.0, 50.0),
     GoodsTable: (("m",), ("g",), ("ner",), array("d", [10.0]), array("d", [2.0]), array("d", [50.0])),
     EfficiencyConfig: (12.0, 0.5, 0.3, 0.2),
@@ -47,9 +45,8 @@ def fields(cls):
 
 
 def defaults(cls):
-    """A class attribute of a field's name is its default; a slot is not."""
-    return {name: vars(cls)[name] for name in fields(cls)
-            if name in vars(cls) and name not in getattr(cls, "__slots__", ())}
+    """A class attribute of a field's name is its default."""
+    return {name: vars(cls)[name] for name in fields(cls) if name in vars(cls)}
 
 
 def twin(cls):
@@ -66,7 +63,7 @@ def hashed(value):
 
 
 def test_every_record_class_has_a_sample():
-    assert len(SAMPLES) == 14
+    assert len(SAMPLES) == 13
     assert all(issubclass(cls, Record) for cls in SAMPLES)
 
 
@@ -123,12 +120,12 @@ def test_wrong_arguments_raise_type_error(cls):
 
 @pytest.mark.parametrize("args, kwargs", [
     ((), {}),
-    ((1, "bn", 0.1, 0.2), {}),
-    ((), {"step": 1, "source": "bn", "gm": 0.2, "gini": 0.3}),
+    (("bn", "hi", 1.0, -2.0, 0.5), {}),
+    ((), {"source": "bn", "target": "hi", "b": -2.0, "c": 0.5, "r_squared": 0.9}),
 ])
 def test_missing_argument_raises_type_error(args, kwargs):
     with pytest.raises(TypeError, match="missing"):
-        TraceStep(*args, **kwargs)
+        LearningCurve(*args, **kwargs)
 
 
 @CLASSES
@@ -140,11 +137,6 @@ def test_copies_are_equal(cls, duplicate):
     assert type(duplicated) is cls
     assert repr(duplicated) == repr(record)
     assert duplicated == record
-
-
-def test_trace_step_keeps_its_slots():
-    assert not hasattr(STEP, "__dict__")
-    assert TraceStep.__slots__ == fields(TraceStep)
 
 
 def test_post_init_checks_the_rule():
