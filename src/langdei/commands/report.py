@@ -1,10 +1,8 @@
 """``langdei report``: prior outputs assembled into one markdown report,
-and the plan and trace readers only the report runs."""
+and the plan reader only the report runs."""
 
 import argparse
 import collections
-import csv
-import math
 from pathlib import Path
 from typing import Sequence
 
@@ -106,29 +104,6 @@ def load_plan(path: str | Path) -> AllocationPlan:
     return plan
 
 
-def count_trace(path: str | Path) -> int:
-    """The number of rows of a trace file, each checked as ``load_trace``
-    checks it but none kept, in one pass of ``csv.reader``. A row that
-    fails the check is reported by ``load_trace``, reading the file again."""
-    try:
-        with io._open_utf8(path, newline="") as fh:
-            reader = csv.reader(fh)
-            io._skip_header(reader, path, io._TRACE_HEADER)
-            count = 0
-            isnan = math.isnan
-            for cells in reader:
-                if cells:
-                    step, _, gain, gm, g = cells  # a ValueError for a row that is not 5 fields
-                    int(step)
-                    a, b, c = float(gain), float(gm), float(g)
-                    if isnan(a + b + c) and (isnan(a) or isnan(b) or isnan(c)):  # inf - inf is no fault
-                        raise ValueError
-                    count += 1
-        return count
-    except (ValueError, csv.Error):
-        return len(io.load_trace(path))
-
-
 def _md_row(cells: Sequence[object]) -> str:
     """A markdown table row; a '|' in a cell is escaped so it stays in its cell."""
     return "| " + " | ".join(str(cell).replace("|", "\\|") for cell in cells) + " |"
@@ -199,6 +174,6 @@ def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
         lines += ["", "**Surrogate evaluation** (predicted from fitted curves, not measured):",
                   f"composition `{ev.mode}`, M = {io.fmt_num(ev.m_tau)}, Gini = {io.fmt_num(ev.gini_coeff)}.", ""]
     for path in args.trace or ():
-        lines += [f"## Trace: `{path}`", "", f"{count_trace(path)} greedy steps recorded.", ""]
+        lines += [f"## Trace: `{path}`", "", f"{len(io.load_trace(path))} greedy steps recorded.", ""]
 
     return {args.out: "\n".join(lines).rstrip("\n") + "\n"}, f"report: {len(inputs)} artifacts -> {args.out}"

@@ -181,10 +181,9 @@ def load_trajectories(path: str | Path, scale: str = "percent") -> dict[tuple[st
     io._check_scale(scale)
     factor = 0.01 if scale == "percent" else 1.0
     pairs: dict[tuple[str, str], list[TrajectoryPoint]] = {}
-    for lineno, (source, target, samples_text, score_text) in io._read_csv_rows(
+    for where, (source, target, samples_text, score_text) in io._read_csv_rows(
         path, ("source", "target", "samples", "score")
     ):
-        where = f"{path}:{lineno}"
         point = io._located(
             where, TrajectoryPoint, source, target,
             io._parse_int(samples_text, where), io._parse_float(score_text, where) * factor,

@@ -20,7 +20,6 @@ computed once, by ``memory_saved``.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from array import array
@@ -100,46 +99,34 @@ class GoodsTable(Record):
     @classmethod
     def read_csv(cls, path: str | Path) -> GoodsTable:
         """The table of a CSV file with header
-        ``model,group,task,throughput,memory_gb,perf``.
+        ``model,group,task,throughput,memory_gb,perf``, read by
+        ``io._read_table``."""
 
-        The file is read in one pass of ``csv.reader`` into the columns. The
-        pass stops at the first fault it meets, and the constructor finds a
-        fault of the rule; either way the file is read again, one row at a
-        time, to report the first fault in file order at its ``file:line``:
-        a row that is not CSV or not 6 fields, a repeated (model, task), a
-        malformed or NaN number, or a fault of the rule.
-        """
-        header = ("model", "group", "task", "throughput", "memory_gb", "perf")
-        models, groups, tasks = [], [], []
-        throughputs, memories, performances = array("d"), array("d"), array("d")
-        try:
-            with io._open_utf8(path, newline="") as fh:
-                reader = csv.reader(fh)
-                io._skip_header(reader, path, header)
-                for cells in reader:
-                    if cells:
-                        model, group, task, tp, mem, perf = cells  # a ValueError for a row that is not 6 fields
-                        models.append(model)
-                        groups.append(group)
-                        tasks.append(task)
-                        throughputs.append(float(tp))
-                        memories.append(float(mem))
-                        performances.append(float(perf))
+        def fast(rows):
+            models, groups, tasks = [], [], []
+            throughputs, memories, performances = array("d"), array("d"), array("d")
+            for model, group, task, tp, mem, perf in rows:
+                models.append(model)
+                groups.append(group)
+                tasks.append(task)
+                throughputs.append(float(tp))
+                memories.append(float(mem))
+                performances.append(float(perf))
             return cls(*(tuple(map(str.strip, column)) for column in (models, groups, tasks)),
                        throughputs, memories, performances)
-        except (InputError, ValueError, csv.Error):
-            pass
-        seen: set[tuple[str, str]] = set()
-        for lineno, (model, group, task, *texts) in io._read_csv_rows(path, header):
-            where = f"{path}:{lineno}"
-            try:
-                cls.check_row(seen, model, group, task, *map(io._number, texts))
-            except InputError as exc:
-                if (model, task) not in seen:  # not a repeat: a malformed or NaN number is reported first
-                    for text in texts:
-                        io._parse_float(text, where)
-                raise InputError(f"{where}: {exc}") from None
-        raise AssertionError(f"{path}: no fault found again")
+
+        def locate(rows):
+            seen: set[tuple[str, str]] = set()
+            for where, (model, group, task, *texts) in rows:
+                try:
+                    cls.check_row(seen, model, group, task, *map(io._number, texts))
+                except InputError as exc:
+                    if (model, task) not in seen:  # not a repeat: a malformed or NaN number is reported first
+                        for text in texts:
+                            io._parse_float(text, where)
+                    raise InputError(f"{where}: {exc}") from None
+
+        return io._read_table(path, ("model", "group", "task", "throughput", "memory_gb", "perf"), fast, locate)
 
 
 class EfficiencyConfig(Record):
@@ -282,8 +269,7 @@ _AMRS_HEADER = ("group", "task", "metric", "amrs")
 def load_amrs(path: str | Path) -> AmrsTable:
     """CSV with header ``group,task,metric,amrs``; every rate must be positive."""
     entries: dict[tuple[str, str, str], float] = {}
-    for lineno, (group, task, metric, value_text) in io._read_csv_rows(path, _AMRS_HEADER):
-        where = f"{path}:{lineno}"
+    for where, (group, task, metric, value_text) in io._read_csv_rows(path, _AMRS_HEADER):
         key = (group, task, metric)
         if key in entries:
             raise InputError(f"{where}: duplicate substitution rate for {key}")

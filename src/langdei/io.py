@@ -127,17 +127,13 @@ def _skip_header(reader, path: str | Path, header: Sequence[str]) -> None:
     raise InputError(f"{path}: empty file (expected header {','.join(header)})")
 
 
-def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """The data rows of a CSV file that starts with ``header``, as (line
-    number, stripped cells), yielded as they are read; blank lines are
-    skipped. A row's number is the physical line it starts on (a quoted cell
-    may span lines): one past the line the previous row ended on. A row the
-    csv module cannot parse (such as a cell over its field size limit) is an
-    InputError at the line where parsing stopped.
-
-    The readers of the large tables loop over ``csv.reader`` themselves and
-    read a file again with this reader only once they meet a fault, to report
-    the first one at its line."""
+def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
+    """The data rows of a CSV file that starts with ``header``, as
+    (``file:line``, stripped cells), yielded as they are read; blank lines
+    are skipped. A row's line is the physical line it starts on (a quoted
+    cell may span lines): one past the line the previous row ended on. A row
+    the csv module cannot parse (such as a cell over its field size limit)
+    is an InputError at the line where parsing stopped."""
     width = len(header)
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -148,10 +144,34 @@ def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[in
                 if row:
                     if len(row) != width:
                         raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-                    yield lineno, list(map(str.strip, row))
+                    yield f"{path}:{lineno}", list(map(str.strip, row))
                 lineno = reader.line_num + 1
         except csv.Error as exc:
             raise InputError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+
+
+def _read_table(path: str | Path, header: Sequence[str], fast, locate):
+    """``fast(rows)`` over the data rows of a CSV file that starts with
+    ``header``, for the readers of the large tables: the rows reach ``fast``
+    as ``csv.reader`` parses them, blank ones dropped, their cells neither
+    stripped nor counted. ``fast`` only builds its result, and stops at the
+    first fault it meets: a row that is not the header's width fails its
+    tuple unpack, a bad number its ``float``, a broken rule its check.
+
+    On an ``InputError``, ``ValueError`` or ``csv.Error`` (a file that is
+    missing, not UTF-8 or not CSV included) the file is read again, one row
+    at a time: ``locate`` gets the rows of ``_read_csv_rows`` and must raise
+    the first fault in file order at its ``file:line``. A ``locate`` that
+    returns finds no fault where ``fast`` met one: an AssertionError."""
+    try:
+        with _open_utf8(path, newline="") as fh:
+            reader = csv.reader(fh)
+            _skip_header(reader, path, header)
+            return fast(filter(None, reader))
+    except (InputError, ValueError, csv.Error):
+        pass
+    locate(_read_csv_rows(path, header))
+    raise AssertionError(f"{path}: no fault found again")
 
 
 def _check_scale(scale: str) -> str:
@@ -165,8 +185,7 @@ def load_speakers(path: str | Path) -> SpeakerTable:
     from langdei.scalar import SpeakerTable
 
     entries: dict[str, float] = {}
-    for lineno, (lang, count_text) in _read_csv_rows(path, ("lang", "speakers_millions")):
-        where = f"{path}:{lineno}"
+    for where, (lang, count_text) in _read_csv_rows(path, ("lang", "speakers_millions")):
         if lang in entries:
             raise InputError(f"{where}: duplicate language {lang!r}")
         count = _parse_float(count_text, where)
@@ -259,14 +278,26 @@ def render_trace(trace: Sequence[tuple[int, str, float, float, float]]) -> str:
 
 
 def load_trace(path: str | Path) -> tuple[tuple[int, str, float, float, float], ...]:
-    """The rows of a trace file; a fault is reported at its ``file:line``.
-    ``commands.report.count_trace`` counts the rows of a valid file."""
-    rows = []
-    for lineno, (step, source, gain, gm, gini) in _read_csv_rows(path, _TRACE_HEADER):
-        where = f"{path}:{lineno}"
-        rows.append((_parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where),
-                     _parse_float(gini, where)))
-    return tuple(rows)
+    """The rows of a trace file, read by ``_read_table``; a fault (a bad
+    step, a malformed or NaN number, a row that is not 5 fields) is reported
+    at its ``file:line``."""
+
+    def fast(rows):
+        built = []
+        for step, source, gain, gm, gini in rows:
+            a, b, c = float(gain), float(gm), float(gini)
+            if a != a or b != b or c != c:  # a NaN
+                raise ValueError
+            built.append((int(step), source.strip(), a, b, c))
+        return tuple(built)
+
+    def locate(rows):
+        for where, (step, _, *numbers) in rows:
+            _parse_int(step, where)
+            for text in numbers:
+                _parse_float(text, where)
+
+    return _read_table(path, _TRACE_HEADER, fast, locate)
 
 
 def render_lorenz(rows: Sequence[ScorecardRow]) -> str:

@@ -22,7 +22,6 @@ terms left to right, as every other total of the package does.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import warnings
@@ -115,67 +114,55 @@ class PerformanceTable(Record):
     @classmethod
     def read_csv(cls, path: str | Path, scale: str) -> PerformanceTable:
         """The table of a CSV file with header
-        ``task,model,train_lang,target_lang,score`` (``io.load_performance``).
-
-        ``scale`` declares the score scale of the file; unit-scale scores are
-        converted to percent, the internal raw-score convention. The file is
-        read in one pass of ``csv.reader`` into the columns, and each
-        distinct (task, model, train) and target cell as read is stripped,
-        and its ids checked, once. The pass stops at the first fault it
-        meets, and the constructor finds a fault of the rule; either way the
-        file is read again, one row at a time, to report the first fault in
-        file order at its ``file:line``: a row that is not CSV or not 5
-        fields, a repeated cell, an invalid task, model or train id, or a
-        score that is malformed, NaN, infinite or negative.
+        ``task,model,train_lang,target_lang,score`` (``io.load_performance``),
+        read by ``io._read_table``: each distinct (task, model, train) and
+        target cell as read is stripped, and its ids checked, once. ``scale``
+        declares the score scale of the file; unit-scale scores are
+        converted to percent, the internal raw-score convention.
         """
         io._check_scale(scale)
         factor = 100.0 if scale == "unit" else 1.0
-        header = ("task", "model", "train_lang", "target_lang", "score")
         kinds = ("task id", "model id", "train language")
-        keys: dict[tuple[str, str, str], int] = {}
-        languages: dict[str, int] = {}
-        key_codes: dict[tuple[str, str, str], int] = {}  # the code of each key as read
-        lang_codes: dict[str, int] = {}
-        row, target, score = array("q"), array("q"), array("d")
-        try:
-            with io._open_utf8(path, newline="") as fh:
-                reader = csv.reader(fh)
-                io._skip_header(reader, path, header)
-                for cells in reader:
-                    if cells:
-                        task, model, train, lang, text = cells  # a ValueError for a row that is not 5 fields
-                        code = key_codes.get((task, model, train))
-                        if code is None:
-                            key = (task.strip(), model.strip(), train.strip())
-                            if key not in keys:
-                                for ident, what in zip(key, kinds):
-                                    check_id(ident, what)
-                                keys[key] = len(keys)
-                            code = key_codes[(task, model, train)] = keys[key]
-                        row.append(code)
-                        code = lang_codes.get(lang)
-                        if code is None:
-                            code = lang_codes[lang] = languages.setdefault(lang.strip(), len(languages))
-                        target.append(code)
-                        score.append(float(text) * factor)
+
+        def fast(rows):
+            keys: dict[tuple[str, str, str], int] = {}
+            languages: dict[str, int] = {}
+            key_codes: dict[tuple[str, str, str], int] = {}  # the code of each key as read
+            lang_codes: dict[str, int] = {}
+            row, target, score = array("q"), array("q"), array("d")
+            for task, model, train, lang, text in rows:
+                code = key_codes.get((task, model, train))
+                if code is None:
+                    key = (task.strip(), model.strip(), train.strip())
+                    if key not in keys:
+                        for ident, what in zip(key, kinds):
+                            check_id(ident, what)
+                        keys[key] = len(keys)
+                    code = key_codes[(task, model, train)] = keys[key]
+                row.append(code)
+                code = lang_codes.get(lang)
+                if code is None:
+                    code = lang_codes[lang] = languages.setdefault(lang.strip(), len(languages))
+                target.append(code)
+                score.append(float(text) * factor)
             return cls(tuple(keys), tuple(languages), row, target, score)
-        except (InputError, ValueError, csv.Error):
-            pass
-        seen: set[tuple[str, str, str, str]] = set()
-        for lineno, (task, model, train, lang, text) in io._read_csv_rows(path, header):
-            where = f"{path}:{lineno}"
-            # A repeat has the ids of the row it repeats, which were valid.
-            for ident, what in zip((task, model, train), kinds):
-                io._located(where, check_id, ident, what)
-            key = (task, model, train, lang)
-            try:
-                cls.check_cell(seen, key, key, io._number(text) * factor)
-            except InputError as exc:
-                if key in seen:  # a repeat
-                    raise InputError(f"{where}: {exc}") from None
-                io._parse_float(text, where)  # raises for a malformed or NaN score
-                raise InputError(f"{where}: score must be finite and non-negative, got {text}") from None
-        raise AssertionError(f"{path}: no fault found again")
+
+        def locate(rows):
+            seen: set[tuple[str, str, str, str]] = set()
+            for where, (task, model, train, lang, text) in rows:
+                # A repeat has the ids of the row it repeats, which were valid.
+                for ident, what in zip((task, model, train), kinds):
+                    io._located(where, check_id, ident, what)
+                key = (task, model, train, lang)
+                try:
+                    cls.check_cell(seen, key, key, io._number(text) * factor)
+                except InputError as exc:
+                    if key in seen:  # a repeat
+                        raise InputError(f"{where}: {exc}") from None
+                    io._parse_float(text, where)  # raises for a malformed or NaN score
+                    raise InputError(f"{where}: score must be finite and non-negative, got {text}") from None
+
+        return io._read_table(path, ("task", "model", "train_lang", "target_lang", "score"), fast, locate)
 
     @classmethod
     def from_scores(cls, scores: Mapping[tuple[str, str, str, str], float]) -> PerformanceTable:
@@ -348,8 +335,7 @@ def _check_rows(perf: PerformanceTable, order: list[int], by_task: Mapping[str, 
 def load_tasks(path: str | Path) -> list[TaskSpec]:
     """CSV with header ``task,max_performance`` (percent scale)."""
     specs: dict[str, TaskSpec] = {}
-    for lineno, (task, max_text) in io._read_csv_rows(path, ("task", "max_performance")):
-        where = f"{path}:{lineno}"
+    for where, (task, max_text) in io._read_csv_rows(path, ("task", "max_performance")):
         if task in specs:
             raise InputError(f"{where}: duplicate task {task!r}")
         specs[task] = io._located(where, TaskSpec, task, io._parse_float(max_text, where))

@@ -2,11 +2,12 @@
 unit suite (small iteration counts) and the acceptance suite (>= 1000 each),
 a ``replace`` for records, reference forms of the performance table: its
 cells as a mapping, its rows grouped, the per-row loader and the per-point
-Lorenz text, and the numpy kernels that the one-vector code replaced: the
-scorecard's matrix kernels (utility, demand, Gini, Lorenz shares) and the
-greedy's chunk kernel; the per-source state closure that the generated
-state kernel replaced; and the per-row ``ModelGoods`` pipeline of
-``efficiency`` that the columnar ``GoodsTable`` replaced.
+Lorenz text; the per-row trace loader; and the numpy kernels that the
+one-vector code replaced: the scorecard's matrix kernels (utility, demand,
+Gini, Lorenz shares) and the greedy's chunk kernel; the per-source state
+closure that the generated state kernel replaced; and the per-row
+``ModelGoods`` pipeline of ``efficiency`` that the columnar ``GoodsTable``
+replaced.
 
 Vectors come from a seeded generator, so every run sees the same cases.
 """
@@ -25,7 +26,7 @@ from langdei import curves as _curves
 from langdei.efficiency import (METRIC_MEMORY, METRIC_THROUGHPUT, METRICS, AmrsTable, EfficiencyConfig, GoodsTable,
                                 amrs, load_amrs, render_amrs)
 from langdei.errors import ComputationError, InputError, check_id
-from langdei.io import _located, _parse_float, _read_csv_rows, fmt_num
+from langdei.io import _located, _parse_float, _parse_int, _read_csv_rows, fmt_num
 from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, gini, lorenz_points
 from langdei.records import LearningCurve, Record, sequential_sum
 
@@ -177,23 +178,35 @@ def reference_load_performance(path, scale: str = "percent") -> dict[tuple[str, 
     scores: dict[tuple[str, str, str, str], float] = {}
     valid_ids: set[str] = set()
     header = ("task", "model", "train_lang", "target_lang", "score")
-    for lineno, (task, model, train, target, score_text) in _read_csv_rows(path, header):
+    for where, (task, model, train, target, score_text) in _read_csv_rows(path, header):
         key = (task, model, train, target)
         if key in scores:
-            raise InputError(f"{path}:{lineno}: duplicate row for {key}")
+            raise InputError(f"{where}: duplicate row for {key}")
         if task not in valid_ids or model not in valid_ids or train not in valid_ids:
             for ident, what in ((task, "task id"), (model, "model id"), (train, "train language")):
-                _located(f"{path}:{lineno}", check_id, ident, what)
+                _located(where, check_id, ident, what)
             valid_ids.update((task, model, train))
         try:
             score = float(score_text) * factor
         except ValueError:
             score = math.nan
         if not 0.0 <= score < math.inf:
-            _parse_float(score_text, f"{path}:{lineno}")
-            raise InputError(f"{path}:{lineno}: score must be finite and non-negative, got {score_text}")
+            _parse_float(score_text, where)
+            raise InputError(f"{where}: score must be finite and non-negative, got {score_text}")
         scores[key] = score
     return scores
+
+
+def reference_load_trace(path) -> tuple[tuple[int, str, float, float, float], ...]:
+    """The per-row trace loader that ``io.load_trace`` replaced: each row is
+    parsed in full, step then numbers in column order, before the next is
+    read."""
+    rows = []
+    header = ("step", "source", "marginal_gain", "gm", "gini")
+    for where, (step, source, gain, gm, gini) in _read_csv_rows(path, header):
+        rows.append((_parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where),
+                     _parse_float(gini, where)))
+    return tuple(rows)
 
 
 def reference_lorenz_text(rows: Sequence[ScorecardRow]) -> str:
@@ -518,8 +531,7 @@ def reference_load_goods(path) -> list[ModelGoods]:
     goods: list[ModelGoods] = []
     seen: set[tuple[str, str]] = set()
     header = ("model", "group", "task", "throughput", "memory_gb", "perf")
-    for lineno, (model, group, task, tp_text, mem_text, perf_text) in _read_csv_rows(path, header):
-        where = f"{path}:{lineno}"
+    for where, (model, group, task, tp_text, mem_text, perf_text) in _read_csv_rows(path, header):
         if (model, task) in seen:
             raise InputError(f"{where}: duplicate goods row for model {model!r}, task {task!r}")
         seen.add((model, task))

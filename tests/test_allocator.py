@@ -380,6 +380,16 @@ class TestGreedy:
             AllocationRequest(budget=4, sources=("a", "b"), targets=("x", "y"), registry=reg,
                               demand={"x": weight, "y": 2.0})
 
+    @pytest.mark.parametrize("sources, demand, message", [
+        ((), {"x": 1.0}, "sources and targets must be non-empty"),
+        (("a",), {"y": 1.0}, "demand weights missing for targets: x"),
+    ], ids=["no-sources", "demand-lacks-target"])
+    def test_request_names_its_fault(self, sources, demand, message):
+        reg = registry_for(["a"], ["x"], {"a": (1.0, -0.5, 0.5)})
+        with pytest.raises(InputError) as info:
+            AllocationRequest(budget=4, sources=sources, targets=("x",), registry=reg, demand=demand)
+        assert str(info.value) == message
+
     def test_zero_weight_pair_rejected(self):
         with pytest.raises(InputError):
             simple_request(5, alpha=0.0, beta=0.0)

@@ -19,7 +19,7 @@ import pytest
 
 from langdei import allocator, cli, greedy, io
 from langdei.cli import SUBCOMMANDS, build_parser, main
-from langdei.commands.report import count_trace, load_plan
+from langdei.commands.report import load_plan
 from langdei.io import bundled_path, load_curve_registry
 
 
@@ -34,6 +34,8 @@ def write(path, text):
 
 
 EVAL_LINE = "eval mode=best-source clamp=false m=0.5 gini=0 surrogate=true\n"
+PLAN_HEADER = "plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\n"
+PLAN_ALLOC = "alloc source=bn samples=2 gm=0.5 gini=0\n"
 
 
 @pytest.fixture()
@@ -694,17 +696,6 @@ class TestReportCommand:
         assert f"{artifact}: empty file" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_trace_rows_counted_not_kept(self, tmp_path, monkeypatch):
-        loaded = []
-        monkeypatch.setattr(io, "load_trace", lambda path: loaded.append(path) or ())
-        # Rows 3 and 4 sum to inf - inf, a NaN no field holds.
-        trace = write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n"
-                      "2,hi,0.5,0.6,0.2\n3,hi,-inf,inf,0.2\n3,bn,inf,-inf,0.5\n")
-        out = tmp_path / "r.md"
-        assert main(["report", "--trace", trace, "--out", str(out)]) == 0
-        assert "4 greedy steps recorded." in out.read_text()
-        assert loaded == []
-
     @pytest.mark.parametrize(("row", "message"), [
         ("x,bn,0.5,0.6,0.2", "trace.csv:3: malformed integer 'x'"),
         ("2,hi,nan,0.6,0.2", "trace.csv:3: number must not be NaN"),
@@ -759,7 +750,11 @@ class TestReportCommand:
          "plan.txt:2: source 'bn' has no samples, so no gm or gini"),
         ("plan strategy=bogus budget=2 alpha=1 beta=1 missing=strict\nalloc source=hi samples=2 gm=0.5 gini=0\n"
          + EVAL_LINE, "plan.txt: unknown strategy 'bogus'"),
-    ], ids=["found-plan", "sum", "mode-median", "no-eval", "found-strategy-plan", "strategy"])
+        (PLAN_HEADER * 2 + PLAN_ALLOC + EVAL_LINE, "plan.txt:2: duplicate plan header"),
+        (PLAN_HEADER + PLAN_ALLOC + EVAL_LINE * 2, "plan.txt:4: duplicate eval line"),
+        (PLAN_ALLOC + EVAL_LINE, "plan.txt: missing plan header"),
+    ], ids=["found-plan", "sum", "mode-median", "no-eval", "found-strategy-plan", "strategy", "duplicate-header",
+            "duplicate-eval", "no-header"])
     def test_plan_allocate_could_not_write_exit_2(self, tmp_path, capsys, text, message):
         plan = write(tmp_path / "plan.txt", text)
         out = tmp_path / "r.md"
@@ -902,6 +897,63 @@ def test_out_of_range_option_exit_2(argv, data, tmp_path, monkeypatch):
     assert list(outdir.iterdir()) == []
 
 
+CURVE_BN_HI = "curve source=bn target=hi a=1 b=-0.5 c=0.5 r2=0.9\n"
+ALLOCATE = ["allocate", "--curves", "curves.txt", "--budget", "3", "--strategy", "greedy", "--tau", "0"]
+
+# id: (files written in the run directory, arguments before --out, message)
+BAD_INPUTS = {
+    "empty-registry": ({"curves.txt": "# no curves\n"}, ALLOCATE, "curves.txt: registry contains no curves"),
+    "registry-token": ({"curves.txt": "curve source=bn target=hi a=1 b=-0.5 c=0.5 r2\n"},
+                       ["report", "--curves", "curves.txt"], "curves.txt:1: expected key=value token, got 'r2'"),
+    "registry-duplicate-key": ({"curves.txt": "curve source=bn source=hi target=hi a=1 b=-0.5 c=0.5 r2=0.9\n"},
+                               ["report", "--curves", "curves.txt"], "curves.txt:1: duplicate key 'source'"),
+    "registry-record": ({"curves.txt": CURVE_BN_HI + "alloc source=bn samples=1\n"},
+                        ["report", "--curves", "curves.txt"],
+                        "curves.txt:2: expected a 'curve' record, got 'alloc source=bn samples=1'"),
+    "duplicate-sources": ({"curves.txt": CURVE_BN_HI}, [*ALLOCATE, "--sources", "bn,bn"], "duplicate source languages"),
+    "permissive-source-without-curve": ({"curves.txt": CURVE_BN_HI},
+                                        [*ALLOCATE, "--sources", "bn,ta", "--missing", "permissive"],
+                                        "source 'ta' has no curve for any target"),
+    "duplicate-task": ({"tasks.csv": "task,max_performance\nner,100\nner,90\n"},
+                       ["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks", "tasks.csv",
+                        "--tau", "0"], "tasks.csv:3: duplicate task 'ner'"),
+    "duplicate-amrs-override": ({"amrs.csv": "group,task,metric,amrs\ng,ner,throughput,1\ng,ner,throughput,2\n"},
+                                ["efficiency", "--goods", str(bundled_path("goods.csv")), "--amrs-override", "amrs.csv"],
+                                "amrs.csv:3: duplicate substitution rate for ('g', 'ner', 'throughput')"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_with_its_message(case, tmp_path, monkeypatch, capsys):
+    files, argv, message = BAD_INPUTS[case]
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([*argv, "--out", "result"]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["efficiency", "--goods", "GOODS", "--weights", "1,1"], "expected W_PERF,W_THROUGHPUT,W_MEMORY, got '1,1'"),
+    (["efficiency", "--goods", "GOODS", "--weights", "a,0,0"], "expected numbers, got 'a,0,0'"),
+    (["fit", "--trajectories", "TRAJ", "--c-range", "1"], "expected LO:HI, got '1'"),
+    (["fit", "--trajectories", "TRAJ", "--c-range", "a:1"], "expected numbers in LO:HI, got 'a:1'"),
+    (["allocate", "--curves", "CURVES", "--budget", "3", "--strategy", "greedy", "--sources", ","],
+     "expected a comma-separated list of language codes"),
+], ids=["weights-count", "weights-number", "c-range-form", "c-range-number", "sources-empty"])
+def test_malformed_option_is_a_usage_error(argv, message, data, tmp_path, monkeypatch, capsys):
+    inputs = {"CURVES": data["curves"], "GOODS": data["goods"], "TRAJ": synth_trajectories(tmp_path)}
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SystemExit) as info:
+        main([inputs.get(a, a) for a in argv] + ["--out", "result"])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_cli_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["metrics", "--tau", "7", "--perf", "x", "--tasks", "y", "--out", "z"])
@@ -989,7 +1041,7 @@ def test_subcommand_runs_without_numpy(argv, tmp_path):
         assert "langdei.greedy" in loaded
         assert load_plan(tmp_path / "plan.txt").strategy == "greedy"
     if "--trace-out" in argv:
-        assert count_trace(tmp_path / "trace.csv") == 1000
+        assert len(io.load_trace(tmp_path / "trace.csv")) == 1000
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,8 @@ every public definition of the package is used by the program, by the
 benchmark or by the README, so no function lives on for the tests alone;
 and every optional parameter of a public function is set by a call in the
 program, the benchmark or the README, so no option lives on that nothing
-sets."""
+sets; and only ``io`` imports the csv module, so one function owns the
+reading of a table and the finding of its first fault."""
 
 import ast
 import math
@@ -53,6 +54,28 @@ def test_checker_flags_a_leftover_import():
         "        raise InputError(x)\n"
     )
     assert unused_imports(source) == ["ComputationError"]
+
+
+def imports_module(source: str, name: str) -> bool:
+    """Whether ``source`` imports the top-level module ``name`` anywhere,
+    inside a function included."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == name for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == name:
+            return True
+    return False
+
+
+def test_only_io_imports_csv():
+    importers = [p.relative_to(PACKAGE).as_posix() for p in SOURCES
+                 if imports_module(p.read_text(encoding="utf-8"), "csv")]
+    assert importers == ["io.py"]
+
+
+def test_checker_finds_a_lazy_import():
+    assert imports_module("def f():\n    from csv import reader\n", "csv")
+    assert not imports_module("import csvkit\nfrom . import csv\n", "csv")
 
 
 

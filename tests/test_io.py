@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from langdei.allocator import AllocationPlan, PlanEvaluation
-from langdei.commands.report import count_trace, load_plan
+from langdei.commands.report import load_plan
 from langdei.curves import LearningCurve, load_trajectories, predict
 from langdei.efficiency import GoodsTable, load_amrs
 from langdei.errors import InputError
@@ -29,7 +29,7 @@ from langdei.io import (
     write_text,
 )
 
-from _props import goods_table, reference_load_goods, reference_load_performance, table_cells
+from _props import goods_table, reference_load_goods, reference_load_performance, reference_load_trace, table_cells
 
 
 REFERENCE_TABLES = {
@@ -765,25 +765,26 @@ class TestPerformanceLoaderMatchesPerRowLoop:
         assert str(info.value).replace(str(p), "P") == message
 
 
-class TestTraceCountMatchesLoadTrace:
+class TestTraceLoaderMatchesPerRowLoop:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(trace_files())
-    def test_same_count_or_same_first_fault(self, tmp_path, text):
-        """count_trace counts the steps load_trace reads, in one pass when
-        the file is valid, and otherwise reports load_trace's fault."""
+    def test_same_rows_or_same_first_fault(self, tmp_path, text):
+        """load_trace builds the rows the per-row loop reads, in one pass
+        when the file is valid, and otherwise reports the fault the loop
+        reports first: the same file:line and message."""
         p = tmp_path / "trace.csv"
         p.write_text(text, encoding="utf-8")
 
-        def outcome(count):
+        def outcome(load):
             try:
-                return "ok", count()
+                return "ok", repr(load(p))  # repr keeps the sign of a zero
             except InputError as exc:
                 return "error", str(exc)
 
-        expected = outcome(lambda: len(load_trace(p)))
-        one_pass = mock.patch("langdei.io.load_trace", side_effect=AssertionError("read again"))
+        expected = outcome(reference_load_trace)
+        one_pass = mock.patch("langdei.io._read_csv_rows", side_effect=AssertionError("read again"))
         with one_pass if expected[0] == "ok" else contextlib.nullcontext():
-            assert outcome(lambda: count_trace(p)) == expected
+            assert outcome(load_trace) == expected
 
 
 HUGE = '"' + "x" * 200_000 + '"'  # past the csv module's field size limit
@@ -809,14 +810,12 @@ def test_reader_faults_keep_their_place_in_file_order(tmp_path, kind, rows):
     """A cell past the csv field size limit, or bytes that are not UTF-8,
     are reported where the per-row readers report them, after the faults
     of the rows before them."""
-    from langdei.commands.report import count_trace
-
     header = {"perf": "task,model,train_lang,target_lang,score", "goods": "model,group,task,throughput,memory_gb,perf",
               "trace": "step,source,marginal_gain,gm,gini"}[kind]
     p = tmp_path / "t.csv"
     p.write_bytes("\n".join([header, *rows, ""]).encode("utf-8", "surrogateescape"))
     loaders = {"perf": (load_performance, reference_load_performance), "goods": (GoodsTable.read_csv, reference_load_goods),
-               "trace": (count_trace, load_trace)}[kind]
+               "trace": (load_trace, reference_load_trace)}[kind]
     messages = []
     for load in loaders:
         with pytest.raises(InputError) as info:
@@ -847,8 +846,7 @@ def test_valid_files_are_read_once(tmp_path, monkeypatch, kind, name):
         path = bundled_path(name)
     read, reference = {"perf": (lambda p: table_cells(load_performance(p)), reference_load_performance),
                        "goods": (GoodsTable.read_csv, lambda p: goods_table(reference_load_goods(p))),
-                       "trace": (count_trace, lambda p: len(load_trace(p)))}[kind]
+                       "trace": (load_trace, reference_load_trace)}[kind]
     expected = reference(path)
-    for second_read in ("_read_csv_rows", "load_trace"):
-        monkeypatch.setattr(f"langdei.io.{second_read}", mock.Mock(side_effect=AssertionError("read again")))
+    monkeypatch.setattr("langdei.io._read_csv_rows", mock.Mock(side_effect=AssertionError("read again")))
     assert read(path) == expected

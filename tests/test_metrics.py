@@ -176,6 +176,10 @@ class TestGini:
         with pytest.raises(InputError):
             gini([])
 
+    def test_nested_vector_rejected(self):
+        with pytest.raises(InputError, match="^expected a non-empty 1-d vector of values$"):
+            gini([[1, 2]])
+
     @pytest.mark.parametrize("name,check", ALL_PROPERTIES)
     def test_sparsity_property(self, name, check, rng):
         check(rng, 100)
@@ -328,6 +332,16 @@ class TestScorecard:
         scaled = dei_scorecard(_table(scaled_scores), self.SPEAKERS, [scaled_task], tau=1.0)
         assert scaled[0].m_tau == pytest.approx(base[0].m_tau, abs=1e-12)
         assert scaled[0].gini_coeff == pytest.approx(base[0].gini_coeff, abs=1e-12)
+
+    @pytest.mark.parametrize("tasks, universe, message", [
+        ([NER, TaskSpec("ner", 90.0)], DEFAULT_UNIVERSE, "duplicate task ids in task specs"),
+        ([NER], ("bn", "hi", "bn"), "duplicate language codes in universe: bn"),
+    ], ids=["task-specs", "universe"])
+    def test_duplicate_is_named(self, tasks, universe, message):
+        perf = _table({("ner", "m", "en", "hi"): 50.0})
+        with pytest.raises(InputError) as info:
+            dei_scorecard(perf, self.SPEAKERS, tasks, universe, tau=0.0)
+        assert str(info.value) == message
 
     def test_all_zero_scores_propagate_gini_error(self):
         perf = _table({("ner", "m", "en", "hi"): 0.0})
