@@ -24,9 +24,9 @@ greedy asks it for each state it steps through, and every strategy
 it for each funded source's final state; evaluate_plan composes their
 predictions, by the request's composition mode, into surrogate (not
 measured) utilities. The state function is straight-line code, generated
-and compiled once per number of covered targets (_state_kernel), with the
-float operations of the scalar kernels in their order, so its states are
-those of scalar._gini_row to the last bit.
+and compiled once per number of covered targets (_state_kernel); its Gini
+is scalar's Gini kernel of that length, the one the scorecard and
+evaluate_plan call.
 
 The plan records (AllocationPlan, PlanEvaluation) and the option
 vocabularies MISSING_POLICIES and COMPOSITION_MODES live in langdei.records,
@@ -103,10 +103,10 @@ def _source_state(request: AllocationRequest, source: str) -> tuple[list[str], C
     Each prediction is ``a + b * k^(-c)`` with Python's float power, as
     ``curves.predict`` takes it; gm adds the predictions times their
     demand weights in target order from 0.0, and the Gini is that of their
-    absolute values (``scalar._gini_row``'s float operations, numpy's to the
-    last bit). An undefined state raises. The state function is the
-    ``_state_kernel`` of the source's target count, bound to its curves'
-    coefficients and its targets' weights.
+    absolute values (``scalar._gini_kernel``, numpy's to the last bit). An
+    undefined state raises. The state function is the ``_state_kernel`` of
+    the source's target count, bound to its curves' coefficients and its
+    targets' weights.
     """
     targets = [t for t in request.targets if (source, t) in request.registry]
     curves = [request.registry[(source, t)] for t in targets]
@@ -120,16 +120,16 @@ def _state_kernel(n: int) -> Callable[..., Callable[[int], tuple]]:
     """The factory of the state functions of sources that cover n targets,
     generated from source once per n, as ``Record`` generates ``__init__``.
 
-    Straight-line code does the float operations of ``_gini_row`` over
-    ``scalar.pairwise_sum``, in the same order, without its calls, slices
-    and loops: at 23 targets a state costs about half as much. Each
-    coefficient and weight is a closure variable of the factory.
+    Straight-line code computes the predictions and gm without calls,
+    slices or loops, then passes the absolute predictions to
+    ``scalar._gini_kernel(n)``. Each coefficient and weight is a closure
+    variable of the factory.
     """
     def listed(names) -> str:
         """The names as the items of a tuple, list or assignment target."""
         return "".join(f"{name}, " for name in names)
 
-    p, q, s = ([f"{name}{i}" for i in range(n)] for name in "pqs")
+    p, q = ([f"{name}{i}" for i in range(n)] for name in "pq")
     factory = [f"{listed(f'(a{i}, b{i}, e{i})' for i in range(n))}= coefficients",
                f"{listed(f'w{i}' for i in range(n))}= weights"]
     body = [
@@ -138,19 +138,12 @@ def _state_kernel(n: int) -> Callable[..., Callable[[int], tuple]]:
         "gm = 0.0",
         *(f"gm += w{i} * p{i}" for i in range(n)),
         *(f"q{i} = abs(p{i})" for i in range(n)),
-        *scalar.pairwise_sum_statements("total", q),
-        "if total == 0:",
-        "    gini = nan",
-        "else:",
-        f"    {listed(s)}= sorted(({listed(q)}))",
-        *(f"    {line}" for line in scalar.pairwise_sum_statements(
-            "weighted", [f"{float(n - i)!r} * {name}" for i, name in enumerate(s)])),
-        f"    gini = ({n + 1} - 2.0 * weighted / total) / {n}",
+        f"gini = gini_row({listed(q)})",
         "if not (isfinite(gm) and isfinite(gini)):",
         f"    undefined(source, k, [{listed(q)}])",
         f"return gm, gini, [{listed(p)}]",
     ]
-    namespace = {"isfinite": math.isfinite, "nan": math.nan, "undefined": _undefined_state}
+    namespace = {"isfinite": math.isfinite, "gini_row": scalar._gini_kernel(n), "undefined": _undefined_state}
     exec("def factory(coefficients, weights, source):\n    " + "\n    ".join(factory)
          + "\n    def state(k):\n        " + "\n        ".join(body) + "\n    return state", namespace)
     return namespace["factory"]

@@ -40,7 +40,8 @@ def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
         raise InputError(f"{args.curves}: registry contains no curves")
     sources = args.sources or tuple(sorted({s for s, _ in registry}))
     targets = args.targets or tuple(sorted({t for _, t in registry}))
-    demand = scalar.demand(speaker_table(args), targets, args.tau)
+    # A repeated target is the request's fault to report, not the universe's.
+    demand = scalar.demand(speaker_table(args), tuple(dict.fromkeys(targets)), args.tau)
     strategy, single_source = records.parse_strategy(args.strategy)
     request = allocator.AllocationRequest(
         budget=args.budget,

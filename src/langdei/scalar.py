@@ -6,19 +6,19 @@ The scorecard (``langdei.metrics``) computes each of its rows with them, and
 ``langdei.metrics`` re-exports every public name of this module.
 
 numpy adds a vector pairwise, not left to right: blocks of up to 128 values,
-each in 8 interleaved accumulators. ``pairwise_sum`` repeats that order, so a
-Gini here is the one numpy's sums give, to the last bit; property tests hold
-each kernel to a numpy counterpart. ``pairwise_sum_statements`` writes the
-same order out as source code, for the greedy state that ``allocator``
-generates per target count. Demand totals add left to right.
+each in 8 interleaved accumulators. ``_pairwise_sum_statements`` writes that
+order out as source code, and the Gini is a function generated from it once
+per vector length (``_gini_kernel``), so a Gini here is the one numpy's sums
+give, to the last bit; property tests hold each kernel to a numpy
+counterpart. The greedy state that ``allocator`` generates per target count
+calls the same Gini kernel. Demand totals add left to right.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from langdei.errors import ComputationError, InputError, LangDeiError, check_id
 from langdei.records import Record, check_tau, sequential_sum
@@ -42,15 +42,6 @@ class SpeakerTable(Record):
         check_id(lang, "language code")
         if not math.isfinite(count) or count < 0:
             raise InputError(f"speaker count for {lang!r} must be a finite non-negative number, got {count}")
-
-    def millions(self, lang: str) -> float:
-        try:
-            return float(self.entries[lang])
-        except KeyError:
-            raise InputError(f"no speaker entry for language {lang!r}") from None
-
-    def __contains__(self, lang: str) -> bool:
-        return lang in self.entries
 
 
 def _check_universe(universe: Sequence[str]) -> tuple[str, ...]:
@@ -85,7 +76,7 @@ def _powers(speakers: SpeakerTable, codes: Sequence[str], tau: float) -> list[fl
     without a count."""
     if tau == 0:
         return [1.0] * len(codes)
-    return [speakers.millions(lang) ** tau if lang in speakers else math.nan for lang in codes]
+    return [float(speakers.entries[lang]) ** tau if lang in speakers.entries else math.nan for lang in codes]
 
 
 def _weights(codes: Sequence[str], powered: Sequence[float], tau: float) -> list[float]:
@@ -109,41 +100,15 @@ def _undefined_demand(tau: float, missing: str | None, total: float) -> LangDeiE
     return ComputationError("demand is undefined: all speaker counts in the universe are zero")
 
 
-def pairwise_sum(values: Sequence[float]) -> float:
-    """numpy's float sum of ``values``, bit for bit: fewer than 8 values left
-    to right; up to 128 in 8 accumulators, where accumulator j adds values j,
-    j + 8, ..., which are then added as a tree, followed by the values past
+def _pairwise_sum_statements(target: str, terms: Sequence[str]) -> list[str]:
+    """Python statements that set the local ``target`` to numpy's float sum
+    of the expressions ``terms``, bit for bit: fewer than 8 terms left to
+    right; up to 128 in 8 accumulators, where accumulator j adds terms j,
+    j + 8, ..., which are then added as a tree, followed by the terms past
     the last multiple of 8; more in two halves, the first a multiple of 8
-    long. A zero total is +0.0, as numpy's (its sum starts from 0.0)."""
-    n = len(values)
-    if n < 8:
-        return sequential_sum(values)
-    if n <= 128:
-        end = n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        for i in range(8, end, 8):
-            r0 += values[i]
-            r1 += values[i + 1]
-            r2 += values[i + 2]
-            r3 += values[i + 3]
-            r4 += values[i + 4]
-            r5 += values[i + 5]
-            r6 += values[i + 6]
-            r7 += values[i + 7]
-        # Adding to 0.0 turns a tree of -0.0 into +0.0; no other bit changes.
-        total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-        for i in range(end, n):
-            total += values[i]
-        return total
-    half = n // 2 - n // 2 % 8
-    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
-
-
-def pairwise_sum_statements(target: str, terms: Sequence[str]) -> list[str]:
-    """Python statements that set the local ``target`` to ``pairwise_sum``
-    of the expressions ``terms``, in its order of additions: one statement
-    per addition, so no expression nests deeper than the 8-way tree. The
-    statements also bind locals named ``target`` plus a suffix."""
+    long. A zero total is +0.0, as numpy's (its sum starts from 0.0). One
+    statement per addition, so no expression nests deeper than the 8-way
+    tree. The statements also bind locals named ``target`` plus a suffix."""
     n = len(terms)
     if n < 8:
         return [f"{target} = 0.0", *(f"{target} += {term}" for term in terms)]
@@ -153,12 +118,13 @@ def pairwise_sum_statements(target: str, terms: Sequence[str]) -> list[str]:
         return [
             *(f"{r[j]} = {terms[j]}" for j in range(8)),
             *(f"{r[i % 8]} += {terms[i]}" for i in range(8, end)),
+            # Adding to 0.0 turns a tree of -0.0 into +0.0; no other bit changes.
             f"{target} = 0.0 + ((({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))",
             *(f"{target} += {term}" for term in terms[end:]),
         ]
     half = n // 2 - n // 2 % 8
-    return [*pairwise_sum_statements(f"{target}_a", terms[:half]),
-            *pairwise_sum_statements(f"{target}_b", terms[half:]), f"{target} = {target}_a + {target}_b"]
+    return [*_pairwise_sum_statements(f"{target}_a", terms[:half]),
+            *_pairwise_sum_statements(f"{target}_b", terms[half:]), f"{target} = {target}_a + {target}_b"]
 
 
 def _checked(values: Iterable[float]) -> list[float]:
@@ -198,15 +164,24 @@ def _gini_row(values: list[float]) -> float:
     """The Gini formula of ``gini``, unchecked, with numpy's sums: an
     undefined Gini is NaN or infinite, and a zero total gives NaN, as
     numpy's 0/0 does."""
-    n = len(values)
-    total = pairwise_sum(values)
-    if total == 0:
-        return math.nan
-    weighted = pairwise_sum(list(map(operator.mul, _rank_weights(n), sorted(values))))
-    return (n + 1 - 2.0 * weighted / total) / n
+    return _gini_kernel(len(values))(*values)
 
 
 @functools.cache
-def _rank_weights(n: int) -> tuple[float, ...]:
-    """The Gini weight n + 1 - rank of each rank 1, ..., n, as a float."""
-    return tuple(map(float, range(n, 0, -1)))
+def _gini_kernel(n: int) -> Callable[..., float]:
+    """``_gini_row`` of n values, as a function of the n values: straight-line
+    code generated and compiled once per n, which adds the total, and the
+    sorted values times their weights n + 1 - rank, in numpy's order."""
+    values = [f"v{i}" for i in range(n)]
+    ranked = [f"s{i}" for i in range(n)]
+    body = [
+        *_pairwise_sum_statements("total", values),
+        "if total == 0:",
+        "    return nan",
+        f"[{', '.join(ranked)}] = sorted([{', '.join(values)}])",
+        *_pairwise_sum_statements("weighted", [f"{float(n - i)!r} * {s}" for i, s in enumerate(ranked)]),
+        f"return ({n + 1} - 2.0 * weighted / total) / {n}",
+    ]
+    namespace = {"nan": math.nan}
+    exec(f"def gini_row({', '.join(values)}):\n    " + "\n    ".join(body), namespace)
+    return namespace["gini_row"]

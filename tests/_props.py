@@ -241,7 +241,8 @@ def _demand_rows(speakers: SpeakerTable, codes: tuple[str, ...], tau: float, mem
     if tau == 0:
         powered = np.ones(len(codes))
     else:
-        powered = np.array([speakers.millions(lang) ** tau if lang in speakers else math.nan for lang in codes])
+        powered = np.array([float(speakers.entries[lang]) ** tau if lang in speakers.entries else math.nan
+                            for lang in codes])
     terms = np.where(members, powered, 0.0)
     with np.errstate(over="ignore"):  # an overflowing total raises below
         total = np.cumsum(terms, axis=1)[:, -1:]  # left to right, unlike ``terms.sum``
@@ -401,14 +402,14 @@ def picks(request: allocator.AllocationRequest, trace: bool) -> tuple[list[int],
 
 
 # The greedy's state closure, as ``allocator._source_state`` had it before
-# the state function was generated per target count: the oracle of every
-# generated state, bit for bit, and of its error.
+# the state function was generated per target count, with numpy's Gini: the
+# oracle of every generated state, bit for bit, and of its error.
 
 def reference_source_state(request: allocator.AllocationRequest,
                            source: str) -> tuple[list[str], Callable[[int], tuple]]:
     """The targets one source covers, in target order, and its state
     function: k -> gm, Gini and the covered targets' predictions at k
-    samples, from ``scalar.pairwise_sum`` through ``scalar._gini_row``."""
+    samples, with the Gini of numpy's ``_gini_rows``."""
     targets = [t for t in request.targets if (source, t) in request.registry]
     curves = [request.registry[(source, t)] for t in targets]
     coefficients = [(curve.a, curve.b, -curve.c) for curve in curves]
@@ -419,7 +420,8 @@ def reference_source_state(request: allocator.AllocationRequest,
         predictions = [a + b * x ** e for a, b, e in coefficients]
         gm = sequential_sum(map(operator.mul, weights, predictions))
         absolute = list(map(abs, predictions))
-        gini = scalar._gini_row(absolute)
+        with np.errstate(all="ignore"):  # an undefined Gini raises below
+            gini = float(_gini_rows(np.array([absolute]))[0])
         if not (math.isfinite(gm) and math.isfinite(gini)):
             allocator._undefined_state(source, k, absolute)
         return gm, gini, predictions

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langdei import allocator, greedy
+from langdei import allocator, greedy, scalar
 from langdei.allocator import (
     COMPOSITION_MODES,
     MISSING_POLICIES,
@@ -720,19 +720,32 @@ class TestStateKernelMatchesClosure:
 
 
 class TestStateKernelCompiledPerLength:
-    def test_one_kernel_for_sources_of_one_length(self):
-        # Generating a kernel per source would cost a compile per source,
-        # more than the states it speeds up.
+    @staticmethod
+    def request():
         targets = tuple(f"t{j:02d}" for j in range(23))
         sources = tuple(f"s{i:02d}" for i in range(23))
-        request = AllocationRequest(
+        return AllocationRequest(
             budget=500, sources=sources, targets=targets, demand=dict.fromkeys(targets, 1 / 23),
             registry={(s, t): curve(s, t, 0.5 + i / 50, -1.0 - j / 25, 0.1 + (i + j) % 7 / 10)
                       for i, s in enumerate(sources) for j, t in enumerate(targets)})
+
+    def test_one_kernel_for_sources_of_one_length(self):
+        # Generating a kernel per source would cost a compile per source,
+        # more than the states it speeds up.
+        request = self.request()
         allocator._state_kernel.cache_clear()
         greedy_allocate(request)
         egalitarian_allocate(request)
         assert allocator._state_kernel.cache_info().misses == 1
+
+    def test_states_and_evaluation_share_one_gini_kernel(self):
+        request = self.request()
+        allocator._state_kernel.cache_clear()
+        scalar._gini_kernel.cache_clear()
+        greedy_allocate(request)
+        egalitarian_allocate(request)
+        assert scalar._gini_kernel.cache_info().misses == 1
+        assert allocator._state_kernel(23).__globals__["gini_row"] is scalar._gini_kernel(23)
 
 
 # Budgets at and next to k = 4^m, where a "zero" profile predicts exactly 0.

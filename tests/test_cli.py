@@ -139,6 +139,16 @@ class TestMetricsCommand:
         (row,) = read_csv(out)
         assert float(row["m_tau"]) == pytest.approx(1 / 23, abs=1e-9)
 
+    def test_header_only_table_gives_header_only_outputs(self, data, tmp_path, monkeypatch, capsys):
+        write(tmp_path / "perf.csv", "task,model,train_lang,target_lang,score\n")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["metrics", "--perf", "perf.csv", "--tasks", data["tasks"], "--tau", "0",
+                   "--out", "sc.csv", "--lorenz-out", "lz.csv"])
+        assert rc == 0
+        assert capsys.readouterr().out == "metrics: wrote 0 rows -> sc.csv\n"
+        assert (tmp_path / "sc.csv").read_text() == "task,model,train_lang,m_tau,gini,tested,universe\n"
+        assert (tmp_path / "lz.csv").read_text() == "task,model,train_lang,population_fraction,cumulative_share\n"
+
     def test_lorenz_output(self, data):
         out = data["tmp"] / "sc.csv"
         lorenz = data["tmp"] / "lz.csv"
@@ -849,6 +859,24 @@ def test_write_error_names_the_output(data, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_interrupted_write_propagates_and_leaves_no_file(data, tmp_path, monkeypatch):
+    # Only an OSError becomes an exit status; an interrupt while the second
+    # output is written still removes the first output's staged file.
+    write_text = io.write_text
+
+    def interrupt_trace(path, text):
+        if Path(path).name.startswith("trace.csv."):
+            raise KeyboardInterrupt
+        write_text(path, text)
+
+    monkeypatch.setattr(io, "write_text", interrupt_trace)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        main(["allocate", "--curves", data["curves"], "--budget", "10", "--strategy", "greedy", "--tau", "0",
+              "--missing", "permissive", "--out", "plan.txt", "--trace-out", "trace.csv"])
+    assert list(tmp_path.iterdir()) == []
+
+
 # subcommand: arguments, one output naming one of the inputs (copied into the
 # run directory under these names)
 OUTPUT_OVER_INPUT = {
@@ -911,6 +939,10 @@ BAD_INPUTS = {
                         ["report", "--curves", "curves.txt"],
                         "curves.txt:2: expected a 'curve' record, got 'alloc source=bn samples=1'"),
     "duplicate-sources": ({"curves.txt": CURVE_BN_HI}, [*ALLOCATE, "--sources", "bn,bn"], "duplicate source languages"),
+    "duplicate-targets": ({"curves.txt": CURVE_BN_HI}, [*ALLOCATE, "--targets", "hi,hi"], "duplicate target languages"),
+    "registry-infinite-coefficient": ({"curves.txt": "curve source=bn target=hi a=inf b=-0.5 c=0.5 r2=0.9\n"},
+                                      ["report", "--curves", "curves.txt"],
+                                      "curves.txt:1: curve coefficient a must be finite, got inf"),
     "permissive-source-without-curve": ({"curves.txt": CURVE_BN_HI},
                                         [*ALLOCATE, "--sources", "bn,ta", "--missing", "permissive"],
                                         "source 'ta' has no curve for any target"),

@@ -290,6 +290,17 @@ class TestFit:
             jobs.append(make_points(a, b, c, xs, source=f"s{i}"))
         assert fit_power_laws(jobs, c_range) == [reference_fit(points, c_range) for points in jobs]
 
+    def test_batch_with_one_pair_on_a_zero_step_refine_grid(self):
+        # Two exponents 1e-7 apart in a range 2e-7 wide: in the last refine
+        # round one pair's grid has a zero step and the other's does not.
+        # The batch must give each pair its one-pair fit; numpy's linspace
+        # gives these the same grids with or without the per-row correction,
+        # so this covers the branch without telling the two apart.
+        xs = [10, 100, 1000, 10**4, 10**5]
+        jobs = [make_points(0.9, -0.5, c, xs, source=s) for s, c in (("a", 1.00000005), ("b", 0.99999995))]
+        c_range = (0.9999999, 1.0000001)
+        assert fit_power_laws(jobs, c_range) == [fit_power_laws([points], c_range)[0] for points in jobs]
+
     def test_first_failing_pair_raises(self):
         good = make_points(1.0, -2.0, 0.3, [320, 640, 960])
         equal_counts = [TrajectoryPoint("e", "t", 320, y) for y in (0.1, 0.2, 0.3)]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from langdei import io
 from langdei.allocator import AllocationPlan, PlanEvaluation
 from langdei.commands.report import load_plan
 from langdei.curves import LearningCurve, load_trajectories, predict
@@ -68,7 +69,7 @@ class TestBundle:
         }
 
     def test_hindi_speakers(self, bundle):
-        assert bundle.speakers.millions("hi") == 691.6
+        assert bundle.speakers.entries["hi"] == 691.6
 
     def test_missing_pairs(self, bundle):
         all_pairs = {(s, t) for s in ("bn", "en", "hi", "ml", "mr", "ta", "ur")
@@ -850,3 +851,17 @@ def test_valid_files_are_read_once(tmp_path, monkeypatch, kind, name):
     expected = reference(path)
     monkeypatch.setattr("langdei.io._read_csv_rows", mock.Mock(side_effect=AssertionError("read again")))
     assert read(path) == expected
+
+
+def test_a_fault_not_found_again_is_an_assertion(tmp_path):
+    # A ``locate`` that finds nothing where ``fast`` failed is a reader's bug,
+    # not a fault of the file.
+    path = tmp_path / "t.csv"
+    path.write_text("x\n1\n", encoding="utf-8")
+
+    def fast(rows):
+        raise ValueError("fast fails")
+
+    with pytest.raises(AssertionError) as info:
+        io._read_table(path, ("x",), fast, lambda rows: list(rows))
+    assert str(info.value) == f"{path}: no fault found again"

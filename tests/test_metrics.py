@@ -312,6 +312,17 @@ class TestScorecard:
         assert row.gini_coeff == pytest.approx(0.0, abs=1e-12)
         assert row.m_tau == pytest.approx(77.6 / 97.6)
 
+    def test_one_gini_kernel_per_row_length(self):
+        # Each length compiles its kernel once; rows of one length share it.
+        lengths = [3, 5, 7, 5, 3]
+        perf = _table({("ner", f"m{r}", "en", lang): 50.0 + i for r, n in enumerate(lengths)
+                       for i, lang in enumerate(DEFAULT_UNIVERSE[:n])})
+        scalar._gini_kernel.cache_clear()
+        dei_scorecard(perf, self.SPEAKERS, [NER], tau=1.0, tested_only=True)
+        assert scalar._gini_kernel.cache_info().misses == 3
+        dei_scorecard(perf, self.SPEAKERS, [NER], tau=1.0)
+        assert scalar._gini_kernel.cache_info().misses == 4
+
     def test_unknown_task_rejected(self):
         perf = _table({("pos", "m", "en", "hi"): 50.0})
         with pytest.raises(InputError, match="pos"):
@@ -432,9 +443,9 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
             return {lang: 1.0 / len(row_universe) for lang in row_universe}
         powered = {}
         for lang in row_universe:
-            if lang not in speakers:
+            if lang not in speakers.entries:
                 raise InputError(f"tau={tau} requires a speaker count for language {lang!r}")
-            powered[lang] = speakers.millions(lang) ** tau
+            powered[lang] = float(speakers.entries[lang]) ** tau
         total = 0.0
         for value in powered.values():  # left to right, as ``sum`` before Python 3.12
             total += value
@@ -686,6 +697,21 @@ def exact(value):
     return "nan" if math.isnan(value) else float(value).hex()
 
 
+def emitted_sum(n):
+    """The sum of a vector of n values, as ``scalar._pairwise_sum_statements``
+    writes it out."""
+    namespace = {}
+    code = scalar._pairwise_sum_statements("total", [f"v[{i}]" for i in range(n)])
+    exec("def emitted(v):\n    " + "\n    ".join(code) + "\n    return total", namespace)
+    return namespace["emitted"]
+
+
+def numpys_sum(values):
+    """numpy's sum of the values, without its overflow warnings."""
+    with np.errstate(all="ignore"):
+        return np.array(values).sum()
+
+
 def checked_gini_rows(values):
     """``gini`` as the matrix kernel gives it: the scalar checks, then
     ``_gini_rows`` of the one row."""
@@ -736,8 +762,7 @@ class TestScalarKernelsMatchMatrixKernels:
     @given(vectors(signed=True))
     def test_pairwise_sum_is_numpys_sum(self, rows):
         (values,) = rows
-        with np.errstate(all="ignore"):
-            assert exact(scalar.pairwise_sum(values)) == exact(np.array(values).sum())
+        assert exact(emitted_sum(len(values))(values)) == exact(numpys_sum(values))
 
     def test_emitted_sum_is_numpys_sum(self):
         # Every length through 300, past the halving at 128 twice, and two
@@ -749,13 +774,9 @@ class TestScalarKernelsMatchMatrixKernels:
             rng = np.random.default_rng(n)
             values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-3, 4, n) * rng.choice([-1.0, 1.0], n)
             special = np.where(rng.random(n) < 0.3, rng.choice(SPECIAL_ENTRIES + [-0.0] * 8, n), values)
-            namespace = {}
-            code = scalar.pairwise_sum_statements("total", [f"v[{i}]" for i in range(n)])
-            exec("def emitted(v):\n    " + "\n    ".join(code) + "\n    return total", namespace)
+            emitted = emitted_sum(n)
             for vector in (values.tolist(), special.tolist()):
-                with np.errstate(all="ignore"):
-                    expected = exact(np.array(vector).sum())
-                if not exact(namespace["emitted"](vector)) == expected == exact(scalar.pairwise_sum(vector)):
+                if exact(emitted(vector)) != exact(numpys_sum(vector)):
                     mismatches.append(n)
         assert mismatches == []
 
