@@ -109,16 +109,22 @@ def _md_row(cells: Sequence[object]) -> str:
     return "| " + " | ".join(str(cell).replace("|", "\\|") for cell in cells) + " |"
 
 
-def _md_table_from_csv(path: str) -> list[str]:
-    rows = [line.split(",") for line in io.read_text(path).strip().splitlines()]
-    if not rows:
-        raise InputError(f"{path}: empty file (expected a CSV header)")
-    return [_md_row(rows[0]), "|" + "---|" * len(rows[0]), *map(_md_row, rows[1:])]
+def _md_table(path: str, header: Sequence[str]) -> list[str]:
+    """The markdown table of a CSV file with ``header``, its cells as read;
+    each must keep ``check_id``'s rule, as every id and number langdei writes does."""
+    table = [_md_row(header), "|" + "---|" * len(header)]
+    for where, cells in io._read_csv_rows(path, header):
+        table.append(_md_row([io._located(where, check_id, cell, f"{name} cell") for name, cell in zip(header, cells)]))
+    return table
+
+
+_CSV_HEADERS = {"scorecard": io._SCORECARD_HEADER, "lorenz": io._LORENZ_HEADER, "amrs": io._AMRS_HEADER,
+                "efficiency": io._EFFICIENCY_HEADER}
 
 
 def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     inputs: list[tuple[str, str]] = []  # (role, path)
-    for role in ("scorecard", "lorenz", "amrs", "efficiency"):
+    for role in _CSV_HEADERS:
         value = getattr(args, role)
         if value:
             inputs.append((role, value))
@@ -131,17 +137,19 @@ def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     lines = ["# Language DEI evaluation report", "", "## Inputs", "", "| role | path | sha256 |", "|---|---|---|"]
     lines.extend(_md_row((role, path, io.sha256_of(path))) for role, path in inputs)
     lines.append("")
+    # Every CSV file is read and checked, though the report names the Lorenz points only by path.
+    tables = {role: _md_table(path, _CSV_HEADERS[role]) for role, path in inputs if role in _CSV_HEADERS}
 
     if args.scorecard:
         lines += ["## Scorecard", ""]
-        lines += _md_table_from_csv(args.scorecard)
+        lines += tables["scorecard"]
         lines += ["", "The gini column is a unitless dispersion index in [0, 1); lower is more equitable."]
         if args.lorenz:
             lines.append(f"Lorenz points backing each gini value: `{args.lorenz}`.")
         lines.append("")
     if args.amrs:
         lines += ["## Substitution rates (AMRS)", ""]
-        lines += _md_table_from_csv(args.amrs)
+        lines += tables["amrs"]
         lines += [
             "",
             "Rates derived from adjacent model pairs are sensitive to rounding in the",
@@ -151,7 +159,7 @@ def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
         ]
     if args.efficiency:
         lines += ["## Efficiency scores", ""]
-        lines += _md_table_from_csv(args.efficiency)
+        lines += tables["efficiency"]
         lines.append("")
     for path in args.curves or ():
         registry = io.load_curve_registry(path)

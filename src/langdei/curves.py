@@ -108,8 +108,6 @@ def _search_c(x: np.ndarray, y: np.ndarray, c_lo: float, c_hi: float) -> list[fl
         best = np.argmin(_ols_rows(x[:, None, :] ** -grids[:, :, None], y)[2], axis=1)
         return grids[np.arange(len(grids)), best]
 
-    if c_hi == c_lo:
-        return [c_lo] * len(x)
     grid = np.linspace(c_lo, c_hi, COARSE_GRID_POINTS)
     c_best = best_on_grids(np.broadcast_to(grid, (len(x), grid.size)))
     half_width = float(grid[1] - grid[0])

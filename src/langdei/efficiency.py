@@ -263,13 +263,10 @@ def efficiency_score(goods: GoodsTable, saved: Sequence[float], amrs_table: Amrs
     return scores
 
 
-_AMRS_HEADER = ("group", "task", "metric", "amrs")
-
-
 def load_amrs(path: str | Path) -> AmrsTable:
     """CSV with header ``group,task,metric,amrs``; every rate must be positive."""
     entries: dict[tuple[str, str, str], float] = {}
-    for where, (group, task, metric, value_text) in io._read_csv_rows(path, _AMRS_HEADER):
+    for where, (group, task, metric, value_text) in io._read_csv_rows(path, io._AMRS_HEADER):
         key = (group, task, metric)
         if key in entries:
             raise InputError(f"{where}: duplicate substitution rate for {key}")
@@ -280,7 +277,7 @@ def load_amrs(path: str | Path) -> AmrsTable:
 
 
 def render_amrs(table: AmrsTable) -> str:
-    lines = [",".join(_AMRS_HEADER)]
+    lines = [",".join(io._AMRS_HEADER)]
     for group, task, metric in sorted(table.entries):
         lines.append(f"{group},{task},{metric},{io.fmt_num(table.entries[(group, task, metric)])}")
     return "\n".join(lines) + "\n"
@@ -292,7 +289,7 @@ def render_efficiency(goods: GoodsTable, saved: Sequence[float], scores: Sequenc
     task, model, group = goods.task, goods.model, goods.group
     perf, tp, fmt_num = goods.performance, goods.throughput, io.fmt_num
     keys = list(zip(task, model))
-    lines = ["task,model,group,perf,throughput,memory_saved,efficiency"]
+    lines = [",".join(io._EFFICIENCY_HEADER)]
     for i in sorted(range(len(keys)), key=keys.__getitem__):
         lines.append(f"{task[i]},{model[i]},{group[i]},{fmt_num(perf[i])},{fmt_num(tp[i])},"
                      f"{fmt_num(saved[i])},{fmt_num(scores[i])}")

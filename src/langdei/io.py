@@ -6,7 +6,8 @@ canonical: keys sorted, numbers at up to 12 significant digits, LF line
 endings, trailing newline. Identical inputs always produce byte-identical
 output.
 
-A format that only one subcommand uses lives with it (``metrics.load_tasks``).
+A format that only one subcommand uses lives with it (``metrics.load_tasks``);
+a CSV header that two subcommands share (a writer and ``report``) lives here.
 """
 
 from __future__ import annotations
@@ -99,16 +100,12 @@ def _open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]
         raise InputError(f"{path}: not UTF-8 ({exc.reason})") from None
 
 
-def read_text(path: str | Path) -> str:
-    """A whole input file as text, read as every input is."""
-    with _open_utf8(path) as fh:
-        return fh.read()
-
-
 def _records(path: str | Path) -> Iterator[tuple[str, str]]:
     """(``file:line``, stripped line) for each line of a text file that is
     neither blank nor a ``#`` comment."""
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    with _open_utf8(path) as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield f"{path}:{lineno}", line
@@ -267,6 +264,11 @@ def render_plan(plan: AllocationPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The header of each CSV file that one subcommand writes and ``report`` reads.
+_SCORECARD_HEADER = ("task", "model", "train_lang", "m_tau", "gini", "tested", "universe")
+_LORENZ_HEADER = ("task", "model", "train_lang", "population_fraction", "cumulative_share")
+_AMRS_HEADER = ("group", "task", "metric", "amrs")
+_EFFICIENCY_HEADER = ("task", "model", "group", "perf", "throughput", "memory_saved", "efficiency")
 _TRACE_HEADER = ("step", "source", "marginal_gain", "gm", "gini")  # the fields of a greedy trace row
 
 
@@ -321,7 +323,7 @@ def render_lorenz(rows: Sequence[ScorecardRow]) -> str:
         args = [f"{row.task},{row.model},{row.train_lang},"] * (2 * n + 2)
         args[1::2] = [y / total + 0.0 for y in [0.0, *sums]]
         blocks.append(templates[n] % tuple(args))
-    return "\n".join(["task,model,train_lang,population_fraction,cumulative_share", *blocks]) + "\n"
+    return "\n".join([",".join(_LORENZ_HEADER), *blocks]) + "\n"
 
 
 def write_text(path: str | Path, text: str) -> None:

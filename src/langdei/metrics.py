@@ -2,7 +2,8 @@
 
 Raw scores arrive as a ``PerformanceTable``: columns in file order, one cell
 per (task, model, training language, target language), coded as integers.
-Its constructor owns the raw-score rule (each cell once, finite and >= 0).
+Its constructor owns the id rule of its keys and the raw-score rule (each
+cell once, finite and >= 0).
 
 Three quantities are computed per (task, model, training-language) row:
 
@@ -45,6 +46,7 @@ DEFAULT_UNIVERSE: tuple[str, ...] = (
     "as", "bn", "brx", "doi", "en", "gu", "hi", "kn", "kok", "ks", "mai",
     "ml", "mni", "mr", "ne", "or", "pa", "sa", "sat", "sd", "ta", "te", "ur",
 )
+_KEY_KINDS = ("task id", "model id", "train language")  # the id columns of a performance key, in order
 
 
 class TaskSpec(Record):
@@ -68,10 +70,11 @@ class PerformanceTable(Record):
     ``score[i]``. ``row`` and ``target`` are ``array('q')`` columns of codes,
     ``score`` an ``array('d')``; tables compare equal column by column.
 
-    The table owns the raw-score rule: each cell appears once, and its score
-    is finite and >= 0 (``check_cell``). The constructor checks it over all
-    cells and raises an ``InputError`` for the first cell that breaks it.
-    ``from_scores`` builds a table from a mapping through this constructor.
+    The table owns two rules, which the constructor checks in this order:
+    each distinct task, model and train id is valid (checked once, in key
+    order), and each cell appears once with a finite score >= 0
+    (``check_cell``). It raises an ``InputError`` for the first id or cell
+    that breaks them. ``from_scores`` builds a table through it.
     """
 
     keys: tuple[tuple[str, str, str], ...]
@@ -89,6 +92,8 @@ class PerformanceTable(Record):
                                   for codes, bound in ((set(row), len(self.keys)),
                                                        (set(target), len(self.languages)))))):
             raise InputError("performance table columns must be code and score arrays of one length, codes in range")
+        for ident, what in dict.fromkeys((ident, what) for key in self.keys for ident, what in zip(key, _KEY_KINDS)):
+            check_id(ident, what)
         width = len(self.languages)
         # One pass each over the cells, coded r * width + t, and the scores;
         # a NaN or infinite score makes the sum fail the test. The loop below
@@ -116,13 +121,12 @@ class PerformanceTable(Record):
         """The table of a CSV file with header
         ``task,model,train_lang,target_lang,score`` (``io.load_performance``),
         read by ``io._read_table``: each distinct (task, model, train) and
-        target cell as read is stripped, and its ids checked, once. ``scale``
-        declares the score scale of the file; unit-scale scores are
-        converted to percent, the internal raw-score convention.
+        target cell as read is stripped once, and the table checks the ids.
+        ``scale`` declares the score scale of the file; unit-scale scores
+        are converted to percent, the internal raw-score convention.
         """
         io._check_scale(scale)
         factor = 100.0 if scale == "unit" else 1.0
-        kinds = ("task id", "model id", "train language")
 
         def fast(rows):
             keys: dict[tuple[str, str, str], int] = {}
@@ -134,11 +138,7 @@ class PerformanceTable(Record):
                 code = key_codes.get((task, model, train))
                 if code is None:
                     key = (task.strip(), model.strip(), train.strip())
-                    if key not in keys:
-                        for ident, what in zip(key, kinds):
-                            check_id(ident, what)
-                        keys[key] = len(keys)
-                    code = key_codes[(task, model, train)] = keys[key]
+                    code = key_codes[(task, model, train)] = keys.setdefault(key, len(keys))
                 row.append(code)
                 code = lang_codes.get(lang)
                 if code is None:
@@ -151,7 +151,7 @@ class PerformanceTable(Record):
             seen: set[tuple[str, str, str, str]] = set()
             for where, (task, model, train, lang, text) in rows:
                 # A repeat has the ids of the row it repeats, which were valid.
-                for ident, what in zip((task, model, train), kinds):
+                for ident, what in zip((task, model, train), _KEY_KINDS):
                     io._located(where, check_id, ident, what)
                 key = (task, model, train, lang)
                 try:
@@ -254,12 +254,12 @@ def dei_scorecard(
     Each row is one vector in universe order: its utilities, its demand
     weights (``demand`` over the row's universe), M the sum of utility times
     weight, added left to right, and the Gini of ``gini``, without its
-    checks. The table has checked its raw scores when it was built. The
-    universe and tau are checked first, even for an empty table; then each
-    rule holds for every row before the next is checked, and its first
-    failing row raises: (1) known task, valid model and train ids, languages
-    in the universe; (2) demand weights defined; (3) Gini defined (no
-    all-zero row). Clamped scores give one warning per task.
+    checks. The table has checked its ids and raw scores when it was built.
+    The universe and tau are checked first, even for an empty table; then
+    each rule holds for every row before the next is checked, and its first
+    failing row raises: (1) known task, languages in the universe; (2)
+    demand weights defined; (3) Gini defined (no all-zero row). Clamped
+    scores give one warning per task.
     """
     codes = _check_universe(universe)
     check_tau(tau)
@@ -311,19 +311,14 @@ def dei_scorecard(
 def _check_rows(perf: PerformanceTable, order: list[int], by_task: Mapping[str, TaskSpec],
                 columns: list[int | None]) -> None:
     """Rule 1 of ``dei_scorecard``, over the table's rows in ``order``: the
-    first row with an unknown task, an invalid model or train id, or a cell
-    outside the universe (a language whose universe column is None) raises.
-    Each distinct id is checked once."""
+    first row with an unknown task, or a cell outside the universe (a
+    language whose universe column is None), raises."""
     outside = {t for t, j in enumerate(columns) if j is None}
     outside_rows = {r for r, t in zip(perf.row, perf.target) if t in outside} if outside else set()
-    valid: set[str] = set()
     for code in order:
         task_id, model, train = perf.keys[code]
         if task_id not in by_task:
             raise InputError(f"unknown task id {task_id!r} in performance table")
-        for ident, what in ((model, "model id"), (train, "train language")):
-            if ident not in valid:
-                valid.add(check_id(ident, what))
         if code in outside_rows:
             unknown = sorted({perf.languages[t] for r, t in zip(perf.row, perf.target) if r == code and t in outside})
             raise InputError(
@@ -355,7 +350,7 @@ def load_universe(path: str | Path) -> tuple[str, ...]:
 def render_scorecard(rows: Sequence[ScorecardRow], scale: str = "percent") -> str:
     io._check_scale(scale)
     factor = 100.0 if scale == "percent" else 1.0
-    lines = ["task,model,train_lang,m_tau,gini,tested,universe"]
+    lines = [",".join(io._SCORECARD_HEADER)]
     for r in rows:
         lines.append(
             f"{r.task},{r.model},{r.train_lang},{io.fmt_num(r.m_tau * factor)},"

@@ -7,6 +7,7 @@ stderr, and output files. Exit-code contract: 0 success, 1 undefined metric,
 
 import csv
 import gc
+import itertools
 import os
 import re
 import shutil
@@ -696,15 +697,60 @@ class TestReportCommand:
         assert "sc.csv: not UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    # A small valid file of each CSV role: ids and numbers as langdei writes them.
+    CSV_ARTIFACTS = {
+        "scorecard": "task,model,train_lang,m_tau,gini,tested,universe\nner,m|1,en,50.5,0.2,3,23\n",
+        "lorenz": "task,model,train_lang,population_fraction,cumulative_share\nner,m|1,en,0,0\nner,m|1,en,1,1\n",
+        "amrs": "group,task,metric,amrs\ng,ner,throughput,1.5\ng,ner,memory,2.5e-05\n",
+        "efficiency": "task,model,group,perf,throughput,memory_saved,efficiency\nner,m|1,g,50,10,-4,1e-05\n",
+    }
+
+    def assert_report_fails(self, tmp_path, capsys, role, text, message):
+        artifact = write(tmp_path / "artifact.csv", text)
+        out = tmp_path / "r.md"
+        assert main(["report", f"--{role}", artifact, "--out", str(out)]) == 2
+        assert f"{artifact}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("role", ["scorecard", "amrs", "efficiency"])
     @pytest.mark.parametrize("text", ["", "\n \n"])
     def test_empty_csv_artifact_exit_2(self, tmp_path, capsys, role, text):
-        artifact = write(tmp_path / "empty.csv", text)
+        # A blank line is skipped; a line of spaces is read as a header row.
+        header = self.CSV_ARTIFACTS[role].split("\n")[0]
+        message = f":2: expected header {header!r}, got ' '" if text else ": empty file"
+        self.assert_report_fails(tmp_path, capsys, role, text, message)
+
+    def test_each_csv_artifact_renders_as_read(self, tmp_path):
+        args = []
+        for role, text in self.CSV_ARTIFACTS.items():
+            args += [f"--{role}", write(tmp_path / f"{role}.csv", text)]
         out = tmp_path / "r.md"
-        rc = main(["report", f"--{role}", artifact, "--out", str(out)])
-        assert rc == 2
-        assert f"{artifact}: empty file" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["report", *args, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "| ner | m\\|1 | en | 50.5 | 0.2 | 3 | 23 |" in lines
+        assert "| g | ner | memory | 2.5e-05 |" in lines
+        assert "| ner | m\\|1 | g | 50 | 10 | -4 | 1e-05 |" in lines
+
+    @pytest.mark.parametrize(("role", "other"), list(itertools.permutations(CSV_ARTIFACTS, 2)))
+    def test_another_roles_csv_exit_2(self, tmp_path, capsys, role, other):
+        header, other_header = (self.CSV_ARTIFACTS[r].split("\n")[0] for r in (role, other))
+        self.assert_report_fails(tmp_path, capsys, role, self.CSV_ARTIFACTS[other],
+                                 f":1: expected header {header!r}, got {other_header!r}")
+
+    @pytest.mark.parametrize("role", CSV_ARTIFACTS)
+    def test_csv_row_one_field_too_wide_exit_2(self, tmp_path, capsys, role):
+        header, row = self.CSV_ARTIFACTS[role].split("\n")[:2]
+        width = header.count(",") + 1
+        self.assert_report_fails(tmp_path, capsys, role, f"{header}\n{row},1\n",
+                                 f":2: expected {width} fields, got {width + 1}")
+
+    @pytest.mark.parametrize("role", CSV_ARTIFACTS)
+    @pytest.mark.parametrize("cell", ['"n\nx"', '"n x"', '""'], ids=["line-break", "space", "empty"])
+    def test_csv_cell_that_is_no_id_or_number_exit_2(self, tmp_path, capsys, role, cell):
+        # A quoted cell may span lines; the row is reported at the line it starts on.
+        header, row, *rest = self.CSV_ARTIFACTS[role].split("\n")
+        text = "\n".join([header, "", cell + row[row.index(","):], *rest])
+        self.assert_report_fails(tmp_path, capsys, role, text, f":3: invalid {header.split(',')[0]} cell")
 
     @pytest.mark.parametrize(("row", "message"), [
         ("x,bn,0.5,0.6,0.2", "trace.csv:3: malformed integer 'x'"),

@@ -4,8 +4,9 @@ every public definition of the package is used by the program, by the
 benchmark or by the README, so no function lives on for the tests alone;
 and every optional parameter of a public function is set by a call in the
 program, the benchmark or the README, so no option lives on that nothing
-sets; and only ``io`` imports the csv module, so one function owns the
-reading of a table and the finding of its first fault."""
+sets; and only ``io`` imports the csv module or splits text at commas, and
+only ``io`` spells a CSV header, so one function owns the reading of a
+table and the finding of its first fault."""
 
 import ast
 import math
@@ -76,6 +77,42 @@ def test_only_io_imports_csv():
 def test_checker_finds_a_lazy_import():
     assert imports_module("def f():\n    from csv import reader\n", "csv")
     assert not imports_module("import csvkit\nfrom . import csv\n", "csv")
+
+
+def comma_splits(source: str) -> list[str]:
+    """The top-level functions of ``source`` that call ``.split(",")``
+    (with or without a limit), once each; a split outside a function is
+    listed as ``<module>``."""
+    found = []
+    for node in ast.parse(source).body:
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "split"
+                    and call.args and isinstance(call.args[0], ast.Constant) and call.args[0].value == ","):
+                found.append(node.name if isinstance(node, ast.FunctionDef) else "<module>")
+                break
+    return found
+
+
+def test_only_io_splits_at_commas():
+    # The two exceptions parse an argparse value, not a file.
+    splits = {(module, name) for module in MODULES if module != "io.py"
+              for name in comma_splits((PACKAGE / module).read_text(encoding="utf-8"))}
+    assert splits == {("commands/efficiency.py", "_weights"), ("commands/allocate.py", "_comma_list")}
+
+
+def test_checker_finds_a_comma_split():
+    source = 'ROW = "a,b".split(",")\ndef f(t):\n    return t.split(",", 1)\ndef g(t):\n    return t.split(";")\n'
+    assert comma_splits(source) == ["<module>", "f"]
+
+
+def test_only_io_spells_a_csv_header():
+    from langdei import io
+
+    headers = {",".join(value) for name, value in vars(io).items() if name.endswith("_HEADER")}
+    assert len(headers) >= 5  # scorecard, Lorenz, AMRS, efficiency and trace
+    constants = {node.value for p in SOURCES for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert constants & headers == set()
 
 
 

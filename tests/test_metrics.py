@@ -467,7 +467,11 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
 
     codes = tuple(universe)
     by_task = {t.task_id: t for t in tasks}
-    # The table's raw-score rule, when it is built: the first bad cell.
+    # The table's rules, when it is built: the first bad id, in key order...
+    for key in scores:
+        for ident, what in zip(key, ("task id", "model id", "train language")):
+            check_id(ident, what)
+    # ...then the first bad raw score.
     for key, raw in scores.items():
         if not math.isfinite(raw) or raw < 0:
             raise InputError(f"raw score for {key} must be a finite non-negative number, got {raw}")
@@ -475,12 +479,10 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and 0.0 <= tau <= 1.0):
         raise InputError(f"tau must lie in [0, 1], got {tau}")
     rows_of = groups(scores)
-    # (1) known task, valid model and train ids, languages in the universe.
+    # (1) known task, languages in the universe.
     for (task_id, model, train), cells in rows_of:
         if task_id not in by_task:
             raise InputError(f"unknown task id {task_id!r} in performance table")
-        check_id(model, "model id")
-        check_id(train, "train language")
         unknown = sorted(set(cells) - set(codes))
         if unknown:
             raise InputError(
@@ -603,9 +605,9 @@ class TestScorecardMatchesPerRowLoop:
         ("m", "e n", "invalid train language: 'e n'"),
     ])
     def test_invalid_model_or_train_id_rejected(self, model, train, message):
-        perf = _table({("ner", model, train, "hi"): 50.0})
+        # When the table is built, as a bad raw score is.
         with pytest.raises(InputError, match=message):
-            dei_scorecard(perf, SpeakerTable({}), [NER], tau=0.0)
+            _table({("ner", model, train, "hi"): 50.0})
 
 
 class TestClampWarnings:

@@ -2,6 +2,7 @@
 that would corrupt an output cell or token is rejected, never written."""
 
 import csv
+import math
 from array import array
 
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from langdei.allocator import COMPOSITION_MODES, MISSING_POLICIES, AllocationPlan, PlanEvaluation
 from langdei.cli import main
 from langdei.curves import LearningCurve, TrajectoryPoint
-from langdei.efficiency import AmrsTable, GoodsTable
+from langdei.efficiency import METRICS, AmrsTable, GoodsTable, load_amrs, render_amrs, render_efficiency
 from langdei.errors import InputError, check_id
 from langdei.commands.report import load_plan
+from langdei import io
 from langdei.io import (
     bundled_path,
     load_curve_registry,
@@ -23,7 +25,7 @@ from langdei.io import (
     render_trace,
     write_text,
 )
-from langdei.metrics import SpeakerTable, TaskSpec
+from langdei.metrics import ScorecardRow, SpeakerTable, TaskSpec, render_scorecard
 
 FORBIDDEN = list(' \t\n\r\x0b\x0c\x85\u00a0\u2003\u2028,="')
 
@@ -90,6 +92,38 @@ traces = st.lists(
 ).map(tuple)
 
 
+# Ids with the characters a markdown cell or a %-template would take as
+# syntax, and numbers with the values whose text is easiest to get wrong.
+cell_ids = st.one_of(ids, st.builds(lambda a, c, b: a + c + b, ids, st.sampled_from("|%"), ids))
+cell_numbers = st.one_of(numbers, st.sampled_from([math.inf, -math.inf, -0.0, 5e-324, -2.5e-310]))
+utilities = st.lists(st.one_of(st.floats(0.0, 1e300), st.sampled_from([-0.0, 5e-324])), min_size=1,
+                     max_size=23).filter(any)
+
+
+@st.composite
+def scorecard_rows(draw):
+    return [ScorecardRow(draw(cell_ids), draw(cell_ids), draw(cell_ids), draw(cell_numbers), draw(cell_numbers),
+                         draw(st.integers(0, 23)), draw(st.integers(0, 23)), tuple(draw(utilities)))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+@st.composite
+def amrs_tables(draw):
+    keys = st.tuples(cell_ids, cell_ids, st.sampled_from(METRICS))
+    rates = st.one_of(st.floats(0.0, exclude_min=True, allow_infinity=False), st.just(5e-324))
+    return AmrsTable(draw(st.dictionaries(keys, rates, max_size=6)))
+
+
+@st.composite
+def efficiency_tables(draw):
+    pairs = draw(st.lists(st.tuples(cell_ids, cell_ids), max_size=6, unique=True))
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    columns = [array("d", [draw(values) for _ in pairs]) for values in (positive, positive, finite.map(abs))]
+    goods = GoodsTable(tuple(m for m, _ in pairs), tuple(draw(cell_ids) for _ in pairs), tuple(t for _, t in pairs),
+                       *columns)
+    return goods, [draw(cell_numbers) for _ in pairs], [draw(cell_numbers) for _ in pairs]
+
+
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("props")
@@ -114,6 +148,37 @@ def test_trace_round_trip(scratch, trace):
     text = render_trace(trace)
     write_text(scratch / "trace.csv", text)
     assert render_trace(load_trace(scratch / "trace.csv")) == text
+
+
+def read_back(path, header):
+    """The text of a CSV file as ``report`` reads it: its header, then each
+    row's cells, each an id or a number, joined with commas."""
+    rows = [",".join(check_id(cell, "cell") for cell in cells) for _, cells in io._read_csv_rows(path, header)]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+@settings(deadline=None)
+@given(rows=scorecard_rows(), scale=st.sampled_from(io.SCALES))
+def test_scorecard_and_lorenz_read_back(scratch, rows, scale):
+    for text, header in ((render_scorecard(rows, scale), io._SCORECARD_HEADER),
+                         (io.render_lorenz(rows), io._LORENZ_HEADER)):
+        write_text(scratch / "table.csv", text)
+        assert read_back(scratch / "table.csv", header) == text
+
+
+@given(table=amrs_tables())
+def test_amrs_read_back(scratch, table):
+    text = render_amrs(table)
+    write_text(scratch / "amrs.csv", text)
+    assert read_back(scratch / "amrs.csv", io._AMRS_HEADER) == text
+    assert render_amrs(load_amrs(scratch / "amrs.csv")) == text
+
+
+@given(case=efficiency_tables())
+def test_efficiency_read_back(scratch, case):
+    text = render_efficiency(*case)
+    write_text(scratch / "efficiency.csv", text)
+    assert read_back(scratch / "efficiency.csv", io._EFFICIENCY_HEADER) == text
 
 
 @given(bad=hostile_ids)
