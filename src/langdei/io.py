@@ -102,9 +102,10 @@ def _open_utf8(path: str | Path, newline: str | None = None) -> Iterator[TextIO]
 
 def _records(path: str | Path) -> Iterator[tuple[str, str]]:
     """(``file:line``, stripped line) for each line of a text file that is
-    neither blank nor a ``#`` comment."""
+    neither blank nor a ``#`` comment. A line ends at a newline (CR LF and CR
+    read as one), as ``csv`` counts lines, not at a form feed or separator."""
     with _open_utf8(path) as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):

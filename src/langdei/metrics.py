@@ -1,9 +1,9 @@
 """Demand-weighted quality and equity metrics over a fixed language universe.
 
-Raw scores arrive as a ``PerformanceTable``: columns in file order, one cell
-per (task, model, training language, target language), coded as integers.
-Its constructor owns the id rule of its keys and the raw-score rule (each
-cell once, finite and >= 0).
+Raw scores arrive as a ``PerformanceTable``: each (task, model, training
+language) row's scores by target language, in file order. Its constructor
+owns the id rule of its keys and the raw-score rule (finite and >= 0); a
+mapping holds each cell once.
 
 Three quantities are computed per (task, model, training-language) row:
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from array import array
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -64,115 +63,93 @@ class TaskSpec(Record):
 
 
 class PerformanceTable(Record):
-    """Raw scores on the percent scale, one per cell, as columns in file
-    order: cell i scores the (task, model, train language) ``keys[row[i]]``
-    on the target language ``languages[target[i]]``, and its raw score is
-    ``score[i]``. ``row`` and ``target`` are ``array('q')`` columns of codes,
-    ``score`` an ``array('d')``; tables compare equal column by column.
+    """Raw scores on the percent scale: ``rows`` maps each (task, model,
+    train language) key to that row's {target language: raw score}, rows
+    and cells in the order they were read. A mapping holds each cell once;
+    tables compare equal as their mappings do.
 
     The table owns two rules, which the constructor checks in this order:
     each distinct task, model and train id is valid (checked once, in key
-    order), and each cell appears once with a finite score >= 0
-    (``check_cell``). It raises an ``InputError`` for the first id or cell
-    that breaks them. ``from_scores`` builds a table through it.
+    order), and each score is finite and >= 0. It raises an ``InputError``
+    for the first id or score that breaks them. ``from_scores`` builds a
+    table through it.
     """
 
-    keys: tuple[tuple[str, str, str], ...]
-    languages: tuple[str, ...]
-    row: array
-    target: array
-    score: array
+    rows: dict[tuple[str, str, str], dict[str, float]]
 
     def __post_init__(self) -> None:
-        row, target, score = self.row, self.target, self.score
-        n = len(score)
-        if not ([getattr(column, "typecode", None) for column in (row, target, score)] == ["q", "q", "d"]
-                and len(row) == len(target) == n
-                and (not n or all(0 <= min(codes) and max(codes) < bound  # over the distinct codes
-                                  for codes, bound in ((set(row), len(self.keys)),
-                                                       (set(target), len(self.languages)))))):
-            raise InputError("performance table columns must be code and score arrays of one length, codes in range")
-        for ident, what in dict.fromkeys((ident, what) for key in self.keys for ident, what in zip(key, _KEY_KINDS)):
+        rows = self.rows
+        if not (isinstance(rows, dict) and all(isinstance(key, tuple) and len(key) == 3 and isinstance(cells, dict)
+                                               and cells for key, cells in rows.items())):
+            raise InputError("performance table rows must map (task, model, train) keys to non-empty dicts of scores")
+        for ident, what in dict.fromkeys((ident, what) for key in rows for ident, what in zip(key, _KEY_KINDS)):
             check_id(ident, what)
-        width = len(self.languages)
-        # One pass each over the cells, coded r * width + t, and the scores;
-        # a NaN or infinite score makes the sum fail the test. The loop below
-        # finds the first fault, and is skipped when the two passes find none.
-        if (len({r * width + t for r, t in zip(row, target)}) == n
-                and min(score, default=0.0) >= 0 and sum(score) < math.inf):
+        # One pass each over the scores; a NaN or infinite score makes the
+        # sum fail the test. The loop below finds the first fault, and is
+        # skipped when the two passes find none.
+        scores = [score for cells in rows.values() for score in cells.values()]
+        if min(scores, default=0.0) >= 0 and sum(scores) < math.inf:
             return
-        seen: set[int] = set()
-        for r, t, value in zip(row, target, score):
-            self.check_cell(seen, r * width + t, (*self.keys[r], self.languages[t]), value)
-
-    @staticmethod
-    def check_cell(seen: set, cell: object, key: tuple[str, str, str, str], score: float) -> None:
-        """The raw-score rule for ``cell`` (named ``key``), given the cells
-        ``seen`` before it: a repeat is reported first, then a score that is
-        not finite and >= 0. A cell that keeps the rule joins ``seen``."""
-        if cell in seen:
-            raise InputError(f"duplicate row for {key}")
-        if not 0 <= score < math.inf:  # also true for NaN
-            raise InputError(f"raw score for {key} must be a finite non-negative number, got {score}")
-        seen.add(cell)
+        for key, cells in rows.items():
+            for lang, score in cells.items():
+                if not 0 <= score < math.inf:  # also true for NaN
+                    raise InputError(f"raw score for {(*key, lang)} must be a finite non-negative number, got {score}")
 
     @classmethod
     def read_csv(cls, path: str | Path, scale: str) -> PerformanceTable:
         """The table of a CSV file with header
         ``task,model,train_lang,target_lang,score`` (``io.load_performance``),
         read by ``io._read_table``: each distinct (task, model, train) and
-        target cell as read is stripped once, and the table checks the ids.
-        ``scale`` declares the score scale of the file; unit-scale scores
-        are converted to percent, the internal raw-score convention.
+        target as read is stripped once, and the table checks the ids. A
+        file with fewer cells than data rows repeats a cell, which the
+        second read names. ``scale`` declares the score scale of the file;
+        unit-scale scores are converted to percent, the internal raw-score
+        convention.
         """
         io._check_scale(scale)
         factor = 100.0 if scale == "unit" else 1.0
 
         def fast(rows):
-            keys: dict[tuple[str, str, str], int] = {}
-            languages: dict[str, int] = {}
-            key_codes: dict[tuple[str, str, str], int] = {}  # the code of each key as read
-            lang_codes: dict[str, int] = {}
-            row, target, score = array("q"), array("q"), array("d")
-            for task, model, train, lang, text in rows:
-                code = key_codes.get((task, model, train))
-                if code is None:
+            table: dict[tuple[str, str, str], dict[str, float]] = {}
+            row_cells: dict[tuple[str, str, str], dict[str, float]] = {}  # the cells of each key as read
+            targets: dict[str, str] = {}  # each target as read, stripped
+            n = 0
+            for n, (task, model, train, lang, text) in enumerate(rows, 1):
+                cells = row_cells.get((task, model, train))
+                if cells is None:
                     key = (task.strip(), model.strip(), train.strip())
-                    code = key_codes[(task, model, train)] = keys.setdefault(key, len(keys))
-                row.append(code)
-                code = lang_codes.get(lang)
-                if code is None:
-                    code = lang_codes[lang] = languages.setdefault(lang.strip(), len(languages))
-                target.append(code)
-                score.append(float(text) * factor)
-            return cls(tuple(keys), tuple(languages), row, target, score)
+                    cells = row_cells[(task, model, train)] = table.setdefault(key, {})
+                target = targets.get(lang)
+                if target is None:
+                    target = targets[lang] = lang.strip()
+                cells[target] = float(text) * factor
+            if sum(map(len, table.values())) < n:
+                raise ValueError("a repeated cell")
+            return cls(table)
 
         def locate(rows):
             seen: set[tuple[str, str, str, str]] = set()
             for where, (task, model, train, lang, text) in rows:
-                # A repeat has the ids of the row it repeats, which were valid.
                 for ident, what in zip((task, model, train), _KEY_KINDS):
                     io._located(where, check_id, ident, what)
                 key = (task, model, train, lang)
-                try:
-                    cls.check_cell(seen, key, key, io._number(text) * factor)
-                except InputError as exc:
-                    if key in seen:  # a repeat
-                        raise InputError(f"{where}: {exc}") from None
-                    io._parse_float(text, where)  # raises for a malformed or NaN score
-                    raise InputError(f"{where}: score must be finite and non-negative, got {text}") from None
+                if key in seen:
+                    raise InputError(f"{where}: duplicate row for {key}")
+                seen.add(key)
+                if not 0 <= io._parse_float(text, where) * factor < math.inf:
+                    raise InputError(f"{where}: score must be finite and non-negative, got {text}")
 
         return io._read_table(path, ("task", "model", "train_lang", "target_lang", "score"), fast, locate)
 
     @classmethod
     def from_scores(cls, scores: Mapping[tuple[str, str, str, str], float]) -> PerformanceTable:
         """The table of ``{(task, model, train language, target language):
-        raw score}``, its cells in the mapping's order."""
-        keys: dict[tuple[str, str, str], int] = {}
-        languages: dict[str, int] = {}
-        row = [keys.setdefault((task, model, train), len(keys)) for task, model, train, _ in scores]
-        target = [languages.setdefault(lang, len(languages)) for *_, lang in scores]
-        return cls(tuple(keys), tuple(languages), array("q", row), array("q", target), array("d", scores.values()))
+        raw score}``, grouped by (task, model, train language) in the
+        mapping's order."""
+        rows: dict[tuple[str, str, str], dict[str, float]] = {}
+        for (task, model, train, lang), score in scores.items():
+            rows.setdefault((task, model, train), {})[lang] = score
+        return cls(rows)
 
 
 class ScorecardRow(Record):
@@ -266,17 +243,12 @@ def dei_scorecard(
     by_task = {t.task_id: t for t in tasks}
     if len(by_task) != len(tasks):
         raise InputError("duplicate task ids in task specs")
-    if not perf.keys:
+    if not perf.rows:
         return []
-    order = sorted(range(len(perf.keys)), key=perf.keys.__getitem__)
-    column = {lang: j for j, lang in enumerate(codes)}
-    columns = [column.get(lang) for lang in perf.languages]
-    _check_rows(perf, order, by_task, columns)
+    order = sorted(perf.rows)
+    _check_rows(perf, order, by_task, set(codes))
     # Each row's raw scores in universe order, None where it has none.
-    grid: list[list[float | None]] = [[None] * len(codes) for _ in perf.keys]
-    for r, t, value in zip(perf.row, perf.target, perf.score):
-        grid[r][columns[t]] = value
-    raws = [grid[code] for code in order]
+    raws = [list(map(perf.rows[key].get, codes)) for key in order]
     powered = scalar._powers(speakers, codes, tau)
     if tested_only:
         weights = [scalar._weights([lang for lang, x in zip(codes, raw) if x is not None],
@@ -286,8 +258,7 @@ def dei_scorecard(
 
     rows = []
     clamped: dict[str, list[float]] = {}
-    for code, raw, w in zip(order, raws, weights):
-        task_id, model, train = perf.keys[code]
+    for (task_id, model, train), raw, w in zip(order, raws, weights):
         maximum = by_task[task_id].max_performance
         tested = [x for x in raw if x is not None]
         u = _utilities(tested if tested_only else raw, maximum)
@@ -308,22 +279,19 @@ def dei_scorecard(
     return rows
 
 
-def _check_rows(perf: PerformanceTable, order: list[int], by_task: Mapping[str, TaskSpec],
-                columns: list[int | None]) -> None:
+def _check_rows(perf: PerformanceTable, order: list[tuple[str, str, str]], by_task: Mapping[str, TaskSpec],
+                universe: set[str]) -> None:
     """Rule 1 of ``dei_scorecard``, over the table's rows in ``order``: the
-    first row with an unknown task, or a cell outside the universe (a
-    language whose universe column is None), raises."""
-    outside = {t for t, j in enumerate(columns) if j is None}
-    outside_rows = {r for r, t in zip(perf.row, perf.target) if t in outside} if outside else set()
-    for code in order:
-        task_id, model, train = perf.keys[code]
+    first row with an unknown task, or a language outside ``universe``,
+    raises."""
+    for key in order:
+        task_id, model, train = key
         if task_id not in by_task:
             raise InputError(f"unknown task id {task_id!r} in performance table")
-        if code in outside_rows:
-            unknown = sorted({perf.languages[t] for r, t in zip(perf.row, perf.target) if r == code and t in outside})
+        if not universe.issuperset(perf.rows[key]):
             raise InputError(
                 f"performance rows for ({task_id}, {model}, {train}) name languages "
-                f"outside the universe: {', '.join(unknown)}"
+                f"outside the universe: {', '.join(sorted(perf.rows[key].keys() - universe))}"
             )
 
 
@@ -339,11 +307,11 @@ def load_tasks(path: str | Path) -> list[TaskSpec]:
 
 def load_universe(path: str | Path) -> tuple[str, ...]:
     """Plain text, one language code per line; ``#`` comments allowed."""
-    codes: list[str] = []
+    codes: dict[str, None] = {}
     for where, code in io._records(path):
         if code in codes:
             raise InputError(f"{where}: duplicate language {code!r}")
-        codes.append(io._located(where, check_id, code, "language code"))
+        codes[io._located(where, check_id, code, "language code")] = None
     return tuple(codes)
 
 

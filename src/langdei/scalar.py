@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from langdei.errors import ComputationError, InputError, LangDeiError, check_id
@@ -51,7 +52,7 @@ def _check_universe(universe: Sequence[str]) -> tuple[str, ...]:
     for code in codes:
         check_id(code, "language code")
     if len(set(codes)) != len(codes):
-        dupes = sorted({c for c in codes if codes.count(c) > 1})
+        dupes = sorted(code for code, count in Counter(codes).items() if count > 1)
         raise InputError(f"duplicate language codes in universe: {', '.join(dupes)}")
     return codes
 

@@ -157,9 +157,8 @@ ALL_PROPERTIES = (
 
 def table_cells(perf: PerformanceTable) -> dict[tuple[str, str, str, str], float]:
     """The cells of a performance table as {(task, model, train language,
-    target language): raw score}, in column order."""
-    return {(*perf.keys[r], perf.languages[t]): s
-            for r, t, s in zip(perf.row.tolist(), perf.target.tolist(), perf.score.tolist())}
+    target language): raw score}, row by row."""
+    return {(*key, lang): score for key, cells in perf.rows.items() for lang, score in cells.items()}
 
 
 def groups(scores: Mapping[tuple[str, str, str, str], float]) -> list[tuple[tuple[str, str, str], dict[str, float]]]:

@@ -16,7 +16,7 @@ from langdei.commands.report import load_plan
 from langdei.curves import LearningCurve, load_trajectories, predict
 from langdei.efficiency import GoodsTable, load_amrs
 from langdei.errors import InputError
-from langdei.metrics import TaskSpec, load_tasks, load_universe
+from langdei.metrics import DEFAULT_UNIVERSE, TaskSpec, dei_scorecard, load_tasks, load_universe, render_scorecard
 from langdei.io import (
     bundled_path,
     fmt_num,
@@ -25,6 +25,7 @@ from langdei.io import (
     load_speakers,
     load_trace,
     render_curves,
+    render_lorenz,
     render_plan,
     render_trace,
     write_text,
@@ -492,6 +493,24 @@ def test_universe_loader(tmp_path, bundle):
         load_universe(p)
 
 
+@pytest.mark.parametrize("load, text, message", [
+    (load_curve_registry, "curve source=en target=hi a=1 b=-2 c=0.3 r2=0.9\x0c\n"
+     "curve source=bn target=hi a=1 b=-2 c=0.3 r2=0.9\nbogus\n", "ff.txt:3: expected a 'curve' record, got 'bogus'"),
+    (load_plan, "plan strategy=greedy budget=2 alpha=1 beta=1 missing=strict\x0c\n"
+     "alloc source=bn samples=3 gm=0.5 gini=0\x1c\u2028\nalloc source=ta samples=-1\n",
+     "ff.txt:3: sample count must be >= 0, got -1"),
+    (load_universe, "# scheduled\x85 languages\nhi\nbn\x0c\nhi\n", "ff.txt:4: duplicate language 'hi'"),
+], ids=["registry", "plan", "universe"])
+def test_text_lines_end_at_newlines_only(tmp_path, load, text, message):
+    # A form feed, a file or line separator or a NEL inside a line starts no
+    # new line: the fault is named at the line that csv and editors count.
+    p = tmp_path / "ff.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        load(p)
+    assert str(info.value).replace(str(tmp_path) + "/", "") == message
+
+
 def test_csv_with_byte_order_mark(tmp_path):
     p = tmp_path / "tasks.csv"
     p.write_text("\ufefftask,max_performance\nner,97.6\n", encoding="utf-8")
@@ -537,6 +556,7 @@ class TestPerformanceLoaderErrors:
             ("ner,m,en,bn,abc", "P:6: malformed number 'abc'"),
             ("ner,m,en,bn", "P:6: expected 5 fields, got 4"),
             ("ner,m,en,hi,60", "P:6: duplicate row for ('ner', 'm', 'en', 'hi')"),
+            ("ner, m ,en, hi,60", "P:6: duplicate row for ('ner', 'm', 'en', 'hi')"),  # a cell once stripped
             ("ner,m,en,bn,nan", "P:6: number must not be NaN"),
             ("ner,m,en,bn,inf", "P:6: score must be finite and non-negative, got inf"),
             ("ner,m,en,bn,-0.5", "P:6: score must be finite and non-negative, got -0.5"),
@@ -736,16 +756,18 @@ class TestPerformanceLoaderMatchesPerRowLoop:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(performance_files())
     def test_same_cells_or_same_first_fault(self, tmp_path, case):
-        """One pass into columns, and the table's vectorised rule, report
-        the fault the per-row loop reports first: the same file:line and
-        message."""
+        """One pass into rows, and the table's rule, give the cells of the
+        per-row loop, or report the fault it reports first: the same
+        file:line and message. The table keeps no cell order across rows,
+        so the cells compare sorted."""
         text, scale = case
         p = tmp_path / "perf.csv"
         p.write_text(text, encoding="utf-8")
 
         def outcome(load):
             try:
-                return "ok", repr(list(load().items()))  # repr keeps the sign of a zero
+                # repr keeps the sign of a zero
+                return "ok", sorted((cell, repr(score)) for cell, score in load().items())
             except InputError as exc:
                 return "error", str(exc)
 
@@ -764,6 +786,25 @@ class TestPerformanceLoaderMatchesPerRowLoop:
         with pytest.raises(InputError) as info:
             load_performance(p)
         assert str(info.value).replace(str(p), "P") == message
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(st.tuples(st.sampled_from(["ner", "pos"]), st.sampled_from(["m1", "m2"]),
+                                 st.sampled_from(["en", "hi"]), st.sampled_from(DEFAULT_UNIVERSE)),
+                       st.floats(0.5, 90.0), min_size=1, max_size=40), st.data())
+def test_scorecard_bytes_do_not_depend_on_row_order(tmp_path, scores, data):
+    """Shuffling a valid performance file's data rows, which interleaves
+    its keys, leaves the scorecard and Lorenz bytes unchanged."""
+    rows = [f"{task},{model},{train},{target},{score!r}" for (task, model, train, target), score in scores.items()]
+    speakers = load_speakers(bundled_path("speakers.csv"))
+    tasks = [TaskSpec("ner", 97.6), TaskSpec("pos", 100.0)]
+    outputs = []
+    for name, order in (("a.csv", rows), ("b.csv", data.draw(st.permutations(rows)))):
+        p = tmp_path / name
+        p.write_text("task,model,train_lang,target_lang,score\n" + "\n".join(order) + "\n")
+        card = dei_scorecard(load_performance(p), speakers, tasks)
+        outputs.append((render_scorecard(card), render_lorenz(card)))
+    assert outputs[0] == outputs[1]
 
 
 class TestTraceLoaderMatchesPerRowLoop:

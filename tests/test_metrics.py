@@ -2,9 +2,10 @@
 
 import csv
 import math
+import re
 import sys
 import warnings
-from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,17 +240,17 @@ def _table(rows):
 
 class TestPerformanceTable:
     def test_columns_in_mapping_order(self):
+        # The rows, and each row's cells, keep the order of the mapping.
         perf = _table({("ner", "m", "en", "hi"): 50.0, ("pos", "m", "en", "bn"): 0.0, ("ner", "m", "en", "ta"): 7.5})
-        assert perf.keys == (("ner", "m", "en"), ("pos", "m", "en"))
-        assert perf.languages == ("hi", "bn", "ta")
-        assert perf.row.tolist() == [0, 1, 0] and perf.target.tolist() == [0, 1, 2]
-        assert perf.score.tolist() == [50.0, 0.0, 7.5]
+        assert list(perf.rows) == [("ner", "m", "en"), ("pos", "m", "en")]
+        assert list(perf.rows[("ner", "m", "en")].items()) == [("hi", 50.0), ("ta", 7.5)]
+        assert perf.rows[("pos", "m", "en")] == {"bn": 0.0}
 
     def test_equal_by_value(self):
         scores = {("ner", "m", "en", "hi"): 50.0, ("ner", "m", "en", "bn"): 0.0}
         assert _table(scores) == _table(dict(scores))
         assert _table(scores) != _table({**scores, ("ner", "m", "en", "bn"): 1.0})
-        assert _table(scores) != _table(dict(reversed(scores.items())))
+        assert _table(scores) == _table(dict(reversed(scores.items())))  # mappings compare without order
         with pytest.raises(TypeError):
             hash(_table(scores))
 
@@ -260,23 +261,32 @@ class TestPerformanceTable:
             _table(scores)
         assert str(info.value) == f"raw score for ('ner', 'm', 'en', 'bn') must be a finite non-negative number, got {bad}"
 
-    def test_first_repeat_is_named_and_wins_over_its_own_bad_score(self):
-        columns = ((("ner", "m", "en"),), ("hi", "bn"), array("q", [0, 0, 0, 0]), array("q", [0, 1, 0, 1]),
-                   array("d", [5.0, 1.0, math.nan, -1.0]))
+    def test_first_repeat_is_named_and_wins_over_its_own_bad_score(self, tmp_path):
+        # A mapping cannot repeat a cell, so only a file can.
+        path = tmp_path / "perf.csv"
+        path.write_text("task,model,train_lang,target_lang,score\nner,m,en,hi,5\nner,m,en,bn,1\n"
+                        "ner,m,en,hi,nan\nner,m,en,bn,-1\n")
         with pytest.raises(InputError) as info:
-            PerformanceTable(*columns)
-        assert str(info.value) == "duplicate row for ('ner', 'm', 'en', 'hi')"
+            PerformanceTable.read_csv(path, "percent")
+        assert str(info.value) == f"{path}:4: duplicate row for ('ner', 'm', 'en', 'hi')"
 
-    @pytest.mark.parametrize("row, target, score", [
-        (array("q", [0, 1]), array("q", [0, 0]), array("d", [1.0, 2.0])),
-        (array("q", [0, 0]), array("q", [0, -1]), array("d", [1.0, 2.0])),
-        (array("q", [0, 0]), array("q", [0, 0]), array("d", [1.0])),
-        ([[0]], [[0]], [[1.0]]),
-        (array("d", [0.0]), array("q", [0]), array("d", [1.0])),
-    ], ids=["row-code", "target-code", "lengths", "2-d", "float-codes"])
-    def test_malformed_columns_rejected(self, row, target, score):
-        with pytest.raises(InputError, match="columns"):
-            PerformanceTable((("ner", "m", "en"),), ("hi",), row, target, score)
+    @pytest.mark.parametrize("rows", [
+        [(("ner", "m", "en"), {"hi": 1.0})],
+        {"ner,m,en": {"hi": 1.0}},
+        {("ner", "m"): {"hi": 1.0}},
+        {("ner", "m", "en"): [("hi", 1.0)]},
+        {("ner", "m", "en"): {}},
+    ], ids=["rows-not-a-dict", "key-not-a-tuple", "key-of-two-ids", "row-not-a-dict", "empty-row"])
+    def test_malformed_structure_rejected(self, rows):
+        with pytest.raises(InputError, match="rows must map"):
+            PerformanceTable(rows)
+
+
+def test_readme_quick_start_prints_its_figures(capsys):
+    """README's library quick start runs and prints the figures it shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    exec(re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1), {})
+    assert capsys.readouterr().out == "0.707331974280608 0.5652173913043478\n"
 
 
 class TestScorecard:

@@ -33,7 +33,7 @@ SAMPLES = {
     AmrsTable: ({("g", "ner", "throughput"): 1.5},),
     SpeakerTable: ({"hi": 528.0},),
     TaskSpec: ("ner", 97.6),
-    PerformanceTable: ((("ner", "m", "en"),), ("hi",), array("q", [0]), array("q", [0]), array("d", [50.0])),
+    PerformanceTable: ({("ner", "m", "en"): {"hi": 50.0}},),
     ScorecardRow: ("ner", "m", "en", 0.5, 0.1, 3, 23, (0.1, 0.0)),
     AllocationRequest: (10, ("bn",), ("hi",), {("bn", "hi"): CURVE}, {"hi": 1.0}, 0.5, 2.0, "permissive", "mean"),
 }
