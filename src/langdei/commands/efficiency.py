@@ -3,6 +3,7 @@
 import argparse
 
 from langdei import records
+from langdei.errors import InputError
 
 HELP = "substitution rates and efficiency scores from model goods"
 
@@ -30,11 +31,13 @@ def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     from langdei import efficiency
 
     goods = efficiency.GoodsTable.read_csv(args.goods)
+    if not goods.model:
+        raise InputError(f"{args.goods}: no goods rows")
     w_perf, w_tp, w_mem = args.weights
     config = efficiency.EfficiencyConfig(max_memory=args.max_memory, w_perf=w_perf, w_throughput=w_tp,
                                          w_memory=w_mem)
     saved = efficiency.memory_saved(goods, config)
-    table = efficiency.load_amrs(args.amrs_override) if args.amrs_override else efficiency.compute_amrs_table(goods, saved, config)
+    table = efficiency.load_amrs(args.amrs_override) if args.amrs_override else efficiency.compute_amrs_table(goods, saved)
     scores = efficiency.efficiency_score(goods, saved, table, config)
     outputs = {args.out: efficiency.render_efficiency(goods, saved, scores)}
     if args.amrs_out:

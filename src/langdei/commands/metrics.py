@@ -4,6 +4,7 @@ import argparse
 
 from langdei import io
 from langdei.commands import parse_tau, speaker_table
+from langdei.errors import InputError
 
 HELP = "demand-weighted global metric and Gini per scorecard row"
 
@@ -26,11 +27,13 @@ def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     tasks = metrics.load_tasks(args.tasks)
     universe = metrics.DEFAULT_UNIVERSE if args.universe is None else metrics.load_universe(args.universe)
     speakers = speaker_table(args)
-    # The performance table is not kept: the rows carry what the outputs need.
+    # The performance table is not kept: the rows, one per key of it, carry what the outputs need.
     rows = metrics.dei_scorecard(
         io.load_performance(args.perf, scale=args.scale),
         speakers, tasks, universe, tau=args.tau, tested_only=args.tested_only,
     )
+    if not rows:
+        raise InputError(f"{args.perf}: no performance rows")
     outputs = {args.out: metrics.render_scorecard(rows, scale=args.scale)}
     if args.lorenz_out:
         outputs[args.lorenz_out] = io.render_lorenz(rows)

@@ -111,15 +111,23 @@ def _md_row(cells: Sequence[object]) -> str:
 
 def _md_table(path: str, header: Sequence[str]) -> list[str]:
     """The markdown table of a CSV file with ``header``, its cells as read;
-    each must keep ``check_id``'s rule, as every id and number langdei writes does."""
+    each must keep ``check_id``'s rule, and a number column's cells must parse."""
     table = [_md_row(header), "|" + "---|" * len(header)]
     for where, cells in io._read_csv_rows(path, header):
-        table.append(_md_row([io._located(where, check_id, cell, f"{name} cell") for name, cell in zip(header, cells)]))
+        for name, cell in zip(header, cells):
+            io._located(where, check_id, cell, f"{name} cell")
+            if name in _NUMBER_COLUMNS:
+                _NUMBER_COLUMNS[name](cell, where)
+        table.append(_md_row(cells))
     return table
 
 
 _CSV_HEADERS = {"scorecard": io._SCORECARD_HEADER, "lorenz": io._LORENZ_HEADER, "amrs": io._AMRS_HEADER,
                 "efficiency": io._EFFICIENCY_HEADER}
+# The parser of each number column of those files.
+_NUMBER_COLUMNS = {**dict.fromkeys(("m_tau", "gini", "population_fraction", "cumulative_share", "amrs", "perf",
+                                    "throughput", "memory_saved", "efficiency"), io._parse_float),
+                   "tested": io._parse_int, "universe": io._parse_int}
 
 
 def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:

@@ -117,14 +117,10 @@ class GoodsTable(Record):
 
         def locate(rows):
             seen: set[tuple[str, str]] = set()
-            for where, (model, group, task, *texts) in rows:
-                try:
-                    cls.check_row(seen, model, group, task, *map(io._number, texts))
-                except InputError as exc:
-                    if (model, task) not in seen:  # not a repeat: a malformed or NaN number is reported first
-                        for text in texts:
-                            io._parse_float(text, where)
-                    raise InputError(f"{where}: {exc}") from None
+            for where, (model, group, task, *numbers) in rows:
+                if (model, task) not in seen:  # check_row reports a repeat first, without reading its numbers
+                    numbers = [io._parse_float(text, where) for text in numbers]
+                io._located(where, cls.check_row, seen, model, group, task, *numbers)
 
         return io._read_table(path, ("model", "group", "task", "throughput", "memory_gb", "perf"), fast, locate)
 
@@ -175,16 +171,13 @@ class AmrsTable(Record):
 
 def memory_saved(goods: GoodsTable, config: EfficiencyConfig) -> list[float]:
     """Each row's headroom below the memory ceiling, in row order; higher is
-    better. A row above the ceiling gets a negative headroom here; the rates
-    and the scores that would use it raise ``_above_ceiling`` instead."""
+    better. The first row, in row order, above the ceiling raises, so the
+    rates and the scores that use the headroom never meet a negative one."""
     ceiling = config.max_memory
+    for model, mem in zip(goods.model, goods.memory_gb):
+        if mem > ceiling:
+            raise InputError(f"model {model!r} uses {mem} GB, above the {ceiling} GB ceiling")
     return [ceiling - mem for mem in goods.memory_gb]
-
-
-def _above_ceiling(goods: GoodsTable, i: int, config: EfficiencyConfig) -> InputError:
-    return InputError(
-        f"model {goods.model[i]!r} uses {goods.memory_gb[i]} GB, above the {config.max_memory} GB ceiling"
-    )
 
 
 def _rates(goods: GoodsTable, ordered: list[int], values: Sequence[float]) -> list[float]:
@@ -214,19 +207,15 @@ def amrs(mrs_values: Sequence[float]) -> float:
     return mean
 
 
-def compute_amrs_table(goods: GoodsTable, saved: Sequence[float], config: EfficiencyConfig) -> AmrsTable:
+def compute_amrs_table(goods: GoodsTable, saved: Sequence[float]) -> AmrsTable:
     """Substitution rates for every (group, task) present in the goods, from
     the rows' throughput and their memory headroom ``saved``
-    (``memory_saved``), groups in sorted order. Each group raises its first
-    fault: a single model, two models of equal performance, a zero
-    throughput rate, a model above the memory ceiling (of the first pair in
-    performance order that holds one, the better model first), a zero
-    memory rate."""
+    (``memory_saved``, which has checked the ceiling), groups in sorted
+    order. Each group raises its first fault: a single model, two models of
+    equal performance, a zero throughput rate, a zero memory rate."""
     grouped: dict[tuple[str, str], list[int]] = {}
     for i, key in enumerate(zip(goods.group, goods.task)):
         grouped.setdefault(key, []).append(i)
-    memory, ceiling = goods.memory_gb, config.max_memory
-    over = max(memory, default=0.0) > ceiling
     entries: dict[tuple[str, str, str], float] = {}
     for (group, task), rows in sorted(grouped.items()):
         if len(rows) < 2:
@@ -235,11 +224,6 @@ def compute_amrs_table(goods: GoodsTable, saved: Sequence[float], config: Effici
             )
         ordered = sorted(rows, key=goods.performance.__getitem__)
         entries[(group, task, METRIC_THROUGHPUT)] = amrs(_rates(goods, ordered, goods.throughput))
-        if over:
-            for lo, hi in zip(ordered, ordered[1:]):
-                for i in (hi, lo):
-                    if memory[i] > ceiling:
-                        raise _above_ceiling(goods, i, config)
         entries[(group, task, METRIC_MEMORY)] = amrs(_rates(goods, ordered, saved))
     return AmrsTable(entries)
 
@@ -247,18 +231,15 @@ def compute_amrs_table(goods: GoodsTable, saved: Sequence[float], config: Effici
 def efficiency_score(goods: GoodsTable, saved: Sequence[float], amrs_table: AmrsTable,
                      config: EfficiencyConfig) -> list[float]:
     """Each row's weighted sum of goods, each converted to performance units,
-    in row order; ``saved`` is the rows' memory headroom (``memory_saved``).
-    The first row, in row order, without a rate in ``amrs_table`` or above
-    the memory ceiling raises."""
-    w_perf, w_tp, w_mem, ceiling = config.w_perf, config.w_throughput, config.w_memory, config.max_memory
+    in row order; ``saved`` is the rows' memory headroom (``memory_saved``,
+    which has checked the ceiling). The first row, in row order, without a
+    rate in ``amrs_table`` raises."""
+    w_perf, w_tp, w_mem = config.w_perf, config.w_throughput, config.w_memory
     entries = amrs_table.entries  # rates are > 0, so only a missing one falls through to ``get``, which raises
     scores = []
-    for i, (group, task, tp, mem, room, perf) in enumerate(zip(
-            goods.group, goods.task, goods.throughput, goods.memory_gb, saved, goods.performance)):
+    for group, task, tp, room, perf in zip(goods.group, goods.task, goods.throughput, saved, goods.performance):
         rate_tp = entries.get((group, task, METRIC_THROUGHPUT)) or amrs_table.get(group, task, METRIC_THROUGHPUT)
         rate_mem = entries.get((group, task, METRIC_MEMORY)) or amrs_table.get(group, task, METRIC_MEMORY)
-        if mem > ceiling:
-            raise _above_ceiling(goods, i, config)
         scores.append(w_perf * perf + w_tp * tp / rate_tp + w_mem * room / rate_mem)
     return scores
 

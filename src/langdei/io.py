@@ -58,15 +58,6 @@ def _parse_float(text: str, where: str) -> float:
     return value
 
 
-def _number(text: str) -> float:
-    """``text`` as a float, or NaN if it is not a number: a reader that
-    finds the value at fault names a malformed number with ``_parse_float``."""
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
 def _parse_int(text: str, where: str) -> int:
     try:
         return int(text)

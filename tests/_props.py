@@ -556,6 +556,8 @@ def reference_run_efficiency(args) -> tuple[dict[str, str], str]:
     goods = reference_load_goods(args.goods)
     w_perf, w_tp, w_mem = args.weights
     config = EfficiencyConfig(max_memory=args.max_memory, w_perf=w_perf, w_throughput=w_tp, w_memory=w_mem)
+    for g in goods:  # the ceiling, checked in row order before any rate
+        memory_saved(g, config)
     if args.amrs_override:
         table = load_amrs(args.amrs_override)
     else:

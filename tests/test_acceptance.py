@@ -198,7 +198,7 @@ def test_criterion_7_efficiency_spot_check(bundle):
 
         def rates_of(rows):
             table = goods_table(rows)
-            return compute_amrs_table(table, memory_saved(table, config), config)
+            return compute_amrs_table(table, memory_saved(table, config))
 
         def score_of(row, amrs_table):
             table = goods_table([row])
@@ -210,7 +210,7 @@ def test_criterion_7_efficiency_spot_check(bundle):
         assert score == pytest.approx(79.4, abs=0.05)
         assert abs(score - 77.8) <= 2.0
         # Computed-rate path: asserted for its own invariants only.
-        table = compute_amrs_table(bundle.goods, memory_saved(bundle.goods, config), config)
+        table = compute_amrs_table(bundle.goods, memory_saved(bundle.goods, config))
         base = score_of(goods, table)
         better_tp = ModelGoods("x", "regional", "qa", 16.7, 0.9, 76.1)
         better_mem = ModelGoods("x", "regional", "qa", 15.7, 0.5, 76.1)

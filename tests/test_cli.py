@@ -140,15 +140,15 @@ class TestMetricsCommand:
         (row,) = read_csv(out)
         assert float(row["m_tau"]) == pytest.approx(1 / 23, abs=1e-9)
 
-    def test_header_only_table_gives_header_only_outputs(self, data, tmp_path, monkeypatch, capsys):
+    def test_header_only_table_exit_2(self, data, tmp_path, monkeypatch, capsys):
+        # A metric over no rows is undefined, so an empty input is bad input, as for fit and allocate.
         write(tmp_path / "perf.csv", "task,model,train_lang,target_lang,score\n")
         monkeypatch.chdir(tmp_path)
         rc = main(["metrics", "--perf", "perf.csv", "--tasks", data["tasks"], "--tau", "0",
                    "--out", "sc.csv", "--lorenz-out", "lz.csv"])
-        assert rc == 0
-        assert capsys.readouterr().out == "metrics: wrote 0 rows -> sc.csv\n"
-        assert (tmp_path / "sc.csv").read_text() == "task,model,train_lang,m_tau,gini,tested,universe\n"
-        assert (tmp_path / "lz.csv").read_text() == "task,model,train_lang,population_fraction,cumulative_share\n"
+        assert rc == 2
+        assert capsys.readouterr().err == "error: perf.csv: no performance rows\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "perf.csv"]
 
     def test_lorenz_output(self, data):
         out = data["tmp"] / "sc.csv"
@@ -302,6 +302,25 @@ class TestEfficiencyCommand:
         rc = main(["efficiency", "--goods", data["goods"], "--out", str(out), "--amrs-out", str(amrs_out)])
         assert rc == 0
         assert len(read_csv(amrs_out)) == 16  # 2 groups x 4 tasks x 2 metrics
+
+    def test_header_only_goods_exit_2(self, tmp_path, monkeypatch, capsys):
+        write(tmp_path / "goods.csv", "model,group,task,throughput,memory_gb,perf\n")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["efficiency", "--goods", "goods.csv", "--out", "eff.csv", "--amrs-out", "amrs.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: goods.csv: no goods rows\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "goods.csv"]
+
+    def test_model_above_ceiling_exit_2_before_an_undefined_rate(self, tmp_path, monkeypatch, capsys):
+        # Group a's throughput rate is 0 (exit 1), but b2 above the ceiling is
+        # bad input, reported before any rate is computed.
+        write(tmp_path / "g2.csv", "model,group,task,throughput,memory_gb,perf\n"
+              "a1,a,ner,5,1,10\na2,a,ner,5,2,20\nb1,b,ner,5,1,10\nb2,b,ner,6,20,30\n")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["efficiency", "--goods", "g2.csv", "--out", "e.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: model 'b2' uses 20.0 GB, above the 16.0 GB ceiling\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "g2.csv"]
 
     def test_zero_substitution_rate_exit_1(self, tmp_path, capsys):
         # Equal throughput in a group: the average rate is 0, so the scores are undefined.
@@ -751,6 +770,18 @@ class TestReportCommand:
         header, row, *rest = self.CSV_ARTIFACTS[role].split("\n")
         text = "\n".join([header, "", cell + row[row.index(","):], *rest])
         self.assert_report_fails(tmp_path, capsys, role, text, f":3: invalid {header.split(',')[0]} cell")
+
+    @pytest.mark.parametrize(("role", "row", "message"), [
+        ("scorecard", "ner,m,en,abc,7,1.5,x", ":2: malformed number 'abc'"),
+        ("scorecard", "ner,m,en,50.5,0.2,1.5,23", ":2: malformed integer '1.5'"),
+        ("scorecard", "ner,m,en,50.5,0.2,3,x", ":2: malformed integer 'x'"),
+        ("lorenz", "ner,m,en,0,0\nner,m,en,x,1", ":3: malformed number 'x'"),
+        ("amrs", "g,ner,throughput,1.5\ng,ner,memory,nan", ":3: number must not be NaN"),
+        ("efficiency", "ner,m,g,50,10,abc,1e-05", ":2: malformed number 'abc'"),
+    ], ids=["scorecard-real", "scorecard-tested", "scorecard-universe", "lorenz", "amrs", "efficiency"])
+    def test_csv_number_cell_that_is_no_number_exit_2(self, tmp_path, capsys, role, row, message):
+        header = self.CSV_ARTIFACTS[role].split("\n")[0]
+        self.assert_report_fails(tmp_path, capsys, role, f"{header}\n{row}\n", message)
 
     @pytest.mark.parametrize(("row", "message"), [
         ("x,bn,0.5,0.6,0.2", "trace.csv:3: malformed integer 'x'"),

@@ -38,7 +38,7 @@ def goods(model="m", group="g", task="t", tp=10.0, mem=1.0, perf=60.0):
 def rates_of(rows, config=CONFIG):
     """compute_amrs_table of ``ModelGoods`` rows, through their table."""
     table = goods_table(rows)
-    return compute_amrs_table(table, memory_saved(table, config), config)
+    return compute_amrs_table(table, memory_saved(table, config))
 
 
 def score_of(row, amrs_table, config=CONFIG):
@@ -58,8 +58,8 @@ class TestMemorySaved:
         assert memory_saved(goods_table([goods(mem=2.1)]), CONFIG) == [pytest.approx(13.9)]
 
     def test_above_ceiling_rejected(self):
-        # The headroom column is computed for every row; the scores and the
-        # rates that would use a row above the ceiling raise.
+        # memory_saved raises for a row above the ceiling, before the scores
+        # and the rates that would use its headroom.
         table = AmrsTable({("g", "t", "throughput"): 2.0, ("g", "t", "memory"): 0.5})
         with pytest.raises(InputError, match="'m' uses 16.5 GB, above the 16.0 GB ceiling"):
             score_of(goods(mem=16.5), table)
@@ -137,7 +137,7 @@ class TestComputeAmrsTable:
     def test_bundled_regional_ner_rates(self, bundle):
         # Hand-derived from the bundled goods, ascending-performance pairing:
         # |22.6-9.8|/|41.3-71.8| and |9.8-23.8|/|71.8-74.9|, averaged.
-        table = compute_amrs_table(bundle.goods, memory_saved(bundle.goods, CONFIG), CONFIG)
+        table = compute_amrs_table(bundle.goods, memory_saved(bundle.goods, CONFIG))
         expected = (12.8 / 30.5 + 14.0 / 3.1) / 2.0
         assert table.get("regional", "ner", "throughput") == pytest.approx(expected, abs=1e-12)
         assert table.get("regional", "ner", "throughput") == pytest.approx(2.4679, abs=5e-5)
@@ -296,7 +296,7 @@ def test_bundled_pipeline_equals_per_row_oracle(bundle):
     rows = [g for g in rows if g.memory_gb <= 3.5]
     table = goods_table(rows)
     saved = memory_saved(table, config)
-    rates = compute_amrs_table(table, saved, config)
+    rates = compute_amrs_table(table, saved)
     assert rates == reference_rates(rows, config)
     assert saved == [reference_saved(g, config) for g in rows]
     assert efficiency_score(table, saved, rates, config) == [reference_score(g, rates, config) for g in rows]
@@ -426,3 +426,29 @@ def test_cli_efficiency_fault_equals_per_row_oracle(rows, extra, override, tmp_p
     outcome = run_efficiency(argv, tmp_path)
     assert outcome == run_efficiency(argv, tmp_path, reference_run_efficiency)
     assert outcome[0] == (0 if rows is VALID and extra == [] and override is None else 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_efficiency_bytes_do_not_depend_on_row_order(data):
+    """Shuffling a valid goods file's data rows leaves the efficiency and
+    AMRS bytes unchanged: each group's rates take its rows in performance
+    order, and the efficiency rows are sorted."""
+    rows = []
+    for g in range(data.draw(st.integers(1, 3))):
+        for task in data.draw(st.sampled_from([["t"], ["t", "u"]])):
+            n = data.draw(st.integers(2, 4))
+
+            def distinct(hi):  # distinct values in a group, so that no rate is 0 or undefined
+                return data.draw(st.lists(st.integers(1, hi), min_size=n, max_size=n, unique=True))
+
+            rows += [f"g{g}m{m},g{g},{task},{tp / 4},{mem / 10},{perf / 4}"
+                     for m, (tp, mem, perf) in enumerate(zip(distinct(400), distinct(150), distinct(400)))]
+    argv = ["efficiency", "--goods", "goods.csv", "--out", "eff.csv", "--amrs-out", "amrs.csv"]
+    outcomes = []
+    with tempfile.TemporaryDirectory() as directory:
+        for order in (rows, data.draw(st.permutations(rows))):
+            Path(directory, "goods.csv").write_text("\n".join([HEADER, *order]) + "\n")
+            outcomes.append(run_efficiency(argv, directory))
+    assert outcomes[0][0] == 0
+    assert outcomes[0] == outcomes[1]

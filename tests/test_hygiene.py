@@ -6,7 +6,9 @@ and every optional parameter of a public function is set by a call in the
 program, the benchmark or the README, so no option lives on that nothing
 sets; and only ``io`` imports the csv module or splits text at commas, and
 only ``io`` spells a CSV header, so one function owns the reading of a
-table and the finding of its first fault."""
+table and the finding of its first fault; and every private top-level
+definition of the package is read by its code, so a refactor cannot leave
+a helper behind."""
 
 import ast
 import math
@@ -172,6 +174,32 @@ def test_docstring_mention_is_not_a_use():
     )
     references = code_references(source)
     assert [name for name in public_definitions(source) if name not in references] == ["kept", "spare"]
+
+
+def unread_private_definitions(sources: list[str]) -> list[str]:
+    """The top-level functions and classes of ``sources`` whose name starts
+    with one underscore that no code of ``sources`` reads."""
+    used = set().union(*map(code_references, sources))
+    return [node.name for source in sources for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and re.match(r"_[^_]", node.name)
+            and node.name not in used]
+
+
+def test_every_private_definition_is_read():
+    assert unread_private_definitions([p.read_text(encoding="utf-8") for p in SOURCES]) == []
+
+
+def test_checker_flags_an_unread_private_definition():
+    sources = [
+        "def _kept():\n"
+        "    pass\n"
+        "class _Spare:\n"
+        '    """Unlike _kept, nothing reads this one."""\n'
+        "def __getattr__(name):\n"
+        "    pass\n",
+        "from m import _kept\n",
+    ]
+    assert unread_private_definitions(sources) == ["_Spare"]
 
 
 def optional_parameters(source: str) -> list[tuple[str, str, int | None]]:
