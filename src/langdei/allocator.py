@@ -13,8 +13,15 @@ starts at -inf (every source's first gain is +inf, so each source gets one
 sample before any gets two) and current_gini starts at 1. Ties break on
 lexicographic source order.
 
-greedy_allocate takes the budget's picks from the heap merge in
-langdei.greedy, which it imports when it runs. The trace for a budget is a
+greedy_allocate takes the budget's picks from _picks, a heap merge of
+per-source gain streams. A source's gain depends only on its own count, so
+it changes only when that source is picked: a heap keyed by (-gain, source
+index) holds each source's next state, each pop is one step's exact argmax,
+ties to the lower index, and the popped source's next state is pushed while
+picks remain. Unlike lazy ("accelerated") greedy, this needs no diminishing
+returns, which the Gini term breaks. A state is computed exactly when a step
+asks for it, so an undefined state (a gm or Gini that is not finite) fails
+the run at the same step, with the same error. The trace for a budget is a
 prefix of the trace for any larger one. Nothing here needs numpy, so no
 strategy loads it.
 
@@ -36,6 +43,7 @@ which needs no numpy; they resolve here as well.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import warnings
 from typing import Callable, Mapping
@@ -88,12 +96,38 @@ class AllocationRequest(Record):
 
 
 def greedy_allocate(request: AllocationRequest, trace: bool = True) -> AllocationPlan:
-    """The argmax-gain greedy plan, as one heap merge (see langdei.greedy);
-    its trace is built only if ``trace`` is true, and is empty otherwise."""
-    from langdei import greedy  # compiled only when the greedy strategy runs
-
-    counts, rows = greedy.picks(request, trace)
+    """The argmax-gain greedy plan, as one heap merge (_picks); its trace is
+    built only if ``trace`` is true, and is empty otherwise."""
+    counts, rows = _picks(request, trace)
     return _plan(request, "greedy", dict(zip(request.sources, counts)), rows)
+
+
+def _picks(request: AllocationRequest, trace: bool) -> tuple[list[int], tuple[tuple, ...]]:
+    """Each source's count of the budget's argmax-gain picks, in source
+    order, and, if ``trace`` is true, the picks' (step, source, gain, gm,
+    gini) rows in step order (else ())."""
+    sources, budget, alpha, beta = request.sources, request.budget, request.alpha, request.beta
+    states = [_source_state(request, s)[1] for s in sources]
+    counts = [0] * len(sources)
+    heap = []  # (-gain, source index, gm, gini) of each source's next state
+
+    def push(i: int, gm: float, gini: float) -> None:
+        """Push source i's next state, after a pick that left it at this gm and Gini."""
+        gm_next, gini_next, _ = states[i](counts[i] + 1)
+        gain = (alpha * (gm_next - gm) if alpha != 0 else 0.0) + beta * (gini - gini_next)
+        heapq.heappush(heap, (-gain, i, gm_next, gini_next))
+
+    for i in range(len(sources)):  # before any pick, gm is -inf and the Gini 1
+        push(i, -math.inf, 1.0)
+    rows = []
+    for step in range(1, budget + 1):
+        key, i, gm, gini = heapq.heappop(heap)
+        counts[i] += 1
+        if trace:
+            rows.append((step, sources[i], -key, gm, gini))
+        if step < budget:
+            push(i, gm, gini)
+    return counts, tuple(rows)
 
 
 def _source_state(request: AllocationRequest, source: str) -> tuple[list[str], Callable[[int], tuple]]:

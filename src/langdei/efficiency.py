@@ -246,15 +246,7 @@ def efficiency_score(goods: GoodsTable, saved: Sequence[float], amrs_table: Amrs
 
 def load_amrs(path: str | Path) -> AmrsTable:
     """CSV with header ``group,task,metric,amrs``; every rate must be positive."""
-    entries: dict[tuple[str, str, str], float] = {}
-    for where, (group, task, metric, value_text) in io._read_csv_rows(path, io._AMRS_HEADER):
-        key = (group, task, metric)
-        if key in entries:
-            raise InputError(f"{where}: duplicate substitution rate for {key}")
-        value = io._parse_float(value_text, where)
-        io._located(where, AmrsTable.check_entry, key, value)
-        entries[key] = value
-    return AmrsTable(entries)
+    return AmrsTable(io._read_numbers(path, io._AMRS_HEADER, "substitution rate for", AmrsTable.check_entry))
 
 
 def render_amrs(table: AmrsTable) -> str:

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TextIO
 
-from langdei.errors import InputError
+from langdei.errors import InputError, check_id
 from langdei.records import AllocationPlan, LearningCurve
 
 if TYPE_CHECKING:  # imported by the loaders when they run, not when io is
@@ -169,18 +169,26 @@ def _check_scale(scale: str) -> str:
     return scale
 
 
+def _read_numbers(path: str | Path, header: Sequence[str], what: str, check) -> dict:
+    """{key: last cell's number} of a small CSV file's rows, in file order;
+    the key is the one cell before the number, or the tuple of them. A
+    row's fault, at its ``file:line``, is a repeated key (``duplicate {what}
+    {key!r}``), then its number, then the rule ``check(key, number)``."""
+    entries = {}
+    for where, (*cells, text) in _read_csv_rows(path, header):
+        key = cells[0] if len(cells) == 1 else tuple(cells)
+        if key in entries:
+            raise InputError(f"{where}: duplicate {what} {key!r}")
+        entries[key] = _parse_float(text, where)
+        _located(where, check, key, entries[key])
+    return entries
+
+
 def load_speakers(path: str | Path) -> SpeakerTable:
     """CSV with header ``lang,speakers_millions``."""
     from langdei.scalar import SpeakerTable
 
-    entries: dict[str, float] = {}
-    for where, (lang, count_text) in _read_csv_rows(path, ("lang", "speakers_millions")):
-        if lang in entries:
-            raise InputError(f"{where}: duplicate language {lang!r}")
-        count = _parse_float(count_text, where)
-        _located(where, SpeakerTable.check_entry, lang, count)
-        entries[lang] = count
-    return SpeakerTable(entries)
+    return SpeakerTable(_read_numbers(path, ("lang", "speakers_millions"), "language", SpeakerTable.check_entry))
 
 
 def load_performance(path: str | Path, scale: str = "percent") -> PerformanceTable:
@@ -273,8 +281,8 @@ def render_trace(trace: Sequence[tuple[int, str, float, float, float]]) -> str:
 
 def load_trace(path: str | Path) -> tuple[tuple[int, str, float, float, float], ...]:
     """The rows of a trace file, read by ``_read_table``; a fault (a bad
-    step, a malformed or NaN number, a row that is not 5 fields) is reported
-    at its ``file:line``."""
+    step, an invalid source id, a malformed or NaN number, a row that is not
+    5 fields) is reported at its ``file:line``."""
 
     def fast(rows):
         built = []
@@ -283,11 +291,14 @@ def load_trace(path: str | Path) -> tuple[tuple[int, str, float, float, float], 
             if a != a or b != b or c != c:  # a NaN
                 raise ValueError
             built.append((int(step), source.strip(), a, b, c))
+        for source in {row[1] for row in built}:
+            check_id(source, "source language")
         return tuple(built)
 
     def locate(rows):
-        for where, (step, _, *numbers) in rows:
+        for where, (step, source, *numbers) in rows:
             _parse_int(step, where)
+            _located(where, check_id, source, "source language")
             for text in numbers:
                 _parse_float(text, where)
 

@@ -2,8 +2,8 @@
 
 Raw scores arrive as a ``PerformanceTable``: each (task, model, training
 language) row's scores by target language, in file order. Its constructor
-owns the id rule of its keys and the raw-score rule (finite and >= 0); a
-mapping holds each cell once.
+owns the id rule of its keys and targets and the raw-score rule (finite and
+>= 0); a mapping holds each cell once.
 
 Three quantities are computed per (task, model, training-language) row:
 
@@ -45,7 +45,7 @@ DEFAULT_UNIVERSE: tuple[str, ...] = (
     "as", "bn", "brx", "doi", "en", "gu", "hi", "kn", "kok", "ks", "mai",
     "ml", "mni", "mr", "ne", "or", "pa", "sa", "sat", "sd", "ta", "te", "ur",
 )
-_KEY_KINDS = ("task id", "model id", "train language")  # the id columns of a performance key, in order
+_KEY_KINDS = ("task id", "model id", "train language", "target language")  # a performance row's ids, in order
 
 
 class TaskSpec(Record):
@@ -70,7 +70,8 @@ class PerformanceTable(Record):
 
     The table owns two rules, which the constructor checks in this order:
     each distinct task, model and train id is valid (checked once, in key
-    order), and each score is finite and >= 0. It raises an ``InputError``
+    order), and so is each distinct target language (once, in sorted order);
+    and each score is finite and >= 0. It raises an ``InputError``
     for the first id or score that breaks them. ``from_scores`` builds a
     table through it.
     """
@@ -84,6 +85,8 @@ class PerformanceTable(Record):
             raise InputError("performance table rows must map (task, model, train) keys to non-empty dicts of scores")
         for ident, what in dict.fromkeys((ident, what) for key in rows for ident, what in zip(key, _KEY_KINDS)):
             check_id(ident, what)
+        for target in sorted(set().union(*rows.values())):
+            check_id(target, _KEY_KINDS[3])
         # One pass each over the scores; a NaN or infinite score makes the
         # sum fail the test. The loop below finds the first fault, and is
         # skipped when the two passes find none.
@@ -130,7 +133,7 @@ class PerformanceTable(Record):
         def locate(rows):
             seen: set[tuple[str, str, str, str]] = set()
             for where, (task, model, train, lang, text) in rows:
-                for ident, what in zip((task, model, train), _KEY_KINDS):
+                for ident, what in zip((task, model, train, lang), _KEY_KINDS):
                     io._located(where, check_id, ident, what)
                 key = (task, model, train, lang)
                 if key in seen:
@@ -297,12 +300,7 @@ def _check_rows(perf: PerformanceTable, order: list[tuple[str, str, str]], by_ta
 
 def load_tasks(path: str | Path) -> list[TaskSpec]:
     """CSV with header ``task,max_performance`` (percent scale)."""
-    specs: dict[str, TaskSpec] = {}
-    for where, (task, max_text) in io._read_csv_rows(path, ("task", "max_performance")):
-        if task in specs:
-            raise InputError(f"{where}: duplicate task {task!r}")
-        specs[task] = io._located(where, TaskSpec, task, io._parse_float(max_text, where))
-    return list(specs.values())
+    return [TaskSpec(*item) for item in io._read_numbers(path, ("task", "max_performance"), "task", TaskSpec).items()]
 
 
 def load_universe(path: str | Path) -> tuple[str, ...]:

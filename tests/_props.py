@@ -198,13 +198,13 @@ def reference_load_performance(path, scale: str = "percent") -> dict[tuple[str, 
 
 def reference_load_trace(path) -> tuple[tuple[int, str, float, float, float], ...]:
     """The per-row trace loader that ``io.load_trace`` replaced: each row is
-    parsed in full, step then numbers in column order, before the next is
-    read."""
+    parsed in full, step, source id, then numbers in column order, before
+    the next is read."""
     rows = []
     header = ("step", "source", "marginal_gain", "gm", "gini")
     for where, (step, source, gain, gm, gini) in _read_csv_rows(path, header):
-        rows.append((_parse_int(step, where), source, _parse_float(gain, where), _parse_float(gm, where),
-                     _parse_float(gini, where)))
+        rows.append((_parse_int(step, where), _located(where, check_id, source, "source language"),
+                     _parse_float(gain, where), _parse_float(gm, where), _parse_float(gini, where)))
     return tuple(rows)
 
 
@@ -289,8 +289,8 @@ def _lorenz_shares(rows: np.ndarray) -> np.ndarray:
     return cum / cum[:, -1:]
 
 
-# The greedy's numpy chunk kernel, as ``langdei.greedy`` had it before the
-# heap merge: ``picks`` is the oracle of ``greedy.picks``, and each row of
+# The greedy's numpy chunk kernel, as the allocator had it before the heap
+# merge: ``picks`` is the oracle of ``allocator._picks``, and each row of
 # ``_source_chunks`` that of ``allocator._final_state``.
 
 # Rows of a source's first and of its largest state chunk: doubling keeps the

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langdei import allocator, greedy, scalar
+from langdei import allocator, scalar
 from langdei.allocator import (
     COMPOSITION_MODES,
     MISSING_POLICIES,
@@ -814,4 +814,4 @@ class TestHeapMergeMatchesChunkOracle:
     @settings(max_examples=300, deadline=None)
     @given(oracle_requests(), st.booleans())
     def test_picks_bit_for_bit_or_same_error(self, req, trace):
-        assert picks_outcome(greedy.picks, req, trace) == picks_outcome(_props.picks, req, trace)
+        assert picks_outcome(allocator._picks, req, trace) == picks_outcome(_props.picks, req, trace)

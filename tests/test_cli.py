@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from langdei import allocator, cli, greedy, io
+from langdei import allocator, cli, io
 from langdei.cli import SUBCOMMANDS, build_parser, main
 from langdei.commands.report import load_plan
 from langdei.io import bundled_path, load_curve_registry
@@ -619,7 +619,7 @@ class TestAllocateCommand:
 
     def test_trace_built_only_for_trace_out(self, data, monkeypatch):
         flags, plans = [], []
-        picks, greedy_allocate = greedy.picks, allocator.greedy_allocate
+        picks, greedy_allocate = allocator._picks, allocator.greedy_allocate
 
         def tracing(request, trace):
             flags.append(trace)
@@ -629,7 +629,7 @@ class TestAllocateCommand:
             plans.append(greedy_allocate(*args, **kwargs))
             return plans[-1]
 
-        monkeypatch.setattr(greedy, "picks", tracing)
+        monkeypatch.setattr(allocator, "_picks", tracing)
         monkeypatch.setattr(allocator, "greedy_allocate", allocating)
         argv = ["allocate", "--curves", data["curves"], "--budget", "40", "--strategy", "greedy",
                 "--tau", "0", "--missing", "permissive", "--out", str(data["tmp"] / "plan.txt")]
@@ -789,6 +789,8 @@ class TestReportCommand:
         ("2,hi,0.5,nan,0.2", "trace.csv:3: number must not be NaN"),
         ("2,hi,inf,0.6,nan", "trace.csv:3: number must not be NaN"),
         ("2,hi,0.5,0.6", "trace.csv:3: expected 5 fields, got 4"),
+        ("2,h i,0.5,0.6,0.2", "trace.csv:3: invalid source language: 'h i'"),
+        ("2,,0.5,0.6,0.2", "trace.csv:3: invalid source language: ''"),
     ])
     def test_malformed_trace_row_exit_2(self, tmp_path, capsys, row, message):
         trace = write(tmp_path / "trace.csv", f"step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n{row}\n")
@@ -1109,8 +1111,7 @@ def test_import_cli_loads_no_numeric_module(tmp_path):
     ("langdei.cli", {"logging", "dataclasses", "inspect"}),
     ("langdei.allocator", {"logging", "dataclasses", "inspect", "numpy"}),
     ("langdei.metrics", {"logging", "dataclasses", "inspect", "numpy"}),
-    ("langdei.greedy", {"logging", "dataclasses", "inspect", "numpy"}),
-], ids=["langdei.cli", "langdei.allocator", "langdei.metrics", "langdei.greedy"])
+], ids=["langdei.cli", "langdei.allocator", "langdei.metrics"])
 def test_import_loads_no_logging(module, unwanted, tmp_path):
     # Data events are warnings, which main prints, and records are
     # records.Record, not dataclasses: logging, and dataclasses with the
@@ -1147,7 +1148,6 @@ def test_subcommand_runs_without_numpy(argv, tmp_path):
     assert (tmp_path / argv[-1]).is_file()
     assert "numpy" not in loaded
     if "greedy" in argv:
-        assert "langdei.greedy" in loaded
         assert load_plan(tmp_path / "plan.txt").strategy == "greedy"
     if "--trace-out" in argv:
         assert len(io.load_trace(tmp_path / "trace.csv")) == 1000
@@ -1180,7 +1180,7 @@ OWN_MODULES = {
                     {"commands.allocate", "allocator", "scalar"}),
     "greedy": (["allocate", "--curves", MURIL, "--budget", "1000", "--strategy", "greedy", "--tau", "0",
                 "--beta", "0", "--missing", "permissive", "--trace-out", "trace.csv", "--out", "plan.txt"],
-               {"commands.allocate", "allocator", "scalar", "greedy"}),
+               {"commands.allocate", "allocator", "scalar"}),
     "report": (["report", "--plan", "plan.txt", "--trace", "trace.csv", "--curves", MURIL, "--out", "report.md"],
                {"commands.report"}),
 }
@@ -1199,8 +1199,6 @@ def test_each_run_loads_only_its_own_modules(run, tmp_path):
     assert "langdei.cli" not in loaded
     if run == "report":
         assert loaded & {"langdei.allocator", "langdei.scalar", "langdei.metrics"} == set()
-    if run == "egalitarian":
-        assert "langdei.greedy" not in loaded
 
 
 # The same bytes on every interpreter. Every subcommand but fit runs without

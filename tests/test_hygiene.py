@@ -8,7 +8,8 @@ sets; and only ``io`` imports the csv module or splits text at commas, and
 only ``io`` spells a CSV header, so one function owns the reading of a
 table and the finding of its first fault; and every private top-level
 definition of the package is read by its code, so a refactor cannot leave
-a helper behind."""
+a helper behind; and no two modules of the package import each other, lazily
+or not, but ``io`` and ``metrics``."""
 
 import ast
 import math
@@ -79,6 +80,69 @@ def test_only_io_imports_csv():
 def test_checker_finds_a_lazy_import():
     assert imports_module("def f():\n    from csv import reader\n", "csv")
     assert not imports_module("import csvkit\nfrom . import csv\n", "csv")
+
+
+def runtime_nodes(node: ast.AST):
+    """``node`` and the nodes under it, but not the body of an ``if
+    TYPE_CHECKING:`` block, which never runs."""
+    yield node
+    checking = isinstance(node, ast.If) and getattr(node.test, "id", getattr(node.test, "attr", None)) == "TYPE_CHECKING"
+    for child in node.orelse if checking else ast.iter_child_nodes(node):
+        yield from runtime_nodes(child)
+
+
+def package_imports(source: str) -> set[str]:
+    """The dotted names, below ``langdei``, that ``source`` imports when it
+    runs, inside a function included: ``from langdei import io`` gives
+    ``io``, and ``from langdei.commands import x`` gives ``commands`` and
+    ``commands.x``. The package uses no relative imports."""
+    names = set()
+    for node in runtime_nodes(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.removeprefix("langdei.") for alias in node.names
+                         if alias.name.startswith("langdei."))
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "langdei":
+            stem = node.module.partition(".")[2]  # "" for the package itself, which names no module
+            names.add(stem)
+            names.update(f"{stem}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
+
+
+def import_cycles(sources: dict[str, str]) -> list[tuple[str, ...]]:
+    """The sets of modules, each sorted, that import one another in a cycle,
+    from each module's dotted name and source."""
+    graph = {module: package_imports(source) & sources.keys() for module, source in sources.items()}
+    reach = {}
+    for module in graph:
+        seen, stack = set(), [module]
+        while stack:
+            for imported in graph[stack.pop()] - seen:
+                seen.add(imported)
+                stack.append(imported)
+        reach[module] = seen
+    return sorted({tuple(sorted(other for other in reach[module] if module in reach[other]))
+                   for module in graph if module in reach[module]})
+
+
+def test_no_import_cycle_but_io_and_metrics():
+    # io and metrics import each other lazily: bench/run.py times
+    # io.load_performance and io.render_lorenz, which build metrics'
+    # PerformanceTable and Lorenz sums, so both loaders stay in io.
+    sources = {p.relative_to(PACKAGE).with_suffix("").as_posix().removesuffix("/__init__").replace("/", "."):
+               p.read_text(encoding="utf-8") for p in SOURCES}
+    assert import_cycles(sources) == [("io", "metrics")]
+
+
+def test_checker_finds_a_lazy_cycle():
+    sources = {
+        "a": "from langdei import b, c\n",
+        "b": "def f():\n    from langdei.a import x\n",
+        "c": "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from langdei import a\n",
+        "d": "import langdei.e\n",
+        "e": "from langdei.f import y\n",
+        "f": "from langdei import d\n",
+    }
+    assert import_cycles(sources) == [("a", "b"), ("d", "e", "f")]
 
 
 def comma_splits(source: str) -> list[str]:

@@ -562,6 +562,8 @@ class TestPerformanceLoaderErrors:
             ("ner,m,en,bn,-0.5", "P:6: score must be finite and non-negative, got -0.5"),
             ("ner,m x,en,bn,1", "P:6: invalid model id: 'm x' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
             ("ner,m,,bn,1", "P:6: invalid train language: '' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
+            ("ner,m,en,h=i,60", "P:6: invalid target language: 'h=i' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
+            ("ner,m,en,,60", "P:6: invalid target language: '' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
         ],
     )
     def test_message(self, tmp_path, bad_row, message):
@@ -703,16 +705,18 @@ def goods_files(draw):
 @st.composite
 def trace_files(draw):
     """The text of a trace CSV and up to two injected faults: a malformed,
-    NaN or infinite number, a bad step, a row of the wrong width, or a
-    quoted newline. Blank lines and a BOM shift nothing."""
+    NaN or infinite number, a bad step, an invalid source id, a row of the
+    wrong width, or a quoted newline. Blank lines and a BOM shift nothing."""
     rows = [[str(k), draw(st.sampled_from(["bn", "hi"]))]
             + [draw(st.sampled_from(["0.5", "-1e-3", " 2 ", "0", "1e2"])) for _ in range(3)]
             for k in range(1, draw(st.integers(1, 8)) + 1)]
-    kinds = ["malformed", "nan", "inf", "step", "width", "newline"]
+    kinds = ["malformed", "nan", "inf", "step", "source", "width", "newline"]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
         i = draw(st.integers(0, len(rows) - 1))
         if kind == "step":
             rows[i][0] = draw(st.sampled_from(["x", "", "1.5", "1e3", " 7 ", "-2"]))
+        elif kind == "source":
+            rows[i][1] = draw(st.sampled_from(["h i", "", " ", "h=i", 'h"i']))
         elif kind == "width":
             rows[i] = rows[i][:4] if draw(st.booleans()) else rows[i] + ["1"]
         elif kind == "newline":

@@ -619,6 +619,10 @@ class TestScorecardMatchesPerRowLoop:
         with pytest.raises(InputError, match=message):
             _table({("ner", model, train, "hi"): 50.0})
 
+    def test_invalid_target_language_rejected(self):
+        with pytest.raises(InputError, match="invalid target language: 'h i'"):
+            PerformanceTable.from_scores({("ner", "m", "en", "hi"): 50.0, ("ner", "m", "en", "h i"): 60.0})
+
 
 class TestClampWarnings:
     def test_one_warning_per_task_with_count_and_largest(self):
