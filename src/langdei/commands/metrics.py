@@ -27,14 +27,40 @@ def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     tasks = metrics.load_tasks(args.tasks)
     universe = metrics.DEFAULT_UNIVERSE if args.universe is None else metrics.load_universe(args.universe)
     speakers = speaker_table(args)
-    # The performance table is not kept: the rows, one per key of it, carry what the outputs need.
-    rows = metrics.dei_scorecard(
-        io.load_performance(args.perf, scale=args.scale),
-        speakers, tasks, universe, tau=args.tau, tested_only=args.tested_only,
-    )
+    perf = io.load_performance(args.perf, scale=args.scale)
+    try:
+        rows = metrics.dei_scorecard(perf, speakers, tasks, universe, tau=args.tau, tested_only=args.tested_only)
+    except InputError as exc:
+        where = _row_fault(args.perf, perf, tasks, universe, str(exc))
+        if where is None:
+            raise
+        raise InputError(f"{where}: {exc}") from None
+    del perf  # not kept: the rows, one per key of it, carry what the outputs need
     if not rows:
         raise InputError(f"{args.perf}: no performance rows")
     outputs = {args.out: metrics.render_scorecard(rows, scale=args.scale)}
     if args.lorenz_out:
         outputs[args.lorenz_out] = io.render_lorenz(rows)
     return outputs, f"metrics: wrote {len(rows)} rows -> {args.out}"
+
+
+def _row_fault(path: str, perf, tasks, universe, message: str) -> str | None:
+    """The ``file:line`` of the scorecard row fault ``message`` (rule 1 of
+    ``dei_scorecard``), found by reading ``perf``'s file again: the first
+    row that breaks the rule as a one-cell table, of the first key in sorted
+    order whose rows break it so. None for any other fault."""
+    from langdei import metrics
+
+    by_task, codes = {t.task_id: t for t in tasks}, set(universe)
+
+    def fault(table, key) -> str | None:
+        try:
+            metrics._check_rows(table, [key], by_task, codes)
+        except InputError as exc:
+            return str(exc)
+        return None
+
+    bad = next((key for key in sorted(perf.rows) if fault(perf, key) == message), None)
+    rows = io._read_csv_rows(path, metrics._PERF_HEADER) if bad else ()
+    return next((where for where, (*key, lang, _) in rows
+                 if tuple(key) == bad and fault(metrics.PerformanceTable({bad: {lang: 0.0}}), bad)), None)

@@ -46,6 +46,7 @@ DEFAULT_UNIVERSE: tuple[str, ...] = (
     "ml", "mni", "mr", "ne", "or", "pa", "sa", "sat", "sd", "ta", "te", "ur",
 )
 _KEY_KINDS = ("task id", "model id", "train language", "target language")  # a performance row's ids, in order
+_PERF_HEADER = ("task", "model", "train_lang", "target_lang", "score")
 
 
 class TaskSpec(Record):
@@ -105,9 +106,9 @@ class PerformanceTable(Record):
         read by ``io._read_table``: each distinct (task, model, train) and
         target as read is stripped once, and the table checks the ids. A
         file with fewer cells than data rows repeats a cell, which the
-        second read names. ``scale`` declares the score scale of the file;
-        unit-scale scores are converted to percent, the internal raw-score
-        convention.
+        second read names; it checks each row as a one-cell table. ``scale``
+        declares the score scale of the file; unit-scale scores are
+        converted to percent, the internal raw-score convention.
         """
         io._check_scale(scale)
         factor = 100.0 if scale == "unit" else 1.0
@@ -133,16 +134,13 @@ class PerformanceTable(Record):
         def locate(rows):
             seen: set[tuple[str, str, str, str]] = set()
             for where, (task, model, train, lang, text) in rows:
-                for ident, what in zip((task, model, train, lang), _KEY_KINDS):
-                    io._located(where, check_id, ident, what)
                 key = (task, model, train, lang)
                 if key in seen:
                     raise InputError(f"{where}: duplicate row for {key}")
                 seen.add(key)
-                if not 0 <= io._parse_float(text, where) * factor < math.inf:
-                    raise InputError(f"{where}: score must be finite and non-negative, got {text}")
+                io._located(where, cls, {key[:3]: {lang: io._parse_float(text, where) * factor}})
 
-        return io._read_table(path, ("task", "model", "train_lang", "target_lang", "score"), fast, locate)
+        return io._read_table(path, _PERF_HEADER, fast, locate)
 
     @classmethod
     def from_scores(cls, scores: Mapping[tuple[str, str, str, str], float]) -> PerformanceTable:

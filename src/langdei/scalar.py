@@ -9,8 +9,8 @@ numpy adds a vector pairwise, not left to right: blocks of up to 128 values,
 each in 8 interleaved accumulators. ``_pairwise_sum_statements`` writes that
 order out as source code, and the Gini is a function generated from it once
 per vector length (``_gini_kernel``), so a Gini here is the one numpy's sums
-give, to the last bit; property tests hold each kernel to a numpy
-counterpart. The greedy state that ``allocator`` generates per target count
+give, to the last bit, except that a finite negative one is 0; property
+tests hold each kernel to a numpy counterpart. The greedy state that ``allocator`` generates per target count
 calls the same Gini kernel. Demand totals add left to right.
 """
 
@@ -172,7 +172,9 @@ def _gini_row(values: list[float]) -> float:
 def _gini_kernel(n: int) -> Callable[..., float]:
     """``_gini_row`` of n values, as a function of the n values: straight-line
     code generated and compiled once per n, which adds the total, and the
-    sorted values times their weights n + 1 - rank, in numpy's order."""
+    sorted values times their weights n + 1 - rank, in numpy's order.
+    Rounding can leave the Gini of near-equal values just below 0; a finite
+    negative result is 0.0, and NaN or -inf stays for ``gini`` to reject."""
     values = [f"v{i}" for i in range(n)]
     ranked = [f"s{i}" for i in range(n)]
     body = [
@@ -181,8 +183,9 @@ def _gini_kernel(n: int) -> Callable[..., float]:
         "    return nan",
         f"[{', '.join(ranked)}] = sorted([{', '.join(values)}])",
         *_pairwise_sum_statements("weighted", [f"{float(n - i)!r} * {s}" for i, s in enumerate(ranked)]),
-        f"return ({n + 1} - 2.0 * weighted / total) / {n}",
+        f"g = ({n + 1} - 2.0 * weighted / total) / {n}",
+        "return 0.0 if -inf < g < 0 else g",
     ]
-    namespace = {"nan": math.nan}
+    namespace = {"nan": math.nan, "inf": math.inf}
     exec(f"def gini_row({', '.join(values)}):\n    " + "\n    ".join(body), namespace)
     return namespace["gini_row"]

@@ -171,27 +171,21 @@ def groups(scores: Mapping[tuple[str, str, str, str], float]) -> list[tuple[tupl
 
 def reference_load_performance(path, scale: str = "percent") -> dict[tuple[str, str, str, str], float]:
     """The per-row loader that ``io.load_performance`` replaced: each row is
-    checked in full, in file order (repeated cell, then ids, then score),
-    before the next is read; the cells come back as a mapping."""
+    checked in full, in file order (repeated cell, then a malformed or NaN
+    score, then ids, then the score's range), before the next is read; the
+    cells come back as a mapping."""
     factor = 100.0 if scale == "unit" else 1.0
     scores: dict[tuple[str, str, str, str], float] = {}
-    valid_ids: set[str] = set()
     header = ("task", "model", "train_lang", "target_lang", "score")
     for where, (task, model, train, target, score_text) in _read_csv_rows(path, header):
         key = (task, model, train, target)
         if key in scores:
             raise InputError(f"{where}: duplicate row for {key}")
-        if task not in valid_ids or model not in valid_ids or train not in valid_ids:
-            for ident, what in ((task, "task id"), (model, "model id"), (train, "train language")):
-                _located(where, check_id, ident, what)
-            valid_ids.update((task, model, train))
-        try:
-            score = float(score_text) * factor
-        except ValueError:
-            score = math.nan
+        score = _parse_float(score_text, where) * factor
+        for ident, what in zip(key, ("task id", "model id", "train language", "target language")):
+            _located(where, check_id, ident, what)
         if not 0.0 <= score < math.inf:
-            _parse_float(score_text, where)
-            raise InputError(f"{where}: score must be finite and non-negative, got {score_text}")
+            raise InputError(f"{where}: raw score for {key} must be a finite non-negative number, got {score}")
         scores[key] = score
     return scores
 
@@ -271,12 +265,15 @@ def _gini_rows(rows: np.ndarray) -> np.ndarray:
     totals zero, holds a non-finite value, or its sums overflow. Callers reject such entries
     themselves. The sort kind cannot change a result: the only equal values
     with different bits are 0.0 and -0.0, and either adds the same to a sum.
+    A finite negative entry, which rounding leaves for near-equal values, is
+    0.0, as in ``scalar._gini_kernel``.
     """
     n = rows.shape[1]
     total = rows.sum(axis=1)
     ranks = np.arange(1, n + 1, dtype=float)
     weighted = ((n + 1 - ranks) * np.sort(rows, axis=1)).sum(axis=1)
-    return (n + 1 - 2.0 * weighted / total) / n
+    g = (n + 1 - 2.0 * weighted / total) / n
+    return np.where((-np.inf < g) & (g < 0), 0.0, g)
 
 
 def _lorenz_shares(rows: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ stderr, and output files. Exit-code contract: 0 success, 1 undefined metric,
 
 import csv
 import gc
+import importlib.util
 import itertools
 import os
 import re
@@ -247,6 +248,31 @@ class TestMetricsCommand:
         assert rc == 2
         assert "outside the universe: qq" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["perf.csv", "universe.txt"]
+
+    @pytest.mark.parametrize("rows, message", [
+        (["ner,m,en,hi,60", "ner,m,en,xx,60", "ner,m,en,yy,60"],
+         "perf.csv:3: performance rows for (ner, m, en) name languages outside the universe: xx, yy"),
+        (["ner,m,en,hi,60", "zz,m2,en,hi,60", "zz,m,en,hi,60"], "perf.csv:4: unknown task id 'zz' in performance table"),
+    ], ids=["outside-universe", "unknown-task"])
+    def test_scorecard_row_fault_names_its_line(self, data, tmp_path, monkeypatch, capsys, rows, message):
+        # The first row that breaks the rule, of the first key in sorted order that does.
+        write(tmp_path / "perf.csv", "task,model,train_lang,target_lang,score\n" + "\n".join(rows) + "\n")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["metrics", "--perf", "perf.csv", "--tasks", data["tasks"], "--tau", "0", "--out", "sc.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_gini_of_equal_scores_is_zero(self, data):
+        # 30.01 on all 23 languages: the formula, summed as numpy sums,
+        # rounds this Gini to -3.1e-16, which must not be written.
+        from langdei.metrics import DEFAULT_UNIVERSE
+
+        perf = write(data["tmp"] / "perf.csv", "task,model,train_lang,target_lang,score\n"
+                     + "".join(f"ner,m,en,{lang},30.01\n" for lang in DEFAULT_UNIVERSE))
+        out = data["tmp"] / "sc.csv"
+        assert main(["metrics", "--perf", perf, "--tasks", data["tasks"], "--tau", "0", "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert (row["gini"], row["tested"]) == ("0", "23")
 
     def test_overflowing_speaker_total_exit_1(self, data, tmp_path, capsys):
         # Two finite speaker counts whose total overflows: demand is
@@ -1199,6 +1225,19 @@ def test_each_run_loads_only_its_own_modules(run, tmp_path):
     assert "langdei.cli" not in loaded
     if run == "report":
         assert loaded & {"langdei.allocator", "langdei.scalar", "langdei.metrics"} == set()
+
+
+def test_readme_states_the_lines_each_run_compiles():
+    # README's "Start-up" figures: a run compiles its modules, which the test
+    # above pins, and cli.py, which runs as __main__ under its own name.
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    stated = text.split("compiles these many lines of `langdei` source: ", 1)[1].split(". ", 1)[0]
+    figures = {name: int(n.replace(",", "")) for name, n in re.findall(r"`(\w+)`\D*?(\d+(?:,\d{3})*)", stated)}
+    for run, (argv, own) in OWN_MODULES.items():
+        files = [importlib.util.find_spec(name).origin for name in EVERY_RUN | {f"langdei.{name}" for name in own}]
+        counted = sum(len(Path(path).read_text(encoding="utf-8").splitlines()) for path in [*files, cli.__file__])
+        assert (run, counted) == (run, figures[argv[0]])
+    assert set(figures) == {argv[0] for argv, _ in OWN_MODULES.values()}
 
 
 # The same bytes on every interpreter. Every subcommand but fit runs without

@@ -16,7 +16,9 @@ from langdei.commands.report import load_plan
 from langdei.curves import LearningCurve, load_trajectories, predict
 from langdei.efficiency import GoodsTable, load_amrs
 from langdei.errors import InputError
-from langdei.metrics import DEFAULT_UNIVERSE, TaskSpec, dei_scorecard, load_tasks, load_universe, render_scorecard
+from langdei.metrics import (
+    DEFAULT_UNIVERSE, PerformanceTable, TaskSpec, dei_scorecard, load_tasks, load_universe, render_scorecard,
+)
 from langdei.io import (
     bundled_path,
     fmt_num,
@@ -558,8 +560,8 @@ class TestPerformanceLoaderErrors:
             ("ner,m,en,hi,60", "P:6: duplicate row for ('ner', 'm', 'en', 'hi')"),
             ("ner, m ,en, hi,60", "P:6: duplicate row for ('ner', 'm', 'en', 'hi')"),  # a cell once stripped
             ("ner,m,en,bn,nan", "P:6: number must not be NaN"),
-            ("ner,m,en,bn,inf", "P:6: score must be finite and non-negative, got inf"),
-            ("ner,m,en,bn,-0.5", "P:6: score must be finite and non-negative, got -0.5"),
+            ("ner,m,en,bn,inf", "P:6: raw score for ('ner', 'm', 'en', 'bn') must be a finite non-negative number, got inf"),
+            ("ner,m,en,bn,-0.5", "P:6: raw score for ('ner', 'm', 'en', 'bn') must be a finite non-negative number, got -0.5"),
             ("ner,m x,en,bn,1", "P:6: invalid model id: 'm x' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
             ("ner,m,,bn,1", "P:6: invalid train language: '' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
             ("ner,m,en,h=i,60", "P:6: invalid target language: 'h=i' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
@@ -572,7 +574,7 @@ class TestPerformanceLoaderErrors:
     def test_unit_scale_overflow_is_not_finite(self, tmp_path):
         p = tmp_path / "perf.csv"
         p.write_text("task,model,train_lang,target_lang,score\nner,m,en,hi,1e307\n")
-        with pytest.raises(InputError, match=r"perf\.csv:2: score must be finite and non-negative, got 1e307"):
+        with pytest.raises(InputError, match=r"perf\.csv:2: raw score for \('ner', 'm', 'en', 'hi'\) must be a finite non-negative number, got inf$"):
             load_performance(p, scale="unit")
 
     def test_non_utf8_bytes(self, tmp_path):
@@ -641,7 +643,7 @@ def performance_files(draw):
         if kind == "repeat":
             rows.insert(draw(st.integers(i + 1, len(rows))), rows[i][:4] + [draw(st.sampled_from(["1", "nan", "x"]))])
         elif kind == "id":
-            rows[i][draw(st.integers(0, 2))] = draw(st.sampled_from(["m x", "m,x", 'm"x', "m=x", ""]))
+            rows[i][draw(st.integers(0, 3))] = draw(st.sampled_from(["m x", "m,x", 'm"x', "m=x", ""]))
         elif kind == "width":
             rows[i] = rows[i][:4] if draw(st.booleans()) else rows[i] + ["1"]
         elif kind == "newline":
@@ -781,15 +783,58 @@ class TestPerformanceLoaderMatchesPerRowLoop:
     @pytest.mark.parametrize("rows, message", [
         (["ner,m,en,hi,nan", "ner,m x,en,bn,1"], "P:2: number must not be NaN"),
         (["ner,m,en,hi,1", "ner,m,en,hi,abc"], "P:3: duplicate row for ('ner', 'm', 'en', 'hi')"),
-        (["ner,m,en,hi,1", "ner,m,en,bn,-1", "ner,m,en,ta"], "P:3: score must be finite and non-negative, got -1"),
+        (["ner,m,en,hi,1", "ner,m,en,bn,-1", "ner,m,en,ta"], "P:3: raw score for ('ner', 'm', 'en', 'bn') must be a finite non-negative number, got -1.0"),
         (["ner,m,en,hi,1", "ner,m,en,hi,inf"], "P:3: duplicate row for ('ner', 'm', 'en', 'hi')"),
-    ], ids=["bad-score-before-bad-id", "repeat-before-malformed", "bad-score-before-width", "repeat-before-inf"])
+        (["ner,m x,en,hi,abc"], "P:2: malformed number 'abc'"),
+        (["ner,m x,en,hi,-1"], "P:2: invalid model id: 'm x' (ids must be non-empty, without whitespace, ',', '=' or '\"')"),
+    ], ids=["bad-score-before-bad-id", "repeat-before-malformed", "bad-score-before-width", "repeat-before-inf",
+            "malformed-before-id-in-a-row", "id-before-range-in-a-row"])
     def test_rule_faults_keep_their_place_in_file_order(self, tmp_path, rows, message):
         p = tmp_path / "perf.csv"
         p.write_text("task,model,train_lang,target_lang,score\n" + "\n".join(rows) + "\n")
         with pytest.raises(InputError) as info:
             load_performance(p)
         assert str(info.value).replace(str(p), "P") == message
+
+
+@st.composite
+def bad_cells(draw):
+    """(key, score text, scale) of one cell that breaks the table's id or
+    raw-score rule: a negative or infinite score, a unit-scale score that
+    overflows, or one of the four ids invalid once stripped (empty, or
+    holding whitespace, ',', '=' or '"')."""
+    key = [draw(st.sampled_from(pool)) for pool in (["ner", "pos"], ["m1", "m2"], ["en", "hi"], ["bn", "ta", "ur"])]
+    text, scale = draw(st.sampled_from(["50.5", "0", "1e2"])), draw(st.sampled_from(["percent", "unit"]))
+    kind = draw(st.sampled_from(["negative", "infinite", "overflow", "id"]))
+    if kind == "negative":
+        text = repr(draw(st.floats(max_value=-5e-324, allow_infinity=False)))
+    elif kind == "infinite":
+        text = draw(st.sampled_from(["inf", "-inf", "1e999", "-Infinity"]))
+    elif kind == "overflow":
+        text, scale = repr(draw(st.floats(1.8e306, 1.7e308))), "unit"
+    else:
+        word = st.text("abc", min_size=1, max_size=3)
+        key[draw(st.integers(0, 3))] = draw(st.just("") | st.builds("{}{}{}".format, word, st.sampled_from(" \t,=\""), word))
+    return tuple(key), text, scale
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bad_cells(), st.integers(0, 3))
+def test_a_bad_cell_reads_as_the_table_reports_it(tmp_path, cell, before):
+    """The id and raw-score rules have one owner, the table's constructor:
+    ``load_performance`` reports a bad cell at its ``file:line`` with the
+    message ``from_scores`` raises for the same cell."""
+    key, text, scale = cell
+    good = [("ner", "m1", "en", lang, "1") for lang in ("as", "gu", "kn")][:before]
+    rows = [("task", "model", "train_lang", "target_lang", "score"), *good, (*key, text), ("pos", "m2", "hi", "hi", "1")]
+    p = tmp_path / "perf.csv"
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    with pytest.raises(InputError) as expected:
+        PerformanceTable.from_scores({key: float(text) * (100.0 if scale == "unit" else 1.0)})
+    with pytest.raises(InputError) as info:
+        load_performance(p, scale)
+    assert str(info.value) == f"{p}:{before + 2}: {expected.value}"
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -473,7 +473,7 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
         y = np.sort(arr, kind="stable")
         n = y.size
         weighted = float(((n + 1 - np.arange(1, n + 1, dtype=float)) * y).sum())
-        return float((n + 1 - 2.0 * weighted / total) / n)
+        return max(float((n + 1 - 2.0 * weighted / total) / n), 0.0)  # rounding below 0 is a Gini of 0
 
     codes = tuple(universe)
     by_task = {t.task_id: t for t in tasks}
