@@ -7,22 +7,28 @@ mathematically undefined, 2 bad input or configuration. Each warning a run
 raises is printed as one ``warning: <message>`` line on stderr.
 
 Each subcommand is a module of ``langdei.commands`` that only its own runs
-import, so that a run compiles only its own code.
+import, so that a run compiles only its own code. A plain argv (the
+subcommand, then each of its flags spelt in full with its value) is parsed
+from the subcommand's ``OPTIONS`` without argparse; argparse is imported only
+for anything else, so that help and every usage error come from argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from langdei import io
 from langdei.errors import ComputationError, InputError
+
+if TYPE_CHECKING:  # imported by build_parser when it runs
+    import argparse
 
 
 def _write_outputs(outputs: dict[str, str]) -> None:
@@ -82,10 +88,59 @@ def _check_distinct_outputs(args) -> None:
 SUBCOMMANDS = ("metrics", "efficiency", "fit", "allocate", "report")
 
 
+def _command(name: str):
+    # __import__, unlike importlib.import_module, is timed by -X importtime.
+    return __import__(f"langdei.commands.{name}", fromlist=["run"])
+
+
+def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse would parse from ``argv``, or None when argparse
+    must parse it: help, and any argv but a subcommand's name and then its
+    flags, each spelt in full and, unless a switch, followed by a value that
+    does not start with ``-``, that its type accepts and that is among its
+    choices, with every required flag given. The rules are argparse's: a
+    repeated flag is typed each time and its last value kept, an ``append``
+    flag collects its values, and an absent flag takes its default."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    command = _command(argv[0])
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = command.OPTIONS.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except Exception:  # argparse, parsing again, reports it as a usage error or raises it
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if spec.get("action") == "append":
+            given.setdefault(flag, []).append(value)
+        else:
+            given[flag] = value
+    args = SimpleNamespace(command=argv[0], func=command.run)
+    for flag, spec in command.OPTIONS.items():
+        if flag not in given and spec.get("required"):
+            return None
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     """The parser of ``argv``: when ``argv`` starts with a subcommand's name,
     only that subcommand's module is imported and its arguments added, as
     argparse reads no other's; otherwise all five are (for ``--help``)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="langdei",
         description="Language-level diversity/equity/inclusion metrics and budget allocation.",
@@ -95,17 +150,17 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(SUBCOMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        # __import__, unlike importlib.import_module, is timed by -X importtime.
-        command = __import__(f"langdei.commands.{name}", fromlist=["run"])
+        command = _command(name)
         p = sub.add_parser(name, help=command.HELP)
-        command.add_arguments(p)
+        for flag, spec in command.OPTIONS.items():
+            p.add_argument(flag, **spec)
         p.set_defaults(func=command.run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _fast_args(argv) or build_parser(argv).parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
             _check_distinct_outputs(args)

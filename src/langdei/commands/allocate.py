@@ -1,9 +1,7 @@
 """``langdei allocate``: a budget plan, and optionally its greedy trace."""
 
-import argparse
-
 from langdei import io, records
-from langdei.commands import parse_tau, speaker_table
+from langdei.commands import parse_tau, speaker_table, usage_error
 from langdei.errors import InputError
 
 HELP = "allocate an annotation budget across source languages"
@@ -12,27 +10,28 @@ HELP = "allocate an annotation budget across source languages"
 def _comma_list(text: str) -> tuple[str, ...]:
     items = tuple(t.strip() for t in text.split(",") if t.strip())
     if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of language codes")
+        raise usage_error("expected a comma-separated list of language codes")
     return items
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--curves", required=True, help="curve registry file")
-    p.add_argument("--budget", type=int, required=True, help="total samples to allocate")
-    p.add_argument("--strategy", required=True, help="greedy | egalitarian | single:<lang>")
-    p.add_argument("--sources", type=_comma_list, help="source languages (default: all in the registry)")
-    p.add_argument("--targets", type=_comma_list, help="target languages (default: all in the registry)")
-    p.add_argument("--tau", type=parse_tau, default=1.0, help="demand exponent over targets (default 1)")
-    p.add_argument("--speakers", help="speaker CSV; required when --tau > 0")
-    p.add_argument("--alpha", type=float, default=1.0, help="weight of the global-metric gain (default 1)")
-    p.add_argument("--beta", type=float, default=1.0, help="weight of the Gini reduction (default 1)")
-    p.add_argument("--missing", choices=records.MISSING_POLICIES, default="strict", help="missing-curve policy (default strict)")
-    p.add_argument("--composition", choices=records.COMPOSITION_MODES, default="best-source", help="per-target composition for the surrogate evaluation")
-    p.add_argument("--out", required=True, help="plan output path")
-    p.add_argument("--trace-out", help="optional per-step trace CSV output path")
+OPTIONS = {
+    "--curves": dict(required=True, help="curve registry file"),
+    "--budget": dict(type=int, required=True, help="total samples to allocate"),
+    "--strategy": dict(required=True, help="greedy | egalitarian | single:<lang>"),
+    "--sources": dict(type=_comma_list, help="source languages (default: all in the registry)"),
+    "--targets": dict(type=_comma_list, help="target languages (default: all in the registry)"),
+    "--tau": dict(type=parse_tau, default=1.0, help="demand exponent over targets (default 1)"),
+    "--speakers": dict(help="speaker CSV; required when --tau > 0"),
+    "--alpha": dict(type=float, default=1.0, help="weight of the global-metric gain (default 1)"),
+    "--beta": dict(type=float, default=1.0, help="weight of the Gini reduction (default 1)"),
+    "--missing": dict(choices=records.MISSING_POLICIES, default="strict", help="missing-curve policy (default strict)"),
+    "--composition": dict(choices=records.COMPOSITION_MODES, default="best-source", help="per-target composition for the surrogate evaluation"),
+    "--out": dict(required=True, help="plan output path"),
+    "--trace-out": dict(help="optional per-step trace CSV output path"),
+}
 
 
-def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
+def run(args) -> tuple[dict[str, str], str]:
     from langdei import allocator, scalar
 
     registry = io.load_curve_registry(args.curves)

@@ -1,8 +1,7 @@
 """``langdei efficiency``: substitution rates and efficiency scores."""
 
-import argparse
-
 from langdei import records
+from langdei.commands import usage_error
 from langdei.errors import InputError
 
 HELP = "substitution rates and efficiency scores from model goods"
@@ -11,23 +10,24 @@ HELP = "substitution rates and efficiency scores from model goods"
 def _weights(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected W_PERF,W_THROUGHPUT,W_MEMORY, got {text!r}")
+        raise usage_error(f"expected W_PERF,W_THROUGHPUT,W_MEMORY, got {text!r}")
     try:
         return tuple(map(float, parts))  # type: ignore[return-value]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+        raise usage_error(f"expected numbers, got {text!r}") from None
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--goods", required=True, help="goods CSV (model,group,task,throughput,memory_gb,perf)")
-    p.add_argument("--amrs-override", help="CSV of externally supplied substitution rates (group,task,metric,amrs)")
-    p.add_argument("--weights", type=_weights, default=(0.5, 0.25, 0.25), help="w_perf,w_throughput,w_memory (default 0.5,0.25,0.25)")
-    p.add_argument("--max-memory", type=float, default=records.DEFAULT_MAX_MEMORY_GB, help="memory ceiling in GB (default 16)")
-    p.add_argument("--out", required=True, help="efficiency CSV output path")
-    p.add_argument("--amrs-out", help="optional output CSV of the substitution rates used")
+OPTIONS = {
+    "--goods": dict(required=True, help="goods CSV (model,group,task,throughput,memory_gb,perf)"),
+    "--amrs-override": dict(help="CSV of externally supplied substitution rates (group,task,metric,amrs)"),
+    "--weights": dict(type=_weights, default=(0.5, 0.25, 0.25), help="w_perf,w_throughput,w_memory (default 0.5,0.25,0.25)"),
+    "--max-memory": dict(type=float, default=records.DEFAULT_MAX_MEMORY_GB, help="memory ceiling in GB (default 16)"),
+    "--out": dict(required=True, help="efficiency CSV output path"),
+    "--amrs-out": dict(help="optional output CSV of the substitution rates used"),
+}
 
 
-def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
+def run(args) -> tuple[dict[str, str], str]:
     from langdei import efficiency
 
     goods = efficiency.GoodsTable.read_csv(args.goods)

@@ -1,8 +1,7 @@
 """``langdei fit``: power-law learning curves from trajectories."""
 
-import argparse
-
 from langdei import io, records
+from langdei.commands import usage_error
 from langdei.errors import InputError
 
 HELP = "fit power-law learning curves to trajectories"
@@ -11,25 +10,26 @@ HELP = "fit power-law learning curves to trajectories"
 def _c_range(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+        raise usage_error(f"expected LO:HI, got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers in LO:HI, got {text!r}") from None
+        raise usage_error(f"expected numbers in LO:HI, got {text!r}") from None
     try:
         return records.check_c_range((lo, hi))
     except InputError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise usage_error(str(exc)) from None
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trajectories", required=True, help="trajectory CSV (source,target,samples,score)")
-    p.add_argument("--scale", choices=io.SCALES, default="percent", help="score scale of the trajectory file")
-    p.add_argument("--c-range", type=_c_range, default=records.DEFAULT_C_RANGE, help="exponent search range LO:HI (default 0:2)")
-    p.add_argument("--out", required=True, help="curve registry output path")
+OPTIONS = {
+    "--trajectories": dict(required=True, help="trajectory CSV (source,target,samples,score)"),
+    "--scale": dict(choices=io.SCALES, default="percent", help="score scale of the trajectory file"),
+    "--c-range": dict(type=_c_range, default=records.DEFAULT_C_RANGE, help="exponent search range LO:HI (default 0:2)"),
+    "--out": dict(required=True, help="curve registry output path"),
+}
 
 
-def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
+def run(args) -> tuple[dict[str, str], str]:
     from langdei import curves
 
     pairs = curves.load_trajectories(args.trajectories, scale=args.scale)

@@ -1,7 +1,5 @@
 """``langdei metrics``: the scorecard, and the Lorenz points behind each Gini."""
 
-import argparse
-
 from langdei import io
 from langdei.commands import parse_tau, speaker_table
 from langdei.errors import InputError
@@ -9,19 +7,20 @@ from langdei.errors import InputError
 HELP = "demand-weighted global metric and Gini per scorecard row"
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--perf", required=True, help="performance CSV (task,model,train_lang,target_lang,score)")
-    p.add_argument("--tasks", required=True, help="task CSV (task,max_performance)")
-    p.add_argument("--speakers", help="speaker CSV (lang,speakers_millions); required when --tau > 0")
-    p.add_argument("--universe", help="language universe file, one code per line (default: bundled 23)")
-    p.add_argument("--tau", type=parse_tau, default=1.0, help="demand exponent in [0,1] (default 1)")
-    p.add_argument("--tested-only", action="store_true", help="restrict each row's universe to tested languages")
-    p.add_argument("--scale", choices=io.SCALES, default="percent", help="score scale of the input file and of the m_tau output column")
-    p.add_argument("--out", required=True, help="scorecard CSV output path")
-    p.add_argument("--lorenz-out", help="optional Lorenz-points CSV output path")
+OPTIONS = {
+    "--perf": dict(required=True, help="performance CSV (task,model,train_lang,target_lang,score)"),
+    "--tasks": dict(required=True, help="task CSV (task,max_performance)"),
+    "--speakers": dict(help="speaker CSV (lang,speakers_millions); required when --tau > 0"),
+    "--universe": dict(help="language universe file, one code per line (default: bundled 23)"),
+    "--tau": dict(type=parse_tau, default=1.0, help="demand exponent in [0,1] (default 1)"),
+    "--tested-only": dict(action="store_true", help="restrict each row's universe to tested languages"),
+    "--scale": dict(choices=io.SCALES, default="percent", help="score scale of the input file and of the m_tau output column"),
+    "--out": dict(required=True, help="scorecard CSV output path"),
+    "--lorenz-out": dict(help="optional Lorenz-points CSV output path"),
+}
 
 
-def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
+def run(args) -> tuple[dict[str, str], str]:
     from langdei import metrics
 
     tasks = metrics.load_tasks(args.tasks)

@@ -1,8 +1,8 @@
 """``langdei report``: prior outputs assembled into one markdown report,
 and the plan reader only the report runs."""
 
-import argparse
 import collections
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -13,15 +13,16 @@ from langdei.records import AllocationPlan, PlanEvaluation, check_plan_settings,
 HELP = "assemble prior outputs into one markdown report"
 
 
-def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scorecard", help="scorecard CSV from `metrics`")
-    p.add_argument("--lorenz", help="Lorenz-points CSV from `metrics`")
-    p.add_argument("--amrs", help="substitution-rate CSV from `efficiency`")
-    p.add_argument("--efficiency", help="efficiency CSV from `efficiency`")
-    p.add_argument("--curves", action="append", help="curve registry (repeatable)")
-    p.add_argument("--plan", action="append", help="plan file (repeatable)")
-    p.add_argument("--trace", action="append", help="trace CSV (repeatable)")
-    p.add_argument("--out", required=True, help="markdown report output path")
+OPTIONS = {
+    "--scorecard": dict(help="scorecard CSV from `metrics`"),
+    "--lorenz": dict(help="Lorenz-points CSV from `metrics`"),
+    "--amrs": dict(help="substitution-rate CSV from `efficiency`"),
+    "--efficiency": dict(help="efficiency CSV from `efficiency`"),
+    "--curves": dict(action="append", help="curve registry (repeatable)"),
+    "--plan": dict(action="append", help="plan file (repeatable)"),
+    "--trace": dict(action="append", help="trace CSV (repeatable)"),
+    "--out": dict(required=True, help="markdown report output path"),
+}
 
 
 def load_plan(path: str | Path) -> AllocationPlan:
@@ -109,28 +110,48 @@ def _md_row(cells: Sequence[object]) -> str:
     return "| " + " | ".join(str(cell).replace("|", "\\|") for cell in cells) + " |"
 
 
-def _md_table(path: str, header: Sequence[str]) -> list[str]:
-    """The markdown table of a CSV file with ``header``, its cells as read;
-    each must keep ``check_id``'s rule, and a number column's cells must parse."""
-    table = [_md_row(header), "|" + "---|" * len(header)]
+def _checked_rows(path: str, header: Sequence[str]) -> list[tuple[str, list[str]]]:
+    """The (``file:line``, cells) rows of a CSV file with ``header``. Each
+    cell must keep ``check_id``'s rule, a number column's cells must parse
+    and lie in the range its writer keeps, and a scorecard row's ``tested``
+    must not exceed its ``universe``."""
+    rows = []
     for where, cells in io._read_csv_rows(path, header):
+        numbers = {}
         for name, cell in zip(header, cells):
             io._located(where, check_id, cell, f"{name} cell")
             if name in _NUMBER_COLUMNS:
-                _NUMBER_COLUMNS[name](cell, where)
-        table.append(_md_row(cells))
-    return table
+                parse, in_range, expected = _NUMBER_COLUMNS[name]
+                numbers[name] = parse(cell, where)
+                if not in_range(numbers[name]):
+                    raise InputError(f"{where}: {name} must be {expected}, got {cell}")
+        if "universe" in numbers and numbers["tested"] > numbers["universe"]:
+            raise InputError(f"{where}: tested must be <= universe, got {numbers['tested']} > {numbers['universe']}")
+        rows.append((where, cells))
+    return rows
+
+
+def _md_table(header: Sequence[str], rows: list[tuple[str, list[str]]]) -> list[str]:
+    """The markdown table of ``_checked_rows``'s rows, their cells as read."""
+    return [_md_row(header), "|" + "---|" * len(header), *(_md_row(cells) for _, cells in rows)]
 
 
 _CSV_HEADERS = {"scorecard": io._SCORECARD_HEADER, "lorenz": io._LORENZ_HEADER, "amrs": io._AMRS_HEADER,
                 "efficiency": io._EFFICIENCY_HEADER}
-# The parser of each number column of those files.
-_NUMBER_COLUMNS = {**dict.fromkeys(("m_tau", "gini", "population_fraction", "cumulative_share", "amrs", "perf",
-                                    "throughput", "memory_saved", "efficiency"), io._parse_float),
-                   "tested": io._parse_int, "universe": io._parse_int}
+# Each number column of those files: its parser, and the range its writer keeps.
+_UNIT = (io._parse_float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_POSITIVE = (io._parse_float, lambda v: 0 < v < math.inf, "finite and > 0")
+_NON_NEGATIVE = (io._parse_float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_NUMBER_COLUMNS = {"m_tau": (io._parse_float, lambda v: 0 <= v <= 100, "in [0, 100]"),
+                   "gini": (io._parse_float, lambda v: 0 <= v < 1, "in [0, 1)"),
+                   "tested": (io._parse_int, lambda v: v >= 1, ">= 1"),
+                   "universe": (io._parse_int, lambda v: v >= 1, ">= 1"),
+                   "population_fraction": _UNIT, "cumulative_share": _UNIT, "amrs": _POSITIVE,
+                   "throughput": _POSITIVE, "perf": _NON_NEGATIVE, "memory_saved": _NON_NEGATIVE,
+                   "efficiency": (io._parse_float, lambda v: v >= 0, ">= 0")}
 
 
-def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
+def run(args) -> tuple[dict[str, str], str]:
     inputs: list[tuple[str, str]] = []  # (role, path)
     for role in _CSV_HEADERS:
         value = getattr(args, role)
@@ -146,18 +167,23 @@ def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     lines.extend(_md_row((role, path, io.sha256_of(path))) for role, path in inputs)
     lines.append("")
     # Every CSV file is read and checked, though the report names the Lorenz points only by path.
-    tables = {role: _md_table(path, _CSV_HEADERS[role]) for role, path in inputs if role in _CSV_HEADERS}
+    rows = {role: _checked_rows(path, _CSV_HEADERS[role]) for role, path in inputs if role in _CSV_HEADERS}
+    if args.scorecard and args.lorenz:
+        scored = {tuple(cells[:3]) for _, cells in rows["scorecard"]}
+        for where, cells in rows["lorenz"]:
+            if tuple(cells[:3]) not in scored:
+                raise InputError(f"{where}: no scorecard row for {tuple(cells[:3])}")
 
     if args.scorecard:
         lines += ["## Scorecard", ""]
-        lines += tables["scorecard"]
+        lines += _md_table(io._SCORECARD_HEADER, rows["scorecard"])
         lines += ["", "The gini column is a unitless dispersion index in [0, 1); lower is more equitable."]
         if args.lorenz:
             lines.append(f"Lorenz points backing each gini value: `{args.lorenz}`.")
         lines.append("")
     if args.amrs:
         lines += ["## Substitution rates (AMRS)", ""]
-        lines += tables["amrs"]
+        lines += _md_table(io._AMRS_HEADER, rows["amrs"])
         lines += [
             "",
             "Rates derived from adjacent model pairs are sensitive to rounding in the",
@@ -167,7 +193,7 @@ def run(args: argparse.Namespace) -> tuple[dict[str, str], str]:
         ]
     if args.efficiency:
         lines += ["## Efficiency scores", ""]
-        lines += tables["efficiency"]
+        lines += _md_table(io._EFFICIENCY_HEADER, rows["efficiency"])
         lines.append("")
     for path in args.curves or ():
         registry = io.load_curve_registry(path)

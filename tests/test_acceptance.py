@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings. Every tolerance is fixed here, not configurable.
 """
 
+import csv
 import math
 import time
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -141,6 +143,34 @@ def test_criterion_5_greedy_near_uniformity(bundle):
         default_plan = greedy_allocate(default_request)
         for source, count in default_plan.counts.items():
             assert 0.75 * 1000 / 7 <= count <= 1.25 * 1000 / 7
+
+
+# The published allocations (allocations_reference.csv) against langdei's
+# greedy at beta 0 with the permissive policy, each row at its tau on the
+# bundled registry of its model: the L1 distance between the two count
+# vectors over the budget. Measured 0.026-0.115 (README lists each row); the
+# bound fails a change that moves plans away from the paper's.
+REPRODUCTION_GAP_BOUND = 0.12
+REGISTRY_OF_MODEL = {"muril_large": "muril", "xlmr_large": "xlmr"}
+
+
+def test_greedy_stays_near_the_published_allocations(bundle):
+    with open(bundled_path("allocations_reference.csv"), newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 12
+    for row in rows:
+        registry = bundle.curves[REGISTRY_OF_MODEL[row["model"]]]
+        sources = tuple(sorted({s for s, _ in registry}))
+        targets = tuple(sorted({t for _, t in registry}))
+        budget, tau = int(row["budget"]), {"gm_tau0": 0.0, "gm_tau1": 1.0}[row["metric"]]
+        with warnings.catch_warnings():  # the muril registry has no (ur, en) curve
+            warnings.simplefilter("ignore", UserWarning)
+            request = AllocationRequest(budget=budget, sources=sources, targets=targets, registry=registry,
+                                        demand=demand(bundle.speakers, targets, tau=tau), alpha=1.0, beta=0.0,
+                                        missing="permissive")
+        plan = greedy_allocate(request, trace=False)
+        distance = sum(abs(plan.counts.get(s, 0) - int(row[s])) for s in sources) / budget
+        assert distance <= REPRODUCTION_GAP_BOUND, (row["metric"], budget, row["model"], distance)
 
 
 # Hand-computed trace for a 2-source, 2-target instance, alpha = beta = 1,

@@ -5,6 +5,7 @@ stderr, and output files. Exit-code contract: 0 success, 1 undefined metric,
 2 invalid input.
 """
 
+import contextlib
 import csv
 import gc
 import importlib.util
@@ -15,12 +16,19 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langdei import allocator, cli, io
 from langdei.cli import SUBCOMMANDS, build_parser, main
+from langdei.commands import parse_tau
+from langdei.commands.allocate import _comma_list
+from langdei.commands.efficiency import _weights
+from langdei.commands.fit import _c_range
 from langdei.commands.report import load_plan
 from langdei.io import bundled_path, load_curve_registry
 
@@ -747,7 +755,7 @@ class TestReportCommand:
         "scorecard": "task,model,train_lang,m_tau,gini,tested,universe\nner,m|1,en,50.5,0.2,3,23\n",
         "lorenz": "task,model,train_lang,population_fraction,cumulative_share\nner,m|1,en,0,0\nner,m|1,en,1,1\n",
         "amrs": "group,task,metric,amrs\ng,ner,throughput,1.5\ng,ner,memory,2.5e-05\n",
-        "efficiency": "task,model,group,perf,throughput,memory_saved,efficiency\nner,m|1,g,50,10,-4,1e-05\n",
+        "efficiency": "task,model,group,perf,throughput,memory_saved,efficiency\nner,m|1,g,50,10,4,1e-05\n",
     }
 
     def assert_report_fails(self, tmp_path, capsys, role, text, message):
@@ -774,7 +782,7 @@ class TestReportCommand:
         lines = out.read_text().splitlines()
         assert "| ner | m\\|1 | en | 50.5 | 0.2 | 3 | 23 |" in lines
         assert "| g | ner | memory | 2.5e-05 |" in lines
-        assert "| ner | m\\|1 | g | 50 | 10 | -4 | 1e-05 |" in lines
+        assert "| ner | m\\|1 | g | 50 | 10 | 4 | 1e-05 |" in lines
 
     @pytest.mark.parametrize(("role", "other"), list(itertools.permutations(CSV_ARTIFACTS, 2)))
     def test_another_roles_csv_exit_2(self, tmp_path, capsys, role, other):
@@ -808,6 +816,32 @@ class TestReportCommand:
     def test_csv_number_cell_that_is_no_number_exit_2(self, tmp_path, capsys, role, row, message):
         header = self.CSV_ARTIFACTS[role].split("\n")[0]
         self.assert_report_fails(tmp_path, capsys, role, f"{header}\n{row}\n", message)
+
+    @pytest.mark.parametrize(("role", "row", "message"), [
+        ("scorecard", "ner,m,en,50,7,-3,2", ":2: gini must be in [0, 1), got 7"),
+        ("scorecard", "ner,m,en,100.5,0.2,3,23", ":2: m_tau must be in [0, 100], got 100.5"),
+        ("scorecard", "ner,m,en,50,0.2,0,23", ":2: tested must be >= 1, got 0"),
+        ("scorecard", "ner,m,en,50,0.2,5,3", ":2: tested must be <= universe, got 5 > 3"),
+        ("lorenz", "ner,m,en,0,0\nner,m,en,1,1.5", ":3: cumulative_share must be in [0, 1], got 1.5"),
+        ("lorenz", "ner,m,en,-0.5,0", ":2: population_fraction must be in [0, 1], got -0.5"),
+        ("amrs", "g,ner,throughput,1.5\ng,ner,memory,-4", ":3: amrs must be finite and > 0, got -4"),
+        ("efficiency", "ner,m,g,-5,10,4,1", ":2: perf must be finite and >= 0, got -5"),
+        ("efficiency", "ner,m,g,50,0,4,1", ":2: throughput must be finite and > 0, got 0"),
+        ("efficiency", "ner,m,g,50,10,-1,1", ":2: memory_saved must be finite and >= 0, got -1"),
+        ("efficiency", "ner,m,g,50,10,4,-1e-05", ":2: efficiency must be >= 0, got -1e-05"),
+    ], ids=["gini", "m_tau", "tested", "tested-universe", "share", "fraction", "amrs", "perf", "throughput",
+            "memory_saved", "efficiency"])
+    def test_csv_number_out_of_its_writers_range_exit_2(self, tmp_path, capsys, role, row, message):
+        header = self.CSV_ARTIFACTS[role].split("\n")[0]
+        self.assert_report_fails(tmp_path, capsys, role, f"{header}\n{row}\n", message)
+
+    def test_lorenz_row_without_a_scorecard_row_exit_2(self, tmp_path, capsys):
+        scorecard = write(tmp_path / "scorecard.csv", self.CSV_ARTIFACTS["scorecard"])
+        lorenz = write(tmp_path / "lorenz.csv", self.CSV_ARTIFACTS["lorenz"] + "zz,m|1,en,0,0\n")
+        out = tmp_path / "r.md"
+        assert main(["report", "--scorecard", scorecard, "--lorenz", lorenz, "--out", str(out)]) == 2
+        assert f"{lorenz}:4: no scorecard row for ('zz', 'm|1', 'en')" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(("row", "message"), [
         ("x,bn,0.5,0.6,0.2", "trace.csv:3: malformed integer 'x'"),
@@ -1134,7 +1168,7 @@ def test_import_cli_loads_no_numeric_module(tmp_path):
 
 
 @pytest.mark.parametrize("module, unwanted", [
-    ("langdei.cli", {"logging", "dataclasses", "inspect"}),
+    ("langdei.cli", {"logging", "dataclasses", "inspect", "argparse", "gettext", "locale"}),
     ("langdei.allocator", {"logging", "dataclasses", "inspect", "numpy"}),
     ("langdei.metrics", {"logging", "dataclasses", "inspect", "numpy"}),
 ], ids=["langdei.cli", "langdei.allocator", "langdei.metrics"])
@@ -1142,7 +1176,9 @@ def test_import_loads_no_logging(module, unwanted, tmp_path):
     # Data events are warnings, which main prints, and records are
     # records.Record, not dataclasses: logging, and dataclasses with the
     # inspect it loads, would only add start-up time. numpy loads inspect
-    # itself; none of these modules needs numpy.
+    # itself; none of these modules needs numpy. argparse, with the gettext
+    # and locale its messages load, is imported only to print help or a
+    # usage error.
     assert modules_after(f"import {module}", tmp_path) & unwanted == set()
 
 
@@ -1172,7 +1208,7 @@ def test_subcommand_runs_without_numpy(argv, tmp_path):
     write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n1,bn,inf,0.4,0.3\n2,bn,0.1,0.5,0.1\n")
     loaded = modules_after(f"from langdei.cli import main\nassert main({argv!r}) == 0", tmp_path)
     assert (tmp_path / argv[-1]).is_file()
-    assert "numpy" not in loaded
+    assert loaded & {"numpy", "argparse", "gettext", "locale"} == set()
     if "greedy" in argv:
         assert load_plan(tmp_path / "plan.txt").strategy == "greedy"
     if "--trace-out" in argv:
@@ -1266,13 +1302,17 @@ EVERY_SUBCOMMAND_BUT_FIT = [
 ]
 
 
+def write_wide_curves(cwd):
+    write(cwd / "wide_curves.txt", "".join(
+        f"curve source={source} target=t{j:03d} a={0.5 + j % 7 / 10:g} b={-1 - j % 5:g} c={0.1 + j % 9 / 20:g} r2=0.9\n"
+        for source, n in (("s0", 136), ("s1", 12), ("s2", 12)) for j in range(n)))
+
+
 def outputs_under(python, cwd):
     """{file name: bytes} of the outputs of EVERY_SUBCOMMAND_BUT_FIT, run
     in one ``python`` process in ``cwd``."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    write(cwd / "wide_curves.txt", "".join(
-        f"curve source={source} target=t{j:03d} a={0.5 + j % 7 / 10:g} b={-1 - j % 5:g} c={0.1 + j % 9 / 20:g} r2=0.9\n"
-        for source, n in (("s0", 136), ("s1", 12), ("s2", 12)) for j in range(n)))
+    write_wide_curves(cwd)
     code = f"from langdei.cli import main\nfor argv in {EVERY_SUBCOMMAND_BUT_FIT!r}:\n    assert main(argv) == 0, argv"
     subprocess.run([str(python), "-c", code], capture_output=True, env=env, cwd=cwd, check=True)
     return {path.name: path.read_bytes() for path in cwd.iterdir()}
@@ -1302,17 +1342,21 @@ def test_same_bytes_on_every_interpreter(version, own_outputs, tmp_path):
 
 # The process entry (cli.run_process) freezes the GC before the interpreter
 # exits, so the shutdown collections skip every object; main never freezes.
-ENTRY_RUNS = [  # (argv, exit status)
-    (["efficiency", "--goods", GOODS, "--amrs-out", "amrs.csv", "--out", "efficiency.csv"], 0),
-    (["report", "--out", "report.md"], 2),  # no inputs: a handled error
-    (["efficiency", "--goods", "ghost.csv", "--out", "efficiency.csv"], 2),
-    (["allocate", "--curves", MURIL, "--bud", "10"], 2),  # a usage error
-    (["--help"], 0),
-]
+# Only help and a usage error are parsed by argparse, which loads gettext
+# and locale for its messages.
+ENTRY_RUNS = {  # id: (argv, exit status)
+    "ok": (["efficiency", "--goods", GOODS, "--amrs-out", "amrs.csv", "--out", "efficiency.csv"], 0),
+    "no-inputs": (["report", "--out", "report.md"], 2),  # a handled error
+    "missing-input": (["efficiency", "--goods", "ghost.csv", "--out", "efficiency.csv"], 2),
+    "usage": (["allocate", "--curves", MURIL, "--bud", "10"], 2),  # a usage error
+    "help": (["--help"], 0),
+}
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 
 
-@pytest.mark.parametrize("argv, status", ENTRY_RUNS, ids=["ok", "no-inputs", "missing-input", "usage", "help"])
-def test_process_entry_freezes_and_changes_no_output(argv, status, tmp_path):
+@pytest.mark.parametrize("run", list(ENTRY_RUNS))
+def test_process_entry_freezes_and_changes_no_output(run, tmp_path):
+    argv, status = ENTRY_RUNS[run]
     entry = run_with_exit_hook(argv, tmp_path)
     plain = run_with_exit_hook(f"import sys\nfrom langdei.cli import main\nsys.exit(main({argv!r}))", tmp_path)
     assert int(entry.stdout.splitlines()[-1]) > 0
@@ -1320,6 +1364,8 @@ def test_process_entry_freezes_and_changes_no_output(argv, status, tmp_path):
     assert entry.returncode == plain.returncode == status
     assert entry.stdout.splitlines()[:-2] == plain.stdout.splitlines()[:-2]
     assert entry.stderr == plain.stderr
+    loaded = set(entry.stdout.splitlines()[-2].split())
+    assert loaded & ARGPARSE_MODULES == (ARGPARSE_MODULES if run in ("usage", "help") else set())
 
 
 def test_main_in_process_does_not_freeze(tmp_path):
@@ -1384,3 +1430,124 @@ def test_one_subcommand_parser_parses_as_the_full_parser(argv, capsys):
 def test_parser_of_a_subcommand_has_no_other():
     with pytest.raises(SystemExit):
         build_parser(["metrics"]).parse_args(["fit", "--help"])
+
+
+# A plain argv is parsed by cli._fast_args, without argparse; anything else
+# by argparse. Each OPTIONS spec may use only what _fast_args reads.
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_options_use_only_what_the_fast_parser_reads(name):
+    for flag, spec in cli._command(name).OPTIONS.items():
+        assert re.fullmatch(r"--[a-z]+(-[a-z]+)*", flag), flag
+        assert spec.keys() <= {"required", "type", "default", "choices", "action", "help"}, flag
+        assert spec.get("action", "store_true") in ("store_true", "append"), flag
+        # argparse would pass a string default through the type; _fast_args does not.
+        assert not ("type" in spec and isinstance(spec.get("default"), str)), flag
+
+
+def parsed(namespace):
+    """The attributes of a namespace by name, as reprs, so that NaN equals NaN."""
+    return {name: repr(value) for name, value in vars(namespace).items()}
+
+
+def argparse_parsed(argv):
+    """``parsed`` of argparse's namespace for ``argv``, or None if argparse exits."""
+    with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+        try:
+            return parsed(build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def assert_fast_args_agree(argv):
+    """_fast_args declines ``argv`` or parses it as argparse does; True if it parsed it."""
+    fast = cli._fast_args(argv)
+    if fast is not None:
+        assert parsed(fast) == argparse_parsed(argv), argv
+    return fast is not None
+
+
+@pytest.mark.parametrize("argv", [*PARSER_ARGVS, *(argv for argv, _ in ENTRY_RUNS.values())],
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_fast_args_parse_as_argparse(argv):
+    plain = [*EVERY_SUBCOMMAND_BUT_FIT, OWN_MODULES["fit"][0],
+             *(ENTRY_RUNS[run][0] for run in ("ok", "no-inputs", "missing-input"))]
+    assert assert_fast_args_agree(argv) == (argv in plain)
+
+
+def main_outcomes(argvs, cwd, capsys, monkeypatch):
+    """(exit status, stdout, stderr) of ``main`` on each of ``argvs``, run in
+    order in ``cwd``, and {file name: bytes} of ``cwd`` after them."""
+    write_wide_curves(cwd)
+    synth_trajectories(cwd)
+    monkeypatch.chdir(cwd)
+    outcomes = []
+    for argv in argvs:
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+        outcomes.append((status, *capsys.readouterr()))
+    return outcomes, {path.name: path.read_bytes() for path in cwd.iterdir()}
+
+
+def test_main_prints_and_writes_what_argparse_alone_gave(tmp_path, monkeypatch, capsys):
+    argvs = [*PARSER_ARGVS, *(argv for argv, _ in ENTRY_RUNS.values())]
+    (tmp_path / "fast").mkdir()
+    (tmp_path / "argparse").mkdir()
+    fast = main_outcomes(argvs, tmp_path / "fast", capsys, monkeypatch)
+    monkeypatch.setattr(cli, "_fast_args", lambda argv: None)
+    assert main_outcomes(argvs, tmp_path / "argparse", capsys, monkeypatch) == fast
+
+
+# Option values that each argument type accepts, and tokens no type accepts
+# or that read as a flag.
+VALID_VALUE = {None: "f.csv", int: "7", float: "0.5", parse_tau: "1", _comma_list: "bn,hi", _weights: "1,0,0",
+               _c_range: "0:1"}
+OTHER_VALUES = ["0", "1", "-1", "1.5", "nan", "inf", "", "x", ",", "a,b", "2:1", "1,1", "percent", "unit",
+                "strict", "permissive", "mean", "-", "--", "-x"]
+
+
+@st.composite
+def subcommand_argvs(draw, name):
+    """An argv of subcommand ``name``: its required flags (each dropped one
+    time in twenty) and others, any of them repeated, each spelt in full,
+    abbreviated or as ``--flag=value``, with a valid or another value."""
+    options = cli._command(name).OPTIONS
+    flags = [flag for flag, spec in options.items() if spec.get("required") and draw(st.integers(0, 19))]
+    flags += draw(st.lists(st.sampled_from(list(options)), max_size=6))
+    argv = [name]
+    for flag in draw(st.permutations(flags)):
+        spec = options[flag]
+        valid = spec.get("choices", [VALID_VALUE[spec.get("type")]])
+        value = draw(st.sampled_from(OTHER_VALUES if draw(st.integers(0, 5)) == 0 else valid))
+        form = draw(st.sampled_from(["full"] * 18 + ["abbreviated", "equals"]))
+        spelt = flag[:draw(st.integers(3, len(flag) - 1))] if form == "abbreviated" else flag
+        if form == "equals":
+            argv.append(f"{spelt}={value}")
+        elif spec.get("action") == "store_true":
+            argv.append(spelt)
+        else:
+            argv += [spelt, value]
+    return argv
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fast_args_parse_generated_argvs_as_argparse(name, data):
+    assert_fast_args_agree(data.draw(subcommand_argvs(name)))
+
+
+def test_every_benchmark_argv_takes_the_fast_path(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    argvs = []
+    for name, workload in workloads.WORKLOADS.items():
+        (tmp_path / name / "in").mkdir(parents=True)
+        invocations, _ = workload(0, Path(io.bundled_path("tasks.csv")).parent, tmp_path / name)
+        argvs += [invocation.argv for invocation in invocations]
+    assert len(argvs) == 49
+    assert all(assert_fast_args_agree(argv) for argv in argvs)
