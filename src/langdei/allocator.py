@@ -34,10 +34,6 @@ measured) utilities. The state function is straight-line code, generated
 and compiled once per number of covered targets (_state_kernel); its Gini
 is scalar's Gini kernel of that length, the one the scorecard and
 evaluate_plan call.
-
-The plan records (AllocationPlan, PlanEvaluation) and the option
-vocabularies MISSING_POLICIES and COMPOSITION_MODES live in langdei.records,
-which needs no numpy; they resolve here as well.
 """
 
 from __future__ import annotations
@@ -48,11 +44,9 @@ import math
 import warnings
 from typing import Callable, Mapping
 
-from langdei import records, scalar
+from langdei import scalar
 from langdei.errors import ComputationError, InputError
 from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, Record, check_plan_settings, sequential_sum
-
-MISSING_POLICIES, COMPOSITION_MODES = records.MISSING_POLICIES, records.COMPOSITION_MODES
 
 CurveRegistry = Mapping[tuple[str, str], LearningCurve]
 

@@ -1,8 +1,8 @@
 """``langdei efficiency``: substitution rates and efficiency scores."""
 
-from langdei import records
+from langdei import io, records
 from langdei.commands import usage_error
-from langdei.errors import InputError
+from langdei.errors import InputError, LangDeiError
 
 HELP = "substitution rates and efficiency scores from model goods"
 
@@ -33,12 +33,13 @@ def run(args) -> tuple[dict[str, str], str]:
     goods = efficiency.GoodsTable.read_csv(args.goods)
     if not goods.model:
         raise InputError(f"{args.goods}: no goods rows")
-    w_perf, w_tp, w_mem = args.weights
-    config = efficiency.EfficiencyConfig(max_memory=args.max_memory, w_perf=w_perf, w_throughput=w_tp,
-                                         w_memory=w_mem)
-    saved = efficiency.memory_saved(goods, config)
-    table = efficiency.load_amrs(args.amrs_override) if args.amrs_override else efficiency.compute_amrs_table(goods, saved)
-    scores = efficiency.efficiency_score(goods, saved, table, config)
+    config = efficiency.EfficiencyConfig(args.max_memory, *args.weights)
+    try:
+        saved = efficiency.memory_saved(goods, config)
+        table = efficiency.load_amrs(args.amrs_override) if args.amrs_override else efficiency.compute_amrs_table(goods, saved)
+        scores = efficiency.efficiency_score(goods, saved, table, config)
+    except LangDeiError as exc:
+        raise io._locate_row(exc, args.goods, efficiency._GOODS_HEADER) from None
     outputs = {args.out: efficiency.render_efficiency(goods, saved, scores)}
     if args.amrs_out:
         outputs[args.amrs_out] = efficiency.render_amrs(table)

@@ -2,7 +2,7 @@
 
 from langdei import io
 from langdei.commands import parse_tau, speaker_table
-from langdei.errors import InputError
+from langdei.errors import InputError, LangDeiError
 
 HELP = "demand-weighted global metric and Gini per scorecard row"
 
@@ -29,11 +29,8 @@ def run(args) -> tuple[dict[str, str], str]:
     perf = io.load_performance(args.perf, scale=args.scale)
     try:
         rows = metrics.dei_scorecard(perf, speakers, tasks, universe, tau=args.tau, tested_only=args.tested_only)
-    except InputError as exc:
-        where = _row_fault(args.perf, perf, tasks, universe, str(exc))
-        if where is None:
-            raise
-        raise InputError(f"{where}: {exc}") from None
+    except LangDeiError as exc:
+        raise io._locate_row(exc, args.perf, metrics._PERF_HEADER) from None
     del perf  # not kept: the rows, one per key of it, carry what the outputs need
     if not rows:
         raise InputError(f"{args.perf}: no performance rows")
@@ -42,24 +39,3 @@ def run(args) -> tuple[dict[str, str], str]:
         outputs[args.lorenz_out] = io.render_lorenz(rows)
     return outputs, f"metrics: wrote {len(rows)} rows -> {args.out}"
 
-
-def _row_fault(path: str, perf, tasks, universe, message: str) -> str | None:
-    """The ``file:line`` of the scorecard row fault ``message`` (rule 1 of
-    ``dei_scorecard``), found by reading ``perf``'s file again: the first
-    row that breaks the rule as a one-cell table, of the first key in sorted
-    order whose rows break it so. None for any other fault."""
-    from langdei import metrics
-
-    by_task, codes = {t.task_id: t for t in tasks}, set(universe)
-
-    def fault(table, key) -> str | None:
-        try:
-            metrics._check_rows(table, [key], by_task, codes)
-        except InputError as exc:
-            return str(exc)
-        return None
-
-    bad = next((key for key in sorted(perf.rows) if fault(perf, key) == message), None)
-    rows = io._read_csv_rows(path, metrics._PERF_HEADER) if bad else ()
-    return next((where for where, (*key, lang, _) in rows
-                 if tuple(key) == bad and fault(metrics.PerformanceTable({bad: {lang: 0.0}}), bad)), None)

@@ -151,6 +151,25 @@ _NUMBER_COLUMNS = {"m_tau": (io._parse_float, lambda v: 0 <= v <= 100, "in [0, 1
                    "efficiency": (io._parse_float, lambda v: v >= 0, ">= 0")}
 
 
+def _check_lorenz_points(scorecard: list[tuple[str, list[str]]], lorenz: list[tuple[str, list[str]]]) -> None:
+    """Each Lorenz row's ``task,model,train_lang`` is a scorecard row's, and
+    each scorecard row has ``universe + 1`` Lorenz points, from (0, 0) to
+    (1, 1), as ``metrics`` writes them."""
+    points: dict[tuple[str, ...], list[tuple[str, list[str]]]] = {tuple(cells[:3]): [] for _, cells in scorecard}
+    for where, cells in lorenz:
+        if tuple(cells[:3]) not in points:
+            raise InputError(f"{where}: no scorecard row for {tuple(cells[:3])}")
+        points[tuple(cells[:3])].append((where, cells[3:]))
+    for where, cells in scorecard:
+        key = tuple(cells[:3])
+        curve, expected = points[key], int(cells[-1]) + 1  # the last cell is the universe size
+        if len(curve) != expected:
+            raise InputError(f"{where}: {key} has {len(curve)} Lorenz points, expected universe + 1 = {expected}")
+        for (at, (x, y)), end in ((curve[0], 0.0), (curve[-1], 1.0)):
+            if (float(x), float(y)) != (end, end):
+                raise InputError(f"{at}: the Lorenz points of {key} must run from (0, 0) to (1, 1), got ({x}, {y})")
+
+
 def run(args) -> tuple[dict[str, str], str]:
     inputs: list[tuple[str, str]] = []  # (role, path)
     for role in _CSV_HEADERS:
@@ -169,10 +188,7 @@ def run(args) -> tuple[dict[str, str], str]:
     # Every CSV file is read and checked, though the report names the Lorenz points only by path.
     rows = {role: _checked_rows(path, _CSV_HEADERS[role]) for role, path in inputs if role in _CSV_HEADERS}
     if args.scorecard and args.lorenz:
-        scored = {tuple(cells[:3]) for _, cells in rows["scorecard"]}
-        for where, cells in rows["lorenz"]:
-            if tuple(cells[:3]) not in scored:
-                raise InputError(f"{where}: no scorecard row for {tuple(cells[:3])}")
+        _check_lorenz_points(rows["scorecard"], rows["lorenz"])
 
     if args.scorecard:
         lines += ["## Scorecard", ""]

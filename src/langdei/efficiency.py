@@ -34,6 +34,7 @@ METRIC_THROUGHPUT = "throughput"
 METRIC_MEMORY = "memory"
 METRICS = (METRIC_THROUGHPUT, METRIC_MEMORY)
 _ID_KINDS = ("model id", "group", "task id")  # the goods id columns, in row order
+_GOODS_HEADER = ("model", "group", "task", "throughput", "memory_gb", "perf")
 
 
 class GoodsTable(Record):
@@ -122,7 +123,7 @@ class GoodsTable(Record):
                     numbers = [io._parse_float(text, where) for text in numbers]
                 io._located(where, cls.check_row, seen, model, group, task, *numbers)
 
-        return io._read_table(path, ("model", "group", "task", "throughput", "memory_gb", "perf"), fast, locate)
+        return io._read_table(path, _GOODS_HEADER, fast, locate)
 
 
 class EfficiencyConfig(Record):
@@ -169,29 +170,34 @@ class AmrsTable(Record):
             raise InputError(f"no substitution rate for group={group!r} task={task!r} metric={metric!r}") from None
 
 
+def _row(goods: GoodsTable, i: int) -> dict[str, str]:
+    """Row i's ids by goods header column: the ``row`` of a fault about it."""
+    return dict(zip(_GOODS_HEADER, (goods.model[i], goods.group[i], goods.task[i])))
+
+
 def memory_saved(goods: GoodsTable, config: EfficiencyConfig) -> list[float]:
     """Each row's headroom below the memory ceiling, in row order; higher is
     better. The first row, in row order, above the ceiling raises, so the
     rates and the scores that use the headroom never meet a negative one."""
     ceiling = config.max_memory
-    for model, mem in zip(goods.model, goods.memory_gb):
+    for i, mem in enumerate(goods.memory_gb):
         if mem > ceiling:
-            raise InputError(f"model {model!r} uses {mem} GB, above the {ceiling} GB ceiling")
+            raise InputError(f"model {goods.model[i]!r} uses {mem} GB on task {goods.task[i]!r}, above the "
+                             f"{ceiling} GB ceiling", row=_row(goods, i))
     return [ceiling - mem for mem in goods.memory_gb]
 
 
 def _rates(goods: GoodsTable, ordered: list[int], values: Sequence[float]) -> list[float]:
-    """Pairwise substitution rates |delta value / delta perf| between the
-    rows adjacent in ``ordered``, rows in ascending-performance order."""
+    """Pairwise substitution rates |delta value / delta perf| between the rows adjacent
+    in ``ordered``, a stable sort by ascending performance; an equal pair's fault names the later."""
     perf = goods.performance
     rates = []
     for lo, hi in zip(ordered, ordered[1:]):
         dperf = perf[hi] - perf[lo]
         if dperf == 0:
-            raise InputError(
-                f"models {goods.model[lo]!r} and {goods.model[hi]!r} have equal performance "
-                f"({perf[lo]}); substitution rate undefined"
-            )
+            raise InputError(f"({goods.group[hi]}, {goods.task[hi]}): models {goods.model[lo]!r} and "
+                             f"{goods.model[hi]!r} have equal performance ({perf[lo]}); substitution rate undefined",
+                             row=_row(goods, hi))
         rates.append(abs((values[hi] - values[lo]) / dperf))
     return rates
 
@@ -219,12 +225,15 @@ def compute_amrs_table(goods: GoodsTable, saved: Sequence[float]) -> AmrsTable:
     entries: dict[tuple[str, str, str], float] = {}
     for (group, task), rows in sorted(grouped.items()):
         if len(rows) < 2:
-            raise InputError(
-                f"group {group!r} has a single model for task {task!r}; substitution rates need >= 2"
-            )
+            raise InputError(f"group {group!r} has a single model for task {task!r}; substitution rates need >= 2",
+                             row={"group": group, "task": task})
         ordered = sorted(rows, key=goods.performance.__getitem__)
-        entries[(group, task, METRIC_THROUGHPUT)] = amrs(_rates(goods, ordered, goods.throughput))
-        entries[(group, task, METRIC_MEMORY)] = amrs(_rates(goods, ordered, saved))
+        for metric, values in ((METRIC_THROUGHPUT, goods.throughput), (METRIC_MEMORY, saved)):
+            try:
+                entries[(group, task, metric)] = amrs(_rates(goods, ordered, values))
+            except ComputationError as exc:
+                raise ComputationError(f"({group}, {task}, {metric}): {exc}",
+                                       row={"group": group, "task": task}) from None
     return AmrsTable(entries)
 
 

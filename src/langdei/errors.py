@@ -8,7 +8,11 @@ _FORBIDDEN_IN_ID = re.compile(r'[\s,="]')
 
 
 class LangDeiError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class of this package's errors; ``row``: the cells, by column, of the input row at fault."""
+
+    def __init__(self, message: str, row: dict[str, str] | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class InputError(LangDeiError):

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TextIO
 
-from langdei.errors import InputError, check_id
+from langdei.errors import InputError, LangDeiError, check_id
 from langdei.records import AllocationPlan, LearningCurve
 
 if TYPE_CHECKING:  # imported by the loaders when they run, not when io is
@@ -137,6 +137,15 @@ def _read_csv_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[st
                 lineno = reader.line_num + 1
         except csv.Error as exc:
             raise InputError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+
+
+def _locate_row(exc: LangDeiError, path: str | Path, header: Sequence[str]) -> LangDeiError:
+    """``exc`` as its class prefixed by the ``file:line`` of the first row of the CSV file ``path``
+    with ``header`` whose cells named in ``exc.row`` equal it; ``exc`` if no row does, or it names none."""
+    for where, row in _read_csv_rows(path, header) if exc.row else ():
+        if all(row[header.index(name)] == cell for name, cell in exc.row.items()):
+            return type(exc)(f"{where}: {exc}")
+    return exc
 
 
 def _read_table(path: str | Path, header: Sequence[str], fast, locate):

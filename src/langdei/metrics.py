@@ -236,8 +236,8 @@ def dei_scorecard(
     The universe and tau are checked first, even for an empty table; then
     each rule holds for every row before the next is checked, and its first
     failing row raises: (1) known task, languages in the universe; (2)
-    demand weights defined; (3) Gini defined (no all-zero row). Clamped
-    scores give one warning per task.
+    demand weights defined; (3) Gini defined (no all-zero row), its error
+    keyed by the row. Clamped scores give one warning per task.
     """
     codes = _check_universe(universe)
     check_tau(tau)
@@ -264,7 +264,8 @@ def dei_scorecard(
         tested = [x for x in raw if x is not None]
         u = _utilities(tested if tested_only else raw, maximum)
         if not any(u):
-            raise ComputationError(_GINI_ALL_ZERO)
+            raise ComputationError(f"({task_id}, {model}, {train}): {_GINI_ALL_ZERO}",
+                                   row=dict(zip(_PERF_HEADER, (task_id, model, train))))
         if max(tested) > maximum:
             clamped.setdefault(task_id, []).extend(x for x in tested if x > maximum)
         rows.append(ScorecardRow(
@@ -284,16 +285,16 @@ def _check_rows(perf: PerformanceTable, order: list[tuple[str, str, str]], by_ta
                 universe: set[str]) -> None:
     """Rule 1 of ``dei_scorecard``, over the table's rows in ``order``: the
     first row with an unknown task, or a language outside ``universe``,
-    raises."""
+    raises, its ``row`` the key and, for a language, the first such target
+    in cell order."""
     for key in order:
         task_id, model, train = key
         if task_id not in by_task:
-            raise InputError(f"unknown task id {task_id!r} in performance table")
+            raise InputError(f"unknown task id {task_id!r} in performance table", row=dict(zip(_PERF_HEADER, key)))
         if not universe.issuperset(perf.rows[key]):
-            raise InputError(
-                f"performance rows for ({task_id}, {model}, {train}) name languages "
-                f"outside the universe: {', '.join(sorted(perf.rows[key].keys() - universe))}"
-            )
+            outside = [lang for lang in perf.rows[key] if lang not in universe]
+            raise InputError(f"performance rows for ({task_id}, {model}, {train}) name languages outside the "
+                             f"universe: {', '.join(sorted(outside))}", row=dict(zip(_PERF_HEADER, (*key, outside[0]))))
 
 
 def load_tasks(path: str | Path) -> list[TaskSpec]:

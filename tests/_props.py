@@ -7,7 +7,7 @@ one-vector code replaced: the scorecard's matrix kernels (utility, demand,
 Gini, Lorenz shares) and the greedy's chunk kernel; the per-source state
 closure that the generated state kernel replaced; and the per-row
 ``ModelGoods`` pipeline of ``efficiency`` that the columnar ``GoodsTable``
-replaced.
+replaced; and the exact optimum of the greedy's objective.
 
 Vectors come from a seeded generator, so every run sees the same cases.
 """
@@ -28,7 +28,7 @@ from langdei.efficiency import (METRIC_MEMORY, METRIC_THROUGHPUT, METRICS, AmrsT
 from langdei.errors import ComputationError, InputError, check_id
 from langdei.io import _located, _parse_float, _parse_int, _read_csv_rows, fmt_num
 from langdei.metrics import PerformanceTable, ScorecardRow, SpeakerTable, gini, lorenz_points
-from langdei.records import LearningCurve, Record, sequential_sum
+from langdei.records import AllocationPlan, LearningCurve, Record, sequential_sum
 
 
 def random_vector(rng: np.random.Generator, min_n: int = 2, max_n: int = 64) -> np.ndarray:
@@ -425,6 +425,34 @@ def reference_source_state(request: allocator.AllocationRequest,
     return targets, state
 
 
+# The exact optimum of the greedy's objective: the oracle that shows where
+# the one-step greedy falls short of it.
+
+def optimal_objective(request: allocator.AllocationRequest) -> np.ndarray:
+    """Entry b, for b = 0..budget: the largest F = sum over sources of
+    alpha * gm_s(k_s) - beta * gini_s(k_s) over the allocations of b samples
+    that give every source k_s >= 1 (-inf where b is below the number of
+    sources). A max-plus DP over the sources in source order, each source's
+    terms from ``allocator._source_state``: a Python loop over b and numpy
+    over k, O(|S| * budget^2) additions. F adds the sources' terms left to
+    right, as ``plan_objective`` does."""
+    budget = request.budget
+    best = np.full(budget + 1, -np.inf)
+    best[0] = 0.0
+    for source in request.sources:
+        state = allocator._source_state(request, source)[1]
+        terms = np.array([request.alpha * gm - request.beta * gini
+                          for gm, gini, _ in map(state, range(1, budget + 1))])  # terms[k - 1]: at k samples
+        # best[b - k] + terms[k - 1] for k = 1..b
+        best = np.array([-np.inf] + [np.max(best[b - 1::-1] + terms[:b]) for b in range(1, budget + 1)])
+    return best
+
+
+def plan_objective(plan: AllocationPlan) -> float:
+    """The greedy's objective F of a plan whose sources are all funded."""
+    return sequential_sum(plan.alpha * plan.final_gm[s] - plan.beta * plan.final_gini[s] for s in sorted(plan.counts))
+
+
 # The per-row goods pipeline, as ``langdei.efficiency`` and ``langdei.io``
 # had it before the columnar ``GoodsTable``: one ``ModelGoods`` record per
 # row, built and checked as each row is read. ``reference_run_efficiency``
@@ -462,9 +490,8 @@ def goods_table(goods: Sequence[ModelGoods]) -> GoodsTable:
 def memory_saved(goods: ModelGoods, config: EfficiencyConfig = EfficiencyConfig()) -> float:
     """Headroom below the memory ceiling; higher is better."""
     if goods.memory_gb > config.max_memory:
-        raise InputError(
-            f"model {goods.model_id!r} uses {goods.memory_gb} GB, above the {config.max_memory} GB ceiling"
-        )
+        raise InputError(f"model {goods.model_id!r} uses {goods.memory_gb} GB on task {goods.task_id!r}, "
+                         f"above the {config.max_memory} GB ceiling")
     return config.max_memory - goods.memory_gb
 
 
@@ -476,10 +503,11 @@ def _metric_value(goods: ModelGoods, metric: str, config: EfficiencyConfig) -> f
     raise InputError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def mrs_sequence(group_models: Sequence[ModelGoods], metric: str,
-                 config: EfficiencyConfig = EfficiencyConfig()) -> list[float]:
+def mrs_sequence(group_models: Sequence[ModelGoods], metric: str, config: EfficiencyConfig = EfficiencyConfig(),
+                 at: Callable[[ModelGoods], str] = lambda g: "") -> list[float]:
     """Pairwise substitution rates |delta good / delta perf| between models
-    adjacent in ascending-performance order."""
+    adjacent in ascending-performance order; two of equal performance are
+    an error prefixed by ``at`` of the later."""
     if len(group_models) < 2:
         raise InputError(f"substitution rates need at least 2 models in a group, got {len(group_models)}")
     ordered = sorted(group_models, key=lambda g: g.performance)
@@ -488,16 +516,25 @@ def mrs_sequence(group_models: Sequence[ModelGoods], metric: str,
         dperf = hi.performance - lo.performance
         if dperf == 0:
             raise InputError(
-                f"models {lo.model_id!r} and {hi.model_id!r} have equal performance "
-                f"({lo.performance}); substitution rate undefined"
+                f"{at(hi)}({hi.group}, {hi.task_id}): models {lo.model_id!r} and {hi.model_id!r} have equal "
+                f"performance ({lo.performance}); substitution rate undefined"
             )
         dm = _metric_value(hi, metric, config) - _metric_value(lo, metric, config)
         rates.append(abs(dm / dperf))
     return rates
 
 
-def compute_amrs_table(goods: Iterable[ModelGoods], config: EfficiencyConfig = EfficiencyConfig()) -> AmrsTable:
-    """Substitution rates for every (group, task) present in the goods."""
+def compute_amrs_table(goods: Iterable[ModelGoods], config: EfficiencyConfig = EfficiencyConfig(),
+                       wheres: Mapping[tuple[str, str], str] = {}) -> AmrsTable:
+    """Substitution rates for every (group, task) present in the goods. A
+    fault is prefixed by the ``file:line`` in ``wheres`` ((model, task) ->
+    line) of the row it is about: the later of two rows of equal
+    performance, or else its group's first row."""
+
+    def at(g: ModelGoods) -> str:
+        where = wheres.get((g.model_id, g.task_id))
+        return f"{where}: " if where else ""
+
     grouped: dict[tuple[str, str], list[ModelGoods]] = {}
     for g in goods:
         grouped.setdefault((g.group, g.task_id), []).append(g)
@@ -505,10 +542,13 @@ def compute_amrs_table(goods: Iterable[ModelGoods], config: EfficiencyConfig = E
     for (group, task), models in sorted(grouped.items()):
         if len(models) < 2:
             raise InputError(
-                f"group {group!r} has a single model for task {task!r}; substitution rates need >= 2"
+                f"{at(models[0])}group {group!r} has a single model for task {task!r}; substitution rates need >= 2"
             )
         for metric in METRICS:
-            entries[(group, task, metric)] = amrs(mrs_sequence(models, metric, config))
+            try:
+                entries[(group, task, metric)] = amrs(mrs_sequence(models, metric, config, at))
+            except ComputationError as exc:
+                raise ComputationError(f"{at(models[0])}({group}, {task}, {metric}): {exc}") from None
     return AmrsTable(entries)
 
 
@@ -549,16 +589,19 @@ def reference_render_efficiency(rows: Sequence[tuple[ModelGoods, float]], config
 
 
 def reference_run_efficiency(args) -> tuple[dict[str, str], str]:
-    """``commands.efficiency.run`` over the per-row pipeline."""
+    """``commands.efficiency.run`` over the per-row pipeline. A fault about a
+    row is prefixed by its ``file:line``."""
     goods = reference_load_goods(args.goods)
+    header = ("model", "group", "task", "throughput", "memory_gb", "perf")
+    wheres = {(g.model_id, g.task_id): where for g, (where, _) in zip(goods, _read_csv_rows(args.goods, header))}
     w_perf, w_tp, w_mem = args.weights
     config = EfficiencyConfig(max_memory=args.max_memory, w_perf=w_perf, w_throughput=w_tp, w_memory=w_mem)
     for g in goods:  # the ceiling, checked in row order before any rate
-        memory_saved(g, config)
+        _located(wheres[(g.model_id, g.task_id)], memory_saved, g, config)
     if args.amrs_override:
         table = load_amrs(args.amrs_override)
     else:
-        table = compute_amrs_table(goods, config)
+        table = compute_amrs_table(goods, config, wheres)
     scored = [(g, efficiency_score(g, table, config)) for g in goods]
     outputs = {args.out: reference_render_efficiency(scored, config)}
     if args.amrs_out:

@@ -270,6 +270,14 @@ class TestMetricsCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_all_zero_key_names_its_first_line(self, data, tmp_path, monkeypatch, capsys):
+        shutil.copy(data["perf"], tmp_path / "p.csv")
+        with open(tmp_path / "p.csv", "a") as fh:
+            fh.write("ner,zm,en,hi,0\nner,zm,en,bn,0\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["metrics", "--perf", "p.csv", "--tasks", data["tasks"], "--tau", "0", "--out", "sc.csv"]) == 1
+        assert capsys.readouterr().err == "error: p.csv:12: (ner, zm, en): Gini is undefined for an all-zero vector\n"
+
     def test_gini_of_equal_scores_is_zero(self, data):
         # 30.01 on all 23 languages: the formula, summed as numpy sums,
         # rounds this Gini to -3.1e-16, which must not be written.
@@ -353,8 +361,33 @@ class TestEfficiencyCommand:
         monkeypatch.chdir(tmp_path)
         rc = main(["efficiency", "--goods", "g2.csv", "--out", "e.csv"])
         assert rc == 2
-        assert capsys.readouterr().err == "error: model 'b2' uses 20.0 GB, above the 16.0 GB ceiling\n"
+        assert capsys.readouterr().err == (
+            "error: g2.csv:5: model 'b2' uses 20.0 GB on task 'ner', above the 16.0 GB ceiling\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "g2.csv"]
+
+    @pytest.mark.parametrize("rows, code, message", [
+        (["a1,g,ner,5,2,40", "a2,g,ner,6,3,40"], 2,
+         "g.csv:3: (g, ner): models 'a1' and 'a2' have equal performance (40.0); substitution rate undefined"),
+        (["a1,g,ner,5,2,40", "a2,g,ner,5,2,50"], 1,
+         "g.csv:2: (g, ner, throughput): average substitution rate is 0; efficiency scores would divide by zero"),
+        (["a1,g,ner,5,2,40", "b1,h,ner,5,2,40", "a2,g,ner,6,3,50"], 2,
+         "g.csv:3: group 'h' has a single model for task 'ner'; substitution rates need >= 2"),
+    ], ids=["equal-performance", "zero-average", "single-model"])
+    def test_group_fault_names_its_line(self, tmp_path, monkeypatch, capsys, rows, code, message):
+        # Equal performance is at the later row of the two; a group's other faults at its first row.
+        write(tmp_path / "g.csv", "\n".join(["model,group,task,throughput,memory_gb,perf", *rows]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["efficiency", "--goods", "g.csv", "--out", "e.csv"]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bundled_goods_with_a_model_above_ceiling_names_its_line(self, data, tmp_path, monkeypatch, capsys):
+        shutil.copy(data["goods"], tmp_path / "g.csv")
+        with open(tmp_path / "g.csv", "a") as fh:
+            fh.write("big,regional,ner,5,20,40\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["efficiency", "--goods", "g.csv", "--out", "e.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "error: g.csv:22: model 'big' uses 20.0 GB on task 'ner', above the 16.0 GB ceiling\n")
 
     def test_zero_substitution_rate_exit_1(self, tmp_path, capsys):
         # Equal throughput in a group: the average rate is 0, so the scores are undefined.
@@ -390,6 +423,72 @@ class TestEfficiencyCommand:
         by_model = {r["model"]: r for r in read_csv(out)}
         assert float(by_model["a"]["memory_saved"]) == 7.0
         assert float(by_model["b"]["memory_saved"]) == 6.0
+
+
+# One faulty row injected into a small valid input: the error names the line
+# of the row it is about, counted here from the text written.
+
+def run_in(directory, files, argv):
+    """(exit code, stderr) of ``cli.main(argv)`` in ``directory``, with
+    ``files`` ({name: lines}) written there first."""
+    for name, lines in files.items():
+        Path(directory, name).write_text("\n".join(lines) + "\n")
+    cwd, err = os.getcwd(), StringIO()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, err.getvalue()
+
+
+@st.composite
+def with_blank_lines(draw, rows):
+    """``rows`` in order, with a blank line drawn before each now and then."""
+    return [line for row in rows for line in ([""] if draw(st.integers(0, 4)) == 0 else []) + [row]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["task", "lang", "zero"]))
+def test_faulty_performance_row_is_named_at_its_line(data, fault):
+    from langdei.metrics import DEFAULT_UNIVERSE
+
+    rows = []
+    for model in ("m0", "m1", "m2")[:data.draw(st.integers(1, 3))]:
+        for lang in data.draw(st.lists(st.sampled_from(DEFAULT_UNIVERSE), min_size=1, max_size=4, unique=True)):
+            rows.append(f"ner,{model},en,{lang},{data.draw(st.integers(1, 97))}")
+    model = data.draw(st.sampled_from(["m0", "zm"]))
+    bad, code, message = {
+        "task": ("zz,m0,en,hi,50", 2, "unknown task id 'zz' in performance table"),
+        "lang": (f"ner,{model},en,qq,50", 2,
+                 f"performance rows for (ner, {model}, en) name languages outside the universe: qq"),
+        "zero": ("ner,zm,en,hi,0", 1, "(ner, zm, en): Gini is undefined for an all-zero vector"),
+    }[fault]
+    rows.insert(data.draw(st.integers(0, len(rows))), bad)
+    lines = ["task,model,train_lang,target_lang,score", *data.draw(with_blank_lines(rows))]
+    with tempfile.TemporaryDirectory() as directory:
+        outcome = run_in(directory, {"perf.csv": lines},
+                         ["metrics", "--perf", "perf.csv", "--tasks", TASKS, "--tau", "0", "--out", "sc.csv"])
+    assert outcome == (code, f"error: perf.csv:{lines.index(bad) + 1}: {message}\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_goods_row_above_the_memory_ceiling_is_named_at_its_line(data):
+    rows = []
+    for group in ("g0", "g1")[:data.draw(st.integers(1, 2))]:
+        perfs = data.draw(st.lists(st.integers(1, 99), min_size=2, max_size=4, unique=True))
+        rows += [f"{group}m{i},{group},t,{data.draw(st.integers(1, 50))},{i + 1},{perf}"
+                 for i, perf in enumerate(perfs)]
+    memory = data.draw(st.sampled_from(["16.5", "20", "1e3"]))
+    bad = f"big,{data.draw(st.sampled_from(['g0', 'new']))},t,5,{memory},40"
+    rows.insert(data.draw(st.integers(0, len(rows))), bad)
+    lines = ["model,group,task,throughput,memory_gb,perf", *data.draw(with_blank_lines(rows))]
+    with tempfile.TemporaryDirectory() as directory:
+        outcome = run_in(directory, {"goods.csv": lines}, ["efficiency", "--goods", "goods.csv", "--out", "e.csv"])
+    assert outcome == (2, f"error: goods.csv:{lines.index(bad) + 1}: model 'big' uses {float(memory)} GB on task 't', "
+                          "above the 16.0 GB ceiling\n")
 
 
 def synth_trajectories(tmp_path, pairs=(("bn", "hi"), ("en", "hi"), ("ta", "hi"))):
@@ -752,7 +851,7 @@ class TestReportCommand:
 
     # A small valid file of each CSV role: ids and numbers as langdei writes them.
     CSV_ARTIFACTS = {
-        "scorecard": "task,model,train_lang,m_tau,gini,tested,universe\nner,m|1,en,50.5,0.2,3,23\n",
+        "scorecard": "task,model,train_lang,m_tau,gini,tested,universe\nner,m|1,en,50.5,0,1,1\n",
         "lorenz": "task,model,train_lang,population_fraction,cumulative_share\nner,m|1,en,0,0\nner,m|1,en,1,1\n",
         "amrs": "group,task,metric,amrs\ng,ner,throughput,1.5\ng,ner,memory,2.5e-05\n",
         "efficiency": "task,model,group,perf,throughput,memory_saved,efficiency\nner,m|1,g,50,10,4,1e-05\n",
@@ -780,7 +879,7 @@ class TestReportCommand:
         out = tmp_path / "r.md"
         assert main(["report", *args, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert "| ner | m\\|1 | en | 50.5 | 0.2 | 3 | 23 |" in lines
+        assert "| ner | m\\|1 | en | 50.5 | 0 | 1 | 1 |" in lines
         assert "| g | ner | memory | 2.5e-05 |" in lines
         assert "| ner | m\\|1 | g | 50 | 10 | 4 | 1e-05 |" in lines
 
@@ -842,6 +941,28 @@ class TestReportCommand:
         assert main(["report", "--scorecard", scorecard, "--lorenz", lorenz, "--out", str(out)]) == 2
         assert f"{lorenz}:4: no scorecard row for ('zz', 'm|1', 'en')" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(("scorecard", "lorenz", "message"), [
+        (["ner,m,en,50,0.2,3,23"], ["ner,m,en,0,0", "ner,m,en,1,1"],
+         "scorecard.csv:2: ('ner', 'm', 'en') has 2 Lorenz points, expected universe + 1 = 24"),
+        (["ner,m,en,50,0,1,1"], ["ner,m,en,0,0", "ner,m,en,0.5,0.5", "ner,m,en,1,1"],
+         "scorecard.csv:2: ('ner', 'm', 'en') has 3 Lorenz points, expected universe + 1 = 2"),
+        (["ner,m,en,50,0,1,1", "ner,m2,en,50,0,1,1"], ["ner,m,en,0,0", "ner,m,en,1,1"],
+         "scorecard.csv:3: ('ner', 'm2', 'en') has 0 Lorenz points, expected universe + 1 = 2"),
+        (["ner,m,en,50,0,1,1"], ["ner,m,en,0.5,0", "ner,m,en,1,1"],
+         "lorenz.csv:2: the Lorenz points of ('ner', 'm', 'en') must run from (0, 0) to (1, 1), got (0.5, 0)"),
+        (["ner,m,en,50,0,1,1"], ["ner,m,en,0,0", "ner,m,en,1,0.5"],
+         "lorenz.csv:3: the Lorenz points of ('ner', 'm', 'en') must run from (0, 0) to (1, 1), got (1, 0.5)"),
+    ], ids=["too-few", "too-many", "none", "first", "last"])
+    def test_scorecard_row_without_its_lorenz_points_exit_2(self, tmp_path, monkeypatch, capsys, scorecard, lorenz,
+                                                            message):
+        # metrics writes universe + 1 points for each row, from (0, 0) to (1, 1).
+        monkeypatch.chdir(tmp_path)
+        for name, rows in (("scorecard", scorecard), ("lorenz", lorenz)):
+            write(tmp_path / f"{name}.csv", "\n".join([self.CSV_ARTIFACTS[name].split("\n")[0], *rows]) + "\n")
+        assert main(["report", "--scorecard", "scorecard.csv", "--lorenz", "lorenz.csv", "--out", "r.md"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.md").exists()
 
     @pytest.mark.parametrize(("row", "message"), [
         ("x,bn,0.5,0.6,0.2", "trace.csv:3: malformed integer 'x'"),

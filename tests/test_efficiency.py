@@ -61,10 +61,11 @@ class TestMemorySaved:
         # memory_saved raises for a row above the ceiling, before the scores
         # and the rates that would use its headroom.
         table = AmrsTable({("g", "t", "throughput"): 2.0, ("g", "t", "memory"): 0.5})
-        with pytest.raises(InputError, match="'m' uses 16.5 GB, above the 16.0 GB ceiling"):
+        with pytest.raises(InputError, match="^model 'm' uses 16.5 GB on task 't', above the 16.0 GB ceiling$"):
             score_of(goods(mem=16.5), table)
-        with pytest.raises(InputError, match="'b' uses 16.5 GB"):
+        with pytest.raises(InputError, match="'b' uses 16.5 GB") as info:
             rates_of([goods("a", tp=5, perf=10), goods("b", mem=16.5, perf=20)])
+        assert info.value.row == {"model": "b", "group": "g", "task": "t"}
 
     def test_custom_ceiling(self):
         assert memory_saved(goods_table([goods(mem=2.0)]), EfficiencyConfig(max_memory=8.0)) == [6.0]
@@ -98,13 +99,21 @@ class TestMrsSequence:
         assert rates_of(trio[::-1]) == rates_of(trio)
 
     def test_singleton_rejected(self):
-        with pytest.raises(InputError, match="single model"):
+        with pytest.raises(InputError, match="single model") as info:
             rates_of([goods()])
+        assert info.value.row == {"group": "g", "task": "t"}
 
     def test_equal_performance_names_pair(self):
-        pair = [goods("a", perf=60), goods("b", perf=60)]
-        with pytest.raises(InputError, match="'a' and 'b'"):
+        trio = [goods("a", perf=60), goods("b", perf=10), goods("c", perf=60)]
+        with pytest.raises(InputError, match=r"^\(g, t\): models 'a' and 'c' have equal performance \(60.0\)") as info:
+            rates_of(trio)
+        assert info.value.row == {"model": "c", "group": "g", "task": "t"}
+
+    def test_zero_average_rate_names_its_metric(self):
+        pair = [goods("a", tp=10, mem=1, perf=60), goods("b", tp=20, mem=1, perf=70)]
+        with pytest.raises(ComputationError, match=r"^\(g, t, memory\): average substitution rate is 0;") as info:
             rates_of(pair)
+        assert info.value.row == {"group": "g", "task": "t"}
 
 
 class TestAmrs:

@@ -9,7 +9,9 @@ only ``io`` spells a CSV header, so one function owns the reading of a
 table and the finding of its first fault; and every private top-level
 definition of the package is read by its code, so a refactor cannot leave
 a helper behind; and no two modules of the package import each other, lazily
-or not, but ``io`` and ``metrics``."""
+or not, but ``io`` and ``metrics``; and no code of the package compares the
+text of an error it caught, so a fault is told apart by what it carries
+(such as its ``row``), not by its message."""
 
 import ast
 import math
@@ -180,6 +182,47 @@ def test_only_io_spells_a_csv_header():
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert constants & headers == set()
 
+
+def message_matches(source: str) -> list[int]:
+    """The lines of ``source`` that compare the text of a caught error, or
+    return it to a caller that may: a comparison with an operand
+    ``str(name)``, or a ``return str(name)``, where ``name`` is bound by an
+    ``except ... as name`` clause of ``source``."""
+    tree = ast.parse(source)
+    caught = {node.name for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.name}
+
+    def text_of_caught(node) -> bool:
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "str" and len(node.args) == 1
+                and getattr(node.args[0], "id", None) in caught)
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and any(map(text_of_caught, [node.left, *node.comparators]))
+                  or isinstance(node, ast.Return) and text_of_caught(node.value))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_error_is_told_apart_by_its_message(module):
+    assert message_matches((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_message_match():
+    source = (
+        "def f(message):\n"
+        "    try:\n"
+        "        g()\n"
+        "    except InputError as exc:\n"
+        "        if str(exc) == message:\n"
+        "            raise\n"
+        "        if message in str(exc) or str(other) == message:\n"
+        "            raise usage_error(str(exc)) from None\n"
+        "def fault():\n"
+        "    try:\n"
+        "        g()\n"
+        "    except ValueError as error:\n"
+        "        return str(error)\n"
+        "    return str(3)\n"
+    )
+    assert message_matches(source) == [5, 7, 13]
 
 
 ROOT = PACKAGE.parents[1]

@@ -465,11 +465,12 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
             raise ComputationError(OVERFLOW)
         return {lang: value / total for lang, value in powered.items()}
 
-    def ref_gini(utilities):
+    def ref_gini(key, utilities):
         arr = np.asarray(utilities, dtype=float)
         total = float(arr.sum())
         if total == 0:
-            raise ComputationError("Gini is undefined for an all-zero vector")
+            raise ComputationError(f"({', '.join(key)}): Gini is undefined for an all-zero vector",
+                                   row=dict(zip(("task", "model", "train_lang"), key)))
         y = np.sort(arr, kind="stable")
         n = y.size
         weighted = float(((n + 1 - np.arange(1, n + 1, dtype=float)) * y).sum())
@@ -491,13 +492,14 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
     rows_of = groups(scores)
     # (1) known task, languages in the universe.
     for (task_id, model, train), cells in rows_of:
+        row = {"task": task_id, "model": model, "train_lang": train}
         if task_id not in by_task:
-            raise InputError(f"unknown task id {task_id!r} in performance table")
-        unknown = sorted(set(cells) - set(codes))
+            raise InputError(f"unknown task id {task_id!r} in performance table", row=row)
+        unknown = [lang for lang in cells if lang not in codes]  # in cell order
         if unknown:
             raise InputError(
                 f"performance rows for ({task_id}, {model}, {train}) name languages "
-                f"outside the universe: {', '.join(unknown)}"
+                f"outside the universe: {', '.join(sorted(unknown))}", row={**row, "target_lang": unknown[0]}
             )
     # (2) demand weights defined over each row's universe.
     universes = [tuple(lang for lang in codes if lang in cells) if tested_only else codes for _, cells in rows_of]
@@ -508,7 +510,7 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
                          by_task[task_id].max_performance).tolist())
         for ((task_id, _, _), cells), row_universe in zip(rows_of, universes)
     ]
-    ginis = [ref_gini(u) for u in utilities]
+    ginis = [ref_gini(key, u) for (key, _), u in zip(rows_of, utilities)]
     rows = []
     for ((task_id, model, train), cells), row_universe, d, u, g in zip(rows_of, universes, weights, utilities, ginis):
         m = sequential_sum(ui * d[lang] for ui, lang in zip(u, row_universe))  # left to right, in universe order
@@ -518,14 +520,14 @@ def reference_scorecard(scores, speakers, tasks, universe=DEFAULT_UNIVERSE, tau=
 
 def _outcome(compute):
     """The rows and their repr (bit-exact for floats), or the error's type,
-    text and, for a bad cell, its position."""
+    text and the cells of the row it is about."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             rows = compute()
         return "ok", rows, repr(rows)
     except LangDeiError as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "index", None)
+        return type(exc).__name__, str(exc), exc.row
 
 
 @st.composite

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langdei.allocator import COMPOSITION_MODES, MISSING_POLICIES, AllocationPlan, PlanEvaluation
+from langdei.allocator import AllocationPlan, PlanEvaluation
+from langdei.records import COMPOSITION_MODES, MISSING_POLICIES
 from langdei.cli import main
 from langdei.curves import LearningCurve, TrajectoryPoint
 from langdei.efficiency import METRICS, AmrsTable, GoodsTable, load_amrs, render_amrs, render_efficiency
