@@ -138,7 +138,8 @@ def _md_table(header: Sequence[str], rows: list[tuple[str, list[str]]]) -> list[
 
 _CSV_HEADERS = {"scorecard": io._SCORECARD_HEADER, "lorenz": io._LORENZ_HEADER, "amrs": io._AMRS_HEADER,
                 "efficiency": io._EFFICIENCY_HEADER}
-# Each number column of those files: its parser, and the range its writer keeps.
+# Each number column of those files but the AMRS rates, which ``efficiency.load_amrs``
+# checks: its parser, and the range its writer keeps.
 _UNIT = (io._parse_float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _POSITIVE = (io._parse_float, lambda v: 0 < v < math.inf, "finite and > 0")
 _NON_NEGATIVE = (io._parse_float, lambda v: 0 <= v < math.inf, "finite and >= 0")
@@ -146,7 +147,7 @@ _NUMBER_COLUMNS = {"m_tau": (io._parse_float, lambda v: 0 <= v <= 100, "in [0, 1
                    "gini": (io._parse_float, lambda v: 0 <= v < 1, "in [0, 1)"),
                    "tested": (io._parse_int, lambda v: v >= 1, ">= 1"),
                    "universe": (io._parse_int, lambda v: v >= 1, ">= 1"),
-                   "population_fraction": _UNIT, "cumulative_share": _UNIT, "amrs": _POSITIVE,
+                   "population_fraction": _UNIT, "cumulative_share": _UNIT,
                    "throughput": _POSITIVE, "perf": _NON_NEGATIVE, "memory_saved": _NON_NEGATIVE,
                    "efficiency": (io._parse_float, lambda v: v >= 0, ">= 0")}
 
@@ -185,6 +186,10 @@ def run(args) -> tuple[dict[str, str], str]:
     lines = ["# Language DEI evaluation report", "", "## Inputs", "", "| role | path | sha256 |", "|---|---|---|"]
     lines.extend(_md_row((role, path, io.sha256_of(path))) for role, path in inputs)
     lines.append("")
+    if args.amrs:  # the AMRS rule and its messages are efficiency's
+        from langdei import efficiency
+
+        efficiency.load_amrs(args.amrs)
     # Every CSV file is read and checked, though the report names the Lorenz points only by path.
     rows = {role: _checked_rows(path, _CSV_HEADERS[role]) for role, path in inputs if role in _CSV_HEADERS}
     if args.scorecard and args.lorenz:

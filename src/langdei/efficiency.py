@@ -163,11 +163,14 @@ class AmrsTable(Record):
         if not math.isfinite(value) or value <= 0:
             raise InputError(f"substitution rate for {key} must be positive, got {value}")
 
-    def get(self, group: str, task: str, metric: str) -> float:
+    def get(self, group: str, task: str, metric: str, row: dict[str, str] | None = None) -> float:
+        """The rate of (group, task, metric). A missing rate is an InputError
+        whose ``row`` is the given one: the input row that needed the rate."""
         try:
             return self.entries[(group, task, metric)]
         except KeyError:
-            raise InputError(f"no substitution rate for group={group!r} task={task!r} metric={metric!r}") from None
+            raise InputError(f"no substitution rate for group={group!r} task={task!r} metric={metric!r}",
+                             row=row) from None
 
 
 def _row(goods: GoodsTable, i: int) -> dict[str, str]:
@@ -242,13 +245,15 @@ def efficiency_score(goods: GoodsTable, saved: Sequence[float], amrs_table: Amrs
     """Each row's weighted sum of goods, each converted to performance units,
     in row order; ``saved`` is the rows' memory headroom (``memory_saved``,
     which has checked the ceiling). The first row, in row order, without a
-    rate in ``amrs_table`` raises."""
+    rate in ``amrs_table`` raises, with that row's ids as its fault's row."""
     w_perf, w_tp, w_mem = config.w_perf, config.w_throughput, config.w_memory
     entries = amrs_table.entries  # rates are > 0, so only a missing one falls through to ``get``, which raises
-    scores = []
+    scores = []  # len(scores) is the index of the row being scored
     for group, task, tp, room, perf in zip(goods.group, goods.task, goods.throughput, saved, goods.performance):
-        rate_tp = entries.get((group, task, METRIC_THROUGHPUT)) or amrs_table.get(group, task, METRIC_THROUGHPUT)
-        rate_mem = entries.get((group, task, METRIC_MEMORY)) or amrs_table.get(group, task, METRIC_MEMORY)
+        rate_tp = (entries.get((group, task, METRIC_THROUGHPUT))
+                   or amrs_table.get(group, task, METRIC_THROUGHPUT, _row(goods, len(scores))))
+        rate_mem = (entries.get((group, task, METRIC_MEMORY))
+                    or amrs_table.get(group, task, METRIC_MEMORY, _row(goods, len(scores))))
         scores.append(w_perf * perf + w_tp * tp / rate_tp + w_mem * room / rate_mem)
     return scores
 

@@ -63,6 +63,14 @@ class TaskSpec(Record):
             )
 
 
+def _check_raw_score(score: float, cell: tuple[str, str, str, str] | None = None) -> None:
+    """The raw-score rule: a finite score >= 0. The message names the score's
+    (task, model, train, target) ``cell`` when one is given."""
+    if not 0 <= score < math.inf:  # also true for NaN
+        subject = "raw score" if cell is None else f"raw score for {cell}"
+        raise InputError(f"{subject} must be a finite non-negative number, got {score}")
+
+
 class PerformanceTable(Record):
     """Raw scores on the percent scale: ``rows`` maps each (task, model,
     train language) key to that row's {target language: raw score}, rows
@@ -96,8 +104,7 @@ class PerformanceTable(Record):
             return
         for key, cells in rows.items():
             for lang, score in cells.items():
-                if not 0 <= score < math.inf:  # also true for NaN
-                    raise InputError(f"raw score for {(*key, lang)} must be a finite non-negative number, got {score}")
+                _check_raw_score(score, (*key, lang))
 
     @classmethod
     def read_csv(cls, path: str | Path, scale: str) -> PerformanceTable:
@@ -173,8 +180,7 @@ def utility(raw_score: float, task: TaskSpec) -> float:
     Scores above the maximum clamp to 1.0 with a warning: the maximum is an
     estimate and machine scores occasionally exceed it.
     """
-    if not math.isfinite(raw_score) or raw_score < 0:
-        raise InputError(f"raw score must be a finite non-negative number, got {raw_score}")
+    _check_raw_score(raw_score)
     if raw_score > task.max_performance:
         warnings.warn(
             f"score {raw_score} exceeds task {task.task_id!r} maximum "

@@ -590,7 +590,7 @@ def reference_render_efficiency(rows: Sequence[tuple[ModelGoods, float]], config
 
 def reference_run_efficiency(args) -> tuple[dict[str, str], str]:
     """``commands.efficiency.run`` over the per-row pipeline. A fault about a
-    row is prefixed by its ``file:line``."""
+    row, a rate the override lacks included, is prefixed by its ``file:line``."""
     goods = reference_load_goods(args.goods)
     header = ("model", "group", "task", "throughput", "memory_gb", "perf")
     wheres = {(g.model_id, g.task_id): where for g, (where, _) in zip(goods, _read_csv_rows(args.goods, header))}
@@ -602,7 +602,7 @@ def reference_run_efficiency(args) -> tuple[dict[str, str], str]:
         table = load_amrs(args.amrs_override)
     else:
         table = compute_amrs_table(goods, config, wheres)
-    scored = [(g, efficiency_score(g, table, config)) for g in goods]
+    scored = [(g, _located(wheres[(g.model_id, g.task_id)], efficiency_score, g, table, config)) for g in goods]
     outputs = {args.out: reference_render_efficiency(scored, config)}
     if args.amrs_out:
         outputs[args.amrs_out] = render_amrs(table)

@@ -491,6 +491,25 @@ def test_goods_row_above_the_memory_ceiling_is_named_at_its_line(data):
                           "above the 16.0 GB ceiling\n")
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_goods_row_without_an_override_rate_is_named_at_its_line(data):
+    # efficiency_score meets each row's throughput rate, then its memory rate.
+    groups = ("g0", "g1")[:data.draw(st.integers(1, 2))]
+    rows = data.draw(st.permutations([f"{group}m{i},{group},t,{10 + i},{i + 1},{20 + i}"
+                                      for group in groups for i in range(data.draw(st.integers(1, 3)))]))
+    rates = [f"{group},t,{metric},{data.draw(st.sampled_from(['0.5', '2']))}"
+             for group in groups for metric in ("throughput", "memory")]
+    group, _, metric, _ = rates.pop(data.draw(st.integers(0, len(rates) - 1))).split(",")
+    lines = ["model,group,task,throughput,memory_gb,perf", *data.draw(with_blank_lines(rows))]
+    first = next(n for n, line in enumerate(lines, 1) if line.split(",")[1:2] == [group])
+    with tempfile.TemporaryDirectory() as directory:
+        outcome = run_in(directory, {"goods.csv": lines, "o.csv": ["group,task,metric,amrs", *rates]},
+                         ["efficiency", "--goods", "goods.csv", "--amrs-override", "o.csv", "--out", "e.csv"])
+    assert outcome == (2, f"error: goods.csv:{first}: no substitution rate for group={group!r} task='t' "
+                          f"metric={metric!r}\n")
+
+
 def synth_trajectories(tmp_path, pairs=(("bn", "hi"), ("en", "hi"), ("ta", "hi"))):
     lines = ["source,target,samples,score"]
     coeffs = {"bn": (0.9, -8.0, 0.35), "en": (1.1, -5.0, 0.25), "ta": (0.8, -12.0, 0.45)}
@@ -900,9 +919,11 @@ class TestReportCommand:
     @pytest.mark.parametrize("cell", ['"n\nx"', '"n x"', '""'], ids=["line-break", "space", "empty"])
     def test_csv_cell_that_is_no_id_or_number_exit_2(self, tmp_path, capsys, role, cell):
         # A quoted cell may span lines; the row is reported at the line it starts on.
+        # efficiency.load_amrs checks an AMRS file, with its own message.
         header, row, *rest = self.CSV_ARTIFACTS[role].split("\n")
         text = "\n".join([header, "", cell + row[row.index(","):], *rest])
-        self.assert_report_fails(tmp_path, capsys, role, text, f":3: invalid {header.split(',')[0]} cell")
+        what = "group:" if role == "amrs" else f"{header.split(',')[0]} cell"
+        self.assert_report_fails(tmp_path, capsys, role, text, f":3: invalid {what}")
 
     @pytest.mark.parametrize(("role", "row", "message"), [
         ("scorecard", "ner,m,en,abc,7,1.5,x", ":2: malformed number 'abc'"),
@@ -923,7 +944,8 @@ class TestReportCommand:
         ("scorecard", "ner,m,en,50,0.2,5,3", ":2: tested must be <= universe, got 5 > 3"),
         ("lorenz", "ner,m,en,0,0\nner,m,en,1,1.5", ":3: cumulative_share must be in [0, 1], got 1.5"),
         ("lorenz", "ner,m,en,-0.5,0", ":2: population_fraction must be in [0, 1], got -0.5"),
-        ("amrs", "g,ner,throughput,1.5\ng,ner,memory,-4", ":3: amrs must be finite and > 0, got -4"),
+        ("amrs", "g,ner,throughput,1.5\ng,ner,memory,-4",
+         ":3: substitution rate for ('g', 'ner', 'memory') must be positive, got -4.0"),
         ("efficiency", "ner,m,g,-5,10,4,1", ":2: perf must be finite and >= 0, got -5"),
         ("efficiency", "ner,m,g,50,0,4,1", ":2: throughput must be finite and > 0, got 0"),
         ("efficiency", "ner,m,g,50,10,-1,1", ":2: memory_saved must be finite and >= 0, got -1"),
@@ -933,6 +955,20 @@ class TestReportCommand:
     def test_csv_number_out_of_its_writers_range_exit_2(self, tmp_path, capsys, role, row, message):
         header = self.CSV_ARTIFACTS[role].split("\n")[0]
         self.assert_report_fails(tmp_path, capsys, role, f"{header}\n{row}\n", message)
+
+    @pytest.mark.parametrize(("rows", "message"), [
+        (["g,ner,latency,2.0", "g,ner,latency,3.0"], ":2: metric must be one of ('throughput', 'memory'), got 'latency'"),
+        (["g,ner,throughput,2.0", "g,ner,memory,1", "g,ner,throughput,3.0"],
+         ":4: duplicate substitution rate for ('g', 'ner', 'throughput')"),
+    ], ids=["unknown-metric", "repeated-key"])
+    def test_amrs_file_that_efficiency_rejects_exit_2_with_its_message(self, tmp_path, capsys, rows, message):
+        # report checks an AMRS file by the rule efficiency reads an override with.
+        text = "\n".join(["group,task,metric,amrs", *rows]) + "\n"
+        self.assert_report_fails(tmp_path, capsys, "amrs", text, message)
+        goods = write(tmp_path / "goods.csv", "model,group,task,throughput,memory_gb,perf\na1,g,ner,10,4,50\n")
+        artifact, out = tmp_path / "artifact.csv", tmp_path / "e.csv"
+        assert main(["efficiency", "--goods", goods, "--amrs-override", str(artifact), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {artifact}{message}\n"
 
     def test_lorenz_row_without_a_scorecard_row_exit_2(self, tmp_path, capsys):
         scorecard = write(tmp_path / "scorecard.csv", self.CSV_ARTIFACTS["scorecard"])
@@ -1366,6 +1402,8 @@ OWN_MODULES = {
                {"commands.allocate", "allocator", "scalar"}),
     "report": (["report", "--plan", "plan.txt", "--trace", "trace.csv", "--curves", MURIL, "--out", "report.md"],
                {"commands.report"}),
+    "report --amrs": (["report", "--amrs", str(bundled_path("amrs_printed.csv")), "--out", "report.md"],
+                      {"commands.report", "efficiency"}),
 }
 
 
@@ -1381,20 +1419,23 @@ def test_each_run_loads_only_its_own_modules(run, tmp_path):
     assert loaded == EVERY_RUN | {f"langdei.{name}" for name in own}
     assert "langdei.cli" not in loaded
     if run == "report":
-        assert loaded & {"langdei.allocator", "langdei.scalar", "langdei.metrics"} == set()
+        assert loaded & {"langdei.allocator", "langdei.scalar", "langdei.metrics", "langdei.efficiency"} == set()
 
 
 def test_readme_states_the_lines_each_run_compiles():
     # README's "Start-up" figures: a run compiles its modules, which the test
-    # above pins, and cli.py, which runs as __main__ under its own name.
+    # above pins, and cli.py, which runs as __main__ under its own name. README
+    # names a run by its subcommand, or by its key here if that starts with it.
     text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
     stated = text.split("compiles these many lines of `langdei` source: ", 1)[1].split(". ", 1)[0]
-    figures = {name: int(n.replace(",", "")) for name, n in re.findall(r"`(\w+)`\D*?(\d+(?:,\d{3})*)", stated)}
+    figures = {name: int(n.replace(",", "")) for name, n in re.findall(r"`(\w+(?: --\w+)?)`\D*?(\d+(?:,\d{3})*)",
+                                                                       stated)}
+    names = {run: run if run.split()[0] == argv[0] else argv[0] for run, (argv, _) in OWN_MODULES.items()}
     for run, (argv, own) in OWN_MODULES.items():
         files = [importlib.util.find_spec(name).origin for name in EVERY_RUN | {f"langdei.{name}" for name in own}]
         counted = sum(len(Path(path).read_text(encoding="utf-8").splitlines()) for path in [*files, cli.__file__])
-        assert (run, counted) == (run, figures[argv[0]])
-    assert set(figures) == {argv[0] for argv, _ in OWN_MODULES.values()}
+        assert (run, counted) == (run, figures[names[run]])
+    assert set(figures) == set(names.values())
 
 
 # The same bytes on every interpreter. Every subcommand but fit runs without

@@ -54,6 +54,13 @@ class TestUtility:
         with pytest.raises(InputError):
             utility(-1.0, NER)
 
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_score_names_the_raw_score_rule(self, bad):
+        # The rule and its text are the PerformanceTable's; only the subject differs.
+        with pytest.raises(InputError) as info:
+            utility(bad, NER)
+        assert str(info.value) == f"raw score must be a finite non-negative number, got {bad}"
+
     def test_nonpositive_maximum_rejected(self):
         with pytest.raises(InputError):
             TaskSpec("bad", 0.0)
