@@ -110,17 +110,18 @@ def _md_row(cells: Sequence[object]) -> str:
     return "| " + " | ".join(str(cell).replace("|", "\\|") for cell in cells) + " |"
 
 
-def _checked_rows(path: str, header: Sequence[str]) -> list[tuple[str, list[str]]]:
-    """The (``file:line``, cells) rows of a CSV file with ``header``. Each
-    cell must keep ``check_id``'s rule, a number column's cells must parse
-    and lie in the range its writer keeps, and a scorecard row's ``tested``
-    must not exceed its ``universe``."""
+def _checked_rows(path: str, header: Sequence[str], width: int) -> list[tuple[str, list[str]]]:
+    """The (``file:line``, cells) rows of a CSV file with ``header``. No two
+    rows share their first ``width`` cells (``io._unique_rows``), an id
+    column's cells keep ``check_id``'s rule, a number column's parse and lie
+    in the range its writer keeps, and a scorecard row's ``tested`` <= its ``universe``."""
     rows = []
-    for where, cells in io._read_csv_rows(path, header):
+    for where, cells in io._unique_rows(io._read_csv_rows(path, header), width, "row for"):
         numbers = {}
         for name, cell in zip(header, cells):
-            io._located(where, check_id, cell, f"{name} cell")
-            if name in _NUMBER_COLUMNS:
+            if name not in _NUMBER_COLUMNS:
+                io._located(where, check_id, cell, f"{name} cell")
+            else:
                 parse, in_range, expected = _NUMBER_COLUMNS[name]
                 numbers[name] = parse(cell, where)
                 if not in_range(numbers[name]):
@@ -132,14 +133,15 @@ def _checked_rows(path: str, header: Sequence[str]) -> list[tuple[str, list[str]
 
 
 def _md_table(header: Sequence[str], rows: list[tuple[str, list[str]]]) -> list[str]:
-    """The markdown table of ``_checked_rows``'s rows, their cells as read."""
+    """The markdown table of (``file:line``, cells) rows, their cells as read."""
     return [_md_row(header), "|" + "---|" * len(header), *(_md_row(cells) for _, cells in rows)]
 
 
-_CSV_HEADERS = {"scorecard": io._SCORECARD_HEADER, "lorenz": io._LORENZ_HEADER, "amrs": io._AMRS_HEADER,
-                "efficiency": io._EFFICIENCY_HEADER}
-# Each number column of those files but the AMRS rates, which ``efficiency.load_amrs``
-# checks: its parser, and the range its writer keeps.
+# The header of each CSV role that ``_checked_rows`` checks, and the width of
+# its key, the first cells, which no two of its rows share.
+_CSV_ROLES = {"scorecard": (io._SCORECARD_HEADER, 3), "lorenz": (io._LORENZ_HEADER, 4),
+              "efficiency": (io._EFFICIENCY_HEADER, 2)}
+# Each number column of those files: its parser, and the range its writer keeps.
 _UNIT = (io._parse_float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _POSITIVE = (io._parse_float, lambda v: 0 < v < math.inf, "finite and > 0")
 _NON_NEGATIVE = (io._parse_float, lambda v: 0 <= v < math.inf, "finite and >= 0")
@@ -173,7 +175,7 @@ def _check_lorenz_points(scorecard: list[tuple[str, list[str]]], lorenz: list[tu
 
 def run(args) -> tuple[dict[str, str], str]:
     inputs: list[tuple[str, str]] = []  # (role, path)
-    for role in _CSV_HEADERS:
+    for role in ("scorecard", "lorenz", "amrs", "efficiency"):
         value = getattr(args, role)
         if value:
             inputs.append((role, value))
@@ -191,7 +193,7 @@ def run(args) -> tuple[dict[str, str], str]:
 
         efficiency.load_amrs(args.amrs)
     # Every CSV file is read and checked, though the report names the Lorenz points only by path.
-    rows = {role: _checked_rows(path, _CSV_HEADERS[role]) for role, path in inputs if role in _CSV_HEADERS}
+    rows = {role: _checked_rows(path, *_CSV_ROLES[role]) for role, path in inputs if role in _CSV_ROLES}
     if args.scorecard and args.lorenz:
         _check_lorenz_points(rows["scorecard"], rows["lorenz"])
 
@@ -204,7 +206,7 @@ def run(args) -> tuple[dict[str, str], str]:
         lines.append("")
     if args.amrs:
         lines += ["## Substitution rates (AMRS)", ""]
-        lines += _md_table(io._AMRS_HEADER, rows["amrs"])
+        lines += _md_table(io._AMRS_HEADER, list(io._read_csv_rows(args.amrs, io._AMRS_HEADER)))
         lines += [
             "",
             "Rates derived from adjacent model pairs are sensitive to rounding in the",

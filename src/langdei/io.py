@@ -178,16 +178,27 @@ def _check_scale(scale: str) -> str:
     return scale
 
 
+def _unique_rows(rows, width: int, what: str) -> Iterator[tuple[str, Sequence[str]]]:
+    """The (``file:line``, cells) ``rows``, passed through unchanged, until
+    one repeats an earlier row's key, its first ``width`` cells (the cell
+    itself when ``width`` is 1): ``{file:line}: duplicate {what} {key!r}``."""
+    seen = set()
+    for where, cells in rows:
+        key = cells[0] if width == 1 else tuple(cells[:width])
+        if key in seen:
+            raise InputError(f"{where}: duplicate {what} {key!r}")
+        seen.add(key)
+        yield where, cells
+
+
 def _read_numbers(path: str | Path, header: Sequence[str], what: str, check) -> dict:
     """{key: last cell's number} of a small CSV file's rows, in file order;
     the key is the one cell before the number, or the tuple of them. A
-    row's fault, at its ``file:line``, is a repeated key (``duplicate {what}
-    {key!r}``), then its number, then the rule ``check(key, number)``."""
+    row's fault, at its ``file:line``, is a repeated key (``_unique_rows``),
+    then its number, then the rule ``check(key, number)``."""
     entries = {}
-    for where, (*cells, text) in _read_csv_rows(path, header):
+    for where, (*cells, text) in _unique_rows(_read_csv_rows(path, header), len(header) - 1, what):
         key = cells[0] if len(cells) == 1 else tuple(cells)
-        if key in entries:
-            raise InputError(f"{where}: duplicate {what} {key!r}")
         entries[key] = _parse_float(text, where)
         _located(where, check, key, entries[key])
     return entries

@@ -139,13 +139,8 @@ class PerformanceTable(Record):
             return cls(table)
 
         def locate(rows):
-            seen: set[tuple[str, str, str, str]] = set()
-            for where, (task, model, train, lang, text) in rows:
-                key = (task, model, train, lang)
-                if key in seen:
-                    raise InputError(f"{where}: duplicate row for {key}")
-                seen.add(key)
-                io._located(where, cls, {key[:3]: {lang: io._parse_float(text, where) * factor}})
+            for where, (task, model, train, lang, text) in io._unique_rows(rows, 4, "row for"):
+                io._located(where, cls, {(task, model, train): {lang: io._parse_float(text, where) * factor}})
 
         return io._read_table(path, _PERF_HEADER, fast, locate)
 
@@ -310,12 +305,12 @@ def load_tasks(path: str | Path) -> list[TaskSpec]:
 
 def load_universe(path: str | Path) -> tuple[str, ...]:
     """Plain text, one language code per line; ``#`` comments allowed."""
-    codes: dict[str, None] = {}
-    for where, code in io._records(path):
-        if code in codes:
-            raise InputError(f"{where}: duplicate language {code!r}")
-        codes[io._located(where, check_id, code, "language code")] = None
-    return tuple(codes)
+    lines = ((where, [code]) for where, code in io._records(path))
+    codes = tuple(io._located(where, check_id, code, "language code")
+                  for where, (code,) in io._unique_rows(lines, 1, "language"))
+    if not codes:
+        raise InputError(f"{path}: no language codes")
+    return codes
 
 
 def render_scorecard(rows: Sequence[ScorecardRow], scale: str = "percent") -> str:

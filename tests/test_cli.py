@@ -932,7 +932,9 @@ class TestReportCommand:
         ("lorenz", "ner,m,en,0,0\nner,m,en,x,1", ":3: malformed number 'x'"),
         ("amrs", "g,ner,throughput,1.5\ng,ner,memory,nan", ":3: number must not be NaN"),
         ("efficiency", "ner,m,g,50,10,abc,1e-05", ":2: malformed number 'abc'"),
-    ], ids=["scorecard-real", "scorecard-tested", "scorecard-universe", "lorenz", "amrs", "efficiency"])
+        ("scorecard", 'ner,m,en,"5 0",0,1,1', ":2: malformed number '5 0'"),
+    ], ids=["scorecard-real", "scorecard-tested", "scorecard-universe", "lorenz", "amrs", "efficiency",
+            "scorecard-quoted-space"])
     def test_csv_number_cell_that_is_no_number_exit_2(self, tmp_path, capsys, role, row, message):
         header = self.CSV_ARTIFACTS[role].split("\n")[0]
         self.assert_report_fails(tmp_path, capsys, role, f"{header}\n{row}\n", message)
@@ -955,6 +957,18 @@ class TestReportCommand:
     def test_csv_number_out_of_its_writers_range_exit_2(self, tmp_path, capsys, role, row, message):
         header = self.CSV_ARTIFACTS[role].split("\n")[0]
         self.assert_report_fails(tmp_path, capsys, role, f"{header}\n{row}\n", message)
+
+    @pytest.mark.parametrize(("role", "rows", "message"), [
+        ("scorecard", ["ner,m,en,50,0,1,1", "ner,m,hi,50,0,1,1", "ner,m,en,60,0.5,1,2"],
+         ":4: duplicate row for ('ner', 'm', 'en')"),
+        ("lorenz", ["ner,m,en,0,0", "ner,m,en,1,1", "ner,m,en,1,0.5"], ":4: duplicate row for ('ner', 'm', 'en', '1')"),
+        ("efficiency", ["ner,m,g,50,10,4,1", "ner,m,g2,40,5,2,0.5"], ":3: duplicate row for ('ner', 'm')"),
+    ], ids=["scorecard", "lorenz", "efficiency"])
+    def test_csv_row_repeating_a_key_exit_2(self, tmp_path, capsys, role, rows, message):
+        # metrics writes one scorecard row per (task, model, train_lang) and one
+        # Lorenz point per population fraction of it; efficiency one row per (task, model).
+        header = self.CSV_ARTIFACTS[role].split("\n")[0]
+        self.assert_report_fails(tmp_path, capsys, role, "\n".join([header, *rows]) + "\n", message)
 
     @pytest.mark.parametrize(("rows", "message"), [
         (["g,ner,latency,2.0", "g,ner,latency,3.0"], ":2: metric must be one of ('throughput', 'memory'), got 'latency'"),
@@ -989,7 +1003,9 @@ class TestReportCommand:
          "lorenz.csv:2: the Lorenz points of ('ner', 'm', 'en') must run from (0, 0) to (1, 1), got (0.5, 0)"),
         (["ner,m,en,50,0,1,1"], ["ner,m,en,0,0", "ner,m,en,1,0.5"],
          "lorenz.csv:3: the Lorenz points of ('ner', 'm', 'en') must run from (0, 0) to (1, 1), got (1, 0.5)"),
-    ], ids=["too-few", "too-many", "none", "first", "last"])
+        (["ner,m,en,50,0,1,2"], ["ner,m,en,0,0", "ner,m,en,0,0", "ner,m,en,1,1"],
+         "lorenz.csv:3: duplicate row for ('ner', 'm', 'en', '0')"),
+    ], ids=["too-few", "too-many", "none", "first", "last", "repeated"])
     def test_scorecard_row_without_its_lorenz_points_exit_2(self, tmp_path, monkeypatch, capsys, scorecard, lorenz,
                                                             message):
         # metrics writes universe + 1 points for each row, from (0, 0) to (1, 1).
@@ -1242,6 +1258,9 @@ BAD_INPUTS = {
     "permissive-source-without-curve": ({"curves.txt": CURVE_BN_HI},
                                         [*ALLOCATE, "--sources", "bn,ta", "--missing", "permissive"],
                                         "source 'ta' has no curve for any target"),
+    "empty-universe": ({"u.txt": "# no codes\n\n"},
+                       ["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks",
+                        str(bundled_path("tasks.csv")), "--tau", "0", "--universe", "u.txt"], "u.txt: no language codes"),
     "duplicate-task": ({"tasks.csv": "task,max_performance\nner,100\nner,90\n"},
                        ["metrics", "--perf", str(bundled_path("fixtures_ner_equal.csv")), "--tasks", "tasks.csv",
                         "--tau", "0"], "tasks.csv:3: duplicate task 'ner'"),

@@ -493,6 +493,9 @@ def test_universe_loader(tmp_path, bundle):
     p.write_text("en\nhi\nen\n")
     with pytest.raises(InputError, match=r"u\.txt:3"):
         load_universe(p)
+    p.write_text("# no codes\n\n")
+    with pytest.raises(InputError, match=r"u\.txt: no language codes$"):
+        load_universe(p)
 
 
 @pytest.mark.parametrize("load, text, message", [
