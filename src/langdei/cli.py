@@ -25,6 +25,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 from langdei import io
+from langdei.commands import files
 from langdei.errors import ComputationError, InputError
 
 if TYPE_CHECKING:  # imported by build_parser when it runs
@@ -63,18 +64,12 @@ def _check_distinct_outputs(args) -> None:
     """Two output flags naming one file would leave only the last write, an
     output naming an input would replace it, and an output naming a
     directory, or a file in a directory that does not exist, could not be
-    written at all."""
+    written at all. A flag's role is its subcommand's ``OPTIONS`` entry's."""
+    options = _command(args.command).OPTIONS
     seen: dict[Path, str] = {}
-    for dest in ("perf", "tasks", "speakers", "universe", "goods", "amrs_override", "trajectories",
-                 "curves", "scorecard", "lorenz", "amrs", "efficiency", "plan", "trace"):
-        value = getattr(args, dest, None)
-        for path in value if isinstance(value, list) else [value] if value else []:
-            seen.setdefault(Path(path).resolve(), "--" + dest.replace("_", "-"))
-    for dest in ("out", "lorenz_out", "amrs_out", "trace_out"):
-        value = getattr(args, dest, None)
-        if not value:
-            continue
-        flag = "--" + dest.replace("_", "-")
+    for flag, path in files(options, args, "input"):
+        seen.setdefault(Path(path).resolve(), flag)
+    for flag, value in files(options, args, "output"):
         path = Path(value).resolve()
         if path.is_dir():
             raise InputError(f"{flag} names a directory: {value}")
@@ -153,7 +148,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         command = _command(name)
         p = sub.add_parser(name, help=command.HELP)
         for flag, spec in command.OPTIONS.items():
-            p.add_argument(flag, **spec)
+            p.add_argument(flag, **{key: value for key, value in spec.items() if key != "role"})
         p.set_defaults(func=command.run)
     return parser
 

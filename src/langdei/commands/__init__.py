@@ -1,17 +1,27 @@
 """The subcommands of ``langdei.cli``, one module each: ``HELP``, ``OPTIONS``
-(each ``--flag`` and its ``add_argument`` keywords, in order) and
-``run(args)``, which returns ``({path: text}, summary line)`` for
-``cli.main`` to write; and what two of them share."""
+(each ``--flag`` and its ``add_argument`` keywords, in order, and a file flag's
+``role``, input or output) and ``run(args)``, which returns ``({path: text},
+summary line)`` for ``cli.main`` to write; and what two of them share."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from langdei import io, records
 from langdei.errors import InputError
 
 if TYPE_CHECKING:  # imported by speaker_table when it runs
     from langdei.scalar import SpeakerTable
+
+
+def files(options: dict, args, role: str) -> Iterator[tuple[str, str]]:
+    """(flag, path) of each path that ``args`` gives a flag of ``options``
+    whose role is ``role``, in ``options`` order, then in the order given."""
+    for flag, spec in options.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if spec.get("role") == role and value:
+            for path in value if spec.get("action") == "append" else [value]:
+                yield flag, path
 
 
 def usage_error(message: str) -> Exception:

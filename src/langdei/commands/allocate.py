@@ -15,19 +15,19 @@ def _comma_list(text: str) -> tuple[str, ...]:
 
 
 OPTIONS = {
-    "--curves": dict(required=True, help="curve registry file"),
+    "--curves": dict(role="input", required=True, help="curve registry file"),
     "--budget": dict(type=int, required=True, help="total samples to allocate"),
     "--strategy": dict(required=True, help="greedy | egalitarian | single:<lang>"),
     "--sources": dict(type=_comma_list, help="source languages (default: all in the registry)"),
     "--targets": dict(type=_comma_list, help="target languages (default: all in the registry)"),
     "--tau": dict(type=parse_tau, default=1.0, help="demand exponent over targets (default 1)"),
-    "--speakers": dict(help="speaker CSV; required when --tau > 0"),
+    "--speakers": dict(role="input", help="speaker CSV; required when --tau > 0"),
     "--alpha": dict(type=float, default=1.0, help="weight of the global-metric gain (default 1)"),
     "--beta": dict(type=float, default=1.0, help="weight of the Gini reduction (default 1)"),
     "--missing": dict(choices=records.MISSING_POLICIES, default="strict", help="missing-curve policy (default strict)"),
     "--composition": dict(choices=records.COMPOSITION_MODES, default="best-source", help="per-target composition for the surrogate evaluation"),
-    "--out": dict(required=True, help="plan output path"),
-    "--trace-out": dict(help="optional per-step trace CSV output path"),
+    "--out": dict(role="output", required=True, help="plan output path"),
+    "--trace-out": dict(role="output", help="optional per-step trace CSV output path"),
 }
 
 

@@ -18,12 +18,12 @@ def _weights(text: str) -> tuple[float, float, float]:
 
 
 OPTIONS = {
-    "--goods": dict(required=True, help="goods CSV (model,group,task,throughput,memory_gb,perf)"),
-    "--amrs-override": dict(help="CSV of externally supplied substitution rates (group,task,metric,amrs)"),
+    "--goods": dict(role="input", required=True, help="goods CSV (model,group,task,throughput,memory_gb,perf)"),
+    "--amrs-override": dict(role="input", help="CSV of externally supplied substitution rates (group,task,metric,amrs)"),
     "--weights": dict(type=_weights, default=(0.5, 0.25, 0.25), help="w_perf,w_throughput,w_memory (default 0.5,0.25,0.25)"),
     "--max-memory": dict(type=float, default=records.DEFAULT_MAX_MEMORY_GB, help="memory ceiling in GB (default 16)"),
-    "--out": dict(required=True, help="efficiency CSV output path"),
-    "--amrs-out": dict(help="optional output CSV of the substitution rates used"),
+    "--out": dict(role="output", required=True, help="efficiency CSV output path"),
+    "--amrs-out": dict(role="output", help="optional output CSV of the substitution rates used"),
 }
 
 

@@ -22,10 +22,10 @@ def _c_range(text: str) -> tuple[float, float]:
 
 
 OPTIONS = {
-    "--trajectories": dict(required=True, help="trajectory CSV (source,target,samples,score)"),
+    "--trajectories": dict(role="input", required=True, help="trajectory CSV (source,target,samples,score)"),
     "--scale": dict(choices=io.SCALES, default="percent", help="score scale of the trajectory file"),
     "--c-range": dict(type=_c_range, default=records.DEFAULT_C_RANGE, help="exponent search range LO:HI (default 0:2)"),
-    "--out": dict(required=True, help="curve registry output path"),
+    "--out": dict(role="output", required=True, help="curve registry output path"),
 }
 
 

@@ -8,15 +8,15 @@ HELP = "demand-weighted global metric and Gini per scorecard row"
 
 
 OPTIONS = {
-    "--perf": dict(required=True, help="performance CSV (task,model,train_lang,target_lang,score)"),
-    "--tasks": dict(required=True, help="task CSV (task,max_performance)"),
-    "--speakers": dict(help="speaker CSV (lang,speakers_millions); required when --tau > 0"),
-    "--universe": dict(help="language universe file, one code per line (default: bundled 23)"),
+    "--perf": dict(role="input", required=True, help="performance CSV (task,model,train_lang,target_lang,score)"),
+    "--tasks": dict(role="input", required=True, help="task CSV (task,max_performance)"),
+    "--speakers": dict(role="input", help="speaker CSV (lang,speakers_millions); required when --tau > 0"),
+    "--universe": dict(role="input", help="language universe file, one code per line (default: bundled 23)"),
     "--tau": dict(type=parse_tau, default=1.0, help="demand exponent in [0,1] (default 1)"),
     "--tested-only": dict(action="store_true", help="restrict each row's universe to tested languages"),
     "--scale": dict(choices=io.SCALES, default="percent", help="score scale of the input file and of the m_tau output column"),
-    "--out": dict(required=True, help="scorecard CSV output path"),
-    "--lorenz-out": dict(help="optional Lorenz-points CSV output path"),
+    "--out": dict(role="output", required=True, help="scorecard CSV output path"),
+    "--lorenz-out": dict(role="output", help="optional Lorenz-points CSV output path"),
 }
 
 

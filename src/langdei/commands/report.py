@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Sequence
 
 from langdei import io
+from langdei.commands import files
 from langdei.errors import InputError, check_id
 from langdei.records import AllocationPlan, PlanEvaluation, check_plan_settings, parse_strategy
 
@@ -14,14 +15,14 @@ HELP = "assemble prior outputs into one markdown report"
 
 
 OPTIONS = {
-    "--scorecard": dict(help="scorecard CSV from `metrics`"),
-    "--lorenz": dict(help="Lorenz-points CSV from `metrics`"),
-    "--amrs": dict(help="substitution-rate CSV from `efficiency`"),
-    "--efficiency": dict(help="efficiency CSV from `efficiency`"),
-    "--curves": dict(action="append", help="curve registry (repeatable)"),
-    "--plan": dict(action="append", help="plan file (repeatable)"),
-    "--trace": dict(action="append", help="trace CSV (repeatable)"),
-    "--out": dict(required=True, help="markdown report output path"),
+    "--scorecard": dict(role="input", help="scorecard CSV from `metrics`"),
+    "--lorenz": dict(role="input", help="Lorenz-points CSV from `metrics`"),
+    "--amrs": dict(role="input", help="substitution-rate CSV from `efficiency`"),
+    "--efficiency": dict(role="input", help="efficiency CSV from `efficiency`"),
+    "--curves": dict(role="input", action="append", help="curve registry (repeatable)"),
+    "--plan": dict(role="input", action="append", help="plan file (repeatable)"),
+    "--trace": dict(role="input", action="append", help="trace CSV (repeatable)"),
+    "--out": dict(role="output", required=True, help="markdown report output path"),
 }
 
 
@@ -157,7 +158,9 @@ _NUMBER_COLUMNS = {"m_tau": (io._parse_float, lambda v: 0 <= v <= 100, "in [0, 1
 def _check_lorenz_points(scorecard: list[tuple[str, list[str]]], lorenz: list[tuple[str, list[str]]]) -> None:
     """Each Lorenz row's ``task,model,train_lang`` is a scorecard row's, and
     each scorecard row has ``universe + 1`` Lorenz points, from (0, 0) to
-    (1, 1), as ``metrics`` writes them."""
+    (1, 1), as ``metrics`` writes them: point k of universe n has the
+    population fraction ``fmt_num(k / n)``, in value, and no share is below
+    the one before it."""
     points: dict[tuple[str, ...], list[tuple[str, list[str]]]] = {tuple(cells[:3]): [] for _, cells in scorecard}
     for where, cells in lorenz:
         if tuple(cells[:3]) not in points:
@@ -168,20 +171,20 @@ def _check_lorenz_points(scorecard: list[tuple[str, list[str]]], lorenz: list[tu
         curve, expected = points[key], int(cells[-1]) + 1  # the last cell is the universe size
         if len(curve) != expected:
             raise InputError(f"{where}: {key} has {len(curve)} Lorenz points, expected universe + 1 = {expected}")
-        for (at, (x, y)), end in ((curve[0], 0.0), (curve[-1], 1.0)):
-            if (float(x), float(y)) != (end, end):
+        n, last = expected - 1, "0"
+        for k, (at, (x, y)) in enumerate(curve):
+            fraction = io.fmt_num(k / n)
+            if k in (0, n) and (float(x), float(y)) != (k / n, k / n):
                 raise InputError(f"{at}: the Lorenz points of {key} must run from (0, 0) to (1, 1), got ({x}, {y})")
+            if float(x) != float(fraction):
+                raise InputError(f"{at}: Lorenz point {k} of {key} must have population_fraction {fraction}, got {x}")
+            if float(y) < float(last):
+                raise InputError(f"{at}: the cumulative_share of {key} must not decrease, got {y} after {last}")
+            last = y
 
 
 def run(args) -> tuple[dict[str, str], str]:
-    inputs: list[tuple[str, str]] = []  # (role, path)
-    for role in ("scorecard", "lorenz", "amrs", "efficiency"):
-        value = getattr(args, role)
-        if value:
-            inputs.append((role, value))
-    for role in ("curves", "plan", "trace"):
-        for value in getattr(args, role) or ():
-            inputs.append((role, value))
+    inputs = [(flag[2:], path) for flag, path in files(OPTIONS, args, "input")]  # (role, path)
     if not inputs:
         raise InputError("report needs at least one input artifact")
 

@@ -252,18 +252,20 @@ def _require(fields: Mapping[str, str], keys: Sequence[str], where: str) -> None
 
 
 def load_curve_registry(path: str | Path) -> dict[tuple[str, str], LearningCurve]:
-    """Parse a curve registry file; duplicate pairs are rejected."""
+    """Parse a curve registry file; a repeated pair is rejected (``_unique_rows``)."""
+
+    def records():
+        for where, line in _records(path):
+            if not line.startswith("curve "):
+                raise InputError(f"{where}: expected a 'curve' record, got {line!r}")
+            fields = _parse_kv_line(line, where)
+            _require(fields, ("source", "target", "a", "b", "c", "r2"), where)
+            yield where, (fields["source"], fields["target"], fields)
+
     registry: dict[tuple[str, str], LearningCurve] = {}
-    for where, line in _records(path):
-        if not line.startswith("curve "):
-            raise InputError(f"{where}: expected a 'curve' record, got {line!r}")
-        fields = _parse_kv_line(line, where)
-        _require(fields, ("source", "target", "a", "b", "c", "r2"), where)
-        key = (fields["source"], fields["target"])
-        if key in registry:
-            raise InputError(f"{where}: duplicate curve for pair {key}")
+    for where, (source, target, fields) in _unique_rows(records(), 2, "curve for pair"):
         numbers = [_parse_float(fields[k], where) for k in ("a", "b", "c", "r2")]
-        registry[key] = _located(where, LearningCurve, *key, *numbers)
+        registry[source, target] = _located(where, LearningCurve, source, target, *numbers)
     return registry
 
 
@@ -301,23 +303,25 @@ def render_trace(trace: Sequence[tuple[int, str, float, float, float]]) -> str:
 
 def load_trace(path: str | Path) -> tuple[tuple[int, str, float, float, float], ...]:
     """The rows of a trace file, read by ``_read_table``; a fault (a bad
-    step, an invalid source id, a malformed or NaN number, a row that is not
-    5 fields) is reported at its ``file:line``."""
+    step, or one that is not its data row's number, as ``render_trace``
+    writes them, an invalid source id, a malformed or NaN number, a row that
+    is not 5 fields) is reported at its ``file:line``."""
 
     def fast(rows):
         built = []
-        for step, source, gain, gm, gini in rows:
+        for i, (step, source, gain, gm, gini) in enumerate(rows, 1):
             a, b, c = float(gain), float(gm), float(gini)
-            if a != a or b != b or c != c:  # a NaN
+            if a != a or b != b or c != c or int(step) != i:  # a NaN, or a step out of place
                 raise ValueError
-            built.append((int(step), source.strip(), a, b, c))
+            built.append((i, source.strip(), a, b, c))
         for source in {row[1] for row in built}:
             check_id(source, "source language")
         return tuple(built)
 
     def locate(rows):
-        for where, (step, source, *numbers) in rows:
-            _parse_int(step, where)
+        for i, (where, (step, source, *numbers)) in enumerate(rows, 1):
+            if _parse_int(step, where) != i:
+                raise InputError(f"{where}: expected step {i}, got {step}")
             _located(where, check_id, source, "source language")
             for text in numbers:
                 _parse_float(text, where)

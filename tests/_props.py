@@ -192,12 +192,14 @@ def reference_load_performance(path, scale: str = "percent") -> dict[tuple[str, 
 
 def reference_load_trace(path) -> tuple[tuple[int, str, float, float, float], ...]:
     """The per-row trace loader that ``io.load_trace`` replaced: each row is
-    parsed in full, step, source id, then numbers in column order, before
-    the next is read."""
+    parsed in full, step (which must be the data row's number), source id,
+    then numbers in column order, before the next is read."""
     rows = []
     header = ("step", "source", "marginal_gain", "gm", "gini")
     for where, (step, source, gain, gm, gini) in _read_csv_rows(path, header):
-        rows.append((_parse_int(step, where), _located(where, check_id, source, "source language"),
+        if _parse_int(step, where) != len(rows) + 1:
+            raise InputError(f"{where}: expected step {len(rows) + 1}, got {step}")
+        rows.append((len(rows) + 1, _located(where, check_id, source, "source language"),
                      _parse_float(gain, where), _parse_float(gm, where), _parse_float(gini, where)))
     return tuple(rows)
 

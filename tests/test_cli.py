@@ -1005,7 +1005,17 @@ class TestReportCommand:
          "lorenz.csv:3: the Lorenz points of ('ner', 'm', 'en') must run from (0, 0) to (1, 1), got (1, 0.5)"),
         (["ner,m,en,50,0,1,2"], ["ner,m,en,0,0", "ner,m,en,0,0", "ner,m,en,1,1"],
          "lorenz.csv:3: duplicate row for ('ner', 'm', 'en', '0')"),
-    ], ids=["too-few", "too-many", "none", "first", "last", "repeated"])
+        (["ner,m,en,50,0,2,2"], ["ner,m,en,0,0", "ner,m,en,0.0,0", "ner,m,en,1,1"],
+         "lorenz.csv:3: Lorenz point 1 of ('ner', 'm', 'en') must have population_fraction 0.5, got 0.0"),
+        (["ner,m,en,50,0,2,3"], ["ner,m,en,0,0", "ner,m,en,0.666666666667,0.5", "ner,m,en,0.333333333333,0.6",
+                                 "ner,m,en,1,1"],
+         "lorenz.csv:3: Lorenz point 1 of ('ner', 'm', 'en') must have population_fraction 0.333333333333, "
+         "got 0.666666666667"),
+        (["ner,m,en,50,0,2,3"], ["ner,m,en,0,0", "ner,m,en,0.333333333333,0.5", "ner,m,en,0.666666666667,0.4",
+                                 "ner,m,en,1,1"],
+         "lorenz.csv:4: the cumulative_share of ('ner', 'm', 'en') must not decrease, got 0.4 after 0.5"),
+    ], ids=["too-few", "too-many", "none", "first", "last", "repeated", "fraction-repeated-in-value",
+            "fractions-swapped", "share-decreasing"])
     def test_scorecard_row_without_its_lorenz_points_exit_2(self, tmp_path, monkeypatch, capsys, scorecard, lorenz,
                                                             message):
         # metrics writes universe + 1 points for each row, from (0, 0) to (1, 1).
@@ -1030,6 +1040,21 @@ class TestReportCommand:
         out = tmp_path / "r.md"
         assert main(["report", "--trace", trace, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(("steps", "message"), [
+        ((5, 3, 3), "trace.csv:2: expected step 1, got 5"),
+        ((1, 2, 2), "trace.csv:4: expected step 3, got 2"),
+        ((1, 3), "trace.csv:3: expected step 2, got 3"),
+        ((0, 1), "trace.csv:2: expected step 1, got 0"),
+    ], ids=["first", "repeated", "skipped", "from-0"])
+    def test_trace_step_out_of_place_exit_2(self, tmp_path, capsys, steps, message):
+        # allocate writes step i on data row i.
+        rows = [f"{step},hi,0.5,0.6,0.2" for step in steps]
+        trace = write(tmp_path / "trace.csv", "\n".join(["step,source,marginal_gain,gm,gini", *rows]) + "\n")
+        out = tmp_path / "r.md"
+        assert main(["report", "--trace", trace, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / message}\n"
         assert not out.exists()
 
     def test_missing_artifact_exit_2(self, data, capsys):
@@ -1213,6 +1238,38 @@ def test_output_naming_an_input_rejected(subcommand, data, tmp_path, monkeypatch
     assert main(OUTPUT_OVER_INPUT[subcommand]) == 2
     assert "name the same file" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# Each input flag of each subcommand, as its OPTIONS declare the roles, and
+# a value for each required flag that names no file. The check runs before
+# any input is read, so the inputs need not exist.
+INPUT_FLAGS = [(name, flag) for name in SUBCOMMANDS
+               for flag, spec in cli._command(name).OPTIONS.items() if spec.get("role") == "input"]
+REQUIRED_SETTINGS = {"--budget": "10", "--strategy": "greedy"}
+
+
+@pytest.mark.parametrize(("name", "flag"), INPUT_FLAGS, ids=[" ".join(case) for case in INPUT_FLAGS])
+def test_each_input_flag_naming_the_output_rejected(name, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [name, flag, "same.txt", "--out", "same.txt"]
+    for other, spec in cli._command(name).OPTIONS.items():
+        if spec.get("required") and other not in argv:
+            argv += [other, REQUIRED_SETTINGS.get(other, f"{other[2:]}.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} and --out name the same file: same.txt\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(("argv", "flag"), [
+    (["allocate", "--speakers", "x.txt", "--curves", "x.txt", "--budget", "10", "--strategy", "greedy"], "--curves"),
+    (["report", "--curves", "x.txt", "--scorecard", "x.txt"], "--scorecard"),
+], ids=["allocate", "report"])
+def test_a_collision_names_the_first_input_flag_in_options_order(argv, flag, tmp_path, monkeypatch, capsys):
+    # Not the first given: the first in the subcommand's OPTIONS.
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "x.txt"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} and --out name the same file: x.txt\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -1619,7 +1676,8 @@ def test_parser_of_a_subcommand_has_no_other():
 def test_options_use_only_what_the_fast_parser_reads(name):
     for flag, spec in cli._command(name).OPTIONS.items():
         assert re.fullmatch(r"--[a-z]+(-[a-z]+)*", flag), flag
-        assert spec.keys() <= {"required", "type", "default", "choices", "action", "help"}, flag
+        assert spec.keys() <= {"required", "type", "default", "choices", "action", "help", "role"}, flag
+        assert spec.get("role", "input") in ("input", "output"), flag
         assert spec.get("action", "store_true") in ("store_true", "append"), flag
         # argparse would pass a string default through the type; _fast_args does not.
         assert not ("type" in spec and isinstance(spec.get("default"), str)), flag

@@ -11,7 +11,9 @@ definition of the package is read by its code, so a refactor cannot leave
 a helper behind; and no two modules of the package import each other, lazily
 or not, but ``io`` and ``metrics``; and no code of the package compares the
 text of an error it caught, so a fault is told apart by what it carries
-(such as its ``row``), not by its message."""
+(such as its ``row``), not by its message; and ``cli`` spells no flag or
+dest of a subcommand, so each file flag's role is declared once, in its
+subcommand's ``OPTIONS``."""
 
 import ast
 import math
@@ -375,3 +377,30 @@ def test_checker_flags_an_unset_parameter():
     )
     callers = ["f(0, 1)\nobj.f(0, e=5)\n", "g(*args)\n"]
     assert unset_parameters(source, callers) == ["f.c", "f.d"]
+
+
+def string_constants(source: str, exempt: str) -> set[str]:
+    """The string constants of ``source``, but those of the value that a
+    top-level assignment binds to the name ``exempt``."""
+    tree = ast.parse(source)
+    skipped = {id(node) for statement in tree.body if isinstance(statement, ast.Assign)
+               and any(getattr(target, "id", None) == exempt for target in statement.targets)
+               for node in ast.walk(statement.value)}
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skipped}
+
+
+def test_cli_names_no_flag_of_a_subcommand():
+    # A subcommand's OPTIONS declare its flags and each file flag's role; the
+    # cli reads them there, so a new file flag cannot escape its checks. The
+    # subcommands' names are exempt: ``efficiency`` is a dest of report too.
+    from langdei import cli
+
+    flags = {flag for name in cli.SUBCOMMANDS for flag in cli._command(name).OPTIONS}
+    names = flags | {flag[2:].replace("-", "_") for flag in flags}
+    assert string_constants((PACKAGE / "cli.py").read_text(encoding="utf-8"), "SUBCOMMANDS") & names == set()
+
+
+def test_checker_finds_a_flag_constant():
+    source = 'SUBCOMMANDS = ("fit", "report")\nfor dest in ("out", "fit"):\n    getattr(args, dest)\n'
+    assert string_constants(source, "SUBCOMMANDS") == {"out", "fit"}

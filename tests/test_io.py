@@ -271,10 +271,26 @@ class TestCurveRegistryFormat:
 
     def test_duplicate_pair_rejected(self, tmp_path):
         p = tmp_path / "c.txt"
-        line = "curve source=en target=hi a=1 b=-2 c=0.3 r2=0.9\n"
+        line = "curve source=hi target=en a=1 b=-2 c=0.3 r2=0.9\n"
         p.write_text(line + line)
-        with pytest.raises(InputError, match=r"c\.txt:2"):
+        with pytest.raises(InputError) as info:
             load_curve_registry(p)
+        assert str(info.value) == f"{p}:2: duplicate curve for pair ('hi', 'en')"
+
+    @pytest.mark.parametrize(("second", "message"), [
+        ("curve source=hi target=en a=x b=-2 c=0.3 r2=nan", "duplicate curve for pair ('hi', 'en')"),
+        ("curve source=hi target=en a=1 b=-2 c=0.3", "missing fields: r2"),
+        ("curve source=hi target=en a=1 a=1", "duplicate key 'a'"),
+        ("alloc source=hi target=en a=1 b=-2 c=0.3 r2=0.9", "expected a 'curve' record, got 'alloc source=hi"),
+    ], ids=["repeat-before-numbers", "fields-before-repeat", "tokens-before-repeat", "kind-before-repeat"])
+    def test_repeated_pair_is_checked_in_its_place(self, tmp_path, second, message):
+        # The checks of a line run in order: kind, tokens, required fields,
+        # the repeated pair, then the numbers.
+        p = tmp_path / "c.txt"
+        p.write_text("curve source=hi target=en a=1 b=-2 c=0.3 r2=0.9\n" + second + "\n")
+        with pytest.raises(InputError) as info:
+            load_curve_registry(p)
+        assert str(info.value).startswith(f"{p}:2: {message}")
 
     def test_unparseable_coefficient_rejected(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -710,16 +726,19 @@ def goods_files(draw):
 @st.composite
 def trace_files(draw):
     """The text of a trace CSV and up to two injected faults: a malformed,
-    NaN or infinite number, a bad step, an invalid source id, a row of the
-    wrong width, or a quoted newline. Blank lines and a BOM shift nothing."""
+    NaN or infinite number, a bad step, another row's step, an invalid
+    source id, a row of the wrong width, or a quoted newline. Blank lines and
+    a BOM shift nothing."""
     rows = [[str(k), draw(st.sampled_from(["bn", "hi"]))]
             + [draw(st.sampled_from(["0.5", "-1e-3", " 2 ", "0", "1e2"])) for _ in range(3)]
             for k in range(1, draw(st.integers(1, 8)) + 1)]
-    kinds = ["malformed", "nan", "inf", "step", "source", "width", "newline"]
+    kinds = ["malformed", "nan", "inf", "step", "place", "source", "width", "newline"]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
         i = draw(st.integers(0, len(rows) - 1))
         if kind == "step":
             rows[i][0] = draw(st.sampled_from(["x", "", "1.5", "1e3", " 7 ", "-2"]))
+        elif kind == "place":
+            rows[i][0] = str(draw(st.integers(0, len(rows) + 1)))
         elif kind == "source":
             rows[i][1] = draw(st.sampled_from(["h i", "", " ", "h=i", 'h"i']))
         elif kind == "width":

@@ -88,9 +88,8 @@ def plans(draw):
     )
 
 
-traces = st.lists(
-    st.tuples(st.integers(min_value=1), ids, numbers, numbers, numbers), max_size=8
-).map(tuple)
+traces = st.lists(st.tuples(ids, numbers, numbers, numbers), max_size=8).map(
+    lambda rows: tuple((step, *row) for step, row in enumerate(rows, 1)))  # step i on data row i
 
 
 # Ids with the characters a markdown cell or a %-template would take as
