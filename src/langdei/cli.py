@@ -9,8 +9,9 @@ raises is printed as one ``warning: <message>`` line on stderr.
 Each subcommand is a module of ``langdei.commands`` that only its own runs
 import, so that a run compiles only its own code. A plain argv (the
 subcommand, then each of its flags spelt in full with its value) is parsed
-from the subcommand's ``OPTIONS`` without argparse; argparse is imported only
-for anything else, so that help and every usage error come from argparse.
+from the subcommand's ``OPTIONS`` without argparse; anything else goes to
+the argparse parser of all five subcommands, so that help and every usage
+error come from one parser.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _check_distinct_outputs(args) -> None:
     """Two output flags naming one file would leave only the last write, an
     output naming an input would replace it, and an output naming a
     directory, or a file in a directory that does not exist, could not be
-    written at all. A flag's role is its subcommand's ``OPTIONS`` entry's."""
+    written at all; ``files`` rejects an empty path. A flag's role is its
+    subcommand's ``OPTIONS`` entry's."""
     options = _command(args.command).OPTIONS
     seen: dict[Path, str] = {}
     for flag, path in files(options, args, "input"):
@@ -121,7 +123,7 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
             given.setdefault(flag, []).append(value)
         else:
             given[flag] = value
-    args = SimpleNamespace(command=argv[0], func=command.run)
+    args = SimpleNamespace(command=argv[0])
     for flag, spec in command.OPTIONS.items():
         if flag not in given and spec.get("required"):
             return None
@@ -130,36 +132,30 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
     return args
 
 
-def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of ``argv``: when ``argv`` starts with a subcommand's name,
-    only that subcommand's module is imported and its arguments added, as
-    argparse reads no other's; otherwise all five are (for ``--help``)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, which prints help and usage errors."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="langdei",
         description="Language-level diversity/equity/inclusion metrics and budget allocation.",
     )
-    names = argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
-    # With one subcommand, the metavar makes an error's usage line name all five.
-    metavar = "{" + ",".join(SUBCOMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in SUBCOMMANDS:
         command = _command(name)
         p = sub.add_parser(name, help=command.HELP)
         for flag, spec in command.OPTIONS.items():
             p.add_argument(flag, **{key: value for key, value in spec.items() if key != "role"})
-        p.set_defaults(func=command.run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _fast_args(argv) or build_parser(argv).parse_args(argv)
+    args = _fast_args(argv) or build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
             _check_distinct_outputs(args)
-            outputs, summary = args.func(args)
+            outputs, summary = _command(args.command).run(args)
             _write_outputs(outputs)
             print(summary)
             return 0

@@ -16,11 +16,14 @@ if TYPE_CHECKING:  # imported by speaker_table when it runs
 
 def files(options: dict, args, role: str) -> Iterator[tuple[str, str]]:
     """(flag, path) of each path that ``args`` gives a flag of ``options``
-    whose role is ``role``, in ``options`` order, then in the order given."""
+    whose role is ``role``, in ``options`` order, then in the order given.
+    An empty path names no file, so it is an error that names its flag."""
     for flag, spec in options.items():
         value = getattr(args, flag[2:].replace("-", "_"))
-        if spec.get("role") == role and value:
+        if spec.get("role") == role and value is not None:
             for path in value if spec.get("action") == "append" else [value]:
+                if not path:
+                    raise InputError(f"{flag} names no file")
                 yield flag, path
 
 

@@ -155,23 +155,30 @@ _NUMBER_COLUMNS = {"m_tau": (io._parse_float, lambda v: 0 <= v <= 100, "in [0, 1
                    "efficiency": (io._parse_float, lambda v: v >= 0, ">= 0")}
 
 
-def _check_lorenz_points(scorecard: list[tuple[str, list[str]]], lorenz: list[tuple[str, list[str]]]) -> None:
-    """Each Lorenz row's ``task,model,train_lang`` is a scorecard row's, and
-    each scorecard row has ``universe + 1`` Lorenz points, from (0, 0) to
-    (1, 1), as ``metrics`` writes them: point k of universe n has the
+def _check_lorenz_points(lorenz: list[tuple[str, list[str]]],
+                         scorecard: list[tuple[str, list[str]]] | None) -> None:
+    """The Lorenz points of each ``task,model,train_lang`` run from (0, 0) to
+    (1, 1) in n + 1 points, as ``metrics`` writes them: point k has the
     population fraction ``fmt_num(k / n)``, in value, and no share is below
-    the one before it."""
-    points: dict[tuple[str, ...], list[tuple[str, list[str]]]] = {tuple(cells[:3]): [] for _, cells in scorecard}
+    the one before it. With the scorecard, each Lorenz row's key is a
+    scorecard row's and n is that row's universe; without it, n is the key's
+    point count - 1, so a key with one point is a fault."""
+    points: dict[tuple[str, ...], list[tuple[str, list[str]]]] = {tuple(cells[:3]): [] for _, cells in scorecard or ()}
     for where, cells in lorenz:
-        if tuple(cells[:3]) not in points:
+        if scorecard is not None and tuple(cells[:3]) not in points:
             raise InputError(f"{where}: no scorecard row for {tuple(cells[:3])}")
-        points[tuple(cells[:3])].append((where, cells[3:]))
-    for where, cells in scorecard:
-        key = tuple(cells[:3])
-        curve, expected = points[key], int(cells[-1]) + 1  # the last cell is the universe size
-        if len(curve) != expected:
-            raise InputError(f"{where}: {key} has {len(curve)} Lorenz points, expected universe + 1 = {expected}")
-        n, last = expected - 1, "0"
+        points.setdefault(tuple(cells[:3]), []).append((where, cells[3:]))
+    if scorecard is None:  # (where a wrong point count is reported, key, n)
+        sizes = [(curve[0][0], key, len(curve) - 1) for key, curve in points.items()]
+    else:  # the last cell is the universe size
+        sizes = [(where, tuple(cells[:3]), int(cells[-1])) for where, cells in scorecard]
+    for where, key, n in sizes:
+        curve = points[key]
+        if len(curve) != n + 1:
+            raise InputError(f"{where}: {key} has {len(curve)} Lorenz points, expected universe + 1 = {n + 1}")
+        if n == 0:
+            raise InputError(f"{where}: {key} has 1 Lorenz point, expected at least 2")
+        last = "0"
         for k, (at, (x, y)) in enumerate(curve):
             fraction = io.fmt_num(k / n)
             if k in (0, n) and (float(x), float(y)) != (k / n, k / n):
@@ -197,8 +204,8 @@ def run(args) -> tuple[dict[str, str], str]:
         efficiency.load_amrs(args.amrs)
     # Every CSV file is read and checked, though the report names the Lorenz points only by path.
     rows = {role: _checked_rows(path, *_CSV_ROLES[role]) for role, path in inputs if role in _CSV_ROLES}
-    if args.scorecard and args.lorenz:
-        _check_lorenz_points(rows["scorecard"], rows["lorenz"])
+    if args.lorenz:
+        _check_lorenz_points(rows["lorenz"], rows.get("scorecard"))
 
     if args.scorecard:
         lines += ["## Scorecard", ""]

@@ -6,6 +6,7 @@ name a function that its module defines."""
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,17 +68,22 @@ def test_spanned_name_is_defined_in_its_module(name):
     assert obj.__module__ == MODULES[layer].__name__, f"{name} is defined in {obj.__module__}"
 
 
-def test_scale_tables_outputs_match_recorded_digests(tmp_path, monkeypatch):
+@pytest.fixture()
+def workloads(monkeypatch):
+    """bench/workloads.py, imported without writing bytecode under bench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leaves bench/ as it is
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    return workloads
+
+
+def test_scale_tables_outputs_match_recorded_digests(workloads, tmp_path, monkeypatch):
     """The scale-tables workload's invocations, run in-process through
     cli.main on the seed-0 inputs that bench/gen.py writes, write the bytes
     whose sha256 bench/digests.json records."""
     import hashlib
     import json
-    import sys
-
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leaves bench/ as it is
-    monkeypatch.syspath_prepend(str(BENCH))
-    import workloads
 
     (tmp_path / "in").mkdir()
     (tmp_path / "out").mkdir()
@@ -91,3 +97,19 @@ def test_scale_tables_outputs_match_recorded_digests(tmp_path, monkeypatch):
     written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for inv in invocations for name in inv.outputs}
     assert written == digests
+
+
+def test_no_workload_argv_reaches_argparse(workloads, tmp_path):
+    """cli.main parses every invocation of every workload with cli._fast_args,
+    as argparse would, so the argparse path, which only help and usage errors
+    take, moves no benchmark figure."""
+    argvs = []
+    for name, workload in workloads.WORKLOADS.items():
+        (tmp_path / name / "in").mkdir(parents=True)
+        invocations, _ = workload(0, io.DATA_ROOT, tmp_path / name)
+        argvs += [inv.argv for inv in invocations]
+    assert len(argvs) == 49
+    assert [argv for argv in argvs if cli._fast_args(argv) is None] == []
+    parser = cli.build_parser()
+    for argv in argvs:
+        assert vars(cli._fast_args(argv)) == vars(parser.parse_args(argv)), argv
