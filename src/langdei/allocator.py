@@ -46,7 +46,7 @@ from typing import Callable, Mapping
 
 from langdei import scalar
 from langdei.errors import ComputationError, InputError
-from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, Record, check_plan_settings, sequential_sum
+from langdei.records import AllocationPlan, LearningCurve, PlanEvaluation, Record, baseline_counts, check_plan_settings, sequential_sum
 
 CurveRegistry = Mapping[tuple[str, str], LearningCurve]
 
@@ -212,17 +212,14 @@ def _plan(request: AllocationRequest, strategy: str, counts: dict[str, int], tra
 def egalitarian_allocate(request: AllocationRequest) -> AllocationPlan:
     """floor(X / |S|) per source; the remainder goes one each to the first
     sources in lexicographic order."""
-    base, remainder = divmod(request.budget, len(request.sources))
-    counts = {s: base + (1 if i < remainder else 0) for i, s in enumerate(request.sources)}
-    return _plan(request, "egalitarian", counts)
+    return _plan(request, "egalitarian", baseline_counts(request.budget, request.sources))
 
 
 def single_source_allocate(request: AllocationRequest, source: str) -> AllocationPlan:
     """The whole budget to one source."""
     if source not in request.sources:
         raise InputError(f"unknown source language {source!r}; sources are {', '.join(request.sources)}")
-    counts = {s: request.budget if s == source else 0 for s in request.sources}
-    return _plan(request, f"single:{source}", counts)
+    return _plan(request, f"single:{source}", baseline_counts(request.budget, request.sources, source))
 
 
 def evaluate_plan(request: AllocationRequest, predictions: Mapping[tuple[str, str], float]) -> PlanEvaluation:

@@ -9,7 +9,7 @@ from typing import Sequence
 from langdei import io
 from langdei.commands import files
 from langdei.errors import InputError, check_id
-from langdei.records import AllocationPlan, PlanEvaluation, check_plan_settings, parse_strategy
+from langdei.records import AllocationPlan, PlanEvaluation, baseline_counts, check_plan_settings, parse_strategy
 
 HELP = "assemble prior outputs into one markdown report"
 
@@ -26,28 +26,37 @@ OPTIONS = {
 }
 
 
+# The fields each kind of plan line must have.
+_PLAN_FIELDS = {"plan": ("strategy", "budget", "alpha", "beta", "missing"), "alloc": ("source", "samples"),
+                "eval": ("mode", "clamp", "m", "gini"), "pred": ("target", "utility")}
+# The kinds a plan has one line of: the name a second one is reported under, and the fault if none.
+_ONE_LINE = {"plan": ("plan header", "missing plan header"), "eval": ("eval line", "plan has no eval line")}
+
+
 def load_plan(path: str | Path) -> AllocationPlan:
     """Parse a plan file, which must hold a plan that allocate could write:
     settings that pass the request's rule, a known strategy (a single source
     among the alloc lines), an eval line, sample counts >= 0 that sum to the
-    budget, and gm and gini on exactly the funded sources. The step trace
-    lives in its own CSV."""
-    header: dict[str, str] | None = None
+    budget (a baseline's as ``baseline_counts`` splits it), and gm and gini
+    on exactly the funded sources. The step trace lives in its own CSV."""
+    once: dict[str, dict[str, str]] = {}  # the fields of each _ONE_LINE kind's line
     counts: dict[str, int] = {}
     final_gm: dict[str, float] = {}
     final_gini: dict[str, float] = {}
-    eval_fields: dict[str, str] | None = None
     utilities: dict[str, float] = {}
     for where, line in io._records(path):
         kind = line.split(None, 1)[0]
         fields = io._parse_kv_line(line, where)
-        if kind == "plan":
-            if header is not None:
-                raise InputError(f"{where}: duplicate plan header")
-            io._require(fields, ("strategy", "budget", "alpha", "beta", "missing"), where)
-            header = fields
+        if kind not in _PLAN_FIELDS:
+            raise InputError(f"{where}: unknown record kind {kind!r}")
+        if kind in once:
+            raise InputError(f"{where}: duplicate {_ONE_LINE[kind][0]}")
+        io._require(fields, _PLAN_FIELDS[kind], where)
+        if kind in _ONE_LINE:
+            if kind == "eval" and fields["clamp"] != "false":
+                raise InputError(f"{where}: expected clamp=false, got clamp={fields['clamp']}")
+            once[kind] = fields
         elif kind == "alloc":
-            io._require(fields, ("source", "samples"), where)
             source = io._located(where, check_id, fields["source"], "source language")
             if source in counts:
                 raise InputError(f"{where}: duplicate alloc line for source {source!r}")
@@ -60,49 +69,32 @@ def load_plan(path: str | Path) -> AllocationPlan:
                 final_gini[source] = io._parse_float(fields["gini"], where)
             elif fields.keys() & {"gm", "gini"}:
                 raise InputError(f"{where}: source {source!r} has no samples, so no gm or gini")
-        elif kind == "eval":
-            if eval_fields is not None:
-                raise InputError(f"{where}: duplicate eval line")
-            io._require(fields, ("mode", "clamp", "m", "gini"), where)
-            if fields["clamp"] != "false":
-                raise InputError(f"{where}: expected clamp=false, got clamp={fields['clamp']}")
-            eval_fields = fields
-        elif kind == "pred":
-            io._require(fields, ("target", "utility"), where)
-            if eval_fields is None:
+        else:  # pred
+            if "eval" not in once:
                 raise InputError(f"{where}: pred line before eval line")
             target = io._located(where, check_id, fields["target"], "target language")
             if target in utilities:
                 raise InputError(f"{where}: duplicate pred line for target {target!r}")
             utilities[target] = io._parse_float(fields["utility"], where)
-        else:
-            raise InputError(f"{where}: unknown record kind {kind!r}")
-    if header is None:
-        raise InputError(f"{path}: missing plan header")
-    if eval_fields is None:
-        raise InputError(f"{path}: plan has no eval line")
+    for kind, (_, absent) in _ONE_LINE.items():
+        if kind not in once:
+            raise InputError(f"{path}: {absent}")
+    header, eval_fields = once["plan"], once["eval"]
     plan = AllocationPlan(
-        strategy=header["strategy"],
-        budget=io._parse_int(header["budget"], f"{path}: plan"),
-        counts=counts,
-        final_gm=final_gm,
-        final_gini=final_gini,
-        alpha=io._parse_float(header["alpha"], f"{path}: plan"),
-        beta=io._parse_float(header["beta"], f"{path}: plan"),
-        missing=header["missing"],
-        evaluation=PlanEvaluation(
-            mode=eval_fields["mode"],
-            utilities=utilities,
-            m_tau=io._parse_float(eval_fields["m"], f"{path}: eval"),
-            gini_coeff=io._parse_float(eval_fields["gini"], f"{path}: eval"),
-        ),
-    )
+        strategy=header["strategy"], budget=io._parse_int(header["budget"], f"{path}: plan"),
+        counts=counts, final_gm=final_gm, final_gini=final_gini, missing=header["missing"],
+        alpha=io._parse_float(header["alpha"], f"{path}: plan"), beta=io._parse_float(header["beta"], f"{path}: plan"),
+        evaluation=PlanEvaluation(mode=eval_fields["mode"], utilities=utilities,
+                                  m_tau=io._parse_float(eval_fields["m"], f"{path}: eval"),
+                                  gini_coeff=io._parse_float(eval_fields["gini"], f"{path}: eval")))
     io._located(str(path), check_plan_settings, plan.budget, plan.alpha, plan.beta, plan.missing, plan.evaluation.mode)
-    single = io._located(str(path), parse_strategy, plan.strategy)[1]
+    strategy, single = io._located(str(path), parse_strategy, plan.strategy)
     if single is not None and single not in counts:
         raise InputError(f"{path}: strategy {plan.strategy} names a source without an alloc line")
     if sum(counts.values()) != plan.budget:
         raise InputError(f"{path}: alloc samples sum to {sum(counts.values())}, not the budget {plan.budget}")
+    if strategy != "greedy" and counts != baseline_counts(plan.budget, sorted(counts), single):
+        raise InputError(f"{path}: alloc samples are not the {plan.strategy} split of the budget {plan.budget}")
     return plan
 
 
@@ -111,11 +103,13 @@ def _md_row(cells: Sequence[object]) -> str:
     return "| " + " | ".join(str(cell).replace("|", "\\|") for cell in cells) + " |"
 
 
-def _checked_rows(path: str, header: Sequence[str], width: int) -> list[tuple[str, list[str]]]:
-    """The (``file:line``, cells) rows of a CSV file with ``header``. No two
-    rows share their first ``width`` cells (``io._unique_rows``), an id
-    column's cells keep ``check_id``'s rule, a number column's parse and lie
-    in the range its writer keeps, and a scorecard row's ``tested`` <= its ``universe``."""
+def _checked_rows(path: str, role: str) -> list[tuple[str, list[str]]]:
+    """The (``file:line``, cells) rows of a CSV file of ``role``: at least
+    one, under the role's header. No two rows share their key
+    (``io._unique_rows``), an id column's cells keep ``check_id``'s rule, a
+    number column's parse and lie in the range its writer keeps, and a
+    scorecard row's ``tested`` <= its ``universe``."""
+    header, width = _CSV_ROLES[role]
     rows = []
     for where, cells in io._unique_rows(io._read_csv_rows(path, header), width, "row for"):
         numbers = {}
@@ -130,6 +124,8 @@ def _checked_rows(path: str, header: Sequence[str], width: int) -> list[tuple[st
         if "universe" in numbers and numbers["tested"] > numbers["universe"]:
             raise InputError(f"{where}: tested must be <= universe, got {numbers['tested']} > {numbers['universe']}")
         rows.append((where, cells))
+    if not rows:  # metrics and efficiency write no header-only file
+        raise InputError(f"{path}: no {role} rows")
     return rows
 
 
@@ -203,7 +199,7 @@ def run(args) -> tuple[dict[str, str], str]:
 
         efficiency.load_amrs(args.amrs)
     # Every CSV file is read and checked, though the report names the Lorenz points only by path.
-    rows = {role: _checked_rows(path, *_CSV_ROLES[role]) for role, path in inputs if role in _CSV_ROLES}
+    rows = {role: _checked_rows(path, role) for role, path in inputs if role in _CSV_ROLES}
     if args.lorenz:
         _check_lorenz_points(rows["lorenz"], rows.get("scorecard"))
 

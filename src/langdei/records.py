@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from langdei.errors import InputError, check_id
 
@@ -153,6 +153,17 @@ def parse_strategy(text: str) -> tuple[str, str | None]:
     if text.startswith("single:") and len(text) > len("single:"):
         return "single", text.split(":", 1)[1]
     raise InputError(f"unknown strategy {text!r}; expected greedy, egalitarian, or single:<lang>")
+
+
+def baseline_counts(budget: int, sources: Sequence[str], single: str | None = None) -> dict[str, int]:
+    """The sample counts of a baseline strategy, for ``allocate`` and for a
+    plan file: the whole budget to ``single``; with no ``single``, the
+    egalitarian split, budget // |S| to each source and one more to each of
+    the first budget % |S| sources in the given order."""
+    if single is not None:
+        return {s: budget if s == single else 0 for s in sources}
+    base, remainder = divmod(budget, len(sources))
+    return {s: base + (1 if i < remainder else 0) for i, s in enumerate(sources)}
 
 
 def check_tau(tau: float) -> float:

@@ -891,6 +891,30 @@ class TestReportCommand:
         message = f":2: expected header {header!r}, got ' '" if text else ": empty file"
         self.assert_report_fails(tmp_path, capsys, role, text, message)
 
+    @pytest.mark.parametrize("roles", [["scorecard"], ["lorenz"], ["efficiency"], ["scorecard", "lorenz"]],
+                             ids=["scorecard", "lorenz", "efficiency", "scorecard-lorenz"])
+    def test_header_only_csv_artifact_exit_2(self, tmp_path, capsys, roles):
+        # metrics and efficiency never write a file without rows; the first
+        # role read is reported, before the Lorenz rule runs.
+        paths = {role: write(tmp_path / f"{role}.csv", self.CSV_ARTIFACTS[role].split("\n")[0] + "\n")
+                 for role in roles}
+        out = tmp_path / "r.md"
+        assert main(["report", *(arg for role in roles for arg in (f"--{role}", paths[role])), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {paths[roles[0]]}: no {roles[0]} rows\n"
+        assert not out.exists()
+
+    def test_header_only_amrs_trace_and_empty_registry_accepted(self, tmp_path):
+        # An empty AMRS override is efficiency's to accept, egalitarian
+        # allocate writes a header-only trace, and fit a registry without
+        # curves when it rejects every pair.
+        amrs = write(tmp_path / "amrs.csv", "group,task,metric,amrs\n")
+        trace = write(tmp_path / "trace.csv", "step,source,marginal_gain,gm,gini\n")
+        curves = write(tmp_path / "curves.txt", "")
+        out = tmp_path / "r.md"
+        assert main(["report", "--amrs", amrs, "--curves", curves, "--trace", trace, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "0 fitted curves." in text and "0 greedy steps recorded." in text
+
     def test_each_csv_artifact_renders_as_read(self, tmp_path):
         args = []
         for role, text in self.CSV_ARTIFACTS.items():

@@ -382,8 +382,8 @@ class TestPlanAndTraceFormat:
 
     def test_plan_without_header_rejected(self, tmp_path):
         p = tmp_path / "p.txt"
-        p.write_text("alloc source=bn samples=3\n")
-        with pytest.raises(InputError, match="header"):
+        p.write_text("alloc source=bn samples=3 gm=0.5 gini=0\neval mode=mean clamp=false m=0.5 gini=0\n")
+        with pytest.raises(InputError, match=r"p\.txt: missing plan header"):
             load_plan(p)
 
     def test_duplicate_alloc_line_rejected(self, tmp_path):
@@ -433,11 +433,28 @@ class TestPlanAndTraceFormat:
         ("alloc source=bn samples=2 gm=0.5 gini=0\nalloc source=ta samples=0 gini=0.1\n" + EVAL,
          r"p\.txt:3: source 'ta' has no samples, so no gm or gini"),
         ("alloc source=bn samples=2\n" + EVAL, r"p\.txt:2: missing fields: gm, gini"),
+        ("plan strategy=single:hi budget=2 alpha=1 beta=1 missing=strict\n"
+         "alloc source=bn samples=2 gm=0.5 gini=0\nalloc source=hi samples=0\n" + EVAL,
+         r"p\.txt: alloc samples are not the single:hi split of the budget 2"),
+        ("plan strategy=egalitarian budget=4 alpha=1 beta=1 missing=strict\n"
+         "alloc source=bn samples=4 gm=0.5 gini=0\nalloc source=hi samples=0\n" + EVAL,
+         r"p\.txt: alloc samples are not the egalitarian split of the budget 4"),
+        ("plan strategy=egalitarian budget=5 alpha=1 beta=1 missing=strict\n"
+         "alloc source=hi samples=3 gm=0.5 gini=0\nalloc source=bn samples=2 gm=0.5 gini=0\n" + EVAL,
+         r"p\.txt: alloc samples are not the egalitarian split of the budget 5"),
+        # The first faulty line is reported; on one line, a repeated plan or
+        # eval line comes before its missing fields.
+        ("alloc source=bn samples=2 gm=0.5 gini=0\npred target=hi utility=0.5\n" + EVAL
+         + "alloc source=bn samples=2 gm=0.5 gini=0\n", r"p\.txt:3: pred line before eval line"),
+        (PLAN_HEAD + "plan strategy=greedy\nalloc source=bn samples=2 gm=0.5 gini=0\n" + EVAL,
+         r"p\.txt:2: duplicate plan header"),
     ], ids=["duplicate-pred", "source-id", "target-id", "negative-count", "sum", "no-eval", "mode",
-            "unfunded-state", "funded-no-state"])
+            "unfunded-state", "funded-no-state", "single-split", "egalitarian-split", "egalitarian-remainder",
+            "pred-before-eval-then-repeated-alloc", "second-plan-line-without-fields"])
     def test_plan_allocate_could_not_write_rejected(self, tmp_path, body, message):
+        # A body that starts with its own plan line takes the place of PLAN_HEAD.
         p = tmp_path / "p.txt"
-        p.write_text(self.PLAN_HEAD + body)
+        p.write_text(body if body.startswith("plan ") else self.PLAN_HEAD + body)
         with pytest.raises(InputError, match=message):
             load_plan(p)
 

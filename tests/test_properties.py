@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langdei.allocator import AllocationPlan, PlanEvaluation
-from langdei.records import COMPOSITION_MODES, MISSING_POLICIES
+from langdei.records import COMPOSITION_MODES, MISSING_POLICIES, baseline_counts, parse_strategy
 from langdei.cli import main
 from langdei.curves import LearningCurve, TrajectoryPoint
 from langdei.efficiency import METRICS, AmrsTable, GoodsTable, load_amrs, render_amrs, render_efficiency
@@ -62,16 +62,20 @@ def registries(draw):
 
 @st.composite
 def plans(draw):
-    """Plans the file rules accept: counts that sum to the budget, a known
-    strategy, settings from the option lists, valid objective weights, gm
-    and gini on exactly the funded sources, and an evaluation."""
+    """Plans the file rules accept: counts that sum to the budget (for a
+    baseline, the counts ``baseline_counts`` gives it), a known strategy,
+    settings from the option lists, valid objective weights, gm and gini on
+    exactly the funded sources, and an evaluation."""
     counts = draw(st.dictionaries(ids, st.integers(min_value=0, max_value=10**9), min_size=1, max_size=6)
                   .filter(lambda c: sum(c.values()) > 0))
+    strategy = draw(st.sampled_from(["greedy", "egalitarian", *(f"single:{s}" for s in sorted(counts))]))
+    if strategy != "greedy":
+        counts = baseline_counts(sum(counts.values()), sorted(counts), parse_strategy(strategy)[1])
     funded = [s for s in sorted(counts) if counts[s] > 0]
     weights = st.floats(min_value=0.0, allow_infinity=False)
     alpha, beta = draw(st.tuples(weights, weights).filter(lambda ab: ab[0] + ab[1] > 0))
     return AllocationPlan(
-        strategy=draw(st.sampled_from(["greedy", "egalitarian", *(f"single:{s}" for s in sorted(counts))])),
+        strategy=strategy,
         budget=sum(counts.values()),
         counts=counts,
         final_gm={s: draw(numbers) for s in funded},
